@@ -4,7 +4,7 @@
 //! The binary lexes every workspace source file with a hand-rolled
 //! Rust lexer (no syn, no proc-macro machinery — the container is
 //! offline and the gate must build from a cold cache) and enforces
-//! four rule families:
+//! three rule families:
 //!
 //! * **lock_order** — nested `Mutex`/`RwLock` acquisition scopes are
 //!   extracted per function and stitched into an inter-procedural lock
@@ -18,9 +18,6 @@
 //! * **panic_path** — `unwrap`/`expect`, panicking macros and
 //!   unchecked indexing are banned in the wire-facing modules unless
 //!   waived inline with a justification.
-//! * **spec_drift** — the op set, HTTP route table and metrics keys in
-//!   the code are cross-checked against `docs/PROTOCOL.md` in both
-//!   directions.
 //!
 //! Findings can be waived inline (`// analyze: allow(rule): reason`)
 //! or via the checked-in `analyze-waivers.txt`; every waiver carries a
@@ -109,12 +106,6 @@ pub fn analyze(root: &Path, waiver_path: Option<&Path>) -> Result<Analysis, Stri
     let (mut findings, lock_order) = rules::lock_order::run(&ws);
     findings.extend(rules::blocking::run(&ws));
     findings.extend(rules::panic_path::run(&ws));
-    let doc_path = root.join("docs").join("PROTOCOL.md");
-    let doc_text = fs::read_to_string(&doc_path).ok();
-    findings.extend(rules::spec_drift::run(
-        &ws,
-        doc_text.as_deref().map(|t| ("docs/PROTOCOL.md", t)),
-    ));
 
     let file_waivers = match waiver_path {
         Some(p) => {

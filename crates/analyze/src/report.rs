@@ -3,8 +3,7 @@
 /// One rule violation (or waived violation) at a source location.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule family: `lock_order`, `reactor_blocking`, `panic_path` or
-    /// `spec_drift`.
+    /// Rule family: `lock_order`, `reactor_blocking` or `panic_path`.
     pub rule: &'static str,
     /// Root-relative file path.
     pub file: String,
@@ -97,7 +96,7 @@ impl Analysis {
 }
 
 /// The rule families, in report order.
-pub const RULES: &[&str] = &["lock_order", "reactor_blocking", "panic_path", "spec_drift"];
+pub const RULES: &[&str] = &["lock_order", "reactor_blocking", "panic_path"];
 
 fn render(f: &Finding) -> String {
     if f.line == 0 {

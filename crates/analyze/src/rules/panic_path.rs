@@ -22,6 +22,8 @@ const WIRE_FILES: &[&str] = &[
     "reactor.rs",
     "fed.rs",
     "session.rs",
+    "framing.rs",
+    "json.rs",
 ];
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "unimplemented", "todo"];

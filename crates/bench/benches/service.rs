@@ -100,29 +100,6 @@ fn bench_sharded_ingest(c: &mut Criterion) {
             },
         );
     }
-    // The pre-rewrite per-record raw path (perturb_record's fresh Vec +
-    // per-attribute draws + re-encode), kept as a baseline so the
-    // index-domain fast path's win stays measurable. Single-threaded:
-    // the comparison isolates per-record cost, not lock striping. See
-    // `bench_ingest` (src/bin) for the records/sec report.
-    group.bench_with_input(
-        BenchmarkId::new("server_perturbed_legacy", 1),
-        &records,
-        |b, records| {
-            let s = schema();
-            let gd = GammaDiagonal::new(&s, GAMMA).expect("gamma > 1");
-            b.iter(|| {
-                let mut acc = frapp_core::CountAccumulator::new(s.clone());
-                let mut rng = StdRng::seed_from_u64(7);
-                for record in records {
-                    let perturbed = gd.perturb_record(record, &mut rng).expect("valid record");
-                    let idx = s.encode(&perturbed).expect("schema-valid output");
-                    acc.observe_index(idx);
-                }
-                black_box(acc)
-            });
-        },
-    );
     group.finish();
 }
 
@@ -161,12 +138,12 @@ fn bench_reconstruction_queries(c: &mut Criterion) {
 
 /// Snapshot persistence cost: what the periodic persister pays to dump
 /// a loaded 500-cell, 4-shard session, and what recovery pays to read
-/// it back (parse + count validation + RNG fast-forward).
+/// it back (parse + count validation + RNG state restore).
 fn bench_persistence(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("frapp-bench-persist-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let session = session(4);
-    // Server-perturbed ingest so recovery also fast-forwards the RNG.
+    // Server-perturbed ingest so the RNG state is not the seed state.
     let base: Vec<Vec<u32>> = (0..20_000)
         .map(|i| vec![(i % 3) as u32, (i % 7) as u32, (i % 5) as u32])
         .collect();

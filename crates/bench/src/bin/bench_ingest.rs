@@ -1,21 +1,12 @@
-//! Ingest-throughput benchmark: the index-domain raw-ingest fast path
-//! vs the legacy per-record path, emitting `BENCH_ingest.json`.
+//! In-process wire, fan-in and mining-interference reports, one per
+//! mode flag (`--wire`, `--fanin`, `--mining`; add `--quick` for a
+//! CI-friendly run, `--out PATH` to move the JSON). They stay until
+//! `benchmark/` has a high-fan-in workload; everything else this file
+//! used to time is a rung of `benchmark/run.sh --trace`.
 //!
-//! The *fast* path is production `CollectionSession` ingest: one
-//! batch-level validate+encode, then two RNG draws and a counter
-//! increment per record under the shard lock
-//! (`Perturber::perturb_index` → `observe_index`).
+//! Usage: `cargo run --release -p frapp-bench --bin bench_ingest -- --wire`.
 //!
-//! The *legacy* path replays what `Shard::ingest_raw` did before the
-//! index-domain rewrite: per record, `perturb_record` (a fresh `Vec`
-//! per record, per-attribute uniform draws, plus the perturber's own
-//! validation) followed by a re-`encode` of the perturbed record.
-//!
-//! Usage: `cargo run --release -p frapp-bench --bin bench_ingest`
-//! (add `--quick` for a CI-friendly run, `--out PATH` to move the
-//! JSON). Numbers are records/second, higher is better.
-//!
-//! With `--wire`, the benchmark instead measures *transport* cost
+//! With `--wire`, the benchmark measures *transport* cost
 //! against a real loopback server and emits `BENCH_http.json` plus a
 //! binary-framing summary in `BENCH_binary.json` (`--out-binary` to
 //! move it): synchronous line-protocol submits (one round-trip per
@@ -37,7 +28,7 @@
 //! because jobs never execute on connection-serving threads — is
 //! recorded in the JSON (`within_bound`).
 //!
-//! With `--fanin`, it measures *concurrent-connection fan-in* instead
+//! With `--fanin`, it measures *concurrent-connection fan-in*
 //! and emits `BENCH_async.json`: N concurrent clients (64/256/1024)
 //! over each framing (pipelined line protocol, pipelined binary,
 //! synchronous HTTP) against the thread-per-connection front-end vs
@@ -49,21 +40,16 @@
 //! fan-in ratio is what lets the reactor hold ten thousand mostly-idle
 //! collection clients without ten thousand stacks.
 
-use frapp_core::perturb::{GammaDiagonal, Perturber};
-use frapp_core::{CountAccumulator, Schema};
-use frapp_service::protocol::RecordBatch;
-use frapp_service::session::{CollectionSession, Mechanism};
+use frapp_core::Schema;
+use frapp_service::wire::Counter;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::Mutex;
 use std::time::Instant;
 
 const GAMMA: f64 = 19.0;
 
 fn schema() -> Schema {
-    // The 500-cell domain the service benches use: large enough that
-    // the legacy path's per-record encode is not trivially cached,
-    // small enough to iterate quickly.
+    // The 500-cell domain the service benches use.
     Schema::new(vec![("a", 10), ("b", 10), ("c", 5)]).expect("static schema")
 }
 
@@ -72,125 +58,6 @@ fn raw_records(n: usize) -> Vec<Vec<u32>> {
     (0..n)
         .map(|i| vec![(i % 3) as u32, (i % 7) as u32, (i % 5) as u32])
         .collect()
-}
-
-struct Run {
-    path: &'static str,
-    shards: usize,
-    batch: usize,
-    records_per_sec: f64,
-}
-
-/// Best-of-`reps` records/sec for one configuration (min wall-clock,
-/// the standard noise filter for throughput micro-benchmarks).
-fn best_records_per_sec(reps: usize, records: usize, mut run: impl FnMut()) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        run();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    records as f64 / best
-}
-
-/// The production fast path: session ingest of flat [`RecordBatch`]es
-/// (what the wire layer hands the server since the flat-buffer parse),
-/// `batch` records per submit, one worker thread pinned per shard.
-fn bench_fast(records: &[Vec<u32>], shards: usize, batch: usize, reps: usize) -> f64 {
-    // Pre-chunked flat batches per shard, mirroring what `parse_records`
-    // produces for each submit line.
-    let per_shard: Vec<Vec<RecordBatch>> = records
-        .chunks(records.len() / shards)
-        .map(|chunk| chunk.chunks(batch).map(RecordBatch::from_rows).collect())
-        .collect();
-    best_records_per_sec(reps, records.len(), || {
-        let session = CollectionSession::new(
-            0,
-            schema(),
-            Mechanism::Deterministic { gamma: GAMMA },
-            shards,
-            7,
-            4096,
-        )
-        .expect("valid session");
-        std::thread::scope(|scope| {
-            for (i, batches) in per_shard.iter().enumerate() {
-                let session = &session;
-                scope.spawn(move || {
-                    for b in batches {
-                        session
-                            .submit_slices_to_shard(i % shards, b.iter(), false)
-                            .expect("ingest");
-                    }
-                });
-            }
-        });
-    })
-}
-
-/// The draw-counting RNG wrapper the old shard kept around its
-/// generator (the v1 snapshot format persisted the count).
-struct CountingRng {
-    inner: rand::rngs::StdRng,
-    draws: u64,
-}
-
-impl rand::RngCore for CountingRng {
-    fn next_u32(&mut self) -> u32 {
-        self.draws += 1;
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-}
-
-/// The pre-rewrite per-record path: under the shard lock, each record
-/// pays a dynamically dispatched `perturb_record` (per-record `Vec` +
-/// per-attribute draws + the perturber's own validation) and a
-/// re-`encode` of the perturbed output — exactly the work the old
-/// `Shard::ingest_raw` did, `dyn Perturber`/`dyn RngCore` dispatch
-/// included.
-fn bench_legacy(records: &[Vec<u32>], shards: usize, batch: usize, reps: usize) -> f64 {
-    use rand::{RngCore, SeedableRng};
-    let s = schema();
-    let gd = GammaDiagonal::new(&s, GAMMA).expect("gamma > 1");
-    let perturber: &dyn Perturber = &gd;
-    best_records_per_sec(reps, records.len(), || {
-        let shard_state: Vec<Mutex<(CountAccumulator, CountingRng)>> = (0..shards)
-            .map(|i| {
-                Mutex::new((
-                    CountAccumulator::new(s.clone()),
-                    CountingRng {
-                        inner: rand::rngs::StdRng::seed_from_u64(frapp_service::shard::shard_seed(
-                            7, i,
-                        )),
-                        draws: 0,
-                    },
-                ))
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for (i, chunk) in records.chunks(records.len() / shards).enumerate() {
-                let state = &shard_state[i % shards];
-                let s = &s;
-                scope.spawn(move || {
-                    for b in chunk.chunks(batch) {
-                        let mut guard = state.lock().unwrap();
-                        let (acc, rng) = &mut *guard;
-                        for record in b {
-                            let perturbed = perturber
-                                .perturb_record(record, rng as &mut dyn RngCore)
-                                .expect("valid record");
-                            let idx = s.encode(&perturbed).expect("schema-valid output");
-                            acc.observe_index(idx);
-                        }
-                    }
-                });
-            }
-        });
-    })
 }
 
 /// One transport measurement for the `--wire` mode: create a session,
@@ -591,16 +458,16 @@ fn run_fanin(quick: bool, out_path: &str) {
                 let total = (clients * per_client * reps) as u64;
                 assert_eq!(control.stats(session).expect("stats").total, total);
                 let report = control.server_metrics().expect("metrics");
-                assert_eq!(report.sheds, 0, "no sheds below the cap");
+                assert_eq!(report.get(Counter::Sheds), 0, "no sheds below the cap");
                 let rps = (clients * per_client) as f64 / best_elapsed;
                 // Thread-per-connection spends one worker thread per
                 // admitted client; the reactor spends its fixed event-loop
                 // threads however many clients connect.
                 let service_threads = if async_mode { REACTOR_THREADS } else { clients };
                 let accepted_connections = if framing == "http" {
-                    report.http_connections
+                    report.get(Counter::HttpConnections)
                 } else {
-                    report.tcp_connections
+                    report.get(Counter::TcpConnections)
                 };
                 eprintln!(
                     "{front_end}/{framing} clients={clients}: {rps:.0} rec/s, \
@@ -613,7 +480,7 @@ fn run_fanin(quick: bool, out_path: &str) {
                     records_per_client: per_client,
                     records_per_sec: rps,
                     accepted_connections,
-                    sheds: report.sheds,
+                    sheds: report.get(Counter::Sheds),
                     service_threads,
                 });
                 handle.shutdown().expect("shutdown");
@@ -874,10 +741,8 @@ fn main() {
                 "BENCH_mining.json".to_owned()
             } else if fanin_mode {
                 "BENCH_async.json".to_owned()
-            } else if wire_mode {
-                "BENCH_http.json".to_owned()
             } else {
-                "BENCH_ingest.json".to_owned()
+                "BENCH_http.json".to_owned()
             }
         });
     if mining_mode {
@@ -896,82 +761,6 @@ fn main() {
         return run_wire(quick, &out_path, &out_binary_path);
     }
 
-    let total = if quick { 1 << 16 } else { 1 << 19 };
-    let reps = if quick { 3 } else { 5 };
-    let records = raw_records(total);
-    let batches = [256usize, 1024, 8192];
-    let shard_counts = [1usize, 4];
-
-    let mut runs: Vec<Run> = Vec::new();
-    for &shards in &shard_counts {
-        for &batch in &batches {
-            let fast = bench_fast(&records, shards, batch, reps);
-            let legacy = bench_legacy(&records, shards, batch, reps);
-            eprintln!(
-                "shards={shards} batch={batch}: fast {fast:.0} rec/s, \
-                 legacy {legacy:.0} rec/s ({:.2}x)",
-                fast / legacy
-            );
-            runs.push(Run {
-                path: "fast",
-                shards,
-                batch,
-                records_per_sec: fast,
-            });
-            runs.push(Run {
-                path: "legacy",
-                shards,
-                batch,
-                records_per_sec: legacy,
-            });
-        }
-    }
-
-    // Headline: single-shard speedup at each batch size (thread scaling
-    // held constant, so the ratio isolates the per-record path cost).
-    let speedup_at = |batch: usize| -> f64 {
-        let get = |path: &str| {
-            runs.iter()
-                .find(|r| r.path == path && r.shards == 1 && r.batch == batch)
-                .map(|r| r.records_per_sec)
-                .unwrap_or(f64::NAN)
-        };
-        get("fast") / get("legacy")
-    };
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"service_ingest\",");
-    let _ = writeln!(json, "  \"schema_domain\": {},", schema().domain_size());
-    let _ = writeln!(json, "  \"gamma\": {GAMMA},");
-    let _ = writeln!(json, "  \"records_per_run\": {total},");
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"path\": \"{}\", \"shards\": {}, \"batch\": {}, \
-             \"records_per_sec\": {:.0}}}{}",
-            r.path,
-            r.shards,
-            r.batch,
-            r.records_per_sec,
-            if i + 1 < runs.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"speedup_fast_vs_legacy_1_shard\": {\n");
-    for (i, &batch) in batches.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"{batch}\": {:.2}{}",
-            speedup_at(batch),
-            if i + 1 < batches.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  }\n}\n");
-
-    let mut file = std::fs::File::create(&out_path).expect("create output file");
-    file.write_all(json.as_bytes()).expect("write output file");
-    eprintln!("wrote {out_path}");
+    eprintln!("usage: bench_ingest --wire|--fanin|--mining [--quick] [--out PATH]");
+    std::process::exit(2);
 }

@@ -43,6 +43,7 @@ use frapp_core::perturb::{GammaDiagonal, Perturber};
 use frapp_service::client::{Client, SessionSpec};
 use frapp_service::json::Value;
 use frapp_service::session::{Mechanism, ReconstructionMethod};
+use frapp_service::wire::{Counter, PeerCounter};
 use frapp_service::{FaultPlan, MineSpec, Server, ServerHandle, ServiceConfig, ServiceError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -405,17 +406,17 @@ fn reconnect_storm(s: &mut Soak, round: usize, scale: usize, seed: u64) {
         )
     });
     let tm = control.server_metrics().unwrap();
-    s.check("reconnect_storm", tm.sheds == 0, || {
-        format!("{} connections shed below the cap", tm.sheds)
+    s.check("reconnect_storm", tm.get(Counter::Sheds) == 0, || {
+        format!("{} connections shed below the cap", tm.get(Counter::Sheds))
     });
     handle.shutdown().unwrap();
     s.record(
         "reconnect_storm",
         round,
         vec![
-            kv("connections", tm.tcp_connections),
+            kv("connections", tm.get(Counter::TcpConnections)),
             kv("records", submitted),
-            kv("accept_errors", tm.accept_errors),
+            kv("accept_errors", tm.get(Counter::AcceptErrors)),
         ],
     );
 }
@@ -488,7 +489,7 @@ fn slow_reader(s: &mut Soak, round: usize, scale: usize, seed: u64) {
         round,
         vec![
             kv("responses", got),
-            kv("partial_writes", tm.reactor_partial_writes),
+            kv("partial_writes", tm.get(Counter::ReactorPartialWrites)),
         ],
     );
 }
@@ -718,25 +719,28 @@ fn mining_churn(s: &mut Soak, round: usize, scale: usize, seed: u64) {
     let tm = client.server_metrics().unwrap();
     s.check(
         "mining_churn",
-        tm.jobs_submitted == jobs.len() as u64 && tm.jobs_shed == shed,
+        tm.get(Counter::JobsSubmitted) == jobs.len() as u64 && tm.get(Counter::JobsShed) == shed,
         || {
             format!(
                 "counters submitted={} shed={} vs observed {}/{shed}",
-                tm.jobs_submitted,
-                tm.jobs_shed,
+                tm.get(Counter::JobsSubmitted),
+                tm.get(Counter::JobsShed),
                 jobs.len()
             )
         },
     );
     s.check(
         "mining_churn",
-        tm.jobs_completed + tm.jobs_failed + tm.jobs_cancelled == jobs.len() as u64,
+        tm.get(Counter::JobsCompleted)
+            + tm.get(Counter::JobsFailed)
+            + tm.get(Counter::JobsCancelled)
+            == jobs.len() as u64,
         || {
             format!(
                 "terminal counters {}+{}+{} != accepted {}",
-                tm.jobs_completed,
-                tm.jobs_failed,
-                tm.jobs_cancelled,
+                tm.get(Counter::JobsCompleted),
+                tm.get(Counter::JobsFailed),
+                tm.get(Counter::JobsCancelled),
                 jobs.len()
             )
         },
@@ -829,14 +833,16 @@ fn federated_outage(s: &mut Soak, round: usize, scale: usize, seed: u64) {
     for h in handles.iter().flatten() {
         let mut c = Client::connect(h.addr()).unwrap();
         for peer in c.federation_metrics().unwrap() {
-            max_history = max_history.max(peer.history_batches);
+            max_history = max_history.max(peer.get(PeerCounter::HistoryBatches));
             s.check(
                 "federated_outage",
-                peer.history_batches < HISTORY_BOUND,
+                peer.get(PeerCounter::HistoryBatches) < HISTORY_BOUND,
                 || {
                     format!(
                         "link to {} holds {} replay batches (bound {})",
-                        peer.addr, peer.history_batches, HISTORY_BOUND
+                        peer.addr,
+                        peer.get(PeerCounter::HistoryBatches),
+                        HISTORY_BOUND
                     )
                 },
             );

@@ -8,7 +8,7 @@
 //! frapp-client list    [--addr HOST:PORT] [--http]
 //! frapp-client metrics [--addr HOST:PORT] [--http] --session N
 //! frapp-client server-metrics [--addr HOST:PORT] [--http]
-//! frapp-client cluster-status [--addr HOST:PORT]
+//! frapp-client cluster-status [--addr HOST:PORT] [--http]
 //! frapp-client persist [--addr HOST:PORT] [--http] [--session N]
 //! frapp-client mine    [--addr HOST:PORT] [--http|--binary] --session N
 //!                      [--algo apriori|fpgrowth] [--min-support F]
@@ -48,11 +48,10 @@
 //!
 //! `list` prints one summary line per live session; `metrics` prints a
 //! session's ingest counters and query-latency histogram;
-//! `server-metrics` prints the per-transport counters (connections,
-//! requests, sheds), — on an `--async` server — the reactor's
-//! event-loop counters, and — on a federated server — the per-peer
-//! replication counters (batches forwarded, acks, retries, peer-down
-//! events); `cluster-status` prints the federation topology with
+//! `server-metrics` prints every server-wide counter of
+//! `frapp_service::wire::COUNTERS` (transport, jobs, reactor) and — on
+//! a federated server — every per-peer replication counter of
+//! `PEER_COUNTERS`; `cluster-status` prints the federation topology with
 //! per-peer liveness; `persist` asks the server to snapshot one (or
 //! all) sessions to its persistence directory.
 //!
@@ -70,7 +69,7 @@ use frapp_core::perturb::{GammaDiagonal, Perturber};
 use frapp_service::client::{job_status_is_terminal, Client, HttpClient, SessionSpec};
 use frapp_service::json::Value;
 use frapp_service::session::ReconstructionMethod;
-use frapp_service::session::{Reconstruction, SessionStats, SessionSummary};
+use frapp_service::wire::{PeerCounter, COUNTERS, PEER_COUNTERS};
 use frapp_service::{MineAlgo, MineSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,7 +101,7 @@ fn usage() -> ! {
          \x20      frapp-client list    [--addr HOST:PORT] [--http]\n\
          \x20      frapp-client metrics [--addr HOST:PORT] [--http] --session N\n\
          \x20      frapp-client server-metrics [--addr HOST:PORT] [--http]\n\
-         \x20      frapp-client cluster-status [--addr HOST:PORT]\n\
+         \x20      frapp-client cluster-status [--addr HOST:PORT] [--http]\n\
          \x20      frapp-client persist [--addr HOST:PORT] [--http] [--session N]\n\
          \x20      frapp-client mine    [--addr HOST:PORT] [--http|--binary] --session N \
          [--algo apriori|fpgrowth] [--min-support F] [--min-confidence F] \
@@ -199,12 +198,21 @@ fn parse_args(args: impl Iterator<Item = String>) -> Args {
     parsed
 }
 
-/// One connection over whichever transport `--http` selected. The ops
-/// the CLI needs are mirrored across [`Client`] and [`HttpClient`], so
-/// subcommands stay transport-agnostic.
+/// One connection over whichever transport `--http` selected.
 enum AnyClient {
     Tcp(Box<Client>),
     Http(Box<HttpClient>),
+}
+
+/// Calls a typed method both clients have on whichever one is
+/// connected: `on!(client.stats(session))`.
+macro_rules! on {
+    ($client:ident . $method:ident ( $($arg:expr),* )) => {
+        match &mut $client {
+            AnyClient::Tcp(c) => c.$method($($arg),*),
+            AnyClient::Http(c) => c.$method($($arg),*),
+        }
+    };
 }
 
 impl AnyClient {
@@ -233,124 +241,6 @@ impl AnyClient {
             }
         }
     }
-
-    fn create_session(&mut self, spec: &SessionSpec) -> frapp_service::Result<u64> {
-        match self {
-            AnyClient::Tcp(c) => c.create_session(spec),
-            AnyClient::Http(c) => c.create_session(spec),
-        }
-    }
-
-    fn submit_batch(
-        &mut self,
-        session: u64,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-    ) -> frapp_service::Result<usize> {
-        match self {
-            AnyClient::Tcp(c) => c.submit_batch(session, records, pre_perturbed),
-            AnyClient::Http(c) => c.submit_batch(session, records, pre_perturbed),
-        }
-    }
-
-    fn stats(&mut self, session: u64) -> frapp_service::Result<SessionStats> {
-        match self {
-            AnyClient::Tcp(c) => c.stats(session),
-            AnyClient::Http(c) => c.stats(session),
-        }
-    }
-
-    fn reconstruct(
-        &mut self,
-        session: u64,
-        method: ReconstructionMethod,
-        clamp: bool,
-    ) -> frapp_service::Result<Reconstruction> {
-        match self {
-            AnyClient::Tcp(c) => c.reconstruct(session, method, clamp),
-            AnyClient::Http(c) => c.reconstruct(session, method, clamp),
-        }
-    }
-
-    fn close_session(&mut self, session: u64) -> frapp_service::Result<bool> {
-        match self {
-            AnyClient::Tcp(c) => c.close_session(session),
-            AnyClient::Http(c) => c.close_session(session),
-        }
-    }
-
-    fn list_sessions_detail(&mut self) -> frapp_service::Result<Vec<SessionSummary>> {
-        match self {
-            AnyClient::Tcp(c) => c.list_sessions_detail(),
-            AnyClient::Http(c) => c.list_sessions_detail(),
-        }
-    }
-
-    fn metrics(
-        &mut self,
-        session: u64,
-    ) -> frapp_service::Result<(frapp_service::MetricsReport, u64)> {
-        match self {
-            AnyClient::Tcp(c) => c.metrics(session),
-            AnyClient::Http(c) => c.metrics(session),
-        }
-    }
-
-    fn persist(&mut self, session: Option<u64>) -> frapp_service::Result<Vec<u64>> {
-        match self {
-            AnyClient::Tcp(c) => c.persist(session),
-            AnyClient::Http(c) => c.persist(session),
-        }
-    }
-
-    fn server_metrics(&mut self) -> frapp_service::Result<frapp_service::TransportReport> {
-        match self {
-            AnyClient::Tcp(c) => c.server_metrics(),
-            AnyClient::Http(c) => c.server_metrics(),
-        }
-    }
-
-    fn mine_rules(&mut self, session: u64, spec: &MineSpec) -> frapp_service::Result<u64> {
-        match self {
-            AnyClient::Tcp(c) => c.mine_rules(session, spec),
-            AnyClient::Http(c) => c.mine_rules(session, spec),
-        }
-    }
-
-    fn job_status(&mut self, job: u64) -> frapp_service::Result<Value> {
-        match self {
-            AnyClient::Tcp(c) => c.job_status(job),
-            AnyClient::Http(c) => c.job_status(job),
-        }
-    }
-
-    fn job_result(&mut self, job: u64) -> frapp_service::Result<Value> {
-        match self {
-            AnyClient::Tcp(c) => c.job_result(job),
-            AnyClient::Http(c) => c.job_result(job),
-        }
-    }
-
-    fn job_cancel(&mut self, job: u64) -> frapp_service::Result<Value> {
-        match self {
-            AnyClient::Tcp(c) => c.job_cancel(job),
-            AnyClient::Http(c) => c.job_cancel(job),
-        }
-    }
-
-    fn list_jobs(&mut self) -> frapp_service::Result<Vec<Value>> {
-        match self {
-            AnyClient::Tcp(c) => c.list_jobs(),
-            AnyClient::Http(c) => c.list_jobs(),
-        }
-    }
-
-    fn wait_job(&mut self, job: u64, timeout: Duration) -> frapp_service::Result<Value> {
-        match self {
-            AnyClient::Tcp(c) => c.wait_job(job, timeout),
-            AnyClient::Http(c) => c.wait_job(job, timeout),
-        }
-    }
 }
 
 /// Unwraps an ops-subcommand result with a clean one-line error —
@@ -365,7 +255,7 @@ fn ok_or_exit<T>(result: frapp_service::Result<T>) -> T {
 
 fn run_list(args: Args) {
     let mut client = AnyClient::connect(&args.addr, args.http, args.binary);
-    let sessions = ok_or_exit(client.list_sessions_detail());
+    let sessions = ok_or_exit(on!(client.list_sessions_detail()));
     if sessions.is_empty() {
         println!("no live sessions");
         return;
@@ -388,7 +278,7 @@ fn run_metrics(args: Args) {
         usage()
     });
     let mut client = AnyClient::connect(&args.addr, args.http, args.binary);
-    let (report, total) = ok_or_exit(client.metrics(session));
+    let (report, total) = ok_or_exit(on!(client.metrics(session)));
     println!("session {session}");
     println!("  records (all-time):      {total}");
     println!("  records (this process):  {}", report.records_ingested);
@@ -428,67 +318,39 @@ fn run_metrics(args: Args) {
 
 fn run_server_metrics(args: Args) {
     let mut client = AnyClient::connect(&args.addr, args.http, args.binary);
-    let r = ok_or_exit(client.server_metrics());
-    println!("transport");
-    println!(
-        "  tcp:  {} connections, {} requests",
-        r.tcp_connections, r.tcp_requests
-    );
-    println!(
-        "  http: {} connections, {} requests",
-        r.http_connections, r.http_requests
-    );
-    println!(
-        "  binary: {} connections, {} requests",
-        r.binary_connections, r.binary_requests
-    );
-    println!("  deferred batches: {}", r.deferred_batches);
-    println!("  sheds:            {}", r.sheds);
-    println!("  accept errors:    {}", r.accept_errors);
-    println!("  idle reaped:      {}", r.idle_reaped);
-    // All-zero on a thread-per-connection server; meaningful under
-    // `frapp-serve --async`.
-    println!("reactor");
-    println!("  registered fds:   {}", r.reactor_registered_fds);
-    println!("  wakeups:          {}", r.reactor_wakeups);
-    println!("  partial reads:    {}", r.reactor_partial_reads);
-    println!("  partial writes:   {}", r.reactor_partial_writes);
-    // The federation section only exists on a `--peers` server, and
-    // only the line protocol carries it back.
-    if let AnyClient::Tcp(tcp) = &mut client {
-        let peers = ok_or_exit(tcp.federation_metrics());
-        if !peers.is_empty() {
-            println!("federation");
-            for p in peers {
-                println!(
-                    "  peer {} ({}): {} batches / {} records forwarded, \
-                     {} acked, {} retries, {} peer-down, \
-                     {} breaker trips, health {}",
-                    p.node,
-                    p.addr,
-                    p.forwarded_batches,
-                    p.forwarded_records,
-                    p.acked_records,
-                    p.retries,
-                    p.peer_down,
-                    p.breaker_trips,
-                    p.health.as_str()
-                );
-            }
+    let report = ok_or_exit(on!(client.server_metrics()));
+    // The reactor section is all-zero on a thread-per-connection
+    // server; meaningful under `frapp-serve --async`.
+    let mut section = "";
+    for row in &COUNTERS {
+        if row.section != section {
+            section = row.section;
+            println!("{section}");
         }
+        println!("  {:<20}{}", format!("{}:", row.key), report.get(row.id));
+    }
+    // The federation section only exists on a `--peers` server.
+    for (i, p) in ok_or_exit(on!(client.federation_metrics()))
+        .iter()
+        .enumerate()
+    {
+        if i == 0 {
+            println!("{}", frapp_service::wire::PEER_SECTION);
+        }
+        let fields: Vec<String> = PEER_COUNTERS
+            .iter()
+            .map(|row| match row.id {
+                PeerCounter::Health => format!("{} {}", row.key, p.health().as_str()),
+                id => format!("{} {}", row.key, p.get(id)),
+            })
+            .collect();
+        println!("  peer {} ({}): {}", p.node, p.addr, fields.join(", "));
     }
 }
 
 fn run_cluster_status(args: Args) {
-    if args.http {
-        eprintln!("cluster-status speaks the line protocol; drop --http");
-        usage();
-    }
-    let mut client = AnyClient::connect(&args.addr, false, args.binary);
-    let AnyClient::Tcp(tcp) = &mut client else {
-        unreachable!("connected without --http");
-    };
-    let v = ok_or_exit(tcp.cluster_status());
+    let mut client = AnyClient::connect(&args.addr, args.http, args.binary);
+    let v = ok_or_exit(on!(client.cluster_status()));
     let federated = v
         .get("federated")
         .and_then(frapp_service::json::Value::as_bool)
@@ -543,7 +405,7 @@ fn run_cluster_status(args: Args) {
 
 fn run_persist(args: Args) {
     let mut client = AnyClient::connect(&args.addr, args.http, args.binary);
-    let persisted = ok_or_exit(client.persist(args.session));
+    let persisted = ok_or_exit(on!(client.persist(args.session)));
     println!(
         "persisted {} session{}: {persisted:?}",
         persisted.len(),
@@ -633,7 +495,7 @@ fn run_mine(args: Args) {
         usage()
     });
     let mut client = AnyClient::connect(&args.addr, args.http, args.binary);
-    let job = ok_or_exit(client.mine_rules(session, &args.mine_spec));
+    let job = ok_or_exit(on!(client.mine_rules(session, &args.mine_spec)));
     println!(
         "job {job} queued (session {session}, algo {}, min_support {}, min_confidence {})",
         args.mine_spec.algo.wire_name(),
@@ -644,10 +506,12 @@ fn run_mine(args: Args) {
         println!("not waiting; poll with `frapp-client jobs --job {job}`");
         return;
     }
-    let status = ok_or_exit(client.wait_job(job, Duration::from_secs(args.timeout_secs)));
+    let status = ok_or_exit(on!(
+        client.wait_job(job, Duration::from_secs(args.timeout_secs))
+    ));
     print_job_status(&status);
     if status.get("state").and_then(Value::as_str) == Some("done") {
-        let result = ok_or_exit(client.job_result(job));
+        let result = ok_or_exit(on!(client.job_result(job)));
         print_mine_result(&result);
     } else {
         std::process::exit(1);
@@ -661,7 +525,7 @@ fn run_jobs(args: Args) {
             eprintln!("--cancel needs --job N");
             usage();
         }
-        let jobs = ok_or_exit(client.list_jobs());
+        let jobs = ok_or_exit(on!(client.list_jobs()));
         if jobs.is_empty() {
             println!("no retained jobs");
             return;
@@ -672,19 +536,19 @@ fn run_jobs(args: Args) {
         return;
     };
     if args.cancel {
-        let status = ok_or_exit(client.job_cancel(job));
+        let status = ok_or_exit(on!(client.job_cancel(job)));
         print_job_status(&status);
         return;
     }
-    let status = ok_or_exit(client.job_status(job));
+    let status = ok_or_exit(on!(client.job_status(job)));
     print_job_status(&status);
     let is_done = status.get("state").and_then(Value::as_str) == Some("done");
     let mining = status.get("op").and_then(Value::as_str) == Some("mine_rules");
     if is_done && mining {
-        let result = ok_or_exit(client.job_result(job));
+        let result = ok_or_exit(on!(client.job_result(job)));
         print_mine_result(&result);
     } else if is_done {
-        let result = ok_or_exit(client.job_result(job));
+        let result = ok_or_exit(on!(client.job_result(job)));
         println!("  result: {}", result.to_json());
     } else if !job_status_is_terminal(&status) {
         println!(
@@ -739,7 +603,7 @@ fn main() {
         seed: Some(args.seed),
     };
     let mut control = AnyClient::connect(&args.addr, args.http, args.binary);
-    let session = control.create_session(&spec).expect("create_session");
+    let session = on!(control.create_session(&spec)).expect("create_session");
     println!(
         "session {session} open (gamma {}, {} shards{}{})",
         args.gamma,
@@ -779,7 +643,7 @@ fn main() {
                         };
                         tcp.submit_nowait(session, batch, pre).expect("submit");
                     } else {
-                        client.submit_batch(session, batch, pre).expect("submit");
+                        on!(client.submit_batch(session, batch, pre)).expect("submit");
                     }
                 };
                 for batch in chunk.chunks(args.batch) {
@@ -809,7 +673,7 @@ fn main() {
     });
     let ingest_secs = started.elapsed().as_secs_f64();
 
-    let stats = control.stats(session).expect("stats");
+    let stats = on!(control.stats(session)).expect("stats");
     println!(
         "ingested {} records in {:.2}s ({:.0} records/s) across shards {:?}",
         stats.total,
@@ -819,8 +683,7 @@ fn main() {
     );
 
     let q0 = Instant::now();
-    let rec = control
-        .reconstruct(session, ReconstructionMethod::ClosedForm, true)
+    let rec = on!(control.reconstruct(session, ReconstructionMethod::ClosedForm, true))
         .expect("reconstruct");
     let q_secs = q0.elapsed().as_secs_f64();
 
@@ -840,5 +703,5 @@ fn main() {
         q_secs,
         tv
     );
-    control.close_session(session).expect("close_session");
+    on!(control.close_session(session)).expect("close_session");
 }

@@ -2,9 +2,12 @@
 //! protocol ([`Client`]) and the HTTP/1.1 front-end ([`HttpClient`]).
 //!
 //! Both speak the same JSON bodies against the same server core, so
-//! every parse helper here is shared; the difference is framing (lines
-//! vs HTTP messages) and that only the line protocol supports
-//! *pipelined* submits ([`Client::submit_nowait`] / [`Client::flush`]).
+//! every typed method is written once (`typed_ops!`) in terms of
+//! `call(op, id, fields)`; the clients differ only in how `call` puts
+//! that triple on the wire — [`request_line`] or [`http_request`], both
+//! rendered from the op's [`crate::wire::OPS`] row — and in that only
+//! the line protocol supports *pipelined* submits
+//! ([`Client::submit_nowait`] / [`Client::flush`]).
 //!
 //! A [`Client`] can additionally upgrade its connection to the compact
 //! binary framing with [`Client::negotiate_binary`]: submits are then
@@ -22,6 +25,7 @@ use crate::protocol::{PartialCoverage, WireFraming};
 use crate::session::{
     Mechanism, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
 };
+use crate::wire::{Op, PeerCounter, COUNTERS, PEER_COUNTERS, PEER_SECTION};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -55,9 +59,8 @@ impl SessionSpec {
         }
     }
 
-    /// The create-session JSON fields (everything but the line
-    /// protocol's `"op"`), shared by both transports.
-    fn body_pairs(&self) -> Vec<(&'static str, Value)> {
+    /// The create-session request fields.
+    pub(crate) fn fields(&self) -> Fields {
         let schema = Value::Array(
             self.schema
                 .iter()
@@ -94,23 +97,23 @@ impl SessionSpec {
 /// into a string buffer. This is the client-side ingest hot path:
 /// going through a [`Value`] tree would cost an allocation per record
 /// plus a serialize pass, the dominant per-batch client cost once acks
-/// are pipelined. One serializer for both framings also keeps the
-/// emitted bytes canonical, which the server's fast submit-line
-/// decoder relies on.
-fn write_submit_fields(
+/// are pipelined. One serializer for both framings and the federation
+/// forwarder also keeps the emitted bytes canonical, which the
+/// server's fast submit-line decoder relies on.
+pub(crate) fn write_submit_fields<R: AsRef<[u32]>>(
     out: &mut String,
-    records: &[Vec<u32>],
+    records: impl Iterator<Item = R>,
     pre_perturbed: bool,
     shard: Option<usize>,
 ) {
     use std::fmt::Write as _;
     out.push_str("\"records\":[");
-    for (i, record) in records.iter().enumerate() {
+    for (i, record) in records.enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('[');
-        for (j, &v) in record.iter().enumerate() {
+        for (j, &v) in record.as_ref().iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -143,12 +146,6 @@ fn check_ok(v: Value) -> Result<Value> {
     }
 }
 
-fn parse_session_id(v: &Value) -> Result<u64> {
-    v.get("session")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServiceError::Protocol("create_session response missing `session`".into()))
-}
-
 fn parse_submit_shard(v: &Value) -> Result<usize> {
     v.get("shard")
         .and_then(Value::as_usize)
@@ -177,7 +174,7 @@ fn parse_reconstruction(v: &Value, method: ReconstructionMethod) -> Result<Recon
     })
 }
 
-pub(crate) fn parse_stats(v: &Value) -> Result<SessionStats> {
+fn parse_stats(v: &Value) -> Result<SessionStats> {
     let per_shard = v
         .get("per_shard")
         .and_then(Value::as_array)
@@ -194,10 +191,11 @@ pub(crate) fn parse_stats(v: &Value) -> Result<SessionStats> {
     })
 }
 
-fn parse_session_ids(v: &Value) -> Result<Vec<u64>> {
-    v.get("sessions")
+/// The session-id array under `key` (`sessions`, `persisted`).
+fn parse_ids(v: &Value, key: &str) -> Result<Vec<u64>> {
+    v.get(key)
         .and_then(Value::as_array)
-        .ok_or_else(|| ServiceError::Protocol("list response missing `sessions`".into()))?
+        .ok_or_else(|| ServiceError::Protocol(format!("response missing `{key}`")))?
         .iter()
         .map(|s| {
             s.as_u64()
@@ -291,46 +289,27 @@ fn parse_metrics(v: &Value) -> Result<(MetricsReport, u64)> {
 }
 
 fn parse_transport_report(v: &Value) -> Result<TransportReport> {
-    let t = v
-        .get("transport")
-        .ok_or_else(|| ServiceError::Protocol("metrics response missing `transport`".into()))?;
-    let field = |key: &str| t.get(key).and_then(Value::as_u64).unwrap_or(0);
-    // The reactor section is absent on pre-reactor servers; all-zero is
-    // also what a thread-per-connection server reports.
-    let reactor = |key: &str| {
-        v.get("reactor")
-            .and_then(|r| r.get(key))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    Ok(TransportReport {
-        tcp_connections: field("tcp_connections"),
-        http_connections: field("http_connections"),
-        tcp_requests: field("tcp_requests"),
-        http_requests: field("http_requests"),
-        deferred_batches: field("deferred_batches"),
-        sheds: field("sheds"),
-        accept_errors: field("accept_errors"),
-        idle_reaped: field("idle_reaped"),
-        reactor_registered_fds: reactor("registered_fds"),
-        reactor_wakeups: reactor("wakeups"),
-        reactor_partial_reads: reactor("partial_reads"),
-        reactor_partial_writes: reactor("partial_writes"),
-        binary_connections: field("binary_connections"),
-        binary_requests: field("binary_requests"),
-        jobs_submitted: field("jobs_submitted"),
-        jobs_completed: field("jobs_completed"),
-        jobs_failed: field("jobs_failed"),
-        jobs_cancelled: field("jobs_cancelled"),
-        jobs_shed: field("jobs_shed"),
-    })
+    let first = COUNTERS[0].section;
+    if v.get(first).is_none() {
+        return Err(ServiceError::Protocol(format!(
+            "metrics response missing `{first}`"
+        )));
+    }
+    let mut report = TransportReport::default();
+    for row in &COUNTERS {
+        // A later section is absent on a server that predates it; zero
+        // is also what a server that never used it reports.
+        let value = v.get(row.section).and_then(|s| s.get(row.key));
+        report.set(row.id, value.and_then(Value::as_u64).unwrap_or(0));
+    }
+    Ok(report)
 }
 
 /// Parses the optional `federation.peers` section of a transport
 /// metrics response into per-peer replication reports. Absent section
 /// (a non-federated server) parses as an empty list.
-pub(crate) fn parse_federation_peers(v: &Value) -> Result<Vec<PeerReplReport>> {
-    let Some(peers) = v.get("federation").and_then(|f| f.get("peers")) else {
+fn parse_federation_peers(v: &Value) -> Result<Vec<PeerReplReport>> {
+    let Some(peers) = v.get(PEER_SECTION).and_then(|f| f.get("peers")) else {
         return Ok(Vec::new());
     };
     peers
@@ -338,7 +317,6 @@ pub(crate) fn parse_federation_peers(v: &Value) -> Result<Vec<PeerReplReport>> {
         .ok_or_else(|| ServiceError::Protocol("`federation.peers` must be an array".into()))?
         .iter()
         .map(|p| {
-            let field = |key: &str| p.get(key).and_then(Value::as_u64).unwrap_or(0);
             Ok(PeerReplReport {
                 node: p
                     .get("node")
@@ -349,16 +327,12 @@ pub(crate) fn parse_federation_peers(v: &Value) -> Result<Vec<PeerReplReport>> {
                     .and_then(Value::as_str)
                     .unwrap_or_default()
                     .to_owned(),
-                forwarded_batches: field("forwarded_batches"),
-                forwarded_records: field("forwarded_records"),
-                acked_records: field("acked_records"),
-                retries: field("retries"),
-                peer_down: field("peer_down"),
-                history_batches: field("history_batches"),
-                breaker_trips: field("breaker_trips"),
-                health: PeerHealth::from_wire(
-                    p.get("health").and_then(Value::as_str).unwrap_or("up"),
-                ),
+                values: PEER_COUNTERS.map(|row| match (row.id, p.get(row.key)) {
+                    (PeerCounter::Health, name) => {
+                        PeerHealth::from_wire(name.and_then(Value::as_str).unwrap_or("up")).as_u64()
+                    }
+                    (_, n) => n.and_then(Value::as_u64).unwrap_or(0),
+                }),
             })
         })
         .collect()
@@ -400,6 +374,339 @@ fn parse_coverage(v: &Value) -> Option<PartialCoverage> {
     })
 }
 
+/// The fields of a request beyond its op and the id it binds, in wire
+/// order.
+pub type Fields = Vec<(&'static str, Value)>;
+
+/// Renders `(op, id, fields)` as one line-protocol request line (no
+/// newline): `{"op":name}` with the id under the key its
+/// [`crate::wire::OPS`] row binds, then the fields. The federation
+/// links build their control lines with it too.
+pub fn request_line(op: Op, id: Option<u64>, fields: Fields) -> String {
+    let row = op.row();
+    let mut pairs = vec![("op", Value::from(row.name))];
+    if let (Some(key), Some(id)) = (row.id, id) {
+        pairs.push((key, id.into()));
+    }
+    pairs.extend(fields);
+    object(pairs).to_json()
+}
+
+/// The method and path of `op`'s HTTP route: the first in its
+/// [`crate::wire::OPS`] row whose pattern binds an id exactly when one
+/// is given.
+fn http_route(op: Op, id: Option<u64>) -> Result<(&'static str, String)> {
+    let row = op.row();
+    let &(method, pattern) = row
+        .routes
+        .iter()
+        .find(|(_, pattern)| pattern.contains("{id}") == id.is_some())
+        .ok_or_else(|| {
+            ServiceError::InvalidRequest(format!(
+                "`{}` has no HTTP route; use the line protocol",
+                row.name
+            ))
+        })?;
+    Ok((
+        method,
+        match id {
+            Some(id) => pattern.replace("{id}", &id.to_string()),
+            None => pattern.to_owned(),
+        },
+    ))
+}
+
+/// Renders `(op, id, fields)` as an HTTP request: method, target (path
+/// plus the fields the op's row carries in the query string) and JSON
+/// body (the remaining fields; empty when there are none).
+pub fn http_request(
+    op: Op,
+    id: Option<u64>,
+    fields: Fields,
+) -> Result<(&'static str, String, String)> {
+    let (method, mut target) = http_route(op, id)?;
+    let (query, body): (Fields, Fields) = fields
+        .into_iter()
+        .partition(|(key, _)| op.row().query.iter().any(|(q, _)| q == key));
+    for (i, (key, value)) in query.iter().enumerate() {
+        target.push(if i == 0 { '?' } else { '&' });
+        target.push_str(key);
+        target.push('=');
+        match value {
+            Value::String(text) => target.push_str(text),
+            other => other.write_json(&mut target),
+        }
+    }
+    let body = if body.is_empty() {
+        String::new()
+    } else {
+        object(body).to_json()
+    };
+    Ok((method, target, body))
+}
+
+/// The typed methods both clients share, written once against
+/// `self.call(op, id, fields)` and `self.submit_inner(..)`.
+macro_rules! typed_ops {
+    ($client:ident) => {
+        impl $client {
+            /// Liveness probe.
+            pub fn ping(&mut self) -> Result<()> {
+                self.call(Op::Ping, None, Vec::new()).map(|_| ())
+            }
+
+            /// Creates a collection session, returning its id.
+            pub fn create_session(&mut self, spec: &SessionSpec) -> Result<u64> {
+                let v = self.call(Op::CreateSession, None, spec.fields())?;
+                v.get("session").and_then(Value::as_u64).ok_or_else(|| {
+                    ServiceError::Protocol("create_session response missing `session`".into())
+                })
+            }
+
+            /// Ingests a batch on a server-chosen shard; returns the
+            /// shard used.
+            ///
+            /// # Retry contract
+            ///
+            /// Server ingestion is record-at-a-time: a batch that fails
+            /// mid-way (e.g. one record violates the schema) has its
+            /// prefix *already counted*. The resulting
+            /// [`ServiceError::Remote`] carries `accepted: Some(k)` —
+            /// the server counted `records[..k]` and rejected
+            /// `records[k]`. A client retrying after such an error must
+            /// resubmit only `records[k..]` (typically after fixing or
+            /// dropping the offending record); resubmitting the whole
+            /// batch would double-count the first `k` records. Errors
+            /// with `accepted: None` (connection failures, unknown
+            /// session, …) mean nothing from the batch is known to have
+            /// landed, and the whole batch should be retried once the
+            /// cause is resolved — `stats` can be used to reconcile
+            /// when a connection died mid-submit.
+            pub fn submit_batch(
+                &mut self,
+                session: u64,
+                records: &[Vec<u32>],
+                pre_perturbed: bool,
+            ) -> Result<usize> {
+                self.submit_inner(session, records, pre_perturbed, None)
+            }
+
+            /// Ingests a batch on a specific shard. The retry contract
+            /// of `submit_batch` applies here too.
+            pub fn submit_batch_to_shard(
+                &mut self,
+                session: u64,
+                shard: usize,
+                records: &[Vec<u32>],
+                pre_perturbed: bool,
+            ) -> Result<()> {
+                self.submit_inner(session, records, pre_perturbed, Some(shard))
+                    .map(|_| ())
+            }
+
+            /// Runs a reconstruction query.
+            pub fn reconstruct(
+                &mut self,
+                session: u64,
+                method: ReconstructionMethod,
+                clamp: bool,
+            ) -> Result<Reconstruction> {
+                let fields = vec![
+                    ("method", method.wire_name().into()),
+                    ("clamp", clamp.into()),
+                ];
+                let v = self.call(Op::Reconstruct, Some(session), fields)?;
+                parse_reconstruction(&v, method)
+            }
+
+            /// `reconstruct` with `allow_partial` set: on a federated
+            /// server with unreachable owners the reply is a *degraded*
+            /// estimate over the reachable partitions, and the returned
+            /// coverage names the missing owners. `None` coverage means
+            /// the answer is exact (every owner contributed) — the only
+            /// possible outcome on a single-node server, where the flag
+            /// is accepted and ignored.
+            pub fn reconstruct_partial(
+                &mut self,
+                session: u64,
+                method: ReconstructionMethod,
+                clamp: bool,
+            ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
+                let fields = vec![
+                    ("method", method.wire_name().into()),
+                    ("clamp", clamp.into()),
+                    ("allow_partial", true.into()),
+                ];
+                let v = self.call(Op::Reconstruct, Some(session), fields)?;
+                Ok((parse_reconstruction(&v, method)?, parse_coverage(&v)))
+            }
+
+            /// Fetches ingest statistics.
+            pub fn stats(&mut self, session: u64) -> Result<SessionStats> {
+                parse_stats(&self.call(Op::Stats, Some(session), Vec::new())?)
+            }
+
+            /// `stats` with `allow_partial` set (see
+            /// `reconstruct_partial` for the degraded-answer contract).
+            pub fn stats_partial(
+                &mut self,
+                session: u64,
+            ) -> Result<(SessionStats, Option<PartialCoverage>)> {
+                let fields = vec![("allow_partial", true.into())];
+                let v = self.call(Op::Stats, Some(session), fields)?;
+                Ok((parse_stats(&v)?, parse_coverage(&v)))
+            }
+
+            /// Lists live session ids.
+            pub fn list_sessions(&mut self) -> Result<Vec<u64>> {
+                parse_ids(&self.call(Op::ListSessions, None, Vec::new())?, "sessions")
+            }
+
+            /// Lists live sessions with per-session summaries.
+            pub fn list_sessions_detail(&mut self) -> Result<Vec<SessionSummary>> {
+                parse_session_details(&self.call(Op::ListSessions, None, Vec::new())?)
+            }
+
+            /// Fetches a session's operational metrics. Returns the
+            /// report plus the session's all-time record total (which
+            /// survives restarts, unlike the report's process-lifetime
+            /// counters).
+            pub fn metrics(&mut self, session: u64) -> Result<(MetricsReport, u64)> {
+                parse_metrics(&self.call(Op::Metrics, Some(session), Vec::new())?)
+            }
+
+            /// Fetches the server-wide counters of
+            /// [`crate::wire::COUNTERS`].
+            pub fn server_metrics(&mut self) -> Result<TransportReport> {
+                parse_transport_report(&self.call(Op::Metrics, None, Vec::new())?)
+            }
+
+            /// Fetches the server's per-peer federation replication
+            /// counters. Empty on a non-federated server (the
+            /// `federation` section is simply absent from the metrics
+            /// response).
+            pub fn federation_metrics(&mut self) -> Result<Vec<PeerReplReport>> {
+                parse_federation_peers(&self.call(Op::Metrics, None, Vec::new())?)
+            }
+
+            /// Fetches the cluster topology and per-peer liveness as
+            /// the raw response object. On a non-federated server the
+            /// response carries `"federated": false` and no peer list.
+            pub fn cluster_status(&mut self) -> Result<Value> {
+                self.call(Op::ClusterStatus, None, Vec::new())
+            }
+
+            /// Asks the server to snapshot one session (or all live
+            /// sessions, with `None`) to its persistence directory.
+            /// Returns the persisted session ids. Fails if the server
+            /// has no persistence directory.
+            pub fn persist(&mut self, session: Option<u64>) -> Result<Vec<u64>> {
+                parse_ids(&self.call(Op::Persist, session, Vec::new())?, "persisted")
+            }
+
+            /// Closes a session; returns whether it existed.
+            pub fn close_session(&mut self, session: u64) -> Result<bool> {
+                let v = self.call(Op::CloseSession, Some(session), Vec::new())?;
+                Ok(v.get("closed").and_then(Value::as_bool).unwrap_or(false))
+            }
+
+            /// Submits a background association-rule-mining job;
+            /// returns the job id immediately. Follow up with
+            /// `job_status` / `job_result`.
+            pub fn mine_rules(&mut self, session: u64, spec: &MineSpec) -> Result<u64> {
+                let fields = vec![
+                    ("algo", spec.algo.wire_name().into()),
+                    ("min_support", spec.min_support.into()),
+                    ("min_confidence", spec.min_confidence.into()),
+                    ("max_length", spec.max_length.into()),
+                ];
+                job_id_of(&self.call(Op::MineRules, Some(session), fields)?)
+            }
+
+            /// Submits a background Bayes-classifier job for the class
+            /// attribute at `target`; returns the job id immediately.
+            pub fn classify(&mut self, session: u64, target: usize) -> Result<u64> {
+                let fields = vec![("target", target.into())];
+                job_id_of(&self.call(Op::Classify, Some(session), fields)?)
+            }
+
+            /// Fetches a job's status object (state, progress counters,
+            /// and — once terminal — wall time).
+            pub fn job_status(&mut self, job: u64) -> Result<Value> {
+                member_of(self.call(Op::JobStatus, Some(job), Vec::new())?, "status")
+            }
+
+            /// Fetches a finished job's result payload. Errors in-band
+            /// while the job is still queued/running, or if it failed
+            /// or was cancelled.
+            pub fn job_result(&mut self, job: u64) -> Result<Value> {
+                member_of(self.call(Op::JobResult, Some(job), Vec::new())?, "result")
+            }
+
+            /// Cancels a job (immediately while queued, cooperatively
+            /// while running); returns its status object after the
+            /// cancel request.
+            pub fn job_cancel(&mut self, job: u64) -> Result<Value> {
+                member_of(self.call(Op::JobCancel, Some(job), Vec::new())?, "status")
+            }
+
+            /// Lists every tracked job's status object, ascending by
+            /// id.
+            pub fn list_jobs(&mut self) -> Result<Vec<Value>> {
+                match member_of(self.call(Op::ListJobs, None, Vec::new())?, "jobs")? {
+                    Value::Array(jobs) => Ok(jobs),
+                    _ => Err(ServiceError::Protocol("`jobs` must be an array".into())),
+                }
+            }
+
+            /// Polls `job_status` until the job reaches a terminal
+            /// state (returning it) or `timeout` elapses (in-band
+            /// error).
+            pub fn wait_job(&mut self, job: u64, timeout: Duration) -> Result<Value> {
+                let deadline = std::time::Instant::now() + timeout;
+                loop {
+                    let status = self.job_status(job)?;
+                    if job_status_is_terminal(&status) {
+                        return Ok(status);
+                    }
+                    if std::time::Instant::now() >= deadline {
+                        return Err(ServiceError::InvalidRequest(format!(
+                            "job {job} did not finish within {timeout:?}"
+                        )));
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        }
+    };
+}
+
+fn job_id_of(v: &Value) -> Result<u64> {
+    v.get("job")
+        .and_then(Value::as_u64)
+        .ok_or_else(|| ServiceError::Protocol("job response missing `job`".into()))
+}
+
+/// Takes the `key` member (`status`, `result`, `jobs`) out of a job
+/// response; a mining result is too large to clone.
+fn member_of(v: Value, key: &str) -> Result<Value> {
+    let Value::Object(pairs) = v else {
+        return Err(ServiceError::Protocol("response is not an object".into()));
+    };
+    let member = pairs.into_iter().find(|(k, _)| k == key);
+    member
+        .map(|(_, v)| v)
+        .ok_or_else(|| ServiceError::Protocol(format!("job response missing `{key}`")))
+}
+
+/// Whether a job status object names a terminal state.
+pub fn job_status_is_terminal(status: &Value) -> bool {
+    matches!(
+        status.get("state").and_then(Value::as_str),
+        Some("done" | "failed" | "cancelled")
+    )
+}
+
 /// A connected line-protocol client.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -413,6 +720,8 @@ pub struct Client {
     /// instead of varints ([`Client::set_binary_fixed32`]).
     fixed32: bool,
 }
+
+typed_ops!(Client);
 
 impl Client {
     /// Connects to a running server with the default connect timeout
@@ -500,7 +809,7 @@ impl Client {
         if self.framing == WireFraming::Binary {
             return Ok(());
         }
-        self.request(r#"{"op":"hello","framing":"binary"}"#)?;
+        self.call(Op::Hello, None, vec![("framing", "binary".into())])?;
         self.framing = WireFraming::Binary;
         Ok(())
     }
@@ -586,16 +895,17 @@ impl Client {
     /// On a binary connection the line tunnels through an `OP_JSON`
     /// frame with the same body.
     pub fn request(&mut self, line: &str) -> Result<Value> {
+        self.send_raw_nowait(line)?;
+        self.read_response()
+    }
+
+    /// Flushes everything queued and reads one response in the
+    /// negotiated framing.
+    fn read_response(&mut self) -> Result<Value> {
+        self.writer.flush()?;
         if self.framing == WireFraming::Binary {
-            let mut frame = Vec::with_capacity(line.len() + 8);
-            framing::encode_json_frame(&mut frame, line);
-            self.writer.write_all(&frame)?;
-            self.writer.flush()?;
             return self.read_json_frame_response();
         }
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(ServiceError::ConnectionClosed);
@@ -603,17 +913,10 @@ impl Client {
         check_ok(json::parse(response.trim())?)
     }
 
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<()> {
-        self.request(r#"{"op":"ping"}"#).map(|_| ())
-    }
-
-    /// Creates a collection session, returning its id.
-    pub fn create_session(&mut self, spec: &SessionSpec) -> Result<u64> {
-        let mut pairs = vec![("op", Value::from("create_session"))];
-        pairs.extend(spec.body_pairs());
-        let v = self.request(&object(pairs).to_json())?;
-        parse_session_id(&v)
+    /// Sends `(op, id, fields)` as one request line ([`request_line`])
+    /// and returns the parsed successful response.
+    pub fn call(&mut self, op: Op, id: Option<u64>, fields: Fields) -> Result<Value> {
+        self.request(&request_line(op, id, fields))
     }
 
     /// Builds one submit line straight into a string (see
@@ -628,12 +931,42 @@ impl Client {
         use std::fmt::Write as _;
         let mut line = String::with_capacity(72 + records.len() * 12);
         let _ = write!(line, "{{\"op\":\"submit\",\"session\":{session},");
-        write_submit_fields(&mut line, records, pre_perturbed, shard);
+        write_submit_fields(&mut line, records.iter(), pre_perturbed, shard);
         if deferred {
             line.push_str(",\"ack\":\"deferred\"");
         }
         line.push('}');
         line
+    }
+
+    /// Encodes one submit in the negotiated framing — a binary
+    /// `OP_SUBMIT` frame or the canonical line — into the write buffer.
+    fn write_submit(
+        &mut self,
+        session: u64,
+        records: &[Vec<u32>],
+        pre_perturbed: bool,
+        shard: Option<usize>,
+        deferred: bool,
+    ) -> Result<()> {
+        if self.framing == WireFraming::Binary {
+            let mut frame = Vec::with_capacity(24 + records.len() * 8);
+            framing::encode_submit_frame(
+                &mut frame,
+                session,
+                records,
+                pre_perturbed,
+                shard,
+                deferred,
+                self.fixed32,
+            );
+            self.writer.write_all(&frame)?;
+        } else {
+            let line = Self::submit_line(session, records, pre_perturbed, shard, deferred);
+            self.writer.write_all(line.as_bytes())?;
+            self.writer.write_all(b"\n")?;
+        }
+        Ok(())
     }
 
     fn submit_inner(
@@ -643,69 +976,8 @@ impl Client {
         pre_perturbed: bool,
         shard: Option<usize>,
     ) -> Result<usize> {
-        if self.framing == WireFraming::Binary {
-            let mut frame = Vec::with_capacity(24 + records.len() * 8);
-            framing::encode_submit_frame(
-                &mut frame,
-                session,
-                records,
-                pre_perturbed,
-                shard,
-                false,
-                self.fixed32,
-            );
-            self.writer.write_all(&frame)?;
-            self.writer.flush()?;
-            let v = self.read_json_frame_response()?;
-            return parse_submit_shard(&v);
-        }
-        let v = self.request(&Self::submit_line(
-            session,
-            records,
-            pre_perturbed,
-            shard,
-            false,
-        ))?;
-        parse_submit_shard(&v)
-    }
-
-    /// Ingests a batch on a server-chosen shard; returns the shard used.
-    ///
-    /// # Retry contract
-    ///
-    /// Server ingestion is record-at-a-time: a batch that fails
-    /// mid-way (e.g. one record violates the schema) has its prefix
-    /// *already counted*. The resulting
-    /// [`ServiceError::Remote`] carries `accepted: Some(k)` — the
-    /// server counted `records[..k]` and rejected `records[k]`.
-    /// A client retrying after such an error must resubmit only
-    /// `records[k..]` (typically after fixing or dropping the offending
-    /// record); resubmitting the whole batch would double-count the
-    /// first `k` records. Errors with `accepted: None` (connection
-    /// failures, unknown session, …) mean nothing from the batch is
-    /// known to have landed, and the whole batch should be retried once
-    /// the cause is resolved — `stats` can be used to reconcile when a
-    /// connection died mid-submit.
-    pub fn submit_batch(
-        &mut self,
-        session: u64,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-    ) -> Result<usize> {
-        self.submit_inner(session, records, pre_perturbed, None)
-    }
-
-    /// Ingests a batch on a specific shard. The retry contract of
-    /// [`Client::submit_batch`] applies here too.
-    pub fn submit_batch_to_shard(
-        &mut self,
-        session: u64,
-        shard: usize,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-    ) -> Result<()> {
-        self.submit_inner(session, records, pre_perturbed, Some(shard))
-            .map(|_| ())
+        self.write_submit(session, records, pre_perturbed, shard, false)?;
+        parse_submit_shard(&self.read_response()?)
     }
 
     /// Queues a batch with a *deferred* acknowledgement: the request is
@@ -729,7 +1001,7 @@ impl Client {
         records: &[Vec<u32>],
         pre_perturbed: bool,
     ) -> Result<()> {
-        self.submit_nowait_inner(session, records, pre_perturbed, None)
+        self.write_submit(session, records, pre_perturbed, None, true)
     }
 
     /// [`Client::submit_nowait`] pinned to a shard (deterministic
@@ -742,34 +1014,7 @@ impl Client {
         records: &[Vec<u32>],
         pre_perturbed: bool,
     ) -> Result<()> {
-        self.submit_nowait_inner(session, records, pre_perturbed, Some(shard))
-    }
-
-    fn submit_nowait_inner(
-        &mut self,
-        session: u64,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-        shard: Option<usize>,
-    ) -> Result<()> {
-        if self.framing == WireFraming::Binary {
-            let mut frame = Vec::with_capacity(24 + records.len() * 8);
-            framing::encode_submit_frame(
-                &mut frame,
-                session,
-                records,
-                pre_perturbed,
-                shard,
-                true,
-                self.fixed32,
-            );
-            self.writer.write_all(&frame)?;
-            return Ok(());
-        }
-        let line = Self::submit_line(session, records, pre_perturbed, shard, true);
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+        self.write_submit(session, records, pre_perturbed, Some(shard), true)
     }
 
     /// Reports (and resets) the deferred-submit watermark: how many
@@ -778,270 +1023,16 @@ impl Client {
     /// arrives here as [`ServiceError::Remote`] with `accepted:
     /// Some(watermark)` — resubmit everything past the watermark.
     pub fn flush(&mut self) -> Result<u64> {
-        let v = self.request(r#"{"op":"flush"}"#)?;
+        let v = self.call(Op::Flush, None, Vec::new())?;
         v.get("accepted")
             .and_then(Value::as_u64)
             .ok_or_else(|| ServiceError::Protocol("flush response missing `accepted`".into()))
     }
 
-    /// Runs a reconstruction query.
-    pub fn reconstruct(
-        &mut self,
-        session: u64,
-        method: ReconstructionMethod,
-        clamp: bool,
-    ) -> Result<Reconstruction> {
-        let line = object(vec![
-            ("op", "reconstruct".into()),
-            ("session", session.into()),
-            ("method", method.wire_name().into()),
-            ("clamp", clamp.into()),
-        ])
-        .to_json();
-        let v = self.request(&line)?;
-        parse_reconstruction(&v, method)
-    }
-
-    /// [`Client::reconstruct`] with `allow_partial` set: on a
-    /// federated server with unreachable owners the reply is a
-    /// *degraded* estimate over the reachable partitions, and the
-    /// returned coverage names the missing owners. `None` coverage
-    /// means the answer is exact (every owner contributed) — the only
-    /// possible outcome on a single-node server, where the flag is
-    /// accepted and ignored.
-    pub fn reconstruct_partial(
-        &mut self,
-        session: u64,
-        method: ReconstructionMethod,
-        clamp: bool,
-    ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
-        let line = object(vec![
-            ("op", "reconstruct".into()),
-            ("session", session.into()),
-            ("method", method.wire_name().into()),
-            ("clamp", clamp.into()),
-            ("allow_partial", true.into()),
-        ])
-        .to_json();
-        let v = self.request(&line)?;
-        Ok((parse_reconstruction(&v, method)?, parse_coverage(&v)))
-    }
-
-    /// Fetches ingest statistics.
-    pub fn stats(&mut self, session: u64) -> Result<SessionStats> {
-        let line = object(vec![("op", "stats".into()), ("session", session.into())]).to_json();
-        let v = self.request(&line)?;
-        parse_stats(&v)
-    }
-
-    /// [`Client::stats`] with `allow_partial` set (see
-    /// [`Client::reconstruct_partial`] for the degraded-answer
-    /// contract).
-    pub fn stats_partial(
-        &mut self,
-        session: u64,
-    ) -> Result<(SessionStats, Option<PartialCoverage>)> {
-        let line = object(vec![
-            ("op", "stats".into()),
-            ("session", session.into()),
-            ("allow_partial", true.into()),
-        ])
-        .to_json();
-        let v = self.request(&line)?;
-        Ok((parse_stats(&v)?, parse_coverage(&v)))
-    }
-
-    /// Lists live session ids.
-    pub fn list_sessions(&mut self) -> Result<Vec<u64>> {
-        let v = self.request(r#"{"op":"list_sessions"}"#)?;
-        parse_session_ids(&v)
-    }
-
-    /// Lists live sessions with per-session summaries.
-    pub fn list_sessions_detail(&mut self) -> Result<Vec<SessionSummary>> {
-        let v = self.request(r#"{"op":"list_sessions"}"#)?;
-        parse_session_details(&v)
-    }
-
-    /// Fetches a session's operational metrics. Returns the report plus
-    /// the session's all-time record total (which survives restarts,
-    /// unlike the report's process-lifetime counters).
-    pub fn metrics(&mut self, session: u64) -> Result<(MetricsReport, u64)> {
-        let line = object(vec![("op", "metrics".into()), ("session", session.into())]).to_json();
-        let v = self.request(&line)?;
-        parse_metrics(&v)
-    }
-
-    /// Fetches the server's per-transport counters (connections,
-    /// requests, deferred batches, sheds, accept errors).
-    pub fn server_metrics(&mut self) -> Result<TransportReport> {
-        let v = self.request(r#"{"op":"metrics"}"#)?;
-        parse_transport_report(&v)
-    }
-
-    /// Fetches the server's per-peer federation replication counters.
-    /// Empty on a non-federated server (the `federation` section is
-    /// simply absent from the metrics response).
-    pub fn federation_metrics(&mut self) -> Result<Vec<PeerReplReport>> {
-        let v = self.request(r#"{"op":"metrics"}"#)?;
-        parse_federation_peers(&v)
-    }
-
-    /// Fetches the cluster topology and per-peer liveness
-    /// (`{"op":"cluster_status"}`) as the raw response object. On a
-    /// non-federated server the response carries `"federated": false`
-    /// and no peer list.
-    pub fn cluster_status(&mut self) -> Result<Value> {
-        self.request(r#"{"op":"cluster_status"}"#)
-    }
-
-    /// Asks the server to snapshot one session (or all live sessions,
-    /// with `None`) to its persistence directory. Returns the persisted
-    /// session ids. Fails if the server has no persistence directory.
-    pub fn persist(&mut self, session: Option<u64>) -> Result<Vec<u64>> {
-        let mut pairs = vec![("op", "persist".into())];
-        if let Some(id) = session {
-            pairs.push(("session", id.into()));
-        }
-        let v = self.request(&object(pairs).to_json())?;
-        v.get("persisted")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ServiceError::Protocol("persist response missing `persisted`".into()))?
-            .iter()
-            .map(|s| {
-                s.as_u64()
-                    .ok_or_else(|| ServiceError::Protocol("session ids must be integers".into()))
-            })
-            .collect()
-    }
-
-    /// Closes a session; returns whether it existed.
-    pub fn close_session(&mut self, session: u64) -> Result<bool> {
-        let line = object(vec![
-            ("op", "close_session".into()),
-            ("session", session.into()),
-        ])
-        .to_json();
-        let v = self.request(&line)?;
-        Ok(v.get("closed").and_then(Value::as_bool).unwrap_or(false))
-    }
-
-    /// Submits a background association-rule-mining job
-    /// (`{"op":"mine_rules"}`); returns the job id immediately. Follow
-    /// up with [`Client::job_status`] / [`Client::job_result`].
-    pub fn mine_rules(&mut self, session: u64, spec: &MineSpec) -> Result<u64> {
-        let mut pairs = mine_spec_pairs(spec);
-        pairs.insert(0, ("session", session.into()));
-        pairs.insert(0, ("op", "mine_rules".into()));
-        let v = self.request(&object(pairs).to_json())?;
-        job_id_of(&v)
-    }
-
-    /// Submits a background Bayes-classifier job for the class
-    /// attribute at `target`; returns the job id immediately.
-    pub fn classify(&mut self, session: u64, target: usize) -> Result<u64> {
-        let line = object(vec![
-            ("op", "classify".into()),
-            ("session", session.into()),
-            ("target", target.into()),
-        ])
-        .to_json();
-        let v = self.request(&line)?;
-        job_id_of(&v)
-    }
-
-    /// Fetches a job's status object (state, progress counters, and —
-    /// once terminal — wall time).
-    pub fn job_status(&mut self, job: u64) -> Result<Value> {
-        let line = object(vec![("op", "job_status".into()), ("job", job.into())]).to_json();
-        status_of_response(self.request(&line)?)
-    }
-
-    /// Fetches a finished job's result payload. Errors in-band while
-    /// the job is still queued/running, or if it failed or was
-    /// cancelled.
-    pub fn job_result(&mut self, job: u64) -> Result<Value> {
-        let line = object(vec![("op", "job_result".into()), ("job", job.into())]).to_json();
-        result_of_response(self.request(&line)?)
-    }
-
-    /// Cancels a job (immediately while queued, cooperatively while
-    /// running); returns its status object after the cancel request.
-    pub fn job_cancel(&mut self, job: u64) -> Result<Value> {
-        let line = object(vec![("op", "job_cancel".into()), ("job", job.into())]).to_json();
-        status_of_response(self.request(&line)?)
-    }
-
-    /// Lists every tracked job's status object, ascending by id.
-    pub fn list_jobs(&mut self) -> Result<Vec<Value>> {
-        jobs_of_response(self.request(r#"{"op":"list_jobs"}"#)?)
-    }
-
-    /// Polls [`Client::job_status`] until the job reaches a terminal
-    /// state (returning it) or `timeout` elapses (in-band error).
-    pub fn wait_job(&mut self, job: u64, timeout: Duration) -> Result<Value> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let status = self.job_status(job)?;
-            if job_status_is_terminal(&status) {
-                return Ok(status);
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "job {job} did not finish within {timeout:?}"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
     /// Asks the server to shut down.
     pub fn shutdown(&mut self) -> Result<()> {
-        self.request(r#"{"op":"shutdown"}"#).map(|_| ())
+        self.call(Op::Shutdown, None, Vec::new()).map(|_| ())
     }
-}
-
-/// Serializes a [`MineSpec`] as wire fields (shared by both clients).
-fn mine_spec_pairs(spec: &MineSpec) -> Vec<(&'static str, Value)> {
-    vec![
-        ("algo", spec.algo.wire_name().into()),
-        ("min_support", spec.min_support.into()),
-        ("min_confidence", spec.min_confidence.into()),
-        ("max_length", spec.max_length.into()),
-    ]
-}
-
-fn job_id_of(v: &Value) -> Result<u64> {
-    v.get("job")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServiceError::Protocol("job response missing `job`".into()))
-}
-
-fn status_of_response(v: Value) -> Result<Value> {
-    v.get("status")
-        .cloned()
-        .ok_or_else(|| ServiceError::Protocol("job response missing `status`".into()))
-}
-
-fn result_of_response(v: Value) -> Result<Value> {
-    v.get("result")
-        .cloned()
-        .ok_or_else(|| ServiceError::Protocol("job response missing `result`".into()))
-}
-
-fn jobs_of_response(v: Value) -> Result<Vec<Value>> {
-    Ok(v.get("jobs")
-        .and_then(Value::as_array)
-        .ok_or_else(|| ServiceError::Protocol("list_jobs response missing `jobs`".into()))?
-        .to_vec())
-}
-
-/// Whether a job status object names a terminal state.
-pub fn job_status_is_terminal(status: &Value) -> bool {
-    matches!(
-        status.get("state").and_then(Value::as_str),
-        Some("done" | "failed" | "cancelled")
-    )
 }
 
 /// A client for the HTTP/1.1 front-end ([`crate::http`]).
@@ -1056,6 +1047,8 @@ pub struct HttpClient {
     writer: TcpStream,
 }
 
+typed_ops!(HttpClient);
+
 impl HttpClient {
     /// Connects to a server's HTTP address.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
@@ -1068,6 +1061,31 @@ impl HttpClient {
         })
     }
 
+    /// Sends `(op, id, fields)` over the op's route ([`http_request`])
+    /// and returns the parsed successful response. Ops without a route
+    /// fail without touching the connection.
+    pub fn call(&mut self, op: Op, id: Option<u64>, fields: Fields) -> Result<Value> {
+        let (method, target, body) = http_request(op, id, fields)?;
+        self.request_raw(method, &target, &body)
+    }
+
+    fn submit_inner(
+        &mut self,
+        session: u64,
+        records: &[Vec<u32>],
+        pre_perturbed: bool,
+        shard: Option<usize>,
+    ) -> Result<usize> {
+        // Built directly, skipping the `Value` tree (the submit hot
+        // path; see [`write_submit_fields`]).
+        let mut body = String::with_capacity(48 + records.len() * 12);
+        body.push('{');
+        write_submit_fields(&mut body, records.iter(), pre_perturbed, shard);
+        body.push('}');
+        let (method, path) = http_route(Op::Submit, Some(session))?;
+        parse_submit_shard(&self.request_raw(method, &path, &body)?)
+    }
+
     /// Sends one request and returns the parsed response body. The
     /// returned status is folded into the `ok` check — the body always
     /// carries `ok`/`error` — so callers only see [`ServiceError`]s.
@@ -1076,8 +1094,7 @@ impl HttpClient {
         self.request_raw(method, path, &body)
     }
 
-    /// [`Self::request`] with a pre-serialized body (the submit hot
-    /// path builds its JSON directly, skipping the `Value` tree).
+    /// [`Self::request`] with a pre-serialized body.
     fn request_raw(&mut self, method: &str, path: &str, body: &str) -> Result<Value> {
         // One write per request: a head/body split across segments
         // would trip Nagle against the server's delayed ACKs.
@@ -1124,220 +1141,5 @@ impl HttpClient {
         let text = std::str::from_utf8(&body)
             .map_err(|_| ServiceError::Protocol("response body is not valid UTF-8".into()))?;
         check_ok(json::parse(text)?)
-    }
-
-    /// Liveness probe (`GET /ping`).
-    pub fn ping(&mut self) -> Result<()> {
-        self.request("GET", "/ping", None).map(|_| ())
-    }
-
-    /// Creates a collection session (`POST /sessions`), returning its
-    /// id.
-    pub fn create_session(&mut self, spec: &SessionSpec) -> Result<u64> {
-        let body = object(spec.body_pairs());
-        let v = self.request("POST", "/sessions", Some(&body))?;
-        parse_session_id(&v)
-    }
-
-    /// Ingests a batch (`POST /sessions/{id}/records`); returns the
-    /// shard used. The synchronous retry contract of
-    /// [`Client::submit_batch`] applies unchanged.
-    pub fn submit_batch(
-        &mut self,
-        session: u64,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-    ) -> Result<usize> {
-        self.submit_inner(session, records, pre_perturbed, None)
-    }
-
-    /// Ingests a batch on a specific shard.
-    pub fn submit_batch_to_shard(
-        &mut self,
-        session: u64,
-        shard: usize,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-    ) -> Result<()> {
-        self.submit_inner(session, records, pre_perturbed, Some(shard))
-            .map(|_| ())
-    }
-
-    fn submit_inner(
-        &mut self,
-        session: u64,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-        shard: Option<usize>,
-    ) -> Result<usize> {
-        let mut body = String::with_capacity(48 + records.len() * 12);
-        body.push('{');
-        write_submit_fields(&mut body, records, pre_perturbed, shard);
-        body.push('}');
-        let v = self.request_raw("POST", &format!("/sessions/{session}/records"), &body)?;
-        parse_submit_shard(&v)
-    }
-
-    /// Runs a reconstruction query
-    /// (`GET /sessions/{id}/reconstruct?method=...&clamp=...`).
-    pub fn reconstruct(
-        &mut self,
-        session: u64,
-        method: ReconstructionMethod,
-        clamp: bool,
-    ) -> Result<Reconstruction> {
-        let path = format!(
-            "/sessions/{session}/reconstruct?method={}&clamp={clamp}",
-            method.wire_name()
-        );
-        let v = self.request("GET", &path, None)?;
-        parse_reconstruction(&v, method)
-    }
-
-    /// [`HttpClient::reconstruct`] with `allow_partial=true` in the
-    /// query string (see [`Client::reconstruct_partial`] for the
-    /// degraded-answer contract).
-    pub fn reconstruct_partial(
-        &mut self,
-        session: u64,
-        method: ReconstructionMethod,
-        clamp: bool,
-    ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
-        let path = format!(
-            "/sessions/{session}/reconstruct?method={}&clamp={clamp}&allow_partial=true",
-            method.wire_name()
-        );
-        let v = self.request("GET", &path, None)?;
-        Ok((parse_reconstruction(&v, method)?, parse_coverage(&v)))
-    }
-
-    /// Fetches ingest statistics (`GET /sessions/{id}/stats`).
-    pub fn stats(&mut self, session: u64) -> Result<SessionStats> {
-        let v = self.request("GET", &format!("/sessions/{session}/stats"), None)?;
-        parse_stats(&v)
-    }
-
-    /// [`HttpClient::stats`] with `allow_partial=true` in the query
-    /// string (see [`Client::reconstruct_partial`]).
-    pub fn stats_partial(
-        &mut self,
-        session: u64,
-    ) -> Result<(SessionStats, Option<PartialCoverage>)> {
-        let v = self.request(
-            "GET",
-            &format!("/sessions/{session}/stats?allow_partial=true"),
-            None,
-        )?;
-        Ok((parse_stats(&v)?, parse_coverage(&v)))
-    }
-
-    /// Lists live session ids (`GET /sessions`).
-    pub fn list_sessions(&mut self) -> Result<Vec<u64>> {
-        let v = self.request("GET", "/sessions", None)?;
-        parse_session_ids(&v)
-    }
-
-    /// Lists live sessions with per-session summaries.
-    pub fn list_sessions_detail(&mut self) -> Result<Vec<SessionSummary>> {
-        let v = self.request("GET", "/sessions", None)?;
-        parse_session_details(&v)
-    }
-
-    /// Fetches a session's metrics (`GET /sessions/{id}/metrics`).
-    pub fn metrics(&mut self, session: u64) -> Result<(MetricsReport, u64)> {
-        let v = self.request("GET", &format!("/sessions/{session}/metrics"), None)?;
-        parse_metrics(&v)
-    }
-
-    /// Fetches the server's per-transport counters (`GET /metrics`).
-    pub fn server_metrics(&mut self) -> Result<TransportReport> {
-        let v = self.request("GET", "/metrics", None)?;
-        parse_transport_report(&v)
-    }
-
-    /// Asks the server to snapshot one session
-    /// (`POST /sessions/{id}/persist`) or all sessions
-    /// (`POST /persist`). Returns the persisted session ids.
-    pub fn persist(&mut self, session: Option<u64>) -> Result<Vec<u64>> {
-        let path = match session {
-            Some(id) => format!("/sessions/{id}/persist"),
-            None => "/persist".to_owned(),
-        };
-        let v = self.request("POST", &path, None)?;
-        v.get("persisted")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ServiceError::Protocol("persist response missing `persisted`".into()))?
-            .iter()
-            .map(|s| {
-                s.as_u64()
-                    .ok_or_else(|| ServiceError::Protocol("session ids must be integers".into()))
-            })
-            .collect()
-    }
-
-    /// Closes a session (`DELETE /sessions/{id}`); returns whether it
-    /// existed.
-    pub fn close_session(&mut self, session: u64) -> Result<bool> {
-        let v = self.request("DELETE", &format!("/sessions/{session}"), None)?;
-        Ok(v.get("closed").and_then(Value::as_bool).unwrap_or(false))
-    }
-
-    /// Submits a mining job (`POST /sessions/{id}/mine`); returns the
-    /// job id immediately.
-    pub fn mine_rules(&mut self, session: u64, spec: &MineSpec) -> Result<u64> {
-        let body = object(mine_spec_pairs(spec));
-        let v = self.request("POST", &format!("/sessions/{session}/mine"), Some(&body))?;
-        job_id_of(&v)
-    }
-
-    /// Submits a classifier job (`POST /sessions/{id}/classify`);
-    /// returns the job id immediately.
-    pub fn classify(&mut self, session: u64, target: usize) -> Result<u64> {
-        let body = object(vec![("target", target.into())]);
-        let v = self.request(
-            "POST",
-            &format!("/sessions/{session}/classify"),
-            Some(&body),
-        )?;
-        job_id_of(&v)
-    }
-
-    /// Fetches a job's status object (`GET /jobs/{jid}`).
-    pub fn job_status(&mut self, job: u64) -> Result<Value> {
-        status_of_response(self.request("GET", &format!("/jobs/{job}"), None)?)
-    }
-
-    /// Fetches a finished job's result payload
-    /// (`GET /jobs/{jid}/result`).
-    pub fn job_result(&mut self, job: u64) -> Result<Value> {
-        result_of_response(self.request("GET", &format!("/jobs/{job}/result"), None)?)
-    }
-
-    /// Cancels a job (`DELETE /jobs/{jid}`); returns its status object.
-    pub fn job_cancel(&mut self, job: u64) -> Result<Value> {
-        status_of_response(self.request("DELETE", &format!("/jobs/{job}"), None)?)
-    }
-
-    /// Lists every tracked job's status object (`GET /jobs`).
-    pub fn list_jobs(&mut self) -> Result<Vec<Value>> {
-        jobs_of_response(self.request("GET", "/jobs", None)?)
-    }
-
-    /// Polls [`HttpClient::job_status`] until the job reaches a
-    /// terminal state (returning it) or `timeout` elapses.
-    pub fn wait_job(&mut self, job: u64, timeout: Duration) -> Result<Value> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let status = self.job_status(job)?;
-            if job_status_is_terminal(&status) {
-                return Ok(status);
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "job {job} did not finish within {timeout:?}"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
     }
 }

@@ -101,7 +101,7 @@ pub struct ServiceConfig {
     /// front-ends, in milliseconds (`0`, the default, disables
     /// reaping). A connection that sends no byte for this long is
     /// closed and counted in
-    /// [`crate::metrics::TransportReport::idle_reaped`], so stalled
+    /// [`crate::wire::Counter::IdleReaped`], so stalled
     /// clients (slowloris) cannot pin `max_connections` slots forever.
     pub idle_timeout_ms: u64,
     /// Consecutive peer-link failures before the per-peer circuit

@@ -23,6 +23,7 @@ use crate::protocol::{
     write_transport_metrics_response, AttrRef, Request, WireFraming,
 };
 use crate::session::SessionRegistry;
+use crate::wire::Counter;
 use frapp_core::Schema;
 
 /// What the connection loop should do after one dispatched request.
@@ -150,7 +151,7 @@ pub fn dispatch_into(
             // error is stashed for the flush, because the pipelining
             // client is not reading responses at this point.
             Err(e) => {
-                transport.record_deferred_batch();
+                transport.inc(Counter::DeferredBatches);
                 state.record_failure(0, e);
             }
         }
@@ -220,7 +221,7 @@ fn execute_deferred(
     state: &mut ConnState,
     req: Request,
 ) {
-    transport.record_deferred_batch();
+    transport.inc(Counter::DeferredBatches);
     let Request::Submit {
         session,
         records,
@@ -1036,7 +1037,7 @@ mod tests {
         let v = ok_of(&out);
         assert_eq!(v.get("accepted").and_then(json::Value::as_u64), Some(6));
         assert_eq!(v.get("batches").and_then(json::Value::as_u64), Some(3));
-        assert_eq!(conn.transport.report().deferred_batches, 3);
+        assert_eq!(conn.transport.report().get(Counter::DeferredBatches), 3);
 
         // The flush reset the watermark; a second flush reports zero.
         let (out, _) = conn.send(&reg, &cfg, r#"{"op":"flush"}"#);
@@ -1169,8 +1170,8 @@ mod tests {
     fn session_less_metrics_reports_transport_counters() {
         let (reg, cfg) = harness();
         let mut conn = Conn::new();
-        conn.transport.record_tcp_request();
-        conn.transport.record_shed();
+        conn.transport.inc(Counter::TcpRequests);
+        conn.transport.inc(Counter::Sheds);
         let (out, _) = conn.send(&reg, &cfg, r#"{"op":"metrics"}"#);
         let v = ok_of(&out);
         let t = v.get("transport").unwrap();

@@ -51,7 +51,7 @@
 //! persists stays replayable; link memory is therefore bounded by the
 //! peer's persistence cadence, not by total ingest volume.
 
-use crate::client::Client;
+use crate::client::{request_line, write_submit_fields, Client, SessionSpec};
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
@@ -61,6 +61,7 @@ use crate::protocol::{PartialCoverage, RecordBatch};
 use crate::session::{
     Created, Mechanism, Reconstruction, ReconstructionMethod, SessionRegistry, SessionStats,
 };
+use crate::wire::{Op, PeerCounter};
 use frapp_core::{CountAccumulator, Schema};
 use frapp_fed::{merge_partitions, Topology};
 use std::collections::HashMap;
@@ -328,10 +329,8 @@ impl FedState {
     }
 
     fn fetch_repl_status(&self, peer: usize, session: u64) -> Result<Vec<u64>> {
-        let line = format!(
-            r#"{{"op":"repl_status","session":{session},"origin":{}}}"#,
-            self.self_id()
-        );
+        let origin = vec![("origin", self.self_id().into())];
+        let line = request_line(Op::ReplStatus, Some(session), origin);
         match self.link(peer)?.sync(&line) {
             Ok(v) => parse_marks(&v),
             // The peer holds nothing for this session (create not yet
@@ -394,9 +393,10 @@ impl FedState {
             let counters = self.counters.get(owner).ok_or_else(|| {
                 ServiceError::Protocol(format!("no replication counters for peer {owner}"))
             })?;
-            counters.record_forward(accepted);
+            counters.add(PeerCounter::ForwardedBatches, 1);
+            counters.add(PeerCounter::ForwardedRecords, accepted);
             link.sync(&line)?;
-            counters.record_acked(accepted);
+            counters.add(PeerCounter::AckedRecords, accepted);
         }
         Ok((accepted, Routed::Forwarded { peer: owner }))
     }
@@ -499,7 +499,7 @@ impl FedState {
                 missing.push((owner, self.peer_addr(owner)));
                 continue;
             }
-            let line = format!(r#"{{"op":"sync_session","session":{session}}}"#);
+            let line = request_line(Op::SyncSession, Some(session), Vec::new());
             match self.link(owner)?.sync(&line) {
                 Ok(v) => {
                     let total = v.get("total").and_then(Value::as_u64).ok_or_else(|| {
@@ -568,7 +568,7 @@ impl FedState {
         session: u64,
         schema: &Schema,
     ) -> Result<CountAccumulator> {
-        let line = format!(r#"{{"op":"sync_session","session":{session}}}"#);
+        let line = request_line(Op::SyncSession, Some(session), Vec::new());
         let v = self.link(peer)?.sync(&line)?;
         let pairs = v.get("counts").and_then(Value::as_array).ok_or_else(|| {
             ServiceError::Protocol("sync_session response missing `counts`".into())
@@ -602,7 +602,8 @@ impl FedState {
     /// the session closed.
     pub fn close_fanout(&self, session: u64) -> bool {
         self.lock_seqs().remove(&session);
-        let line = format!(r#"{{"op":"close_session","session":{session},"local":true}}"#);
+        let local = vec![("local", true.into())];
+        let line = request_line(Op::CloseSession, Some(session), local);
         let mut any = false;
         for (link, counters) in self.links.iter().zip(&self.counters) {
             let Some(link) = link else { continue };
@@ -610,7 +611,7 @@ impl FedState {
             if let Ok(v) = link.sync(&line) {
                 any |= v.get("closed").and_then(Value::as_bool).unwrap_or(false);
             } else {
-                counters.record_peer_down();
+                counters.add(PeerCounter::PeerDown, 1);
             }
         }
         any
@@ -670,31 +671,15 @@ fn create_line(
     shards: usize,
     seed: u64,
 ) -> String {
-    let schema = Value::Array(
-        raw_schema
-            .iter()
-            .map(|(name, card)| Value::Array(vec![name.as_str().into(), (*card).into()]))
-            .collect(),
-    );
-    let mut pairs = vec![("op", Value::from("create_session")), ("schema", schema)];
-    match mechanism {
-        Mechanism::Deterministic { gamma } => {
-            pairs.push(("mechanism", "det".into()));
-            pairs.push(("gamma", gamma.into()));
-        }
-        Mechanism::Randomized {
-            gamma,
-            alpha_fraction,
-        } => {
-            pairs.push(("mechanism", "ran".into()));
-            pairs.push(("gamma", gamma.into()));
-            pairs.push(("alpha_fraction", alpha_fraction.into()));
-        }
+    let mut fields = SessionSpec {
+        schema: raw_schema.to_vec(),
+        mechanism,
+        shards: Some(shards),
+        seed: Some(seed),
     }
-    pairs.push(("shards", shards.into()));
-    pairs.push(("seed", seed.into()));
-    pairs.push(("session", id.into()));
-    object(pairs).to_json()
+    .fields();
+    fields.push(("session", id.into()));
+    request_line(Op::CreateSession, None, fields)
 }
 
 /// Builds a forwarded submit line in the canonical field order the
@@ -709,24 +694,8 @@ fn forwarded_line(
 ) -> String {
     use std::fmt::Write as _;
     let mut line = String::with_capacity(96 + records.len() * 12);
-    let _ = write!(
-        line,
-        "{{\"op\":\"submit\",\"session\":{session},\"records\":["
-    );
-    for (i, record) in records.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push('[');
-        for (j, &v) in record.iter().enumerate() {
-            if j > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{v}");
-        }
-        line.push(']');
-    }
-    let _ = write!(line, "],\"pre_perturbed\":{pre_perturbed}");
+    let _ = write!(line, "{{\"op\":\"submit\",\"session\":{session},");
+    write_submit_fields(&mut line, records.iter(), pre_perturbed, None);
     if deferred {
         line.push_str(",\"ack\":\"deferred\"");
     }
@@ -1085,7 +1054,8 @@ impl LinkWorker {
                     records,
                     line,
                 }) => {
-                    self.counters.record_forward(records);
+                    self.counters.add(PeerCounter::ForwardedBatches, 1);
+                    self.counters.add(PeerCounter::ForwardedRecords, records);
                     let sent = !self.peer_send_fault()
                         && match self.client.as_mut() {
                             Some(client) => client.send_raw_nowait(&line).is_ok(),
@@ -1123,7 +1093,7 @@ impl LinkWorker {
 
     fn drop_client(&mut self) {
         if self.client.take().is_some() {
-            self.counters.record_peer_down();
+            self.counters.add(PeerCounter::PeerDown, 1);
         }
     }
 
@@ -1159,7 +1129,7 @@ impl LinkWorker {
                 // A fresh trip (including a re-open after a failed
                 // half-open probe), not a failure piling onto an
                 // already-open breaker.
-                self.counters.record_breaker_trip();
+                self.counters.add(PeerCounter::BreakerTrips, 1);
             }
             self.breaker_opened_at = Some(Instant::now());
             self.counters.set_health(PeerHealth::Down);
@@ -1216,7 +1186,7 @@ impl LinkWorker {
             if self.tuning.fault.inject_io(FaultSite::PeerConnect).is_err() {
                 // An injected connect failure: identical accounting to
                 // a real refused connection.
-                self.counters.record_peer_down();
+                self.counters.add(PeerCounter::PeerDown, 1);
                 self.record_link_failure();
             } else {
                 match Client::connect_with_all_timeouts(
@@ -1239,7 +1209,7 @@ impl LinkWorker {
                         }
                     }
                     Err(_) => {
-                        self.counters.record_peer_down();
+                        self.counters.add(PeerCounter::PeerDown, 1);
                         self.record_link_failure();
                     }
                 }
@@ -1272,7 +1242,7 @@ impl LinkWorker {
                 if mark_covers(&marks.applied, seq) {
                     continue;
                 }
-                self.counters.record_retry();
+                self.counters.add(PeerCounter::Retries, 1);
                 self.client
                     .as_mut()
                     .ok_or_else(|| peer_down(&self.addr))?
@@ -1323,7 +1293,7 @@ impl LinkWorker {
     /// the link's metrics gauge.
     fn publish_history_gauge(&self) {
         let total = self.history.values().map(|b| b.len() as u64).sum();
-        self.counters.set_history_batches(total);
+        self.counters.set(PeerCounter::HistoryBatches, total);
     }
 
     fn send_create(&mut self, line: &str) -> Result<()> {
@@ -1341,10 +1311,8 @@ impl LinkWorker {
     }
 
     fn fetch_marks(&mut self, session: u64) -> Result<PeerMarks> {
-        let status = format!(
-            r#"{{"op":"repl_status","session":{session},"origin":{}}}"#,
-            self.origin
-        );
+        let origin = vec![("origin", self.origin.into())];
+        let status = request_line(Op::ReplStatus, Some(session), origin);
         let client = self.client.as_mut().ok_or_else(|| peer_down(&self.addr))?;
         match client.request(&status) {
             Ok(v) => {
@@ -1368,7 +1336,7 @@ impl LinkWorker {
     /// pending) into the outstanding accounting.
     fn consume_watermark(&mut self, v: &Value) {
         if let Some(acked) = v.get("deferred_accepted").and_then(Value::as_u64) {
-            self.counters.record_acked(acked);
+            self.counters.add(PeerCounter::AckedRecords, acked);
             self.outstanding = self.outstanding.saturating_sub(acked);
         }
         if v.get("deferred_error").is_some() {
@@ -1383,9 +1351,8 @@ impl LinkWorker {
             return Ok(());
         }
         let client = self.client.as_mut().ok_or_else(|| peer_down(&self.addr))?;
-        let v = client.request(r#"{"op":"flush"}"#)?;
-        let acked = v.get("accepted").and_then(Value::as_u64).unwrap_or(0);
-        self.counters.record_acked(acked);
+        let acked = client.flush()?;
+        self.counters.add(PeerCounter::AckedRecords, acked);
         self.outstanding = 0;
         Ok(())
     }
@@ -1583,12 +1550,12 @@ mod tests {
         w.record_link_failure();
         assert_eq!(w.counters.health(), PeerHealth::Down);
         assert!(w.breaker_blocks());
-        assert_eq!(w.counters.report(0, "x").breaker_trips, 1);
+        assert_eq!(w.counters.report(0, "x").get(PeerCounter::BreakerTrips), 1);
 
         // Failures piling onto an already-open breaker are not fresh
         // trips.
         w.record_link_failure();
-        assert_eq!(w.counters.report(0, "x").breaker_trips, 1);
+        assert_eq!(w.counters.report(0, "x").get(PeerCounter::BreakerTrips), 1);
 
         // After the cooldown the next connect is the half-open probe;
         // its failure re-opens the breaker and counts a new trip.
@@ -1596,7 +1563,7 @@ mod tests {
         assert!(!w.breaker_blocks());
         w.record_link_failure();
         assert!(w.breaker_blocks());
-        assert_eq!(w.counters.report(0, "x").breaker_trips, 2);
+        assert_eq!(w.counters.report(0, "x").get(PeerCounter::BreakerTrips), 2);
 
         // A success closes the breaker and resets health outright.
         w.record_link_success();
@@ -1614,7 +1581,7 @@ mod tests {
         assert!(is_unreachable(&err), "{err}");
         // Fail-fast means the network was never touched: no connect
         // attempt, no backoff sleep, no peer-down increment.
-        assert_eq!(w.counters.report(0, "x").peer_down, 0);
+        assert_eq!(w.counters.report(0, "x").get(PeerCounter::PeerDown), 0);
     }
 
     #[test]
@@ -1630,10 +1597,10 @@ mod tests {
         assert_eq!(w.counters.health(), PeerHealth::Down);
         assert!(w.breaker_blocks());
         let report = w.counters.report(0, "x");
-        assert_eq!(report.breaker_trips, 1);
+        assert_eq!(report.get(PeerCounter::BreakerTrips), 1);
         // The cycle stopped the moment the breaker opened: exactly
         // `threshold` attempts were charged, not all five.
-        assert_eq!(report.peer_down, 2);
+        assert_eq!(report.get(PeerCounter::PeerDown), 2);
     }
 
     #[test]

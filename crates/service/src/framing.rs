@@ -34,38 +34,16 @@ use crate::fault::{FaultAction, FaultSite};
 use crate::http::{self, BodyFraming, ChunkDecoder, Head};
 use crate::protocol::{write_error_response, RecordBatch, Request, WireFraming};
 use crate::server::{wake_addr, IdleTimer, Shared};
+use crate::wire::Counter;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Binary frame opcode: a compact submit. The payload is the flags
-/// byte, the target session, optional shard/replication stamps, and the
-/// record cells — see `docs/PROTOCOL.md` §6 for the grammar.
-pub const OP_SUBMIT: u8 = 0x01;
-/// Binary frame opcode: a JSON-tunnelled request. The payload is one
-/// JSON request object, exactly as a line-protocol line (without the
-/// newline); every op is reachable this way, so a binary connection
-/// never needs to switch back to issue a query.
-pub const OP_JSON: u8 = 0x02;
-
-/// Submit-frame flag: the records were already perturbed client-side.
-pub const FLAG_PRE_PERTURBED: u8 = 0x01;
-/// Submit-frame flag: deferred acknowledgement — the server sends no
-/// response frame; the accepted count lands in the connection watermark
-/// (reported by `flush`), exactly as `"ack":"deferred"` on a line.
-pub const FLAG_DEFERRED: u8 = 0x02;
-/// Submit-frame flag: an explicit target shard (varint) follows the
-/// session id.
-pub const FLAG_HAS_SHARD: u8 = 0x04;
-/// Submit-frame flag: a federation replication stamp — `origin` then
-/// `seq`, both varints — follows the shard (or the session, when
-/// [`FLAG_HAS_SHARD`] is clear).
-pub const FLAG_HAS_STAMP: u8 = 0x08;
-/// Submit-frame flag: cells are fixed-width `u32` little-endian instead
-/// of varints — cheaper to encode/decode when values are large, at four
-/// bytes per cell.
-pub const FLAG_FIXED32: u8 = 0x10;
+pub use crate::wire::{
+    FLAG_DEFERRED, FLAG_FIXED32, FLAG_HAS_SHARD, FLAG_HAS_STAMP, FLAG_PRE_PERTURBED, OP_JSON,
+    OP_SUBMIT,
+};
 
 /// Every flag bit the submit decoder understands; frames carrying any
 /// other bit are refused as malformed rather than half-interpreted.
@@ -201,12 +179,11 @@ impl<'a> PayloadReader<'a> {
     }
 
     fn u32_le(&mut self) -> Result<u32> {
-        if self.buf.len() < 4 {
+        let Some((head, rest)) = self.buf.split_first_chunk::<4>() else {
             return Err(truncated());
-        }
-        let (head, rest) = self.buf.split_at(4);
+        };
         self.buf = rest;
-        Ok(u32::from_le_bytes([head[0], head[1], head[2], head[3]]))
+        Ok(u32::from_le_bytes(*head))
     }
 }
 
@@ -302,11 +279,10 @@ enum Frame<'a> {
 /// lengths and overlong length varints are errors (the framing can no
 /// longer be trusted); a partial frame is [`Frame::NeedMore`].
 fn scan_frame(input: &[u8], max_payload: usize) -> Result<Frame<'_>> {
-    if input.is_empty() {
+    let Some((&opcode, header)) = input.split_first() else {
         return Ok(Frame::NeedMore);
-    }
-    let opcode = input[0];
-    match read_varint(&input[1..])? {
+    };
+    match read_varint(header)? {
         None => {
             // A length varint is at most MAX_VARINT_BYTES; a buffer
             // holding more than header-max bytes without terminating
@@ -434,7 +410,7 @@ impl LineFraming {
                 // The acknowledgement above went out in the old framing;
                 // everything after it speaks the new one.
                 if framing == WireFraming::Binary && self.mode != WireFraming::Binary {
-                    shared.transport.record_binary_connection();
+                    shared.transport.inc(Counter::BinaryConnections);
                 }
                 self.mode = framing;
             }
@@ -479,7 +455,7 @@ impl LineFraming {
             Ok(l) => l,
             Err(_) => return Step::Fatal,
         };
-        shared.transport.record_tcp_request();
+        shared.transport.inc(Counter::TcpRequests);
         self.response.clear();
         let outcome = dispatch::dispatch_into(
             &shared.registry,
@@ -513,8 +489,8 @@ impl LineFraming {
                 frame_len,
             }) => (opcode, payload, frame_len),
         };
-        shared.transport.record_tcp_request();
-        shared.transport.record_binary_request();
+        shared.transport.inc(Counter::TcpRequests);
+        shared.transport.inc(Counter::BinaryRequests);
         self.response.clear();
         let outcome = match opcode {
             OP_SUBMIT => match decode_submit_payload(payload) {
@@ -617,7 +593,7 @@ impl HttpFraming {
         out: &mut Vec<u8>,
         signals: &mut Signals,
     ) -> Step {
-        shared.transport.record_http_request();
+        shared.transport.inc(Counter::HttpRequests);
         self.response.clear();
         let (status, reason, content_type) = http::respond(
             shared,
@@ -859,7 +835,7 @@ pub(crate) fn drive_blocking(
                         return Ok(());
                     }
                     if idle.expired() {
-                        shared.transport.record_idle_reaped();
+                        shared.transport.inc(Counter::IdleReaped);
                         return Ok(());
                     }
                 }

@@ -5,32 +5,11 @@
 //! new dependencies — implementing just enough of HTTP/1.1 for REST
 //! clients and `curl`: request line + headers, `Content-Length` and
 //! `Transfer-Encoding: chunked` bodies, keep-alive connections, and
-//! `Expect: 100-continue`. Every route maps onto an existing
-//! [`Request`] with the *same JSON bodies* as the line protocol, so a
-//! response is byte-identical across transports:
-//!
-//! ```text
-//! GET    /ping                          -> ping
-//! POST   /sessions                      -> create_session (JSON body)
-//! GET    /sessions                      -> list_sessions
-//! GET    /sessions/{id}                 -> stats
-//! GET    /sessions/{id}/stats           -> stats (?allow_partial=true|false)
-//! POST   /sessions/{id}/records         -> submit (JSON body)
-//! GET    /sessions/{id}/reconstruct     -> reconstruct
-//!        ?method=closed|cached_lu|fresh_lu&clamp=true|false&allow_partial=true|false
-//! GET    /sessions/{id}/metrics         -> metrics
-//! GET    /metrics                       -> metrics (transport counters;
-//!        `Accept: text/plain` selects the Prometheus text exposition)
-//! POST   /sessions/{id}/persist         -> persist one session
-//! POST   /persist                       -> persist all sessions
-//! DELETE /sessions/{id}                 -> close_session
-//! POST   /sessions/{id}/mine            -> mine_rules (JSON body)
-//! POST   /sessions/{id}/classify        -> classify (JSON body)
-//! GET    /jobs                          -> list_jobs
-//! GET    /jobs/{jid}                    -> job_status
-//! GET    /jobs/{jid}/result             -> job_result
-//! DELETE /jobs/{jid}                    -> job_cancel
-//! ```
+//! `Expect: 100-continue`. Every route of [`crate::wire::OPS`] maps onto
+//! an existing [`Request`] with the *same JSON bodies* as the line
+//! protocol, so a response is byte-identical across transports
+//! (`docs/PROTOCOL.md` §4.1 lists the routes; `GET /metrics` with
+//! `Accept: text/plain` answers in the Prometheus text exposition).
 //!
 //! `shutdown` and deferred-ack submits are deliberately not exposed:
 //! both are connection-oriented (the latter relies on *not* answering a
@@ -52,6 +31,7 @@ use crate::error::{Result, ServiceError};
 use crate::json::{self, Value};
 use crate::protocol::{self, write_error_response, Request};
 use crate::server::{AcceptBackoff, Shared};
+use crate::wire::{Counter, OpRow, QueryKind, OPS};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -88,7 +68,7 @@ pub(crate) fn run_accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             // Same bounded backoff as the TCP loop: a persistent accept
             // failure (EMFILE) must not spin this thread hot.
             Err(_) => {
-                shared.transport.record_accept_error();
+                shared.transport.inc(Counter::AcceptErrors);
                 std::thread::sleep(backoff.on_error());
                 continue;
             }
@@ -97,7 +77,7 @@ pub(crate) fn run_accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             shed_http_connection(stream, shared);
             continue;
         };
-        shared.transport.record_http_connection();
+        shared.transport.inc(Counter::HttpConnections);
         let shared = Arc::clone(shared);
         workers.push(std::thread::spawn(move || {
             let _guard = guard;
@@ -173,13 +153,16 @@ pub(crate) fn respond(
     body: &[u8],
     out: &mut String,
 ) -> (u16, &'static str, &'static str) {
-    let path = target.split('?').next().unwrap_or(target);
-    if accept_text && method == "GET" && path == "/metrics" {
-        let peers = shared.fed.as_deref().map(|f| f.peer_reports());
-        crate::metrics::write_prometheus_metrics(out, &shared.transport.report(), peers.as_deref());
-        return (200, "OK", CONTENT_TYPE_PROMETHEUS);
-    }
     let req = match route(method, target, body) {
+        Ok(Request::Metrics { session: None }) if accept_text => {
+            let peers = shared.fed.as_deref().map(|f| f.peer_reports());
+            crate::metrics::write_prometheus_metrics(
+                out,
+                &shared.transport.report(),
+                peers.as_deref(),
+            );
+            return (200, "OK", CONTENT_TYPE_PROMETHEUS);
+        }
         Ok(req) => req,
         Err(RouteError::NotFound(msg)) => {
             write_error_response(out, &ServiceError::InvalidRequest(msg));
@@ -237,152 +220,97 @@ impl From<ServiceError> for RouteError {
     }
 }
 
-/// Maps `(method, path, query, body)` onto a [`Request`]. Bodies are
-/// the line protocol's JSON objects minus the `op`/`session` fields
-/// (both are in the request line), parsed by the same
-/// [`crate::protocol`] helpers.
+/// Maps `(method, path, query, body)` onto a [`Request`]: the route row
+/// names the op and binds the path id, and the body (the line
+/// protocol's JSON object minus `op` and the id) plus the query
+/// parameters are its fields, parsed by [`protocol::build_request`]
+/// like a line.
 fn route(method: &str, target: &str, body: &[u8]) -> std::result::Result<Request, RouteError> {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let (row, id) = match_route(method, path)?;
+    let mut fields = if body.is_empty() {
+        // An absent body reads as an empty object so that ops with
+        // all-optional fields (persist) need no payload.
+        Vec::new()
+    } else {
+        let text = std::str::from_utf8(body)
+            .map_err(|_| ServiceError::Protocol("request body is not valid UTF-8".into()))?;
+        match json::parse(text)? {
+            Value::Object(fields) => fields,
+            // Like a line that is not an object: every field is missing.
+            _ => Vec::new(),
+        }
     };
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let parse_body = || -> std::result::Result<Value, RouteError> {
-        if body.is_empty() {
-            // An absent body reads as an empty object so that ops with
-            // all-optional fields (persist) need no payload.
-            return Ok(Value::Object(Vec::new()));
-        }
-        let text = std::str::from_utf8(body).map_err(|_| {
-            RouteError::Bad(ServiceError::Protocol(
-                "request body is not valid UTF-8".into(),
-            ))
-        })?;
-        Ok(json::parse(text)?)
-    };
-    let session_id = |seg: &str| -> std::result::Result<u64, RouteError> {
-        seg.parse::<u64>().map_err(|_| {
-            RouteError::Bad(ServiceError::InvalidRequest(format!(
-                "`{seg}` is not a session id"
-            )))
-        })
-    };
-    match (method, segments.as_slice()) {
-        ("GET", ["ping"]) => Ok(Request::Ping),
-        ("GET", ["metrics"]) => Ok(Request::Metrics { session: None }),
-        ("GET", ["cluster"]) => Ok(Request::ClusterStatus),
-        ("POST", ["sessions"]) => Ok(protocol::parse_create_session(&parse_body()?)?),
-        ("GET", ["sessions"]) => Ok(Request::ListSessions),
-        ("GET", ["sessions", id]) | ("GET", ["sessions", id, "stats"]) => Ok(Request::Stats {
-            session: session_id(id)?,
-            allow_partial: stats_query(query)?,
-        }),
-        ("POST", ["sessions", id, "records"]) => {
-            // Deferred acks are connection-oriented; over HTTP every
-            // request is answered, so the parser refuses them here.
-            Ok(protocol::parse_submit(
-                &parse_body()?,
-                session_id(id)?,
-                false,
-            )?)
-        }
-        ("GET", ["sessions", id, "reconstruct"]) => {
-            let (method_param, clamp, allow_partial) = reconstruct_query(query)?;
-            Ok(protocol::parse_reconstruct(
-                session_id(id)?,
-                method_param,
-                clamp,
-                allow_partial,
-            )?)
-        }
-        ("GET", ["sessions", id, "metrics"]) => Ok(Request::Metrics {
-            session: Some(session_id(id)?),
-        }),
-        ("POST", ["sessions", id, "persist"]) => Ok(Request::Persist {
-            session: Some(session_id(id)?),
-        }),
-        ("POST", ["persist"]) => Ok(Request::Persist { session: None }),
-        ("DELETE", ["sessions", id]) => Ok(Request::CloseSession {
-            session: session_id(id)?,
-            local: false,
-        }),
-        ("POST", ["sessions", id, "mine"]) => {
-            Ok(protocol::parse_mine_rules(&parse_body()?, session_id(id)?)?)
-        }
-        ("POST", ["sessions", id, "classify"]) => Ok(Request::Classify {
-            session: session_id(id)?,
-            target: protocol::parse_attr_ref(&parse_body()?, "target")?,
-        }),
-        ("GET", ["jobs"]) => Ok(Request::ListJobs),
-        ("GET", ["jobs", jid]) => Ok(Request::JobStatus { job: job_id(jid)? }),
-        ("GET", ["jobs", jid, "result"]) => Ok(Request::JobResult { job: job_id(jid)? }),
-        ("DELETE", ["jobs", jid]) => Ok(Request::JobCancel { job: job_id(jid)? }),
-        _ => Err(RouteError::NotFound(format!(
-            "no route for {method} {path}"
-        ))),
-    }
-}
-
-/// Parses a `/jobs/{jid}` path segment.
-fn job_id(seg: &str) -> std::result::Result<u64, RouteError> {
-    seg.parse::<u64>().map_err(|_| {
-        RouteError::Bad(ServiceError::InvalidRequest(format!(
-            "`{seg}` is not a job id"
-        )))
-    })
-}
-
-/// Parses a boolean query value (`true`/`1`/`false`/`0`).
-fn query_bool(key: &str, value: &str) -> std::result::Result<bool, RouteError> {
-    match value {
-        "true" | "1" => Ok(true),
-        "false" | "0" => Ok(false),
-        other => Err(RouteError::Bad(ServiceError::InvalidRequest(format!(
-            "`{key}` must be true or false, got `{other}`"
-        )))),
-    }
-}
-
-/// Parses `method=...&clamp=...&allow_partial=...` from a reconstruct
-/// query string.
-#[allow(clippy::type_complexity)]
-fn reconstruct_query(
-    query: &str,
-) -> std::result::Result<(Option<&str>, Option<bool>, bool), RouteError> {
-    let mut method = None;
-    let mut clamp = None;
-    let mut allow_partial = false;
     for pair in query.split('&').filter(|p| !p.is_empty()) {
         let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "method" => method = Some(value),
-            "clamp" => clamp = Some(query_bool(key, value)?),
-            "allow_partial" => allow_partial = query_bool(key, value)?,
-            other => {
+        let value = match row.query.iter().find(|(k, _)| *k == key) {
+            Some((_, QueryKind::Text)) => value.into(),
+            Some((_, QueryKind::Bool)) => match value {
+                "true" | "1" => true.into(),
+                "false" | "0" => false.into(),
+                other => {
+                    return Err(RouteError::Bad(ServiceError::InvalidRequest(format!(
+                        "`{key}` must be true or false, got `{other}`"
+                    ))))
+                }
+            },
+            None => {
                 return Err(RouteError::Bad(ServiceError::InvalidRequest(format!(
-                    "unknown query parameter `{other}`"
+                    "unknown query parameter `{key}`"
                 ))))
             }
-        }
+        };
+        fields.push((key.to_owned(), value));
     }
-    Ok((method, clamp, allow_partial))
+    // Deferred acks are connection-oriented; over HTTP every request is
+    // answered, so the parser refuses them here.
+    Ok(protocol::build_request(
+        row.op,
+        id,
+        &Value::Object(fields),
+        false,
+    )?)
 }
 
-/// Parses `allow_partial=...` from a stats query string.
-fn stats_query(query: &str) -> std::result::Result<bool, RouteError> {
-    let mut allow_partial = false;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "allow_partial" => allow_partial = query_bool(key, value)?,
-            other => {
-                return Err(RouteError::Bad(ServiceError::InvalidRequest(format!(
-                    "unknown query parameter `{other}`"
-                ))))
+/// Finds the [`OPS`] route matching `(method, path)` and parses the id
+/// segment its pattern binds, if any.
+fn match_route(
+    method: &str,
+    path: &str,
+) -> std::result::Result<(&'static OpRow, Option<u64>), RouteError> {
+    let segments = |path| str::split(path, '/').filter(|s| !s.is_empty());
+    for row in &OPS {
+        for &(route_method, pattern) in row.routes {
+            let mut id = None;
+            let mut rest = segments(path);
+            let matched = route_method == method
+                && segments(pattern).all(|want| match rest.next() {
+                    Some(seg) if want == "{id}" => {
+                        id = Some(seg);
+                        true
+                    }
+                    seg => seg == Some(want),
+                })
+                && rest.next().is_none();
+            if !matched {
+                continue;
             }
+            let id = id
+                .map(|seg| {
+                    seg.parse::<u64>().map_err(|_| {
+                        RouteError::Bad(ServiceError::InvalidRequest(format!(
+                            "`{seg}` is not a {} id",
+                            row.id.unwrap_or_default()
+                        )))
+                    })
+                })
+                .transpose()?;
+            return Ok((row, id));
         }
     }
-    Ok(allow_partial)
+    Err(RouteError::NotFound(format!(
+        "no route for {method} {path}"
+    )))
 }
 
 /// How a request's body bytes are framed on the wire.

@@ -21,6 +21,7 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::json::{object, Value};
 use crate::metrics::TransportMetrics;
 use crate::session::{CollectionSession, ReconstructionMethod};
+use crate::wire::Counter;
 use frapp_core::schema::Schema;
 use frapp_mining::apriori::AprioriParams;
 use frapp_mining::estimators::GammaDiagonalSupport;
@@ -344,7 +345,7 @@ impl JobManager {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if queue.len() >= self.inner.queue_depth {
-            self.inner.metrics.record_job_shed();
+            self.inner.metrics.inc(Counter::JobsShed);
             return Err(ServiceError::InvalidRequest(format!(
                 "job queue is full ({} queued); retry later",
                 queue.len()
@@ -363,7 +364,7 @@ impl JobManager {
         });
         drop(queue);
         self.inner.ready.notify_one();
-        self.inner.metrics.record_job_submitted();
+        self.inner.metrics.inc(Counter::JobsSubmitted);
         Ok(record)
     }
 
@@ -463,7 +464,7 @@ impl JobManager {
             if core.state == JobState::Queued {
                 core.state = JobState::Cancelled;
                 core.finished = Some(Instant::now());
-                self.inner.metrics.record_job_cancelled();
+                self.inner.metrics.inc(Counter::JobsCancelled);
             }
         }
         Ok(vec![("status", rec.status_value())])
@@ -569,16 +570,16 @@ fn finalize(inner: &JobInner, rec: &JobRecord, outcome: JobOutcome, wall_ms: f64
         JobOutcome::Done(v) => {
             core.state = JobState::Done;
             core.result = Some(v);
-            inner.metrics.record_job_completed();
+            inner.metrics.inc(Counter::JobsCompleted);
         }
         JobOutcome::Failed(msg) => {
             core.state = JobState::Failed;
             core.error = Some(msg);
-            inner.metrics.record_job_failed();
+            inner.metrics.inc(Counter::JobsFailed);
         }
         JobOutcome::Cancelled => {
             core.state = JobState::Cancelled;
-            inner.metrics.record_job_cancelled();
+            inner.metrics.inc(Counter::JobsCancelled);
         }
     }
 }
@@ -940,7 +941,7 @@ mod tests {
             }
             other => panic!("expected shed, got {other:?}"),
         }
-        assert_eq!(m.report().jobs_shed, 1);
+        assert_eq!(m.report().get(Counter::JobsShed), 1);
         // Cancel everything so Drop does not wait out the delays.
         let _ = mgr.cancel_pairs(running.id());
         let _ = mgr.cancel_pairs(queued.id());
@@ -982,7 +983,7 @@ mod tests {
             status.get("state").and_then(Value::as_str),
             Some("cancelled")
         );
-        assert!(m.report().jobs_cancelled >= 2);
+        assert!(m.report().get(Counter::JobsCancelled) >= 2);
     }
 
     #[test]

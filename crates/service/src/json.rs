@@ -242,7 +242,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<()> {
+    fn eat(&mut self, b: u8) -> Result<()> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -326,7 +326,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -360,7 +360,9 @@ impl Parser<'_> {
                     // byte stream is valid UTF-8 by construction).
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    let Some(c) = rest.chars().next() else {
+                        return Err(self.err("unterminated string"));
+                    };
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -399,7 +401,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -422,7 +424,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -433,7 +435,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
             pairs.push((key, value));

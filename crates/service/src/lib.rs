@@ -24,9 +24,7 @@
 //!   *incremental* periodic flushes that append sparse per-shard delta
 //!   lines instead of rewriting whole count vectors. `Server::bind`
 //!   recovers them, restoring each shard's native RNG state words in
-//!   O(1) so deterministic replay holds across restarts with zero
-//!   fast-forward draws (v1 draw-count snapshots still recover via
-//!   replay).
+//!   O(1) so deterministic replay holds across restarts.
 //! * [`metrics`] — per-session counters (ingest rate, reconstruction
 //!   count, query-latency histogram) behind the `metrics` op.
 //! * Reconstruction queries snapshot the merged counts and solve
@@ -66,8 +64,10 @@
 //!   instead of a thread per connection: bit-identical responses, far
 //!   higher concurrent-connection fan-in.
 //!
-//! The normative wire specification lives in `docs/PROTOCOL.md`, and
-//! `docs/ARCHITECTURE.md` maps the whole workspace.
+//! The normative wire specification lives in `docs/PROTOCOL.md`;
+//! [`wire`] declares every op, route and counter it names, once, for
+//! the modules above to read; `docs/ARCHITECTURE.md` maps the whole
+//! workspace.
 //!
 //! ## In-process quickstart
 //!
@@ -108,6 +108,7 @@ pub mod reactor;
 pub mod server;
 pub mod session;
 pub mod shard;
+pub mod wire;
 
 pub use client::{Client, HttpClient, SessionSpec};
 pub use config::ServiceConfig;

@@ -14,7 +14,8 @@
 //! observable in production without any extra hot-path cost beyond one
 //! atomic increment per batch.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use crate::wire::{Counter, PeerCounter, COUNTERS, PEER_COUNTERS};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Number of histogram buckets. The last bucket (`>= 2^30` µs ≈ 18 min)
@@ -197,45 +198,16 @@ impl SessionMetrics {
     }
 }
 
-/// Server-wide transport counters, shared by every front-end.
+/// Server-wide transport counters, shared by every front-end: one
+/// relaxed atomic per row of [`COUNTERS`], indexed by [`Counter`].
 ///
-/// One instance lives in the server and is updated by the TCP and HTTP
-/// accept loops and connection handlers with relaxed atomics. Unlike
-/// [`SessionMetrics`] these survive session churn — they meter the
-/// *transports*, not any one session — and are reported by the
-/// session-less `{"op":"metrics"}` request (or `GET /metrics` over
-/// HTTP).
+/// One instance lives in the server and is updated by the accept loops,
+/// connection handlers, reactor and job pool. Unlike [`SessionMetrics`]
+/// these survive session churn — they meter the *transports*, not any
+/// one session — and are reported by the session-less `metrics` op.
 #[derive(Debug, Default)]
 pub struct TransportMetrics {
-    tcp_connections: AtomicU64,
-    http_connections: AtomicU64,
-    binary_connections: AtomicU64,
-    tcp_requests: AtomicU64,
-    http_requests: AtomicU64,
-    binary_requests: AtomicU64,
-    deferred_batches: AtomicU64,
-    sheds: AtomicU64,
-    accept_errors: AtomicU64,
-    // Reactor ([`crate::reactor`]) counters. All-zero under
-    // thread-per-connection; under `--async` they make the event loop
-    // observable: a wakeup rate near the 50 ms poll-timeout floor means
-    // an idle server, a high partial-read/-write rate means peers are
-    // slower than the reactor (framing straddles reads, responses
-    // straddle writes and lean on interest re-registration).
-    reactor_registered_fds: AtomicU64,
-    reactor_wakeups: AtomicU64,
-    reactor_partial_reads: AtomicU64,
-    reactor_partial_writes: AtomicU64,
-    idle_reaped: AtomicU64,
-    // Background-job ([`crate::jobs`]) counters. `jobs_submitted`
-    // counts accepted submissions only; a shed (queue-full) submit
-    // increments `jobs_shed` instead. Every accepted job eventually
-    // lands in exactly one of completed / failed / cancelled.
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_shed: AtomicU64,
+    values: [AtomicU64; COUNTERS.len()],
 }
 
 impl TransportMetrics {
@@ -244,187 +216,46 @@ impl TransportMetrics {
         Self::default()
     }
 
-    /// Counts one accepted TCP (line-protocol) connection.
-    pub fn record_tcp_connection(&self) {
-        self.tcp_connections.fetch_add(1, Ordering::Relaxed);
+    /// Adds one to `counter`.
+    pub fn inc(&self, counter: Counter) {
+        self.values[counter as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one accepted HTTP connection.
-    pub fn record_http_connection(&self) {
-        self.http_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one line-protocol connection that negotiated the binary
-    /// framing (via `{"op":"hello","framing":"binary"}`); such a
-    /// connection is counted in `tcp_connections` too.
-    pub fn record_binary_connection(&self) {
-        self.binary_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one dispatched line-protocol request.
-    pub fn record_tcp_request(&self) {
-        self.tcp_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request that arrived as a binary frame (counted in
-    /// `tcp_requests` too — the binary framing rides the TCP port).
-    pub fn record_binary_request(&self) {
-        self.binary_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one dispatched HTTP request.
-    pub fn record_http_request(&self) {
-        self.http_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one deferred-ack (`"ack":"deferred"`) submit batch.
-    pub fn record_deferred_batch(&self) {
-        self.deferred_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection refused at the `max_connections` cap.
-    pub fn record_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one failed `accept` on a listener.
-    pub fn record_accept_error(&self) {
-        self.accept_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Gauges one fd registered with a reactor's poller (listener or
-    /// connection).
-    pub fn record_reactor_fd_registered(&self) {
-        self.reactor_registered_fds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Gauges one fd deregistered from a reactor's poller.
-    pub fn record_reactor_fd_deregistered(&self) {
-        self.reactor_registered_fds.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Counts one reactor `epoll_wait`/`kevent` return (event batch or
-    /// timeout).
-    pub fn record_reactor_wakeup(&self) {
-        self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one readable event that ended with an incomplete frame
-    /// still buffered (the peer's write straddled our read).
-    pub fn record_reactor_partial_read(&self) {
-        self.reactor_partial_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one write attempt that could not flush the whole output
-    /// buffer (backpressure: the remainder waits on a writable event).
-    pub fn record_reactor_partial_write(&self) {
-        self.reactor_partial_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one idle connection reaped by the slowloris guard
-    /// ([`crate::config::ServiceConfig::idle_timeout_ms`]).
-    pub fn record_idle_reaped(&self) {
-        self.idle_reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one background job accepted into the submission queue.
-    pub fn record_job_submitted(&self) {
-        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one background job that reached the `done` state.
-    pub fn record_job_completed(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one background job that reached the `failed` state.
-    pub fn record_job_failed(&self) {
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one background job that reached the `cancelled` state.
-    pub fn record_job_cancelled(&self) {
-        self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one job submission shed at the queue-depth cap.
-    pub fn record_job_shed(&self) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
+    /// Takes one off `counter` (gauges only).
+    pub fn dec(&self, counter: Counter) {
+        self.values[counter as usize].fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the counters.
     pub fn report(&self) -> TransportReport {
-        TransportReport {
-            tcp_connections: self.tcp_connections.load(Ordering::Relaxed),
-            http_connections: self.http_connections.load(Ordering::Relaxed),
-            binary_connections: self.binary_connections.load(Ordering::Relaxed),
-            tcp_requests: self.tcp_requests.load(Ordering::Relaxed),
-            http_requests: self.http_requests.load(Ordering::Relaxed),
-            binary_requests: self.binary_requests.load(Ordering::Relaxed),
-            deferred_batches: self.deferred_batches.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            reactor_registered_fds: self.reactor_registered_fds.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            reactor_partial_reads: self.reactor_partial_reads.load(Ordering::Relaxed),
-            reactor_partial_writes: self.reactor_partial_writes.load(Ordering::Relaxed),
-            idle_reaped: self.idle_reaped.load(Ordering::Relaxed),
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-        }
+        TransportReport(std::array::from_fn(|i| {
+            self.values[i].load(Ordering::Relaxed)
+        }))
     }
 }
 
 /// A snapshot of the server's [`TransportMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransportReport {
-    /// Line-protocol connections accepted.
-    pub tcp_connections: u64,
-    /// HTTP connections accepted.
-    pub http_connections: u64,
-    /// Connections that negotiated the binary framing (a subset of
-    /// `tcp_connections`).
-    pub binary_connections: u64,
-    /// Line-protocol requests dispatched.
-    pub tcp_requests: u64,
-    /// HTTP requests dispatched.
-    pub http_requests: u64,
-    /// Requests that arrived as binary frames (a subset of
-    /// `tcp_requests`).
-    pub binary_requests: u64,
-    /// Deferred-ack submit batches received.
-    pub deferred_batches: u64,
-    /// Connections refused at the `max_connections` cap.
-    pub sheds: u64,
-    /// Failed `accept` calls across all listeners.
-    pub accept_errors: u64,
-    /// File descriptors currently registered across all reactor pollers
-    /// (a gauge: listeners + live connections; zero in
-    /// thread-per-connection mode).
-    pub reactor_registered_fds: u64,
-    /// Reactor poll wakeups (event batches + timeouts).
-    pub reactor_wakeups: u64,
-    /// Readable events that left an incomplete frame buffered.
-    pub reactor_partial_reads: u64,
-    /// Writes that could not flush the whole output buffer.
-    pub reactor_partial_writes: u64,
-    /// Idle connections reaped by the slowloris guard (zero when
-    /// `idle_timeout_ms` is 0).
-    pub idle_reaped: u64,
-    /// Background jobs accepted into the submission queue.
-    pub jobs_submitted: u64,
-    /// Background jobs that finished in the `done` state.
-    pub jobs_completed: u64,
-    /// Background jobs that finished in the `failed` state.
-    pub jobs_failed: u64,
-    /// Background jobs that finished in the `cancelled` state.
-    pub jobs_cancelled: u64,
-    /// Job submissions shed at the queue-depth cap (not counted in
-    /// `jobs_submitted`).
-    pub jobs_shed: u64,
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct TransportReport([u64; COUNTERS.len()]);
+
+impl TransportReport {
+    /// The value of `counter`.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.0[counter as usize]
+    }
+
+    /// Sets the value of `counter` (response parsing, tests).
+    pub fn set(&mut self, counter: Counter, value: u64) {
+        self.0[counter as usize] = value;
+    }
+}
+
+impl std::fmt::Debug for TransportReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(COUNTERS.iter().map(|row| (row.key, self.get(row.id))))
+            .finish()
+    }
 }
 
 /// A federation peer's health, as driven by its link's circuit
@@ -464,7 +295,8 @@ impl PeerHealth {
         }
     }
 
-    fn from_u8(v: u8) -> PeerHealth {
+    /// Reads the gauge value [`PeerHealth::as_u64`] produces.
+    pub fn from_u64(v: u64) -> PeerHealth {
         match v {
             1 => PeerHealth::Degraded,
             2 => PeerHealth::Down,
@@ -472,7 +304,8 @@ impl PeerHealth {
         }
     }
 
-    fn as_u8(self) -> u8 {
+    /// The state as the `frapp_peer_health` gauge carries it.
+    pub fn as_u64(self) -> u64 {
         match self {
             PeerHealth::Up => 0,
             PeerHealth::Degraded => 1,
@@ -481,22 +314,16 @@ impl PeerHealth {
     }
 }
 
-/// Live replication counters for one federation peer link.
+/// Live replication counters for one federation peer link: one
+/// relaxed atomic per row of [`PEER_COUNTERS`], indexed by
+/// [`PeerCounter`].
 ///
 /// Owned by the link's background forwarder thread and read by the
-/// session-less `metrics` op; plain relaxed atomics, like every other
-/// counter here, because the forwarding hot path must not serialize on
-/// metering.
+/// session-less `metrics` op; relaxed, like every other counter here,
+/// because the forwarding hot path must not serialize on metering.
 #[derive(Debug, Default)]
 pub struct PeerReplCounters {
-    forwarded_batches: AtomicU64,
-    forwarded_records: AtomicU64,
-    acked_records: AtomicU64,
-    retries: AtomicU64,
-    peer_down: AtomicU64,
-    history_batches: AtomicU64,
-    breaker_trips: AtomicU64,
-    health: AtomicU8,
+    values: [AtomicU64; PEER_COUNTERS.len()],
 }
 
 impl PeerReplCounters {
@@ -505,50 +332,25 @@ impl PeerReplCounters {
         Self::default()
     }
 
-    /// Counts one batch of `records` records queued for forwarding to
-    /// the peer (whether or not the link is currently connected).
-    pub fn record_forward(&self, records: u64) {
-        self.forwarded_batches.fetch_add(1, Ordering::Relaxed);
-        self.forwarded_records.fetch_add(records, Ordering::Relaxed);
+    /// Adds `n` to `counter`.
+    pub fn add(&self, counter: PeerCounter, n: u64) {
+        self.values[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts `records` records the peer acknowledged (via a flush
-    /// watermark or a synchronous forward response).
-    pub fn record_acked(&self, records: u64) {
-        self.acked_records.fetch_add(records, Ordering::Relaxed);
-    }
-
-    /// Counts one batch resent during anti-entropy resync.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one observed peer failure (connect refusal or a dropped
-    /// connection mid-replication).
-    pub fn record_peer_down(&self) {
-        self.peer_down.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Gauges the replay batches currently held in the link's
-    /// in-memory history (bounded by durable-watermark truncation).
-    pub fn set_history_batches(&self, batches: u64) {
-        self.history_batches.store(batches, Ordering::Relaxed);
-    }
-
-    /// Counts one circuit-breaker trip (the link entered `Down`).
-    pub fn record_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
+    /// Overwrites `counter` (gauges only).
+    pub fn set(&self, counter: PeerCounter, value: u64) {
+        self.values[counter as usize].store(value, Ordering::Relaxed);
     }
 
     /// Publishes the peer's health state (driven by the link's circuit
     /// breaker).
     pub fn set_health(&self, health: PeerHealth) {
-        self.health.store(health.as_u8(), Ordering::Relaxed);
+        self.set(PeerCounter::Health, health.as_u64());
     }
 
     /// The peer's current health state.
     pub fn health(&self) -> PeerHealth {
-        PeerHealth::from_u8(self.health.load(Ordering::Relaxed))
+        PeerHealth::from_u64(self.values[PeerCounter::Health as usize].load(Ordering::Relaxed))
     }
 
     /// A point-in-time report for peer `node` at `addr`.
@@ -556,14 +358,7 @@ impl PeerReplCounters {
         PeerReplReport {
             node,
             addr: addr.to_owned(),
-            forwarded_batches: self.forwarded_batches.load(Ordering::Relaxed),
-            forwarded_records: self.forwarded_records.load(Ordering::Relaxed),
-            acked_records: self.acked_records.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            peer_down: self.peer_down.load(Ordering::Relaxed),
-            history_batches: self.history_batches.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            health: self.health(),
+            values: std::array::from_fn(|i| self.values[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -576,23 +371,20 @@ pub struct PeerReplReport {
     pub node: usize,
     /// The peer's address.
     pub addr: String,
-    /// Replication batches queued toward this peer.
-    pub forwarded_batches: u64,
-    /// Records inside those batches.
-    pub forwarded_records: u64,
-    /// Records the peer has acknowledged.
-    pub acked_records: u64,
-    /// Batches resent during anti-entropy resync.
-    pub retries: u64,
-    /// Observed peer failures (refused connects, dropped links).
-    pub peer_down: u64,
-    /// Replay batches currently held in the link's in-memory history
-    /// (a gauge — bounded by durable-watermark truncation).
-    pub history_batches: u64,
-    /// Times the link's circuit breaker opened (entered `Down`).
-    pub breaker_trips: u64,
-    /// The peer's current health state.
-    pub health: PeerHealth,
+    /// One value per row of [`PEER_COUNTERS`].
+    pub values: [u64; PEER_COUNTERS.len()],
+}
+
+impl PeerReplReport {
+    /// The value of `counter`.
+    pub fn get(&self, counter: PeerCounter) -> u64 {
+        self.values[counter as usize]
+    }
+
+    /// The peer's health state.
+    pub fn health(&self) -> PeerHealth {
+        PeerHealth::from_u64(self.get(PeerCounter::Health))
+    }
 }
 
 /// A snapshot of one session's [`SessionMetrics`].
@@ -623,157 +415,32 @@ pub struct MetricsReport {
 /// Served by `GET /metrics` when the request's `Accept` header asks for
 /// `text/plain` (JSON stays the default). The values come from the same
 /// snapshots as the JSON response, so the two views can never disagree.
-/// `frapp_peer_health` encodes [`PeerHealth`] as a gauge: 0 = up,
-/// 1 = degraded, 2 = down.
 pub fn write_prometheus_metrics(
     out: &mut String,
     transport: &TransportReport,
     peers: Option<&[PeerReplReport]>,
 ) {
     use std::fmt::Write as _;
-    fn scalar(out: &mut String, name: &str, kind: &str, value: u64) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
+    for row in &COUNTERS {
+        let _ = writeln!(out, "# TYPE {} {}", row.family, row.kind.as_str());
+        let _ = writeln!(out, "{} {}", row.family, transport.get(row.id));
     }
-    scalar(
-        out,
-        "frapp_tcp_connections_total",
-        "counter",
-        transport.tcp_connections,
-    );
-    scalar(
-        out,
-        "frapp_http_connections_total",
-        "counter",
-        transport.http_connections,
-    );
-    scalar(
-        out,
-        "frapp_binary_connections_total",
-        "counter",
-        transport.binary_connections,
-    );
-    scalar(
-        out,
-        "frapp_tcp_requests_total",
-        "counter",
-        transport.tcp_requests,
-    );
-    scalar(
-        out,
-        "frapp_binary_requests_total",
-        "counter",
-        transport.binary_requests,
-    );
-    scalar(
-        out,
-        "frapp_http_requests_total",
-        "counter",
-        transport.http_requests,
-    );
-    scalar(
-        out,
-        "frapp_deferred_batches_total",
-        "counter",
-        transport.deferred_batches,
-    );
-    scalar(out, "frapp_sheds_total", "counter", transport.sheds);
-    scalar(
-        out,
-        "frapp_accept_errors_total",
-        "counter",
-        transport.accept_errors,
-    );
-    scalar(
-        out,
-        "frapp_reactor_registered_fds",
-        "gauge",
-        transport.reactor_registered_fds,
-    );
-    scalar(
-        out,
-        "frapp_reactor_wakeups_total",
-        "counter",
-        transport.reactor_wakeups,
-    );
-    scalar(
-        out,
-        "frapp_reactor_partial_reads_total",
-        "counter",
-        transport.reactor_partial_reads,
-    );
-    scalar(
-        out,
-        "frapp_reactor_partial_writes_total",
-        "counter",
-        transport.reactor_partial_writes,
-    );
-    scalar(
-        out,
-        "frapp_idle_reaped_total",
-        "counter",
-        transport.idle_reaped,
-    );
-    scalar(
-        out,
-        "frapp_jobs_submitted_total",
-        "counter",
-        transport.jobs_submitted,
-    );
-    scalar(
-        out,
-        "frapp_jobs_completed_total",
-        "counter",
-        transport.jobs_completed,
-    );
-    scalar(
-        out,
-        "frapp_jobs_failed_total",
-        "counter",
-        transport.jobs_failed,
-    );
-    scalar(
-        out,
-        "frapp_jobs_cancelled_total",
-        "counter",
-        transport.jobs_cancelled,
-    );
-    scalar(out, "frapp_jobs_shed_total", "counter", transport.jobs_shed);
     let Some(peers) = peers else {
         return;
     };
     // One TYPE line per family, then one labelled sample per peer.
     // Addresses are host:port strings, so the label values never need
     // escaping.
-    type PeerGauge = fn(&PeerReplReport) -> u64;
-    let families: [(&str, &str, PeerGauge); 8] = [
-        ("frapp_peer_forwarded_batches_total", "counter", |p| {
-            p.forwarded_batches
-        }),
-        ("frapp_peer_forwarded_records_total", "counter", |p| {
-            p.forwarded_records
-        }),
-        ("frapp_peer_acked_records_total", "counter", |p| {
-            p.acked_records
-        }),
-        ("frapp_peer_retries_total", "counter", |p| p.retries),
-        ("frapp_peer_down_total", "counter", |p| p.peer_down),
-        ("frapp_peer_history_batches", "gauge", |p| p.history_batches),
-        ("frapp_peer_breaker_trips_total", "counter", |p| {
-            p.breaker_trips
-        }),
-        ("frapp_peer_health", "gauge", |p| p.health.as_u8() as u64),
-    ];
-    for (name, kind, get) in families {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
+    for row in &PEER_COUNTERS {
+        let _ = writeln!(out, "# TYPE {} {}", row.family, row.kind.as_str());
         for p in peers {
             let _ = writeln!(
                 out,
-                "{name}{{node=\"{}\",peer=\"{}\"}} {}",
+                "{}{{node=\"{}\",peer=\"{}\"}} {}",
+                row.family,
                 p.node,
                 p.addr,
-                get(p)
+                p.get(row.id)
             );
         }
     }
@@ -851,66 +518,66 @@ mod tests {
     #[test]
     fn transport_metrics_count_per_transport() {
         let t = TransportMetrics::new();
-        t.record_tcp_connection();
-        t.record_tcp_request();
-        t.record_tcp_request();
-        t.record_http_connection();
-        t.record_http_request();
-        t.record_binary_connection();
-        t.record_binary_request();
-        t.record_deferred_batch();
-        t.record_shed();
-        t.record_accept_error();
+        t.inc(Counter::TcpConnections);
+        t.inc(Counter::TcpRequests);
+        t.inc(Counter::TcpRequests);
+        t.inc(Counter::HttpConnections);
+        t.inc(Counter::HttpRequests);
+        t.inc(Counter::BinaryConnections);
+        t.inc(Counter::BinaryRequests);
+        t.inc(Counter::DeferredBatches);
+        t.inc(Counter::Sheds);
+        t.inc(Counter::AcceptErrors);
         let r = t.report();
-        assert_eq!(r.tcp_connections, 1);
-        assert_eq!(r.tcp_requests, 2);
-        assert_eq!(r.http_connections, 1);
-        assert_eq!(r.http_requests, 1);
-        assert_eq!(r.binary_connections, 1);
-        assert_eq!(r.binary_requests, 1);
-        assert_eq!(r.deferred_batches, 1);
-        assert_eq!(r.sheds, 1);
-        assert_eq!(r.accept_errors, 1);
+        assert_eq!(r.get(Counter::TcpConnections), 1);
+        assert_eq!(r.get(Counter::TcpRequests), 2);
+        assert_eq!(r.get(Counter::HttpConnections), 1);
+        assert_eq!(r.get(Counter::HttpRequests), 1);
+        assert_eq!(r.get(Counter::BinaryConnections), 1);
+        assert_eq!(r.get(Counter::BinaryRequests), 1);
+        assert_eq!(r.get(Counter::DeferredBatches), 1);
+        assert_eq!(r.get(Counter::Sheds), 1);
+        assert_eq!(r.get(Counter::AcceptErrors), 1);
         assert_eq!(TransportMetrics::new().report(), TransportReport::default());
     }
 
     #[test]
     fn reactor_counters_count_and_the_fd_gauge_tracks_registrations() {
         let t = TransportMetrics::new();
-        t.record_reactor_fd_registered();
-        t.record_reactor_fd_registered();
-        t.record_reactor_fd_deregistered();
-        t.record_reactor_wakeup();
-        t.record_reactor_partial_read();
-        t.record_reactor_partial_write();
+        t.inc(Counter::ReactorRegisteredFds);
+        t.inc(Counter::ReactorRegisteredFds);
+        t.dec(Counter::ReactorRegisteredFds);
+        t.inc(Counter::ReactorWakeups);
+        t.inc(Counter::ReactorPartialReads);
+        t.inc(Counter::ReactorPartialWrites);
         let r = t.report();
-        assert_eq!(r.reactor_registered_fds, 1);
-        assert_eq!(r.reactor_wakeups, 1);
-        assert_eq!(r.reactor_partial_reads, 1);
-        assert_eq!(r.reactor_partial_writes, 1);
+        assert_eq!(r.get(Counter::ReactorRegisteredFds), 1);
+        assert_eq!(r.get(Counter::ReactorWakeups), 1);
+        assert_eq!(r.get(Counter::ReactorPartialReads), 1);
+        assert_eq!(r.get(Counter::ReactorPartialWrites), 1);
     }
 
     #[test]
     fn peer_repl_counters_report_per_peer() {
         let c = PeerReplCounters::new();
-        c.record_forward(10);
-        c.record_forward(5);
-        c.record_acked(10);
-        c.record_retry();
-        c.record_peer_down();
-        c.set_history_batches(7);
+        c.add(PeerCounter::ForwardedBatches, 2);
+        c.add(PeerCounter::ForwardedRecords, 15);
+        c.add(PeerCounter::AckedRecords, 10);
+        c.add(PeerCounter::Retries, 1);
+        c.add(PeerCounter::PeerDown, 1);
+        c.set(PeerCounter::HistoryBatches, 7);
         let r = c.report(2, "127.0.0.1:7002");
         assert_eq!(r.node, 2);
         assert_eq!(r.addr, "127.0.0.1:7002");
-        assert_eq!(r.forwarded_batches, 2);
-        assert_eq!(r.forwarded_records, 15);
-        assert_eq!(r.acked_records, 10);
-        assert_eq!(r.retries, 1);
-        assert_eq!(r.peer_down, 1);
-        assert_eq!(r.history_batches, 7);
+        assert_eq!(r.get(PeerCounter::ForwardedBatches), 2);
+        assert_eq!(r.get(PeerCounter::ForwardedRecords), 15);
+        assert_eq!(r.get(PeerCounter::AckedRecords), 10);
+        assert_eq!(r.get(PeerCounter::Retries), 1);
+        assert_eq!(r.get(PeerCounter::PeerDown), 1);
+        assert_eq!(r.get(PeerCounter::HistoryBatches), 7);
         // A gauge, not a counter: the next publish overwrites.
-        c.set_history_batches(3);
-        assert_eq!(c.report(2, "x").history_batches, 3);
+        c.set(PeerCounter::HistoryBatches, 3);
+        assert_eq!(c.report(2, "x").get(PeerCounter::HistoryBatches), 3);
     }
 
     #[test]
@@ -920,10 +587,10 @@ mod tests {
         c.set_health(PeerHealth::Degraded);
         assert_eq!(c.health(), PeerHealth::Degraded);
         c.set_health(PeerHealth::Down);
-        c.record_breaker_trip();
+        c.add(PeerCounter::BreakerTrips, 1);
         let r = c.report(0, "a");
-        assert_eq!(r.health, PeerHealth::Down);
-        assert_eq!(r.breaker_trips, 1);
+        assert_eq!(r.health(), PeerHealth::Down);
+        assert_eq!(r.get(PeerCounter::BreakerTrips), 1);
         assert_eq!(PeerHealth::Up.as_str(), "up");
         assert_eq!(PeerHealth::Degraded.as_str(), "degraded");
         assert_eq!(PeerHealth::Down.as_str(), "down");
@@ -932,18 +599,18 @@ mod tests {
     #[test]
     fn job_counters_count_and_export() {
         let t = TransportMetrics::new();
-        t.record_job_submitted();
-        t.record_job_submitted();
-        t.record_job_completed();
-        t.record_job_failed();
-        t.record_job_cancelled();
-        t.record_job_shed();
+        t.inc(Counter::JobsSubmitted);
+        t.inc(Counter::JobsSubmitted);
+        t.inc(Counter::JobsCompleted);
+        t.inc(Counter::JobsFailed);
+        t.inc(Counter::JobsCancelled);
+        t.inc(Counter::JobsShed);
         let r = t.report();
-        assert_eq!(r.jobs_submitted, 2);
-        assert_eq!(r.jobs_completed, 1);
-        assert_eq!(r.jobs_failed, 1);
-        assert_eq!(r.jobs_cancelled, 1);
-        assert_eq!(r.jobs_shed, 1);
+        assert_eq!(r.get(Counter::JobsSubmitted), 2);
+        assert_eq!(r.get(Counter::JobsCompleted), 1);
+        assert_eq!(r.get(Counter::JobsFailed), 1);
+        assert_eq!(r.get(Counter::JobsCancelled), 1);
+        assert_eq!(r.get(Counter::JobsShed), 1);
         let mut out = String::new();
         write_prometheus_metrics(&mut out, &r, None);
         assert!(out.contains("frapp_jobs_submitted_total 2\n"), "{out}");
@@ -956,20 +623,20 @@ mod tests {
     #[test]
     fn idle_reaped_counts() {
         let t = TransportMetrics::new();
-        t.record_idle_reaped();
-        t.record_idle_reaped();
-        assert_eq!(t.report().idle_reaped, 2);
+        t.inc(Counter::IdleReaped);
+        t.inc(Counter::IdleReaped);
+        assert_eq!(t.report().get(Counter::IdleReaped), 2);
     }
 
     #[test]
     fn prometheus_exposition_covers_transport_and_peers() {
         let t = TransportMetrics::new();
-        t.record_tcp_connection();
-        t.record_binary_connection();
-        t.record_idle_reaped();
+        t.inc(Counter::TcpConnections);
+        t.inc(Counter::BinaryConnections);
+        t.inc(Counter::IdleReaped);
         let c = PeerReplCounters::new();
-        c.record_forward(5);
-        c.record_breaker_trip();
+        c.add(PeerCounter::ForwardedRecords, 5);
+        c.add(PeerCounter::BreakerTrips, 1);
         c.set_health(PeerHealth::Down);
         let peer = c.report(1, "127.0.0.1:7001");
         let mut out = String::new();

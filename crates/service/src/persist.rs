@@ -21,10 +21,9 @@
 //!
 //! `rng_state` holds each shard generator's native xoshiro state words
 //! (hex strings — they exceed JSON's exact-integer range), so recovery
-//! restores the stream position in O(1) with **zero** fast-forward
-//! draws. Version-1 snapshots (which recorded only `rng_draws`) are
-//! still read: their recovery fast-forwards a freshly seeded generator
-//! by that many draws — exact, but O(draws).
+//! restores the stream position in O(1). `rng_draws` is carried for
+//! observability only. Version-1 snapshots (no writer since PR 3) are
+//! refused like any other unknown version.
 //!
 //! ## Incremental deltas (`session-<id>.delta.jsonl`)
 //!
@@ -74,8 +73,7 @@ use std::sync::Arc;
 pub const FORMAT: &str = "frapp-session";
 /// The `format` discriminator written into every delta line.
 pub const DELTA_FORMAT: &str = "frapp-session-delta";
-/// The snapshot format version this build writes. Version 1 (draw-count
-/// RNG recovery, no deltas) is still read.
+/// The snapshot format version this build writes and reads.
 pub const VERSION: u64 = 2;
 
 /// The snapshot file name for a session id.
@@ -217,10 +215,7 @@ fn snapshot_value(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDum
                 let mut fields = vec![
                     ("ingested", d.ingested.into()),
                     ("rng_draws", d.rng_draws.into()),
-                    (
-                        "rng_state",
-                        state_words_value(d.rng_state.expect("live dumps carry state words")),
-                    ),
+                    ("rng_state", state_words_value(d.rng_state)),
                     (
                         "counts",
                         Value::Array(d.counts.iter().copied().map(Value::Number).collect()),
@@ -603,9 +598,10 @@ fn apply_deltas(dir: &Path, id: u64, flush_seq: u64, dumps: &mut [ShardDump]) ->
             .get("rng_draws")
             .and_then(Value::as_u64)
             .unwrap_or(dump.rng_draws);
-        dump.rng_state = Some(parse_state_words(v.get("rng_state").ok_or_else(|| {
-            ServiceError::Snapshot("delta line is missing `rng_state`".into())
-        })?)?);
+        dump.rng_state =
+            parse_state_words(v.get("rng_state").ok_or_else(|| {
+                ServiceError::Snapshot("delta line is missing `rng_state`".into())
+            })?)?;
         // Delta lines carry the full watermark map at flush time; the
         // newest applied line's view wins, matching the counts it rode
         // in with.
@@ -637,14 +633,12 @@ pub fn load_session(
             path.display()
         )));
     }
-    let version = match v.get("version").and_then(Value::as_u64) {
-        Some(version @ (1 | 2)) => version,
-        other => {
-            return Err(ServiceError::Snapshot(format!(
-                "unsupported snapshot version {other:?} (this build reads 1 and {VERSION})"
-            )))
-        }
-    };
+    let version = v.get("version").and_then(Value::as_u64);
+    if version != Some(VERSION) {
+        return Err(ServiceError::Snapshot(format!(
+            "unsupported snapshot version {version:?} (this build reads {VERSION})"
+        )));
+    }
     let id = v
         .get("session")
         .and_then(Value::as_u64)
@@ -699,17 +693,6 @@ pub fn load_session(
                             .ok_or_else(|| ServiceError::Snapshot("counts must be numbers".into()))
                     })
                     .collect::<Result<Vec<f64>>>()?;
-                // v2 shards must carry state words (O(1) recovery);
-                // v1 shards recover by draw-count fast-forward.
-                let rng_state = match (version, s.get("rng_state")) {
-                    (1, _) => None,
-                    (_, Some(words)) => Some(parse_state_words(words)?),
-                    (_, None) => {
-                        return Err(ServiceError::Snapshot(
-                            "v2 shard is missing `rng_state`".into(),
-                        ))
-                    }
-                };
                 Ok(ShardDump {
                     ingested: s.get("ingested").and_then(Value::as_u64).ok_or_else(|| {
                         ServiceError::Snapshot("shard is missing `ingested`".into())
@@ -717,17 +700,17 @@ pub fn load_session(
                     rng_draws: s.get("rng_draws").and_then(Value::as_u64).ok_or_else(|| {
                         ServiceError::Snapshot("shard is missing `rng_draws`".into())
                     })?,
-                    rng_state,
+                    rng_state: parse_state_words(s.get("rng_state").ok_or_else(|| {
+                        ServiceError::Snapshot("shard is missing `rng_state`".into())
+                    })?)?,
                     counts,
                     repl: parse_repl(s)?,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
     let flush_seq = v.get("flush_seq").and_then(Value::as_u64).unwrap_or(0);
-    if version >= 2 {
-        if let Some(dir) = path.parent() {
-            apply_deltas(dir, id, flush_seq, &mut dumps)?;
-        }
+    if let Some(dir) = path.parent() {
+        apply_deltas(dir, id, flush_seq, &mut dumps)?;
     }
     let session = CollectionSession::recover(id, schema, mechanism, seed, max_dense_domain, dumps)?;
     session.set_persist_seq(flush_seq);
@@ -830,8 +813,6 @@ mod tests {
         assert_eq!(recovered.num_shards(), 2);
         assert_eq!(recovered.dump_shards(), original.dump_shards());
         assert_eq!(recovered.persist_seq(), original.persist_seq());
-        // v2 recovery restores native state words: zero fast-forward.
-        assert_eq!(recovered.recovery_fast_forward_draws(), 0);
         assert_eq!(
             recovered
                 .reconstruct(ReconstructionMethod::ClosedForm, false)
@@ -856,7 +837,6 @@ mod tests {
         let twin = sample_session(8);
         let path = save_session(&dir, &twin).unwrap();
         let recovered = load_session(&path, 4096, 1 << 24).unwrap();
-        assert_eq!(recovered.recovery_fast_forward_draws(), 0);
 
         reference.submit_batch_to_shard(0, &more, false).unwrap();
         recovered.submit_batch_to_shard(0, &more, false).unwrap();
@@ -865,49 +845,6 @@ mod tests {
             reference.snapshot().counts(),
             "post-restart raw ingest must replay the identical draws"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_snapshots_still_recover_via_fast_forward() {
-        let dir = temp_dir("v1-compat");
-        let original = sample_session(5);
-        // Hand-write the v1 format: rng_draws only, no rng_state, no
-        // flush_seq — exactly what a PR-2 server left on disk.
-        let dumps = original.dump_shards();
-        let shards_json: Vec<String> = dumps
-            .iter()
-            .map(|d| {
-                let counts: Vec<String> =
-                    d.counts.iter().map(|c| format!("{}", *c as u64)).collect();
-                format!(
-                    r#"{{"ingested":{},"rng_draws":{},"counts":[{}]}}"#,
-                    d.ingested,
-                    d.rng_draws,
-                    counts.join(",")
-                )
-            })
-            .collect();
-        let v1 = format!(
-            r#"{{"format":"frapp-session","version":1,"session":5,"seed":{},"mechanism":{{"kind":"det","gamma":19.0}},"schema":[["a",3],["b",2]],"shards":[{}]}}"#,
-            original.seed(),
-            shards_json.join(",")
-        );
-        let path = session_path(&dir, 5);
-        std::fs::write(&path, v1).unwrap();
-
-        let recovered = load_session(&path, 4096, 1 << 24).unwrap();
-        // v1 recovery pays the O(draws) fast-forward and reports it.
-        let total_draws: u64 = dumps.iter().map(|d| d.rng_draws).sum();
-        assert!(total_draws > 0, "raw ingest must have consumed draws");
-        assert_eq!(recovered.recovery_fast_forward_draws(), total_draws);
-        assert_eq!(recovered.persist_seq(), 0, "v1 bases force a full resave");
-
-        // Continued raw ingest matches the uninterrupted session.
-        let more: Vec<Vec<u32>> = (0..250).map(|i| vec![(i + 2) % 3, i % 2]).collect();
-        original.submit_batch_to_shard(0, &more, false).unwrap();
-        recovered.submit_batch_to_shard(0, &more, false).unwrap();
-        assert_eq!(recovered.snapshot().counts(), original.snapshot().counts());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -956,7 +893,6 @@ mod tests {
         // Recovery = base + deltas, bit-identical to the live session.
         let recovered = load_session(&session_path(&dir, 11), 4096, 1 << 24).unwrap();
         assert_eq!(recovered.dump_shards(), session.dump_shards());
-        assert_eq!(recovered.recovery_fast_forward_draws(), 0);
 
         // A later full save folds the deltas in and removes the file.
         save_session(&dir, &session).unwrap();
@@ -1145,15 +1081,23 @@ mod tests {
     fn unsupported_versions_are_rejected() {
         let dir = temp_dir("version");
         let path = dir.join("session-1.json");
-        std::fs::write(
-            &path,
-            r#"{"format":"frapp-session","version":99,"session":1,"seed":0,
-               "mechanism":{"kind":"det","gamma":19.0},"schema":[["a",2]],
-               "shards":[{"ingested":0,"rng_draws":0,"counts":[0,0]}]}"#,
-        )
-        .unwrap();
-        let err = load_session(&path, 4096, 1 << 24).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        // 1 is the draw-count format no build has written since PR 3.
+        for version in [1, 99] {
+            std::fs::write(
+                &path,
+                format!(
+                    r#"{{"format":"frapp-session","version":{version},"session":1,"seed":0,
+                       "mechanism":{{"kind":"det","gamma":19.0}},"schema":[["a",2]],
+                       "shards":[{{"ingested":0,"rng_draws":0,"counts":[0,0]}}]}}"#
+                ),
+            )
+            .unwrap();
+            let err = load_session(&path, 4096, 1 << 24).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported snapshot version"),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,32 +1,9 @@
 //! The line-delimited JSON wire protocol.
 //!
 //! One request per line, one response per line, over a plain TCP
-//! stream. Requests are objects with an `"op"` discriminator:
-//!
-//! ```text
-//! {"op":"ping"}
-//! {"op":"create_session","schema":[["age",8],["sex",2]],
-//!  "mechanism":"det","gamma":19.0,"shards":4,"seed":7}
-//! {"op":"create_session","schema":[["age",8]],"mechanism":"det",
-//!  "rho1":0.05,"rho2":0.5}
-//! {"op":"submit","session":1,"records":[[3,0],[7,1]],
-//!  "pre_perturbed":false,"shard":0}
-//! {"op":"submit","session":1,"records":[[3,0]],"ack":"deferred"}
-//! {"op":"flush"}
-//! {"op":"reconstruct","session":1,"method":"closed","clamp":true}
-//! {"op":"stats","session":1}
-//! {"op":"metrics","session":1}
-//! {"op":"metrics"}
-//! {"op":"list_sessions"}
-//! {"op":"persist"}
-//! {"op":"persist","session":1}
-//! {"op":"close_session","session":1}
-//! {"op":"cluster_status"}
-//! {"op":"sync_session","session":1}
-//! {"op":"repl_status","session":1,"origin":0}
-//! {"op":"hello","framing":"binary"}
-//! {"op":"shutdown"}
-//! ```
+//! stream. Requests are objects with an `"op"` discriminator, e.g.
+//! `{"op":"stats","session":1}`; [`crate::wire::OPS`] lists every op
+//! and `docs/PROTOCOL.md` specifies each one's fields.
 //!
 //! ## Federation fields
 //!
@@ -80,10 +57,11 @@
 use crate::error::{Result, ServiceError};
 use crate::jobs::{MineAlgo, MineSpec};
 use crate::json::{self, object, Value};
-use crate::metrics::{LatencySummary, MetricsReport, TransportReport};
+use crate::metrics::{LatencySummary, MetricsReport, PeerReplReport, TransportReport};
 use crate::session::{
     Mechanism, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
 };
+use crate::wire::{Op, PeerCounter, COUNTERS, OPS, PEER_COUNTERS, PEER_SECTION};
 
 /// A batch of records in one flat `u32` buffer.
 ///
@@ -491,10 +469,8 @@ fn optional_u64(v: &Value, key: &str) -> Result<Option<u64>> {
     }
 }
 
-/// Builds a `create_session` request from its JSON fields (shared with
-/// the HTTP front-end, where the same object is a `POST /sessions`
-/// body).
-pub(crate) fn parse_create_session(v: &Value) -> Result<Request> {
+/// Builds a `create_session` request from its JSON fields.
+fn parse_create_session(v: &Value) -> Result<Request> {
     Ok(Request::CreateSession {
         schema: parse_schema(v)?,
         mechanism: parse_mechanism(v)?,
@@ -509,12 +485,10 @@ pub(crate) fn parse_create_session(v: &Value) -> Result<Request> {
     })
 }
 
-/// Builds a `submit` request for `session` from the batch fields
-/// (shared with the HTTP front-end, where the session id comes from the
-/// request path and the body carries only the batch). `allow_deferred`
-/// is false for HTTP, whose request/response pairing cannot leave a
-/// request unanswered.
-pub(crate) fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request> {
+/// Builds a `submit` request for `session` from the batch fields.
+/// `allow_deferred` is false for HTTP, whose request/response pairing
+/// cannot leave a request unanswered.
+fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request> {
     let deferred = match v.get("ack").and_then(Value::as_str) {
         None | Some("sync") => false,
         Some("deferred") => true,
@@ -551,26 +525,6 @@ pub(crate) fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Res
         deferred,
         origin,
         seq,
-    })
-}
-
-/// Builds a `reconstruct` request from wire-level method/clamp/partial
-/// values (shared with the HTTP front-end, where they arrive as query
-/// parameters).
-pub(crate) fn parse_reconstruct(
-    session: u64,
-    method: Option<&str>,
-    clamp: Option<bool>,
-    allow_partial: bool,
-) -> Result<Request> {
-    Ok(Request::Reconstruct {
-        session,
-        method: match method {
-            None => ReconstructionMethod::ClosedForm,
-            Some(m) => ReconstructionMethod::from_wire(m)?,
-        },
-        clamp: clamp.unwrap_or(true),
-        allow_partial,
     })
 }
 
@@ -707,61 +661,77 @@ pub fn parse_submit_line_fast(line: &str) -> Option<Request> {
 /// for `flush`) instead of emitting a response line the pipelining
 /// client is not reading.
 pub fn is_deferred_submit(v: &Value) -> bool {
-    v.get("op").and_then(Value::as_str) == Some("submit")
+    v.get("op").and_then(Value::as_str) == Some(Op::Submit.row().name)
         && v.get("ack").and_then(Value::as_str) == Some("deferred")
 }
 
 /// Builds a request from a parsed JSON object (the line protocol's
-/// whole line; the HTTP front-end routes paths to the same helpers this
-/// calls).
+/// whole line).
 pub fn request_from_value(v: &Value) -> Result<Request> {
-    let op = v
+    let name = v
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| ServiceError::InvalidRequest("missing string field `op`".into()))?;
+    let row = OPS
+        .iter()
+        .find(|row| row.name == name)
+        .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown op `{name}`")))?;
+    build_request(row.op, None, v, true)
+}
+
+/// Builds the request for `op` from its fields: the one place both
+/// framings' requests are parsed. The line protocol passes its whole
+/// line and no `id` (the id the op binds is then a field of `v`); HTTP
+/// passes the id from the path and its body and query as `v`.
+pub(crate) fn build_request(
+    op: Op,
+    id: Option<u64>,
+    v: &Value,
+    allow_deferred: bool,
+) -> Result<Request> {
+    let id_key = op.row().id.unwrap_or_default();
+    let optional_id = || id.map_or_else(|| optional_u64(v, id_key), |id| Ok(Some(id)));
+    let bound_id = || id.map_or_else(|| field_u64(v, id_key), Ok);
     match op {
-        "ping" => Ok(Request::Ping),
-        "create_session" => parse_create_session(v),
-        "submit" => parse_submit(v, field_u64(v, "session")?, true),
-        "flush" => Ok(Request::Flush),
-        "reconstruct" => {
-            let method = match v.get("method") {
-                None | Some(Value::Null) => None,
-                Some(m) => Some(m.as_str().ok_or_else(|| {
+        Op::Ping => Ok(Request::Ping),
+        Op::CreateSession => parse_create_session(v),
+        Op::Submit => parse_submit(v, bound_id()?, allow_deferred),
+        Op::Flush => Ok(Request::Flush),
+        Op::Reconstruct => Ok(Request::Reconstruct {
+            session: bound_id()?,
+            method: match v.get("method") {
+                None | Some(Value::Null) => ReconstructionMethod::ClosedForm,
+                Some(m) => ReconstructionMethod::from_wire(m.as_str().ok_or_else(|| {
                     ServiceError::InvalidRequest("`method` must be a string".into())
-                })?),
-            };
-            parse_reconstruct(
-                field_u64(v, "session")?,
-                method,
-                Some(optional_bool(v, "clamp", true)?),
-                optional_bool(v, "allow_partial", false)?,
-            )
-        }
-        "stats" => Ok(Request::Stats {
-            session: field_u64(v, "session")?,
+                })?)?,
+            },
+            clamp: optional_bool(v, "clamp", true)?,
             allow_partial: optional_bool(v, "allow_partial", false)?,
         }),
-        "metrics" => Ok(Request::Metrics {
-            session: optional_u64(v, "session")?,
+        Op::Stats => Ok(Request::Stats {
+            session: bound_id()?,
+            allow_partial: optional_bool(v, "allow_partial", false)?,
         }),
-        "list_sessions" => Ok(Request::ListSessions),
-        "persist" => Ok(Request::Persist {
-            session: optional_u64(v, "session")?,
+        Op::Metrics => Ok(Request::Metrics {
+            session: optional_id()?,
         }),
-        "close_session" => Ok(Request::CloseSession {
-            session: field_u64(v, "session")?,
+        Op::ListSessions => Ok(Request::ListSessions),
+        Op::Persist => Ok(Request::Persist {
+            session: optional_id()?,
+        }),
+        Op::CloseSession => Ok(Request::CloseSession {
+            session: bound_id()?,
             local: optional_bool(v, "local", false)?,
         }),
-        "cluster_status" => Ok(Request::ClusterStatus),
-        "sync_session" => Ok(Request::SyncSession {
-            session: field_u64(v, "session")?,
+        Op::ClusterStatus => Ok(Request::ClusterStatus),
+        Op::SyncSession => Ok(Request::SyncSession {
+            session: bound_id()?,
         }),
-        "repl_status" => Ok(Request::ReplStatus {
-            session: field_u64(v, "session")?,
+        Op::ReplStatus => Ok(Request::ReplStatus {
+            session: bound_id()?,
             origin: field_u64(v, "origin")?,
         }),
-        "hello" => {
+        Op::Hello => {
             let name = require(v, "framing")?.as_str().ok_or_else(|| {
                 ServiceError::InvalidRequest("field `framing` must be a string".into())
             })?;
@@ -769,25 +739,16 @@ pub fn request_from_value(v: &Value) -> Result<Request> {
                 framing: WireFraming::from_wire(name)?,
             })
         }
-        "mine_rules" => parse_mine_rules(v, field_u64(v, "session")?),
-        "classify" => Ok(Request::Classify {
-            session: field_u64(v, "session")?,
+        Op::MineRules => parse_mine_rules(v, bound_id()?),
+        Op::Classify => Ok(Request::Classify {
+            session: bound_id()?,
             target: parse_attr_ref(v, "target")?,
         }),
-        "job_status" => Ok(Request::JobStatus {
-            job: field_u64(v, "job")?,
-        }),
-        "job_result" => Ok(Request::JobResult {
-            job: field_u64(v, "job")?,
-        }),
-        "job_cancel" => Ok(Request::JobCancel {
-            job: field_u64(v, "job")?,
-        }),
-        "list_jobs" => Ok(Request::ListJobs),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(ServiceError::InvalidRequest(format!(
-            "unknown op `{other}`"
-        ))),
+        Op::JobStatus => Ok(Request::JobStatus { job: bound_id()? }),
+        Op::JobResult => Ok(Request::JobResult { job: bound_id()? }),
+        Op::JobCancel => Ok(Request::JobCancel { job: bound_id()? }),
+        Op::ListJobs => Ok(Request::ListJobs),
+        Op::Shutdown => Ok(Request::Shutdown),
     }
 }
 
@@ -800,10 +761,8 @@ fn optional_f64_or(v: &Value, key: &str, default: f64) -> Result<f64> {
     }
 }
 
-/// Builds a `mine_rules` request from a spec object (the line
-/// protocol's whole line, or an HTTP body — the session id is passed
-/// in because HTTP carries it in the path).
-pub(crate) fn parse_mine_rules(v: &Value, session: u64) -> Result<Request> {
+/// Builds a `mine_rules` request for `session` from a spec object.
+fn parse_mine_rules(v: &Value, session: u64) -> Result<Request> {
     let algo = match v.get("algo") {
         None | Some(Value::Null) => MineAlgo::default(),
         Some(a) => MineAlgo::from_wire(a.as_str().ok_or_else(|| {
@@ -825,7 +784,7 @@ pub(crate) fn parse_mine_rules(v: &Value, session: u64) -> Result<Request> {
 
 /// Parses a `target` (or similar) field naming a schema attribute by
 /// index or name.
-pub(crate) fn parse_attr_ref(v: &Value, key: &str) -> Result<AttrRef> {
+fn parse_attr_ref(v: &Value, key: &str) -> Result<AttrRef> {
     let t = require(v, key)?;
     if let Some(i) = t.as_u64() {
         Ok(AttrRef::Index(i as usize))
@@ -1069,63 +1028,34 @@ pub fn write_flush_response(
 pub fn write_transport_metrics_response(
     out: &mut String,
     report: &TransportReport,
-    federation: Option<&[crate::metrics::PeerReplReport]>,
+    federation: Option<&[PeerReplReport]>,
 ) {
-    let mut pairs = vec![
-        (
-            "transport",
-            object(vec![
-                ("tcp_connections", report.tcp_connections.into()),
-                ("http_connections", report.http_connections.into()),
-                ("binary_connections", report.binary_connections.into()),
-                ("tcp_requests", report.tcp_requests.into()),
-                ("http_requests", report.http_requests.into()),
-                ("binary_requests", report.binary_requests.into()),
-                ("deferred_batches", report.deferred_batches.into()),
-                ("sheds", report.sheds.into()),
-                ("accept_errors", report.accept_errors.into()),
-                ("idle_reaped", report.idle_reaped.into()),
-                ("jobs_submitted", report.jobs_submitted.into()),
-                ("jobs_completed", report.jobs_completed.into()),
-                ("jobs_failed", report.jobs_failed.into()),
-                ("jobs_cancelled", report.jobs_cancelled.into()),
-                ("jobs_shed", report.jobs_shed.into()),
-            ]),
-        ),
-        (
-            "reactor",
-            object(vec![
-                ("registered_fds", report.reactor_registered_fds.into()),
-                ("wakeups", report.reactor_wakeups.into()),
-                ("partial_reads", report.reactor_partial_reads.into()),
-                ("partial_writes", report.reactor_partial_writes.into()),
-            ]),
-        ),
-    ];
+    // Consecutive rows of one section form one object, in table order.
+    let mut pairs: Vec<(&str, Value)> = Vec::new();
+    for row in &COUNTERS {
+        let field = (row.key.to_owned(), Value::from(report.get(row.id)));
+        match pairs.last_mut() {
+            Some((section, Value::Object(fields))) if *section == row.section => fields.push(field),
+            _ => pairs.push((row.section, Value::Object(vec![field]))),
+        }
+    }
     if let Some(peers) = federation {
+        let entry = |p: &PeerReplReport| {
+            let mut fields = vec![("node", p.node.into()), ("addr", p.addr.as_str().into())];
+            fields.extend(PEER_COUNTERS.iter().map(|row| {
+                let value = match row.id {
+                    PeerCounter::Health => p.health().as_str().into(),
+                    id => p.get(id).into(),
+                };
+                (row.key, value)
+            }));
+            object(fields)
+        };
         pairs.push((
-            "federation",
+            PEER_SECTION,
             object(vec![(
                 "peers",
-                Value::Array(
-                    peers
-                        .iter()
-                        .map(|p| {
-                            object(vec![
-                                ("node", p.node.into()),
-                                ("addr", p.addr.as_str().into()),
-                                ("forwarded_batches", p.forwarded_batches.into()),
-                                ("forwarded_records", p.forwarded_records.into()),
-                                ("acked_records", p.acked_records.into()),
-                                ("retries", p.retries.into()),
-                                ("peer_down", p.peer_down.into()),
-                                ("history_batches", p.history_batches.into()),
-                                ("breaker_trips", p.breaker_trips.into()),
-                                ("health", p.health.as_str().into()),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Array(peers.iter().map(entry).collect()),
             )]),
         ));
     }
@@ -1174,6 +1104,7 @@ pub fn write_list_response(out: &mut String, summaries: &[SessionSummary]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Counter;
 
     #[test]
     fn parses_ping_and_shutdown() {
@@ -1404,13 +1335,11 @@ mod tests {
 
     #[test]
     fn transport_metrics_response_reports_job_counters() {
-        let report = TransportReport {
-            jobs_submitted: 4,
-            jobs_completed: 2,
-            jobs_cancelled: 1,
-            jobs_shed: 1,
-            ..TransportReport::default()
-        };
+        let mut report = TransportReport::default();
+        report.set(Counter::JobsSubmitted, 4);
+        report.set(Counter::JobsCompleted, 2);
+        report.set(Counter::JobsCancelled, 1);
+        report.set(Counter::JobsShed, 1);
         let mut out = String::new();
         write_transport_metrics_response(&mut out, &report, None);
         assert!(out.contains("\"jobs_submitted\":4"), "{out}");
@@ -1537,11 +1466,9 @@ mod tests {
             .contains("unknown session"));
 
         out.clear();
-        let report = TransportReport {
-            tcp_requests: 5,
-            sheds: 1,
-            ..TransportReport::default()
-        };
+        let mut report = TransportReport::default();
+        report.set(Counter::TcpRequests, 5);
+        report.set(Counter::Sheds, 1);
         write_transport_metrics_response(&mut out, &report, None);
         let v = crate::json::parse(&out).unwrap();
         let t = v.get("transport").unwrap();
@@ -1557,17 +1484,12 @@ mod tests {
         assert!(v.get("federation").is_none());
 
         out.clear();
-        let peer = crate::metrics::PeerReplReport {
+        let peer = PeerReplReport {
             node: 1,
             addr: "127.0.0.1:7001".to_owned(),
-            forwarded_batches: 4,
-            forwarded_records: 40,
-            acked_records: 40,
-            retries: 2,
-            peer_down: 1,
-            history_batches: 3,
-            breaker_trips: 1,
-            health: crate::metrics::PeerHealth::Degraded,
+            // forwarded batches/records, acked, retries, peer_down,
+            // history, breaker trips, health (1 = degraded)
+            values: [4, 40, 40, 2, 1, 3, 1, 1],
         };
         write_transport_metrics_response(&mut out, &report, Some(std::slice::from_ref(&peer)));
         let v = crate::json::parse(&out).unwrap();

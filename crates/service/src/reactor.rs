@@ -55,6 +55,7 @@ use crate::framing::{FrameCodec, HttpFraming, LineFraming, Signals, Step};
 use crate::http;
 use crate::protocol::write_error_response;
 use crate::server::{AcceptBackoff, ConnGuard, Shared};
+use crate::wire::Counter;
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -866,7 +867,7 @@ fn reactor_loop(
     for slot in &mut slots {
         register_listener(&poller, slot.listener.as_raw_fd(), slot.token)?;
         slot.registered = true;
-        shared.transport.record_reactor_fd_registered();
+        shared.transport.inc(Counter::ReactorRegisteredFds);
     }
 
     // The offload completion channel: workers push finished jobs and
@@ -875,7 +876,7 @@ fn reactor_loop(
     wake_tx.set_nonblocking(true)?;
     wake_rx.set_nonblocking(true)?;
     poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, false)?;
-    shared.transport.record_reactor_fd_registered();
+    shared.transport.inc(Counter::ReactorRegisteredFds);
     let completions = Arc::new(CompletionQueue {
         done: Mutex::new(Vec::new()),
         wake: wake_tx,
@@ -899,12 +900,12 @@ fn reactor_loop(
             {
                 slot.registered = true;
                 slot.resume_at = None;
-                shared.transport.record_reactor_fd_registered();
+                shared.transport.inc(Counter::ReactorRegisteredFds);
             }
         }
         // analyze: allow(reactor_blocking): the epoll/kqueue wait IS the event loop's one blocking point
         poller.wait(&mut events, POLL_TIMEOUT_MS)?;
-        shared.transport.record_reactor_wakeup();
+        shared.transport.inc(Counter::ReactorWakeups);
         for &ev in &events {
             if ev.token == TOKEN_WAKE {
                 // Drain the wake bytes; the completions themselves are
@@ -925,7 +926,7 @@ fn reactor_loop(
                 );
                 if let AcceptOutcome::Backoff(delay) = outcome {
                     let _ = poller.delete(slot.listener.as_raw_fd());
-                    shared.transport.record_reactor_fd_deregistered();
+                    shared.transport.dec(Counter::ReactorRegisteredFds);
                     slot.registered = false;
                     slot.resume_at = Some(std::time::Instant::now() + delay);
                 }
@@ -968,7 +969,7 @@ fn reactor_loop(
     // (best-effort, bounded), then drop everything.
     for (_, mut conn) in conns.drain() {
         let _ = poller.delete(conn.fd);
-        shared.transport.record_reactor_fd_deregistered();
+        shared.transport.dec(Counter::ReactorRegisteredFds);
         if conn.pending_write() > 0 {
             let _ = conn.stream.set_nonblocking(false);
             let _ = conn
@@ -988,11 +989,11 @@ fn reactor_loop(
     for slot in &slots {
         if slot.registered {
             let _ = poller.delete(slot.listener.as_raw_fd());
-            shared.transport.record_reactor_fd_deregistered();
+            shared.transport.dec(Counter::ReactorRegisteredFds);
         }
     }
     let _ = poller.delete(wake_rx.as_raw_fd());
-    shared.transport.record_reactor_fd_deregistered();
+    shared.transport.dec(Counter::ReactorRegisteredFds);
     Ok(())
 }
 
@@ -1032,7 +1033,7 @@ fn accept_ready(
                 // Same bounded pacing as the threaded accept loops: a
                 // persistent EMFILE must not turn the level-triggered
                 // listener event into a hot spin.
-                shared.transport.record_accept_error();
+                shared.transport.inc(Counter::AcceptErrors);
                 return AcceptOutcome::Backoff(backoff.on_error());
             }
         };
@@ -1068,11 +1069,11 @@ fn accept_ready(
         if poller.add(fd, token, false).is_err() {
             continue; // conn (and its guard) drop
         }
-        shared.transport.record_reactor_fd_registered();
+        shared.transport.inc(Counter::ReactorRegisteredFds);
         if is_http {
-            shared.transport.record_http_connection();
+            shared.transport.inc(Counter::HttpConnections);
         } else {
-            shared.transport.record_tcp_connection();
+            shared.transport.inc(Counter::TcpConnections);
         }
         conns.insert(token, conn);
     }
@@ -1214,7 +1215,7 @@ fn run_offload_job(
         Err(()) => (true, false),
     };
     if !fatal && !work.input.is_empty() {
-        shared.transport.record_reactor_partial_read();
+        shared.transport.inc(Counter::ReactorPartialReads);
     }
     completions.push(Completion {
         token,
@@ -1400,7 +1401,7 @@ fn flush_writes(conn: &mut Conn, shared: &Arc<Shared>) -> std::result::Result<()
             Ok(0) => return Err(()),
             Ok(n) => conn.write.advance(n),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                shared.transport.record_reactor_partial_write();
+                shared.transport.inc(Counter::ReactorPartialWrites);
                 return Ok(());
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1451,7 +1452,7 @@ fn update_interest(
 #[cfg(unix)]
 fn close_conn(poller: &sys::Poller, shared: &Arc<Shared>, conn: Conn) {
     let _ = poller.delete(conn.fd);
-    shared.transport.record_reactor_fd_deregistered();
+    shared.transport.dec(Counter::ReactorRegisteredFds);
     drop(conn);
 }
 

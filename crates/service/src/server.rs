@@ -21,6 +21,7 @@ use crate::error::{Result, ServiceError};
 use crate::metrics::TransportMetrics;
 use crate::persist;
 use crate::session::SessionRegistry;
+use crate::wire::Counter;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -63,7 +64,7 @@ impl Shared {
         let prev = self.live_connections.fetch_add(1, Ordering::SeqCst);
         if prev >= self.config.max_connections {
             self.live_connections.fetch_sub(1, Ordering::SeqCst);
-            self.transport.record_shed();
+            self.transport.inc(Counter::Sheds);
             return None;
         }
         Some(ConnGuard {
@@ -326,7 +327,7 @@ impl Server {
                 // loop hot either: back off, bounded, until an accept
                 // succeeds again.
                 Err(_) => {
-                    self.shared.transport.record_accept_error();
+                    self.shared.transport.inc(Counter::AcceptErrors);
                     std::thread::sleep(backoff.on_error());
                     continue;
                 }
@@ -335,7 +336,7 @@ impl Server {
                 shed_tcp_connection(stream, &self.shared);
                 continue;
             };
-            self.shared.transport.record_tcp_connection();
+            self.shared.transport.inc(Counter::TcpConnections);
             let shared = Arc::clone(&self.shared);
             workers.push(std::thread::spawn(move || {
                 let _guard = guard;
@@ -720,7 +721,7 @@ mod tests {
         let a = shared.try_admit().expect("first connection fits");
         let _b = shared.try_admit().expect("second connection fits");
         assert!(shared.try_admit().is_none(), "third must be shed");
-        assert_eq!(shared.transport.report().sheds, 1);
+        assert_eq!(shared.transport.report().get(Counter::Sheds), 1);
         // Dropping a guard frees its slot.
         drop(a);
         assert!(shared.try_admit().is_some());

@@ -124,10 +124,8 @@ pub struct ShardDump {
     pub ingested: u64,
     /// RNG draws the shard's perturbation stream has consumed.
     pub rng_draws: u64,
-    /// The RNG's native state words (snapshot format v2). `None` for
-    /// state read from a v1 snapshot, where recovery falls back to
-    /// fast-forwarding a freshly seeded generator by `rng_draws` steps.
-    pub rng_state: Option<[u64; 4]>,
+    /// The RNG's native state words.
+    pub rng_state: [u64; 4],
     /// The shard's count vector, one entry per domain cell.
     pub counts: Vec<f64>,
     /// Replication watermarks `(origin node, last applied seq)` —
@@ -196,11 +194,6 @@ pub struct CollectionSession {
     /// sequence it applies to, so recovery never replays deltas onto
     /// the wrong base.
     persist_seq: AtomicU64,
-    /// RNG draws spent fast-forwarding shard generators at recovery
-    /// time: zero when the session was created fresh or recovered from
-    /// a v2 snapshot (native state words), positive only for v1
-    /// draw-count snapshots.
-    recovery_fast_forward: u64,
     /// Set for recovered sessions (and cleared by each successful full
     /// save): the next persistence flush must write a *full* snapshot,
     /// never a delta. A recovered session's shards have no in-memory
@@ -242,17 +235,15 @@ impl CollectionSession {
         let shards = (0..num_shards)
             .map(|i| Mutex::new(Shard::new(schema.clone(), seed, i)))
             .collect();
-        Self::assemble(id, schema, mechanism, seed, max_dense_domain, shards, 0)
+        Self::assemble(id, schema, mechanism, seed, max_dense_domain, shards)
     }
 
     /// Rebuilds a session from persisted state. The shard layout, seed
     /// and per-shard RNG positions come from the dump, so deterministic
     /// replay holds across the restart: raw records ingested after
     /// recovery are perturbed with exactly the draws the pre-restart
-    /// process would have used. Dumps carrying native RNG state words
-    /// (snapshot v2) recover in O(1); dumps without them (v1) pay an
-    /// O(draws) fast-forward, reported by
-    /// [`Self::recovery_fast_forward_draws`].
+    /// process would have used. The dumps carry native RNG state words,
+    /// so recovery is O(1) in the draws consumed.
     pub fn recover(
         id: u64,
         schema: Schema,
@@ -266,7 +257,6 @@ impl CollectionSession {
                 "a session snapshot needs at least one shard".into(),
             ));
         }
-        let mut fast_forward = 0u64;
         // What was just read back from disk is durable by definition:
         // seed the durable watermarks from the recovered dumps so
         // forwarders can truncate immediately after our restart.
@@ -275,35 +265,21 @@ impl CollectionSession {
             .into_iter()
             .enumerate()
             .map(|(i, d)| {
-                match d.rng_state {
-                    Some(state) => Shard::recover_from_state(
-                        schema.clone(),
-                        i,
-                        d.counts,
-                        d.ingested,
-                        state,
-                        d.rng_draws,
-                    ),
-                    None => {
-                        fast_forward += d.rng_draws;
-                        Shard::recover(schema.clone(), seed, i, d.counts, d.ingested, d.rng_draws)
-                    }
-                }
+                Shard::recover_from_state(
+                    schema.clone(),
+                    i,
+                    d.counts,
+                    d.ingested,
+                    d.rng_state,
+                    d.rng_draws,
+                )
                 .map(|mut shard| {
                     shard.set_repl_watermarks(d.repl);
                     Mutex::new(shard)
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        let session = Self::assemble(
-            id,
-            schema,
-            mechanism,
-            seed,
-            max_dense_domain,
-            shards,
-            fast_forward,
-        )?;
+        let session = Self::assemble(id, schema, mechanism, seed, max_dense_domain, shards)?;
         session.pending_full_snapshot.store(true, Ordering::SeqCst);
         session.record_durable_repl(&recovered_marks);
         Ok(session)
@@ -318,7 +294,6 @@ impl CollectionSession {
         seed: u64,
         max_dense_domain: usize,
         shards: Vec<Mutex<Shard>>,
-        recovery_fast_forward: u64,
     ) -> Result<Self> {
         let gd = GammaDiagonal::new(&schema, mechanism.gamma())?;
         let closed_form = GammaDiagonalReconstructor::new(&gd);
@@ -351,17 +326,8 @@ impl CollectionSession {
             persist_gate: Mutex::new(()),
             durable_repl: Mutex::new(HashMap::new()),
             persist_seq: AtomicU64::new(0),
-            recovery_fast_forward,
             pending_full_snapshot: AtomicBool::new(false),
         })
-    }
-
-    /// RNG draws spent fast-forwarding shard generators when this
-    /// session was recovered: always zero for fresh sessions and v2
-    /// (state-word) snapshots; positive only when a v1 (draw-count)
-    /// snapshot forced the O(draws) replay.
-    pub fn recovery_fast_forward_draws(&self) -> u64 {
-        self.recovery_fast_forward
     }
 
     /// The sequence number of the last full snapshot written for this
@@ -761,7 +727,7 @@ impl CollectionSession {
                 ShardDump {
                     ingested: shard.ingested(),
                     rng_draws: shard.rng_draws(),
-                    rng_state: Some(shard.rng_state()),
+                    rng_state: shard.rng_state(),
                     counts: shard.counts().to_vec(),
                     repl: shard
                         .repl_watermarks()
@@ -789,7 +755,7 @@ impl CollectionSession {
             dumps.push(ShardDump {
                 ingested: shard.ingested(),
                 rng_draws: shard.rng_draws(),
-                rng_state: Some(shard.rng_state()),
+                rng_state: shard.rng_state(),
                 counts: shard.counts().to_vec(),
                 repl: shard
                     .repl_watermarks()

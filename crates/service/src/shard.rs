@@ -38,12 +38,9 @@ pub fn shard_seed(session_seed: u64, index: usize) -> u64 {
 /// The shard RNG: the shim's xoshiro generator wrapped in a draw
 /// counter.
 ///
-/// Since snapshot format v2 the persisted truth is the generator's
-/// native state words ([`StdRng::to_state_words`]), which recovery
-/// restores in O(1). The draw counter is kept for observability and for
-/// reading v1 snapshots, whose recovery fast-forwards a freshly seeded
-/// generator by `draws` steps — exact because every `RngCore` call on
-/// the vendored shim advances the underlying state by exactly one step.
+/// The persisted truth is the generator's native state words
+/// ([`StdRng::to_state_words`]), which recovery restores in O(1); the
+/// draw counter is kept for observability.
 #[derive(Debug, Clone)]
 struct CountingRng {
     inner: StdRng,
@@ -58,19 +55,7 @@ impl CountingRng {
         }
     }
 
-    /// A freshly seeded generator advanced by `draws` steps (v1
-    /// snapshot recovery — O(draws)).
-    fn fast_forwarded(seed: u64, draws: u64) -> Self {
-        let mut rng = Self::seeded(seed);
-        for _ in 0..draws {
-            rng.inner.next_u64();
-        }
-        rng.draws = draws;
-        rng
-    }
-
-    /// A generator restored from exported state words (v2 snapshot
-    /// recovery — O(1), zero fast-forward draws).
+    /// A generator restored from exported state words.
     fn from_state(state: [u64; 4], draws: u64) -> Self {
         CountingRng {
             inner: StdRng::from_state_words(state),
@@ -156,14 +141,15 @@ impl Shard {
         }
     }
 
-    /// The shared consistency check + assembly tail of the recovery
-    /// constructors.
-    fn recovered(
+    /// Rebuilds a shard from persisted state: the count vector plus
+    /// the RNG's native state words. O(1) in the draws consumed.
+    pub fn recover_from_state(
         schema: Schema,
         index: usize,
         counts: Vec<f64>,
         ingested: u64,
-        rng: CountingRng,
+        rng_state: [u64; 4],
+        rng_draws: u64,
     ) -> Result<Self> {
         let acc = CountAccumulator::from_counts(schema, counts)?;
         if acc.n() != ingested {
@@ -175,42 +161,12 @@ impl Shard {
         }
         Ok(Shard {
             acc,
-            rng,
+            rng: CountingRng::from_state(rng_state, rng_draws),
             ingested,
             delta: Vec::new(),
             dirty: false,
             repl: BTreeMap::new(),
         })
-    }
-
-    /// Rebuilds a shard from v1 persisted state: the count vector, the
-    /// number of records counted, and the number of RNG draws consumed.
-    /// Recovery fast-forwards a freshly seeded generator by `rng_draws`
-    /// steps — exact, but O(draws).
-    pub fn recover(
-        schema: Schema,
-        session_seed: u64,
-        index: usize,
-        counts: Vec<f64>,
-        ingested: u64,
-        rng_draws: u64,
-    ) -> Result<Self> {
-        let rng = CountingRng::fast_forwarded(shard_seed(session_seed, index), rng_draws);
-        Self::recovered(schema, index, counts, ingested, rng)
-    }
-
-    /// Rebuilds a shard from v2 persisted state: the count vector plus
-    /// the RNG's native state words. O(1) — no fast-forward draws.
-    pub fn recover_from_state(
-        schema: Schema,
-        index: usize,
-        counts: Vec<f64>,
-        ingested: u64,
-        rng_state: [u64; 4],
-        rng_draws: u64,
-    ) -> Result<Self> {
-        let rng = CountingRng::from_state(rng_state, rng_draws);
-        Self::recovered(schema, index, counts, ingested, rng)
     }
 
     /// Number of records this shard has counted.
@@ -424,18 +380,17 @@ mod tests {
             reference.ingest_raw(r, &gd).unwrap();
         }
 
-        // Interrupted run: ingest, "persist", recover (v1 fast-forward),
-        // continue.
+        // Interrupted run: ingest, "persist", recover, continue.
         let mut before = Shard::new(s.clone(), 42, 1);
         for r in &first {
             before.ingest_raw(r, &gd).unwrap();
         }
-        let mut after = Shard::recover(
+        let mut after = Shard::recover_from_state(
             s,
-            42,
             1,
             before.counts().to_vec(),
             before.ingested(),
+            before.rng_state(),
             before.rng_draws(),
         )
         .unwrap();
@@ -449,56 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn state_word_recovery_equals_fast_forward_recovery() {
-        let s = schema();
-        let gd = GammaDiagonal::new(&s, 19.0).unwrap();
-        let first: Vec<Vec<u32>> = (0..500).map(|i| vec![i % 3, i % 2]).collect();
-        let second: Vec<Vec<u32>> = (0..250).map(|i| vec![(i + 2) % 3, i % 2]).collect();
-
-        let mut before = Shard::new(s.clone(), 42, 0);
-        for r in &first {
-            before.ingest_raw(r, &gd).unwrap();
-        }
-
-        // v2 recovery: O(1) from state words.
-        let mut via_state = Shard::recover_from_state(
-            s.clone(),
-            0,
-            before.counts().to_vec(),
-            before.ingested(),
-            before.rng_state(),
-            before.rng_draws(),
-        )
-        .unwrap();
-        // v1 recovery: O(draws) fast-forward.
-        let mut via_draws = Shard::recover(
-            s,
-            42,
-            0,
-            before.counts().to_vec(),
-            before.ingested(),
-            before.rng_draws(),
-        )
-        .unwrap();
-        assert_eq!(via_state.rng_state(), via_draws.rng_state());
-
-        for r in &second {
-            via_state.ingest_raw(r, &gd).unwrap();
-            via_draws.ingest_raw(r, &gd).unwrap();
-        }
-        assert_eq!(via_state.counts(), via_draws.counts());
-        assert_eq!(via_state.rng_draws(), via_draws.rng_draws());
-    }
-
-    #[test]
     fn recover_rejects_inconsistent_snapshots() {
         let s = schema();
+        let state = [1, 2, 3, 4];
         // Wrong domain size.
-        assert!(Shard::recover(s.clone(), 1, 0, vec![0.0; 3], 0, 0).is_err());
+        assert!(Shard::recover_from_state(s.clone(), 0, vec![0.0; 3], 0, state, 0).is_err());
         // Ingested count contradicting the count total.
-        assert!(Shard::recover(s.clone(), 1, 0, vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 5, 0).is_err());
-        // The same checks hold for state-word recovery.
-        assert!(Shard::recover_from_state(s, 0, vec![0.0; 3], 0, [1, 2, 3, 4], 0).is_err());
+        let counts = vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+        assert!(Shard::recover_from_state(s.clone(), 0, counts.clone(), 5, state, 0).is_err());
+        assert!(Shard::recover_from_state(s, 0, counts, 1, state, 0).is_ok());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use frapp_service::framing::{
     encode_json_frame, encode_submit_frame, read_varint, write_varint, OP_JSON, OP_SUBMIT,
 };
 use frapp_service::session::{Mechanism, ReconstructionMethod};
+use frapp_service::wire::Counter;
 use frapp_service::{Server, ServerHandle, ServiceConfig, ServiceError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -183,14 +184,14 @@ fn all_three_framings_reconstruct_bit_identically_on_both_front_ends() {
         // The negotiated-framing counters saw the upgraded connection
         // and every frame it sent after the hello.
         let report = line.server_metrics().unwrap();
-        assert_eq!(report.binary_connections, 1, "{report:?}");
+        assert_eq!(report.get(Counter::BinaryConnections), 1, "{report:?}");
         assert!(
-            report.binary_requests >= (records.len() / 500) as u64,
+            report.get(Counter::BinaryRequests) >= (records.len() / 500) as u64,
             "{report:?}"
         );
         // Binary frames also count toward the shared TCP request
         // counter, so the per-framing split always sums to the total.
-        assert!(report.tcp_requests >= report.binary_requests);
+        assert!(report.get(Counter::TcpRequests) >= report.get(Counter::BinaryRequests));
 
         handle.shutdown().unwrap();
     }
@@ -213,7 +214,13 @@ fn binary_pipelined_submits_match_line_pipelining_including_failures() {
     let accepted = client.flush().unwrap();
     assert_eq!(accepted, records.len() as u64);
     assert_eq!(client.stats(session).unwrap().total, records.len() as u64);
-    assert_eq!(client.server_metrics().unwrap().deferred_batches, 50);
+    assert_eq!(
+        client
+            .server_metrics()
+            .unwrap()
+            .get(Counter::DeferredBatches),
+        50
+    );
 
     // A mid-batch schema violation: the flush error carries the
     // watermark, exactly like the line protocol's retry contract.

@@ -13,6 +13,7 @@
 use frapp_core::perturb::{GammaDiagonal, Perturber};
 use frapp_service::client::{Client, SessionSpec};
 use frapp_service::session::{Mechanism, ReconstructionMethod};
+use frapp_service::wire::PeerCounter;
 use frapp_service::{Server, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -353,26 +354,26 @@ fn replay_history_is_bounded_by_the_peers_durable_watermark() {
         .federation_metrics()
         .unwrap()
         .into_iter()
-        .find(|p| p.forwarded_batches > 0)
+        .find(|p| p.get(PeerCounter::ForwardedBatches) > 0)
         .expect("the link to the co-owner must have forwarded batches");
     assert!(
-        report.forwarded_batches >= 2 * THRESHOLD,
+        report.get(PeerCounter::ForwardedBatches) >= 2 * THRESHOLD,
         "test must drive the link past two truncation checks \
          (forwarded {})",
-        report.forwarded_batches
+        report.get(PeerCounter::ForwardedBatches)
     );
     assert!(
-        report.history_batches < report.forwarded_batches,
+        report.get(PeerCounter::HistoryBatches) < report.get(PeerCounter::ForwardedBatches),
         "durable truncation must have dropped persisted batches \
          (history {} vs forwarded {})",
-        report.history_batches,
-        report.forwarded_batches
+        report.get(PeerCounter::HistoryBatches),
+        report.get(PeerCounter::ForwardedBatches)
     );
     assert!(
-        report.history_batches < 2 * THRESHOLD,
+        report.get(PeerCounter::HistoryBatches) < 2 * THRESHOLD,
         "replay history must stay bounded by the truncation threshold \
          plus one persistence interval, got {}",
-        report.history_batches
+        report.get(PeerCounter::HistoryBatches)
     );
 
     // Truncation must never forget a batch a restart still needs: kill

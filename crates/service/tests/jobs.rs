@@ -14,6 +14,7 @@ use frapp_mining::estimators::ExactSupport;
 use frapp_service::client::{job_status_is_terminal, Client, HttpClient, SessionSpec};
 use frapp_service::json::Value;
 use frapp_service::session::Mechanism;
+use frapp_service::wire::Counter;
 use frapp_service::{FaultPlan, MineAlgo, MineSpec, Server, ServiceConfig, ServiceError};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -169,7 +170,13 @@ fn cancelling_a_running_job_is_bounded_and_final() {
     assert!(matches!(err, ServiceError::Remote { ref message, .. }
         if message.contains("cancelled")));
 
-    assert!(handle.transport_metrics().report().jobs_cancelled >= 1);
+    assert!(
+        handle
+            .transport_metrics()
+            .report()
+            .get(Counter::JobsCancelled)
+            >= 1
+    );
     handle.shutdown().unwrap();
 }
 
@@ -199,8 +206,12 @@ fn full_job_queue_sheds_in_band() {
         if message.contains("job queue is full")));
 
     let report = client.server_metrics().unwrap();
-    assert_eq!(report.jobs_shed, 1);
-    assert_eq!(report.jobs_submitted, 2, "sheds are not submissions");
+    assert_eq!(report.get(Counter::JobsShed), 1);
+    assert_eq!(
+        report.get(Counter::JobsSubmitted),
+        2,
+        "sheds are not submissions"
+    );
 
     // The shed left the accepted jobs intact; drain them.
     client.job_cancel(running).unwrap();

@@ -3,9 +3,12 @@
 //! retry contract end-to-end over real sockets, and connection-cap
 //! shedding.
 
-use frapp_service::client::{Client, HttpClient, SessionSpec};
+use frapp_service::client::{Client, Fields, HttpClient, SessionSpec};
+use frapp_service::json::{self, Value};
 use frapp_service::session::{Mechanism, ReconstructionMethod};
+use frapp_service::wire::{Counter, Op, OPS};
 use frapp_service::{Server, ServerHandle, ServiceConfig, ServiceError};
+use std::time::Duration;
 
 const GAMMA: f64 = 19.0;
 
@@ -101,10 +104,10 @@ fn http_and_tcp_transports_are_bit_identical() {
 
     // Per-transport counters saw both sides.
     let transport = tcp.server_metrics().unwrap();
-    assert!(transport.tcp_requests > 0, "{transport:?}");
-    assert!(transport.http_requests > 0, "{transport:?}");
-    assert!(transport.tcp_connections >= 1);
-    assert!(transport.http_connections >= 1);
+    assert!(transport.get(Counter::TcpRequests) > 0, "{transport:?}");
+    assert!(transport.get(Counter::HttpRequests) > 0, "{transport:?}");
+    assert!(transport.get(Counter::TcpConnections) >= 1);
+    assert!(transport.get(Counter::HttpConnections) >= 1);
 
     // Close over HTTP, observe over TCP (and vice versa).
     assert!(http.close_session(tcp_session).unwrap());
@@ -119,6 +122,162 @@ fn http_and_tcp_transports_are_bit_identical() {
     ));
 
     handle.shutdown().unwrap();
+}
+
+/// What a transport's own run of the loop below has created so far.
+#[derive(Default)]
+struct Made {
+    session: u64,
+    /// A second session, for `close_session` to close.
+    spare: u64,
+    job: u64,
+}
+
+/// A valid request for `op` against what `made` holds. A new op needs
+/// an arm here, which is the point: no routed op goes uncompared.
+fn sample(op: Op, made: &Made) -> (Option<u64>, Fields) {
+    let value = |text: &str| json::parse(text).unwrap();
+    let session = Some(made.session);
+    match op {
+        Op::Ping | Op::ListSessions | Op::ClusterStatus | Op::ListJobs => (None, Vec::new()),
+        Op::CreateSession => (
+            None,
+            vec![
+                ("schema", value(r#"[["a",4],["b",3]]"#)),
+                ("gamma", GAMMA.into()),
+                ("shards", 1usize.into()),
+                ("seed", 7u64.into()),
+            ],
+        ),
+        Op::Submit => (
+            session,
+            vec![
+                ("records", value("[[1,2],[3,0],[0,1]]")),
+                ("pre_perturbed", false.into()),
+                ("shard", 0usize.into()),
+            ],
+        ),
+        Op::Reconstruct => (
+            session,
+            vec![("method", "cached_lu".into()), ("clamp", false.into())],
+        ),
+        Op::Stats => (session, vec![("allow_partial", true.into())]),
+        // Each has a second form, compared after the loop.
+        Op::Metrics => (session, Vec::new()),
+        Op::Persist => (None, Vec::new()),
+        Op::CloseSession => (Some(made.spare), Vec::new()),
+        Op::MineRules => (
+            session,
+            vec![("algo", "fpgrowth".into()), ("min_support", 0.1.into())],
+        ),
+        Op::Classify => (session, vec![("target", "b".into())]),
+        Op::JobStatus | Op::JobResult | Op::JobCancel => (Some(made.job), Vec::new()),
+        Op::Flush | Op::Hello | Op::Shutdown | Op::SyncSession | Op::ReplStatus => {
+            unreachable!("`{op:?}` has no route")
+        }
+    }
+}
+
+/// Blanks what legitimately differs between two runs of one request:
+/// the ids each run was handed, wall-clock readings, and the two
+/// counters that count the requests themselves.
+fn masked(v: Value) -> Value {
+    const VOLATILE: [&str; 9] = [
+        "session",
+        "job",
+        "uptime_secs",
+        "ingest_rate",
+        "wall_ms",
+        "query_latency",
+        "submit_latency",
+        "tcp_requests",
+        "http_requests",
+    ];
+    match v {
+        Value::Object(pairs) => Value::Object(
+            pairs
+                .into_iter()
+                .map(|(k, v)| {
+                    let v = if VOLATILE.contains(&k.as_str()) {
+                        Value::Null
+                    } else {
+                        masked(v)
+                    };
+                    (k, v)
+                })
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.into_iter().map(masked).collect()),
+        other => other,
+    }
+}
+
+#[test]
+fn every_routed_op_answers_identically_over_both_transports() {
+    let dir = std::env::temp_dir().join(format!("frapp-parity-{}", std::process::id()));
+    let config = ServiceConfig {
+        persist_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    }
+    .with_http_addr("127.0.0.1:0");
+    let handle = Server::bind(config).unwrap().spawn().unwrap();
+    let mut tcp = Client::connect(handle.addr()).unwrap();
+    let mut http = HttpClient::connect(handle.http_addr().unwrap()).unwrap();
+    let (mut via_tcp, mut via_http) = (Made::default(), Made::default());
+    via_tcp.spare = tcp.create_session(&small_spec(1)).unwrap();
+    via_http.spare = http.create_session(&small_spec(1)).unwrap();
+
+    let mut compared = 0;
+    for row in OPS.iter().filter(|row| !row.routes.is_empty()) {
+        let (id, fields) = sample(row.op, &via_tcp);
+        let a = tcp.call(row.op, id, fields).unwrap();
+        let (id, fields) = sample(row.op, &via_http);
+        let b = http.call(row.op, id, fields).unwrap();
+        for (made, v) in [(&mut via_tcp, &a), (&mut via_http, &b)] {
+            let id = |key| v.get(key).and_then(Value::as_u64).expect(key);
+            match row.op {
+                Op::CreateSession => made.session = id("session"),
+                Op::MineRules => made.job = id("job"),
+                _ => {}
+            }
+        }
+        if row.op == Op::MineRules {
+            // The job ops that follow read a finished job.
+            tcp.wait_job(via_tcp.job, Duration::from_secs(30)).unwrap();
+            http.wait_job(via_http.job, Duration::from_secs(30))
+                .unwrap();
+        }
+        assert_eq!(
+            masked(a).to_json(),
+            masked(b).to_json(),
+            "`{}` answers differently over HTTP",
+            row.name
+        );
+        compared += 1;
+    }
+    assert_eq!(compared, 16, "21 ops, 5 of them without a route");
+
+    // The server-wide `metrics` and the one-session `persist`.
+    let a = tcp.call(Op::Metrics, None, Vec::new()).unwrap();
+    let b = http.call(Op::Metrics, None, Vec::new()).unwrap();
+    assert_eq!(masked(a).to_json(), masked(b).to_json());
+    assert_eq!(
+        tcp.persist(Some(via_tcp.session)).unwrap(),
+        [via_tcp.session]
+    );
+    assert_eq!(
+        http.persist(Some(via_http.session)).unwrap(),
+        [via_http.session]
+    );
+    // An op without a route fails before anything is sent.
+    assert!(matches!(
+        http.call(Op::Flush, None, Vec::new()),
+        Err(ServiceError::InvalidRequest(_))
+    ));
+    http.ping().unwrap();
+
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -177,7 +336,7 @@ fn pipelined_submits_ack_at_the_flush_watermark() {
 
     // The deferred batches show up in the transport counters.
     let transport = client.server_metrics().unwrap();
-    assert_eq!(transport.deferred_batches, 50);
+    assert_eq!(transport.get(Counter::DeferredBatches), 50);
 
     // Pipelined reconstruction equals a synchronous session fed the
     // same stream (bit-identical server-side perturbation).
@@ -318,9 +477,10 @@ fn connections_past_the_cap_are_shed_with_an_in_band_error() {
         other => panic!("unexpected error {other:?}"),
     }
     let report = handle.transport_metrics().report();
-    assert_eq!(report.sheds, 1);
+    assert_eq!(report.get(Counter::Sheds), 1);
     assert_eq!(
-        report.tcp_connections, 2,
+        report.get(Counter::TcpConnections),
+        2,
         "shed connections are not counted"
     );
 
@@ -366,7 +526,7 @@ fn http_connections_past_the_cap_get_503() {
         ServiceError::Io(_) | ServiceError::ConnectionClosed => {}
         other => panic!("unexpected error {other:?}"),
     }
-    assert_eq!(handle.transport_metrics().report().sheds, 1);
+    assert_eq!(handle.transport_metrics().report().get(Counter::Sheds), 1);
 
     // Free the slot so the shutdown connection can get in.
     drop(held);
