@@ -133,13 +133,13 @@ struct Made {
     job: u64,
 }
 
-/// A valid request for `op` against what `made` holds. A new op needs
-/// an arm here, which is the point: no routed op goes uncompared.
+/// A valid request for `op` against what `made` holds. A new routed op
+/// that takes an id or fields fails the loop below until it has an arm
+/// here; one that takes neither is compared without.
 fn sample(op: Op, made: &Made) -> (Option<u64>, Fields) {
     let value = |text: &str| json::parse(text).unwrap();
     let session = Some(made.session);
     match op {
-        Op::Ping | Op::ListSessions | Op::ClusterStatus | Op::ListJobs => (None, Vec::new()),
         Op::CreateSession => (
             None,
             vec![
@@ -172,9 +172,8 @@ fn sample(op: Op, made: &Made) -> (Option<u64>, Fields) {
         ),
         Op::Classify => (session, vec![("target", "b".into())]),
         Op::JobStatus | Op::JobResult | Op::JobCancel => (Some(made.job), Vec::new()),
-        Op::Flush | Op::Hello | Op::Shutdown | Op::SyncSession | Op::ReplStatus => {
-            unreachable!("`{op:?}` has no route")
-        }
+        // `ping`, `list_sessions`, `cluster_status`, `list_jobs`.
+        _ => (None, Vec::new()),
     }
 }
 
@@ -227,7 +226,6 @@ fn every_routed_op_answers_identically_over_both_transports() {
     via_tcp.spare = tcp.create_session(&small_spec(1)).unwrap();
     via_http.spare = http.create_session(&small_spec(1)).unwrap();
 
-    let mut compared = 0;
     for row in OPS.iter().filter(|row| !row.routes.is_empty()) {
         let (id, fields) = sample(row.op, &via_tcp);
         let a = tcp.call(row.op, id, fields).unwrap();
@@ -253,9 +251,7 @@ fn every_routed_op_answers_identically_over_both_transports() {
             "`{}` answers differently over HTTP",
             row.name
         );
-        compared += 1;
     }
-    assert_eq!(compared, 16, "21 ops, 5 of them without a route");
 
     // The server-wide `metrics` and the one-session `persist`.
     let a = tcp.call(Op::Metrics, None, Vec::new()).unwrap();
