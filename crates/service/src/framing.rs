@@ -25,8 +25,8 @@
 //!    the wire fast path for fan-in ingest.
 //!
 //! `docs/PROTOCOL.md` §6 is the normative spec for the binary frame
-//! grammar; the opcode/flag constants below are cross-checked against
-//! it by `frapp-analyze`'s `spec_drift` rule.
+//! grammar; the opcode/flag constants (declared in [`crate::wire`]) are
+//! checked against it by `tests/wire_table.rs`.
 
 use crate::dispatch::{self, ConnState, Outcome};
 use crate::error::{Result, ServiceError};
