@@ -20,9 +20,9 @@ use crate::protocol::{
     is_deferred_submit, request_from_value, write_error_response, write_flush_response,
     write_list_response, write_metrics_response, write_ok_response, write_reconstruction_response,
     write_reconstruction_response_with, write_stats_response, write_stats_response_with,
-    write_transport_metrics_response, AttrRef, Request, WireFraming,
+    write_transport_metrics_response, AttrRef, Request, Submit, WireFraming,
 };
-use crate::session::SessionRegistry;
+use crate::session::{Placement, SessionRegistry};
 use crate::wire::Counter;
 use frapp_core::Schema;
 
@@ -145,8 +145,16 @@ pub fn dispatch_into(
         }
     };
     if is_deferred_submit(&value) {
-        match request_from_value(&value) {
-            Ok(req) => execute_deferred(registry, transport, fed, state, req),
+        let submit = request_from_value(&value).and_then(|req| match req {
+            Request::Submit(submit) => Ok(submit),
+            // `is_deferred_submit` gates on op == submit, so this arm is
+            // dead — but a wire-facing path fails in-band, never panics.
+            _ => Err(ServiceError::InvalidRequest(
+                "deferred execution requires a submit request".into(),
+            )),
+        });
+        match submit {
+            Ok(submit) => execute_deferred(registry, transport, fed, state, &submit),
             // A deferred submit with invalid fields is quiet too: its
             // error is stashed for the flush, because the pipelining
             // client is not reading responses at this point.
@@ -182,9 +190,11 @@ pub(crate) fn dispatch_request(
     req: Request,
     out: &mut String,
 ) -> Outcome {
-    if matches!(req, Request::Submit { deferred: true, .. }) {
-        execute_deferred(registry, transport, fed, state, req);
-        return Outcome::Quiet;
+    if let Request::Submit(submit) = &req {
+        if submit.deferred {
+            execute_deferred(registry, transport, fed, state, submit);
+            return Outcome::Quiet;
+        }
     }
     match execute_with_state(registry, config, transport, fed, jobs, state, req, out) {
         Ok(ExecuteOutcome::Respond) => {
@@ -211,6 +221,55 @@ pub(crate) fn dispatch_request(
     }
 }
 
+/// What [`apply_submit`] did with a batch.
+struct Applied {
+    /// Records counted — optimistic for a remote owner until `flush`
+    /// barriers the links; a duplicate's records count, they already did.
+    accepted: u64,
+    /// The local shard or the owner node the batch went to.
+    routed: Routed,
+    /// A forwarded batch this node had already applied.
+    duplicate: bool,
+}
+
+/// Applies one submit, synchronous or deferred, and says where it
+/// went. A forwarded replication batch always applies locally, so
+/// replication never cascades; any other submit on a federated node
+/// routes by the session's owners (a `shard` hint is a single-node
+/// concept there); the rest land where their placement says.
+fn apply_submit(
+    registry: &SessionRegistry,
+    fed: Option<&FedState>,
+    submit: &Submit,
+) -> Result<Applied> {
+    let (routed, duplicate) = match (fed, submit.placement) {
+        (Some(fed), Placement::RoundRobin | Placement::Shard(_)) => {
+            let routed = fed.submit(
+                registry,
+                submit.session,
+                &submit.records,
+                submit.pre_perturbed,
+                submit.deferred,
+            )?;
+            (routed, false)
+        }
+        (_, placement) => {
+            let ingested = registry.get(submit.session)?.ingest(
+                placement,
+                submit.records.iter(),
+                submit.pre_perturbed,
+            )?;
+            let shard = ingested.shard;
+            (Routed::Local { shard }, !ingested.fresh)
+        }
+    };
+    Ok(Applied {
+        accepted: submit.records.len() as u64,
+        routed,
+        duplicate,
+    })
+}
+
 /// Ingests one deferred-ack submit into the connection watermark. No
 /// response is produced; failures freeze the watermark (later deferred
 /// batches are dropped) so `accepted` stays a contiguous prefix.
@@ -219,28 +278,9 @@ fn execute_deferred(
     transport: &TransportMetrics,
     fed: Option<&FedState>,
     state: &mut ConnState,
-    req: Request,
+    submit: &Submit,
 ) {
     transport.inc(Counter::DeferredBatches);
-    let Request::Submit {
-        session,
-        records,
-        pre_perturbed,
-        shard,
-        origin,
-        seq,
-        deferred: _,
-    } = req
-    else {
-        // `is_deferred_submit` gates on op == submit, so this arm is
-        // dead — but a wire-facing path fails in-band, never panics.
-        // The first error wins, matching the frozen-watermark rule.
-        state.error.get_or_insert(ServiceError::InvalidRequest(
-            "deferred execution requires a submit request".into(),
-        ));
-        state.batches += 1;
-        return;
-    };
     if state.error.is_some() {
         // A batch after the first failure is dropped un-ingested: the
         // watermark must stay a contiguous prefix of the stream, and
@@ -248,34 +288,8 @@ fn execute_deferred(
         state.batches += 1;
         return;
     }
-    let result = (|| -> Result<u64> {
-        // A forwarded replication batch always applies locally on its
-        // deterministic shard (`seq % shards`), claiming the
-        // `(origin, seq)` watermark; a duplicate retry counts as
-        // accepted — its records already did.
-        if let (Some(origin), Some(seq)) = (origin, seq) {
-            let session = registry.get(session)?;
-            session.submit_slices_repl(records.iter(), pre_perturbed, origin, seq)?;
-            return Ok(records.len() as u64);
-        }
-        // A client-facing submit on a federated node routes by the
-        // session's owners; the accepted count is optimistic for
-        // remote owners until `flush` barriers the links.
-        if let Some(fed) = fed {
-            let (accepted, _) = fed.submit(registry, session, &records, pre_perturbed, true)?;
-            return Ok(accepted);
-        }
-        let session = registry.get(session)?;
-        match shard {
-            Some(idx) => session.submit_slices_to_shard(idx, records.iter(), pre_perturbed)?,
-            None => {
-                session.submit_slices(records.iter(), pre_perturbed)?;
-            }
-        }
-        Ok(records.len() as u64)
-    })();
-    match result {
-        Ok(accepted) => state.record(accepted),
+    match apply_submit(registry, fed, submit) {
+        Ok(applied) => state.record(applied.accepted),
         Err(ServiceError::PartialBatch { accepted, source }) => {
             state.record_failure(accepted, ServiceError::PartialBatch { accepted, source })
         }
@@ -513,63 +527,20 @@ fn execute_with_state(
             }
             write_ok_response(out, pairs)
         }
-        Request::Submit {
-            session,
-            records,
-            pre_perturbed,
-            shard,
-            origin,
-            seq,
-            deferred: _,
-        } => {
-            if let (Some(origin), Some(seq)) = (origin, seq) {
-                // A forwarded replication batch: apply locally on the
-                // deterministic shard, claiming the (origin, seq)
-                // watermark. A duplicate retry is acked as accepted —
-                // its records are already counted — with the fact
-                // surfaced for observability.
-                let session = registry.get(session)?;
-                let fresh =
-                    session.submit_slices_repl(records.iter(), pre_perturbed, origin, seq)?;
-                let shard_used = (seq % session.num_shards() as u64) as usize;
-                let mut pairs = vec![
-                    ("accepted", records.len().into()),
-                    ("shard", shard_used.into()),
-                ];
-                if !fresh {
-                    pairs.push(("duplicate", true.into()));
-                }
-                write_ok_response(out, pairs)
-            } else if let Some(fed) = fed {
-                // A client-facing submit on a federated node: route by
-                // the session's owners (any `shard` hint is a
-                // single-node concept and is superseded by the
-                // deterministic federation routing).
-                let (accepted, routed) =
-                    fed.submit(registry, session, &records, pre_perturbed, false)?;
-                let mut pairs = vec![("accepted", accepted.into())];
-                match routed {
-                    Routed::Local { shard } => pairs.push(("shard", shard.into())),
-                    Routed::Forwarded { peer } => pairs.push(("peer", peer.into())),
-                }
-                write_ok_response(out, pairs)
-            } else {
-                let session = registry.get(session)?;
-                let shard_used = match shard {
-                    Some(idx) => {
-                        session.submit_slices_to_shard(idx, records.iter(), pre_perturbed)?;
-                        idx
-                    }
-                    None => session.submit_slices(records.iter(), pre_perturbed)?,
-                };
-                write_ok_response(
-                    out,
-                    vec![
-                        ("accepted", records.len().into()),
-                        ("shard", shard_used.into()),
-                    ],
-                )
+        Request::Submit(submit) => {
+            let applied = apply_submit(registry, fed, &submit)?;
+            let mut pairs = Vec::with_capacity(3);
+            pairs.push(("accepted", applied.accepted.into()));
+            pairs.push(match applied.routed {
+                Routed::Local { shard } => ("shard", shard.into()),
+                Routed::Forwarded { peer } => ("peer", peer.into()),
+            });
+            // A duplicate retry is acked as accepted — its records are
+            // already counted — with the fact surfaced for observability.
+            if applied.duplicate {
+                pairs.push(("duplicate", true.into()));
             }
+            write_ok_response(out, pairs)
         }
         Request::Reconstruct {
             session,
@@ -799,7 +770,7 @@ fn resolve_attr(schema: &Schema, target: &AttrRef) -> Result<usize> {
 /// request frames to, so the event loop itself never executes dispatch
 /// — and, under federation, never blocks on a peer-link barrier or a
 /// persistence fsync. Threaded front-ends dispatch inline on their
-/// per-connection worker and leave this pool idle.
+/// per-connection worker, so the pool exists only under `--async`.
 ///
 /// Sized by [`crate::config::ServiceConfig::offload_threads`]. Dropping
 /// the executor drains every queued job (workers stop only when the

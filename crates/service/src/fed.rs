@@ -59,7 +59,8 @@ use crate::json::{object, Value};
 use crate::metrics::{PeerHealth, PeerReplCounters, PeerReplReport};
 use crate::protocol::{PartialCoverage, RecordBatch};
 use crate::session::{
-    Created, Mechanism, Reconstruction, ReconstructionMethod, SessionRegistry, SessionStats,
+    Created, Mechanism, Placement, Reconstruction, ReconstructionMethod, SessionRegistry,
+    SessionStats,
 };
 use crate::wire::{Op, PeerCounter};
 use frapp_core::{CountAccumulator, Schema};
@@ -86,7 +87,7 @@ const HISTORY_TRUNCATE_THRESHOLD: usize = 64;
 pub enum Routed {
     /// Applied to this node's own partition, on `shard`.
     Local {
-        /// The shard the batch landed on (`seq % num_shards`).
+        /// The shard the batch landed on.
         shard: usize,
     },
     /// Forwarded to the owner node `peer`.
@@ -346,7 +347,7 @@ impl FedState {
     /// sequence number and sends it to `owners[seq % replication]` —
     /// applied locally when that owner is this node, forwarded over
     /// the peer link otherwise (pipelined with no round trip when
-    /// `deferred`). Returns the accepted record count and the route.
+    /// `deferred`). Returns the route; every record counts as accepted.
     ///
     /// Unlike a single-node submit, the whole batch is validated
     /// before routing and rejected atomically: a partial-batch prefix
@@ -359,7 +360,7 @@ impl FedState {
         records: &RecordBatch,
         pre_perturbed: bool,
         deferred: bool,
-    ) -> Result<(u64, Routed)> {
+    ) -> Result<Routed> {
         let sess = registry.get(session)?;
         for record in records.iter() {
             sess.schema().validate_record(record)?;
@@ -374,9 +375,12 @@ impl FedState {
             // Locally applied batches go through the same claim path
             // as forwarded ones, so this node's own partition dedups
             // identically across restarts.
-            sess.submit_slices_repl(records.iter(), pre_perturbed, self.self_id(), seq)?;
-            let shard = (seq % sess.num_shards() as u64) as usize;
-            return Ok((accepted, Routed::Local { shard }));
+            let stamp = Placement::Replicated {
+                origin: self.self_id(),
+                seq,
+            };
+            let shard = sess.ingest(stamp, records.iter(), pre_perturbed)?.shard;
+            return Ok(Routed::Local { shard });
         }
         let line = forwarded_line(
             session,
@@ -398,7 +402,7 @@ impl FedState {
             link.sync(&line)?;
             counters.add(PeerCounter::AckedRecords, accepted);
         }
-        Ok((accepted, Routed::Forwarded { peer: owner }))
+        Ok(Routed::Forwarded { peer: owner })
     }
 
     /// Barriers every replication link: all queued deferred forwards
@@ -1437,8 +1441,8 @@ mod tests {
             let req = crate::protocol::parse_submit_line_fast(line)
                 .expect("forwarded line must hit the fast path");
             match req {
-                crate::protocol::Request::Submit { origin, seq, .. } => {
-                    assert!(origin.is_some() && seq.is_some());
+                crate::protocol::Request::Submit(submit) => {
+                    assert!(matches!(submit.placement, Placement::Replicated { .. }));
                 }
                 other => panic!("unexpected request {other:?}"),
             }

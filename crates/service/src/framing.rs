@@ -32,11 +32,11 @@ use crate::dispatch::{self, ConnState, Outcome};
 use crate::error::{Result, ServiceError};
 use crate::fault::{FaultAction, FaultSite};
 use crate::http::{self, BodyFraming, ChunkDecoder, Head};
-use crate::protocol::{write_error_response, RecordBatch, Request, WireFraming};
-use crate::server::{wake_addr, IdleTimer, Shared};
+use crate::protocol::{placement, write_error_response, RecordBatch, Request, Submit, WireFraming};
+use crate::server::{IdleTimer, Shared};
 use crate::wire::Counter;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -211,13 +211,20 @@ pub(crate) fn decode_submit_payload(payload: &[u8]) -> Result<Request> {
     } else {
         None
     };
-    let (origin, seq) = if flags & FLAG_HAS_STAMP != 0 {
-        (Some(r.varint()?), Some(r.varint()?))
+    let stamp = if flags & FLAG_HAS_STAMP != 0 {
+        Some((r.varint()?, r.varint()?))
     } else {
-        (None, None)
+        None
     };
     let n_records = r.varint()? as usize;
     let n_attrs = r.varint()? as usize;
+    // A schema has at least one attribute, so a zero-arity record can
+    // never be valid — and its cells would not bound `n_records` below.
+    if n_records > 0 && n_attrs == 0 {
+        return Err(ServiceError::Protocol(format!(
+            "submit frame declares {n_records} records of no attributes"
+        )));
+    }
     let cells = n_records
         .checked_mul(n_attrs)
         .ok_or_else(|| ServiceError::Protocol("submit frame cell count overflows".into()))?;
@@ -226,7 +233,7 @@ pub(crate) fn decode_submit_payload(payload: &[u8]) -> Result<Request> {
     // varint cell, exactly 4 per fixed32 cell), so an absurd declared
     // count is refused before any allocation happens.
     let remaining = r.buf.len();
-    if (fixed32 && remaining != cells * 4) || (!fixed32 && remaining < cells) {
+    if (fixed32 && cells.checked_mul(4) != Some(remaining)) || (!fixed32 && remaining < cells) {
         return Err(ServiceError::Protocol(format!(
             "submit frame declares {cells} cells but carries {remaining} payload bytes"
         )));
@@ -251,15 +258,13 @@ pub(crate) fn decode_submit_payload(payload: &[u8]) -> Result<Request> {
             r.buf.len()
         )));
     }
-    Ok(Request::Submit {
+    Ok(Request::Submit(Submit {
         session,
         records,
         pre_perturbed: flags & FLAG_PRE_PERTURBED != 0,
-        shard,
+        placement: placement(shard, stamp),
         deferred: flags & FLAG_DEFERRED != 0,
-        origin,
-        seq,
-    })
+    }))
 }
 
 /// What scanning the input buffer for one binary frame yielded.
@@ -744,14 +749,11 @@ impl FrameCodec for HttpFraming {
 /// ([`FaultSite::ConnRead`]/[`FaultSite::ConnWrite`]) — threaded line
 /// protocol only, matching the historical behaviour (a `Delay` fault
 /// sleeps the worker thread, which only that front-end may do).
-/// `server_addr` is the bound listener address a `shutdown`
-/// acknowledgement wakes (the threaded accept loop blocks in `accept`).
 pub(crate) fn drive_blocking(
     stream: &TcpStream,
     shared: &Shared,
     codec: &mut dyn FrameCodec,
     faults: bool,
-    server_addr: Option<SocketAddr>,
 ) -> Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
@@ -795,11 +797,7 @@ pub(crate) fn drive_blocking(
             out.clear();
         }
         if signals.shutdown_after_flush {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            if let Some(addr) = server_addr {
-                // Wake the accept loop so Server::run observes the flag.
-                let _ = TcpStream::connect(wake_addr(addr));
-            }
+            shared.shut_down();
             return Ok(());
         }
         if signals.close_after_flush {
@@ -929,46 +927,58 @@ mod tests {
                 }
                 Frame::NeedMore => panic!("case {case}: frame must be complete"),
             };
-            match decode_submit_payload(&frame).unwrap() {
-                Request::Submit {
-                    session: s,
-                    records: batch,
-                    pre_perturbed,
-                    shard: sh,
-                    deferred: d,
-                    origin,
-                    seq,
-                } => {
-                    assert_eq!(s, session);
-                    assert_eq!(pre_perturbed, pre);
-                    assert_eq!(sh, shard);
-                    assert_eq!(d, deferred);
-                    assert_eq!((origin, seq), (None, None));
-                    assert_eq!(batch, RecordBatch::from_rows(&records), "case {case}");
-                }
-                other => panic!("decoded to {other:?}"),
-            }
+            // One `Submit`, whichever decoder read it: the binary frame
+            // and the line the shipped client writes for the same call.
+            let expected = Request::Submit(Submit {
+                session,
+                records: RecordBatch::from_rows(&records),
+                pre_perturbed: pre,
+                placement: placement(shard, None),
+                deferred,
+            });
+            assert_eq!(decode_submit_payload(&frame).unwrap(), expected, "{case}");
+            let mut line = format!("{{\"op\":\"submit\",\"session\":{session},");
+            crate::client::write_submit_fields(&mut line, records.iter(), pre, shard);
+            line.push_str(if deferred {
+                ",\"ack\":\"deferred\"}"
+            } else {
+                "}"
+            });
+            assert_eq!(
+                crate::protocol::parse_submit_line_fast(&line),
+                Some(expected)
+            );
         }
     }
 
     #[test]
     fn replication_stamps_survive_the_binary_encoding() {
         // The encoder never emits stamps (clients are not federation
-        // links), but the decoder must accept them per the spec.
-        let mut payload = vec![FLAG_PRE_PERTURBED | FLAG_HAS_STAMP];
-        write_varint(&mut payload, 7); // session
-        write_varint(&mut payload, 2); // origin
-        write_varint(&mut payload, 40); // seq
-        write_varint(&mut payload, 1); // n_records
-        write_varint(&mut payload, 2); // n_attrs
-        write_varint(&mut payload, 3);
-        write_varint(&mut payload, 1);
-        match decode_submit_payload(&payload).unwrap() {
-            Request::Submit { origin, seq, .. } => {
-                assert_eq!(origin, Some(2));
-                assert_eq!(seq, Some(40));
+        // links), but the decoder must accept them per the spec — and
+        // read them as the line decoders do, hint or no hint.
+        for (shard_flag, shard_field) in [(0, ""), (FLAG_HAS_SHARD, r#","shard":1"#)] {
+            let mut payload = vec![FLAG_PRE_PERTURBED | FLAG_HAS_STAMP | shard_flag];
+            write_varint(&mut payload, 7); // session
+            if shard_flag != 0 {
+                write_varint(&mut payload, 1);
             }
-            other => panic!("decoded to {other:?}"),
+            write_varint(&mut payload, 2); // origin
+            write_varint(&mut payload, 40); // seq
+            write_varint(&mut payload, 1); // n_records
+            write_varint(&mut payload, 2); // n_attrs
+            write_varint(&mut payload, 3);
+            write_varint(&mut payload, 1);
+            let Request::Submit(submit) = decode_submit_payload(&payload).unwrap() else {
+                panic!("OP_SUBMIT decodes to a submit");
+            };
+            assert_eq!(submit.placement, placement(None, Some((2, 40))));
+            let line = format!(
+                r#"{{"op":"submit","session":7,"records":[[3,1]],"pre_perturbed":true{shard_field},"origin":2,"seq":40}}"#
+            );
+            assert_eq!(
+                crate::protocol::parse_submit_line_fast(&line),
+                Some(Request::Submit(submit))
+            );
         }
     }
 
@@ -1015,6 +1025,21 @@ mod tests {
         write_varint(&mut absurd, u64::MAX / 2); // n_records
         write_varint(&mut absurd, 2); // n_attrs
         assert!(decode_submit_payload(&absurd).is_err());
+        // Records of no attributes carry no cells to bound their number:
+        // seven bytes must not decode into fifty million records.
+        let mut zero_arity = vec![0u8];
+        write_varint(&mut zero_arity, 1); // session
+        write_varint(&mut zero_arity, 50_000_000); // n_records
+        write_varint(&mut zero_arity, 0); // n_attrs
+        assert_eq!(zero_arity.len(), 7);
+        assert!(decode_submit_payload(&zero_arity).is_err());
+        // A fixed32 cell count whose byte size overflows is refused, not
+        // wrapped (release) or panicked on (overflow checks).
+        let mut overflowing = vec![FLAG_FIXED32];
+        write_varint(&mut overflowing, 1); // session
+        write_varint(&mut overflowing, 1 << 62); // n_records
+        write_varint(&mut overflowing, 1); // n_attrs
+        assert!(decode_submit_payload(&overflowing).is_err());
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! route, `400` invalid request, `500` server-side failure) with the
 //! line protocol's `{"ok":false,"error":...}` body.
 //!
-//! This module owns the HTTP *accept loop* and the routing/parsing
-//! pieces (`parse_head`, `ChunkDecoder`, `respond`,
-//! `format_http_response`). The per-connection framing state machine
-//! lives in `crate::framing::HttpFraming`, which both the threaded
-//! driver here and the nonblocking reactor drive — so the two
+//! This module owns the routing/parsing pieces (`parse_head`,
+//! `ChunkDecoder`, `respond`, `format_http_response`). The
+//! per-connection framing state machine lives in
+//! `crate::framing::HttpFraming`, which both the threaded accept loop
+//! in [`crate::server`] and the nonblocking reactor drive — so the two
 //! front-ends speak the same dialect by construction.
 //! `docs/PROTOCOL.md` is the normative spec.
 
@@ -30,107 +30,13 @@ use crate::dispatch;
 use crate::error::{Result, ServiceError};
 use crate::json::{self, Value};
 use crate::protocol::{self, write_error_response, Request};
-use crate::server::{AcceptBackoff, Shared};
-use crate::wire::{Counter, OpRow, QueryKind, OPS};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use crate::server::Shared;
+use crate::wire::{OpRow, QueryKind, OPS};
 
 /// Upper bound on the request line + headers. Bodies are separately
 /// bounded by `ServiceConfig::max_line_bytes`. Shared with the reactor
 /// front-end so both paths enforce the same frame limits.
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
-
-/// How long the accept loop sleeps when polling an idle (non-blocking)
-/// listener before re-checking the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Runs the HTTP accept loop until the shared shutdown flag is set.
-/// The listener must be non-blocking: unlike the TCP loop (which a
-/// shutdown handler wakes with a loopback connection), this loop polls
-/// the flag between accepts.
-pub(crate) fn run_accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    let mut backoff = AcceptBackoff::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => {
-                backoff.on_success();
-                stream
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            // Same bounded backoff as the TCP loop: a persistent accept
-            // failure (EMFILE) must not spin this thread hot.
-            Err(_) => {
-                shared.transport.inc(Counter::AcceptErrors);
-                std::thread::sleep(backoff.on_error());
-                continue;
-            }
-        };
-        let Some(guard) = shared.try_admit() else {
-            shed_http_connection(stream, shared);
-            continue;
-        };
-        shared.transport.inc(Counter::HttpConnections);
-        let shared = Arc::clone(shared);
-        workers.push(std::thread::spawn(move || {
-            let _guard = guard;
-            let _ = handle_connection(stream, &shared);
-        }));
-        workers.retain(|w| !w.is_finished());
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-/// Refuses a connection at the cap: `503 Service Unavailable` with the
-/// in-band error body, then close. Runs on the accept thread, so the
-/// write timeout is short.
-fn shed_http_connection(mut stream: TcpStream, shared: &Shared) {
-    // See handle_connection: the accepted socket may have inherited the
-    // listener's non-blocking flag, under which the write timeout below
-    // would not apply.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut body = String::new();
-    write_error_response(
-        &mut body,
-        &ServiceError::InvalidRequest(shared.shed_message()),
-    );
-    let _ = write_http_response(
-        &mut stream,
-        503,
-        "Service Unavailable",
-        CONTENT_TYPE_JSON,
-        &body,
-        false,
-    );
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> Result<()> {
-    // The listener is non-blocking (the accept loop polls the shutdown
-    // flag), and on some platforms (BSD/macOS, Windows) accepted
-    // sockets inherit that flag. The shared driver blocks on its read
-    // timeout — a non-blocking socket would turn its
-    // WouldBlock-means-poll-shutdown loop into a hot spin.
-    stream.set_nonblocking(false)?;
-    // Responses are written as one buffer, but disable Nagle anyway:
-    // with it on, a head/body pair split across segments stalls ~40 ms
-    // against the peer's delayed ACK, capping keep-alive connections
-    // at ~25 requests/second.
-    stream.set_nodelay(true)?;
-    // No fault injection and no shutdown wake: HTTP exposes no
-    // `shutdown` route, so the codec never raises the shutdown signal.
-    let mut codec = crate::framing::HttpFraming::new();
-    crate::framing::drive_blocking(&stream, shared, &mut codec, false, None)
-}
 
 /// The Content-Type of every JSON response body.
 pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
@@ -681,24 +587,6 @@ pub(crate) fn format_http_response(
     out.extend_from_slice(body.as_bytes());
 }
 
-/// Writes one HTTP response. Head and body go out in a single `write`
-/// so the response never straddles Nagle's algorithm and the peer's
-/// delayed-ACK timer.
-fn write_http_response(
-    writer: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> Result<()> {
-    let mut message = Vec::new();
-    format_http_response(&mut message, status, reason, content_type, body, keep_alive);
-    writer.write_all(&message)?;
-    writer.flush()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -937,17 +825,11 @@ mod tests {
         .ok()
         .unwrap();
         match req {
-            Request::Submit {
-                session,
-                records,
-                pre_perturbed,
-                deferred,
-                ..
-            } => {
-                assert_eq!(session, 4);
-                assert_eq!(records.len(), 2);
-                assert!(pre_perturbed);
-                assert!(!deferred);
+            Request::Submit(submit) => {
+                assert_eq!(submit.session, 4);
+                assert_eq!(submit.records.len(), 2);
+                assert!(submit.pre_perturbed);
+                assert!(!submit.deferred);
             }
             other => panic!("unexpected route result {other:?}"),
         }

@@ -764,7 +764,7 @@ pub fn load_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::ReconstructionMethod;
+    use crate::session::{Placement, ReconstructionMethod};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -794,8 +794,8 @@ mod tests {
         )
         .unwrap();
         let records: Vec<Vec<u32>> = (0..200).map(|i| vec![i % 3, i % 2]).collect();
-        s.submit_batch_to_shard(0, &records, false).unwrap();
-        s.submit_batch_to_shard(1, &records[..50], true).unwrap();
+        s.ingest(Placement::Shard(0), &records, false).unwrap();
+        s.ingest(Placement::Shard(1), &records[..50], true).unwrap();
         s
     }
 
@@ -838,8 +838,8 @@ mod tests {
         let path = save_session(&dir, &twin).unwrap();
         let recovered = load_session(&path, 4096, 1 << 24).unwrap();
 
-        reference.submit_batch_to_shard(0, &more, false).unwrap();
-        recovered.submit_batch_to_shard(0, &more, false).unwrap();
+        reference.ingest(Placement::Shard(0), &more, false).unwrap();
+        recovered.ingest(Placement::Shard(0), &more, false).unwrap();
         assert_eq!(
             recovered.snapshot().counts(),
             reference.snapshot().counts(),
@@ -867,17 +867,17 @@ mod tests {
 
         // Two dirty flushes append deltas; the base never changes.
         session
-            .submit_batch_to_shard(0, &[vec![1, 1], vec![2, 0]], true)
+            .ingest(Placement::Shard(0), &[vec![1, 1], vec![2, 0]], true)
             .unwrap();
         assert_eq!(
             persist_session_incremental(&dir, &session).unwrap(),
             FlushOutcome::Deltas(1)
         );
         session
-            .submit_batch_to_shard(1, &[vec![0, 1]], false)
+            .ingest(Placement::Shard(1), &[vec![0, 1]], false)
             .unwrap();
         session
-            .submit_batch_to_shard(0, &[vec![1, 0]], true)
+            .ingest(Placement::Shard(0), &[vec![1, 0]], true)
             .unwrap();
         assert_eq!(
             persist_session_incremental(&dir, &session).unwrap(),
@@ -906,38 +906,28 @@ mod tests {
     fn repl_watermarks_survive_snapshot_and_delta_recovery() {
         let dir = temp_dir("repl");
         let session = sample_session(21);
-        let batch: Vec<Vec<u32>> = vec![vec![1, 1]];
-        let refs: Vec<&[u32]> = batch.iter().map(Vec::as_slice).collect();
-        session
-            .submit_slices_repl(refs.iter().copied(), true, 4, 6)
-            .unwrap();
+        let batch = [[1, 1]];
+        let stamp = |seq| Placement::Replicated { origin: 4, seq };
+        session.ingest(stamp(6), batch, true).unwrap();
         save_session(&dir, &session).unwrap();
 
         // Base-snapshot path: the recovered session still rejects the
         // forwarded batch a reconnecting peer might resend.
         let recovered = load_session(&session_path(&dir, 21), 4096, 1 << 24).unwrap();
         assert_eq!(recovered.dump_shards(), session.dump_shards());
-        assert!(!recovered
-            .submit_slices_repl(refs.iter().copied(), true, 4, 6)
-            .unwrap());
+        assert!(!recovered.ingest(stamp(6), batch, true).unwrap().fresh);
 
         // Delta path: a watermark advanced after the base snapshot
         // rides in on the delta line.
-        session
-            .submit_slices_repl(refs.iter().copied(), true, 4, 8)
-            .unwrap();
+        session.ingest(stamp(8), batch, true).unwrap();
         assert_eq!(
             persist_session_incremental(&dir, &session).unwrap(),
             FlushOutcome::Deltas(1)
         );
         let recovered = load_session(&session_path(&dir, 21), 4096, 1 << 24).unwrap();
         assert_eq!(recovered.dump_shards(), session.dump_shards());
-        assert!(!recovered
-            .submit_slices_repl(refs.iter().copied(), true, 4, 8)
-            .unwrap());
-        assert!(recovered
-            .submit_slices_repl(refs.iter().copied(), true, 4, 9)
-            .unwrap());
+        assert!(!recovered.ingest(stamp(8), batch, true).unwrap().fresh);
+        assert!(recovered.ingest(stamp(9), batch, true).unwrap().fresh);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -947,7 +937,7 @@ mod tests {
         let session = sample_session(12);
         save_session(&dir, &session).unwrap();
         session
-            .submit_batch_to_shard(0, &[vec![1, 1]], true)
+            .ingest(Placement::Shard(0), &[vec![1, 1]], true)
             .unwrap();
         persist_session_incremental(&dir, &session).unwrap();
         let good_deltas = std::fs::read_to_string(delta_path(&dir, 12)).unwrap();
@@ -967,7 +957,7 @@ mod tests {
         // A torn tail (crash mid-append) is ignored; lines before it
         // still apply.
         session
-            .submit_batch_to_shard(1, &[vec![2, 1]], true)
+            .ingest(Placement::Shard(1), &[vec![2, 1]], true)
             .unwrap();
         persist_session_incremental(&dir, &session).unwrap();
         let mut text = std::fs::read_to_string(delta_path(&dir, 12)).unwrap();
@@ -990,7 +980,7 @@ mod tests {
         let session = sample_session(14);
         save_session(&dir, &session).unwrap();
         session
-            .submit_batch_to_shard(0, &[vec![1, 1]], true)
+            .ingest(Placement::Shard(0), &[vec![1, 1]], true)
             .unwrap();
         persist_session_incremental(&dir, &session).unwrap();
         let mut text = std::fs::read_to_string(delta_path(&dir, 14)).unwrap();
@@ -1001,7 +991,7 @@ mod tests {
         let recovered = load_session(&session_path(&dir, 14), 4096, 1 << 24).unwrap();
         assert!(recovered.needs_full_snapshot());
         recovered
-            .submit_batch_to_shard(1, &[vec![2, 0]], true)
+            .ingest(Placement::Shard(1), &[vec![2, 0]], true)
             .unwrap();
         assert_eq!(
             persist_session_incremental(&dir, &recovered).unwrap(),
@@ -1015,7 +1005,7 @@ mod tests {
 
         // Later deltas land in a clean stream and survive recovery.
         recovered
-            .submit_batch_to_shard(0, &[vec![0, 1]], true)
+            .ingest(Placement::Shard(0), &[vec![0, 1]], true)
             .unwrap();
         assert_eq!(
             persist_session_incremental(&dir, &recovered).unwrap(),
@@ -1173,7 +1163,7 @@ mod tests {
             scope.spawn(move || {
                 for i in 0..40u32 {
                     ingest
-                        .submit_batch_to_shard(0, &[vec![i % 3, i % 2]], true)
+                        .ingest(Placement::Shard(0), &[vec![i % 3, i % 2]], true)
                         .unwrap();
                 }
             });
@@ -1219,7 +1209,7 @@ mod tests {
         // A failed delta append restores the drained increments: the
         // fault-free retry flushes them and recovery sees everything.
         session
-            .submit_batch_to_shard(0, &[vec![1, 1]], true)
+            .ingest(Placement::Shard(0), &[vec![1, 1]], true)
             .unwrap();
         let write_fault = FaultPlan::parse("seed=1,persist_write=io_error").unwrap();
         let err = persist_session_incremental_faulted(&dir, &session, &write_fault).unwrap_err();
@@ -1234,7 +1224,7 @@ mod tests {
         // A rename fault fails the save before publication: the old
         // base (plus its delta stream) still recovers bit-exactly.
         session
-            .submit_batch_to_shard(0, &[vec![2, 0]], true)
+            .ingest(Placement::Shard(0), &[vec![2, 0]], true)
             .unwrap();
         let rename_fault = FaultPlan::parse("seed=1,persist_rename=io_error").unwrap();
         assert!(save_session_faulted(&dir, &session, &rename_fault).is_err());
@@ -1249,7 +1239,7 @@ mod tests {
         // new base: the session must demand a full snapshot next so no
         // delta line lands under a sequence the new base ignores.
         session
-            .submit_batch_to_shard(1, &[vec![0, 1]], true)
+            .ingest(Placement::Shard(1), &[vec![0, 1]], true)
             .unwrap();
         let sync_fault = FaultPlan::parse("seed=1,persist_sync=io_error").unwrap();
         assert!(save_session_faulted(&dir, &session, &sync_fault).is_err());
@@ -1266,7 +1256,7 @@ mod tests {
 
         // A delay fault is not an error: the flush just takes longer.
         session
-            .submit_batch_to_shard(0, &[vec![0, 0]], true)
+            .ingest(Placement::Shard(0), &[vec![0, 0]], true)
             .unwrap();
         let slow = FaultPlan::parse("seed=1,persist_write=delay(1)").unwrap();
         assert_eq!(
@@ -1282,7 +1272,7 @@ mod tests {
         let session = sample_session(4);
         let path = save_session(&dir, &session).unwrap();
         session
-            .submit_batch_to_shard(0, &[vec![0, 0]], true)
+            .ingest(Placement::Shard(0), &[vec![0, 0]], true)
             .unwrap();
         persist_session_incremental(&dir, &session).unwrap();
         assert!(path.exists());

@@ -59,7 +59,7 @@ use crate::jobs::{MineAlgo, MineSpec};
 use crate::json::{self, object, Value};
 use crate::metrics::{LatencySummary, MetricsReport, PeerReplReport, TransportReport};
 use crate::session::{
-    Mechanism, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
+    Mechanism, Placement, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
 };
 use crate::wire::{Op, PeerCounter, COUNTERS, OPS, PEER_COUNTERS, PEER_SECTION};
 
@@ -185,6 +185,36 @@ impl WireFraming {
     }
 }
 
+/// A decoded `submit`: what the general parser, the fast line decoder
+/// and the binary `OP_SUBMIT` decoder all build.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submit {
+    /// Target session id.
+    pub session: u64,
+    /// The records, as one flat buffer.
+    pub records: RecordBatch,
+    /// Whether the records were already perturbed client-side.
+    pub pre_perturbed: bool,
+    /// Where the batch lands: pinned by a `shard` hint, stamped
+    /// `origin`/`seq` by a forwarding federation node, or neither.
+    pub placement: Placement,
+    /// `"ack":"deferred"` — do not answer this submit; accumulate
+    /// its accepted count into the connection's watermark instead
+    /// (reported by `flush` or the next synchronous op).
+    pub deferred: bool,
+}
+
+/// The placement a submit's optional `shard` hint and optional
+/// `(origin, seq)` stamp ask for. A stamp wins over a hint: the
+/// forwarder's retry must land where its first delivery did.
+pub(crate) fn placement(shard: Option<usize>, stamp: Option<(u64, u64)>) -> Placement {
+    match (stamp, shard) {
+        (Some((origin, seq)), _) => Placement::Replicated { origin, seq },
+        (None, Some(index)) => Placement::Shard(index),
+        (None, None) => Placement::RoundRobin,
+    }
+}
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -206,26 +236,7 @@ pub enum Request {
         session: Option<u64>,
     },
     /// Ingest a batch of records.
-    Submit {
-        /// Target session id.
-        session: u64,
-        /// The records, as one flat buffer.
-        records: RecordBatch,
-        /// Whether the records were already perturbed client-side.
-        pre_perturbed: bool,
-        /// Pin the batch to a specific shard (round-robin when `None`).
-        shard: Option<usize>,
-        /// `"ack":"deferred"` — do not answer this submit; accumulate
-        /// its accepted count into the connection's watermark instead
-        /// (reported by `flush` or the next synchronous op).
-        deferred: bool,
-        /// Federation: the forwarding node's peer index. Present (with
-        /// `seq`) only on batches replicated between nodes.
-        origin: Option<u64>,
-        /// Federation: the forwarder's per-session sequence number for
-        /// this batch, used for exactly-once dedup on retries.
-        seq: Option<u64>,
-    },
+    Submit(Submit),
     /// Report (and reset) the connection's deferred-submit watermark.
     Flush,
     /// Reconstruct the original distribution estimate.
@@ -505,27 +516,30 @@ fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request
                 .into(),
         ));
     }
-    let origin = optional_u64(v, "origin")?;
-    let seq = optional_u64(v, "seq")?;
-    if origin.is_some() != seq.is_some() {
-        return Err(ServiceError::InvalidRequest(
-            "forwarded submits must carry both `origin` and `seq`".into(),
-        ));
-    }
-    Ok(Request::Submit {
+    let stamp = match (optional_u64(v, "origin")?, optional_u64(v, "seq")?) {
+        (Some(origin), Some(seq)) => Some((origin, seq)),
+        (None, None) => None,
+        _ => {
+            return Err(ServiceError::InvalidRequest(
+                "forwarded submits must carry both `origin` and `seq`".into(),
+            ))
+        }
+    };
+    let records = parse_records(v)?;
+    let pre_perturbed = optional_bool(v, "pre_perturbed", false)?;
+    let shard = match v.get("shard") {
+        None | Some(Value::Null) => None,
+        Some(s) => Some(s.as_usize().ok_or_else(|| {
+            ServiceError::InvalidRequest("`shard` must be a non-negative integer".into())
+        })?),
+    };
+    Ok(Request::Submit(Submit {
         session,
-        records: parse_records(v)?,
-        pre_perturbed: optional_bool(v, "pre_perturbed", false)?,
-        shard: match v.get("shard") {
-            None | Some(Value::Null) => None,
-            Some(s) => Some(s.as_usize().ok_or_else(|| {
-                ServiceError::InvalidRequest("`shard` must be a non-negative integer".into())
-            })?),
-        },
+        records,
+        pre_perturbed,
+        placement: placement(shard, stamp),
         deferred,
-        origin,
-        seq,
-    })
+    }))
 }
 
 /// Fast-path decoder for the *canonical* compact submit line the
@@ -632,27 +646,25 @@ pub fn parse_submit_line_fast(line: &str) -> Option<Request> {
     // Forwarded federation batches append `,"origin":N,"seq":N` —
     // canonical for the inter-node forwarder, which pipelines through
     // this same fast path on the receiving peer.
-    let (origin, seq) = if eat(b, &mut p, br#","origin":"#) {
+    let stamp = if eat(b, &mut p, br#","origin":"#) {
         let origin = int(b, &mut p)?;
         if !eat(b, &mut p, br#","seq":"#) {
             return None;
         }
-        (Some(origin), Some(int(b, &mut p)?))
+        Some((origin, int(b, &mut p)?))
     } else {
-        (None, None)
+        None
     };
     if !eat(b, &mut p, b"}") || p != b.len() {
         return None;
     }
-    Some(Request::Submit {
+    Some(Request::Submit(Submit {
         session,
         records,
         pre_perturbed,
-        shard,
+        placement: placement(shard, stamp),
         deferred,
-        origin,
-        seq,
-    })
+    }))
 }
 
 /// Whether a parsed request object is a deferred-ack submit. The
@@ -1210,15 +1222,13 @@ mod tests {
         let req = parse_request(r#"{"op":"submit","session":3,"records":[[0,1],[2,0]]}"#).unwrap();
         assert_eq!(
             req,
-            Request::Submit {
+            Request::Submit(Submit {
                 session: 3,
                 records: RecordBatch::from_rows(&[vec![0, 1], vec![2, 0]]),
                 pre_perturbed: false,
-                shard: None,
+                placement: Placement::RoundRobin,
                 deferred: false,
-                origin: None,
-                seq: None,
-            }
+            })
         );
     }
 
@@ -1229,11 +1239,10 @@ mod tests {
                 .unwrap();
         assert!(matches!(
             req,
-            Request::Submit {
-                origin: Some(2),
-                seq: Some(17),
+            Request::Submit(Submit {
+                placement: Placement::Replicated { origin: 2, seq: 17 },
                 ..
-            }
+            })
         ));
         // origin and seq travel together or not at all.
         assert!(
@@ -1354,16 +1363,19 @@ mod tests {
         let req =
             parse_request(r#"{"op":"submit","session":3,"records":[[0,1]],"ack":"deferred"}"#)
                 .unwrap();
-        assert!(matches!(req, Request::Submit { deferred: true, .. }));
+        assert!(matches!(
+            req,
+            Request::Submit(Submit { deferred: true, .. })
+        ));
         // "sync" is the explicit spelling of the default.
         let req =
             parse_request(r#"{"op":"submit","session":3,"records":[[0,1]],"ack":"sync"}"#).unwrap();
         assert!(matches!(
             req,
-            Request::Submit {
+            Request::Submit(Submit {
                 deferred: false,
                 ..
-            }
+            })
         ));
         assert!(
             parse_request(r#"{"op":"submit","session":3,"records":[[0,1]],"ack":"maybe"}"#)
@@ -1386,11 +1398,26 @@ mod tests {
             r#"{"op":"submit","session":9,"records":[[4294967295]],"pre_perturbed":true,"shard":0,"ack":"deferred"}"#,
             r#"{"op":"submit","session":3,"records":[[0,1]],"pre_perturbed":true,"ack":"deferred","origin":2,"seq":9}"#,
             r#"{"op":"submit","session":3,"records":[[0,1]],"pre_perturbed":true,"origin":0,"seq":1}"#,
+            r#"{"op":"submit","session":3,"records":[[0,1]],"pre_perturbed":false,"shard":1,"ack":"deferred","origin":4,"seq":6}"#,
         ] {
             let fast = parse_submit_line_fast(line)
                 .unwrap_or_else(|| panic!("fast path must accept {line}"));
             assert_eq!(fast, parse_request(line).unwrap(), "line: {line}");
         }
+        // Pinned, stamped, and a stamp beside a hint: the stamp wins.
+        let placed = |tail: &str| {
+            let line =
+                format!(r#"{{"op":"submit","session":3,"records":[],"pre_perturbed":true{tail}}}"#);
+            match parse_submit_line_fast(&line) {
+                Some(Request::Submit(submit)) => submit.placement,
+                other => panic!("{line} decoded to {other:?}"),
+            }
+        };
+        let stamped = Placement::Replicated { origin: 4, seq: 6 };
+        assert_eq!(placed(""), Placement::RoundRobin);
+        assert_eq!(placed(r#","shard":2"#), Placement::Shard(2));
+        assert_eq!(placed(r#","origin":4,"seq":6"#), stamped);
+        assert_eq!(placed(r#","shard":2,"origin":4,"seq":6"#), stamped);
     }
 
     #[test]

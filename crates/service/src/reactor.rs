@@ -53,8 +53,7 @@
 use crate::error::{Result, ServiceError};
 use crate::framing::{FrameCodec, HttpFraming, LineFraming, Signals, Step};
 use crate::http;
-use crate::protocol::write_error_response;
-use crate::server::{AcceptBackoff, ConnGuard, Shared};
+use crate::server::{AcceptBackoff, ConnGuard, Shared, Transport};
 use crate::wire::Counter;
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -1038,7 +1037,15 @@ fn accept_ready(
             }
         };
         let Some(guard) = shared.try_admit() else {
-            shed(stream, is_http, shared);
+            // The threaded front-ends' refusal, as one best-effort
+            // write (nonblocking is fine — it is one small buffer).
+            let transport = if is_http {
+                Transport::Http
+            } else {
+                Transport::Line
+            };
+            let _ = stream.set_nonblocking(true);
+            let _ = (&stream).write(&shared.shed_response(transport));
             continue;
         };
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
@@ -1077,35 +1084,6 @@ fn accept_ready(
         }
         conns.insert(token, conn);
     }
-}
-
-/// Refuses a connection at the `max_connections` cap with the same
-/// in-band message the threaded front-ends use. Best-effort single
-/// write on the (nonblocking is fine — the refusal is one small
-/// buffer) socket, then drop.
-#[cfg(unix)]
-fn shed(mut stream: TcpStream, is_http: bool, shared: &Shared) {
-    let mut body = String::new();
-    write_error_response(
-        &mut body,
-        &ServiceError::InvalidRequest(shared.shed_message()),
-    );
-    let mut message = Vec::new();
-    if is_http {
-        http::format_http_response(
-            &mut message,
-            503,
-            "Service Unavailable",
-            http::CONTENT_TYPE_JSON,
-            &body,
-            false,
-        );
-    } else {
-        body.push('\n');
-        message.extend_from_slice(body.as_bytes());
-    }
-    let _ = stream.set_nonblocking(true);
-    let _ = stream.write(&message);
 }
 
 /// Handles one readiness event on an established connection.
@@ -1181,15 +1159,18 @@ fn maybe_start_job(
     {
         return;
     }
+    // `Server::bind` starts the pool whenever `async_reactor` is set,
+    // which is the only way the listeners reach this module.
+    let Some(executor) = shared.executor.as_ref() else {
+        return;
+    };
     let Some(codec) = conn.codec.take() else {
         return;
     };
     let input = std::mem::take(&mut conn.read_buf);
     let job_shared = Arc::clone(shared);
     let completions = Arc::clone(completions);
-    shared
-        .executor
-        .spawn(move || run_offload_job(token, codec, input, &job_shared, &completions));
+    executor.spawn(move || run_offload_job(token, codec, input, &job_shared, &completions));
 }
 
 /// The body of one offload job: step the codec over every complete

@@ -1,23 +1,26 @@
-//! The TCP server: accept loops, connection handling, lifecycle.
+//! The TCP server: the accept loop, connection handling, lifecycle.
 //!
 //! Concurrency model: one OS thread per connection (ingest is
 //! lock-striped across session shards, so connections rarely contend),
 //! bounded by [`crate::config::ServiceConfig::max_connections`] across
 //! *all* transports; a shared [`SessionRegistry`] behind an `Arc`, and
 //! a cooperative shutdown flag. The `shutdown` op sets the flag and
-//! wakes the accept loop with a loopback connection, so [`Server::run`]
-//! returns cleanly — no thread is ever killed mid-request.
+//! wakes every accept loop with a loopback connection, so
+//! [`Server::run`] returns cleanly — no thread is ever killed
+//! mid-request.
 //!
 //! Request parsing and execution are transport-agnostic and live in
 //! [`crate::dispatch`]; per-connection framing (line-JSON, the
 //! negotiated binary format, HTTP/1.1) lives in [`crate::framing`] —
-//! this module owns accepting, admission and connection lifecycle,
-//! and [`crate::http`] does the same for the HTTP listener (enabled by
-//! `ServiceConfig::http_addr`).
+//! this module owns accepting, admission and connection lifecycle for
+//! both listeners (the HTTP one is enabled by
+//! `ServiceConfig::http_addr`); they run the same loop and differ in
+//! the codec a connection gets.
 
 use crate::config::ServiceConfig;
 use crate::dispatch::persist_all_sessions;
 use crate::error::{Result, ServiceError};
+use crate::framing::{drive_blocking, HttpFraming, LineFraming};
 use crate::metrics::TransportMetrics;
 use crate::persist;
 use crate::session::SessionRegistry;
@@ -47,12 +50,25 @@ pub(crate) struct Shared {
     /// replication links and sequence counters.
     pub(crate) fed: Option<Arc<crate::fed::FedState>>,
     /// The dispatch offload pool the reactor front-end hands complete
-    /// frames to (idle under thread-per-connection).
-    pub(crate) executor: crate::dispatch::OffloadExecutor,
+    /// frames to; the threaded front-ends dispatch on the connection's
+    /// own thread and start no pool.
+    pub(crate) executor: Option<crate::dispatch::OffloadExecutor>,
     /// The background-job pool running `mine_rules` / `classify` off
     /// the transport threads (see [`crate::jobs`]).
     pub(crate) jobs: crate::jobs::JobManager,
     live_connections: Arc<AtomicUsize>,
+    /// Every bound listener address: where [`Shared::shut_down`]
+    /// connects to wake the accept loops.
+    listen_addrs: Vec<SocketAddr>,
+}
+
+/// Which dialect a listener's connections speak.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Transport {
+    /// Line-JSON, upgradable to the binary framing by `hello`.
+    Line,
+    /// HTTP/1.1.
+    Http,
 }
 
 impl Shared {
@@ -72,12 +88,44 @@ impl Shared {
         })
     }
 
-    /// The in-band message a shed connection receives before the close.
-    pub(crate) fn shed_message(&self) -> String {
-        format!(
-            "server is at its {}-connection capacity; retry later",
-            self.config.max_connections
-        )
+    /// The bytes a connection refused at the cap receives before the
+    /// close: the in-band error as one line, or as a `503 Service
+    /// Unavailable` body.
+    pub(crate) fn shed_response(&self, transport: Transport) -> Vec<u8> {
+        let mut body = String::new();
+        crate::protocol::write_error_response(
+            &mut body,
+            &ServiceError::InvalidRequest(format!(
+                "server is at its {}-connection capacity; retry later",
+                self.config.max_connections
+            )),
+        );
+        let mut message = Vec::new();
+        match transport {
+            Transport::Line => {
+                body.push('\n');
+                message.extend_from_slice(body.as_bytes());
+            }
+            Transport::Http => crate::http::format_http_response(
+                &mut message,
+                503,
+                "Service Unavailable",
+                crate::http::CONTENT_TYPE_JSON,
+                &body,
+                false,
+            ),
+        }
+        message
+    }
+
+    /// Sets the shutdown flag and wakes every accept loop — each blocks
+    /// in `accept` — with a loopback connection, so [`Server::run`]
+    /// observes the flag at once.
+    pub(crate) fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for &addr in &self.listen_addrs {
+            let _ = TcpStream::connect(wake_addr(addr));
+        }
     }
 }
 
@@ -184,16 +232,14 @@ impl Server {
     pub fn bind(config: ServiceConfig) -> Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let http_listener = match &config.http_addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                // The HTTP accept loop polls the shutdown flag instead
-                // of relying on a wake-up connection, so it must not
-                // block in `accept`.
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
+        let listen_addrs = [Some(&listener), http_listener.as_ref()]
+            .into_iter()
+            .flatten()
+            .map(TcpListener::local_addr)
+            .collect::<std::io::Result<Vec<_>>>()?;
         let registry = Arc::new(SessionRegistry::with_max_sessions(config.max_sessions));
         if let Some(dir) = &config.persist_dir {
             std::fs::create_dir_all(dir)?;
@@ -246,7 +292,9 @@ impl Server {
             }
         }
         let fed = crate::fed::FedState::from_config(&config)?;
-        let executor = crate::dispatch::OffloadExecutor::new(config.offload_threads);
+        let executor = config
+            .async_reactor
+            .then(|| crate::dispatch::OffloadExecutor::new(config.offload_threads));
         let transport = Arc::new(TransportMetrics::new());
         let jobs = crate::jobs::JobManager::from_config(&config, Arc::clone(&transport));
         Ok(Server {
@@ -261,6 +309,7 @@ impl Server {
                 executor,
                 jobs,
                 live_connections: Arc::new(AtomicUsize::new(0)),
+                listen_addrs,
             }),
         })
     }
@@ -292,86 +341,30 @@ impl Server {
     /// snapshots every live session on the configured interval, and a
     /// final snapshot of all sessions is written after the accept loop
     /// exits — so a clean shutdown never loses counts. With an HTTP
-    /// address configured, the HTTP accept loop runs on a second
-    /// thread against the same dispatch core and stops with the same
-    /// flag.
+    /// address configured, the same loop runs on a second thread for
+    /// the HTTP listener, against the same dispatch core, and stops
+    /// with the same flag.
     ///
     /// With [`crate::config::ServiceConfig::async_reactor`] set, both
     /// transports are served by the nonblocking [`crate::reactor`]
     /// event loop instead of thread-per-connection — same wire
     /// behaviour, far higher concurrent-connection fan-in.
     pub fn run(self) -> Result<()> {
-        if self.shared.config.async_reactor {
-            return self.run_reactor();
-        }
-        let addr = self.local_addr()?;
         let persister = self.spawn_persister();
-        let http = self.http_listener.map(|listener| {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || crate::http::run_accept_loop(listener, &shared))
-        });
-        let mut workers: Vec<JoinHandle<()>> = Vec::new();
-        let mut backoff = AcceptBackoff::new();
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
+        let result = if self.shared.config.async_reactor {
+            crate::reactor::run(self.listener, self.http_listener, &self.shared)
+        } else {
+            let http = self.http_listener.map(|listener| {
+                let shared = Arc::clone(&self.shared);
+                std::thread::spawn(move || accept_loop(listener, &shared, Transport::Http))
+            });
+            accept_loop(self.listener, &self.shared, Transport::Line);
+            if let Some(h) = http {
+                let _ = h.join();
             }
-            let stream = match stream {
-                Ok(s) => {
-                    backoff.on_success();
-                    s
-                }
-                // A single failed accept (e.g. peer reset between
-                // accept and handshake) should not kill the server —
-                // but a persistent failure (EMFILE) must not spin the
-                // loop hot either: back off, bounded, until an accept
-                // succeeds again.
-                Err(_) => {
-                    self.shared.transport.inc(Counter::AcceptErrors);
-                    std::thread::sleep(backoff.on_error());
-                    continue;
-                }
-            };
-            let Some(guard) = self.shared.try_admit() else {
-                shed_tcp_connection(stream, &self.shared);
-                continue;
-            };
-            self.shared.transport.inc(Counter::TcpConnections);
-            let shared = Arc::clone(&self.shared);
-            workers.push(std::thread::spawn(move || {
-                let _guard = guard;
-                // Per-connection errors are reported to the peer
-                // in-band; a torn connection is simply dropped.
-                let _ = handle_connection(stream, &shared, addr);
-            }));
-            workers.retain(|w| !w.is_finished());
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-        if let Some(h) = http {
-            let _ = h.join();
-        }
-        if let Some(p) = persister {
-            let _ = p.join();
-        }
-        if let Some(dir) = &self.shared.config.persist_dir {
-            persist_all_sessions_best_effort(
-                dir,
-                &self.shared.registry,
-                &self.shared.config.fault_plan,
-            );
-        }
-        Ok(())
-    }
-
-    /// The `--async` flavour of [`Server::run`]: both listeners are
-    /// handed to the reactor event loop(s); the persister and the
-    /// shutdown-time snapshot behave exactly as in threaded mode.
-    fn run_reactor(self) -> Result<()> {
-        let persister = self.spawn_persister();
-        let result = crate::reactor::run(self.listener, self.http_listener, &self.shared);
-        // However the reactors exited, the flag must be set so the
+            Ok(())
+        };
+        // However the front-end exited, the flag must be set so the
         // persister stops too.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(p) = persister {
@@ -489,35 +482,80 @@ impl ServerHandle {
     }
 }
 
-/// Refuses a connection at the cap: one in-band error line, then close.
-/// Runs on the accept thread, so the write timeout is short — a peer
-/// that will not read its refusal gets dropped rather than stalling
-/// accepts.
-fn shed_tcp_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut line = String::new();
-    crate::protocol::write_error_response(
-        &mut line,
-        &ServiceError::InvalidRequest(shared.shed_message()),
-    );
-    line.push('\n');
-    let mut stream = stream;
-    let _ = stream.write_all(line.as_bytes());
+/// Accepts one listener's connections until the shutdown flag is set,
+/// each on a worker thread of its own, then joins the workers. Blocks
+/// in `accept`; [`Shared::shut_down`] wakes it.
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, transport: Transport) {
+    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    let mut backoff = AcceptBackoff::new();
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let mut stream = match stream {
+            Ok(s) => {
+                backoff.on_success();
+                s
+            }
+            // A single failed accept (e.g. peer reset between
+            // accept and handshake) should not kill the server —
+            // but a persistent failure (EMFILE) must not spin the
+            // loop hot either: back off, bounded, until an accept
+            // succeeds again.
+            Err(_) => {
+                shared.transport.inc(Counter::AcceptErrors);
+                std::thread::sleep(backoff.on_error());
+                continue;
+            }
+        };
+        let Some(guard) = shared.try_admit() else {
+            // Refused on the accept thread, so the write timeout is
+            // short — a peer that will not read its refusal gets
+            // dropped rather than stalling accepts.
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+            let _ = stream.write_all(&shared.shed_response(transport));
+            continue;
+        };
+        shared.transport.inc(match transport {
+            Transport::Line => Counter::TcpConnections,
+            Transport::Http => Counter::HttpConnections,
+        });
+        let shared = Arc::clone(shared);
+        workers.push(std::thread::spawn(move || {
+            let _guard = guard;
+            // Per-connection errors are reported to the peer
+            // in-band; a torn connection is simply dropped.
+            let _ = handle_connection(stream, &shared, transport);
+        }));
+        workers.retain(|w| !w.is_finished());
+    }
+    for w in workers {
+        let _ = w.join();
+    }
 }
 
-/// One line-protocol connection worker: a [`crate::framing::LineFraming`]
-/// codec (which negotiates into the binary framing on `hello`) driven
-/// by the shared blocking loop — the same codec the reactor steps
-/// incrementally, so the two front-ends cannot drift.
-fn handle_connection(stream: TcpStream, shared: &Shared, server_addr: SocketAddr) -> Result<()> {
-    let mut codec = crate::framing::LineFraming::new();
-    crate::framing::drive_blocking(&stream, shared, &mut codec, true, Some(server_addr))
+/// One connection worker: the transport's codec driven by the shared
+/// blocking loop — the same codecs the reactor steps incrementally, so
+/// the two front-ends cannot drift.
+fn handle_connection(stream: TcpStream, shared: &Shared, transport: Transport) -> Result<()> {
+    match transport {
+        // Connection-fault injection covers the line listener only.
+        Transport::Line => drive_blocking(&stream, shared, &mut LineFraming::new(), true),
+        Transport::Http => {
+            // Responses are written as one buffer, but disable Nagle
+            // anyway: with it on, a head/body pair split across
+            // segments stalls ~40 ms against the peer's delayed ACK,
+            // capping keep-alive connections at ~25 requests/second.
+            stream.set_nodelay(true)?;
+            drive_blocking(&stream, shared, &mut HttpFraming::new(), false)
+        }
+    }
 }
 
-/// The address the shutdown handler connects to in order to wake the
+/// The address [`Shared::shut_down`] connects to in order to wake an
 /// accept loop. A wildcard bind (`0.0.0.0` / `::`) is not a connectable
 /// destination on every platform, so route the wake-up via loopback.
-pub(crate) fn wake_addr(bound: SocketAddr) -> SocketAddr {
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
     if bound.ip().is_unspecified() {
         let ip: std::net::IpAddr = if bound.is_ipv4() {
             std::net::Ipv4Addr::LOCALHOST.into()
@@ -708,7 +746,7 @@ mod tests {
             shutdown: Arc::new(AtomicBool::new(false)),
             transport: Arc::new(TransportMetrics::new()),
             fed: None,
-            executor: crate::dispatch::OffloadExecutor::new(1),
+            executor: None,
             jobs: crate::jobs::JobManager::new(
                 1,
                 1,
@@ -717,6 +755,7 @@ mod tests {
                 crate::fault::FaultPlan::default(),
             ),
             live_connections: Arc::new(AtomicUsize::new(0)),
+            listen_addrs: Vec::new(),
         };
         let a = shared.try_admit().expect("first connection fits");
         let _b = shared.try_admit().expect("second connection fits");
@@ -725,7 +764,8 @@ mod tests {
         // Dropping a guard frees its slot.
         drop(a);
         assert!(shared.try_admit().is_some());
-        assert!(shared.shed_message().contains("2-connection"));
+        let refusal = String::from_utf8(shared.shed_response(Transport::Line)).unwrap();
+        assert!(refusal.contains("2-connection"), "{refusal}");
     }
 
     #[test]

@@ -63,21 +63,16 @@ pub enum ReconstructionMethod {
     /// Dense LU, factored on first use and cached for the session's
     /// lifetime; `O(n²)` per query thereafter.
     CachedLu,
-    /// Dense LU factored from scratch on every query. Exists to make
-    /// the cache's benefit measurable (see `benches/service.rs`); not
-    /// something a production client should ask for.
-    FreshLu,
 }
 
 impl ReconstructionMethod {
-    /// Parses the wire name (`closed` / `cached_lu` / `fresh_lu`).
+    /// Parses the wire name (`closed` / `cached_lu`).
     pub fn from_wire(name: &str) -> Result<Self> {
         match name {
             "closed" => Ok(ReconstructionMethod::ClosedForm),
             "cached_lu" => Ok(ReconstructionMethod::CachedLu),
-            "fresh_lu" => Ok(ReconstructionMethod::FreshLu),
             other => Err(ServiceError::InvalidRequest(format!(
-                "unknown reconstruction method `{other}` (expected closed|cached_lu|fresh_lu)"
+                "unknown reconstruction method `{other}` (expected closed|cached_lu)"
             ))),
         }
     }
@@ -87,7 +82,6 @@ impl ReconstructionMethod {
         match self {
             ReconstructionMethod::ClosedForm => "closed",
             ReconstructionMethod::CachedLu => "cached_lu",
-            ReconstructionMethod::FreshLu => "fresh_lu",
         }
     }
 }
@@ -149,6 +143,40 @@ pub struct SessionSummary {
     pub total: u64,
     /// Reconstruction queries answered by this process.
     pub reconstructions: u64,
+}
+
+/// Where a submitted batch lands. The decoders build it, every layer
+/// down to [`CollectionSession::ingest`] passes it along, and only
+/// `ingest` turns it into a shard index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// The next shard in rotation, so concurrent submitters spread
+    /// across shard locks.
+    RoundRobin,
+    /// The shard a client pinned its stream to, which (with the
+    /// session seed) makes server-side perturbation bit-reproducible
+    /// offline.
+    Shard(usize),
+    /// A batch forwarded between federation nodes: it lands on shard
+    /// `seq % num_shards` and claims the `(origin, seq)` replication
+    /// watermark there, so a forwarder retry after a dropped
+    /// connection or a peer restart can never double-count.
+    Replicated {
+        /// The forwarding node's peer index.
+        origin: u64,
+        /// The forwarder's per-session sequence number for this batch.
+        seq: u64,
+    },
+}
+
+/// What [`CollectionSession::ingest`] did with a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ingested {
+    /// The shard the batch landed on.
+    pub shard: usize,
+    /// `false` when a [`Placement::Replicated`] batch had already been
+    /// applied and was skipped, counting nothing.
+    pub fresh: bool,
 }
 
 /// One schema + mechanism + sharded perturbed counts.
@@ -495,109 +523,54 @@ impl CollectionSession {
         )
     }
 
-    /// Ingests a batch on an automatically chosen shard (round-robin,
-    /// so concurrent submitters spread across shard locks). Returns the
-    /// shard index used.
+    /// [`Self::ingest`] of owned rows in rotation; returns the shard
+    /// index used.
+    pub fn submit_batch(&self, records: &[Vec<u32>], pre_perturbed: bool) -> Result<usize> {
+        self.ingest(Placement::RoundRobin, records, pre_perturbed)
+            .map(|ingested| ingested.shard)
+    }
+
+    /// Ingests a batch on the shard `placement` names: the one way
+    /// records enter a session.
     ///
     /// `pre_perturbed` declares whether the records already went
     /// through the mechanism client-side (the paper's deployment
     /// model) or should be perturbed here with the shard's RNG.
-    pub fn submit_batch(&self, records: &[Vec<u32>], pre_perturbed: bool) -> Result<usize> {
-        self.submit_slices(records.iter().map(Vec::as_slice), pre_perturbed)
-    }
-
-    /// Ingests a batch on a specific shard. Lets a client pin its
-    /// stream to one shard, which (with the session seed) makes
-    /// server-side perturbation bit-reproducible offline.
-    pub fn submit_batch_to_shard(
-        &self,
-        shard_index: usize,
-        records: &[Vec<u32>],
-        pre_perturbed: bool,
-    ) -> Result<()> {
-        self.submit_slices_to_shard(
-            shard_index,
-            records.iter().map(Vec::as_slice),
-            pre_perturbed,
-        )
-    }
-
-    /// [`Self::submit_batch`] over borrowed record slices — the
-    /// allocation-light entry point the wire layer's flat
-    /// [`crate::protocol::RecordBatch`] feeds.
-    pub fn submit_slices<'a>(
-        &self,
-        records: impl IntoIterator<Item = &'a [u32]>,
-        pre_perturbed: bool,
-    ) -> Result<usize> {
-        let idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.submit_slices_to_shard(idx, records, pre_perturbed)?;
-        Ok(idx)
-    }
-
-    /// [`Self::submit_batch_to_shard`] over borrowed record slices.
     ///
     /// The whole batch is validated and encoded to domain indices
     /// *once, before the shard lock is taken*; under the lock the
     /// per-record work is two RNG draws and a counter increment (the
     /// index-domain fast path), with no allocation and no re-encode.
     ///
-    /// The partial-batch contract is unchanged: if a record mid-batch
-    /// fails validation, the records *before* it are counted (exactly
-    /// as if the client had sent them in a smaller batch) and the error
-    /// is a [`ServiceError::PartialBatch`] reporting how many were
-    /// accepted, so a retrying client resubmits only the remainder.
-    /// Clients that need all-or-nothing batches should validate against
-    /// the schema before submitting.
-    pub fn submit_slices_to_shard<'a>(
+    /// If a record mid-batch fails validation, the records *before* it
+    /// are counted (exactly as if the client had sent them in a smaller
+    /// batch) and the error is a [`ServiceError::PartialBatch`]
+    /// reporting how many were accepted, so a retrying client resubmits
+    /// only the remainder. Clients that need all-or-nothing batches
+    /// should validate against the schema before submitting.
+    pub fn ingest<R: AsRef<[u32]>>(
         &self,
-        shard_index: usize,
-        records: impl IntoIterator<Item = &'a [u32]>,
+        placement: Placement,
+        records: impl IntoIterator<Item = R>,
         pre_perturbed: bool,
-    ) -> Result<()> {
-        self.submit_slices_guarded(shard_index, records, pre_perturbed, None)
-            .map(|_| ())
-    }
-
-    /// Ingests a batch forwarded by federation peer `origin` with
-    /// forwarder-assigned sequence number `seq`. Returns `Ok(false)` —
-    /// counting nothing — when the batch was already applied, so a
-    /// forwarder retry after a dropped connection or a peer restart can
-    /// never double-count.
-    ///
-    /// Routing is deterministic (`shard = seq % num_shards`) rather
-    /// than round-robin: a retried batch must land on the shard whose
-    /// watermark saw the original delivery, otherwise dedup state and
-    /// counts could disagree.
-    pub fn submit_slices_repl<'a>(
-        &self,
-        records: impl IntoIterator<Item = &'a [u32]>,
-        pre_perturbed: bool,
-        origin: u64,
-        seq: u64,
-    ) -> Result<bool> {
-        let shard_index = (seq % self.shards.len() as u64) as usize;
-        self.submit_slices_guarded(shard_index, records, pre_perturbed, Some((origin, seq)))
-    }
-
-    /// The shared ingest tail. With `repl = Some((origin, seq))` the
-    /// shard's replication watermark is claimed in the same critical
-    /// section as the ingest; `Ok(false)` reports a duplicate that was
-    /// skipped (and acked upstream).
-    fn submit_slices_guarded<'a>(
-        &self,
-        shard_index: usize,
-        records: impl IntoIterator<Item = &'a [u32]>,
-        pre_perturbed: bool,
-        repl: Option<(u64, u64)>,
-    ) -> Result<bool> {
+    ) -> Result<Ingested> {
         let started = Instant::now();
-        if shard_index >= self.shards.len() {
-            return Err(ServiceError::InvalidRequest(format!(
-                "shard {shard_index} out of range (session has {})",
-                self.shards.len()
-            )));
-        }
+        let shard_index = match placement {
+            Placement::RoundRobin => {
+                self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len()
+            }
+            Placement::Shard(index) if index >= self.shards.len() => {
+                return Err(ServiceError::InvalidRequest(format!(
+                    "shard {index} out of range (session has {})",
+                    self.shards.len()
+                )));
+            }
+            Placement::Shard(index) => index,
+            // Deterministic rather than round-robin: a retried batch
+            // must land on the shard whose watermark saw the original
+            // delivery, otherwise dedup state and counts could disagree.
+            Placement::Replicated { seq, .. } => (seq % self.shards.len() as u64) as usize,
+        };
         // Validate + encode the batch up front, outside the shard lock:
         // validation is paid once per record here instead of twice
         // (perturber + encode) inside the lock, and an invalid record
@@ -606,7 +579,7 @@ impl CollectionSession {
         let mut indices = Vec::with_capacity(records.size_hint().0);
         let mut failure: Option<ServiceError> = None;
         for record in records {
-            match self.schema.encode(record) {
+            match self.schema.encode(record.as_ref()) {
                 Ok(idx) => indices.push(idx),
                 Err(e) => {
                     failure = Some(e.into());
@@ -623,13 +596,16 @@ impl CollectionSession {
         if self.is_retired() {
             return Err(ServiceError::UnknownSession(self.id));
         }
-        if let Some((origin, seq)) = repl {
+        if let Placement::Replicated { origin, seq } = placement {
             // Claimed under the same lock the ingest holds, so the
             // watermark can never say "applied" for counts that are not
             // there (or vice versa) — including across a crash, because
             // persistence dumps both under this lock too.
             if !shard.repl_claim(origin, seq) {
-                return Ok(false);
+                return Ok(Ingested {
+                    shard: shard_index,
+                    fresh: false,
+                });
             }
         }
         if pre_perturbed {
@@ -645,7 +621,10 @@ impl CollectionSession {
                 accepted,
                 source: Box::new(source),
             }),
-            None => Ok(true),
+            None => Ok(Ingested {
+                shard: shard_index,
+                fresh: true,
+            }),
         }
     }
 
@@ -803,23 +782,16 @@ impl CollectionSession {
         }
     }
 
-    /// Refuses dense-LU work on domains past the configured limit.
-    fn check_dense_domain(&self) -> Result<()> {
-        if self.schema.domain_size() > self.max_dense_domain {
+    /// The cached dense LU handle, building it on first use — refused
+    /// on domains past the configured dense-LU limit.
+    fn cached_lu(&self) -> Result<(Arc<LuDecomposition>, bool)> {
+        let hit = self.lu_cache.get().is_some();
+        if !hit && self.schema.domain_size() > self.max_dense_domain {
             return Err(ServiceError::InvalidRequest(format!(
                 "domain size {} exceeds the dense-LU limit {}; use method `closed`",
                 self.schema.domain_size(),
                 self.max_dense_domain
             )));
-        }
-        Ok(())
-    }
-
-    /// The cached dense LU handle, building it on first use.
-    fn cached_lu(&self) -> Result<(Arc<LuDecomposition>, bool)> {
-        let hit = self.lu_cache.get().is_some();
-        if !hit {
-            self.check_dense_domain()?;
         }
         let lu = self.lu_cache.get_or_init(|| {
             let dense = GammaDiagonal::new(&self.schema, self.mechanism.gamma())
@@ -865,14 +837,6 @@ impl CollectionSession {
             ReconstructionMethod::CachedLu => {
                 let (lu, hit) = self.cached_lu()?;
                 (lu.solve_system(&counts)?, hit)
-            }
-            ReconstructionMethod::FreshLu => {
-                self.check_dense_domain()?;
-                let dense = GammaDiagonal::new(&self.schema, self.mechanism.gamma())?
-                    .as_uniform_diagonal()
-                    .to_dense();
-                let lu = LuDecomposition::new(&dense)?;
-                (lu.solve_system(&counts)?, false)
             }
         };
         if clamp {
@@ -1260,22 +1224,54 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_spreads_batches() {
+    fn every_placement_lands_on_the_shard_it_reports() {
         let s = session(3);
-        for _ in 0..6 {
-            s.submit_batch(&[vec![0, 0]], true).unwrap();
+        let batch = [[1, 1], [2, 0]];
+        let stamp = |seq| Placement::Replicated { origin: 7, seq };
+        let mut expected = vec![0u64; 3];
+        for (placement, shard) in [
+            (Placement::RoundRobin, 0),
+            (Placement::RoundRobin, 1),
+            (Placement::RoundRobin, 2),
+            (Placement::RoundRobin, 0),
+            (Placement::Shard(2), 2),
+            (stamp(1), 1),
+            (stamp(5), 2),
+        ] {
+            let fresh = Ingested { shard, fresh: true };
+            assert_eq!(s.ingest(placement, batch, true).unwrap(), fresh);
+            expected[shard] += 2;
+            assert_eq!(s.stats().per_shard, expected, "{placement:?}");
         }
-        let stats = s.stats();
-        assert_eq!(stats.total, 6);
-        assert_eq!(stats.per_shard, vec![2, 2, 2]);
+        assert_eq!(s.repl_status(7), vec![0, 1, 5]);
+        assert_eq!(s.repl_status(99), vec![0, 0, 0]);
+
+        // A retry of an applied (origin, seq) is skipped and counts nothing.
+        let skipped = Ingested {
+            shard: 1,
+            fresh: false,
+        };
+        assert_eq!(s.ingest(stamp(1), batch, true).unwrap(), skipped);
+        assert_eq!(s.stats().per_shard, expected);
+
+        let err = s.ingest(Placement::Shard(3), batch, true).unwrap_err();
+        let text = "invalid request: shard 3 out of range (session has 3)";
+        assert_eq!(err.to_string(), text);
+
+        s.retire();
+        for placement in [Placement::RoundRobin, Placement::Shard(0), stamp(9)] {
+            let refused = s.ingest(placement, batch, true);
+            assert!(matches!(refused, Err(ServiceError::UnknownSession(1))));
+        }
+        assert_eq!(s.stats().per_shard, expected);
     }
 
     #[test]
     fn pre_perturbed_counts_pass_through_exactly() {
         let s = session(2);
-        s.submit_batch_to_shard(0, &[vec![1, 1], vec![1, 1]], true)
+        s.ingest(Placement::Shard(0), [[1, 1], [1, 1]], true)
             .unwrap();
-        s.submit_batch_to_shard(1, &[vec![2, 0]], true).unwrap();
+        s.ingest(Placement::Shard(1), [[2, 0]], true).unwrap();
         let snap = s.snapshot();
         assert_eq!(snap.n(), 3);
         assert_eq!(snap.counts()[schema().encode(&[1, 1]).unwrap()], 2.0);
@@ -1328,7 +1324,6 @@ mod tests {
         assert!(s
             .reconstruct(ReconstructionMethod::CachedLu, false)
             .is_err());
-        assert!(s.reconstruct(ReconstructionMethod::FreshLu, false).is_err());
         assert!(s
             .reconstruct(ReconstructionMethod::ClosedForm, false)
             .is_ok());
@@ -1573,7 +1568,7 @@ mod tests {
     #[test]
     fn poisoned_shard_recovers_instead_of_bricking_the_session() {
         let s = Arc::new(session(2));
-        s.submit_batch_to_shard(0, &[vec![0, 0], vec![1, 1]], true)
+        s.ingest(Placement::Shard(0), [[0, 0], [1, 1]], true)
             .unwrap();
         // Panic on another thread while holding shard 0's lock,
         // poisoning the mutex.
@@ -1589,7 +1584,7 @@ mod tests {
 
         // Every later operation still serves: ingest on the poisoned
         // shard, stats, snapshot and reconstruction.
-        s.submit_batch_to_shard(0, &[vec![2, 0]], true).unwrap();
+        s.ingest(Placement::Shard(0), [[2, 0]], true).unwrap();
         let stats = s.stats();
         assert_eq!(stats.total, 3);
         assert_eq!(stats.per_shard, vec![3, 0]);
@@ -1605,7 +1600,7 @@ mod tests {
         // Third record is invalid: the two before it stay counted and
         // the error says so.
         let err = s
-            .submit_batch_to_shard(0, &[vec![0, 0], vec![1, 1], vec![9, 9], vec![2, 0]], true)
+            .ingest(Placement::Shard(0), [[0, 0], [1, 1], [9, 9], [2, 0]], true)
             .unwrap_err();
         match err {
             ServiceError::PartialBatch { accepted, .. } => assert_eq!(accepted, 2),
@@ -1614,31 +1609,17 @@ mod tests {
         assert_eq!(s.stats().total, 2);
         // Retrying only the remainder (per the contract) lands exactly
         // the valid records once.
-        s.submit_batch_to_shard(0, &[vec![2, 0]], true).unwrap();
+        s.ingest(Placement::Shard(0), [[2, 0]], true).unwrap();
         assert_eq!(s.stats().total, 3);
     }
 
     #[test]
     fn replicated_submits_dedup_and_survive_dump_recover() {
         let s = session(3);
-        let batch: Vec<Vec<u32>> = vec![vec![1, 1], vec![2, 0]];
-        let refs: Vec<&[u32]> = batch.iter().map(Vec::as_slice).collect();
-        assert!(s
-            .submit_slices_repl(refs.iter().copied(), true, 7, 1)
-            .unwrap());
-        assert!(
-            !s.submit_slices_repl(refs.iter().copied(), true, 7, 1)
-                .unwrap(),
-            "retry of the same (origin, seq) is skipped"
-        );
-        assert!(s
-            .submit_slices_repl(refs.iter().copied(), true, 7, 2)
-            .unwrap());
-        assert_eq!(s.stats().total, 4, "two applied batches, one skipped");
-
-        // seq routes deterministically: seq 1 -> shard 1, seq 2 -> shard 2.
-        assert_eq!(s.repl_status(7), vec![0, 1, 2]);
-        assert_eq!(s.repl_status(99), vec![0, 0, 0]);
+        let batch = [vec![1, 1], vec![2, 0]];
+        let stamp = |seq| Placement::Replicated { origin: 7, seq };
+        assert!(s.ingest(stamp(1), &batch, true).unwrap().fresh);
+        assert!(s.ingest(stamp(2), &batch, true).unwrap().fresh);
 
         // Watermarks ride through dump/recover, so a forwarder retry
         // after the peer restarts is still rejected.
@@ -1651,12 +1632,8 @@ mod tests {
             s.dump_shards(),
         )
         .unwrap();
-        assert!(!recovered
-            .submit_slices_repl(refs.iter().copied(), true, 7, 2)
-            .unwrap());
-        assert!(recovered
-            .submit_slices_repl(refs.iter().copied(), true, 7, 5)
-            .unwrap());
+        assert!(!recovered.ingest(stamp(2), &batch, true).unwrap().fresh);
+        assert!(recovered.ingest(stamp(5), &batch, true).unwrap().fresh);
         assert_eq!(recovered.stats().total, 6);
     }
 
@@ -1745,8 +1722,8 @@ mod tests {
     fn dump_and_recover_roundtrip_preserves_counts_and_replay() {
         let original = session(2);
         let raw: Vec<Vec<u32>> = (0..500).map(|i| vec![i % 3, i % 2]).collect();
-        original.submit_batch_to_shard(0, &raw, false).unwrap();
-        original.submit_batch_to_shard(1, &raw, false).unwrap();
+        original.ingest(Placement::Shard(0), &raw, false).unwrap();
+        original.ingest(Placement::Shard(1), &raw, false).unwrap();
 
         let recovered = CollectionSession::recover(
             original.id(),
@@ -1761,8 +1738,8 @@ mod tests {
 
         // Continued raw ingest matches an uninterrupted session.
         let more: Vec<Vec<u32>> = (0..300).map(|i| vec![(i + 2) % 3, i % 2]).collect();
-        original.submit_batch_to_shard(0, &more, false).unwrap();
-        recovered.submit_batch_to_shard(0, &more, false).unwrap();
+        original.ingest(Placement::Shard(0), &more, false).unwrap();
+        recovered.ingest(Placement::Shard(0), &more, false).unwrap();
         assert_eq!(recovered.snapshot().counts(), original.snapshot().counts());
         let a = original
             .reconstruct(ReconstructionMethod::ClosedForm, false)
@@ -1778,10 +1755,19 @@ mod tests {
         for m in [
             ReconstructionMethod::ClosedForm,
             ReconstructionMethod::CachedLu,
-            ReconstructionMethod::FreshLu,
         ] {
             assert_eq!(ReconstructionMethod::from_wire(m.wire_name()).unwrap(), m);
         }
-        assert!(ReconstructionMethod::from_wire("qr").is_err());
+        for gone in ["qr", "fresh_lu"] {
+            assert_eq!(
+                ReconstructionMethod::from_wire(gone)
+                    .unwrap_err()
+                    .to_string(),
+                format!(
+                    "invalid request: unknown reconstruction method `{gone}` \
+                     (expected closed|cached_lu)"
+                )
+            );
+        }
     }
 }

@@ -310,23 +310,6 @@ impl Shard {
         self.ingest_perturbed_indices(indices);
     }
 
-    /// Counts a record that the client already perturbed.
-    pub fn ingest_perturbed(&mut self, record: &[u32]) -> Result<()> {
-        let idx = self.acc.schema().encode(record)?;
-        self.ingest_perturbed_indices(&[idx]);
-        Ok(())
-    }
-
-    /// Perturbs a raw record with this shard's RNG, then counts the
-    /// perturbed version — through the same index-domain path as the
-    /// batch API, so both entry points consume the identical draw
-    /// sequence.
-    pub fn ingest_raw(&mut self, record: &[u32], perturber: &dyn Perturber) -> Result<()> {
-        let mut idx = [self.acc.schema().encode(record)?];
-        self.ingest_raw_indices(&mut idx, perturber);
-        Ok(())
-    }
-
     /// Adds this shard's counts into `target`.
     pub fn merge_into(&self, target: &mut CountAccumulator) -> Result<()> {
         target.merge(&self.acc)?;
@@ -343,6 +326,10 @@ mod tests {
         Schema::new(vec![("a", 3), ("b", 2)]).unwrap()
     }
 
+    fn cell(record: &[u32]) -> usize {
+        schema().encode(record).unwrap()
+    }
+
     #[test]
     fn shard_seeds_are_distinct_and_deterministic() {
         let seeds: Vec<u64> = (0..16).map(|i| shard_seed(7, i)).collect();
@@ -356,14 +343,12 @@ mod tests {
     #[test]
     fn perturbed_ingest_counts_exactly() {
         let mut shard = Shard::new(schema(), 0, 0);
-        shard.ingest_perturbed(&[1, 1]).unwrap();
-        shard.ingest_perturbed(&[1, 1]).unwrap();
-        shard.ingest_perturbed(&[2, 0]).unwrap();
-        assert!(shard.ingest_perturbed(&[9, 0]).is_err());
+        shard.ingest_perturbed_indices(&[cell(&[1, 1])]);
+        shard.ingest_perturbed_indices(&[cell(&[1, 1]), cell(&[2, 0])]);
         assert_eq!(shard.ingested(), 3);
         let mut acc = CountAccumulator::new(schema());
         shard.merge_into(&mut acc).unwrap();
-        assert_eq!(acc.counts()[schema().encode(&[1, 1]).unwrap()], 2.0);
+        assert_eq!(acc.counts()[cell(&[1, 1])], 2.0);
         assert_eq!(acc.n(), 3);
     }
 
@@ -377,13 +362,13 @@ mod tests {
         // Uninterrupted reference run.
         let mut reference = Shard::new(s.clone(), 42, 1);
         for r in first.iter().chain(&second) {
-            reference.ingest_raw(r, &gd).unwrap();
+            reference.ingest_raw_indices(&mut [cell(r)], &gd);
         }
 
         // Interrupted run: ingest, "persist", recover, continue.
         let mut before = Shard::new(s.clone(), 42, 1);
         for r in &first {
-            before.ingest_raw(r, &gd).unwrap();
+            before.ingest_raw_indices(&mut [cell(r)], &gd);
         }
         let mut after = Shard::recover_from_state(
             s,
@@ -395,7 +380,7 @@ mod tests {
         )
         .unwrap();
         for r in &second {
-            after.ingest_raw(r, &gd).unwrap();
+            after.ingest_raw_indices(&mut [cell(r)], &gd);
         }
 
         assert_eq!(after.ingested(), reference.ingested());
@@ -421,10 +406,11 @@ mod tests {
         let gd = GammaDiagonal::new(&s, 19.0).unwrap();
         let records: Vec<Vec<u32>> = (0..500).map(|i| vec![i % 3, i % 2]).collect();
 
+        // One batch on the shard against one draw per record offline:
+        // the batch path consumes the identical draw sequence.
         let mut shard = Shard::new(s.clone(), 42, 0);
-        for r in &records {
-            shard.ingest_raw(r, &gd).unwrap();
-        }
+        let mut indices: Vec<usize> = records.iter().map(|r| cell(r)).collect();
+        shard.ingest_raw_indices(&mut indices, &gd);
         let mut via_shard = CountAccumulator::new(s.clone());
         shard.merge_into(&mut via_shard).unwrap();
 
@@ -440,24 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_index_ingest_matches_record_ingest() {
-        let s = schema();
-        let gd = GammaDiagonal::new(&s, 19.0).unwrap();
-        let records: Vec<Vec<u32>> = (0..300).map(|i| vec![i % 3, i % 2]).collect();
-        let mut indices: Vec<usize> = records.iter().map(|r| s.encode(r).unwrap()).collect();
-
-        let mut by_record = Shard::new(s.clone(), 7, 0);
-        for r in &records {
-            by_record.ingest_raw(r, &gd).unwrap();
-        }
-        let mut by_index = Shard::new(s, 7, 0);
-        by_index.ingest_raw_indices(&mut indices, &gd);
-
-        assert_eq!(by_record.counts(), by_index.counts());
-        assert_eq!(by_record.rng_draws(), by_index.rng_draws());
-    }
-
-    #[test]
     fn untracked_shards_never_yield_deltas() {
         // Without a base snapshot there is nothing for a delta to be
         // relative to: a dirty but untracked shard must force the
@@ -465,7 +433,7 @@ mod tests {
         // must not pay the dense delta array at all.
         let mut shard = Shard::new(schema(), 0, 0);
         assert!(!shard.is_delta_tracking());
-        shard.ingest_perturbed(&[1, 1]).unwrap();
+        shard.ingest_perturbed_indices(&[cell(&[1, 1])]);
         assert!(shard.is_dirty());
         assert!(shard.take_delta(0).is_none());
         // Enabling tracking (what a full-snapshot dump does) starts the
@@ -473,7 +441,7 @@ mod tests {
         shard.enable_delta_tracking();
         assert!(shard.is_delta_tracking());
         assert!(!shard.is_dirty());
-        shard.ingest_perturbed(&[0, 0]).unwrap();
+        shard.ingest_perturbed_indices(&[cell(&[0, 0])]);
         let delta = shard.take_delta(0).unwrap();
         assert_eq!(delta.cells, vec![(0, 1)]);
         assert_eq!(delta.ingested, 2, "absolute position, not delta-relative");
@@ -492,7 +460,7 @@ mod tests {
         // The watermark map rides along with every delta so persisted
         // dedup state always matches persisted counts.
         shard.enable_delta_tracking();
-        shard.ingest_perturbed(&[0, 0]).unwrap();
+        shard.ingest_perturbed_indices(&[cell(&[0, 0])]);
         let delta = shard.take_delta(0).unwrap();
         assert_eq!(delta.repl, vec![(3, 2), (9, 1)]);
 
@@ -511,9 +479,9 @@ mod tests {
         assert!(!shard.is_dirty());
         assert!(shard.take_delta(2).is_none());
 
-        shard.ingest_perturbed(&[1, 1]).unwrap();
-        shard.ingest_perturbed(&[1, 1]).unwrap();
-        shard.ingest_perturbed(&[0, 0]).unwrap();
+        shard.ingest_perturbed_indices(&[cell(&[1, 1])]);
+        shard.ingest_perturbed_indices(&[cell(&[1, 1])]);
+        shard.ingest_perturbed_indices(&[cell(&[0, 0])]);
         assert!(shard.is_dirty());
         let delta = shard.take_delta(2).expect("dirty shard yields a delta");
         assert_eq!(delta.shard, 2);
@@ -526,7 +494,7 @@ mod tests {
 
         // Increments since the flush form the next delta; a restored
         // (failed-write) delta merges back in.
-        shard.ingest_perturbed(&[2, 0]).unwrap();
+        shard.ingest_perturbed_indices(&[cell(&[2, 0])]);
         shard.restore_delta(&delta.cells);
         let merged = shard.take_delta(2).unwrap();
         let total: u64 = merged.cells.iter().map(|&(_, c)| c).sum();

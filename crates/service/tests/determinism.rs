@@ -4,7 +4,7 @@
 //! counts of a single-threaded run — independent of thread scheduling.
 
 use frapp_core::Schema;
-use frapp_service::session::{CollectionSession, Mechanism, ReconstructionMethod};
+use frapp_service::session::{CollectionSession, Mechanism, Placement, ReconstructionMethod};
 
 const SHARDS: usize = 4;
 const RECORDS_PER_SHARD: usize = 12_500;
@@ -44,7 +44,9 @@ fn concurrent_ingest_matches_single_threaded_counts() {
             let session = &concurrent;
             scope.spawn(move || {
                 for batch in partition(shard).chunks(997) {
-                    session.submit_batch_to_shard(shard, batch, false).unwrap();
+                    session
+                        .ingest(Placement::Shard(shard), batch, false)
+                        .unwrap();
                 }
             });
         }
@@ -56,7 +58,7 @@ fn concurrent_ingest_matches_single_threaded_counts() {
     for shard in 0..SHARDS {
         for batch in partition(shard).chunks(64) {
             sequential
-                .submit_batch_to_shard(shard, batch, false)
+                .ingest(Placement::Shard(shard), batch, false)
                 .unwrap();
         }
     }
@@ -98,7 +100,9 @@ fn pre_perturbed_ingest_is_order_independent_across_shards() {
     });
 
     let reference = session();
-    reference.submit_batch_to_shard(0, &records, true).unwrap();
+    reference
+        .ingest(Placement::Shard(0), &records, true)
+        .unwrap();
 
     assert_eq!(racing.snapshot().counts(), reference.snapshot().counts());
 }

@@ -8,6 +8,7 @@ use frapp_service::json::{self, Value};
 use frapp_service::session::{Mechanism, ReconstructionMethod};
 use frapp_service::wire::{Counter, Op, OPS};
 use frapp_service::{Server, ServerHandle, ServiceConfig, ServiceError};
+use std::io::Read;
 use std::time::Duration;
 
 const GAMMA: f64 = 19.0;
@@ -535,4 +536,41 @@ fn http_connections_past_the_cap_get_503() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     handle.shutdown().unwrap();
+}
+
+/// What a connection past a one-connection cap received at the parent
+/// commit, on the line listener and on the HTTP listener.
+const SHED_LINE: &str = "{\"ok\":false,\"error\":\"invalid request: server is at its 1-connection capacity; retry later\"}\n";
+const SHED_HTTP: &str = "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: 91\r\nConnection: close\r\n\r\n{\"ok\":false,\"error\":\"invalid request: server is at its 1-connection capacity; retry later\"}";
+
+#[test]
+fn both_listeners_shed_the_parents_bytes_and_stop_on_one_shutdown() {
+    for async_reactor in [false, cfg!(unix)] {
+        let config = ServiceConfig {
+            max_connections: 1,
+            async_reactor,
+            ..ServiceConfig::default()
+        }
+        .with_http_addr("127.0.0.1:0");
+        let handle = Server::bind(config).unwrap().spawn().unwrap();
+        let addrs = [handle.addr(), handle.http_addr().unwrap()];
+        let mut held = Client::connect(handle.addr()).unwrap();
+        held.ping().unwrap();
+        for (addr, expected) in addrs.into_iter().zip([SHED_LINE, SHED_HTTP]) {
+            let mut refusal = String::new();
+            std::net::TcpStream::connect(addr)
+                .unwrap()
+                .read_to_string(&mut refusal)
+                .unwrap();
+            assert_eq!(refusal, expected, "async_reactor: {async_reactor}");
+        }
+
+        // A line-protocol `shutdown` stops the HTTP listener too, so
+        // the handle has only the join left to do.
+        held.shutdown().unwrap();
+        handle.shutdown().unwrap();
+        for addr in addrs {
+            assert!(std::net::TcpStream::connect(addr).is_err(), "{addr}");
+        }
+    }
 }

@@ -4,21 +4,24 @@
 //!    keys and binary framing bytes ([`drift`], both directions, with
 //!    seeded mutations of the real document proving each check bites);
 //! 2. every typed client method puts on the wire the bytes it put there
-//!    before the table existed (recorded at commit `df6d5eb`);
+//!    before the table existed (recorded at commit `df6d5eb`), and
+//!    every submit route answers with the bytes it answered before
+//!    `dispatch::apply_submit` existed (recorded at `53f8c3f`);
 //! 3. the `metrics` response, both clients' parsed reports and the
 //!    Prometheus exposition agree on every counter.
 
 use frapp_service::client::{Client, HttpClient, SessionSpec};
+use frapp_service::dispatch::{dispatch_into, ConnState};
 use frapp_service::framing::encode_json_frame;
 use frapp_service::metrics::{write_prometheus_metrics, PeerHealth, PeerReplCounters};
 use frapp_service::protocol::write_transport_metrics_response;
-use frapp_service::session::{Mechanism, ReconstructionMethod};
+use frapp_service::session::{Mechanism, ReconstructionMethod, SessionRegistry};
 use frapp_service::wire::{
     Counter, PeerCounter, COUNTERS, OPS, PEER_COUNTERS, PEER_SECTION, WIRE_CONSTS,
 };
-use frapp_service::{MineAlgo, MineSpec, Server, ServiceConfig, TransportReport};
+use frapp_service::{MineAlgo, MineSpec, Server, ServiceConfig, TransportMetrics, TransportReport};
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -476,6 +479,136 @@ fn http_client_request_bytes_are_the_parents() {
         })
         .collect();
     assert_eq!(String::from_utf8_lossy(&sent), expected);
+}
+
+// ---- 2b. submit response bytes -------------------------------------------
+
+/// One connection to a single node holding session 1 (`a`:3 × `b`:2,
+/// two shards): `>` what it sent, `<` what the parent commit answered.
+/// A deferred submit draws no answer.
+const SUBMIT_TRANSCRIPT: &str = r#"
+round-robin, through the fast decoder and the general parser
+> {"op":"submit","session":1,"records":[[0,0],[1,1]],"pre_perturbed":true}
+< {"ok":true,"accepted":2,"shard":0}
+> {"op": "submit", "session": 1, "records": [[2,0]], "pre_perturbed": true}
+< {"ok":true,"accepted":1,"shard":1}
+pinned; out of range
+> {"op":"submit","session":1,"records":[[0,1]],"pre_perturbed":true,"shard":1}
+< {"ok":true,"accepted":1,"shard":1}
+> {"op":"submit","session":1,"records":[[0,1]],"pre_perturbed":true,"shard":5}
+< {"ok":false,"error":"invalid request: shard 5 out of range (session has 2)"}
+replicated: fresh, duplicate, a stamp beside a shard hint, half a stamp
+> {"op":"submit","session":1,"records":[[1,0],[1,1]],"pre_perturbed":true,"origin":3,"seq":5}
+< {"ok":true,"accepted":2,"shard":1}
+> {"op":"submit","session":1,"records":[[1,0],[1,1]],"pre_perturbed":true,"origin":3,"seq":5}
+< {"ok":true,"accepted":2,"shard":1,"duplicate":true}
+> {"op":"submit","session":1,"records":[[2,1]],"pre_perturbed":true,"shard":1,"origin":3,"seq":6}
+< {"ok":true,"accepted":1,"shard":0}
+> {"op":"submit","session":1,"records":[[2,1]],"origin":3}
+< {"ok":false,"error":"invalid request: forwarded submits must carry both `origin` and `seq`"}
+a mid-batch failure; an unknown session
+> {"op":"submit","session":1,"records":[[0,0],[9,9],[1,1]],"pre_perturbed":true}
+< {"ok":false,"error":"batch rejected after 1 records were counted (retry only the remainder): frapp error: invalid record: attribute 0 (`a`) value 9 out of domain 0..3","accepted":1}
+> {"op":"submit","session":404,"records":[[0,0]],"pre_perturbed":true}
+< {"ok":false,"error":"unknown session 404"}
+three deferred submits of which the second fails, then flush
+> {"op":"submit","session":1,"records":[[0,0],[1,1]],"pre_perturbed":true,"ack":"deferred"}
+> {"op":"submit","session":1,"records":[[2,0],[9,9]],"pre_perturbed":true,"shard":0,"ack":"deferred"}
+> {"op":"submit","session":1,"records":[[2,1]],"pre_perturbed":true,"ack":"deferred"}
+> {"op":"flush"}
+< {"ok":false,"error":"batch rejected after 1 records were counted (retry only the remainder): frapp error: invalid record: attribute 0 (`a`) value 9 out of domain 0..3","accepted":3,"batches":3}
+deferred state riding on later synchronous replies
+> {"op":"submit","session":1,"records":[[0,0]],"pre_perturbed":true,"ack":"deferred","origin":3,"seq":7}
+> {"op":"stats","session":1}
+< {"ok":true,"total":12,"per_shard":[5,7],"deferred_accepted":1}
+> {"op":"submit","session":1,"records":[[0,0]],"pre_perturbed":true,"shard":9,"ack":"deferred"}
+> {"op":"stats","session":1}
+< {"ok":true,"total":12,"per_shard":[5,7],"deferred_accepted":0,"deferred_error":"invalid request: shard 9 out of range (session has 2)"}
+> {"op":"flush"}
+< {"ok":true,"accepted":0,"batches":0}
+"#;
+
+#[test]
+fn submit_response_bytes_are_the_parents() {
+    let registry = SessionRegistry::new();
+    let config = ServiceConfig::default();
+    let transport = TransportMetrics::new();
+    let mut state = ConnState::new();
+    let mut send = |line: &str| {
+        let mut out = String::new();
+        dispatch_into(
+            &registry, &config, &transport, None, None, &mut state, line, &mut out,
+        );
+        out
+    };
+    send(r#"{"op":"create_session","schema":[["a",3],["b",2]],"gamma":19,"shards":2,"seed":7}"#);
+    let mut lines = SUBMIT_TRANSCRIPT.lines().peekable();
+    while let Some(line) = lines.next() {
+        if let Some(request) = line.strip_prefix("> ") {
+            let expected = lines.next_if(|next| next.starts_with("< "));
+            let expected = expected.map_or("", |answer| &answer[2..]);
+            assert_eq!(send(request), expected, "{request}");
+        }
+    }
+}
+
+/// What node 0 of a two-node cluster (both nodes own every session)
+/// answered at the parent commit: a create, three synchronous submits
+/// (sequence numbers 1–3), a `flush` after two deferred ones, a `stats`.
+/// The ring hashes peer addresses, so which node owns the odd sequence
+/// numbers varies with the ports: the parent gave either answer.
+const FEDERATED_ANSWERS: [&str; 2] = [
+    r#"{"ok":true,"session":2,"shards":2,"gamma":19,"domain_size":6}
+{"ok":true,"accepted":2,"peer":1}
+{"ok":true,"accepted":2,"shard":0}
+{"ok":true,"accepted":2,"peer":1}
+{"ok":true,"accepted":2,"batches":2}
+{"ok":true,"total":8,"per_shard":[3,5]}
+"#,
+    r#"{"ok":true,"session":2,"shards":2,"gamma":19,"domain_size":6}
+{"ok":true,"accepted":2,"shard":1}
+{"ok":true,"accepted":2,"peer":1}
+{"ok":true,"accepted":2,"shard":1}
+{"ok":true,"accepted":2,"batches":2}
+{"ok":true,"total":8,"per_shard":[3,5]}
+"#,
+];
+
+#[test]
+fn federated_submit_response_bytes_are_the_parents() {
+    let listeners = [(); 2].map(|_| TcpListener::bind("127.0.0.1:0").unwrap());
+    let peers: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    drop(listeners);
+    let handles: Vec<_> = (0..2)
+        .map(|node| {
+            let config =
+                ServiceConfig::with_addr(peers[node].clone()).with_peers(peers.clone(), node, 2);
+            Server::bind(config).unwrap().spawn().unwrap()
+        })
+        .collect();
+    // One pipelined burst; a connection is answered in order.
+    let submit = r#"{"op":"submit","session":2,"records":[[0,0],[1,1]],"pre_perturbed":true}"#;
+    let deferred = r#"{"op":"submit","session":2,"records":[[2,0]],"pre_perturbed":true,"shard":1,"ack":"deferred"}"#;
+    let burst = format!(
+        "{}\n{submit}\n{submit}\n{submit}\n{deferred}\n{deferred}\n{}\n{}\n",
+        r#"{"op":"create_session","schema":[["a",3],["b",2]],"gamma":19,"shards":2,"seed":7}"#,
+        r#"{"op":"flush"}"#,
+        r#"{"op":"stats","session":2}"#,
+    );
+    let mut node0 = TcpStream::connect(handles[0].addr()).unwrap();
+    node0.write_all(burst.as_bytes()).unwrap();
+    let answers: String = BufReader::new(&node0)
+        .lines()
+        .take(6)
+        .map(|line| line.unwrap() + "\n")
+        .collect();
+    assert!(FEDERATED_ANSWERS.contains(&answers.as_str()), "{answers}");
+    for handle in handles {
+        handle.shutdown().unwrap();
+    }
 }
 
 // ---- 3. counters ---------------------------------------------------------
