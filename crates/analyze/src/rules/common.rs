@@ -95,7 +95,7 @@ pub fn blocking_primitive(call: &Call) -> Option<&'static str> {
         "recv" | "recv_timeout" if call.is_method => Some("blocking channel recv"),
         "wait" | "wait_timeout" if call.is_method => Some("condvar wait"),
         "connect" | "connect_timeout" | "connect_with_timeouts" => Some("socket connect"),
-        "request" | "send_raw_nowait" if call.is_method => {
+        "request" | "request_frame" | "send_frame_nowait" if call.is_method => {
             Some("synchronous client socket round trip")
         }
         "write_all" | "read_exact" | "read_line" | "read_until" | "flush" if call.is_method => {

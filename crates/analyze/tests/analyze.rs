@@ -71,10 +71,14 @@ fn lock_clean_fixture_passes_and_derives_the_order() {
 #[test]
 fn lock_held_across_blocking_call_is_flagged_and_drop_releases() {
     let a = run_fixture("lock_blocking");
-    assert_eq!(a.findings.len(), 1, "{}", a.to_text());
-    let f = &a.findings[0];
-    assert_eq!((f.rule, f.function.as_str()), ("lock_order", "drain"));
-    assert!(f.message.contains("held across blocking"), "{}", f.message);
+    assert_eq!(a.findings.len(), 2, "{}", a.to_text());
+    let mut flagged: Vec<&str> = a.findings.iter().map(|f| f.function.as_str()).collect();
+    flagged.sort_unstable();
+    assert_eq!(flagged, ["drain", "forward"]);
+    for f in &a.findings {
+        assert_eq!(f.rule, "lock_order");
+        assert!(f.message.contains("held across blocking"), "{}", f.message);
+    }
 }
 
 #[test]

@@ -97,9 +97,9 @@ impl SessionSpec {
 /// into a string buffer. This is the client-side ingest hot path:
 /// going through a [`Value`] tree would cost an allocation per record
 /// plus a serialize pass, the dominant per-batch client cost once acks
-/// are pipelined. One serializer for both framings and the federation
-/// forwarder also keeps the emitted bytes canonical, which the
-/// server's fast submit-line decoder relies on.
+/// are pipelined. One serializer for both transports also keeps the
+/// emitted bytes canonical, which the server's fast submit-line decoder
+/// relies on.
 pub(crate) fn write_submit_fields<R: AsRef<[u32]>>(
     out: &mut String,
     records: impl Iterator<Item = R>,
@@ -838,24 +838,21 @@ impl Client {
             });
         }
         let opcode = byte[0];
-        let mut len: u64 = 0;
-        let mut shift = 0u32;
-        loop {
+        let mut header = Vec::new();
+        let len = loop {
             self.reader.read_exact(&mut byte)?;
-            let bits = u64::from(byte[0] & 0x7f);
-            if shift >= 64 || (shift == 63 && bits > 1) {
-                return Err(ServiceError::Protocol(
-                    "response frame length varint overflows 64 bits".into(),
-                ));
+            header.push(byte[0]);
+            if let Some((len, _)) = framing::read_varint(&header)? {
+                break len;
             }
-            len |= bits << shift;
-            if byte[0] & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
+        };
+        // The length is the sender's claim: memory grows only with the
+        // bytes that actually arrive.
+        let mut payload = Vec::new();
+        (&mut self.reader).take(len).read_to_end(&mut payload)?;
+        if (payload.len() as u64) < len {
+            return Err(ServiceError::ConnectionClosed);
         }
-        let mut payload = vec![0u8; len as usize];
-        self.reader.read_exact(&mut payload)?;
         Ok((opcode, payload))
     }
 
@@ -873,21 +870,21 @@ impl Client {
         check_ok(json::parse(text.trim())?)
     }
 
-    /// Queues one pre-built request line without waiting for (or
-    /// reading) any response — the raw pipelining primitive the
-    /// federation forwarder uses for deferred-ack replication lines.
-    /// The line is buffered; any synchronous [`Client::request`]
-    /// flushes it in order.
-    pub fn send_raw_nowait(&mut self, line: &str) -> Result<()> {
-        if self.framing == WireFraming::Binary {
-            let mut frame = Vec::with_capacity(line.len() + 8);
-            framing::encode_json_frame(&mut frame, line);
-            self.writer.write_all(&frame)?;
-            return Ok(());
-        }
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+    /// Queues one complete pre-encoded binary frame without waiting for
+    /// (or reading) any response — the pipelining primitive the
+    /// federation forwarder sends deferred replication frames with. The
+    /// frame is buffered; any synchronous request flushes it in order.
+    /// Only meaningful after [`Client::negotiate_binary`].
+    pub fn send_frame_nowait(&mut self, frame: &[u8]) -> Result<()> {
+        Ok(self.writer.write_all(frame)?)
+    }
+
+    /// Sends one complete pre-encoded binary frame and returns the
+    /// parsed successful response object, as [`Client::request`] does
+    /// for a line.
+    pub fn request_frame(&mut self, frame: &[u8]) -> Result<Value> {
+        self.send_frame_nowait(frame)?;
+        self.read_response()
     }
 
     /// Sends one raw request line and returns the parsed successful
@@ -895,7 +892,13 @@ impl Client {
     /// On a binary connection the line tunnels through an `OP_JSON`
     /// frame with the same body.
     pub fn request(&mut self, line: &str) -> Result<Value> {
-        self.send_raw_nowait(line)?;
+        if self.framing == WireFraming::Binary {
+            let mut frame = Vec::with_capacity(line.len() + 8);
+            framing::encode_json_frame(&mut frame, line);
+            return self.request_frame(&frame);
+        }
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
         self.read_response()
     }
 

@@ -112,9 +112,9 @@ pub fn dispatch(registry: &SessionRegistry, config: &ServiceConfig, line: &str) 
 /// (appended — the connection loop clears and reuses one buffer per
 /// connection), against per-connection pipelining state. `fed` is the
 /// node's federation layer when it has peers: client-facing ops route
-/// through it, while forwarded ops (those carrying `origin`/`seq` or
-/// an explicit session id) always apply locally so replication never
-/// cascades.
+/// through it, while forwarded ops (stamped binary submits, creates
+/// with an explicit session id) always apply locally so replication
+/// never cascades.
 #[allow(clippy::too_many_arguments)] // the shared server context reads better flat than bundled
 pub fn dispatch_into(
     registry: &SessionRegistry,

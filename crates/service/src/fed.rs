@@ -19,10 +19,11 @@
 //!   point on the ring. The coordinator stamps each batch with a
 //!   per-session sequence number and routes it to
 //!   `owners[seq % replication]`; non-owner copies of the session stay
-//!   empty. Forwarded batches carry `origin` (the coordinator's node
-//!   index) and `seq`, and the receiving shard claims the pair under
-//!   the same lock as the ingest — retries after a dropped link or a
-//!   peer restart can never double-count.
+//!   empty. A forwarded batch is one binary `OP_SUBMIT` frame stamped
+//!   with `origin` (the coordinator's node index) and `seq`, and the
+//!   receiving shard claims the pair under the same lock as the
+//!   ingest — retries after a dropped link or a peer restart can never
+//!   double-count.
 //! * **Queries fan out and merge.** `reconstruct`/`stats` barrier the
 //!   replication links (so every acknowledged record is visible), pull
 //!   each owner's local partition (`sync_session`), fold them with
@@ -33,28 +34,31 @@
 //! # Anti-entropy
 //!
 //! Each peer link is a background forwarder thread owning one
-//! [`Client`]. Deferred batches pipeline through it with no round
-//! trip; a *barrier* flushes the link and confirms the peer's
-//! watermark. When a link drops (peer crash/restart), the forwarder
-//! reconnects, replays its session creates (`already exists` is fine),
-//! asks the peer for its per-shard replication watermarks
-//! (`repl_status`) and resends exactly the batches past them — the
-//! push-based anti-entropy that, combined with the receiver-side
-//! claim, turns at-least-once delivery into exactly-once counting.
-//! The forwarder keeps each session's forwarded-batch history in
-//! memory for this purpose, truncated below the peer's *durable*
-//! (persisted) watermark: `repl_status` reports both the live marks
-//! and the marks last captured by a successful snapshot or delta
-//! append, and batches at or below the durable mark can never be
-//! needed again — a peer restart recovers them from its own disk.
-//! History above the durable mark is retained so a crash between
-//! persists stays replayable; link memory is therefore bounded by the
-//! peer's persistence cadence, not by total ingest volume.
+//! [`Client`], upgraded to the binary framing on every connect. Stamped
+//! `OP_SUBMIT` frames pipeline through it with no round trip; every
+//! other peer request is its JSON line tunnelled through `OP_JSON`. A
+//! *barrier* flushes the link and confirms the peer's watermark. When
+//! a link drops (peer crash/restart), the forwarder reconnects,
+//! replays its session creates (`already exists` is fine), asks the
+//! peer for its per-shard replication watermarks (`repl_status`) and
+//! resends exactly the frames past them — the push-based anti-entropy
+//! that, combined with the receiver-side claim, turns at-least-once
+//! delivery into exactly-once counting. The forwarder keeps each
+//! session's forwarded frames in memory for this purpose, truncated
+//! below the peer's *durable* (persisted) watermark: `repl_status`
+//! reports both the live marks and the marks last captured by a
+//! successful snapshot or delta append, and batches at or below the
+//! durable mark can never be needed again — a peer restart recovers
+//! them from its own disk. History above the durable mark is retained
+//! so a crash between persists stays replayable; link memory is
+//! therefore bounded by the peer's persistence cadence, not by total
+//! ingest volume.
 
-use crate::client::{request_line, write_submit_fields, Client, SessionSpec};
+use crate::client::{request_line, Client, SessionSpec};
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
+use crate::framing::{encode_json_frame, encode_submit_payload};
 use crate::json::{object, Value};
 use crate::metrics::{PeerHealth, PeerReplCounters, PeerReplReport};
 use crate::protocol::{PartialCoverage, RecordBatch};
@@ -371,35 +375,37 @@ impl FedState {
             .get((seq % owners.len().max(1) as u64) as usize)
             .ok_or_else(|| ServiceError::Protocol("session has no replication owners".into()))?;
         let accepted = records.len() as u64;
+        let stamp = Placement::Replicated {
+            origin: self.self_id(),
+            seq,
+        };
         if owner == self.topology.self_id() {
             // Locally applied batches go through the same claim path
             // as forwarded ones, so this node's own partition dedups
             // identically across restarts.
-            let stamp = Placement::Replicated {
-                origin: self.self_id(),
-                seq,
-            };
             let shard = sess.ingest(stamp, records.iter(), pre_perturbed)?.shard;
             return Ok(Routed::Local { shard });
         }
-        let line = forwarded_line(
+        let mut frame = Vec::new();
+        encode_submit_payload(
+            &mut frame,
             session,
-            records,
+            records.iter(),
             pre_perturbed,
+            stamp,
             deferred,
-            self.self_id(),
-            seq,
+            false,
         );
         let link = self.link(owner)?;
         if deferred {
-            link.forward(session, seq, accepted, line);
+            link.forward(session, seq, accepted, frame);
         } else {
             let counters = self.counters.get(owner).ok_or_else(|| {
                 ServiceError::Protocol(format!("no replication counters for peer {owner}"))
             })?;
             counters.add(PeerCounter::ForwardedBatches, 1);
             counters.add(PeerCounter::ForwardedRecords, accepted);
-            link.sync(&line)?;
+            link.request(frame)?;
             counters.add(PeerCounter::AckedRecords, accepted);
         }
         Ok(Routed::Forwarded { peer: owner })
@@ -686,27 +692,6 @@ fn create_line(
     request_line(Op::CreateSession, None, fields)
 }
 
-/// Builds a forwarded submit line in the canonical field order the
-/// receiving peer's zero-allocation fast-path decoder accepts.
-fn forwarded_line(
-    session: u64,
-    records: &RecordBatch,
-    pre_perturbed: bool,
-    deferred: bool,
-    origin: u64,
-    seq: u64,
-) -> String {
-    use std::fmt::Write as _;
-    let mut line = String::with_capacity(96 + records.len() * 12);
-    let _ = write!(line, "{{\"op\":\"submit\",\"session\":{session},");
-    write_submit_fields(&mut line, records.iter(), pre_perturbed, None);
-    if deferred {
-        line.push_str(",\"ack\":\"deferred\"");
-    }
-    let _ = write!(line, ",\"origin\":{origin},\"seq\":{seq}}}");
-    line
-}
-
 fn parse_marks(v: &Value) -> Result<Vec<u64>> {
     v.get("marks")
         .and_then(Value::as_array)
@@ -828,16 +813,16 @@ enum LinkCmd {
         line: String,
         resp: mpsc::Sender<()>,
     },
-    /// Pipeline one deferred forwarded batch (no round trip).
+    /// Pipeline one deferred forwarded frame (no round trip).
     Forward {
         session: u64,
         seq: u64,
         records: u64,
-        line: String,
+        frame: Vec<u8>,
     },
-    /// One synchronous request/response over the link.
+    /// One synchronous request/response frame over the link.
     Sync {
-        line: String,
+        frame: Vec<u8>,
         resp: mpsc::Sender<Result<Value>>,
     },
     /// Flush and confirm every queued forward.
@@ -934,12 +919,12 @@ impl PeerLink {
         rx
     }
 
-    fn forward(&self, session: u64, seq: u64, records: u64, line: String) {
+    fn forward(&self, session: u64, seq: u64, records: u64, frame: Vec<u8>) {
         let _ = self.tx.send(LinkCmd::Forward {
             session,
             seq,
             records,
-            line,
+            frame,
         });
     }
 
@@ -947,13 +932,18 @@ impl PeerLink {
         let _ = self.tx.send(LinkCmd::Forget { session });
     }
 
+    /// One JSON request line, tunnelled through `OP_JSON`.
     fn sync(&self, line: &str) -> Result<Value> {
+        let mut frame = Vec::with_capacity(line.len() + 8);
+        encode_json_frame(&mut frame, line);
+        self.request(frame)
+    }
+
+    /// One request frame and its response.
+    fn request(&self, frame: Vec<u8>) -> Result<Value> {
         let (resp, rx) = mpsc::channel();
         self.tx
-            .send(LinkCmd::Sync {
-                line: line.to_owned(),
-                resp,
-            })
+            .send(LinkCmd::Sync { frame, resp })
             .map_err(|_| ServiceError::ConnectionClosed)?;
         recv_link(rx)?
     }
@@ -984,17 +974,17 @@ impl Drop for PeerLink {
 
 struct LinkWorker {
     addr: String,
-    /// The coordinator's node id — the `origin` every forwarded line
+    /// The coordinator's node id — the `origin` every forwarded frame
     /// carries, and the key for the peer's `repl_status` watermarks.
     origin: u64,
-    /// Invariant: `Some` implies connected *and* resynced (creates
-    /// replayed, watermark gaps resent).
+    /// Invariant: `Some` implies connected, binary-negotiated *and*
+    /// resynced (creates replayed, watermark gaps resent).
     client: Option<Client>,
     /// Session create lines, replayed first on every reconnect.
     creates: HashMap<u64, String>,
-    /// Forwarded-batch history per session: `(seq, records, line)` in
+    /// Forwarded-batch history per session: `(seq, records, frame)` in
     /// seq order. The resync source of truth.
-    history: HashMap<u64, Vec<(u64, u64, String)>>,
+    history: HashMap<u64, Vec<(u64, u64, Vec<u8>)>>,
     /// Records pipelined since the last confirmed flush.
     outstanding: u64,
     /// Records queued (or send-failed) while disconnected, awaiting
@@ -1056,13 +1046,13 @@ impl LinkWorker {
                     session,
                     seq,
                     records,
-                    line,
+                    frame,
                 }) => {
                     self.counters.add(PeerCounter::ForwardedBatches, 1);
                     self.counters.add(PeerCounter::ForwardedRecords, records);
                     let sent = !self.peer_send_fault()
                         && match self.client.as_mut() {
-                            Some(client) => client.send_raw_nowait(&line).is_ok(),
+                            Some(client) => client.send_frame_nowait(&frame).is_ok(),
                             None => false,
                         };
                     if sent {
@@ -1076,12 +1066,12 @@ impl LinkWorker {
                     self.history
                         .entry(session)
                         .or_default()
-                        .push((seq, records, line));
+                        .push((seq, records, frame));
                     self.maybe_truncate(session);
                     self.publish_history_gauge();
                 }
-                Ok(LinkCmd::Sync { line, resp }) => {
-                    let result = self.sync_request(&line);
+                Ok(LinkCmd::Sync { frame, resp }) => {
+                    let result = self.sync_request(&frame);
                     let _ = resp.send(result);
                 }
                 Ok(LinkCmd::Barrier { resp }) => {
@@ -1170,9 +1160,10 @@ impl LinkWorker {
     }
 
     /// Connects (with up to `attempts` tries and jittered exponential
-    /// backoff) and resyncs, upholding the `client.is_some() =>
-    /// resynced` invariant. Fails fast while the circuit breaker is
-    /// open; stops retrying the moment a failure opens it.
+    /// backoff), negotiates the binary framing and resyncs, upholding
+    /// the `client.is_some() => resynced` invariant. Fails fast while
+    /// the circuit breaker is open; stops retrying the moment a failure
+    /// opens it.
     fn ensure_connected(&mut self, attempts: u32) -> Result<()> {
         if self.client.is_some() {
             return Ok(());
@@ -1199,9 +1190,10 @@ impl LinkWorker {
                     Some(self.tuning.read_timeout),
                     self.tuning.write_timeout,
                 ) {
-                    Ok(client) => {
+                    Ok(mut client) => {
+                        let negotiated = client.negotiate_binary();
                         self.client = Some(client);
-                        match self.resync() {
+                        match negotiated.and_then(|()| self.resync()) {
                             Ok(()) => {
                                 self.record_link_success();
                                 return Ok(());
@@ -1241,16 +1233,13 @@ impl LinkWorker {
         let sessions: Vec<u64> = self.history.keys().copied().collect();
         for session in sessions {
             let marks = self.fetch_marks(session)?;
-            let batches = self.history.get(&session).cloned().unwrap_or_default();
-            for (seq, records, line) in batches {
-                if mark_covers(&marks.applied, seq) {
+            let client = self.client.as_mut().ok_or_else(|| peer_down(&self.addr))?;
+            for (seq, records, frame) in self.history.get(&session).into_iter().flatten() {
+                if mark_covers(&marks.applied, *seq) {
                     continue;
                 }
                 self.counters.add(PeerCounter::Retries, 1);
-                self.client
-                    .as_mut()
-                    .ok_or_else(|| peer_down(&self.addr))?
-                    .send_raw_nowait(&line)?;
+                client.send_frame_nowait(frame)?;
                 self.outstanding += records;
             }
             self.truncate_history(session, &marks.durable);
@@ -1361,11 +1350,11 @@ impl LinkWorker {
         Ok(())
     }
 
-    fn sync_request(&mut self, line: &str) -> Result<Value> {
+    fn sync_request(&mut self, frame: &[u8]) -> Result<Value> {
         for _ in 0..2 {
             self.ensure_connected(CONNECT_ATTEMPTS)?;
             let client = self.client.as_mut().ok_or_else(|| peer_down(&self.addr))?;
-            match client.request(line) {
+            match client.request_frame(frame) {
                 Ok(v) => {
                     self.consume_watermark(&v);
                     self.record_link_success();
@@ -1421,33 +1410,6 @@ impl LinkWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn forwarded_lines_match_the_fast_path_grammar() {
-        let batch = RecordBatch::from_rows(&[vec![0, 1], vec![2, 0]]);
-        let deferred = forwarded_line(7, &batch, true, true, 2, 9);
-        assert_eq!(
-            deferred,
-            r#"{"op":"submit","session":7,"records":[[0,1],[2,0]],"pre_perturbed":true,"ack":"deferred","origin":2,"seq":9}"#
-        );
-        let sync = forwarded_line(7, &batch, false, false, 0, 1);
-        assert_eq!(
-            sync,
-            r#"{"op":"submit","session":7,"records":[[0,1],[2,0]],"pre_perturbed":false,"origin":0,"seq":1}"#
-        );
-        // Both shapes must decode on the receiving peer's zero-alloc
-        // fast path (field order matters there).
-        for line in [&deferred, &sync] {
-            let req = crate::protocol::parse_submit_line_fast(line)
-                .expect("forwarded line must hit the fast path");
-            match req {
-                crate::protocol::Request::Submit(submit) => {
-                    assert!(matches!(submit.placement, Placement::Replicated { .. }));
-                }
-                other => panic!("unexpected request {other:?}"),
-            }
-        }
-    }
 
     #[test]
     fn create_lines_resolve_every_default() {

@@ -8,19 +8,20 @@
 //! ## Federation fields
 //!
 //! When the server runs federated (`--peers`), peers talk the same
-//! protocol with three extra fields. `create_session` accepts an
+//! protocol with two extra fields. `create_session` accepts an
 //! explicit `"session":N` (the coordinator's cluster-unique id, so
-//! every node registers the same session under the same id). `submit`
-//! accepts `"origin":N,"seq":N` on forwarded batches — the sending
-//! node's index and its per-session forwarding sequence number, which
-//! the receiving shard uses for exactly-once dedup across retries.
-//! `close_session` accepts `"local":true` to close only on the
-//! receiving node (the fan-out form; without it a federated server
-//! closes cluster-wide). `sync_session` returns a node's local merged
-//! partition counts; `repl_status` returns its per-shard replication
-//! watermarks for an origin; `cluster_status` describes the topology
-//! and per-peer link health. Standalone servers reject none of these
-//! fields but treat every session as locally owned.
+//! every node registers the same session under the same id). Forwarded
+//! batches are not JSON at all: they travel as binary `OP_SUBMIT`
+//! frames stamped with the sending node's index and its per-session
+//! sequence number ([`crate::framing`]), and a JSON `submit` carrying
+//! `origin` or `seq` is refused. `close_session` accepts
+//! `"local":true` to close only on the receiving node (the fan-out
+//! form; without it a federated server closes cluster-wide).
+//! `sync_session` returns a node's local merged partition counts;
+//! `repl_status` returns its per-shard replication watermarks for an
+//! origin; `cluster_status` describes the topology and per-peer link
+//! health. Standalone servers reject none of these fields but treat
+//! every session as locally owned.
 //!
 //! Responses always carry `"ok"`: `{"ok":true, ...}` on success,
 //! `{"ok":false,"error":"..."}` on failure. The error never tears down
@@ -140,7 +141,7 @@ impl RecordBatch {
     }
 
     /// Iterates the records as slices.
-    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> {
         self.offsets
             .iter()
             .zip(self.offsets.iter().skip(1))
@@ -196,7 +197,8 @@ pub struct Submit {
     /// Whether the records were already perturbed client-side.
     pub pre_perturbed: bool,
     /// Where the batch lands: pinned by a `shard` hint, stamped
-    /// `origin`/`seq` by a forwarding federation node, or neither.
+    /// `origin`/`seq` by a forwarding federation node (binary frames
+    /// only), or neither.
     pub placement: Placement,
     /// `"ack":"deferred"` — do not answer this submit; accumulate
     /// its accepted count into the connection's watermark instead
@@ -204,15 +206,9 @@ pub struct Submit {
     pub deferred: bool,
 }
 
-/// The placement a submit's optional `shard` hint and optional
-/// `(origin, seq)` stamp ask for. A stamp wins over a hint: the
-/// forwarder's retry must land where its first delivery did.
-pub(crate) fn placement(shard: Option<usize>, stamp: Option<(u64, u64)>) -> Placement {
-    match (stamp, shard) {
-        (Some((origin, seq)), _) => Placement::Replicated { origin, seq },
-        (None, Some(index)) => Placement::Shard(index),
-        (None, None) => Placement::RoundRobin,
-    }
+/// The placement a submit's optional `shard` hint asks for.
+pub(crate) fn placement(shard: Option<usize>) -> Placement {
+    shard.map_or(Placement::RoundRobin, Placement::Shard)
 }
 
 /// A parsed client request.
@@ -516,15 +512,16 @@ fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request
                 .into(),
         ));
     }
-    let stamp = match (optional_u64(v, "origin")?, optional_u64(v, "seq")?) {
-        (Some(origin), Some(seq)) => Some((origin, seq)),
-        (None, None) => None,
-        _ => {
-            return Err(ServiceError::InvalidRequest(
-                "forwarded submits must carry both `origin` and `seq`".into(),
-            ))
-        }
-    };
+    // Replication stamps travel only in binary frames; a JSON body that
+    // carried one could raise a shard's dedup mark above the real
+    // forwards, which would then be acked as duplicates and never count.
+    if v.get("origin").is_some() || v.get("seq").is_some() {
+        return Err(ServiceError::InvalidRequest(
+            "`origin` and `seq` are not submit fields; replicated batches travel \
+             only as stamped binary OP_SUBMIT frames"
+                .into(),
+        ));
+    }
     let records = parse_records(v)?;
     let pre_perturbed = optional_bool(v, "pre_perturbed", false)?;
     let shard = match v.get("shard") {
@@ -537,7 +534,7 @@ fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request
         session,
         records,
         pre_perturbed,
-        placement: placement(shard, stamp),
+        placement: placement(shard),
         deferred,
     }))
 }
@@ -643,18 +640,6 @@ pub fn parse_submit_line_fast(line: &str) -> Option<Request> {
         eat(b, &mut p, br#","ack":"sync""#);
         false
     };
-    // Forwarded federation batches append `,"origin":N,"seq":N` —
-    // canonical for the inter-node forwarder, which pipelines through
-    // this same fast path on the receiving peer.
-    let stamp = if eat(b, &mut p, br#","origin":"#) {
-        let origin = int(b, &mut p)?;
-        if !eat(b, &mut p, br#","seq":"#) {
-            return None;
-        }
-        Some((origin, int(b, &mut p)?))
-    } else {
-        None
-    };
     if !eat(b, &mut p, b"}") || p != b.len() {
         return None;
     }
@@ -662,7 +647,7 @@ pub fn parse_submit_line_fast(line: &str) -> Option<Request> {
         session,
         records,
         pre_perturbed,
-        placement: placement(shard, stamp),
+        placement: placement(shard),
         deferred,
     }))
 }
@@ -1233,22 +1218,23 @@ mod tests {
     }
 
     #[test]
-    fn parses_federation_ops_and_forwarded_submits() {
-        let req =
-            parse_request(r#"{"op":"submit","session":3,"records":[[0,1]],"origin":2,"seq":17}"#)
-                .unwrap();
-        assert!(matches!(
-            req,
-            Request::Submit(Submit {
-                placement: Placement::Replicated { origin: 2, seq: 17 },
-                ..
-            })
-        ));
-        // origin and seq travel together or not at all.
-        assert!(
-            parse_request(r#"{"op":"submit","session":3,"records":[[0]],"origin":2}"#).is_err()
-        );
-        assert!(parse_request(r#"{"op":"submit","session":3,"records":[[0]],"seq":5}"#).is_err());
+    fn parses_federation_ops_and_refuses_json_stamps() {
+        // Stamps are binary-only: a JSON submit carrying either half of
+        // one is refused with the one error text, whatever else it says.
+        for tail in [
+            r#","origin":2,"seq":17"#,
+            r#","origin":2"#,
+            r#","seq":5"#,
+            r#","seq":null"#,
+        ] {
+            let line = format!(r#"{{"op":"submit","session":3,"records":[[0,1]]{tail}}}"#);
+            assert_eq!(
+                parse_request(&line).unwrap_err().to_string(),
+                "invalid request: `origin` and `seq` are not submit fields; replicated \
+                 batches travel only as stamped binary OP_SUBMIT frames",
+                "{line}"
+            );
+        }
 
         assert_eq!(
             parse_request(r#"{"op":"cluster_status"}"#).unwrap(),
@@ -1396,15 +1382,11 @@ mod tests {
             r#"{"op":"submit","session":3,"records":[[1,2,3]],"pre_perturbed":false,"ack":"deferred"}"#,
             r#"{"op":"submit","session":3,"records":[[1]],"pre_perturbed":false,"ack":"sync"}"#,
             r#"{"op":"submit","session":9,"records":[[4294967295]],"pre_perturbed":true,"shard":0,"ack":"deferred"}"#,
-            r#"{"op":"submit","session":3,"records":[[0,1]],"pre_perturbed":true,"ack":"deferred","origin":2,"seq":9}"#,
-            r#"{"op":"submit","session":3,"records":[[0,1]],"pre_perturbed":true,"origin":0,"seq":1}"#,
-            r#"{"op":"submit","session":3,"records":[[0,1]],"pre_perturbed":false,"shard":1,"ack":"deferred","origin":4,"seq":6}"#,
         ] {
             let fast = parse_submit_line_fast(line)
                 .unwrap_or_else(|| panic!("fast path must accept {line}"));
             assert_eq!(fast, parse_request(line).unwrap(), "line: {line}");
         }
-        // Pinned, stamped, and a stamp beside a hint: the stamp wins.
         let placed = |tail: &str| {
             let line =
                 format!(r#"{{"op":"submit","session":3,"records":[],"pre_perturbed":true{tail}}}"#);
@@ -1413,11 +1395,8 @@ mod tests {
                 other => panic!("{line} decoded to {other:?}"),
             }
         };
-        let stamped = Placement::Replicated { origin: 4, seq: 6 };
         assert_eq!(placed(""), Placement::RoundRobin);
         assert_eq!(placed(r#","shard":2"#), Placement::Shard(2));
-        assert_eq!(placed(r#","origin":4,"seq":6"#), stamped);
-        assert_eq!(placed(r#","shard":2,"origin":4,"seq":6"#), stamped);
     }
 
     #[test]
@@ -1435,6 +1414,8 @@ mod tests {
             r#"{"op":"stats","session":3}"#,
             r#"{"op":"submit","session":3,"records":[[0]],"pre_perturbed":true,"ack":"maybe"}"#,
             r#"{"op":"submit","session":3,"records":[[0]]}"#,
+            // A replication stamp, which the general parser refuses.
+            r#"{"op":"submit","session":3,"records":[[0]],"pre_perturbed":true,"origin":0,"seq":1}"#,
         ] {
             assert!(
                 parse_submit_line_fast(line).is_none(),

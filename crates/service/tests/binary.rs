@@ -3,19 +3,22 @@
 //! response byte-equivalence with the line protocol, the
 //! negotiated-framing counters, and malformed-frame rejection
 //! (truncated varints, oversized lengths, unknown opcodes/flags,
-//! mid-frame disconnects) on the threaded and reactor paths alike.
+//! mid-frame disconnects) on the threaded and reactor paths alike;
+//! replication stamps, which only a binary frame may carry; and a
+//! client reading a hostile response length.
 
 #![cfg(unix)]
 
 use frapp_service::client::{Client, HttpClient, SessionSpec};
 use frapp_service::framing::{
-    encode_json_frame, encode_submit_frame, read_varint, write_varint, OP_JSON, OP_SUBMIT,
+    encode_json_frame, encode_submit_frame, read_varint, write_varint, FLAG_HAS_SHARD,
+    FLAG_HAS_STAMP, FLAG_PRE_PERTURBED, OP_JSON, OP_SUBMIT,
 };
 use frapp_service::session::{Mechanism, ReconstructionMethod};
-use frapp_service::wire::Counter;
+use frapp_service::wire::{Counter, Op};
 use frapp_service::{Server, ServerHandle, ServiceConfig, ServiceError};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 const GAMMA: f64 = 19.0;
@@ -442,4 +445,145 @@ fn binary_negotiation_can_downgrade_back_to_line() {
     assert!(reader.read_line(&mut response).unwrap() > 0);
     assert!(response.contains("\"pong\":true"), "{response}");
     handle.shutdown().unwrap();
+}
+
+/// A pipelined sequence of requests on one raw binary connection, each
+/// answered by one `OP_JSON` frame: the response payloads, in order.
+fn binary_answers(stream: &mut TcpStream, frames: &[Vec<u8>]) -> Vec<String> {
+    frames
+        .iter()
+        .map(|frame| {
+            stream.write_all(frame).unwrap();
+            let (opcode, payload) = read_frame(stream).expect("response frame");
+            assert_eq!(opcode, OP_JSON);
+            String::from_utf8(payload).unwrap()
+        })
+        .collect()
+}
+
+/// An `OP_SUBMIT` frame of `flags` and varint `fields`, spelled out.
+fn submit_frame(flags: u8, fields: &[u64]) -> Vec<u8> {
+    let mut payload = vec![flags];
+    for &field in fields {
+        write_varint(&mut payload, field);
+    }
+    let mut frame = vec![OP_SUBMIT];
+    write_varint(&mut frame, payload.len() as u64);
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+#[test]
+fn stamped_submit_frames_answer_what_stamped_lines_did() {
+    // The replicated cases that left the JSON submit transcript of
+    // `tests/wire_table.rs`: as frames on a binary connection they get
+    // the bytes the parent commit answered to the stamped lines.
+    let handle = spawn_threaded();
+    let mut stream = raw_binary_upgrade(handle.addr());
+    let mut create = Vec::new();
+    encode_json_frame(
+        &mut create,
+        r#"{"op":"create_session","schema":[["a",3],["b",2]],"gamma":19,"shards":2,"seed":7}"#,
+    );
+    let pre_stamped = FLAG_PRE_PERTURBED | FLAG_HAS_STAMP;
+    // session, [shard,] origin, seq, n_records, n_attrs, then the cells
+    let fresh = submit_frame(pre_stamped, &[1, 3, 5, 2, 2, 1, 0, 1, 1]);
+    let beside_a_hint = submit_frame(pre_stamped | FLAG_HAS_SHARD, &[1, 1, 3, 6, 1, 2, 2, 1]);
+    let answers = binary_answers(&mut stream, &[create, fresh.clone(), fresh, beside_a_hint]);
+    assert!(
+        answers[0].starts_with(r#"{"ok":true,"session":1,"#),
+        "{}",
+        answers[0]
+    );
+    assert_eq!(
+        answers[1..],
+        [
+            r#"{"ok":true,"accepted":2,"shard":1}"#,
+            r#"{"ok":true,"accepted":2,"shard":1,"duplicate":true}"#,
+            r#"{"ok":true,"accepted":1,"shard":0}"#,
+        ]
+    );
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn json_stamps_are_refused_on_every_framing() {
+    // A JSON submit carrying a replication stamp is refused alike over
+    // HTTP, on the line protocol and inside `OP_JSON`. Were the HTTP
+    // body honoured, its seq 100 would raise the shard's mark, and the
+    // peer's real forward at seq 2 would be acked as a duplicate and
+    // never counted.
+    const REFUSAL: &str = "{\"ok\":false,\"error\":\"invalid request: `origin` and `seq` are \
+        not submit fields; replicated batches travel only as stamped binary OP_SUBMIT frames\"}";
+    let handle = spawn_threaded();
+    let mut control = Client::connect(handle.addr()).unwrap();
+    let session = control.create_session(&small_spec(5)).unwrap();
+    let fields = r#""records":[[0,0]],"pre_perturbed":true,"origin":3,"seq":100}"#;
+
+    let mut http = TcpStream::connect(handle.http_addr().unwrap()).unwrap();
+    let body = format!("{{{fields}");
+    write!(
+        http,
+        "POST /sessions/{session}/records HTTP/1.1\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    http.read_to_string(&mut response).unwrap();
+    let mut binary = raw_binary_upgrade(handle.addr());
+    let forward = submit_frame(
+        FLAG_PRE_PERTURBED | FLAG_HAS_STAMP,
+        &[session, 3, 2, 1, 2, 1, 2],
+    );
+    // The shard's mark did not move: the forward below the refused seq
+    // is fresh, and it counts.
+    assert_eq!(
+        binary_answers(&mut binary, &[forward]),
+        [r#"{"ok":true,"accepted":1,"shard":0}"#]
+    );
+    assert_eq!(control.stats(session).unwrap().total, 1);
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(
+        response.ends_with(&format!("\r\n\r\n{REFUSAL}")),
+        "{response}"
+    );
+
+    let line = format!(r#"{{"op":"submit","session":{session},{fields}"#);
+    let mut plain = TcpStream::connect(handle.addr()).unwrap();
+    plain.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut answer = String::new();
+    BufReader::new(&plain).read_line(&mut answer).unwrap();
+    assert_eq!(answer, format!("{REFUSAL}\n"));
+    let mut tunnelled = Vec::new();
+    encode_json_frame(&mut tunnelled, &line);
+    assert_eq!(binary_answers(&mut binary, &[tunnelled]), [REFUSAL]);
+    assert_eq!(control.stats(session).unwrap().total, 1);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_lying_response_length_fails_the_call_not_the_process() {
+    // A server that acks `hello`, then declares a 2^40-byte response
+    // frame and closes: the client's memory follows the bytes that
+    // arrive, so the call fails instead of the allocation aborting.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let liar = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut hello = String::new();
+        reader.read_line(&mut hello).unwrap();
+        stream.write_all(b"{\"ok\":true}\n").unwrap();
+        // The ping frame: opcode, one length byte, `{"op":"ping"}`.
+        let mut ping = [0u8; 15];
+        reader.read_exact(&mut ping).unwrap();
+        let mut header = vec![OP_JSON];
+        write_varint(&mut header, 1 << 40);
+        stream.write_all(&header).unwrap();
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.negotiate_binary().unwrap();
+    assert!(client.call(Op::Ping, None, vec![]).is_err());
+    liar.join().unwrap();
 }

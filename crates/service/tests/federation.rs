@@ -12,12 +12,16 @@
 
 use frapp_core::perturb::{GammaDiagonal, Perturber};
 use frapp_service::client::{Client, SessionSpec};
+use frapp_service::framing::{
+    read_varint, write_varint, FLAG_HAS_STAMP, FLAG_PRE_PERTURBED, OP_JSON, OP_SUBMIT,
+};
 use frapp_service::session::{Mechanism, ReconstructionMethod};
 use frapp_service::wire::PeerCounter;
 use frapp_service::{Server, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -49,6 +53,46 @@ fn free_ports(n: usize) -> Vec<u16> {
         .iter()
         .map(|l| l.local_addr().unwrap().port())
         .collect()
+}
+
+/// Opens a raw connection and upgrades it to the binary framing, as a
+/// peer link does. The ack is read a byte at a time so that nothing
+/// past it is consumed.
+fn raw_binary_upgrade(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"{\"op\":\"hello\",\"framing\":\"binary\"}\n")
+        .unwrap();
+    let mut ack = Vec::new();
+    let mut byte = [0u8];
+    while byte[0] != b'\n' {
+        stream.read_exact(&mut byte).unwrap();
+        ack.push(byte[0]);
+    }
+    assert!(ack.starts_with(b"{\"ok\":true"), "{ack:?}");
+    stream
+}
+
+/// Reads one `[opcode][varint len][payload]` frame off a raw stream.
+fn read_frame(stream: &mut TcpStream) -> (u8, Vec<u8>) {
+    let mut byte = [0u8];
+    stream.read_exact(&mut byte).unwrap();
+    let opcode = byte[0];
+    let mut varint = Vec::new();
+    loop {
+        stream.read_exact(&mut byte).unwrap();
+        varint.push(byte[0]);
+        if byte[0] & 0x80 == 0 {
+            break;
+        }
+    }
+    let (len, _) = read_varint(&varint).unwrap().unwrap();
+    let mut payload = vec![0u8; len as usize];
+    stream.read_exact(&mut payload).unwrap();
+    (opcode, payload)
 }
 
 /// One identical config per node: the same ordered peer list, each
@@ -271,6 +315,8 @@ fn forwarded_duplicates_are_acked_but_not_recounted() {
     // The receiver-side half of exactly-once: the same (origin, seq)
     // batch delivered twice — a retry after an ambiguous failure —
     // claims once and is acked both times.
+    // Forwards are stamped binary frames, so the test speaks for a peer
+    // link over a raw binary-negotiated socket.
     let handle = Server::bind(ServiceConfig::default())
         .unwrap()
         .spawn()
@@ -278,13 +324,26 @@ fn forwarded_duplicates_are_acked_but_not_recounted() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let session = client.create_session(&spec(2, 7)).unwrap();
 
-    let line = format!(
-        r#"{{"op":"submit","session":{session},"records":[[0,0,0],[1,1,1],[2,2,0]],"pre_perturbed":true,"origin":4,"seq":9}}"#
-    );
-    let first = client.request(&line).unwrap();
+    let mut payload = vec![FLAG_PRE_PERTURBED | FLAG_HAS_STAMP];
+    // session, origin, seq, n_records, n_attrs, then the cells
+    for field in [session, 4, 9, 3, 3, 0, 0, 0, 1, 1, 1, 2, 2, 0] {
+        write_varint(&mut payload, field);
+    }
+    let mut frame = vec![OP_SUBMIT];
+    write_varint(&mut frame, payload.len() as u64);
+    frame.extend_from_slice(&payload);
+    let mut peer = raw_binary_upgrade(handle.addr());
+    let mut deliver = || {
+        peer.write_all(&frame).unwrap();
+        let (opcode, body) = read_frame(&mut peer);
+        assert_eq!(opcode, OP_JSON);
+        frapp_service::json::parse(std::str::from_utf8(&body).unwrap()).unwrap()
+    };
+
+    let first = deliver();
     assert_eq!(first.get("accepted").and_then(|v| v.as_u64()), Some(3));
     assert_eq!(first.get("duplicate"), None);
-    let second = client.request(&line).unwrap();
+    let second = deliver();
     assert_eq!(
         second.get("accepted").and_then(|v| v.as_u64()),
         Some(3),

@@ -497,15 +497,9 @@ pinned; out of range
 < {"ok":true,"accepted":1,"shard":1}
 > {"op":"submit","session":1,"records":[[0,1]],"pre_perturbed":true,"shard":5}
 < {"ok":false,"error":"invalid request: shard 5 out of range (session has 2)"}
-replicated: fresh, duplicate, a stamp beside a shard hint, half a stamp
-> {"op":"submit","session":1,"records":[[1,0],[1,1]],"pre_perturbed":true,"origin":3,"seq":5}
-< {"ok":true,"accepted":2,"shard":1}
-> {"op":"submit","session":1,"records":[[1,0],[1,1]],"pre_perturbed":true,"origin":3,"seq":5}
-< {"ok":true,"accepted":2,"shard":1,"duplicate":true}
-> {"op":"submit","session":1,"records":[[2,1]],"pre_perturbed":true,"shard":1,"origin":3,"seq":6}
-< {"ok":true,"accepted":1,"shard":0}
+a replication stamp, which only a binary frame may carry
 > {"op":"submit","session":1,"records":[[2,1]],"origin":3}
-< {"ok":false,"error":"invalid request: forwarded submits must carry both `origin` and `seq`"}
+< {"ok":false,"error":"invalid request: `origin` and `seq` are not submit fields; replicated batches travel only as stamped binary OP_SUBMIT frames"}
 a mid-batch failure; an unknown session
 > {"op":"submit","session":1,"records":[[0,0],[9,9],[1,1]],"pre_perturbed":true}
 < {"ok":false,"error":"batch rejected after 1 records were counted (retry only the remainder): frapp error: invalid record: attribute 0 (`a`) value 9 out of domain 0..3","accepted":1}
@@ -518,12 +512,12 @@ three deferred submits of which the second fails, then flush
 > {"op":"flush"}
 < {"ok":false,"error":"batch rejected after 1 records were counted (retry only the remainder): frapp error: invalid record: attribute 0 (`a`) value 9 out of domain 0..3","accepted":3,"batches":3}
 deferred state riding on later synchronous replies
-> {"op":"submit","session":1,"records":[[0,0]],"pre_perturbed":true,"ack":"deferred","origin":3,"seq":7}
+> {"op":"submit","session":1,"records":[[0,0]],"pre_perturbed":true,"ack":"deferred"}
 > {"op":"stats","session":1}
-< {"ok":true,"total":12,"per_shard":[5,7],"deferred_accepted":1}
+< {"ok":true,"total":9,"per_shard":[5,4],"deferred_accepted":1}
 > {"op":"submit","session":1,"records":[[0,0]],"pre_perturbed":true,"shard":9,"ack":"deferred"}
 > {"op":"stats","session":1}
-< {"ok":true,"total":12,"per_shard":[5,7],"deferred_accepted":0,"deferred_error":"invalid request: shard 9 out of range (session has 2)"}
+< {"ok":true,"total":9,"per_shard":[5,4],"deferred_accepted":0,"deferred_error":"invalid request: shard 9 out of range (session has 2)"}
 > {"op":"flush"}
 < {"ok":true,"accepted":0,"batches":0}
 "#;
