@@ -1119,7 +1119,7 @@ impl HttpClient {
                 line.trim()
             )));
         }
-        let mut content_length = 0usize;
+        let mut content_length = 0u64;
         loop {
             line.clear();
             if self.reader.read_line(&mut line)? == 0 {
@@ -1139,8 +1139,15 @@ impl HttpClient {
                 }
             }
         }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        // The length is the server's claim: memory grows only with the
+        // bytes that actually arrive.
+        let mut body = Vec::new();
+        (&mut self.reader)
+            .take(content_length)
+            .read_to_end(&mut body)?;
+        if (body.len() as u64) < content_length {
+            return Err(ServiceError::ConnectionClosed);
+        }
         let text = std::str::from_utf8(&body)
             .map_err(|_| ServiceError::Protocol("response body is not valid UTF-8".into()))?;
         check_ok(json::parse(text)?)

@@ -208,6 +208,7 @@ const MAX_DEPTH: usize = 64;
 /// Parses one JSON document, rejecting trailing garbage.
 pub fn parse(input: &str) -> Result<Value> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -222,6 +223,7 @@ pub fn parse(input: &str) -> Result<Value> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -356,15 +358,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at
+                    // once. Both delimiters are ASCII, so they never
+                    // fall inside a multi-byte UTF-8 sequence and the
+                    // run ends on a char boundary of the input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |run| self.pos + run);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -520,6 +523,38 @@ mod tests {
             parse("\"\\ud83d\\ude00\"").unwrap(),
             Value::String("😀".into())
         );
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_text_escapes_and_surrogates_intact() {
+        for (input, want) in [
+            ("\"héllo wörld 日本\"", "héllo wörld 日本"),
+            ("\"€\\\"😀\\\\ß\\n\"", "€\"😀\\ß\n"),
+            ("\"\\u00e9é\\ud83d\\ude00😀x\"", "éé😀😀x"),
+            ("\"a\\/b\\tc\\u0041\"", "a/b\tcA"),
+            ("\"\"", ""),
+        ] {
+            assert_eq!(parse(input).unwrap(), Value::String(want.into()), "{input}");
+        }
+        let doc = parse("{\"ключ\":[\"значение\",\"\\\"日\\\"\"]}").unwrap();
+        assert_eq!(
+            doc.get("ключ").unwrap().as_array().unwrap()[1].as_str(),
+            Some("\"日\"")
+        );
+        // Errors keep their text and byte offset.
+        for (bad, msg) in [
+            ("\"héllo", "unterminated string (at byte 7)"),
+            ("\"日本\\", "invalid escape (at byte 8)"),
+            ("\"é\\q\"", "invalid escape (at byte 4)"),
+            ("\"😀\\ud83d\"", "lone high surrogate (at byte 11)"),
+            (
+                "\"ab\" x",
+                "trailing characters after JSON value (at byte 5)",
+            ),
+        ] {
+            let err = parse(bad).unwrap_err().to_string();
+            assert!(err.ends_with(msg), "{bad}: {err}");
+        }
     }
 
     #[test]

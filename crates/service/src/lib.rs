@@ -21,8 +21,10 @@
 //!   bound.
 //! * [`persist`] — versioned JSON session snapshots: on demand (the
 //!   `persist` op), on LRU eviction and on clean shutdown, plus
-//!   *incremental* periodic flushes that append sparse per-shard delta
-//!   lines instead of rewriting whole count vectors. `Server::bind`
+//!   *incremental* periodic flushes that, after one full base, append
+//!   sparse per-shard delta lines instead of rewriting whole count
+//!   vectors. Only those flushes turn on per-shard delta tracking, and
+//!   any failed flush turns it off. `Server::bind`
 //!   recovers them, restoring each shard's native RNG state words in
 //!   O(1) so deterministic replay holds across restarts.
 //! * [`metrics`] — per-session counters (ingest rate, reconstruction

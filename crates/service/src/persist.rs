@@ -28,8 +28,9 @@
 //! ## Incremental deltas (`session-<id>.delta.jsonl`)
 //!
 //! The periodic persister does not rewrite the whole count vector on
-//! every tick. After a full snapshot (sequence number `flush_seq`), each
-//! tick appends one line per *dirty* shard:
+//! every tick. Its first flush of a session writes a full snapshot
+//! (sequence number `flush_seq`) and turns on each shard's delta
+//! tracking; each later tick appends one line per *dirty* shard:
 //!
 //! ```json
 //! {"format":"frapp-session-delta","seq":4,"shard":0,"ingested":120,
@@ -45,6 +46,21 @@
 //! trailing line (a crash mid-append) are ignored. Any full snapshot
 //! (eviction spill, on-demand `persist`, clean shutdown) folds the
 //! deltas in, bumps `flush_seq` and removes the delta file.
+//!
+//! Delta tracking is the only in-memory persistence state, and one rule
+//! governs it:
+//!
+//! * only the full base inside [`persist_session_incremental`] turns it
+//!   on;
+//! * every other full save restarts it relative to the new base if it
+//!   is on, and leaves it off otherwise;
+//! * any failed save or delta append turns it off on every shard.
+//!
+//! So "is every shard tracking?" decides whether the next periodic
+//! flush may be a delta. A new, recovered or failed session is
+//! untracked, and its next flush writes a full base. That keeps disk at
+//! a prefix state of the live counts through every failure: a delta is
+//! only ever appended on top of the base it was drained against.
 //!
 //! Counts are whole numbers by construction (every ingest adds exactly
 //! 1.0 to one cell) and the JSON writer emits integral `f64`s without a
@@ -302,8 +318,10 @@ fn delta_line_value(seq: u64, delta: &ShardDelta) -> Value {
 ///
 /// This is a *full* snapshot: pending per-shard deltas are folded in,
 /// the session's flush sequence is bumped and the delta file is
-/// removed, so the base file alone describes the session. Writes for
-/// one session are serialized through the session's persist gate, so
+/// removed, so the base file alone describes the session. It restarts
+/// delta tracking if the periodic persister had turned it on, but never
+/// turns it on itself, and a failed save turns it off. Writes for one
+/// session are serialized through the session's persist gate, so
 /// concurrent writers (the periodic persister, an on-demand `persist`
 /// op, an eviction spill) cannot interleave; and a session that was
 /// explicitly closed refuses the write, so an in-flight periodic save
@@ -322,15 +340,16 @@ pub fn save_session_faulted(
     fault: &FaultPlan,
 ) -> Result<PathBuf> {
     let _gate = session.persist_gate();
-    save_session_locked(dir, session, fault)
+    save_session_locked(dir, session, fault, false)
 }
 
 /// [`save_session_faulted`] with the persist gate already held by the
-/// caller.
+/// caller; `track` turns delta tracking on relative to the new base.
 fn save_session_locked(
     dir: &Path,
     session: &CollectionSession,
     fault: &FaultPlan,
+    track: bool,
 ) -> Result<PathBuf> {
     static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     if session.is_closed() {
@@ -340,12 +359,10 @@ fn save_session_locked(
         )));
     }
     let seq = session.persist_seq() + 1;
-    // Drain pending deltas under the shard locks: the full dump
-    // includes their increments, so they must not be re-flushed on top
-    // of the new base. If the write fails they are restored, keeping
-    // the delta stream over the previous base complete.
-    let (dumps, drained) = session.dump_shards_flushing();
-    let mut renamed = false;
+    // The dump rebases delta tracking under the shard locks: the new
+    // base includes every pending increment, so later deltas are
+    // relative to it.
+    let dumps = session.dump_base(track);
     let write = (|| -> Result<PathBuf> {
         fault.inject_io(FaultSite::PersistWrite)?;
         std::fs::create_dir_all(dir)?;
@@ -364,7 +381,6 @@ fn save_session_locked(
         }
         fault.inject_io(FaultSite::PersistRename)?;
         std::fs::rename(&tmp, &path)?;
-        renamed = true;
         // The rename published the new base into the live filesystem,
         // but it is not crash-durable until the directory entry itself
         // is flushed.
@@ -372,41 +388,27 @@ fn save_session_locked(
         fsync_dir(dir)?;
         Ok(path)
     })();
-    match write {
-        Ok(path) => {
-            session.set_persist_seq(seq);
-            session.clear_needs_full_snapshot();
-            // The synced snapshot makes every watermark it carries
-            // durable; advertise that so replication forwarders can
-            // truncate their replay history.
-            let marks: Vec<Vec<(u64, u64)>> = dumps.iter().map(|d| d.repl.clone()).collect();
-            session.record_durable_repl(&marks);
-            // The new base supersedes every prior delta. A failed
-            // removal is harmless: stale lines carry an older `seq`
-            // and are ignored at load.
-            let _ = std::fs::remove_file(delta_path(dir, session.id()));
-            Ok(path)
-        }
-        Err(e) => {
-            session.restore_deltas(&drained);
-            if renamed {
-                // The new base (with the bumped sequence) is already
-                // visible on disk even though its durability could not
-                // be confirmed. The session's own sequence stays
-                // behind, so a later delta append would carry a stale
-                // `seq` the next recovery ignores — force the next
-                // flush to lay down a fresh full base instead.
-                session.force_full_snapshot();
-            }
-            Err(e)
-        }
-    }
+    // Disk may now hold the old base or the new one: no delta can be
+    // relative to both, so the next periodic flush writes a full base.
+    let path = write.inspect_err(|_| session.drop_delta_tracking())?;
+    session.set_persist_seq(seq);
+    // The synced snapshot makes every watermark it carries durable;
+    // advertise that so replication forwarders can truncate their
+    // replay history.
+    let marks: Vec<Vec<(u64, u64)>> = dumps.iter().map(|d| d.repl.clone()).collect();
+    session.record_durable_repl(&marks);
+    // The new base supersedes every prior delta. A failed removal is
+    // harmless: stale lines carry an older `seq` and are ignored at
+    // load.
+    let _ = std::fs::remove_file(delta_path(dir, session.id()));
+    Ok(path)
 }
 
 /// What one incremental flush did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushOutcome {
-    /// No base snapshot existed yet, so a full one was written.
+    /// Delta tracking was off (a new, recovered or failed session), so
+    /// a full base was written and tracking turned on.
     FullSnapshot,
     /// This many dirty shards appended delta lines.
     Deltas(usize),
@@ -415,20 +417,21 @@ pub enum FlushOutcome {
 }
 
 /// The periodic persister's entry point: flushes a session
-/// *incrementally*. The first flush of a session — and the first flush
-/// after a recovery — writes a full base snapshot; later flushes
-/// append one sparse delta line per dirty shard (O(cells touched) on
-/// disk, instead of rewriting the whole count vector; the in-memory
-/// scan per dirty shard is O(domain), same as the count dump a full
-/// save would pay). A failed append restores the drained deltas so no
-/// increment is ever dropped from the stream.
+/// *incrementally*. While the session is not delta tracking it writes
+/// a full base snapshot and turns tracking on; after that it appends
+/// one sparse delta line per dirty shard (O(cells touched) on disk,
+/// instead of rewriting the whole count vector; the in-memory scan per
+/// dirty shard is O(domain), same as the count dump a full save would
+/// pay). A failed append turns tracking off, so the retry is a full
+/// base and no increment is appended twice or dropped.
 ///
-/// The post-recovery full save matters for durability: a recovered
-/// session's delta file may end in a torn line (a crash mid-append),
-/// and lines appended *behind* a torn tail would be unreachable to
-/// every later recovery, which stops reading there. The fresh base
-/// bumps the sequence and removes the old delta file, so new deltas
-/// always land in a clean stream.
+/// A new, recovered or failed session is untracked, so its first flush
+/// is full. After recovery that matters for durability: the delta file
+/// may end in a torn line (a crash mid-append), and lines appended
+/// *behind* a torn tail would be unreachable to every later recovery,
+/// which stops reading there. The fresh base bumps the sequence and
+/// removes the old delta file, so new deltas always land in a clean
+/// stream.
 pub fn persist_session_incremental(
     dir: &Path,
     session: &CollectionSession,
@@ -450,8 +453,8 @@ pub fn persist_session_incremental_faulted(
             session.id()
         )));
     }
-    if session.persist_seq() == 0 || session.needs_full_snapshot() {
-        save_session_locked(dir, session, fault)?;
+    if !session.is_delta_tracking() {
+        save_session_locked(dir, session, fault, true)?;
         return Ok(FlushOutcome::FullSnapshot);
     }
     let deltas = session.take_dirty_deltas();
@@ -483,24 +486,19 @@ pub fn persist_session_incremental_faulted(
         }
         Ok(())
     })();
-    match append {
-        Ok(()) => {
-            // Each synced delta line carries its shard's full
-            // watermark map: those marks are durable now.
-            let mut marks = vec![Vec::new(); session.num_shards()];
-            for delta in &deltas {
-                if let Some(slot) = marks.get_mut(delta.shard) {
-                    slot.clone_from(&delta.repl);
-                }
-            }
-            session.record_durable_repl(&marks);
-            Ok(FlushOutcome::Deltas(deltas.len()))
-        }
-        Err(e) => {
-            session.restore_deltas(&deltas);
-            Err(e)
+    // Some of the lines may have reached the file: only a fresh base
+    // is known to hold each drained increment exactly once.
+    append.inspect_err(|_| session.drop_delta_tracking())?;
+    // Each synced delta line carries its shard's full watermark map:
+    // those marks are durable now.
+    let mut marks = vec![Vec::new(); session.num_shards()];
+    for delta in &deltas {
+        if let Some(slot) = marks.get_mut(delta.shard) {
+            slot.clone_from(&delta.repl);
         }
     }
+    session.record_durable_repl(&marks);
+    Ok(FlushOutcome::Deltas(deltas.len()))
 }
 
 /// Deletes a session's snapshot and delta files (used when a session is
@@ -852,7 +850,7 @@ mod tests {
     fn incremental_flushes_append_deltas_instead_of_rewriting() {
         let dir = temp_dir("incremental");
         let session = sample_session(11);
-        // First flush: no base yet → full snapshot.
+        // First flush: not yet tracking → full base.
         assert_eq!(
             persist_session_incremental(&dir, &session).unwrap(),
             FlushOutcome::FullSnapshot
@@ -909,7 +907,10 @@ mod tests {
         let batch = [[1, 1]];
         let stamp = |seq| Placement::Replicated { origin: 4, seq };
         session.ingest(stamp(6), batch, true).unwrap();
-        save_session(&dir, &session).unwrap();
+        assert_eq!(
+            persist_session_incremental(&dir, &session).unwrap(),
+            FlushOutcome::FullSnapshot
+        );
 
         // Base-snapshot path: the recovered session still rejects the
         // forwarded batch a reconnecting peer might resend.
@@ -935,7 +936,7 @@ mod tests {
     fn stale_and_torn_delta_lines_are_ignored() {
         let dir = temp_dir("delta-robust");
         let session = sample_session(12);
-        save_session(&dir, &session).unwrap();
+        persist_session_incremental(&dir, &session).unwrap();
         session
             .ingest(Placement::Shard(0), &[vec![1, 1]], true)
             .unwrap();
@@ -978,7 +979,7 @@ mod tests {
         // removes the old delta file.
         let dir = temp_dir("torn-durability");
         let session = sample_session(14);
-        save_session(&dir, &session).unwrap();
+        persist_session_incremental(&dir, &session).unwrap();
         session
             .ingest(Placement::Shard(0), &[vec![1, 1]], true)
             .unwrap();
@@ -989,7 +990,7 @@ mod tests {
 
         // Server B: recover, ingest, flush. The flush must be full.
         let recovered = load_session(&session_path(&dir, 14), 4096, 1 << 24).unwrap();
-        assert!(recovered.needs_full_snapshot());
+        assert!(!recovered.is_delta_tracking());
         recovered
             .ingest(Placement::Shard(1), &[vec![2, 0]], true)
             .unwrap();
@@ -1001,7 +1002,7 @@ mod tests {
             !delta_path(&dir, 14).exists(),
             "the fresh base must remove the torn delta file"
         );
-        assert!(!recovered.needs_full_snapshot());
+        assert!(recovered.is_delta_tracking());
 
         // Later deltas land in a clean stream and survive recovery.
         recovered
@@ -1157,7 +1158,7 @@ mod tests {
         // racing them must never lose an increment or double-apply one.
         let dir = temp_dir("concurrent-inc");
         let session = std::sync::Arc::new(sample_session(13));
-        save_session(&dir, &session).unwrap();
+        persist_session_incremental(&dir, &session).unwrap();
         std::thread::scope(|scope| {
             let ingest = std::sync::Arc::clone(&session);
             scope.spawn(move || {
@@ -1204,55 +1205,42 @@ mod tests {
     fn injected_faults_surface_and_never_lose_an_increment() {
         let dir = temp_dir("faults");
         let session = sample_session(31);
-        save_session(&dir, &session).unwrap();
+        persist_session_incremental(&dir, &session).unwrap();
 
-        // A failed delta append restores the drained increments: the
-        // fault-free retry flushes them and recovery sees everything.
+        // A failed delta append turns delta tracking off: the
+        // fault-free retry writes a full base and recovery sees
+        // everything.
         session
             .ingest(Placement::Shard(0), &[vec![1, 1]], true)
             .unwrap();
         let write_fault = FaultPlan::parse("seed=1,persist_write=io_error").unwrap();
         let err = persist_session_incremental_faulted(&dir, &session, &write_fault).unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
-        assert_eq!(
-            persist_session_incremental(&dir, &session).unwrap(),
-            FlushOutcome::Deltas(1)
-        );
-        let recovered = load_session(&session_path(&dir, 31), 4096, 1 << 24).unwrap();
-        assert_eq!(recovered.dump_shards(), session.dump_shards());
-
-        // A rename fault fails the save before publication: the old
-        // base (plus its delta stream) still recovers bit-exactly.
-        session
-            .ingest(Placement::Shard(0), &[vec![2, 0]], true)
-            .unwrap();
-        let rename_fault = FaultPlan::parse("seed=1,persist_rename=io_error").unwrap();
-        assert!(save_session_faulted(&dir, &session, &rename_fault).is_err());
-        assert_eq!(
-            persist_session_incremental(&dir, &session).unwrap(),
-            FlushOutcome::Deltas(1)
-        );
-        let recovered = load_session(&session_path(&dir, 31), 4096, 1 << 24).unwrap();
-        assert_eq!(recovered.dump_shards(), session.dump_shards());
-
-        // A directory-fsync fault fires AFTER the rename published the
-        // new base: the session must demand a full snapshot next so no
-        // delta line lands under a sequence the new base ignores.
-        session
-            .ingest(Placement::Shard(1), &[vec![0, 1]], true)
-            .unwrap();
-        let sync_fault = FaultPlan::parse("seed=1,persist_sync=io_error").unwrap();
-        assert!(save_session_faulted(&dir, &session, &sync_fault).is_err());
-        assert!(
-            session.needs_full_snapshot(),
-            "a post-rename sync failure must force a fresh full base"
-        );
+        assert!(!session.is_delta_tracking());
         assert_eq!(
             persist_session_incremental(&dir, &session).unwrap(),
             FlushOutcome::FullSnapshot
         );
         let recovered = load_session(&session_path(&dir, 31), 4096, 1 << 24).unwrap();
         assert_eq!(recovered.dump_shards(), session.dump_shards());
+
+        // So does a failed full save, before the rename published the
+        // new base or after it.
+        for site in ["persist_rename", "persist_sync"] {
+            assert!(session.is_delta_tracking());
+            session
+                .ingest(Placement::Shard(0), &[vec![2, 0]], true)
+                .unwrap();
+            let fault = FaultPlan::parse(&format!("seed=1,{site}=io_error")).unwrap();
+            assert!(save_session_faulted(&dir, &session, &fault).is_err());
+            assert!(!session.is_delta_tracking(), "{site}");
+            assert_eq!(
+                persist_session_incremental(&dir, &session).unwrap(),
+                FlushOutcome::FullSnapshot
+            );
+            let recovered = load_session(&session_path(&dir, 31), 4096, 1 << 24).unwrap();
+            assert_eq!(recovered.dump_shards(), session.dump_shards());
+        }
 
         // A delay fault is not an error: the flush just takes longer.
         session
@@ -1270,7 +1258,8 @@ mod tests {
     fn close_removes_snapshot_and_delta_files() {
         let dir = temp_dir("remove");
         let session = sample_session(4);
-        let path = save_session(&dir, &session).unwrap();
+        persist_session_incremental(&dir, &session).unwrap();
+        let path = session_path(&dir, 4);
         session
             .ingest(Placement::Shard(0), &[vec![0, 0]], true)
             .unwrap();
@@ -1282,5 +1271,293 @@ mod tests {
         assert!(!delta_path(&dir, 4).exists());
         remove_session_file(&dir, 4); // idempotent
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_the_periodic_persister_turns_delta_tracking_on() {
+        // `persist`, an eviction spill and shutdown all go through
+        // `save_session`: a session saved only that way never pays the
+        // second per-cell array.
+        let dir = temp_dir("tracking-rule");
+        let session = sample_session(15);
+        assert!(!session.is_delta_tracking());
+        save_session(&dir, &session).unwrap();
+        session
+            .ingest(Placement::Shard(0), &[vec![1, 0]], true)
+            .unwrap();
+        save_session(&dir, &session).unwrap();
+        assert!(!session.is_delta_tracking());
+
+        // The periodic persister's first flush is a full base that
+        // turns tracking on; a full save afterwards keeps it on,
+        // relative to the new base.
+        assert_eq!(
+            persist_session_incremental(&dir, &session).unwrap(),
+            FlushOutcome::FullSnapshot
+        );
+        assert!(session.is_delta_tracking());
+        session
+            .ingest(Placement::Shard(1), &[vec![2, 1]], true)
+            .unwrap();
+        save_session(&dir, &session).unwrap();
+        assert!(session.is_delta_tracking());
+        session
+            .ingest(Placement::Shard(1), &[vec![0, 1]], true)
+            .unwrap();
+        assert_eq!(
+            persist_session_incremental(&dir, &session).unwrap(),
+            FlushOutcome::Deltas(1)
+        );
+
+        // A recovered session starts untracked, so its first flush is
+        // full again.
+        let recovered = load_session(&session_path(&dir, 15), 4096, 1 << 24).unwrap();
+        assert_eq!(recovered.dump_shards(), session.dump_shards());
+        assert!(!recovered.is_delta_tracking());
+        assert_eq!(
+            persist_session_incremental(&dir, &recovered).unwrap(),
+            FlushOutcome::FullSnapshot
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_delta_append_whose_sync_fails_is_never_appended_twice() {
+        // The lines reach the file before the fsync fails. Handing the
+        // drained increments back for a retry would append them a
+        // second time, and recovery would then refuse the shard: its
+        // counts would total more than its `ingested`.
+        let dir = temp_dir("sync-retry");
+        let session = sample_session(32);
+        persist_session_incremental(&dir, &session).unwrap();
+        session
+            .ingest(Placement::Shard(0), &[vec![1, 1], vec![2, 0]], true)
+            .unwrap();
+        let sync_fault = FaultPlan::parse("seed=1,persist_sync=io_error").unwrap();
+        assert!(persist_session_incremental_faulted(&dir, &session, &sync_fault).is_err());
+        persist_session_incremental(&dir, &session).unwrap();
+        let recovered = load_session(&session_path(&dir, 32), 4096, 1 << 24).unwrap();
+        assert_eq!(recovered.dump_shards(), session.dump_shards());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The three ways a session reaches disk.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum SaveKind {
+        /// `save_session_faulted`: `persist`, spill, shutdown.
+        Full,
+        /// The first `persist_session_incremental_faulted`, a full base.
+        FirstIncremental,
+        /// A later `persist_session_incremental_faulted`.
+        DeltaAppend,
+    }
+
+    #[test]
+    fn every_crash_point_leaves_a_prefix_state_on_disk() {
+        // Fail each step of each save kind, then recover. Disk must
+        // hold the state before or after the flush, bit for bit, with
+        // RNG words that replay that state's next draws and durable
+        // replication marks no higher than what came back.
+        const ORIGIN: u64 = 5;
+        let stamp = |seq| Placement::Replicated {
+            origin: ORIGIN,
+            seq,
+        };
+        let rows: Vec<Vec<u32>> = (0..40).map(|i| vec![i % 3, (i / 3) % 2]).collect();
+        for kind in [
+            SaveKind::Full,
+            SaveKind::FirstIncremental,
+            SaveKind::DeltaAppend,
+        ] {
+            for site in ["persist_write", "persist_rename", "persist_sync"] {
+                let case = format!("{kind:?} x {site}");
+                let dir = temp_dir("crash-point");
+                let session = sample_session(41);
+                session.ingest(stamp(1), &rows[..4], true).unwrap();
+                session.ingest(stamp(2), &rows[4..6], true).unwrap();
+                if kind == SaveKind::DeltaAppend {
+                    persist_session_incremental(&dir, &session).unwrap();
+                } else {
+                    save_session(&dir, &session).unwrap();
+                }
+                let pre = session.dump_shards();
+                // Dirty both shards; the raw batches advance the RNGs.
+                session.ingest(stamp(3), &rows[6..11], true).unwrap();
+                session.ingest(stamp(4), &rows[..7], false).unwrap();
+                session.ingest(Placement::Shard(1), &rows, false).unwrap();
+                let post = session.dump_shards();
+                assert_ne!(pre, post);
+
+                let fault = FaultPlan::parse(&format!("seed=1,{site}=io_error")).unwrap();
+                let flushed = match kind {
+                    SaveKind::Full => save_session_faulted(&dir, &session, &fault).map(|_| None),
+                    _ => persist_session_incremental_faulted(&dir, &session, &fault).map(Some),
+                };
+                // A delta append has no rename step to fail.
+                let fails = !(kind == SaveKind::DeltaAppend && site == "persist_rename");
+                assert_eq!(flushed.is_err(), fails, "{case}: {flushed:?}");
+                if !fails {
+                    assert_eq!(flushed.unwrap(), Some(FlushOutcome::Deltas(2)), "{case}");
+                }
+                // The sync step fails after the bytes are in place.
+                let expected = if fails && site != "persist_sync" {
+                    &pre
+                } else {
+                    &post
+                };
+
+                let recovered = load_session(&session_path(&dir, 41), 4096, 1 << 24).unwrap();
+                assert_eq!(&recovered.dump_shards(), expected, "{case}");
+                let durable = session.durable_repl_status(ORIGIN);
+                assert!(durable.iter().any(|&mark| mark > 0), "{case}");
+                for (mark, back) in durable.iter().zip(recovered.repl_status(ORIGIN)) {
+                    assert!(*mark <= back, "{case}: durable {mark} > recovered {back}");
+                }
+                let twin = CollectionSession::recover(
+                    41,
+                    session.schema().clone(),
+                    session.mechanism(),
+                    session.seed(),
+                    4096,
+                    expected.clone(),
+                )
+                .unwrap();
+                for shard in 0..2 {
+                    recovered
+                        .ingest(Placement::Shard(shard), &rows, false)
+                        .unwrap();
+                    twin.ingest(Placement::Shard(shard), &rows, false).unwrap();
+                }
+                assert_eq!(recovered.dump_shards(), twin.dump_shards(), "{case}");
+
+                // One fault-free flush recovers the live state; after a
+                // failure it is a full base.
+                let outcome = persist_session_incremental(&dir, &session).unwrap();
+                let want = if fails {
+                    FlushOutcome::FullSnapshot
+                } else {
+                    FlushOutcome::Clean
+                };
+                assert_eq!(outcome, want, "{case}");
+                let recovered = load_session(&session_path(&dir, 41), 4096, 1 << 24).unwrap();
+                assert_eq!(recovered.dump_shards(), session.dump_shards(), "{case}");
+                assert_eq!(
+                    session.durable_repl_status(ORIGIN),
+                    session.repl_status(ORIGIN),
+                    "{case}"
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    /// A 2-shard session over 4^`attrs` cells with every cell counted
+    /// once, the lower half of the domain on shard 0.
+    fn loaded_session(id: u64, attrs: usize) -> CollectionSession {
+        let names: Vec<String> = (0..attrs).map(|i| format!("a{i}")).collect();
+        let schema = Schema::new(names.iter().map(|n| (n.as_str(), 4)).collect()).unwrap();
+        let cells = schema.domain_size();
+        let session = CollectionSession::new(
+            id,
+            schema,
+            Mechanism::Deterministic { gamma: 19.0 },
+            2,
+            7,
+            4096,
+        )
+        .unwrap();
+        for start in (0..cells).step_by(1 << 14) {
+            let batch = (start..cells.min(start + (1 << 14))).map(|c| session.schema().decode(c));
+            let shard = Placement::Shard(2 * start / cells);
+            session.ingest(shard, batch, true).unwrap();
+        }
+        session
+    }
+
+    /// Dirties 1 % of the session's cells, half on each shard.
+    fn dirty_one_percent(session: &CollectionSession, offset: usize) {
+        let cells = session.schema().domain_size();
+        let dirty: Vec<Vec<u32>> = (0..cells / 100 + 1)
+            .map(|k| session.schema().decode((k * 99 + offset) % cells))
+            .collect();
+        let (first, second) = dirty.split_at(dirty.len() / 2);
+        session.ingest(Placement::Shard(0), first, true).unwrap();
+        session.ingest(Placement::Shard(1), second, true).unwrap();
+    }
+
+    #[test]
+    fn a_sparse_delta_is_a_small_fraction_of_the_base() {
+        // 2^16 cells on 2 shards with 1 % of the cells dirty: the
+        // appended lines are at most 1/20 of the base file's bytes.
+        let dir = temp_dir("delta-size");
+        let session = loaded_session(16, 8);
+        assert_eq!(session.schema().domain_size(), 1 << 16);
+        assert_eq!(
+            persist_session_incremental(&dir, &session).unwrap(),
+            FlushOutcome::FullSnapshot
+        );
+        dirty_one_percent(&session, 0);
+        assert_eq!(
+            persist_session_incremental(&dir, &session).unwrap(),
+            FlushOutcome::Deltas(2)
+        );
+        let base = std::fs::metadata(session_path(&dir, 16)).unwrap().len();
+        let delta = std::fs::metadata(delta_path(&dir, 16)).unwrap().len();
+        assert!(delta * 20 <= base, "delta {delta} B vs base {base} B");
+        let recovered = load_session(&session_path(&dir, 16), 4096, 1 << 24).unwrap();
+        assert_eq!(recovered.dump_shards(), session.dump_shards());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[ignore = "timing table; run in release with --ignored --nocapture"]
+    fn full_save_vs_delta_append_timings() {
+        // Median of three full saves, three 1 %-dirty delta appends and
+        // three loads of base + deltas, at 2^16, 2^20 and 2^22 cells.
+        fn median(mut runs: Vec<f64>) -> f64 {
+            runs.sort_by(f64::total_cmp);
+            runs[runs.len() / 2]
+        }
+        fn ms(f: impl FnOnce()) -> f64 {
+            let started = std::time::Instant::now();
+            f();
+            started.elapsed().as_secs_f64() * 1e3
+        }
+        println!("cells    full_save_ms delta_append_ms ratio base_B    delta_B load_ms");
+        for attrs in [8, 10, 11] {
+            let dir = temp_dir("save-costs");
+            let session = loaded_session(17, attrs);
+            persist_session_incremental(&dir, &session).unwrap();
+            let full = median(
+                (0..3)
+                    .map(|_| ms(|| drop(save_session(&dir, &session).unwrap())))
+                    .collect(),
+            );
+            let delta = median(
+                (0..3)
+                    .map(|round| {
+                        dirty_one_percent(&session, round);
+                        ms(|| {
+                            let outcome = persist_session_incremental(&dir, &session).unwrap();
+                            assert_eq!(outcome, FlushOutcome::Deltas(2));
+                        })
+                    })
+                    .collect(),
+            );
+            let path = session_path(&dir, 17);
+            let load = median(
+                (0..3)
+                    .map(|_| ms(|| drop(load_session(&path, 4096, 1 << 24).unwrap())))
+                    .collect(),
+            );
+            println!(
+                "{:<8} {full:>12.2} {delta:>15.2} {:>5.0} {:<9} {:<7} {load:>7.1}",
+                session.schema().domain_size(),
+                full / delta,
+                std::fs::metadata(&path).unwrap().len(),
+                std::fs::metadata(delta_path(&dir, 17)).unwrap().len() / 3,
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -581,9 +581,9 @@ fn persist_all_sessions_best_effort(
     }
 }
 
-/// The periodic persister's flavour: incremental. A session with no
-/// full snapshot yet gets one; afterwards only the shards dirtied
-/// since the last flush are appended as sparse delta lines, so a
+/// The periodic persister's flavour: incremental. A session that is
+/// not delta tracking gets a full base; afterwards only the shards
+/// dirtied since the last flush are appended as sparse delta lines, so a
 /// steady-state tick costs O(cells touched), not O(domain). Failures
 /// are reported on stderr; sessions closed mid-scan correctly refuse
 /// and are skipped silently.

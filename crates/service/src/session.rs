@@ -128,6 +128,22 @@ pub struct ShardDump {
     pub repl: Vec<(u64, u64)>,
 }
 
+impl ShardDump {
+    fn of(shard: &Shard) -> Self {
+        ShardDump {
+            ingested: shard.ingested(),
+            rng_draws: shard.rng_draws(),
+            rng_state: shard.rng_state(),
+            counts: shard.counts().to_vec(),
+            repl: shard
+                .repl_watermarks()
+                .iter()
+                .map(|(&o, &s)| (o, s))
+                .collect(),
+        }
+    }
+}
+
 /// A one-line summary of a live session, for `list_sessions`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSummary {
@@ -216,20 +232,11 @@ pub struct CollectionSession {
     /// write; initialized from the recovered dump (what was read back
     /// IS durable).
     durable_repl: Mutex<HashMap<u64, Vec<u64>>>,
-    /// Monotonic full-snapshot sequence number. `0` means no full
-    /// (v2) snapshot exists yet for this session; each successful full
-    /// save bumps it, and every appended delta line records the base
-    /// sequence it applies to, so recovery never replays deltas onto
-    /// the wrong base.
+    /// Monotonic full-snapshot sequence number, the on-disk
+    /// `flush_seq`. Each successful full save bumps it, and every
+    /// appended delta line records the base sequence it applies to, so
+    /// recovery never replays deltas onto the wrong base.
     persist_seq: AtomicU64,
-    /// Set for recovered sessions (and cleared by each successful full
-    /// save): the next persistence flush must write a *full* snapshot,
-    /// never a delta. A recovered session's shards have no in-memory
-    /// delta baseline, and its on-disk delta file may carry a torn tail
-    /// that would silently swallow lines appended after it — the fresh
-    /// base (which bumps the sequence and removes the delta file)
-    /// re-establishes both invariants.
-    pending_full_snapshot: AtomicBool,
 }
 
 impl std::fmt::Debug for CollectionSession {
@@ -308,7 +315,6 @@ impl CollectionSession {
             })
             .collect::<Result<Vec<_>>>()?;
         let session = Self::assemble(id, schema, mechanism, seed, max_dense_domain, shards)?;
-        session.pending_full_snapshot.store(true, Ordering::SeqCst);
         session.record_durable_repl(&recovered_marks);
         Ok(session)
     }
@@ -354,7 +360,6 @@ impl CollectionSession {
             persist_gate: Mutex::new(()),
             durable_repl: Mutex::new(HashMap::new()),
             persist_seq: AtomicU64::new(0),
-            pending_full_snapshot: AtomicBool::new(false),
         })
     }
 
@@ -370,25 +375,19 @@ impl CollectionSession {
         self.persist_seq.fetch_max(seq, Ordering::SeqCst);
     }
 
-    /// Whether the next persistence flush must be a full snapshot
-    /// (true for recovered sessions until their first successful full
-    /// save re-establishes a clean base + delta file).
-    pub fn needs_full_snapshot(&self) -> bool {
-        self.pending_full_snapshot.load(Ordering::SeqCst)
+    /// Whether every shard tracks per-cell deltas — the whole test for
+    /// whether the next periodic flush may append deltas instead of
+    /// writing a full base. False for a new, recovered or failed
+    /// session, and for one only ever saved by [`crate::persist::save_session`].
+    pub fn is_delta_tracking(&self) -> bool {
+        (0..self.shards.len()).all(|index| self.lock_shard(index).is_delta_tracking())
     }
 
-    /// Clears the full-snapshot requirement after a successful full
-    /// save.
-    pub(crate) fn clear_needs_full_snapshot(&self) {
-        self.pending_full_snapshot.store(false, Ordering::SeqCst);
-    }
-
-    /// Forces the next persistence flush to be a full snapshot. Used
-    /// when a save failed *after* its rename published a new base: the
-    /// session's sequence is now behind the file on disk, so a delta
-    /// append would carry a stale sequence the next recovery ignores.
-    pub(crate) fn force_full_snapshot(&self) {
-        self.pending_full_snapshot.store(true, Ordering::SeqCst);
+    /// Turns delta tracking off on every shard (a failed flush).
+    pub(crate) fn drop_delta_tracking(&self) {
+        for index in 0..self.shards.len() {
+            self.lock_shard(index).drop_delta_tracking();
+        }
     }
 
     /// The session id.
@@ -701,74 +700,33 @@ impl CollectionSession {
     /// per-shard deltas are left untouched.
     pub fn dump_shards(&self) -> Vec<ShardDump> {
         (0..self.shards.len())
-            .map(|index| {
-                let shard = self.lock_shard(index);
-                ShardDump {
-                    ingested: shard.ingested(),
-                    rng_draws: shard.rng_draws(),
-                    rng_state: shard.rng_state(),
-                    counts: shard.counts().to_vec(),
-                    repl: shard
-                        .repl_watermarks()
-                        .iter()
-                        .map(|(&o, &s)| (o, s))
-                        .collect(),
-                }
-            })
+            .map(|index| ShardDump::of(&self.lock_shard(index)))
             .collect()
     }
 
-    /// Dumps every shard for a *full* snapshot, atomically draining
-    /// each shard's pending delta under its lock (the full dump
-    /// includes those increments, so they must not be re-flushed as
-    /// deltas on top of the new base) and enabling delta tracking
-    /// relative to the dumped state. If the snapshot write then fails,
-    /// the caller must hand the drained deltas back via
-    /// [`Self::restore_deltas`] so the delta stream over the previous
-    /// base stays complete.
-    pub fn dump_shards_flushing(&self) -> (Vec<ShardDump>, Vec<ShardDelta>) {
-        let mut dumps = Vec::with_capacity(self.shards.len());
-        let mut drained = Vec::new();
-        for index in 0..self.shards.len() {
-            let mut shard = self.lock_shard(index);
-            dumps.push(ShardDump {
-                ingested: shard.ingested(),
-                rng_draws: shard.rng_draws(),
-                rng_state: shard.rng_state(),
-                counts: shard.counts().to_vec(),
-                repl: shard
-                    .repl_watermarks()
-                    .iter()
-                    .map(|(&o, &s)| (o, s))
-                    .collect(),
-            });
-            if let Some(delta) = shard.take_delta(index) {
-                drained.push(delta);
-            }
-            // The dumped state is the base all later deltas are
-            // relative to; tracking starts (or restarts, zeroed) here.
-            shard.enable_delta_tracking();
-        }
-        (dumps, drained)
+    /// Dumps every shard for a *full* snapshot and, under the same
+    /// shard lock, makes the dumped state the base later deltas are
+    /// relative to ([`Shard::rebase_delta`]): tracking restarts where
+    /// it is on, and starts everywhere when `track` is set.
+    pub(crate) fn dump_base(&self, track: bool) -> Vec<ShardDump> {
+        (0..self.shards.len())
+            .map(|index| {
+                let mut shard = self.lock_shard(index);
+                let dump = ShardDump::of(&shard);
+                shard.rebase_delta(track);
+                dump
+            })
+            .collect()
     }
 
     /// Drains the pending delta of every dirty shard (for an
     /// incremental persistence flush). Shards touched since their last
     /// flush each contribute one [`ShardDelta`]; clean shards
-    /// contribute nothing. On a failed write, hand the result back via
-    /// [`Self::restore_deltas`].
+    /// contribute nothing.
     pub fn take_dirty_deltas(&self) -> Vec<ShardDelta> {
         (0..self.shards.len())
             .filter_map(|index| self.lock_shard(index).take_delta(index))
             .collect()
-    }
-
-    /// Returns drained deltas to their shards after a failed flush
-    /// write, so the increments are captured again by the next flush.
-    pub fn restore_deltas(&self, deltas: &[ShardDelta]) {
-        for delta in deltas {
-            self.lock_shard(delta.shard).restore_delta(&delta.cells);
-        }
     }
 
     /// Ingest statistics.

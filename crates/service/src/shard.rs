@@ -10,10 +10,11 @@
 //! Ingest runs in the *index domain*: the session encodes (and thereby
 //! validates) a whole batch once, outside the shard lock, and the shard
 //! loop is `perturb_index` → `observe_index` — at most two RNG draws and
-//! zero allocations per record. Each shard additionally tracks the
-//! per-cell count increments since its last persistence flush, so the
-//! periodic persister can append sparse deltas instead of rewriting the
-//! whole count vector (see [`crate::persist`]).
+//! zero allocations per record. Once the periodic persister has written
+//! a full base for its session, each shard also tracks the per-cell
+//! count increments since the last flush, so later ticks append sparse
+//! deltas instead of rewriting the whole count vector (see
+//! [`crate::persist`]).
 
 use crate::error::{Result, ServiceError};
 use frapp_core::perturb::Perturber;
@@ -107,14 +108,13 @@ pub struct Shard {
     acc: CountAccumulator,
     rng: CountingRng,
     ingested: u64,
-    /// Count increments since the last flush, dense over the domain.
-    /// Empty until [`Shard::enable_delta_tracking`] — deltas are only
-    /// meaningful relative to a written base snapshot, so a shard on a
-    /// server without persistence never pays the extra array (which
-    /// would otherwise double count-storage memory) or the per-record
-    /// increment. Once enabled, one extra array write per ingested
-    /// record buys the persister sparse delta lines instead of
-    /// whole-vector rewrites.
+    /// Count increments since the last flush, dense over the domain;
+    /// empty while delta tracking is off. Only the periodic persister's
+    /// full base turns it on ([`Shard::rebase_delta`]), so a shard on a
+    /// server without `--persist-interval` never pays the extra array
+    /// (which doubles count-storage memory) or the per-record increment,
+    /// however often it is snapshotted. A failed flush turns it off
+    /// again ([`Shard::drop_delta_tracking`]).
     delta: Vec<u64>,
     /// Whether any record has been counted since the last flush.
     dirty: bool,
@@ -223,32 +223,40 @@ impl Shard {
         true
     }
 
-    /// Whether per-cell delta tracking is active (it is enabled by the
-    /// first full snapshot that establishes a base to be relative to).
+    /// Whether per-cell delta tracking is on.
     pub fn is_delta_tracking(&self) -> bool {
         !self.delta.is_empty()
     }
 
-    /// Starts (or resets) per-cell delta tracking. Called under the
-    /// shard lock by a full-snapshot dump: the base the dump writes is
-    /// the state all later deltas are relative to. Idempotent apart
-    /// from zeroing any pending increments — callers drain first.
-    pub fn enable_delta_tracking(&mut self) {
+    /// Makes the current state the base later deltas are relative to:
+    /// zeroes the pending increments if tracking is on, and turns it on
+    /// first when `enable` is set. Called under the shard lock by the
+    /// dump a full save writes.
+    pub fn rebase_delta(&mut self, enable: bool) {
         if self.delta.is_empty() {
+            if !enable {
+                return;
+            }
             self.delta = vec![0; self.acc.schema().domain_size()];
         } else {
-            self.delta.iter_mut().for_each(|c| *c = 0);
+            self.delta.fill(0);
         }
         self.dirty = false;
     }
 
+    /// Turns delta tracking off and frees its array. Called after a
+    /// failed flush, when disk may hold more than the last known base.
+    pub fn drop_delta_tracking(&mut self) {
+        self.delta = Vec::new();
+        self.dirty = false;
+    }
+
     /// Drains the per-cell increments accumulated since the last flush,
-    /// returning `None` when the shard is clean or delta tracking has
-    /// not been enabled by a base snapshot yet (an untracked shard has
-    /// no base for a delta to be relative to — the caller must write a
-    /// full snapshot instead). The returned delta carries the shard's
-    /// absolute position so a persisted delta stream is
-    /// self-describing.
+    /// returning `None` when the shard is clean or untracked (an
+    /// untracked shard has no base for a delta to be relative to — the
+    /// caller must write a full snapshot instead). The returned delta
+    /// carries the shard's absolute position so a persisted delta
+    /// stream is self-describing.
     pub fn take_delta(&mut self, shard_index: usize) -> Option<ShardDelta> {
         if !self.dirty || self.delta.is_empty() {
             return None;
@@ -269,19 +277,6 @@ impl Shard {
             cells,
             repl: self.repl.iter().map(|(&o, &s)| (o, s)).collect(),
         })
-    }
-
-    /// Puts a previously taken delta's increments back (a flush whose
-    /// write failed): the cells rejoin the pending-delta state so the
-    /// next flush captures them again. Counts are untouched — they
-    /// always already include the increments.
-    pub fn restore_delta(&mut self, cells: &[(usize, u64)]) {
-        for &(cell, inc) in cells {
-            self.delta[cell] += inc;
-        }
-        if !cells.is_empty() {
-            self.dirty = true;
-        }
     }
 
     /// Counts a batch of encoded records that clients already
@@ -436,9 +431,12 @@ mod tests {
         shard.ingest_perturbed_indices(&[cell(&[1, 1])]);
         assert!(shard.is_dirty());
         assert!(shard.take_delta(0).is_none());
-        // Enabling tracking (what a full-snapshot dump does) starts the
+        // A full save that does not ask for tracking leaves it off.
+        shard.rebase_delta(false);
+        assert!(!shard.is_delta_tracking());
+        // The periodic persister's base turns it on and starts the
         // delta stream from the current state.
-        shard.enable_delta_tracking();
+        shard.rebase_delta(true);
         assert!(shard.is_delta_tracking());
         assert!(!shard.is_dirty());
         shard.ingest_perturbed_indices(&[cell(&[0, 0])]);
@@ -459,7 +457,7 @@ mod tests {
 
         // The watermark map rides along with every delta so persisted
         // dedup state always matches persisted counts.
-        shard.enable_delta_tracking();
+        shard.rebase_delta(true);
         shard.ingest_perturbed_indices(&[cell(&[0, 0])]);
         let delta = shard.take_delta(0).unwrap();
         assert_eq!(delta.repl, vec![(3, 2), (9, 1)]);
@@ -472,10 +470,10 @@ mod tests {
     }
 
     #[test]
-    fn delta_tracking_drains_and_restores() {
+    fn delta_tracking_drains_rebases_and_drops() {
         let s = schema();
         let mut shard = Shard::new(s.clone(), 0, 2);
-        shard.enable_delta_tracking();
+        shard.rebase_delta(true);
         assert!(!shard.is_dirty());
         assert!(shard.take_delta(2).is_none());
 
@@ -492,13 +490,23 @@ mod tests {
         assert!(!shard.is_dirty());
         assert!(shard.take_delta(2).is_none(), "drained shard is clean");
 
-        // Increments since the flush form the next delta; a restored
-        // (failed-write) delta merges back in.
+        // Increments since the flush form the next delta.
         shard.ingest_perturbed_indices(&[cell(&[2, 0])]);
-        shard.restore_delta(&delta.cells);
-        let merged = shard.take_delta(2).unwrap();
-        let total: u64 = merged.cells.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 4, "3 restored + 1 new increment");
-        assert_eq!(merged.ingested, 4);
+        let next = shard.take_delta(2).unwrap();
+        assert_eq!(next.cells, vec![(cell(&[2, 0]), 1)]);
+        assert_eq!(next.ingested, 4);
+
+        // A rebase (a full save while tracking) zeroes what is pending
+        // without turning tracking off, even when not asked to enable.
+        shard.ingest_perturbed_indices(&[cell(&[0, 1])]);
+        shard.rebase_delta(false);
+        assert!(shard.is_delta_tracking());
+        assert!(shard.take_delta(2).is_none());
+
+        // A failed flush drops tracking and its array.
+        shard.ingest_perturbed_indices(&[cell(&[0, 1])]);
+        shard.drop_delta_tracking();
+        assert!(!shard.is_delta_tracking() && !shard.is_dirty());
+        assert!(shard.take_delta(2).is_none());
     }
 }

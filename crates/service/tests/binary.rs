@@ -587,3 +587,27 @@ fn a_lying_response_length_fails_the_call_not_the_process() {
     assert!(client.call(Op::Ping, None, vec![]).is_err());
     liar.join().unwrap();
 }
+
+#[test]
+fn a_lying_http_content_length_fails_the_call_not_the_process() {
+    // The HTTP twin: a response head declaring a 1 TiB body, one body
+    // byte, then close. The short body is a closed connection, not an
+    // allocation abort.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let liar = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+            line.clear();
+        }
+        stream
+            .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n{")
+            .unwrap();
+    });
+    let mut client = HttpClient::connect(addr).unwrap();
+    let err = client.request("GET", "/health", None).unwrap_err();
+    assert!(matches!(err, ServiceError::ConnectionClosed), "{err}");
+    liar.join().unwrap();
+}
