@@ -184,9 +184,19 @@ fn extract_fns(tokens: &[Token]) -> Vec<FnDef> {
                 };
                 let name = name_tok.text.clone();
                 let line = tokens[i].line;
-                // Scan the signature for the body `{` or a `;`.
+                // Scan the signature for the body `{` or a `;`, skipping
+                // the `;` of array types such as `[u8; 4]`.
                 let mut j = i + 2;
-                while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
+                let mut brackets = 0usize;
+                while j < tokens.len()
+                    && !tokens[j].is_punct('{')
+                    && !(tokens[j].is_punct(';') && brackets == 0)
+                {
+                    if tokens[j].is_punct('[') {
+                        brackets += 1;
+                    } else if tokens[j].is_punct(']') {
+                        brackets = brackets.saturating_sub(1);
+                    }
                     j += 1;
                 }
                 let body = if tokens.get(j).is_some_and(|t| t.is_punct('{')) {
@@ -350,11 +360,16 @@ mod tests {
 
     #[test]
     fn finds_fns_and_bodies() {
-        let f = parse("fn a() { b(); }\npub fn c(x: u32) -> u32 { x }\ntrait T { fn d(&self); }");
+        let f = parse(
+            "fn a() { b(); }\npub fn c(x: u32) -> u32 { x }\ntrait T { fn d(&self); }\n\
+             const fn e<const N: usize>(x: [u8; 2]) -> [u64; N] { t[0] }",
+        );
         let names: Vec<&str> = f.fns.iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "c", "d"]);
+        assert_eq!(names, vec!["a", "c", "d", "e"]);
         assert!(f.fns[0].body.is_some());
         assert!(f.fns[2].body.is_none());
+        // An array type's `;` does not end the signature.
+        assert!(f.fns[3].body.is_some());
         let calls = f.calls(&f.fns[0]);
         assert_eq!(calls.len(), 1);
         assert_eq!(calls[0].name, "b");

@@ -24,6 +24,7 @@ const WIRE_FILES: &[&str] = &[
     "session.rs",
     "framing.rs",
     "json.rs",
+    "json/float.rs",
 ];
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "unimplemented", "todo"];

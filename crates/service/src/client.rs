@@ -163,8 +163,11 @@ fn parse_reconstruction(v: &Value, method: ReconstructionMethod) -> Result<Recon
                 .ok_or_else(|| ServiceError::Protocol("estimates must be numbers".into()))
         })
         .collect::<Result<Vec<f64>>>()?;
+    let n = v.get("n").and_then(Value::as_u64).ok_or_else(|| {
+        ServiceError::Protocol("reconstruct response missing an integer `n`".into())
+    })?;
     Ok(Reconstruction {
-        n: v.get("n").and_then(Value::as_u64).unwrap_or(0),
+        n,
         estimates,
         method,
         lu_cache_hit: v
@@ -1151,5 +1154,42 @@ impl HttpClient {
         let text = std::str::from_utf8(&body)
             .map_err(|_| ServiceError::Protocol("response body is not valid UTF-8".into()))?;
         check_ok(json::parse(text)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_reconstruct_answer_without_an_integer_n_is_a_protocol_error() {
+        for answer in [
+            r#"{"ok":true,"method":"closed","estimates":[1.5,0]}"#,
+            r#"{"ok":true,"n":-1,"estimates":[1.5,0]}"#,
+            r#"{"ok":true,"n":"4","estimates":[]}"#,
+        ] {
+            // A sink that reads one request line and answers `answer`.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let sink = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut request = String::new();
+                BufReader::new(&stream).read_line(&mut request).unwrap();
+                (&stream)
+                    .write_all(format!("{answer}\n").as_bytes())
+                    .unwrap();
+                request
+            });
+            let mut client = Client::connect(addr).unwrap();
+            let err = client
+                .reconstruct(1, ReconstructionMethod::ClosedForm, true)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ServiceError::Protocol(m) if m.contains("`n`")),
+                "{answer}: {err}"
+            );
+            assert!(sink.join().unwrap().contains(r#""op":"reconstruct""#));
+        }
     }
 }

@@ -784,8 +784,9 @@ fn coverage(owners_total: usize, missing: Vec<(usize, String)>) -> Option<Partia
 }
 
 /// FNV-1a, for deriving a per-link deterministic jitter seed from the
-/// peer address without OS entropy.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// peer address without OS entropy (tests also pin response bytes by
+/// it).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
         h ^= b as u64;

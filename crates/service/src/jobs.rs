@@ -907,6 +907,50 @@ mod tests {
         }
     }
 
+    #[test]
+    fn job_result_bytes_are_the_parents() {
+        // (FNV-1a-64, length) of a `job_result` body per algorithm,
+        // recorded at commit `df3a16d`, when every number went through
+        // `format!`. The session is server-perturbed from a fixed seed.
+        let mgr = manager(1, 8, 600);
+        let session = SessionRegistry::new()
+            .create(
+                frapp_data::health::schema(),
+                crate::session::Mechanism::Deterministic { gamma: 19.0 },
+                2,
+                13,
+                4096,
+            )
+            .unwrap()
+            .session;
+        let dataset = frapp_data::health::health_like_n(20_000, 3);
+        session.submit_batch(dataset.records(), false).unwrap();
+        let mut got = Vec::new();
+        for algo in [MineAlgo::Apriori, MineAlgo::FpGrowth] {
+            let spec = MineSpec {
+                algo,
+                min_support: 0.02,
+                ..MineSpec::default()
+            };
+            let rec = mgr.submit_mine_rules(Arc::clone(&session), spec).unwrap();
+            wait_terminal(&mgr, rec.id());
+            let mut pairs = mgr.result_pairs(rec.id()).unwrap();
+            // `wall_ms` is a clock reading: pin a fractional stand-in.
+            for (key, value) in &mut pairs {
+                if *key == "wall_ms" {
+                    *value = Value::Number(8.765432109876542);
+                }
+            }
+            let mut out = String::new();
+            crate::protocol::write_ok_response(&mut out, pairs);
+            got.push((crate::fed::fnv1a(out.as_bytes()), out.len()));
+        }
+        assert_eq!(
+            got,
+            [(1312958700409682478, 332979), (89214769826394500, 119288)]
+        );
+    }
+
     /// Polls until `id` reports `running` (the worker popped it).
     fn wait_running(mgr: &JobManager, id: u64) {
         for _ in 0..500 {

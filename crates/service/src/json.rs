@@ -9,6 +9,8 @@
 
 use crate::error::{Result, ServiceError};
 
+mod float;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -172,18 +174,45 @@ impl From<String> for Value {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// 2^53: every integer of smaller magnitude is exact in an `f64`.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// Appends a number as every response writes it (PROTOCOL.md §2): an
+/// integral value of magnitude below 2^53 as an integer, any other
+/// finite value as its shortest round-trip plain decimal, and a
+/// non-finite one as `null`.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    let int = n as i64;
     if !n.is_finite() {
         // JSON has no Infinity/NaN; null is the conventional stand-in.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+    } else if n.abs() < EXACT_INTEGERS && int as f64 == n {
+        // -0.0 lands here too, and prints as `0`.
+        if int < 0 {
+            out.push('-');
+        }
+        float::write_u64(int.unsigned_abs(), out);
     } else {
-        out.push_str(&format!("{n}"));
+        float::write_f64(n, out);
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// The number writer before [`write_number`] had its own digit code,
+/// kept as the reference its tests compare against.
+#[cfg(test)]
+pub(crate) fn format_number(n: f64) -> String {
+    if !n.is_finite() {
+        "null".to_owned()
+    } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
+}
+
+/// Appends `s` as a JSON string literal.
+pub(crate) fn write_string(s: &str, out: &mut String) {
+    const HEX: &str = "0123456789abcdef";
     out.push('"');
     for c in s.chars() {
         match c {
@@ -192,7 +221,16 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                // `\u00XX`, whose high digit is 0 or 1.
+                out.push_str(if (c as u32) < 0x10 {
+                    "\\u000"
+                } else {
+                    "\\u001"
+                });
+                let low = c as usize & 0xf;
+                out.push_str(&HEX[low..=low]);
+            }
             c => out.push(c),
         }
     }
@@ -320,9 +358,9 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
-        text.parse::<f64>()
+        // The scan stopped on ASCII, so `pos` is a char boundary.
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.err("malformed number"))
     }

@@ -890,19 +890,32 @@ pub fn write_reconstruction_response_with(
     rec: &Reconstruction,
     coverage: Option<&PartialCoverage>,
 ) {
-    let mut pairs = vec![
-        ("n", rec.n.into()),
-        ("method", rec.method.wire_name().into()),
-        ("lu_cache_hit", rec.lu_cache_hit.into()),
-        (
-            "estimates",
-            Value::Array(rec.estimates.iter().map(|&e| Value::Number(e)).collect()),
-        ),
-    ];
-    if let Some(c) = coverage {
-        pairs.extend(degraded_pairs(c));
+    // Written straight into `out`, in the field order a `Value` object
+    // would have: the estimates are nearly all of the response, and a
+    // tree would hold one `Value` per cell before writing any of them.
+    out.push_str("{\"ok\":true,\"n\":");
+    json::write_number(rec.n as f64, out);
+    out.push_str(",\"method\":");
+    json::write_string(rec.method.wire_name(), out);
+    out.push_str(",\"lu_cache_hit\":");
+    out.push_str(if rec.lu_cache_hit { "true" } else { "false" });
+    out.push_str(",\"estimates\":[");
+    for (i, &e) in rec.estimates.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_number(e, out);
     }
-    write_ok_response(out, pairs)
+    out.push(']');
+    if let Some(c) = coverage {
+        for (key, value) in degraded_pairs(c) {
+            out.push(',');
+            json::write_string(key, out);
+            out.push(':');
+            value.write_json(out);
+        }
+    }
+    out.push('}');
 }
 
 /// Response payload for a successful `reconstruct`.
@@ -1614,6 +1627,68 @@ mod tests {
         let v = crate::json::parse(&out).unwrap();
         assert!(v.get("degraded").is_none());
         assert!(v.get("coverage").is_none());
+    }
+
+    /// The clamped (zeros) and unclamped (negatives) reconstructions of
+    /// a fixed-seed, server-perturbed CENSUS session: 2000 estimates.
+    fn census_reconstructions() -> [Reconstruction; 2] {
+        let session = crate::session::CollectionSession::new(
+            1,
+            frapp_data::census::schema(),
+            Mechanism::Deterministic { gamma: 19.0 },
+            2,
+            11,
+            4096,
+        )
+        .unwrap();
+        let dataset = frapp_data::census::census_like_n(4000, 5);
+        session.submit_batch(dataset.records(), false).unwrap();
+        [true, false].map(|clamp| {
+            session
+                .reconstruct(ReconstructionMethod::ClosedForm, clamp)
+                .unwrap()
+        })
+    }
+
+    #[test]
+    fn reconstruction_response_bytes_are_the_parents() {
+        // (FNV-1a-64, length) of each response, recorded at commit
+        // `df3a16d`, when the response was a `Value` tree and every
+        // number went through `format!`.
+        let [clamped, unclamped] = census_reconstructions();
+        assert_eq!(clamped.estimates.len(), 2000);
+        assert!(clamped.estimates.contains(&0.0));
+        assert!(unclamped.estimates.iter().any(|&e| e < 0.0));
+        for &e in clamped.estimates.iter().chain(&unclamped.estimates) {
+            let mut out = String::new();
+            json::write_number(e, &mut out);
+            assert_eq!(out, json::format_number(e));
+        }
+        let coverage = PartialCoverage {
+            owners_total: 3,
+            owners_reachable: 2,
+            missing: vec![(2, "10.0.0.3:7000".to_owned())],
+        };
+        let got: Vec<(u64, usize)> = [
+            (&clamped, None),
+            (&unclamped, None),
+            (&unclamped, Some(&coverage)),
+        ]
+        .into_iter()
+        .map(|(rec, coverage)| {
+            let mut out = String::new();
+            write_reconstruction_response_with(&mut out, rec, coverage);
+            (crate::fed::fnv1a(out.as_bytes()), out.len())
+        })
+        .collect();
+        assert_eq!(
+            got,
+            [
+                (13775818387793187996, 24115),
+                (12612901313889562274, 38063),
+                (13162880441513239346, 38176),
+            ]
+        );
     }
 
     #[test]
