@@ -188,10 +188,10 @@ fn parse_stats(v: &Value) -> Result<SessionStats> {
                 .ok_or_else(|| ServiceError::Protocol("shard counts must be integers".into()))
         })
         .collect::<Result<Vec<u64>>>()?;
-    Ok(SessionStats {
-        total: v.get("total").and_then(Value::as_u64).unwrap_or(0),
-        per_shard,
-    })
+    let total = v.get("total").and_then(Value::as_u64).ok_or_else(|| {
+        ServiceError::Protocol("stats response missing an integer `total`".into())
+    })?;
+    Ok(SessionStats { total, per_shard })
 }
 
 /// The session-id array under `key` (`sessions`, `persisted`).
@@ -1163,11 +1163,17 @@ mod tests {
     use std::net::TcpListener;
 
     #[test]
-    fn a_reconstruct_answer_without_an_integer_n_is_a_protocol_error() {
-        for answer in [
-            r#"{"ok":true,"method":"closed","estimates":[1.5,0]}"#,
-            r#"{"ok":true,"n":-1,"estimates":[1.5,0]}"#,
-            r#"{"ok":true,"n":"4","estimates":[]}"#,
+    fn an_answer_without_an_integer_n_or_total_is_a_protocol_error() {
+        for (op, answer) in [
+            (
+                "reconstruct",
+                r#"{"ok":true,"method":"closed","estimates":[1.5,0]}"#,
+            ),
+            ("reconstruct", r#"{"ok":true,"n":-1,"estimates":[1.5,0]}"#),
+            ("reconstruct", r#"{"ok":true,"n":"4","estimates":[]}"#),
+            ("stats", r#"{"ok":true,"per_shard":[1,2]}"#),
+            ("stats", r#"{"ok":true,"total":-1,"per_shard":[1,2]}"#),
+            ("stats", r#"{"ok":true,"total":"3","per_shard":[]}"#),
         ] {
             // A sink that reads one request line and answers `answer`.
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1182,14 +1188,21 @@ mod tests {
                 request
             });
             let mut client = Client::connect(addr).unwrap();
-            let err = client
-                .reconstruct(1, ReconstructionMethod::ClosedForm, true)
-                .unwrap_err();
+            let (err, field) = match op {
+                "reconstruct" => (
+                    client
+                        .reconstruct(1, ReconstructionMethod::ClosedForm, true)
+                        .map(drop),
+                    "`n`",
+                ),
+                _ => (client.stats(1).map(drop), "`total`"),
+            };
+            let err = err.unwrap_err();
             assert!(
-                matches!(&err, ServiceError::Protocol(m) if m.contains("`n`")),
+                matches!(&err, ServiceError::Protocol(m) if m.contains(field)),
                 "{answer}: {err}"
             );
-            assert!(sink.join().unwrap().contains(r#""op":"reconstruct""#));
+            assert!(sink.join().unwrap().contains(&format!(r#""op":"{op}""#)));
         }
     }
 }

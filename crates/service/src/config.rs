@@ -114,7 +114,7 @@ pub struct ServiceConfig {
     /// How long an open circuit breaker back-pressures a peer link
     /// before allowing a half-open probe, in milliseconds.
     pub breaker_cooldown_ms: u64,
-    /// Worker threads in the reactor's offload executor — the pool
+    /// Worker threads in the reactor's offload pool — the pool
     /// that runs dispatch (including federated fan-out and persistence
     /// I/O) off the event-loop threads. Ignored in
     /// thread-per-connection mode. Values below 1 are treated as 1.
@@ -123,8 +123,8 @@ pub struct ServiceConfig {
     /// runs `mine_rules` / `classify` off the transport threads. Values
     /// below 1 are treated as 1.
     pub job_threads: usize,
-    /// Most jobs the background-job submission queue holds; submits
-    /// past the cap are shed with an in-band error instead of queueing
+    /// Most jobs that may wait in state `queued` at once; submits past
+    /// the cap are shed with an in-band error instead of queueing
     /// unboundedly. Values below 1 are treated as 1.
     pub job_queue_depth: usize,
     /// Seconds a finished job (and its result) is retained before the

@@ -766,112 +766,6 @@ fn resolve_attr(schema: &Schema, target: &AttrRef) -> Result<usize> {
     }
 }
 
-/// A small fixed pool of worker threads the reactor hands complete
-/// request frames to, so the event loop itself never executes dispatch
-/// — and, under federation, never blocks on a peer-link barrier or a
-/// persistence fsync. Threaded front-ends dispatch inline on their
-/// per-connection worker, so the pool exists only under `--async`.
-///
-/// Sized by [`crate::config::ServiceConfig::offload_threads`]. Dropping
-/// the executor drains every queued job (workers stop only when the
-/// queue is empty), then joins the workers — queued responses are never
-/// silently discarded by an orderly shutdown.
-pub(crate) struct OffloadExecutor {
-    inner: std::sync::Arc<OffloadInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct OffloadInner {
-    jobs: std::sync::Mutex<std::collections::VecDeque<OffloadJob>>,
-    ready: std::sync::Condvar,
-    stop: std::sync::atomic::AtomicBool,
-}
-
-type OffloadJob = Box<dyn FnOnce() + Send + 'static>;
-
-impl OffloadExecutor {
-    /// Starts a pool of `threads.max(1)` workers.
-    pub(crate) fn new(threads: usize) -> Self {
-        let inner = std::sync::Arc::new(OffloadInner {
-            jobs: std::sync::Mutex::new(std::collections::VecDeque::new()),
-            ready: std::sync::Condvar::new(),
-            stop: std::sync::atomic::AtomicBool::new(false),
-        });
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let inner = std::sync::Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("frapp-offload-{i}"))
-                    .spawn(move || offload_worker_loop(&inner))
-                    // analyze: allow(panic_path): runs once at server startup; a host that cannot spawn a thread cannot serve at all
-                    .expect("spawning an offload worker thread")
-            })
-            .collect();
-        OffloadExecutor { inner, workers }
-    }
-
-    /// Enqueues one job for the pool; never blocks the caller.
-    pub(crate) fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        let mut jobs = self
-            .inner
-            .jobs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        jobs.push_back(Box::new(job));
-        drop(jobs);
-        self.inner.ready.notify_one();
-    }
-}
-
-fn offload_worker_loop(inner: &OffloadInner) {
-    loop {
-        let job = {
-            let mut jobs = inner
-                .jobs
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break Some(job);
-                }
-                // Stop only once the queue is drained, so Drop delivers
-                // every job that was queued before the stop flag.
-                if inner.stop.load(std::sync::atomic::Ordering::SeqCst) {
-                    break None;
-                }
-                jobs = inner
-                    .ready
-                    .wait(jobs)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        match job {
-            Some(job) => job(),
-            None => return,
-        }
-    }
-}
-
-impl Drop for OffloadExecutor {
-    fn drop(&mut self) {
-        self.inner
-            .stop
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        self.inner.ready.notify_all();
-        // A queued job can own the last handle to the executor (via the
-        // reactor's shared state), so this destructor may run *on* a
-        // worker thread — joining that thread would deadlock (EDEADLK).
-        // Skip self; that worker is already past its loop and exits as
-        // soon as this drop returns.
-        let me = std::thread::current().id();
-        for w in self.workers.drain(..) {
-            if w.thread().id() != me {
-                let _ = w.join();
-            }
-        }
-    }
-}
-
 /// Snapshots every live session, returning the ids persisted and the
 /// per-session failures. Sessions closed between the registry scan and
 /// the write correctly refuse their snapshot and appear in neither
@@ -922,33 +816,6 @@ mod tests {
             .get("session")
             .and_then(json::Value::as_u64)
             .unwrap()
-    }
-
-    #[test]
-    fn offload_executor_runs_every_job_and_drains_on_drop() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let ran = Arc::new(AtomicUsize::new(0));
-        let pool = OffloadExecutor::new(2);
-        for _ in 0..64 {
-            let ran = Arc::clone(&ran);
-            pool.spawn(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Drop joins the workers only after the queue is empty, so
-        // every queued job must have run by the time it returns.
-        drop(pool);
-        assert_eq!(ran.load(Ordering::SeqCst), 64);
-        // A zero-thread request still gets one worker.
-        let pool = OffloadExecutor::new(0);
-        let ran2 = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran2);
-        pool.spawn(move || {
-            r.fetch_add(1, Ordering::SeqCst);
-        });
-        drop(pool);
-        assert_eq!(ran2.load(Ordering::SeqCst), 1);
     }
 
     /// A dispatch harness with one persistent connection state, like a

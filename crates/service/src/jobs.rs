@@ -20,6 +20,7 @@ use crate::error::{Result, ServiceError};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::json::{object, Value};
 use crate::metrics::TransportMetrics;
+use crate::pool::WorkerPool;
 use crate::session::{CollectionSession, ReconstructionMethod};
 use crate::wire::Counter;
 use frapp_core::schema::Schema;
@@ -28,9 +29,9 @@ use frapp_mining::estimators::GammaDiagonalSupport;
 use frapp_mining::hook::MineHook;
 use frapp_mining::rules::{generate_rules, Rule};
 use frapp_mining::{apriori_with_hook, bayes_classify, fp_growth_from_counts, FrequentItemsets};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A job's lifecycle state. Transitions only move rightward through
@@ -231,15 +232,7 @@ impl MineHook for JobHook<'_> {
 
 type JobWork = Box<dyn FnOnce(&JobRecord) -> JobOutcome + Send + 'static>;
 
-struct QueueEntry {
-    record: Arc<JobRecord>,
-    work: JobWork,
-}
-
 struct JobInner {
-    queue: Mutex<VecDeque<QueueEntry>>,
-    ready: Condvar,
-    stop: AtomicBool,
     /// All known jobs by id (BTreeMap so `list_jobs` is id-ordered).
     jobs: Mutex<BTreeMap<u64, Arc<JobRecord>>>,
     next_id: AtomicU64,
@@ -249,18 +242,19 @@ struct JobInner {
     fault: FaultPlan,
 }
 
-/// The job executor: a fixed pool of `frapp-job-{i}` worker threads
-/// behind a bounded submission queue. Submission never blocks: a full
-/// queue sheds in-band (`job queue is full`). Dropping the manager
-/// cancels every live job cooperatively and joins the workers.
+/// The job executor: a worker pool of `frapp-job-{i}` threads with a
+/// bound on the jobs waiting in state `queued`. Submission never
+/// blocks: past the bound it sheds in-band (`job queue is full`).
+/// Dropping the manager cancels every live job cooperatively and joins
+/// the workers.
 pub struct JobManager {
     inner: Arc<JobInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    pool: WorkerPool,
 }
 
 impl JobManager {
-    /// Starts `threads.max(1)` workers with the given submission-queue
-    /// depth and finished-job retention TTL. Job counters are recorded
+    /// Starts `threads.max(1)` workers with the given bound on queued
+    /// jobs and finished-job retention TTL. Job counters are recorded
     /// on `metrics`; `fault` supplies the `job_exec` injection site.
     pub fn new(
         threads: usize,
@@ -270,9 +264,6 @@ impl JobManager {
         fault: FaultPlan,
     ) -> Self {
         let inner = Arc::new(JobInner {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            stop: AtomicBool::new(false),
             jobs: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
             queue_depth: queue_depth.max(1),
@@ -280,17 +271,10 @@ impl JobManager {
             metrics,
             fault,
         });
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("frapp-job-{i}"))
-                    .spawn(move || job_worker_loop(&inner))
-                    // analyze: allow(panic_path): runs once at server startup; a host that cannot spawn a thread cannot serve at all
-                    .expect("spawning a job worker thread")
-            })
-            .collect();
-        JobManager { inner, workers }
+        JobManager {
+            inner,
+            pool: WorkerPool::new("frapp-job", threads),
+        }
     }
 
     /// A manager sized from the config knobs.
@@ -335,36 +319,37 @@ impl JobManager {
         jobs.get(&id).cloned().ok_or(ServiceError::UnknownJob(id))
     }
 
-    /// Registers a record and queues its work, shedding when the
-    /// submission queue is full.
+    /// Registers a record and queues its work, shedding when
+    /// `queue_depth` jobs are already `queued`. The count and the
+    /// insert share one hold of the jobs map, so the bound is exact,
+    /// and a job cancelled while queued frees its slot at once.
     fn submit(&self, session: u64, op: &'static str, work: JobWork) -> Result<Arc<JobRecord>> {
         self.purge_expired();
-        let mut queue = self
-            .inner
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if queue.len() >= self.inner.queue_depth {
-            self.inner.metrics.inc(Counter::JobsShed);
-            return Err(ServiceError::InvalidRequest(format!(
-                "job queue is full ({} queued); retry later",
-                queue.len()
-            )));
-        }
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let record = Arc::new(JobRecord::new(id, session, op));
-        self.inner
-            .jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, Arc::clone(&record));
-        queue.push_back(QueueEntry {
-            record: Arc::clone(&record),
-            work,
-        });
-        drop(queue);
-        self.inner.ready.notify_one();
+        let record = {
+            let mut jobs = self
+                .inner
+                .jobs
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let queued = jobs
+                .values()
+                .filter(|rec| rec.lock_core().state == JobState::Queued)
+                .count();
+            if queued >= self.inner.queue_depth {
+                self.inner.metrics.inc(Counter::JobsShed);
+                return Err(ServiceError::InvalidRequest(format!(
+                    "job queue is full ({queued} queued); retry later"
+                )));
+            }
+            let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+            let record = Arc::new(JobRecord::new(id, session, op));
+            jobs.insert(id, Arc::clone(&record));
+            record
+        };
         self.inner.metrics.inc(Counter::JobsSubmitted);
+        let inner = Arc::clone(&self.inner);
+        let rec = Arc::clone(&record);
+        self.pool.spawn(move || run_entry(&inner, &rec, work));
         Ok(record)
     }
 
@@ -462,9 +447,7 @@ impl JobManager {
         {
             let mut core = rec.lock_core();
             if core.state == JobState::Queued {
-                core.state = JobState::Cancelled;
-                core.finished = Some(Instant::now());
-                self.inner.metrics.inc(Counter::JobsCancelled);
+                finalize(&self.inner, &mut core, JobOutcome::Cancelled, 0.0);
             }
         }
         Ok(vec![("status", rec.status_value())])
@@ -486,81 +469,49 @@ impl JobManager {
 
 impl Drop for JobManager {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        // Raise every live job's token so running miners abort at their
-        // next checkpoint instead of holding the join.
-        {
-            let jobs = self
-                .inner
-                .jobs
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for rec in jobs.values() {
-                rec.cancel.store(true, Ordering::Relaxed);
-            }
-        }
-        self.inner.ready.notify_all();
-        let me = std::thread::current().id();
-        for w in self.workers.drain(..) {
-            if w.thread().id() != me {
-                let _ = w.join();
-            }
+        // Raise every live job's token: running miners abort at their
+        // next checkpoint, and `run_entry` finalizes the still-queued
+        // ones as cancelled without running them. Dropping the `pool`
+        // field afterwards drains its queue and joins the workers.
+        let jobs = self
+            .inner
+            .jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        for rec in jobs.values() {
+            rec.cancel.store(true, Ordering::Relaxed);
         }
     }
 }
 
-fn job_worker_loop(inner: &JobInner) {
-    loop {
-        let entry = {
-            let mut queue = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(entry) = queue.pop_front() {
-                    break Some(entry);
-                }
-                if inner.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = inner
-                    .ready
-                    // analyze: allow(lock_order): Condvar::wait atomically releases the queue mutex for the duration of the block
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        match entry {
-            Some(entry) if inner.stop.load(Ordering::SeqCst) => {
-                // Shutting down: never start new mining work; the
-                // still-queued jobs finalize as cancelled.
-                finalize(inner, &entry.record, JobOutcome::Cancelled, 0.0);
-            }
-            Some(entry) => run_entry(inner, entry),
-            None => return,
-        }
-    }
-}
-
-fn run_entry(inner: &JobInner, entry: QueueEntry) {
-    let rec = entry.record;
+/// One job's pool task: run the work unless the job was cancelled
+/// while it waited.
+fn run_entry(inner: &JobInner, rec: &JobRecord, work: JobWork) {
     {
         let mut core = rec.lock_core();
         if core.state != JobState::Queued {
-            // Cancelled while queued: already finalized by cancel().
+            // Cancelled while queued: already finalized by cancel_pairs.
             return;
+        }
+        if rec.cancel.load(Ordering::Relaxed) {
+            // The token went up while the job waited (the manager is
+            // dropping, or a cancel is racing this pop): never start it.
+            return finalize(inner, &mut core, JobOutcome::Cancelled, 0.0);
         }
         core.state = JobState::Running;
     }
     let started = Instant::now();
     let outcome = match inner.fault.inject_io(FaultSite::JobExec) {
         Err(e) => JobOutcome::Failed(format!("injected fault: {e}")),
-        Ok(()) => (entry.work)(&rec),
+        Ok(()) => work(rec),
     };
-    finalize(inner, &rec, outcome, started.elapsed().as_secs_f64() * 1e3);
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    finalize(inner, &mut rec.lock_core(), outcome, wall_ms);
 }
 
 /// Moves a job to its terminal state exactly once and records the
-/// matching transport counter.
-fn finalize(inner: &JobInner, rec: &JobRecord, outcome: JobOutcome, wall_ms: f64) {
-    let mut core = rec.lock_core();
+/// matching transport counter. The caller holds the record's core lock.
+fn finalize(inner: &JobInner, core: &mut JobCore, outcome: JobOutcome, wall_ms: f64) {
     if core.state.is_terminal() {
         return;
     }
@@ -986,9 +937,39 @@ mod tests {
             other => panic!("expected shed, got {other:?}"),
         }
         assert_eq!(m.report().get(Counter::JobsShed), 1);
+        // A job cancelled while queued no longer waits, so it frees its
+        // slot at once: the next submit is accepted.
+        let _ = mgr.cancel_pairs(queued.id());
+        let next = mgr
+            .submit_mine_rules(Arc::clone(&session), spec)
+            .expect("a cancelled queued job must not hold the queue slot");
+        assert_eq!(m.report().get(Counter::JobsShed), 1);
         // Cancel everything so Drop does not wait out the delays.
         let _ = mgr.cancel_pairs(running.id());
-        let _ = mgr.cancel_pairs(queued.id());
+        let _ = mgr.cancel_pairs(next.id());
+    }
+
+    #[test]
+    fn dropping_the_manager_cancels_a_queued_job_without_running_it() {
+        let m = metrics();
+        let plan = FaultPlan::parse("seed=1,job_exec=delay(200):1.0").unwrap();
+        let mgr = JobManager::new(1, 8, 600, Arc::clone(&m), plan);
+        let session = session_with_data(1_000);
+        let spec = MineSpec {
+            min_support: 0.15,
+            ..MineSpec::default()
+        };
+        let running = mgr.submit_mine_rules(Arc::clone(&session), spec).unwrap();
+        wait_running(&mgr, running.id());
+        let queued = mgr.submit_mine_rules(session, spec).unwrap();
+        drop(mgr);
+        let core = queued.lock_core();
+        assert_eq!(core.state, JobState::Cancelled);
+        assert_eq!(core.wall_ms, 0.0);
+        assert_eq!(queued.levels.load(Ordering::Relaxed), 0, "never ran");
+        // The running job aborted at its first checkpoint; both count.
+        assert_eq!(running.lock_core().state, JobState::Cancelled);
+        assert_eq!(m.report().get(Counter::JobsCancelled), 2);
     }
 
     #[test]

@@ -105,6 +105,7 @@ pub mod json;
 pub mod metrics;
 pub mod order;
 pub mod persist;
+mod pool;
 pub mod protocol;
 pub mod reactor;
 pub mod server;

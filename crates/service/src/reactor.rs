@@ -18,7 +18,7 @@
 //!    `tests/reactor.rs` asserts raw byte parity against the threaded
 //!    front-ends. Dispatch itself runs *off* the event loop: buffered
 //!    input and the connection's codec are handed to the shared offload
-//!    pool (`crate::dispatch::OffloadExecutor`, one in-flight job per
+//!    pool (a `frapp-offload` worker pool, one in-flight job per
 //!    connection so per-connection ordering holds) and the responses
 //!    come back through a wake pipe — so a dispatch that blocks (a
 //!    federated fan-out barrier, a persistence fsync) stalls one
@@ -1174,9 +1174,9 @@ fn maybe_start_job(
 }
 
 /// The body of one offload job: step the codec over every complete
-/// frame, then report back. Runs on an
-/// [`crate::dispatch::OffloadExecutor`] worker — this is the one place
-/// on the reactor side that may block.
+/// frame, then report back. Runs on a `frapp-offload` worker
+/// ([`crate::pool::WorkerPool`]) — this is the one place on the
+/// reactor side that may block.
 #[cfg(unix)]
 fn run_offload_job(
     token: u64,

@@ -52,7 +52,7 @@ pub(crate) struct Shared {
     /// The dispatch offload pool the reactor front-end hands complete
     /// frames to; the threaded front-ends dispatch on the connection's
     /// own thread and start no pool.
-    pub(crate) executor: Option<crate::dispatch::OffloadExecutor>,
+    pub(crate) executor: Option<crate::pool::WorkerPool>,
     /// The background-job pool running `mine_rules` / `classify` off
     /// the transport threads (see [`crate::jobs`]).
     pub(crate) jobs: crate::jobs::JobManager,
@@ -294,7 +294,7 @@ impl Server {
         let fed = crate::fed::FedState::from_config(&config)?;
         let executor = config
             .async_reactor
-            .then(|| crate::dispatch::OffloadExecutor::new(config.offload_threads));
+            .then(|| crate::pool::WorkerPool::new("frapp-offload", config.offload_threads));
         let transport = Arc::new(TransportMetrics::new());
         let jobs = crate::jobs::JobManager::from_config(&config, Arc::clone(&transport));
         Ok(Server {
@@ -365,9 +365,10 @@ impl Server {
             Ok(())
         };
         // However the front-end exited, the flag must be set so the
-        // persister stops too.
+        // persister stops too; the unpark cuts its wait short.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(p) = persister {
+            p.thread().unpark();
             let _ = p.join();
         }
         if let Some(dir) = &self.shared.config.persist_dir {
@@ -381,8 +382,8 @@ impl Server {
     }
 
     /// Starts the periodic snapshot thread, when configured. The thread
-    /// polls the shutdown flag at a fine grain so it never delays
-    /// `run`'s exit by more than ~50 ms.
+    /// parks until its next deadline; `run` sets the shutdown flag and
+    /// unparks it, so it never delays the exit.
     fn spawn_persister(&self) -> Option<JoinHandle<()>> {
         let dir = self.shared.config.persist_dir.clone()?;
         let interval = match self.shared.config.persist_interval_secs {
@@ -393,15 +394,17 @@ impl Server {
         let shutdown = Arc::clone(&self.shared.shutdown);
         let fault = self.shared.config.fault_plan.clone();
         Some(std::thread::spawn(move || {
-            let tick = Duration::from_millis(50);
-            let mut since_last = Duration::ZERO;
+            let mut deadline = Instant::now() + interval;
             while !shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(tick);
-                since_last += tick;
-                if since_last >= interval {
-                    persist_all_sessions_incremental_best_effort(&dir, &registry, &fault);
-                    since_last = Duration::ZERO;
+                // A park can return early (spuriously, or at shutdown),
+                // so the deadline is checked again after every wake.
+                let now = Instant::now();
+                if now < deadline {
+                    std::thread::park_timeout(deadline - now);
+                    continue;
                 }
+                persist_all_sessions_incremental_best_effort(&dir, &registry, &fault);
+                deadline = Instant::now() + interval;
             }
         }))
     }
