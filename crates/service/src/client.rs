@@ -98,8 +98,7 @@ impl SessionSpec {
 /// going through a [`Value`] tree would cost an allocation per record
 /// plus a serialize pass, the dominant per-batch client cost once acks
 /// are pipelined. One serializer for both transports also keeps the
-/// emitted bytes canonical, which the server's fast submit-line decoder
-/// relies on.
+/// emitted bytes the same on both.
 pub(crate) fn write_submit_fields<R: AsRef<[u32]>>(
     out: &mut String,
     records: impl Iterator<Item = R>,

@@ -17,7 +17,7 @@ use crate::json::{self, Value};
 use crate::metrics::TransportMetrics;
 use crate::persist;
 use crate::protocol::{
-    is_deferred_submit, request_from_value, write_error_response, write_flush_response,
+    build_request, is_deferred_submit, read_request, write_error_response, write_flush_response,
     write_list_response, write_metrics_response, write_ok_response, write_reconstruction_response,
     write_reconstruction_response_with, write_stats_response, write_stats_response_with,
     write_transport_metrics_response, AttrRef, Request, Submit, WireFraming,
@@ -126,15 +126,8 @@ pub fn dispatch_into(
     line: &str,
     out: &mut String,
 ) -> Outcome {
-    // Submit is the hot op; the canonical compact line (which the
-    // bundled clients emit) decodes without building a `Value` tree.
-    // Anything else falls through to the general parser below.
-    if let Some(req) = crate::protocol::parse_submit_line_fast(line) {
-        return dispatch_request(registry, config, transport, fed, jobs, state, req, out);
-    }
-    let parsed = json::parse(line);
-    let value = match parsed {
-        Ok(v) => v,
+    let (fields, records) = match read_request(line) {
+        Ok(read) => read,
         Err(e) => {
             // Unparseable framing: there is no way to tell whether the
             // peer meant a deferred submit, so answer in-band like any
@@ -144,29 +137,19 @@ pub fn dispatch_into(
             return Outcome::Reply;
         }
     };
-    if is_deferred_submit(&value) {
-        let submit = request_from_value(&value).and_then(|req| match req {
-            Request::Submit(submit) => Ok(submit),
-            // `is_deferred_submit` gates on op == submit, so this arm is
-            // dead — but a wire-facing path fails in-band, never panics.
-            _ => Err(ServiceError::InvalidRequest(
-                "deferred execution requires a submit request".into(),
-            )),
-        });
-        match submit {
-            Ok(submit) => execute_deferred(registry, transport, fed, state, &submit),
-            // A deferred submit with invalid fields is quiet too: its
-            // error is stashed for the flush, because the pipelining
-            // client is not reading responses at this point.
-            Err(e) => {
-                transport.inc(Counter::DeferredBatches);
-                state.record_failure(0, e);
-            }
-        }
-        return Outcome::Quiet;
-    }
-    match request_from_value(&value) {
+    // Checked before the fields are validated, so that a deferred
+    // submit with invalid fields stays quiet too: its error is stashed
+    // for the flush, because the pipelining client is not reading
+    // responses at this point. A valid one is quiet in
+    // `dispatch_request`.
+    let deferred = is_deferred_submit(&fields);
+    match build_request(None, None, &fields, records, true) {
         Ok(req) => dispatch_request(registry, config, transport, fed, jobs, state, req, out),
+        Err(e) if deferred => {
+            transport.inc(Counter::DeferredBatches);
+            state.record_failure(0, e);
+            Outcome::Quiet
+        }
         Err(e) => {
             write_error_with_watermark(state, out, &e);
             Outcome::Reply

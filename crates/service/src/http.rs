@@ -28,8 +28,7 @@
 
 use crate::dispatch;
 use crate::error::{Result, ServiceError};
-use crate::json::{self, Value};
-use crate::protocol::{self, write_error_response, Request};
+use crate::protocol::{self, write_error_response, Fields, Request};
 use crate::server::Shared;
 use crate::wire::{OpRow, QueryKind, OPS};
 
@@ -128,24 +127,22 @@ impl From<ServiceError> for RouteError {
 
 /// Maps `(method, path, query, body)` onto a [`Request`]: the route row
 /// names the op and binds the path id, and the body (the line
-/// protocol's JSON object minus `op` and the id) plus the query
-/// parameters are its fields, parsed by [`protocol::build_request`]
-/// like a line.
+/// protocol's JSON object minus `op` and the id), read by
+/// [`protocol::read_request`], plus the query parameters are its
+/// fields, parsed by [`protocol::build_request`] like a line.
 fn route(method: &str, target: &str, body: &[u8]) -> std::result::Result<Request, RouteError> {
     let (path, query) = target.split_once('?').unwrap_or((target, ""));
     let (row, id) = match_route(method, path)?;
-    let mut fields = if body.is_empty() {
+    let (mut fields, records) = if body.is_empty() {
         // An absent body reads as an empty object so that ops with
         // all-optional fields (persist) need no payload.
-        Vec::new()
+        (Fields::default(), None)
     } else {
         let text = std::str::from_utf8(body)
             .map_err(|_| ServiceError::Protocol("request body is not valid UTF-8".into()))?;
-        match json::parse(text)? {
-            Value::Object(fields) => fields,
-            // Like a line that is not an object: every field is missing.
-            _ => Vec::new(),
-        }
+        // A body that is not an object reads like such a line: every
+        // field is missing.
+        protocol::read_request(text)?
     };
     for pair in query.split('&').filter(|p| !p.is_empty()) {
         let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
@@ -166,14 +163,15 @@ fn route(method: &str, target: &str, body: &[u8]) -> std::result::Result<Request
                 ))))
             }
         };
-        fields.push((key.to_owned(), value));
+        fields.0.push((key.into(), value));
     }
     // Deferred acks are connection-oriented; over HTTP every request is
     // answered, so the parser refuses them here.
     Ok(protocol::build_request(
-        row.op,
+        Some(row.op),
         id,
-        &Value::Object(fields),
+        &fields,
+        records,
         false,
     )?)
 }
@@ -702,6 +700,41 @@ mod tests {
         assert_eq!(err, ChunkError::TooLarge(8));
         assert_eq!(err.status().0, 413);
         assert_eq!(ChunkError::Malformed("x".into()).status().0, 400);
+    }
+
+    #[test]
+    fn bodies_decode_as_the_tree_does() {
+        let corpus = protocol::tests::corpus();
+        let bodies = corpus
+            .iter()
+            .cloned()
+            .chain(protocol::tests::mutations(&corpus, 11).take(4000));
+        for body in bodies {
+            for (method, path) in [
+                ("POST", "/sessions/1/records"),
+                ("POST", "/sessions"),
+                ("GET", "/sessions/1/reconstruct"),
+                ("POST", "/sessions/1/mine"),
+            ] {
+                // The body as `route` read it before `read_request`:
+                // into a tree, with `records` walked from it.
+                let (row, id) = match_route(method, path).unwrap();
+                let read = match body.is_empty() {
+                    true => Ok((Fields::default(), None)),
+                    false => protocol::tests::tree_read(&body),
+                };
+                let tree = read.and_then(|(fields, records)| {
+                    protocol::build_request(Some(row.op), id, &fields, records, false)
+                });
+                let text =
+                    |r: std::result::Result<Request, RouteError>| r.map_err(|e| format!("{e:?}"));
+                assert_eq!(
+                    text(route(method, path, body.as_bytes())),
+                    text(tree.map_err(RouteError::from)),
+                    "{method} {path} {body}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,19 @@
 //!
 //! The build environment has no serde, and the protocol only needs
 //! numbers, strings, booleans, arrays and flat-ish objects, so this
-//! module implements just enough of RFC 8259: full escape handling on
-//! strings, `f64` numbers, and recursive arrays/objects. Object keys
-//! keep insertion order (a `Vec` of pairs — the protocol never has
-//! enough keys for a map to win).
+//! module implements just enough of RFC 8259, and reads exactly its
+//! grammar: full escape handling on strings, `f64` numbers, and
+//! recursive arrays/objects. Object keys keep insertion order (a `Vec`
+//! of pairs — the protocol never has enough keys for a map to win).
+//!
+//! One scanner reads every document: the pull reader `Reader`, which
+//! lets a caller walk a document token by token. [`parse`] is the tree
+//! builder on it; the request decoder (`protocol::read_request`) reads
+//! a request's `records` through it straight into a flat batch, with
+//! no tree. Both report the same error texts and byte offsets.
 
 use crate::error::{Result, ServiceError};
+use std::borrow::Cow;
 
 mod float;
 
@@ -54,14 +61,11 @@ impl Value {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integral number
+    /// below 2^53. Larger numbers are refused, not rounded: 2^53 + 1
+    /// parses to the same `f64` as 2^53.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The value as a `usize`, if it is a non-negative integral number.
@@ -177,6 +181,12 @@ impl From<String> for Value {
 /// 2^53: every integer of smaller magnitude is exact in an `f64`.
 const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
 
+/// `n` as a `u64` when it is a non-negative integer below 2^53, where
+/// every integer is exact.
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n < EXACT_INTEGERS).then_some(n as u64)
+}
+
 /// Appends a number as every response writes it (PROTOCOL.md §2): an
 /// integral value of magnitude below 2^53 as an integer, any other
 /// finite value as its shortest round-trip plain decimal, and a
@@ -237,86 +247,261 @@ pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Maximum container nesting the parser accepts. The protocol needs 3
-/// levels; the cap exists because the parser recurses per level, and an
-/// unauthenticated peer must not be able to overflow the stack (and
-/// abort the process) with a line of repeated `[`.
+/// Maximum container nesting the reader accepts. The protocol needs 3
+/// levels; the cap exists because the tree builder recurses per level,
+/// and an unauthenticated peer must not be able to
+/// overflow the stack (and abort the process) with a line of repeated
+/// `[`.
 const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document, rejecting trailing garbage.
 pub fn parse(input: &str) -> Result<Value> {
-    let mut p = Parser {
-        text: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    let mut r = Reader::new(input);
+    let v = r.value()?;
+    r.end()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// A pull reader over one JSON document: the caller walks the document
+/// token by token and builds only what it needs, while every syntax
+/// rule, error text and byte offset stays the one [`parse`] (itself a
+/// thin tree builder on this reader) reports.
+///
+/// Containers are read with `begin_object` then `next_key` until it
+/// returns `None`, and `begin_array` then `next_item` until it returns
+/// `false`; after each key or item the caller reads exactly one value
+/// (`value`, `skip` or a nested container). Right after `begin_array`,
+/// `small_uints` reads a run of small integers at once. Every read
+/// skips leading whitespace.
+#[derive(Clone)]
+pub(crate) struct Reader<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// A container was just begun: its first `next_*` call expects a
+    /// member or the closing bracket, not a separator.
+    opened: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            opened: false,
+        }
+    }
+
+    #[inline(always)]
     fn err(&self, msg: &str) -> ServiceError {
-        ServiceError::Protocol(format!("{msg} (at byte {})", self.pos))
+        error_at(self.pos, msg)
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    #[inline(always)]
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
     }
 
+    #[inline]
+    fn at(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.at(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    /// Skips whitespace and returns the next byte without consuming it.
+    #[inline]
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.at()
+    }
+
+    /// The end of the document: only whitespace may follow.
+    pub(crate) fn end(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.pos == self.bytes().len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after JSON value"))
+        }
+    }
+
+    #[inline]
     fn eat(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
+        if self.at() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+            Err(error_at(self.pos, &format!("expected '{}'", b as char)))
         }
     }
 
-    fn value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Value::String(self.string()?)),
+    #[inline(always)]
+    fn open(&mut self, bracket: u8) -> Result<()> {
+        self.skip_ws();
+        if self.depth >= MAX_DEPTH && self.at() == Some(bracket) {
+            return Err(self.err("nesting deeper than 64 levels"));
+        }
+        self.eat(bracket)?;
+        self.depth += 1;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Whether the container has another member: consumes the `,` that
+    /// separates it from the last one, or the closing bracket (`false`).
+    #[inline(always)]
+    fn another(&mut self, close: u8, expected: &str) -> Result<bool> {
+        self.skip_ws();
+        let pos = self.pos;
+        let first = std::mem::take(&mut self.opened);
+        match self.bytes().get(pos) {
+            Some(&b) if b == close => {
+                self.pos = pos + 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos = pos + 1;
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(error_at(pos, expected)),
+        }
+    }
+
+    /// Consumes the `{` of an object.
+    pub(crate) fn begin_object(&mut self) -> Result<()> {
+        self.open(b'{')
+    }
+
+    /// The object's next key (with its `:` consumed), or `None` once
+    /// its `}` is consumed. Keys without escapes borrow the input.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
+        if !self.another(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Consumes the `[` of an array.
+    #[inline(always)]
+    pub(crate) fn begin_array(&mut self) -> Result<()> {
+        self.open(b'[')
+    }
+
+    /// Whether the array has another item to read; `false` once its `]`
+    /// is consumed.
+    #[inline(always)]
+    pub(crate) fn next_item(&mut self) -> Result<bool> {
+        // The common case: a `,` right after the last item.
+        if !self.opened && self.at() == Some(b',') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        self.another(b']', "expected ',' or ']'")
+    }
+
+    /// Right after [`Self::begin_array`]: reads the array's items for
+    /// as long as each is a plain integer of at most nine digits (so
+    /// below 2^32) followed directly by `,` or `]`, as every record value
+    /// of a compact submit is, and appends them to `out`. Returns whether
+    /// that consumed the array's `]`. If not, the reader stops before the
+    /// separator after the last item it read, where [`Self::next_item`]
+    /// goes on, so that the caller reads any other item the general way.
+    #[inline(always)]
+    pub(crate) fn small_uints(&mut self, out: &mut Vec<u32>) -> bool {
+        let bytes = self.bytes();
+        let mut item = self.pos;
+        loop {
+            let mut end = item;
+            let mut n: u32 = 0;
+            let follow = loop {
+                match bytes.get(end) {
+                    Some(&d @ b'0'..=b'9') => {
+                        n = n.wrapping_mul(10).wrapping_add(u32::from(d - b'0'));
+                        end += 1;
+                    }
+                    other => break other.copied(),
+                }
+            };
+            let digits = end - item;
+            let plain =
+                digits == 1 || (digits > 1 && digits <= 9 && bytes.get(item) != Some(&b'0'));
+            match follow {
+                Some(b',') if plain => {
+                    out.push(n);
+                    self.pos = end;
+                    self.opened = false;
+                    item = end + 1;
+                }
+                Some(b']') if plain => {
+                    out.push(n);
+                    self.pos = end + 1;
+                    self.opened = false;
+                    self.depth -= 1;
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// Reads one value into a tree.
+    pub(crate) fn value(&mut self) -> Result<Value> {
+        Ok(match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    pairs.push((key.into_owned(), value));
+                }
+                Value::Object(pairs)
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Value::Array(items)
+            }
+            Some(b'"') => Value::String(self.string()?.into_owned()),
+            Some(b'-' | b'0'..=b'9') => Value::Number(self.scan_number()?),
+            _ => self.scalar()?,
+        })
+    }
+
+    /// Reads past one value, checking its syntax.
+    pub(crate) fn skip(&mut self) -> Result<()> {
+        self.value().map(drop)
+    }
+
+    /// A literal, or the error for a byte no value starts with.
+    fn scalar(&mut self) -> Result<Value> {
+        match self.at() {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn nested(&mut self, f: fn(&mut Self) -> Result<Value>) -> Result<Value> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.err("nesting deeper than 64 levels"));
-        }
-        self.depth += 1;
-        let v = f(self);
-        self.depth -= 1;
-        v
-    }
-
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -324,89 +509,98 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value> {
+    /// The number at `pos`. A plain integer — the common case — is
+    /// accumulated as its digits are read; any other number is read as
+    /// a run of number bytes for the `f64` parser. A run outside RFC
+    /// 8259's grammar (`01`, `1.`, `-.5`, `1e`, `1.2.3`) is malformed,
+    /// reported at its end.
+    fn scan_number(&mut self) -> Result<f64> {
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
+        let negative = self.at() == Some(b'-');
         if negative {
             self.pos += 1;
         }
-        // Fast path: plain integers — the overwhelmingly common case on
-        // the ingest hot path, where a submit line is mostly record
-        // arrays of small integers — accumulate directly instead of
-        // slicing through UTF-8 validation and the general f64 parser.
         let digits_start = self.pos;
         let mut int: u64 = 0;
-        while let Some(d @ b'0'..=b'9') = self.peek() {
-            // 19+ digits could overflow u64; punt to the slow path.
-            if self.pos - digits_start >= 18 {
-                break;
-            }
-            int = int * 10 + u64::from(d - b'0');
+        while let Some(d @ b'0'..=b'9') = self.at() {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
-        match self.peek() {
-            Some(b'.' | b'e' | b'E' | b'0'..=b'9' | b'+' | b'-') => {}
-            _ if self.pos > digits_start => {
-                let n = int as f64;
-                return Ok(Value::Number(if negative { -n } else { n }));
-            }
-            _ => return Err(self.err("malformed number")),
+        // RFC 8259 wants an integer part without a leading zero, and a
+        // digit after a `.`; `str::parse` checks the rest of the run.
+        let digits = self.pos - digits_start;
+        let rfc = (digits == 1 || (digits > 1 && self.bytes().get(digits_start) != Some(&b'0')))
+            && (self.at() != Some(b'.')
+                || matches!(self.bytes().get(self.pos + 1), Some(b'0'..=b'9')));
+        if rfc && digits <= 18 && !matches!(self.at(), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            // Below 10^18 the integer is exact in a u64.
+            let n = int as f64;
+            return Ok(if negative { -n } else { n });
         }
         while matches!(
-            self.peek(),
+            self.at(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
         // The scan stopped on ASCII, so `pos` is a char boundary.
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("malformed number"))
+        match rfc {
+            true => self.text[start..self.pos]
+                .parse::<f64>()
+                .map_err(|_| self.err("malformed number")),
+            false => Err(self.err("malformed number")),
+        }
     }
 
-    fn string(&mut self) -> Result<String> {
+    /// Reads a string. One without escapes borrows the input.
+    fn string(&mut self) -> Result<Cow<'a, str>> {
+        let text = self.text;
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut owned = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
+            // The run up to the next `"`, `\` or control byte. All three
+            // are ASCII, so they never fall inside a multi-byte UTF-8
+            // sequence and the run ends on a char boundary of the input.
+            let start = self.pos;
+            self.pos = self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(self.bytes().len(), |run| start + run);
+            let run = &text[start..self.pos];
+            match self.at() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    // Every escape pushes a char, so an empty `owned`
+                    // means the string had none.
+                    if owned.is_empty() {
+                        return Ok(Cow::Borrowed(run));
+                    }
+                    owned.push_str(run);
+                    return Ok(Cow::Owned(owned));
                 }
                 Some(b'\\') => {
+                    owned.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.at() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
-                            let cp = self.unicode_escape()?;
-                            out.push(cp);
+                            owned.push(self.unicode_escape()?);
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
+                    owned.push(c);
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Copy the whole run up to the next `"` or `\` at
-                    // once. Both delimiters are ASCII, so they never
-                    // fall inside a multi-byte UTF-8 sequence and the
-                    // run ends on a char boundary of the input.
-                    let end = self.bytes[self.pos..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .map_or(self.bytes.len(), |run| self.pos + run);
-                    out.push_str(&self.text[self.pos..end]);
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
@@ -415,18 +609,21 @@ impl Parser<'_> {
         // self.pos is on the 'u'.
         let hex4 = |p: &Self, at: usize| -> Result<u32> {
             let slice = p
-                .bytes
+                .bytes()
                 .get(at..at + 4)
                 .ok_or_else(|| p.err("truncated \\u escape"))?;
-            let s = std::str::from_utf8(slice).map_err(|_| p.err("invalid \\u escape"))?;
-            u32::from_str_radix(s, 16).map_err(|_| p.err("invalid \\u escape"))
+            // Exactly four hex digits: no sign, as `from_str_radix` takes.
+            slice
+                .iter()
+                .try_fold(0, |cp, &b| Some(cp * 16 + char::from(b).to_digit(16)?))
+                .ok_or_else(|| p.err("invalid \\u escape"))
         };
         let hi = hex4(self, self.pos + 1)?;
         self.pos += 5;
         if (0xd800..0xdc00).contains(&hi) {
             // Surrogate pair.
-            if self.bytes.get(self.pos) == Some(&b'\\')
-                && self.bytes.get(self.pos + 1) == Some(&b'u')
+            if self.bytes().get(self.pos) == Some(&b'\\')
+                && self.bytes().get(self.pos + 1) == Some(&b'u')
             {
                 let lo = hex4(self, self.pos + 2)?;
                 if !(0xdc00..0xe000).contains(&lo) {
@@ -440,57 +637,15 @@ impl Parser<'_> {
         }
         char::from_u32(hi).ok_or_else(|| self.err("invalid \\u codepoint"))
     }
+}
 
-    fn array(&mut self) -> Result<Value> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
+/// The reader's error for `msg` at byte `pos`. A free function, so that
+/// an error path does not take the reader's address, which would keep
+/// its position out of registers on the hot paths.
+#[cold]
+#[inline(never)]
+fn error_at(pos: usize, msg: &str) -> ServiceError {
+    ServiceError::Protocol(format!("{msg} (at byte {pos})"))
 }
 
 /// Convenience constructor for object values.
@@ -589,6 +744,24 @@ mod tests {
                 "\"ab\" x",
                 "trailing characters after JSON value (at byte 5)",
             ),
+            // RFC 8259 has no leading zeros, bare dots or raw control
+            // characters: the whole number is read, then refused.
+            ("01", "malformed number (at byte 2)"),
+            ("[-012]", "malformed number (at byte 5)"),
+            ("1.", "malformed number (at byte 2)"),
+            ("[1.e5]", "malformed number (at byte 5)"),
+            ("-.5", "malformed number (at byte 3)"),
+            (".5", "unexpected character (at byte 0)"),
+            ("1e", "malformed number (at byte 2)"),
+            (
+                "\"a\u{1}b\"",
+                "unescaped control character in string (at byte 2)",
+            ),
+            (
+                "{\"k\n\":1}",
+                "unescaped control character in string (at byte 3)",
+            ),
+            ("\"\\u+041\"", "invalid \\u escape (at byte 2)"),
         ] {
             let err = parse(bad).unwrap_err().to_string();
             assert!(err.ends_with(msg), "{bad}: {err}");
@@ -623,5 +796,88 @@ mod tests {
         assert_eq!(Value::Number(1.5).as_u64(), None);
         assert_eq!(Value::Number(-1.0).as_u64(), None);
         assert_eq!(Value::Number(42.0).as_u64(), Some(42));
+        // Below 2^53 every integer is exact; from there on, not.
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
+        for big in ["9007199254740992", "9007199254740993", "1e300"] {
+            assert_eq!(parse(big).unwrap().as_u64(), None, "{big}");
+        }
+    }
+
+    /// Whether `s` is a number by RFC 8259's grammar:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    fn is_rfc_number(s: &[u8]) -> bool {
+        let mut i = usize::from(s.first() == Some(&b'-'));
+        let digits = |i: &mut usize| {
+            let from = *i;
+            while s.get(*i).is_some_and(u8::is_ascii_digit) {
+                *i += 1;
+            }
+            *i - from
+        };
+        let int = digits(&mut i);
+        if int == 0 || (int > 1 && s.get(i - int) == Some(&b'0')) {
+            return false;
+        }
+        if s.get(i) == Some(&b'.') {
+            i += 1;
+            if digits(&mut i) == 0 {
+                return false;
+            }
+        }
+        if matches!(s.get(i), Some(b'e' | b'E')) {
+            i += 1;
+            if matches!(s.get(i), Some(b'+' | b'-')) {
+                i += 1;
+            }
+            if digits(&mut i) == 0 {
+                return false;
+            }
+        }
+        i == s.len()
+    }
+
+    #[test]
+    fn numbers_are_read_by_exactly_the_rfc_grammar() {
+        // Every string of up to five number bytes that can start a
+        // number: accepted exactly when RFC 8259's grammar says so.
+        let alphabet = "019.eE+-";
+        let mut level = vec![String::new()];
+        let mut checked = 0;
+        for _ in 0..5 {
+            level = level
+                .iter()
+                .flat_map(|t| alphabet.chars().map(move |c| format!("{t}{c}")))
+                .collect();
+            for text in level.iter().filter(|t| t.starts_with(['-', '0', '1', '9'])) {
+                assert_eq!(
+                    parse(text).is_ok(),
+                    is_rfc_number(text.as_bytes()),
+                    "{text}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 10_000, "{checked}");
+    }
+
+    #[test]
+    fn numbers_keep_their_values_on_the_strict_grammar() {
+        for (text, want) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("-7", -7.0),
+            ("0.5", 0.5),
+            ("-0.0e-0", -0.0),
+            ("1E+2", 100.0),
+            ("123456789012345678901234", 1.2345678901234568e23),
+            ("9007199254740993", 9007199254740992.0),
+        ] {
+            let got = parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
     }
 }

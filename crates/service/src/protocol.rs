@@ -63,6 +63,7 @@ use crate::session::{
     Mechanism, Placement, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
 };
 use crate::wire::{Op, PeerCounter, COUNTERS, OPS, PEER_COUNTERS, PEER_SECTION};
+use std::borrow::Cow;
 
 /// A batch of records in one flat `u32` buffer.
 ///
@@ -111,8 +112,8 @@ impl RecordBatch {
     }
 
     /// Appends one cell to the record currently being built (see
-    /// [`Self::end_record`]) — the streaming construction the
-    /// fast-path submit decoder uses.
+    /// [`Self::end_record`]) — the streaming construction the request
+    /// decoder uses.
     pub fn push_cell(&mut self, value: u32) {
         self.values.push(value);
     }
@@ -186,8 +187,8 @@ impl WireFraming {
     }
 }
 
-/// A decoded `submit`: what the general parser, the fast line decoder
-/// and the binary `OP_SUBMIT` decoder all build.
+/// A decoded `submit`: what the JSON request decoder and the binary
+/// `OP_SUBMIT` decoder both build.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Submit {
     /// Target session id.
@@ -351,24 +352,24 @@ pub enum AttrRef {
     Name(String),
 }
 
-fn require<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
+fn require<'v>(v: &'v Fields, key: &str) -> Result<&'v Value> {
     v.get(key)
         .ok_or_else(|| ServiceError::InvalidRequest(format!("missing field `{key}`")))
 }
 
-fn field_u64(v: &Value, key: &str) -> Result<u64> {
+fn field_u64(v: &Fields, key: &str) -> Result<u64> {
     require(v, key)?.as_u64().ok_or_else(|| {
         ServiceError::InvalidRequest(format!("field `{key}` must be a non-negative integer"))
     })
 }
 
-fn field_f64(v: &Value, key: &str) -> Result<f64> {
+fn field_f64(v: &Fields, key: &str) -> Result<f64> {
     require(v, key)?
         .as_f64()
         .ok_or_else(|| ServiceError::InvalidRequest(format!("field `{key}` must be a number")))
 }
 
-fn optional_bool(v: &Value, key: &str, default: bool) -> Result<bool> {
+fn optional_bool(v: &Fields, key: &str, default: bool) -> Result<bool> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(default),
         Some(val) => val.as_bool().ok_or_else(|| {
@@ -377,7 +378,7 @@ fn optional_bool(v: &Value, key: &str, default: bool) -> Result<bool> {
     }
 }
 
-fn parse_schema(v: &Value) -> Result<Vec<(String, u32)>> {
+fn parse_schema(v: &Fields) -> Result<Vec<(String, u32)>> {
     let arr = require(v, "schema")?
         .as_array()
         .ok_or_else(|| ServiceError::InvalidRequest("`schema` must be an array".into()))?;
@@ -405,7 +406,7 @@ fn parse_schema(v: &Value) -> Result<Vec<(String, u32)>> {
         .collect()
 }
 
-fn parse_mechanism(v: &Value) -> Result<Mechanism> {
+fn parse_mechanism(v: &Fields) -> Result<Mechanism> {
     let kind = v.get("mechanism").and_then(Value::as_str).unwrap_or("det");
     let gamma = match v.get("gamma") {
         Some(g) => g
@@ -440,8 +441,13 @@ fn parse_mechanism(v: &Value) -> Result<Mechanism> {
     }
 }
 
-fn parse_records(v: &Value) -> Result<RecordBatch> {
-    let arr = require(v, "records")?
+/// The tree walk that read `records` before [`read_request`] decoded
+/// them in place, kept as the reference its tests compare against.
+#[cfg(test)]
+pub(crate) fn parse_records(v: &Value) -> Result<RecordBatch> {
+    let arr = v
+        .get("records")
+        .ok_or_else(|| invalid("missing field `records`"))?
         .as_array()
         .ok_or_else(|| ServiceError::InvalidRequest("`records` must be an array".into()))?;
     let mut batch = RecordBatch::new();
@@ -467,7 +473,7 @@ fn parse_records(v: &Value) -> Result<RecordBatch> {
     Ok(batch)
 }
 
-fn optional_u64(v: &Value, key: &str) -> Result<Option<u64>> {
+fn optional_u64(v: &Fields, key: &str) -> Result<Option<u64>> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(s) => s.as_u64().map(Some).ok_or_else(|| {
@@ -477,7 +483,7 @@ fn optional_u64(v: &Value, key: &str) -> Result<Option<u64>> {
 }
 
 /// Builds a `create_session` request from its JSON fields.
-fn parse_create_session(v: &Value) -> Result<Request> {
+fn parse_create_session(v: &Fields) -> Result<Request> {
     Ok(Request::CreateSession {
         schema: parse_schema(v)?,
         mechanism: parse_mechanism(v)?,
@@ -492,10 +498,15 @@ fn parse_create_session(v: &Value) -> Result<Request> {
     })
 }
 
-/// Builds a `submit` request for `session` from the batch fields.
-/// `allow_deferred` is false for HTTP, whose request/response pairing
-/// cannot leave a request unanswered.
-fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request> {
+/// Builds a `submit` request for `session` from the batch fields and
+/// the decoded `records`. `allow_deferred` is false for HTTP, whose
+/// request/response pairing cannot leave a request unanswered.
+fn parse_submit(
+    v: &Fields,
+    records: Option<Result<RecordBatch>>,
+    session: u64,
+    allow_deferred: bool,
+) -> Result<Request> {
     let deferred = match v.get("ack").and_then(Value::as_str) {
         None | Some("sync") => false,
         Some("deferred") => true,
@@ -522,7 +533,7 @@ fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request
                 .into(),
         ));
     }
-    let records = parse_records(v)?;
+    let records = records.unwrap_or_else(|| Err(invalid("missing field `records`")))?;
     let pre_perturbed = optional_bool(v, "pre_perturbed", false)?;
     let shard = match v.get("shard") {
         None | Some(Value::Null) => None,
@@ -539,117 +550,112 @@ fn parse_submit(v: &Value, session: u64, allow_deferred: bool) -> Result<Request
     }))
 }
 
-/// Fast-path decoder for the *canonical* compact submit line the
-/// bundled clients emit:
+/// A request's members other than `records`, in document order, as
+/// [`read_request`] reads them. A key borrows the request text unless
+/// it has escapes. HTTP appends its query parameters.
+#[derive(Debug, Default)]
+pub(crate) struct Fields<'a>(pub(crate) Vec<(Cow<'a, str>, Value)>);
+
+impl Fields<'_> {
+    /// The first member named `key`, as with [`Value::get`].
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+/// Reads one JSON request document member by member: `records`
+/// decodes straight into a [`RecordBatch`], and every other member
+/// becomes a small [`Value`] field, in document order. A document that
+/// is not an object has no fields. Every JSON request decodes here: a
+/// line, an [`OP_JSON`](crate::framing) frame and an HTTP body.
 ///
-/// ```text
-/// {"op":"submit","session":N,"records":[[..],..],"pre_perturbed":B
-///  (,"shard":N)(,"ack":"deferred"|"sync")}
-/// ```
-///
-/// Decodes straight into a flat [`RecordBatch`] with zero `Value`
-/// allocations — on the pipelined ingest path the general JSON parser's
-/// per-record `Vec<Value>` tree is the dominant server-side cost.
-/// Returns `None` on *any* deviation (whitespace, reordered keys,
-/// unknown fields, non-integer cells), in which case the caller falls
-/// back to the general parser; this is an encoding of the common case,
-/// not a second grammar.
-pub fn parse_submit_line_fast(line: &str) -> Option<Request> {
-    let b = line.as_bytes();
-    let mut p = 0usize;
-    fn eat(b: &[u8], p: &mut usize, lit: &[u8]) -> bool {
-        if b[*p..].starts_with(lit) {
-            *p += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-    fn int(b: &[u8], p: &mut usize) -> Option<u64> {
-        let start = *p;
-        let mut v: u64 = 0;
-        while let Some(d @ b'0'..=b'9') = b.get(*p) {
-            // 19+ digits could overflow; that is not a canonical line.
-            if *p - start >= 18 {
-                return None;
+/// The first `records` member counts, as with [`Value::get`]; a later
+/// one is only checked for syntax. A `records` value that is valid JSON
+/// but no batch comes back as its error, for [`build_request`] to
+/// report where it checks records. A syntax error anywhere fails the
+/// read.
+pub(crate) fn read_request(text: &str) -> Result<(Fields<'_>, Option<Result<RecordBatch>>)> {
+    let mut r = json::Reader::new(text);
+    let mut fields = Fields::default();
+    let mut records = None;
+    if r.peek() == Some(b'{') {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            if key != "records" {
+                let value = r.value()?;
+                fields.0.push((key, value));
+            } else if records.is_none() {
+                records = Some(read_records(&mut r)?);
+            } else {
+                r.skip()?;
             }
-            v = v * 10 + u64::from(d - b'0');
-            *p += 1;
         }
-        (*p > start).then_some(v)
+    } else {
+        r.skip()?;
     }
-    if !eat(b, &mut p, br#"{"op":"submit","session":"#) {
-        return None;
-    }
-    let session = int(b, &mut p)?;
-    if !eat(b, &mut p, br#","records":["#) {
-        return None;
-    }
-    let mut records = RecordBatch::new();
-    if !eat(b, &mut p, b"]") {
-        loop {
-            if !eat(b, &mut p, b"[") {
-                return None;
+    r.end()?;
+    Ok((fields, records))
+}
+
+/// Reads a `records` value. The outer `Result` is the document's
+/// syntax; the inner one is the batch, or why the value is not one.
+/// Out of line, so that its loops have the registers to themselves.
+#[inline(never)]
+fn read_records(reader: &mut json::Reader) -> Result<Result<RecordBatch>> {
+    // Read on a copy: after a fault, `reader` reads the value again
+    // from its start.
+    let mut r = reader.clone();
+    let mut batch = RecordBatch::new();
+    let fault = 'read: {
+        if r.peek() != Some(b'[') {
+            break 'read "`records` must be an array";
+        }
+        r.begin_array()?;
+        while r.next_item()? {
+            if r.peek() != Some(b'[') {
+                break 'read "each record must be an array";
             }
-            if !eat(b, &mut p, b"]") {
-                loop {
-                    let v = int(b, &mut p)?;
-                    if v > u64::from(u32::MAX) {
-                        return None;
+            r.begin_array()?;
+            // A record of small integers is read in one run; anything
+            // else goes on item by item from where the run stopped.
+            if !r.small_uints(&mut batch.values) {
+                while r.next_item()? {
+                    // Lending `r` itself to the out-of-line `value` would
+                    // keep it in memory through the whole loop; a copy
+                    // lets its position stay in a register.
+                    let mut item = r.clone();
+                    let cell = item.value()?;
+                    r = item;
+                    match cell.as_u64() {
+                        Some(c) if c <= u64::from(u32::MAX) => batch.push_cell(c as u32),
+                        _ => break 'read "record values must be non-negative integers",
                     }
-                    records.push_cell(v as u32);
-                    if eat(b, &mut p, b",") {
-                        continue;
-                    }
-                    if eat(b, &mut p, b"]") {
-                        break;
-                    }
-                    return None;
                 }
             }
-            records.end_record();
-            if eat(b, &mut p, b",") {
-                continue;
-            }
-            if eat(b, &mut p, b"]") {
-                break;
-            }
-            return None;
+            batch.end_record();
         }
-    }
-    let pre_perturbed = if eat(b, &mut p, br#","pre_perturbed":true"#) {
-        true
-    } else if eat(b, &mut p, br#","pre_perturbed":false"#) {
-        false
-    } else {
-        return None;
+        *reader = r;
+        return Ok(Ok(batch));
     };
-    let shard = if eat(b, &mut p, br#","shard":"#) {
-        let s = int(b, &mut p)?;
-        if s > usize::MAX as u64 {
-            return None;
-        }
-        Some(s as usize)
-    } else {
-        None
-    };
-    let deferred = if eat(b, &mut p, br#","ack":"deferred""#) {
-        true
-    } else {
-        // An explicit `"ack":"sync"` is canonical too.
-        eat(b, &mut p, br#","ack":"sync""#);
-        false
-    };
-    if !eat(b, &mut p, b"}") || p != b.len() {
-        return None;
-    }
-    Some(Request::Submit(Submit {
-        session,
-        records,
-        pre_perturbed,
-        placement: placement(shard),
-        deferred,
-    }))
+    // The first fault in document order is the answer, but a syntax
+    // error anywhere in the value still wins: it is read through, for
+    // its syntax only.
+    reader.skip()?;
+    Ok(Err(invalid(fault)))
+}
+
+fn invalid(msg: &str) -> ServiceError {
+    ServiceError::InvalidRequest(msg.into())
+}
+
+/// [`parse_request`] for a line that is a valid `submit`, `None` for
+/// anything else. One decoder reads every JSON request; this entry
+/// point stays only because the benchmark's ladder times it by name,
+/// and a benchmark change removes it.
+pub fn parse_submit_line_fast(line: &str) -> Option<Request> {
+    parse_request(line)
+        .ok()
+        .filter(|req| matches!(req, Request::Submit(_)))
 }
 
 /// Whether a parsed request object is a deferred-ack submit. The
@@ -657,42 +663,45 @@ pub fn parse_submit_line_fast(line: &str) -> Option<Request> {
 /// semantically invalid deferred submit stays quiet (stashing its error
 /// for `flush`) instead of emitting a response line the pipelining
 /// client is not reading.
-pub fn is_deferred_submit(v: &Value) -> bool {
+pub(crate) fn is_deferred_submit(v: &Fields) -> bool {
     v.get("op").and_then(Value::as_str) == Some(Op::Submit.row().name)
         && v.get("ack").and_then(Value::as_str) == Some("deferred")
 }
 
-/// Builds a request from a parsed JSON object (the line protocol's
-/// whole line).
-pub fn request_from_value(v: &Value) -> Result<Request> {
-    let name = v
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServiceError::InvalidRequest("missing string field `op`".into()))?;
-    let row = OPS
-        .iter()
-        .find(|row| row.name == name)
-        .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown op `{name}`")))?;
-    build_request(row.op, None, v, true)
-}
-
-/// Builds the request for `op` from its fields: the one place both
-/// framings' requests are parsed. The line protocol passes its whole
-/// line and no `id` (the id the op binds is then a field of `v`); HTTP
-/// passes the id from the path and its body and query as `v`.
+/// Builds a request from its fields `v` and its decoded `records`, as
+/// [`read_request`] returns them: the one place every framing's JSON
+/// requests are parsed. The line protocol passes no `op` and no `id`
+/// (the `op` field names the op, and the id it binds is a field of
+/// `v`); HTTP passes the op its route names, the id from the path, and
+/// its body and query as `v`.
 pub(crate) fn build_request(
-    op: Op,
+    op: Option<Op>,
     id: Option<u64>,
-    v: &Value,
+    v: &Fields,
+    records: Option<Result<RecordBatch>>,
     allow_deferred: bool,
 ) -> Result<Request> {
+    let op = match op {
+        Some(op) => op,
+        None => {
+            let name = v
+                .get("op")
+                .and_then(Value::as_str)
+                .ok_or_else(|| ServiceError::InvalidRequest("missing string field `op`".into()))?;
+            let row = OPS
+                .iter()
+                .find(|row| row.name == name)
+                .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown op `{name}`")))?;
+            row.op
+        }
+    };
     let id_key = op.row().id.unwrap_or_default();
     let optional_id = || id.map_or_else(|| optional_u64(v, id_key), |id| Ok(Some(id)));
     let bound_id = || id.map_or_else(|| field_u64(v, id_key), Ok);
     match op {
         Op::Ping => Ok(Request::Ping),
         Op::CreateSession => parse_create_session(v),
-        Op::Submit => parse_submit(v, bound_id()?, allow_deferred),
+        Op::Submit => parse_submit(v, records, bound_id()?, allow_deferred),
         Op::Flush => Ok(Request::Flush),
         Op::Reconstruct => Ok(Request::Reconstruct {
             session: bound_id()?,
@@ -749,7 +758,7 @@ pub(crate) fn build_request(
     }
 }
 
-fn optional_f64_or(v: &Value, key: &str, default: f64) -> Result<f64> {
+fn optional_f64_or(v: &Fields, key: &str, default: f64) -> Result<f64> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(default),
         Some(n) => n
@@ -759,7 +768,7 @@ fn optional_f64_or(v: &Value, key: &str, default: f64) -> Result<f64> {
 }
 
 /// Builds a `mine_rules` request for `session` from a spec object.
-fn parse_mine_rules(v: &Value, session: u64) -> Result<Request> {
+fn parse_mine_rules(v: &Fields, session: u64) -> Result<Request> {
     let algo = match v.get("algo") {
         None | Some(Value::Null) => MineAlgo::default(),
         Some(a) => MineAlgo::from_wire(a.as_str().ok_or_else(|| {
@@ -781,7 +790,7 @@ fn parse_mine_rules(v: &Value, session: u64) -> Result<Request> {
 
 /// Parses a `target` (or similar) field naming a schema attribute by
 /// index or name.
-fn parse_attr_ref(v: &Value, key: &str) -> Result<AttrRef> {
+fn parse_attr_ref(v: &Fields, key: &str) -> Result<AttrRef> {
     let t = require(v, key)?;
     if let Some(i) = t.as_u64() {
         Ok(AttrRef::Index(i as usize))
@@ -796,7 +805,8 @@ fn parse_attr_ref(v: &Value, key: &str) -> Result<AttrRef> {
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request> {
-    request_from_value(&json::parse(line)?)
+    let (fields, records) = read_request(line)?;
+    build_request(None, None, &fields, records, true)
 }
 
 /// Writes `{"ok":true}` plus extra fields into a reusable buffer
@@ -1112,9 +1122,325 @@ pub fn write_list_response(out: &mut String, summaries: &[SessionSummary]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::wire::Counter;
+
+    /// The decoder before [`read_request`]: the whole document as a
+    /// tree, with `records` walked from it by [`parse_records`].
+    pub(crate) fn tree_read(text: &str) -> Result<(Fields<'_>, Option<Result<RecordBatch>>)> {
+        let v = json::parse(text)?;
+        let records = v.get("records").map(|_| parse_records(&v));
+        let fields = match v {
+            Value::Object(pairs) => pairs.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            _ => Vec::new(),
+        };
+        Ok((Fields(fields), records))
+    }
+
+    fn tree_request(line: &str) -> Result<Request> {
+        let (fields, records) = tree_read(line)?;
+        build_request(None, None, &fields, records, true)
+    }
+
+    /// Every JSON document written as a raw string literal in the
+    /// protocol, HTTP, dispatch and wire-table tests (each whole, and
+    /// each of its lines, minus a `> ` quote prefix), plus the submit
+    /// lines and bodies the shipped clients write for CENSUS and HEALTH
+    /// batches.
+    pub(crate) fn corpus() -> Vec<String> {
+        let mut docs = std::collections::BTreeSet::new();
+        for source in [
+            include_str!("protocol.rs"),
+            include_str!("http.rs"),
+            include_str!("dispatch.rs"),
+            include_str!("../tests/wire_table.rs"),
+        ] {
+            for literal in source.split("r#\"").skip(1) {
+                let Some((literal, _)) = literal.split_once("\"#") else {
+                    continue;
+                };
+                let lines = literal.lines().map(|l| l.trim().trim_start_matches("> "));
+                for doc in std::iter::once(literal).chain(lines) {
+                    if doc.starts_with('{') || doc.starts_with('[') {
+                        docs.insert(doc.to_owned());
+                    }
+                }
+            }
+        }
+        let census = frapp_data::census::census_like_n(16, 1);
+        let health = frapp_data::health::health_like_n(256, 2);
+        for (rows, shard) in [
+            (census.records(), None),
+            (&health.records()[..16], Some(1)),
+            (health.records(), None),
+        ] {
+            let mut body = String::from("{");
+            crate::client::write_submit_fields(&mut body, rows.iter(), true, shard);
+            body.push('}');
+            let line = format!("{{\"op\":\"submit\",\"session\":1,{}", &body[1..]);
+            docs.insert(line.replace('}', ",\"ack\":\"deferred\"}"));
+            docs.insert(line);
+            docs.insert(body);
+        }
+        docs.into_iter().collect()
+    }
+
+    /// A seeded stream of mutations of `corpus`: each a corpus document
+    /// with one to three edits, among them whitespace between tokens,
+    /// reordered keys, a duplicate `records` member and a flipped byte.
+    pub(crate) fn mutations(corpus: &[String], seed: u64) -> impl Iterator<Item = String> + '_ {
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        std::iter::repeat_with(move || {
+            let mut doc = corpus[next(corpus.len())].clone();
+            for _ in 0..=next(3) {
+                doc = mutate(doc, &mut next);
+            }
+            doc
+        })
+    }
+
+    fn mutate(doc: String, next: &mut impl FnMut(usize) -> usize) -> String {
+        // Edits touch ASCII bytes only, so the result stays UTF-8.
+        let ascii: Vec<usize> = (0..doc.len())
+            .filter(|&i| doc.as_bytes()[i].is_ascii())
+            .collect();
+        if ascii.is_empty() {
+            return doc;
+        }
+        let i = ascii[next(ascii.len())];
+        match next(5) {
+            0 => {
+                // Whitespace next to a structural byte, or anywhere.
+                let i = match doc[i..].find(|c| "{}[],:".contains(c)) {
+                    Some(to) => i + to + next(2),
+                    None => i,
+                };
+                let ws = [" ", "\t", "\n", "\r\n", "   "][next(5)];
+                format!("{}{ws}{}", &doc[..i], &doc[i..])
+            }
+            1 => match json::parse(&doc) {
+                Ok(Value::Object(mut pairs)) => {
+                    for i in (1..pairs.len()).rev() {
+                        pairs.swap(i, next(i + 1));
+                    }
+                    Value::Object(pairs).to_json()
+                }
+                _ => doc,
+            },
+            2 => {
+                // A second `records` member, before or after the first.
+                let dup = [
+                    "[[9,9]]",
+                    "[]",
+                    "\"x\"",
+                    "null",
+                    "[[1.5]]",
+                    "[[-1]]",
+                    "[[4294967296]]",
+                    "[7]",
+                    "[[1,[2]]]",
+                    "[[1]",
+                    "{\"a\":[[1]]}",
+                ][next(11)];
+                match (doc.find('{'), doc.rfind('}')) {
+                    (Some(open), _) if next(2) == 0 => {
+                        format!("{}\"records\":{dup},{}", &doc[..=open], &doc[open + 1..])
+                    }
+                    (_, Some(close)) => {
+                        format!("{},\"records\":{dup}{}", &doc[..close], &doc[close..])
+                    }
+                    _ => doc,
+                }
+            }
+            3 => {
+                const BYTES: &[u8] = b"{}[],:\" \\0123456789-+.eEtrufalsn\x01x";
+                let mut bytes = doc.into_bytes();
+                bytes[i] = BYTES[next(BYTES.len())];
+                String::from_utf8(bytes).expect("one ASCII byte replaced by another")
+            }
+            _ => doc[..i].to_owned(),
+        }
+    }
+
+    /// The corpus truncated at every byte, then `count` seeded
+    /// mutations: each decodes as the tree reference does.
+    fn assert_decoders_agree(count: usize) {
+        let corpus = corpus();
+        let truncated = corpus.iter().flat_map(|doc| {
+            (0..doc.len())
+                .filter(|&i| doc.is_char_boundary(i))
+                .map(|i| doc[..i].to_owned())
+        });
+        for line in corpus
+            .iter()
+            .cloned()
+            .chain(truncated)
+            .chain(mutations(&corpus, 7).take(count))
+        {
+            assert_eq!(
+                parse_request(&line).map_err(|e| e.to_string()),
+                tree_request(&line).map_err(|e| e.to_string()),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn request_decoder_agrees_with_the_tree_on_mutated_corpus() {
+        assert_decoders_agree(20_000);
+    }
+
+    #[test]
+    #[ignore = "10^6 mutated lines; run in release"]
+    fn a_million_mutated_lines_decode_as_the_tree_does() {
+        assert_decoders_agree(1_000_000);
+    }
+
+    #[test]
+    fn request_decoder_error_texts() {
+        // The canonical submit line, and how the decoder reads each
+        // deviation from it: the fast path's old fallback cases among
+        // them, now answered by the one decoder.
+        let line = |tail: &str| format!(r#"{{"op":"submit","session":3,{tail}}}"#);
+        let submit = |records: &[Vec<u32>], pre_perturbed, placement, deferred| {
+            Request::Submit(Submit {
+                session: 3,
+                records: RecordBatch::from_rows(records),
+                pre_perturbed,
+                placement,
+                deferred,
+            })
+        };
+        for (tail, want) in [
+            (
+                r#""records":[[0,1],[2,0]],"pre_perturbed":false"#,
+                submit(
+                    &[vec![0, 1], vec![2, 0]],
+                    false,
+                    Placement::RoundRobin,
+                    false,
+                ),
+            ),
+            (
+                r#""records":[[7]],"pre_perturbed":true,"shard":2,"ack":"deferred""#,
+                submit(&[vec![7]], true, Placement::Shard(2), true),
+            ),
+            (
+                r#""records":[[4294967295]],"pre_perturbed":true,"ack":"sync""#,
+                submit(&[vec![u32::MAX]], true, Placement::RoundRobin, false),
+            ),
+            (
+                r#" "records" : [ [0] , [ ] ],"extra":1, "pre_perturbed":true"#,
+                submit(&[vec![0], vec![]], true, Placement::RoundRobin, false),
+            ),
+            // Duplicate `records`: the first counts, as with `Value::get`.
+            (
+                r#""records":[[1]],"records":"x""#,
+                submit(&[vec![1]], false, Placement::RoundRobin, false),
+            ),
+            // Integral numbers in any spelling are integers.
+            (
+                r#""records":[[1.0,2e0,-0]]"#,
+                submit(&[vec![1, 2, 0]], false, Placement::RoundRobin, false),
+            ),
+        ] {
+            assert_eq!(parse_request(&line(tail)).unwrap(), want, "{tail}");
+        }
+        // Key order does not matter.
+        assert_eq!(
+            parse_request(r#"{"records":[[5]],"ack":"deferred","session":3,"op":"submit"}"#)
+                .unwrap(),
+            submit(&[vec![5]], false, Placement::RoundRobin, true)
+        );
+        let invalid = "invalid request: ";
+        for (tail, want) in [
+            (
+                r#""records":[[1.5]]"#,
+                "record values must be non-negative integers",
+            ),
+            (
+                r#""records":[[4294967296]]"#,
+                "record values must be non-negative integers",
+            ),
+            (
+                r#""records":[[-1]]"#,
+                "record values must be non-negative integers",
+            ),
+            (r#""records":[[0],7,[1.5]]"#, "each record must be an array"),
+            (
+                r#""records":"x","records":[[0]]"#,
+                "`records` must be an array",
+            ),
+            (
+                r#""records":[[0]],"ack":"maybe""#,
+                "unknown ack mode `maybe` (expected sync|deferred)",
+            ),
+            (r#""pre_perturbed":true"#, "missing field `records`"),
+            (
+                r#""records":[[0]],"pre_perturbed":true,"origin":0,"seq":1"#,
+                "`origin` and `seq` are not submit fields; replicated batches travel \
+                 only as stamped binary OP_SUBMIT frames",
+            ),
+            // A bad batch is reported where records are checked: after
+            // the ack mode, before `pre_perturbed`.
+            (
+                r#""records":[["x"]],"ack":"later""#,
+                "unknown ack mode `later` (expected sync|deferred)",
+            ),
+            (
+                r#""records":[["x"]],"pre_perturbed":1"#,
+                "record values must be non-negative integers",
+            ),
+        ] {
+            let err = parse_request(&line(tail)).unwrap_err().to_string();
+            assert_eq!(err, format!("{invalid}{want}"), "{tail}");
+        }
+        // A syntax error anywhere wins over a bad batch.
+        let err = parse_request(&line(r#""records":[[-1]],"pre_perturbed":tru"#)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "protocol error: expected 'true' (at byte 60)"
+        );
+    }
+
+    #[test]
+    fn integers_from_two_to_the_53rd_are_refused_not_rounded() {
+        // Every integer below 2^53 is exact in an f64; 2^53 + 1 parses
+        // to 2^53, so both are refused wherever a request names an id.
+        assert_eq!(
+            parse_request(r#"{"op":"stats","session":9007199254740991}"#).unwrap(),
+            Request::Stats {
+                session: 9_007_199_254_740_991,
+                allow_partial: false
+            }
+        );
+        for line in [
+            r#"{"op":"stats","session":9007199254740992}"#,
+            r#"{"op":"stats","session":9007199254740993}"#,
+            r#"{"op":"submit","session":9007199254740993,"records":[[0]],"pre_perturbed":true}"#,
+            r#"{"op":"submit","session":100000000000000000,"records":[[0]],"pre_perturbed":true}"#,
+            r#"{"op":"submit","session":1,"records":[[0]],"pre_perturbed":true,"shard":100000000000000000}"#,
+            r#"{"op":"job_status","job":1e16}"#,
+        ] {
+            assert!(
+                parse_request(line)
+                    .unwrap_err()
+                    .to_string()
+                    .contains("non-negative integer"),
+                "{line}"
+            );
+            assert_eq!(parse_submit_line_fast(line), None, "{line}");
+        }
+    }
 
     #[test]
     fn parses_ping_and_shutdown() {
@@ -1384,60 +1710,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_submit_decoder_agrees_with_the_general_parser() {
-        // Every canonical line the bundled client can emit decodes to
-        // exactly what the general parser produces.
-        for line in [
-            r#"{"op":"submit","session":3,"records":[[0,1],[2,0]],"pre_perturbed":false}"#,
-            r#"{"op":"submit","session":3,"records":[[0,1]],"pre_perturbed":true}"#,
-            r#"{"op":"submit","session":0,"records":[],"pre_perturbed":true}"#,
-            r#"{"op":"submit","session":3,"records":[[7]],"pre_perturbed":true,"shard":2}"#,
-            r#"{"op":"submit","session":3,"records":[[1,2,3]],"pre_perturbed":false,"ack":"deferred"}"#,
-            r#"{"op":"submit","session":3,"records":[[1]],"pre_perturbed":false,"ack":"sync"}"#,
-            r#"{"op":"submit","session":9,"records":[[4294967295]],"pre_perturbed":true,"shard":0,"ack":"deferred"}"#,
-        ] {
-            let fast = parse_submit_line_fast(line)
-                .unwrap_or_else(|| panic!("fast path must accept {line}"));
-            assert_eq!(fast, parse_request(line).unwrap(), "line: {line}");
-        }
-        let placed = |tail: &str| {
-            let line =
-                format!(r#"{{"op":"submit","session":3,"records":[],"pre_perturbed":true{tail}}}"#);
-            match parse_submit_line_fast(&line) {
-                Some(Request::Submit(submit)) => submit.placement,
-                other => panic!("{line} decoded to {other:?}"),
-            }
-        };
-        assert_eq!(placed(""), Placement::RoundRobin);
-        assert_eq!(placed(r#","shard":2"#), Placement::Shard(2));
-    }
-
-    #[test]
-    fn fast_submit_decoder_falls_back_on_any_deviation() {
-        for line in [
-            // Whitespace, key order, extra keys: all fall back.
-            r#"{"op":"submit", "session":3,"records":[[0]],"pre_perturbed":true}"#,
-            r#"{"op":"submit","records":[[0]],"session":3,"pre_perturbed":true}"#,
-            r#"{"op":"submit","session":3,"records":[[0]],"pre_perturbed":true,"extra":1}"#,
-            // Non-integers and overflow.
-            r#"{"op":"submit","session":3,"records":[[1.5]],"pre_perturbed":true}"#,
-            r#"{"op":"submit","session":3,"records":[[4294967296]],"pre_perturbed":true}"#,
-            r#"{"op":"submit","session":3,"records":[[-1]],"pre_perturbed":true}"#,
-            // Other ops and malformed tails.
-            r#"{"op":"stats","session":3}"#,
-            r#"{"op":"submit","session":3,"records":[[0]],"pre_perturbed":true,"ack":"maybe"}"#,
-            r#"{"op":"submit","session":3,"records":[[0]]}"#,
-            // A replication stamp, which the general parser refuses.
-            r#"{"op":"submit","session":3,"records":[[0]],"pre_perturbed":true,"origin":0,"seq":1}"#,
-        ] {
-            assert!(
-                parse_submit_line_fast(line).is_none(),
-                "fast path must reject {line}"
-            );
-        }
-    }
-
-    #[test]
     fn record_batch_streaming_construction_matches_push() {
         let mut streamed = RecordBatch::new();
         streamed.push_cell(1);
@@ -1457,11 +1729,11 @@ mod tests {
         // A deferred submit with a bad record must still be *detected*
         // as deferred (so the dispatcher stays quiet and stashes the
         // error) even though full parsing fails.
-        let v = crate::json::parse(r#"{"op":"submit","session":1,"records":"x","ack":"deferred"}"#)
-            .unwrap();
+        let (v, records) =
+            read_request(r#"{"op":"submit","session":1,"records":"x","ack":"deferred"}"#).unwrap();
         assert!(is_deferred_submit(&v));
-        assert!(request_from_value(&v).is_err());
-        let v = crate::json::parse(r#"{"op":"stats","session":1,"ack":"deferred"}"#).unwrap();
+        assert!(build_request(None, None, &v, records, true).is_err());
+        let (v, _) = read_request(r#"{"op":"stats","session":1,"ack":"deferred"}"#).unwrap();
         assert!(!is_deferred_submit(&v));
     }
 
