@@ -4,9 +4,9 @@
 //!
 //! * [`GammaDiagonal`] — the paper's optimal deterministic matrix
 //!   (Equation 13): diagonal `γx`, off-diagonal `x`, `x = 1/(γ+n−1)`.
-//!   Its record sampler runs in `O(M)` (see below), and the paper's
-//!   dependent-column algorithm (Section 5, Equation 26) is implemented
-//!   as an alternative sampler with identical output distribution.
+//!   Its sampler needs at most two RNG draws per record (see below), and
+//!   the paper's dependent-column algorithm (Section 5, Equation 26) is
+//!   kept as a reference sampler with identical output distribution.
 //! * [`RandomizedGammaDiagonal`] — Section 4: each client perturbs with
 //!   a *realization* `diag = γx + r`, `off = x − r/(n−1)`, `r ~ U[−α,α]`,
 //!   so the miner knows only the matrix distribution.
@@ -14,16 +14,19 @@
 //!   by a CDF walk over the full domain; `O(|S_V|)` per record, intended
 //!   for small domains, cross-validation and experimentation.
 //!
-//! ## Why the gamma-diagonal sampler is O(M)
+//! ## One sampler per mechanism
 //!
-//! The matrix `A = x(γ−1)I + xJ` decomposes the sampling into a mixture:
-//! with probability `(γ−1)x` output the original record unchanged,
-//! otherwise (probability `nx`) output a uniformly random record of the
-//! whole domain — i.e. draw every attribute independently and uniformly.
-//! Then `P(v=u) = (γ−1)x + nx/n = γx` and `P(v)=x` for `v≠u`, exactly
-//! Equation 13, at `O(M)` cost instead of the naive `O(Π_j |S_j|)`.
-//! This is the same cost as the paper's Section-5 algorithm
-//! (`Σ_j |S_j|` vs `M`) with far simpler bookkeeping.
+//! Each perturber implements one sampler, [`Perturber::perturb_index`].
+//! The record APIs are encode → `perturb_index` → decode, so the server,
+//! the offline experiments and a client perturbing its own record
+//! realise the same matrix, which the tests compute exactly.
+//!
+//! For the gamma-diagonal family, `A = x(γ−1)I + xJ` is a mixture: with
+//! probability `(γ−1)x` keep the index, otherwise draw a uniform index
+//! over the whole domain. Then `P(v=u) = (γ−1)x + nx/n = γx` and
+//! `P(v)=x` for `v≠u`, exactly Equation 13, at one raw `u64` compare
+//! and one bounded draw instead of the naive `O(Π_j |S_j|)` walk or the
+//! Section-5 algorithm's `Σ_j |S_j|`.
 
 use crate::schema::Schema;
 use crate::{FrappError, PrivacyRequirement, Result};
@@ -34,7 +37,9 @@ use rand::RngCore;
 
 /// A client-side record perturber: the FRAPP trust model has every
 /// client independently randomizing their own record before submission,
-/// so the interface is strictly record-at-a-time.
+/// so the interface is strictly record-at-a-time. Implementations
+/// provide [`Perturber::schema`] and the one sampler,
+/// [`Perturber::perturb_index`]; the other methods are built on them.
 ///
 /// The trait is object-safe (samplers take `&mut dyn RngCore`) and
 /// requires `Send + Sync` so a single perturber — whose alias/CDF state
@@ -45,35 +50,14 @@ pub trait Perturber: Send + Sync {
     /// (FRAPP here uses `S_V = S_U`).
     fn schema(&self) -> &Schema;
 
-    /// Perturbs one record.
-    fn perturb_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>>;
-
     /// Perturbs a record that is already encoded as a domain index
-    /// (trusted input — e.g. the output of [`Schema::encode`]).
-    ///
-    /// This is the allocation-free fast path for server-side ingest:
-    /// implementations with structured matrices override it to sample
-    /// directly in the index domain (the gamma-diagonal family needs at
-    /// most two RNG draws and no `Vec`). The default decodes, perturbs
-    /// in the record domain and re-encodes, so every perturber supports
-    /// the API — at the cost, not the distribution, of the fast path.
-    ///
-    /// Note the *draw sequence* of this method is not required to match
-    /// [`Perturber::perturb_record`]'s for the same RNG state; callers
-    /// that persist RNG positions must replay through the same API they
-    /// recorded (see `frapp-service`'s snapshot format).
+    /// (trusted input — e.g. the output of [`Schema::encode`]). This is
+    /// the mechanism's sampler: allocation-free, and the path the
+    /// server's ingest runs.
     ///
     /// # Panics
     /// May panic if `index` is outside the schema's domain.
-    fn perturb_index(&self, index: usize, rng: &mut dyn RngCore) -> usize {
-        let record = self.schema().decode(index);
-        let perturbed = self
-            .perturb_record(&record, rng)
-            .expect("decoded records are schema-valid by construction");
-        self.schema()
-            .encode(&perturbed)
-            .expect("perturber output is schema-valid by construction")
-    }
+    fn perturb_index(&self, index: usize, rng: &mut dyn RngCore) -> usize;
 
     /// Perturbs a batch of encoded domain indices *in place* (trusted
     /// input, like [`Perturber::perturb_index`]).
@@ -90,58 +74,30 @@ pub trait Perturber: Send + Sync {
         }
     }
 
-    /// Perturbs `record` into a caller-owned buffer, avoiding the
-    /// per-record allocation (and, on the retention branch, the copy
-    /// into a fresh `Vec`) of [`Perturber::perturb_record`]. `out` is
-    /// cleared first.
-    fn perturb_record_into(
-        &self,
-        record: &[u32],
-        out: &mut Vec<u32>,
-        rng: &mut dyn RngCore,
-    ) -> Result<()> {
-        let perturbed = self.perturb_record(record, rng)?;
-        out.clear();
-        out.extend_from_slice(&perturbed);
-        Ok(())
+    /// Perturbs one record: encode → [`Perturber::perturb_index`] →
+    /// decode. The draw sequence is therefore the index sampler's, and
+    /// an invalid record fails before any draw.
+    fn perturb_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>> {
+        let index = self.schema().encode(record)?;
+        Ok(self.schema().decode(self.perturb_index(index, rng)))
     }
 
-    /// Perturbs a whole dataset record by record.
+    /// Perturbs a whole dataset: every record is encoded first, so an
+    /// invalid batch fails before any draw, then the batch runs through
+    /// [`Perturber::perturb_indices`] — the same draws as
+    /// [`Perturber::perturb_record`] record by record.
     fn perturb_dataset(
         &self,
         records: &[Vec<u32>],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Vec<u32>>> {
-        records
+        let schema = self.schema();
+        let mut indices = records
             .iter()
-            .map(|r| self.perturb_record(r, rng))
-            .collect()
-    }
-}
-
-/// Draws a uniformly random record: each attribute independent uniform.
-fn uniform_record(schema: &Schema, rng: &mut dyn RngCore) -> Vec<u32> {
-    (0..schema.num_attributes())
-        .map(|j| rng.gen_range(0..schema.cardinality(j)))
-        .collect()
-}
-
-/// Draws a uniformly random record into `out` (cleared first).
-fn uniform_record_into(schema: &Schema, out: &mut Vec<u32>, rng: &mut dyn RngCore) {
-    out.clear();
-    for j in 0..schema.num_attributes() {
-        out.push(rng.gen_range(0..schema.cardinality(j)));
-    }
-}
-
-/// Draws a uniformly random record different from `record` by rejection
-/// (expected iterations `n/(n−1)`, essentially one for FRAPP's domains).
-fn uniform_other_record(schema: &Schema, record: &[u32], rng: &mut dyn RngCore) -> Vec<u32> {
-    loop {
-        let candidate = uniform_record(schema, rng);
-        if candidate != record {
-            return candidate;
-        }
+            .map(|r| schema.encode(r))
+            .collect::<Result<Vec<_>>>()?;
+        self.perturb_indices(&mut indices, rng);
+        Ok(indices.into_iter().map(|i| schema.decode(i)).collect())
     }
 }
 
@@ -237,22 +193,31 @@ impl GammaDiagonal {
         (self.gamma - 1.0) * self.x
     }
 
-    /// The retention probability scaled onto the full `u64` range, so
-    /// the index samplers decide retention with one raw-draw compare
-    /// instead of a float conversion per record. Exact to within
-    /// 2⁻⁶⁴ of [`Self::retention_probability`]; retention is always
-    /// `< 1`, so the cast never saturates in practice.
+    /// The retention probability scaled onto the full `u64` range:
+    /// exactly `T` of the 2⁶⁴ raw draws keep the index. `T` comes from
+    /// the smaller of the two masses, rounded towards less retention:
+    /// past `(γ−1)x = ½` that float is `1 − nx` rounded, and scaling it
+    /// would leave the non-retained mass `nx` — every off-diagonal
+    /// entry — to the rounding error, so `nx` is scaled and rounded up.
     #[inline]
     fn retention_threshold(&self) -> u64 {
-        (self.retention_probability() * (u64::MAX as f64 + 1.0)) as u64
+        let two_64 = u64::MAX as f64 + 1.0;
+        let keep = self.retention_probability();
+        if keep <= 0.5 {
+            (keep * two_64) as u64
+        } else {
+            // At least 1 (nx > 0) and at most 2⁶³, so 2⁶⁴ − release fits.
+            let release = (self.domain_size() as f64 * self.x * two_64).ceil() as u64;
+            0u64.wrapping_sub(release)
+        }
     }
 
     /// The paper's Section-5 dependent-column sampler (Equation 26):
     /// generates the perturbed record attribute by attribute, where the
     /// distribution of column `j` depends on whether all previous
     /// columns matched the original. Produces exactly the gamma-diagonal
-    /// distribution; retained for fidelity to the paper and used to
-    /// cross-validate the O(M) mixture sampler.
+    /// distribution; kept for fidelity to the paper and as the reference
+    /// the mixture sampler is checked against.
     pub fn perturb_record_columnwise(
         &self,
         record: &[u32],
@@ -306,40 +271,13 @@ impl GammaDiagonal {
     }
 }
 
-impl GammaDiagonal {
-    /// The mixture sampler on an already-validated record, writing into
-    /// `out`. Shared by the `Perturber` entry points so validation is
-    /// paid exactly once per record — and, for batch entry points, can
-    /// be hoisted out of the sampling loop entirely.
-    fn perturb_validated_into(&self, record: &[u32], out: &mut Vec<u32>, rng: &mut dyn RngCore) {
-        if rng.gen::<f64>() < self.retention_probability() {
-            out.clear();
-            out.extend_from_slice(record);
-        } else {
-            uniform_record_into(&self.schema, out, rng);
-        }
-    }
-}
-
 impl Perturber for GammaDiagonal {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    fn perturb_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>> {
-        self.schema.validate_record(record)?;
-        if rng.gen::<f64>() < self.retention_probability() {
-            Ok(record.to_vec())
-        } else {
-            Ok(uniform_record(&self.schema, rng))
-        }
-    }
-
-    /// The index-domain mixture sampler: retain the index with
-    /// probability `(γ−1)x`, else draw a uniform index over the whole
-    /// domain — `P(v=u) = (γ−1)x + nx/n = γx`, `P(v)=x` otherwise,
-    /// exactly Equation 13. At most two RNG draws, no allocation, no
-    /// encode round-trip.
+    /// The mixture sampler of the module docs: keep the index on
+    /// `next_u64() < T`, else draw a uniform index over the domain.
     fn perturb_index(&self, index: usize, rng: &mut dyn RngCore) -> usize {
         debug_assert!(index < self.schema.domain_size());
         if rng.next_u64() < self.retention_threshold() {
@@ -361,38 +299,6 @@ impl Perturber for GammaDiagonal {
                 *slot = rng.gen_range(0..n);
             }
         }
-    }
-
-    fn perturb_record_into(
-        &self,
-        record: &[u32],
-        out: &mut Vec<u32>,
-        rng: &mut dyn RngCore,
-    ) -> Result<()> {
-        self.schema.validate_record(record)?;
-        self.perturb_validated_into(record, out, rng);
-        Ok(())
-    }
-
-    /// Batch perturbation with validation hoisted out of the sampling
-    /// loop: every record is validated up front, then the whole batch
-    /// runs through the unchecked mixture sampler.
-    fn perturb_dataset(
-        &self,
-        records: &[Vec<u32>],
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<Vec<u32>>> {
-        for r in records {
-            self.schema.validate_record(r)?;
-        }
-        Ok(records
-            .iter()
-            .map(|r| {
-                let mut out = Vec::with_capacity(r.len());
-                self.perturb_validated_into(r, &mut out, rng);
-                out
-            })
-            .collect())
     }
 }
 
@@ -462,41 +368,8 @@ impl RandomizedGammaDiagonal {
         UniformDiagonal::new(n, diag - off, off)
     }
 
-    /// Perturbs a record under a *given* realization `r` (exposed so
-    /// tests and experiments can pin the randomization).
-    pub fn perturb_record_with_r(
-        &self,
-        record: &[u32],
-        r: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<u32>> {
-        let schema = &self.base.schema;
-        schema.validate_record(record)?;
-        let n = schema.domain_size() as f64;
-        let diag = self.base.gamma() * self.base.x() + r;
-        if diag >= 1.0 / n {
-            // Mixture: retain with probability k, else uniform over all.
-            let k = (diag * n - 1.0) / (n - 1.0);
-            if rng.gen::<f64>() < k {
-                Ok(record.to_vec())
-            } else {
-                Ok(uniform_record(schema, rng))
-            }
-        } else {
-            // Anti-diagonal regime (possible for r < −(γ−1)x·(n−1)/n):
-            // with probability q force a change, else uniform over all.
-            let q = 1.0 - n * diag.max(0.0);
-            if rng.gen::<f64>() < q {
-                Ok(uniform_other_record(schema, record, rng))
-            } else {
-                Ok(uniform_record(schema, rng))
-            }
-        }
-    }
-
-    /// The index-domain counterpart of
-    /// [`Self::perturb_record_with_r`]: identical output distribution,
-    /// sampled directly on encoded domain indices with no allocation.
+    /// Perturbs an encoded index under a *given* realization `r`
+    /// (exposed so tests and experiments can pin the randomization).
     pub fn perturb_index_with_r(&self, index: usize, r: f64, rng: &mut dyn RngCore) -> usize {
         let n = self.base.domain_size();
         let n_f = n as f64;
@@ -541,11 +414,6 @@ impl RandomizedGammaDiagonal {
 impl Perturber for RandomizedGammaDiagonal {
     fn schema(&self) -> &Schema {
         &self.base.schema
-    }
-
-    fn perturb_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>> {
-        let r = self.draw_r(rng);
-        self.perturb_record_with_r(record, r, rng)
     }
 
     fn perturb_index(&self, index: usize, rng: &mut dyn RngCore) -> usize {
@@ -609,14 +477,7 @@ impl Perturber for ExplicitMatrix {
         &self.schema
     }
 
-    fn perturb_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>> {
-        let u = self.schema.encode(record)?;
-        Ok(self.schema.decode(self.perturb_index(u, rng)))
-    }
-
-    /// The CDF walk already lives in the index domain; sampling an
-    /// encoded index directly skips the decode/encode round-trip of the
-    /// record API.
+    /// The CDF walk down column `index` of the matrix.
     fn perturb_index(&self, index: usize, rng: &mut dyn RngCore) -> usize {
         debug_assert!(index < self.schema.domain_size());
         let r: f64 = rng.gen::<f64>();
@@ -870,66 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn randomized_sampler_matches_realized_matrix_at_fixed_r() {
-        let s = schema_small();
-        let x = 1.0 / 24.0;
-        let rgd = RandomizedGammaDiagonal::new(&s, 19.0, 4.0 * x).unwrap();
-        let record = vec![1u32, 1u32];
-        let u = s.encode(&record).unwrap();
-        let r_fixed = -3.0 * x; // diagonal 16x, still above 1/n = 4x.
-        let trials = 200_000;
-        let emp = empirical_distribution(
-            |rng| rgd.perturb_record_with_r(&record, r_fixed, rng).unwrap(),
-            &s,
-            trials,
-            45,
-        );
-        let m = rgd.realized_matrix(r_fixed);
-        let expected: Vec<f64> = (0..s.domain_size())
-            .map(|v| {
-                if v == u {
-                    m.diagonal()
-                } else {
-                    m.off_diagonal()
-                }
-            })
-            .collect();
-        assert_distribution_close(&emp, &expected, trials);
-    }
-
-    #[test]
-    fn randomized_sampler_anti_diagonal_regime() {
-        // Use a tiny domain where diag < 1/n is reachable: n = 6,
-        // gamma = 2 ⇒ x = 1/7, diag = 2/7, 1/n = 1/6. r = −0.2 gives
-        // diag ≈ 0.0857 < 1/6.
-        let s = schema_small();
-        let rgd = RandomizedGammaDiagonal::new(&s, 2.0, 0.25).unwrap();
-        let record = vec![0u32, 0u32];
-        let u = s.encode(&record).unwrap();
-        let r_fixed = -0.2;
-        let m = rgd.realized_matrix(r_fixed);
-        assert!(m.diagonal() < 1.0 / 6.0);
-        assert!(m.is_markov(1e-12));
-        let trials = 200_000;
-        let emp = empirical_distribution(
-            |rng| rgd.perturb_record_with_r(&record, r_fixed, rng).unwrap(),
-            &s,
-            trials,
-            46,
-        );
-        let expected: Vec<f64> = (0..s.domain_size())
-            .map(|v| {
-                if v == u {
-                    m.diagonal()
-                } else {
-                    m.off_diagonal()
-                }
-            })
-            .collect();
-        assert_distribution_close(&emp, &expected, trials);
-    }
-
-    #[test]
     fn zero_alpha_randomized_equals_deterministic() {
         let s = schema_small();
         let rgd = RandomizedGammaDiagonal::new(&s, 19.0, 0.0).unwrap();
@@ -1060,8 +861,8 @@ mod tests {
 
     #[test]
     fn randomized_index_sampler_anti_diagonal_regime() {
-        // Same regime as the record-domain anti-diagonal test: n = 6,
-        // gamma = 2, r = −0.2 pushes the realized diagonal below 1/n.
+        // n = 6, gamma = 2 ⇒ x = 1/7, diag = 2/7; r = −0.2 pushes the
+        // realized diagonal to ≈ 0.0857, below 1/n = 1/6.
         let s = schema_small();
         let rgd = RandomizedGammaDiagonal::new(&s, 2.0, 0.25).unwrap();
         let u = s.encode(&[0, 0]).unwrap();
@@ -1089,67 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_matrix_index_sampler_matches_record_sampler() {
-        let s = schema_small();
-        let gd = GammaDiagonal::new(&s, 4.0).unwrap();
-        let explicit = ExplicitMatrix::new(&s, gd.as_uniform_diagonal().to_dense()).unwrap();
-        let u = s.encode(&[0, 1]).unwrap();
-        // Same RNG stream through both entry points: perturb_record is
-        // now a decode of perturb_index, so the draws line up exactly.
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        for _ in 0..2_000 {
-            let via_record = explicit.perturb_record(&s.decode(u), &mut a).unwrap();
-            let via_index = explicit.perturb_index(u, &mut b);
-            assert_eq!(s.encode(&via_record).unwrap(), via_index);
-        }
-    }
-
-    #[test]
-    fn default_perturb_index_round_trips_through_the_record_domain() {
-        /// A perturber that does *not* override the index fast path, to
-        /// exercise the trait's decode/perturb/encode default.
-        struct RecordOnly(GammaDiagonal);
-        impl Perturber for RecordOnly {
-            fn schema(&self) -> &Schema {
-                self.0.schema()
-            }
-            fn perturb_record(&self, record: &[u32], rng: &mut dyn RngCore) -> Result<Vec<u32>> {
-                self.0.perturb_record(record, rng)
-            }
-        }
-        let s = schema_small();
-        let p = RecordOnly(GammaDiagonal::new(&s, 4.0).unwrap());
-        let u = s.encode(&[2, 0]).unwrap();
-        let trials = 100_000;
-        let observed = index_counts(|rng| p.perturb_index(u, rng), s.domain_size(), trials, 53);
-        let expected: Vec<f64> = (0..s.domain_size())
-            .map(|v| p.0.matrix_entry(v, u))
-            .collect();
-        let x2 = chi_squared(&observed, &expected, trials);
-        assert!(x2 < 30.0, "chi-squared {x2} too large for df=5");
-    }
-
-    #[test]
-    fn perturb_record_into_reuses_the_buffer_and_validates() {
-        let s = schema_small();
-        let gd = GammaDiagonal::new(&s, 19.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut out = Vec::new();
-        for _ in 0..200 {
-            gd.perturb_record_into(&[2, 1], &mut out, &mut rng).unwrap();
-            assert!(s.validate_record(&out).is_ok());
-        }
-        assert!(gd.perturb_record_into(&[9, 0], &mut out, &mut rng).is_err());
-        // The randomized perturber exercises the trait's default
-        // (allocate-then-copy) implementation.
-        let rgd = RandomizedGammaDiagonal::new(&s, 19.0, 0.0).unwrap();
-        rgd.perturb_record_into(&[1, 1], &mut out, &mut rng)
-            .unwrap();
-        assert!(s.validate_record(&out).is_ok());
-    }
-
-    #[test]
     fn perturb_dataset_rejects_invalid_batches_before_sampling() {
         let s = schema_small();
         let gd = GammaDiagonal::new(&s, 19.0).unwrap();
@@ -1157,6 +897,7 @@ mod tests {
         // An invalid record anywhere fails the whole batch up front.
         let bad = vec![vec![0, 0], vec![9, 9], vec![1, 1]];
         assert!(gd.perturb_dataset(&bad, &mut rng).is_err());
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(11).next_u64());
     }
 
     #[test]
@@ -1170,5 +911,229 @@ mod tests {
         for v in &perturbed {
             assert!(s.validate_record(v).is_ok());
         }
+    }
+
+    #[test]
+    fn record_and_dataset_apis_replay_the_index_sampler() {
+        // perturb_record and perturb_dataset are encode → perturb_index
+        // (perturb_indices) → decode for every perturber, so one seed
+        // gives the same records through all three entry points.
+        let s = schema_small();
+        let gd = GammaDiagonal::new(&s, 4.0).unwrap();
+        // γ = 2, α = 0.25 on n = 6 reaches both RAN-GD regimes: the
+        // anti-diagonal one for r < 1/6 − 2/7.
+        let rgd = RandomizedGammaDiagonal::new(&s, 2.0, 0.25).unwrap();
+        let explicit = ExplicitMatrix::new(&s, gd.as_uniform_diagonal().to_dense()).unwrap();
+        let records: Vec<Vec<u32>> = (0..600).map(|i| s.decode(i % s.domain_size())).collect();
+        let perturbers: [(&str, &dyn Perturber); 3] =
+            [("DET-GD", &gd), ("RAN-GD", &rgd), ("explicit", &explicit)];
+        for (name, p) in perturbers {
+            let batch = p
+                .perturb_dataset(&records, &mut StdRng::seed_from_u64(9))
+                .unwrap();
+            let mut by_record = StdRng::seed_from_u64(9);
+            let mut by_index = StdRng::seed_from_u64(9);
+            for (i, (record, batched)) in records.iter().zip(&batch).enumerate() {
+                let via_record = p.perturb_record(record, &mut by_record).unwrap();
+                let index = p.perturb_index(s.encode(record).unwrap(), &mut by_index);
+                assert_eq!(via_record, s.decode(index), "{name}, record {i}");
+                assert_eq!(&via_record, batched, "{name}, record {i}");
+            }
+        }
+    }
+
+    const TWO_53: u128 = 1 << 53;
+    const TWO_64: u128 = 1 << 64;
+    /// The unit roundoff of `f64`, 2⁻⁵³.
+    const U: f64 = f64::EPSILON / 2.0;
+
+    /// An RNG that replays fixed raw draws (and panics past their end).
+    struct Replay(Vec<u64>);
+
+    impl RngCore for Replay {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.remove(0)
+        }
+    }
+
+    /// The least number of raw draws the `rand` shim's bounded draw
+    /// (Lemire's multiply-shift `(x·n) >> 64`) maps to one value of
+    /// `0..n`. Value `v` gets the draws from `⌈v·2⁶⁴/n⌉` up to
+    /// `⌈(v+1)·2⁶⁴/n⌉`, which is ⌊2⁶⁴/n⌋ or ⌈2⁶⁴/n⌉ of them; the
+    /// boundaries are checked against the shim.
+    fn lemire_least_preimages(n: usize) -> u128 {
+        let first_draw = |v: u128| (v * TWO_64).div_ceil(n as u128) as u64;
+        for v in [1, n / 2, n - 1] {
+            let x = first_draw(v as u128);
+            assert_eq!(Replay(vec![x]).gen_range(0..n), v, "n = {n}");
+            assert_eq!(Replay(vec![x - 1]).gen_range(0..n), v - 1, "n = {n}");
+        }
+        TWO_64 / n as u128
+    }
+
+    /// DET-GD's largest realised ratio `P(v|u₁)/P(v|u₂)`, minus one, as
+    /// an exact fraction. The sampler keeps exactly the `T` raw draws
+    /// below its threshold, and otherwise lands on `v` with probability
+    /// `c_v/2⁶⁴`, `c_v ≥ L = ⌊2⁶⁴/n⌋`; the ratio peaks at `v = u₁` with
+    /// `c = L`: `R − 1 = T·2⁶⁴ / ((2⁶⁴ − T)·L)`.
+    fn det_gd_realised_excess(gd: &GammaDiagonal) -> (u128, u128) {
+        let n = gd.domain_size();
+        let t = gd.retention_threshold();
+        if t > 0 {
+            assert_eq!(gd.perturb_index(n - 1, &mut Replay(vec![t - 1])), n - 1);
+        }
+        assert_eq!(gd.perturb_index(n - 1, &mut Replay(vec![t, 0])), 0);
+        let t = t as u128;
+        (t * TWO_64, (TWO_64 - t) * lemire_least_preimages(n))
+    }
+
+    /// Holds DET-GD's realised ratio to γ within the slack derived in
+    /// ARCHITECTURE.md (section 2, "The mechanism's realised matrix"):
+    ///
+    /// * Threshold rounding, `12u`. The smaller mass, `(γ−1)x` or `nx`,
+    ///   carries at most 5.5 roundings (`x` 3.5, `γ−1` one, the product
+    ///   one), and the odds `k/(1−k)` at most twice its relative error
+    ///   because that mass is ≤ ½: 11u, and 12u with the second-order
+    ///   terms. The 2⁶⁴ grid rounds towards less retention, so it only
+    ///   lowers the ratio — by at most `2⁻⁶⁴/(s(1−s))` relative, `s`
+    ///   the smaller mass.
+    /// * Lemire, `1/L`: `2⁶⁴/(nL) − 1 < 1/L`, `L = ⌊2⁶⁴/n⌋`.
+    ///
+    /// `R − 1 = (γ−1) · (odds ratio) · 2⁶⁴/(nL)`, so
+    /// `R ≤ γ(1+ε)` with `ε = (1+12u)(1+1/L) − 1`. This test evaluates
+    /// `R` with four roundings and each bound with three, so both
+    /// sides get 7u more.
+    fn assert_det_gd_within_slack(schema: &Schema, gamma: f64) {
+        let n = schema.domain_size();
+        let gd = GammaDiagonal::new(schema, gamma).unwrap();
+        let (num, den) = det_gd_realised_excess(&gd);
+        let excess = num as f64 / den as f64;
+        let ratio = 1.0 + excess;
+        let eps = (1.0 + 12.0 * U) * (1.0 + 1.0 / lemire_least_preimages(n) as f64) - 1.0;
+        assert!(
+            ratio <= gamma * (1.0 + eps + 7.0 * U),
+            "n = {n}, γ = {gamma:e}: realised ratio {ratio:e} = γ·{:e}, ε = {eps:e}",
+            ratio / gamma
+        );
+        let s = gd.retention_probability().min(n as f64 * gd.x());
+        let grid = 2f64.powi(-64) / (s * (1.0 - s));
+        assert!(
+            excess >= (gamma - 1.0) * (1.0 - (12.0 + 7.0) * U - grid),
+            "n = {n}, γ = {gamma:e}: realised excess {excess:e} below γ − 1"
+        );
+    }
+
+    /// The paper's schemas: CENSUS (Table 1, n = 2000) and HEALTH
+    /// (Table 2, n = 7500), which the benchmark also serves, and
+    /// Section 5's 31 boolean attributes (n = 2³¹).
+    fn corpus_schemas() -> Vec<Schema> {
+        let cards = |cs: &[u32]| Schema::new(cs.iter().map(|&c| ("a", c)).collect()).unwrap();
+        vec![
+            cards(&[4, 5, 5, 5, 2, 2]),
+            cards(&[5, 5, 5, 3, 2, 2, 5]),
+            cards(&[2; 31]),
+        ]
+    }
+
+    #[test]
+    fn gamma_diagonal_realised_matrix_is_within_derived_slack_of_gamma() {
+        let mut schemas = corpus_schemas();
+        for n in [2u32, 3, 7, 1 << 20, 3 * (1 << 20) + 7, 1 << 31] {
+            schemas.push(Schema::new(vec![("a", n)]).unwrap());
+        }
+        let mut gammas = vec![1.0 + 1e-7, 1.0 + 1e-3, 1.5, 2.0, 3.0, 19.0, 100.0];
+        // 1e16 at n = 2 is the case the plain scaling of (γ−1)x broke.
+        gammas.extend((3..=20).map(|e| 10f64.powi(e)));
+        gammas.extend([1e50, 1e100, 1e200, 1e300]);
+        for schema in &schemas {
+            // The seam between the two threshold formulas: (γ−1)x = ½.
+            let seam = schema.domain_size() as f64 + 1.0;
+            let seams = [seam * (1.0 - 4.0 * U), seam, seam * (1.0 + 4.0 * U)];
+            for &gamma in gammas.iter().chain(&seams) {
+                assert_det_gd_within_slack(schema, gamma);
+            }
+        }
+    }
+
+    /// How many of the 2⁵³ float draws take `perturb_index_with_r`'s
+    /// first branch (keep the index in the mixture regime, force a
+    /// change in the anti-diagonal one), and whether the regime is the
+    /// mixture — both read off the sampler with replayed draws.
+    /// `gen::<f64>()` is `(x >> 11)/2⁵³`.
+    fn ran_gd_first_branch(rgd: &RandomizedGammaDiagonal, r: f64) -> (u128, bool) {
+        let last = rgd.expected().domain_size() - 1;
+        let run = |draws: Vec<u64>| rgd.perturb_index_with_r(0, r, &mut Replay(draws));
+        // A zero draw takes the first branch: the mixture keeps index 0,
+        // the anti-diagonal regime rejects the bounded draw 0.
+        let mixture = run(vec![0, 0, u64::MAX]) == 0;
+        let taken = |j: u128| {
+            let draw = (j as u64) << 11;
+            if mixture {
+                run(vec![draw, u64::MAX]) == 0
+            } else {
+                run(vec![draw, 0, u64::MAX]) == last
+            }
+        };
+        let (mut lo, mut hi) = (0, TWO_53);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if taken(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, mixture)
+    }
+
+    #[test]
+    fn randomized_realised_matrix_matches_realized_matrix_within_derived_slack() {
+        let mut regimes = [false; 2];
+        for schema in corpus_schemas() {
+            let n = schema.domain_size();
+            for fraction in [0.5, 0.99] {
+                let rgd =
+                    RandomizedGammaDiagonal::with_alpha_fraction(&schema, 19.0, fraction).unwrap();
+                for r in [-rgd.alpha(), 0.0, rgd.alpha()] {
+                    let (a, mixture) = ran_gd_first_branch(&rgd, r);
+                    regimes[mixture as usize] = true;
+                    let m = rgd.realized_matrix(r);
+                    let (d, o) = (m.diagonal(), m.off_diagonal());
+                    let least = lemire_least_preimages(n);
+                    // The largest realised ratio minus one, exactly:
+                    // diagonal over off-diagonal in the mixture, the
+                    // reverse in the anti-diagonal regime, where the
+                    // forced change rejects the source's c ≤ ⌈2⁶⁴/n⌉.
+                    let (num, den, branch) = if mixture {
+                        (a * TWO_64, (TWO_53 - a) * least, d - o)
+                    } else {
+                        let most = TWO_64.div_ceil(n as u128);
+                        (
+                            a * TWO_64,
+                            (TWO_53 - a) * (TWO_64 - most),
+                            (o - d) * (n - 1) as f64,
+                        )
+                    };
+                    let realised = num as f64 / den as f64;
+                    let ideal = (d - o).abs() / d.min(o);
+                    // The branch probability k (or q) is rounded up to
+                    // the 2⁻⁵³ grid; Lemire adds 1/L. 64u bounds the f64
+                    // arithmetic: the sampler's k or q (3 roundings) and
+                    // realized_matrix's entries (about 10), amplified at
+                    // most 1.25× by the d − o difference at these r, and
+                    // this comparison (7).
+                    let eps = U / (branch * (1.0 - branch)) + 1.0 / least as f64 + 64.0 * U;
+                    assert!(
+                        (realised / ideal - 1.0).abs() <= eps,
+                        "n = {n}, r = {r:e}: realised excess {realised:e}, \
+                         realized_matrix {ideal:e}, ε = {eps:e}"
+                    );
+                }
+            }
+        }
+        assert_eq!(regimes, [true, true], "both regimes exercised");
     }
 }

@@ -72,29 +72,42 @@ fn ran_gd_is_close_to_det_gd() {
         correct as f64 / total as f64
     };
 
-    let mut rng = StdRng::seed_from_u64(2);
-    let det_perturbed = Dataset::from_trusted(
-        schema.clone(),
-        gd.perturb_dataset(ds.records(), &mut rng).unwrap(),
-    );
-    let det_mined = apriori(&GammaDiagonalSupport::new(&det_perturbed, &gd), &params());
+    // One seed is one draw from a wide spread: over seeds 0–599 the
+    // single-seed DET-GD fraction has mean 0.430 and sd 0.072 (range
+    // 0.25–0.69), so a floor near the median fails a third of the
+    // seeds. Both conditions are asserted on the mean over 64 fixed
+    // seeds instead, whose standard error is 0.072/√64 = 0.009; the
+    // floor sits three of those below the mean: 0.430 − 0.027 ≈ 0.40.
+    // A sampler that keeps records half as often as (γ−1)x averages
+    // 0.387 over 200 seeds and 0.379 over these 64, and fails it.
+    const SEEDS: u64 = 64;
+    let (mut det_sum, mut ran_sum) = (0.0, 0.0);
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let det_perturbed = Dataset::from_trusted(
+            schema.clone(),
+            gd.perturb_dataset(ds.records(), &mut rng).unwrap(),
+        );
+        let det_mined = apriori(&GammaDiagonalSupport::new(&det_perturbed, &gd), &params());
 
-    let ran_perturbed = Dataset::from_trusted(
-        schema.clone(),
-        rgd.perturb_dataset(ds.records(), &mut rng).unwrap(),
-    );
-    let ran_mined = apriori(
-        &GammaDiagonalSupport::new(&ran_perturbed, rgd.expected()),
-        &params(),
-    );
-
-    let det_frac = correct_fraction(&det_mined);
-    let ran_frac = correct_fraction(&ran_mined);
-    assert!(det_frac > 0.4, "det fraction {det_frac}");
+        let ran_perturbed = Dataset::from_trusted(
+            schema.clone(),
+            rgd.perturb_dataset(ds.records(), &mut rng).unwrap(),
+        );
+        let ran_mined = apriori(
+            &GammaDiagonalSupport::new(&ran_perturbed, rgd.expected()),
+            &params(),
+        );
+        det_sum += correct_fraction(&det_mined);
+        ran_sum += correct_fraction(&ran_mined);
+    }
+    let det_frac = det_sum / SEEDS as f64;
+    let ran_frac = ran_sum / SEEDS as f64;
+    assert!(det_frac > 0.40, "mean det fraction {det_frac}");
     // "Marginally lower": allow a modest gap, not a collapse.
     assert!(
         ran_frac > det_frac - 0.25,
-        "ran {ran_frac} vs det {det_frac}"
+        "mean ran {ran_frac} vs det {det_frac}"
     );
 }
 
