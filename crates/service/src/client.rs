@@ -946,6 +946,10 @@ impl Client {
 
     /// Encodes one submit in the negotiated framing — a binary
     /// `OP_SUBMIT` frame or the canonical line — into the write buffer.
+    /// An `OP_SUBMIT` grid is rectangular with at least one attribute,
+    /// so a batch it cannot carry (ragged, or of empty records) goes
+    /// as its canonical line inside an `OP_JSON` frame: the server
+    /// answers it, and moves the watermark, exactly as it does the line.
     fn write_submit(
         &mut self,
         session: u64,
@@ -955,16 +959,24 @@ impl Client {
         deferred: bool,
     ) -> Result<()> {
         if self.framing == WireFraming::Binary {
+            let rectangular = records.first().is_none_or(|first| {
+                !first.is_empty() && records.iter().all(|r| r.len() == first.len())
+            });
             let mut frame = Vec::with_capacity(24 + records.len() * 8);
-            framing::encode_submit_frame(
-                &mut frame,
-                session,
-                records,
-                pre_perturbed,
-                shard,
-                deferred,
-                self.fixed32,
-            );
+            if rectangular {
+                framing::encode_submit_frame(
+                    &mut frame,
+                    session,
+                    records,
+                    pre_perturbed,
+                    shard,
+                    deferred,
+                    self.fixed32,
+                );
+            } else {
+                let line = Self::submit_line(session, records, pre_perturbed, shard, deferred);
+                framing::encode_json_frame(&mut frame, &line);
+            }
             self.writer.write_all(&frame)?;
         } else {
             let line = Self::submit_line(session, records, pre_perturbed, shard, deferred);

@@ -204,14 +204,6 @@ impl<'a> PayloadReader<'a> {
             None => Err(truncated()),
         }
     }
-
-    fn u32_le(&mut self) -> Result<u32> {
-        let Some((head, rest)) = self.buf.split_first_chunk::<4>() else {
-            return Err(truncated());
-        };
-        self.buf = rest;
-        Ok(u32::from_le_bytes(*head))
-    }
 }
 
 fn truncated() -> ServiceError {
@@ -269,29 +261,49 @@ pub(crate) fn decode_submit_payload(payload: &[u8]) -> Result<Request> {
             "submit frame declares {cells} cells but carries {remaining} payload bytes"
         )));
     }
-    let mut records = RecordBatch::new();
-    for _ in 0..n_records {
-        for _ in 0..n_attrs {
-            let cell = if fixed32 {
-                r.u32_le()?
-            } else {
-                let v = r.varint()?;
-                u32::try_from(v)
-                    .map_err(|_| ServiceError::Protocol(format!("cell value {v} exceeds u32")))?
+    // One pass over the grid into an exactly sized buffer. The two
+    // whole-grid shapes cannot fail once the length check above holds:
+    // fixed32 cells fill the payload exactly, and a varint grid of
+    // `cells` bytes none of which continues a varint is `cells` one-byte
+    // cells. Every other varint grid takes the per-cell loop, which
+    // reports the first malformed cell and then any trailing bytes.
+    let mut values = Vec::with_capacity(cells);
+    let grid = r.buf;
+    if fixed32 {
+        values.extend(
+            grid.as_chunks::<4>()
+                .0
+                .iter()
+                .map(|&c| u32::from_le_bytes(c)),
+        );
+    } else if remaining == cells && grid.iter().fold(0, |high, &b| high | b) < 0x80 {
+        values.extend(grid.iter().map(|&b| u32::from(b)));
+    } else {
+        for _ in 0..cells {
+            let cell = match r.buf.split_first() {
+                Some((&b, rest)) if b < 0x80 => {
+                    r.buf = rest;
+                    u32::from(b)
+                }
+                _ => {
+                    let v = r.varint()?;
+                    u32::try_from(v).map_err(|_| {
+                        ServiceError::Protocol(format!("cell value {v} exceeds u32"))
+                    })?
+                }
             };
-            records.push_cell(cell);
+            values.push(cell);
         }
-        records.end_record();
-    }
-    if !r.buf.is_empty() {
-        return Err(ServiceError::Protocol(format!(
-            "{} trailing bytes after the last submit cell",
-            r.buf.len()
-        )));
+        if !r.buf.is_empty() {
+            return Err(ServiceError::Protocol(format!(
+                "{} trailing bytes after the last submit cell",
+                r.buf.len()
+            )));
+        }
     }
     Ok(Request::Submit(Submit {
         session,
-        records,
+        records: RecordBatch::from_grid(values, n_attrs),
         pre_perturbed: flags & FLAG_PRE_PERTURBED != 0,
         placement,
         deferred: flags & FLAG_DEFERRED != 0,
@@ -548,7 +560,6 @@ impl LineFraming {
                 let Ok(text) = std::str::from_utf8(payload) else {
                     return Step::Fatal;
                 };
-                let line = text.trim().to_owned();
                 dispatch::dispatch_into(
                     &shared.registry,
                     &shared.config,
@@ -556,7 +567,7 @@ impl LineFraming {
                     shared.fed.as_deref(),
                     Some(&shared.jobs),
                     &mut self.state,
-                    &line,
+                    text.trim(),
                     &mut self.response,
                 )
             }
@@ -1027,64 +1038,504 @@ mod tests {
         assert_eq!(submit.placement, stamp);
     }
 
+    /// The per-cell `OP_SUBMIT` decoder the served one replaced, kept
+    /// verbatim as the reference it must agree with: the same `Request`
+    /// or the same error text on every payload.
+    fn reference_decode(payload: &[u8]) -> Result<Request> {
+        fn u32_le(r: &mut PayloadReader) -> Result<u32> {
+            let Some((head, rest)) = r.buf.split_first_chunk::<4>() else {
+                return Err(truncated());
+            };
+            r.buf = rest;
+            Ok(u32::from_le_bytes(*head))
+        }
+        let mut r = PayloadReader { buf: payload };
+        let flags = r.byte()?;
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(ServiceError::Protocol(format!(
+                "submit frame carries unknown flag bits {:#04x}",
+                flags & !KNOWN_FLAGS
+            )));
+        }
+        let session = r.varint()?;
+        let shard = if flags & FLAG_HAS_SHARD != 0 {
+            Some(r.varint()? as usize)
+        } else {
+            None
+        };
+        let placement = if flags & FLAG_HAS_STAMP != 0 {
+            let origin = r.varint()?;
+            let seq = r.varint()?;
+            Placement::Replicated { origin, seq }
+        } else {
+            placement(shard)
+        };
+        let n_records = r.varint()? as usize;
+        let n_attrs = r.varint()? as usize;
+        if n_records > 0 && n_attrs == 0 {
+            return Err(ServiceError::Protocol(format!(
+                "submit frame declares {n_records} records of no attributes"
+            )));
+        }
+        let cells = n_records
+            .checked_mul(n_attrs)
+            .ok_or_else(|| ServiceError::Protocol("submit frame cell count overflows".into()))?;
+        let fixed32 = flags & FLAG_FIXED32 != 0;
+        let remaining = r.buf.len();
+        if (fixed32 && cells.checked_mul(4) != Some(remaining)) || (!fixed32 && remaining < cells) {
+            return Err(ServiceError::Protocol(format!(
+                "submit frame declares {cells} cells but carries {remaining} payload bytes"
+            )));
+        }
+        let mut records = RecordBatch::new();
+        for _ in 0..n_records {
+            for _ in 0..n_attrs {
+                let cell = if fixed32 {
+                    u32_le(&mut r)?
+                } else {
+                    let v = r.varint()?;
+                    u32::try_from(v).map_err(|_| {
+                        ServiceError::Protocol(format!("cell value {v} exceeds u32"))
+                    })?
+                };
+                records.push_cell(cell);
+            }
+            records.end_record();
+        }
+        if !r.buf.is_empty() {
+            return Err(ServiceError::Protocol(format!(
+                "{} trailing bytes after the last submit cell",
+                r.buf.len()
+            )));
+        }
+        Ok(Request::Submit(Submit {
+            session,
+            records,
+            pre_perturbed: flags & FLAG_PRE_PERTURBED != 0,
+            placement,
+            deferred: flags & FLAG_DEFERRED != 0,
+        }))
+    }
+
+    /// The grid shapes the corpus draws, one per decoder path and
+    /// malformation.
+    const GRIDS: usize = 6;
+
+    /// Appends `n` varint cells of grid shape `shape` to `out`:
+    /// 0 one-byte, 1 mixed widths up to `u32::MAX`, 2 with overlong but
+    /// valid encodings (`0x80 0x00`), 3 with a value past `u32`, 4 with
+    /// an encoding past 64 bits, 5 one-byte with one high-bit byte
+    /// (so `remaining == cells` still holds).
+    fn varint_cells(out: &mut Vec<u8>, n: usize, shape: usize, next: &mut impl FnMut() -> u64) {
+        let start = out.len();
+        for _ in 0..n {
+            let v = match (shape, next() % 4) {
+                (0 | 5, _) | (_, 0) => next() % 128,
+                (_, 1) => 128 + next() % 16_256,
+                _ => next() % (1 << 32),
+            };
+            let cell = out.len();
+            write_varint(out, v);
+            match (shape, next() % 8) {
+                (2, 0) => {
+                    // One or more redundant zero groups.
+                    let pad = 1 + (next() % 3) as usize;
+                    for _ in 0..pad {
+                        *out.last_mut().unwrap() |= 0x80;
+                        out.push(0);
+                    }
+                }
+                (3, 0) => {
+                    out.truncate(cell);
+                    write_varint(out, (1 << 32) + next() % (1 << 40));
+                }
+                (4, 0) => {
+                    out.truncate(cell);
+                    out.extend_from_slice(&[0xff; MAX_VARINT_BYTES]);
+                    out.push(0x7f);
+                }
+                _ => {}
+            }
+        }
+        if shape == 5 && out.len() > start {
+            let i = start + (next() as usize) % (out.len() - start);
+            out[i] |= 0x80;
+        }
+    }
+
+    /// One corpus payload from `next`: a header of random flags and
+    /// placement, a grid of one of the [`GRIDS`] shapes or fixed32, and
+    /// then perhaps a lie in the declared counts, a byte flip, a cut or
+    /// trailing bytes.
+    fn corpus_payload(next: &mut impl FnMut() -> u64) -> Vec<u8> {
+        let mut flags = (next() as u8) & KNOWN_FLAGS;
+        if next().is_multiple_of(64) {
+            flags |= 0x40 << (next() % 2);
+        }
+        let mut p = vec![flags];
+        write_varint(&mut p, next() % 1_000);
+        if flags & FLAG_HAS_SHARD != 0 {
+            write_varint(&mut p, next() % 8);
+        }
+        if flags & FLAG_HAS_STAMP != 0 {
+            write_varint(&mut p, next() % 4);
+            write_varint(&mut p, next());
+        }
+        let n_records = next() % 24;
+        let n_attrs = if next().is_multiple_of(32) {
+            0
+        } else {
+            1 + next() % 7
+        };
+        let (mut declared_records, mut declared_attrs) = (n_records, n_attrs);
+        match next() % 16 {
+            0 => declared_records = declared_records.wrapping_add(next() % 5).saturating_sub(2),
+            1 => declared_attrs = declared_attrs.wrapping_add(next() % 5).saturating_sub(2),
+            2 => declared_records = next() >> (next() % 64),
+            3 => declared_attrs = next() >> (next() % 64),
+            _ => {}
+        }
+        write_varint(&mut p, declared_records);
+        write_varint(&mut p, declared_attrs);
+        let cells = (n_records * n_attrs) as usize;
+        if flags & FLAG_FIXED32 != 0 {
+            for _ in 0..cells {
+                let v = if next().is_multiple_of(2) {
+                    next() % 128
+                } else {
+                    next()
+                };
+                p.extend_from_slice(&(v as u32).to_le_bytes());
+            }
+        } else {
+            let shape = (next() % GRIDS as u64) as usize;
+            varint_cells(&mut p, cells, shape, next);
+        }
+        match next() % 8 {
+            0 => {
+                let i = (next() as usize) % p.len();
+                p[i] ^= 1 << (next() % 8);
+            }
+            1 => p.truncate((next() as usize) % (p.len() + 1)),
+            2 => p.extend((0..1 + next() % 3).map(|_| next() as u8)),
+            _ => {}
+        }
+        p
+    }
+
+    /// The cell grid of a payload that decodes: what follows the header.
+    fn grid(payload: &[u8]) -> &[u8] {
+        let mut r = PayloadReader { buf: payload };
+        let flags = r.byte().unwrap();
+        let stamp = flags & FLAG_HAS_STAMP != 0;
+        let fields = 3 + usize::from(flags & FLAG_HAS_SHARD != 0) + 2 * usize::from(stamp);
+        for _ in 0..fields {
+            r.varint().unwrap();
+        }
+        r.buf
+    }
+
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    /// `count` seeded corpus payloads, the first `truncated` of them also
+    /// cut at every byte: each decodes as [`reference_decode`] does.
+    /// Returns how many decoded to a submit through each whole-grid
+    /// shape and the per-cell loop, and how many were refused.
+    fn assert_decoder_matches_reference(count: usize, truncated: usize) -> [usize; 4] {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut tally = [0; 4];
+        for i in 0..count {
+            let payload = corpus_payload(&mut next);
+            let cuts = if i < truncated { 0 } else { payload.len() };
+            for cut in cuts..=payload.len() {
+                let p = &payload[..cut];
+                let got = decode_submit_payload(p).map_err(|e| e.to_string());
+                assert_eq!(
+                    got,
+                    reference_decode(p).map_err(|e| e.to_string()),
+                    "{p:02x?}"
+                );
+                tally[match &got {
+                    Err(_) => 3,
+                    Ok(_) if p[0] & FLAG_FIXED32 != 0 => 0,
+                    Ok(Request::Submit(s))
+                        if grid(p).len() == s.records.iter().flatten().count() =>
+                    {
+                        1
+                    }
+                    Ok(_) => 2,
+                }] += 1;
+            }
+        }
+        tally
+    }
+
+    #[test]
+    fn decoder_matches_the_reference_on_a_seeded_corpus() {
+        let [whole32, one_byte, per_cell, refused] = assert_decoder_matches_reference(20_000, 500);
+        println!("fixed32 {whole32}, one-byte {one_byte}, per-cell {per_cell}, refused {refused}");
+        // Every path is exercised, and most malformations are refused.
+        assert!(whole32 > 1_000, "{whole32}");
+        assert!(one_byte > 1_000, "{one_byte}");
+        assert!(per_cell > 1_000, "{per_cell}");
+        assert!(refused > 10_000, "{refused}");
+    }
+
+    #[test]
+    #[ignore = "10^6 corpus frames; run in release"]
+    fn a_million_corpus_frames_decode_as_the_reference_does() {
+        assert_decoder_matches_reference(1_000_000, 5_000);
+    }
+
     #[test]
     fn malformed_submit_payloads_are_rejected() {
-        let valid = {
-            let mut wire = Vec::new();
-            encode_submit_frame(
-                &mut wire,
-                1,
-                &[vec![1, 2], vec![3, 4]],
-                true,
-                None,
-                false,
-                false,
-            );
-            match scan_frame(&wire, 1 << 20).unwrap() {
-                Frame::Complete { payload, .. } => payload.to_vec(),
-                Frame::NeedMore => unreachable!(),
+        /// A payload of `flags`, then `fields` as varints, then `grid`.
+        fn payload(flags: u8, fields: &[u64], grid: &[u8]) -> Vec<u8> {
+            let mut p = vec![flags];
+            for &field in fields {
+                write_varint(&mut p, field);
             }
+            p.extend_from_slice(grid);
+            p
+        }
+        fn refusal(payload: &[u8]) -> String {
+            decode_submit_payload(payload).unwrap_err().to_string()
+        }
+        const TRUNCATED: &str = "protocol error: truncated field inside a complete submit frame";
+        let declares = |cells: u64, bytes: usize| {
+            format!("protocol error: submit frame declares {cells} cells but carries {bytes} payload bytes")
         };
+        // session 1, 2 records × 2 attributes, one-byte cells 1 2 3 4.
+        let valid = payload(FLAG_PRE_PERTURBED, &[1, 2, 2], &[1, 2, 3, 4]);
         decode_submit_payload(&valid).unwrap();
         // Any truncation of a complete frame's payload is an error (a
-        // cut varint, a missing cell, a cut header field) — never a
-        // silent partial batch.
+        // cut header field, a missing cell) — never a silent partial
+        // batch.
         for cut in 0..valid.len() {
-            assert!(
-                decode_submit_payload(&valid[..cut]).is_err(),
-                "truncation at {cut} must be rejected"
-            );
+            let want = if cut < 4 {
+                TRUNCATED.to_owned()
+            } else {
+                declares(4, cut - 4)
+            };
+            assert_eq!(refusal(&valid[..cut]), want, "truncation at {cut}");
         }
         // Unknown flag bits are refused, not ignored.
         let mut unknown_flag = valid.clone();
         unknown_flag[0] |= 0x80;
-        assert!(decode_submit_payload(&unknown_flag).is_err());
+        assert_eq!(
+            refusal(&unknown_flag),
+            "protocol error: submit frame carries unknown flag bits 0x80"
+        );
         // Trailing bytes after the declared cells are refused.
         let mut trailing = valid.clone();
         trailing.push(0);
-        assert!(decode_submit_payload(&trailing).is_err());
+        assert_eq!(
+            refusal(&trailing),
+            "protocol error: 1 trailing bytes after the last submit cell"
+        );
+        // As many grid bytes as cells, one of them continuing a varint:
+        // not a one-byte grid, and the cut-short last cell says so.
+        for high in 0..4 {
+            let mut grid = [1, 2, 3, 4];
+            grid[high] |= 0x80;
+            let p = payload(0, &[1, 2, 2], &grid);
+            assert_eq!(refusal(&p), TRUNCATED, "high bit on cell {high}");
+        }
+        // A cell past u32, and a cell varint past 64 bits.
+        let mut wide = Vec::new();
+        write_varint(&mut wide, 1 << 32);
+        assert_eq!(
+            refusal(&payload(0, &[1, 1, 1], &wide)),
+            "protocol error: cell value 4294967296 exceeds u32"
+        );
+        let mut overlong = [0xffu8; MAX_VARINT_BYTES + 1];
+        overlong[MAX_VARINT_BYTES] = 0x7f;
+        assert_eq!(
+            refusal(&payload(0, &[1, 1, 1], &overlong)),
+            "protocol error: varint overflows 64 bits"
+        );
         // A declared cell count the payload cannot hold is refused
         // before any allocation.
-        let mut absurd = vec![0u8];
-        write_varint(&mut absurd, 1); // session
-        write_varint(&mut absurd, u64::MAX / 2); // n_records
-        write_varint(&mut absurd, 2); // n_attrs
-        assert!(decode_submit_payload(&absurd).is_err());
+        let absurd = payload(0, &[1, u64::MAX / 2, 2], &[]);
+        assert_eq!(refusal(&absurd), declares(u64::MAX - 1, 0));
+        let overflowing = payload(0, &[1, 1 << 40, 1 << 40], &[]);
+        assert_eq!(
+            refusal(&overflowing),
+            "protocol error: submit frame cell count overflows"
+        );
         // Records of no attributes carry no cells to bound their number:
         // seven bytes must not decode into fifty million records.
-        let mut zero_arity = vec![0u8];
-        write_varint(&mut zero_arity, 1); // session
-        write_varint(&mut zero_arity, 50_000_000); // n_records
-        write_varint(&mut zero_arity, 0); // n_attrs
+        let zero_arity = payload(0, &[1, 50_000_000, 0], &[]);
         assert_eq!(zero_arity.len(), 7);
-        assert!(decode_submit_payload(&zero_arity).is_err());
+        assert_eq!(
+            refusal(&zero_arity),
+            "protocol error: submit frame declares 50000000 records of no attributes"
+        );
         // A fixed32 cell count whose byte size overflows is refused, not
         // wrapped (release) or panicked on (overflow checks).
-        let mut overflowing = vec![FLAG_FIXED32];
-        write_varint(&mut overflowing, 1); // session
-        write_varint(&mut overflowing, 1 << 62); // n_records
-        write_varint(&mut overflowing, 1); // n_attrs
-        assert!(decode_submit_payload(&overflowing).is_err());
+        let overflowing = payload(FLAG_FIXED32, &[1, 1 << 62, 1], &[]);
+        assert_eq!(refusal(&overflowing), declares(1 << 62, 0));
+        // What stays accepted: no records of no attributes, overlong but
+        // valid cell encodings, and fixed32 cells.
+        let submit = |p: &[u8]| match decode_submit_payload(p).unwrap() {
+            Request::Submit(s) => s.records,
+            other => panic!("OP_SUBMIT decodes to a submit, not {other:?}"),
+        };
+        assert!(submit(&payload(0, &[1, 0, 0], &[])).is_empty());
+        assert_eq!(
+            submit(&payload(0, &[1, 1, 2], &[0x80, 0x00, 0x85, 0x80, 0x00])),
+            RecordBatch::from_rows(&[vec![0, 5]])
+        );
+        let fixed: Vec<u8> = [7u32, u32::MAX]
+            .iter()
+            .flat_map(|c| c.to_le_bytes())
+            .collect();
+        assert_eq!(
+            submit(&payload(FLAG_FIXED32, &[1, 2, 1], &fixed)),
+            RecordBatch::from_rows(&[vec![7], vec![u32::MAX]])
+        );
+    }
+
+    /// Median ns per record of `f`, which handles `records` records per
+    /// call, over nine rounds of about 60 ms after a warm-up.
+    fn ns_per_record(records: usize, mut f: impl FnMut()) -> f64 {
+        use std::time::Instant;
+        for _ in 0..3 {
+            f();
+        }
+        let mut rounds: Vec<f64> = (0..9)
+            .map(|_| {
+                let start = Instant::now();
+                let mut calls = 0;
+                while start.elapsed() < Duration::from_millis(60) {
+                    f();
+                    calls += 1;
+                }
+                start.elapsed().as_nanos() as f64 / (calls * records) as f64
+            })
+            .collect();
+        rounds.sort_by(f64::total_cmp);
+        rounds[4]
+    }
+
+    /// The server's per-record cost of a binary `OP_SUBMIT` stream, by
+    /// stage: frame scan + decode; the same plus dispatching the
+    /// deferred frame into a registry session (validate, perturb,
+    /// accumulate); and `CollectionSession::submit_batch` of the same
+    /// rows alone. The second minus the third is what the wire costs on
+    /// top of the session. Three grid shapes: the benchmark's
+    /// `stream_binary` frames (256 raw CENSUS records, one-byte varint
+    /// cells), the same records as fixed32, and a mixed-width grid
+    /// (CENSUS plus a 256-value attribute, so about half the records
+    /// carry a two-byte cell).
+    #[test]
+    #[ignore = "timing table; run in release with --nocapture"]
+    fn stream_stage_table() {
+        use crate::metrics::TransportMetrics;
+        use crate::session::SessionRegistry;
+        use std::hint::black_box;
+
+        const FRAMES: usize = 64;
+        const BATCH: usize = 256;
+        let census = frapp_data::census::census_like_n(FRAMES * BATCH, 1)
+            .records()
+            .to_vec();
+        let mut next = xorshift(7);
+        let mixed: Vec<Vec<u32>> = census
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.push((next() % 256) as u32);
+                r
+            })
+            .collect();
+        let mut attrs: Vec<(String, u32)> = frapp_data::census::schema()
+            .attributes()
+            .iter()
+            .map(|a| (a.name().to_owned(), a.cardinality()))
+            .collect();
+        let census_schema = attrs.clone();
+        attrs.push(("wide".into(), 256));
+        let shapes = [
+            ("CENSUS varint", &census, &census_schema, false),
+            ("CENSUS fixed32", &census, &census_schema, true),
+            ("mixed varint", &mixed, &attrs, false),
+        ];
+
+        let config = crate::ServiceConfig::default();
+        let registry = SessionRegistry::new();
+        let transport = TransportMetrics::new();
+        println!(
+            "shape           B/record  scan+decode  +dispatch+ingest  submit_batch  wire overhead  (ns/record)"
+        );
+        for (name, rows, schema, fixed32) in shapes {
+            let mut state = ConnState::new();
+            let mut out = String::new();
+            let schema: Vec<String> = schema
+                .iter()
+                .map(|(n, c)| format!("[\"{n}\",{c}]"))
+                .collect();
+            let create = format!(
+                r#"{{"op":"create_session","schema":[{}],"gamma":19.0}}"#,
+                schema.join(",")
+            );
+            dispatch::dispatch_into(
+                &registry, &config, &transport, None, None, &mut state, &create, &mut out,
+            );
+            let session = crate::json::parse(&out)
+                .unwrap()
+                .get("session")
+                .unwrap()
+                .as_u64()
+                .unwrap();
+            let batches: Vec<&[Vec<u32>]> = rows.chunks(BATCH).collect();
+            let frames: Vec<Vec<u8>> = batches
+                .iter()
+                .map(|batch| {
+                    let mut frame = Vec::new();
+                    encode_submit_frame(&mut frame, session, batch, false, None, true, fixed32);
+                    frame
+                })
+                .collect();
+            let bytes = frames.iter().map(Vec::len).sum::<usize>() as f64 / rows.len() as f64;
+            let decode = |frame: &[u8]| {
+                let Ok(Frame::Complete { payload, .. }) = scan_frame(frame, 1 << 24) else {
+                    panic!("a complete frame");
+                };
+                decode_submit_payload(payload).unwrap()
+            };
+            let scan_decode = ns_per_record(rows.len(), || {
+                for frame in &frames {
+                    black_box(decode(black_box(frame)));
+                }
+            });
+            let dispatched = ns_per_record(rows.len(), || {
+                for frame in &frames {
+                    let req = decode(black_box(frame));
+                    let outcome = dispatch::dispatch_request(
+                        &registry, &config, &transport, None, None, &mut state, req, &mut out,
+                    );
+                    assert_eq!(outcome, Outcome::Quiet);
+                }
+            });
+            let collection = registry.get(session).unwrap();
+            let submit = ns_per_record(rows.len(), || {
+                for batch in &batches {
+                    black_box(collection.submit_batch(black_box(batch), false).unwrap());
+                }
+            });
+            println!(
+                "{name:<15} {bytes:>8.2}  {scan_decode:>11.1}  {dispatched:>16.1}  {submit:>12.1}  {:>13.1}",
+                dispatched - submit
+            );
+        }
     }
 
     #[test]

@@ -105,6 +105,20 @@ impl RecordBatch {
         batch
     }
 
+    /// A rectangular batch over a row-major cell grid: record `i` is
+    /// `values[i·arity..(i+1)·arity]`, the offsets written
+    /// arithmetically. The binary `OP_SUBMIT` decoder builds its batch
+    /// here. `arity` must divide `values.len()`, and may be zero only
+    /// for an empty grid.
+    pub(crate) fn from_grid(values: Vec<u32>, arity: usize) -> Self {
+        let n_records = values.len().checked_div(arity).unwrap_or(0);
+        assert_eq!(n_records * arity, values.len(), "a grid is rectangular");
+        RecordBatch {
+            values,
+            offsets: (0..=n_records).map(|i| i * arity).collect(),
+        }
+    }
+
     /// Appends one record.
     pub fn push(&mut self, record: &[u32]) {
         self.values.extend_from_slice(record);

@@ -255,6 +255,47 @@ fn binary_pipelined_submits_match_line_pipelining_including_failures() {
 }
 
 #[test]
+fn a_batch_no_frame_can_carry_gets_the_lines_answer_on_a_binary_client() {
+    // An OP_SUBMIT grid is rectangular with at least one attribute. A
+    // ragged batch (or one of empty records) on a binary client must be
+    // refused exactly as the line refuses it — same error, same
+    // watermark, same stored total — never re-cut into other records
+    // or answered with a dropped connection.
+    let spec = SessionSpec {
+        schema: vec![("a".into(), 8), ("b".into(), 8)],
+        ..small_spec(5)
+    };
+    let batches: [&[Vec<u32>]; 2] = [&[vec![1, 2], vec![3], vec![4, 5, 6]], &[vec![], vec![]]];
+    for handle in [spawn_threaded(), spawn_async()] {
+        let mut outcomes = Vec::new();
+        for binary in [false, true] {
+            let mut client = Client::connect(handle.addr()).unwrap();
+            if binary {
+                client.negotiate_binary().unwrap();
+            }
+            let session = client.create_session(&spec).unwrap();
+            for &batch in &batches {
+                let sync = client.submit_batch(session, batch, false).unwrap_err();
+                client.submit_nowait(session, batch, false).unwrap();
+                let deferred = client.flush().unwrap_err();
+                outcomes.push(format!("{sync:?} / {deferred:?}"));
+            }
+            // Still usable: a rectangular batch goes through afterwards.
+            client
+                .submit_batch(session, &[vec![7, 7], vec![0, 1]], false)
+                .unwrap();
+            outcomes.push(client.stats(session).unwrap().total.to_string());
+        }
+        let (line, binary) = outcomes.split_at(outcomes.len() / 2);
+        assert_eq!(line, binary);
+        assert!(line[0].contains("accepted: Some(1)"), "{line:?}");
+        // Two partial batches of one record each, then the two records.
+        assert_eq!(line[2], "4");
+        handle.shutdown().unwrap();
+    }
+}
+
+#[test]
 fn binary_responses_are_line_responses_minus_the_newline() {
     // §6.4: an OP_JSON response frame's payload is byte-identical to
     // the line-protocol response for the same request, minus the
