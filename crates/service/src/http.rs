@@ -28,7 +28,8 @@
 
 use crate::dispatch;
 use crate::error::{Result, ServiceError};
-use crate::protocol::{self, write_error_response, Fields, Request};
+use crate::json::Fields;
+use crate::protocol::{self, write_error_response, Request};
 use crate::server::Shared;
 use crate::wire::{OpRow, QueryKind, OPS};
 

@@ -10,8 +10,9 @@
 //! One scanner reads every document: the pull reader `Reader`, which
 //! lets a caller walk a document token by token. [`parse`] is the tree
 //! builder on it; the request decoder (`protocol::read_request`) reads
-//! a request's `records` through it straight into a flat batch, with
-//! no tree. Both report the same error texts and byte offsets.
+//! a request's `records` through it straight into a flat batch, and the
+//! snapshot codec (`persist`) a shard's `counts` into a vector, with no
+//! tree. All report the same syntax error texts and byte offsets.
 
 use crate::error::{Result, ServiceError};
 use std::borrow::Cow;
@@ -262,6 +263,36 @@ pub fn parse(input: &str) -> Result<Value> {
     Ok(v)
 }
 
+/// An object's members as small [`Value`]s, in document order, as
+/// [`Reader::members`] reads them. A key borrows the text unless it has
+/// escapes. HTTP appends a request's query parameters.
+#[derive(Debug, Default)]
+pub(crate) struct Fields<'a>(pub(crate) Vec<(Cow<'a, str>, Value)>);
+
+impl Fields<'_> {
+    /// The first member named `key`, as with [`Value::get`].
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+/// An object's members other than its bulk member, and its first bulk
+/// member: decoded, or why it is not one.
+pub(crate) type Members<'a, B> = (Fields<'a>, Option<Result<B>>);
+
+/// [`Reader::members`] on a whole document, which must end after the
+/// value.
+pub(crate) fn read_members<'a, B>(
+    text: &'a str,
+    key: &str,
+    bulk: impl FnMut(&mut Reader<'a>) -> Result<Result<B>>,
+) -> Result<Members<'a, B>> {
+    let mut r = Reader::new(text);
+    let members = r.members(key, bulk)?;
+    r.end()?;
+    Ok(members)
+}
+
 /// A pull reader over one JSON document: the caller walks the document
 /// token by token and builds only what it needs, while every syntax
 /// rule, error text and byte offset stays the one [`parse`] (itself a
@@ -270,9 +301,9 @@ pub fn parse(input: &str) -> Result<Value> {
 /// Containers are read with `begin_object` then `next_key` until it
 /// returns `None`, and `begin_array` then `next_item` until it returns
 /// `false`; after each key or item the caller reads exactly one value
-/// (`value`, `skip` or a nested container). Right after `begin_array`,
-/// `small_uints` reads a run of small integers at once. Every read
-/// skips leading whitespace.
+/// (`value`, `skip`, `uint` for an integer without a tree node, or a
+/// nested container). Right after `begin_array`, `small_uints` reads a
+/// run of small integers at once. Every read skips leading whitespace.
 #[derive(Clone)]
 pub(crate) struct Reader<'a> {
     text: &'a str,
@@ -484,6 +515,46 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// Reads an object member by member: the first `key` member through
+    /// `bulk`, which decodes it in place (the outer `Result` is the
+    /// syntax, the inner one the decoded value or why it is not one),
+    /// and every other member as a small [`Value`]. A later `key` member
+    /// is only checked for syntax, so the first occurrence of each key
+    /// counts, as with [`Value::get`]. A value that is not an object has
+    /// no members.
+    pub(crate) fn members<B>(
+        &mut self,
+        key: &str,
+        mut bulk: impl FnMut(&mut Self) -> Result<Result<B>>,
+    ) -> Result<Members<'a, B>> {
+        let (mut fields, mut found) = (Fields::default(), None);
+        if self.peek() != Some(b'{') {
+            self.skip()?;
+            return Ok((fields, found));
+        }
+        self.begin_object()?;
+        while let Some(k) = self.next_key()? {
+            if k != key {
+                let value = self.value()?;
+                fields.0.push((k, value));
+            } else if found.is_none() {
+                found = Some(bulk(self)?);
+            } else {
+                self.skip()?;
+            }
+        }
+        Ok((fields, found))
+    }
+
+    /// Reads one value, and returns it if it is a number that
+    /// [`Value::as_u64`] accepts.
+    pub(crate) fn uint(&mut self) -> Result<Option<u64>> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => Ok(exact_u64(self.scan_number()?)),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
     /// Reads past one value, checking its syntax.
     pub(crate) fn skip(&mut self) -> Result<()> {
         self.value().map(drop)
@@ -513,7 +584,9 @@ impl<'a> Reader<'a> {
     /// accumulated as its digits are read; any other number is read as
     /// a run of number bytes for the `f64` parser. A run outside RFC
     /// 8259's grammar (`01`, `1.`, `-.5`, `1e`, `1.2.3`) is malformed,
-    /// reported at its end.
+    /// reported at its end. Always inlined: with `uint` as a second
+    /// caller it would otherwise leave `value`, and `parse` slow down.
+    #[inline(always)]
     fn scan_number(&mut self) -> Result<f64> {
         let start = self.pos;
         let negative = self.at() == Some(b'-');

@@ -47,6 +47,12 @@
 //! (eviction spill, on-demand `persist`, clean shutdown) folds the
 //! deltas in, bumps `flush_seq` and removes the delta file.
 //!
+//! A snapshot shard and a delta line carry the same *shard record*
+//! (`ingested`, `rng_draws`, `rng_state`, `counts` or `cells`, `repl`),
+//! written straight into a `String` and read with the JSON pull reader:
+//! `counts` and `cells` into vectors, every other member as a small
+//! [`Value`], in any order, the first occurrence of a key counting.
+//!
 //! Delta tracking is the only in-memory persistence state, and one rule
 //! governs it:
 //!
@@ -62,25 +68,27 @@
 //! a prefix state of the live counts through every failure: a delta is
 //! only ever appended on top of the base it was drained against.
 //!
-//! Counts are whole numbers by construction (every ingest adds exactly
-//! 1.0 to one cell) and the JSON writer emits integral `f64`s without a
-//! fraction, so the on-disk representation is exact. Files are written
-//! to `<dir>/session-<id>.json` via a temp-file-and-rename so a crash
-//! mid-write never corrupts the previous snapshot; after the rename
-//! the parent directory is fsynced too, so the *entry* pointing at the
-//! new base is as durable as its bytes. Every file operation can be
-//! failed deterministically through an injected [`FaultPlan`] (the
-//! `*_faulted` entry points). Unknown versions are
-//! rejected at load; unreadable files are skipped by [`load_all`] (a
-//! corrupt snapshot must not brick the whole server) and reported to
-//! the caller.
+//! Counts are whole numbers (every ingest adds exactly 1.0 to one
+//! cell), enforced at load: a count or increment that is not an integer
+//! below 2^53 refuses the file. The JSON writer emits integral `f64`s
+//! without a fraction, so the on-disk representation is exact. Files
+//! are written to `<dir>/session-<id>.json` via a temp-file-and-rename
+//! so a crash mid-write never corrupts the previous snapshot; after the
+//! rename the parent directory is fsynced too, so the *entry* pointing
+//! at the new base is as durable as its bytes. Every file operation can
+//! be failed deterministically through an injected [`FaultPlan`] (the
+//! `*_faulted` entry points). Unknown versions are rejected at load;
+//! unreadable files are skipped by [`load_all`] (a corrupt snapshot
+//! must not brick the whole server) and reported to the caller.
 
 use crate::error::{Result, ServiceError};
 use crate::fault::{FaultPlan, FaultSite};
-use crate::json::{self, object, Value};
+use crate::json::{self, Fields, Reader, Value};
+use crate::protocol;
 use crate::session::{CollectionSession, Mechanism, ShardDump};
 use crate::shard::ShardDelta;
 use frapp_core::Schema;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -141,176 +149,227 @@ pub fn session_id_from_file_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-fn mechanism_value(mechanism: Mechanism) -> Value {
-    match mechanism {
-        Mechanism::Deterministic { gamma } => {
-            object(vec![("kind", "det".into()), ("gamma", gamma.into())])
-        }
-        Mechanism::Randomized {
-            gamma,
-            alpha_fraction,
-        } => object(vec![
-            ("kind", "ran".into()),
-            ("gamma", gamma.into()),
-            ("alpha_fraction", alpha_fraction.into()),
-        ]),
-    }
+fn snapshot_error(msg: &str) -> ServiceError {
+    ServiceError::Snapshot(msg.into())
 }
 
-fn parse_mechanism(v: &Value) -> Result<Mechanism> {
-    let m = v
-        .get("mechanism")
-        .ok_or_else(|| ServiceError::Snapshot("missing `mechanism`".into()))?;
-    let gamma = m
-        .get("gamma")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| ServiceError::Snapshot("mechanism is missing numeric `gamma`".into()))?;
-    match m.get("kind").and_then(Value::as_str) {
-        Some("det") => Ok(Mechanism::Deterministic { gamma }),
-        Some("ran") => Ok(Mechanism::Randomized {
+fn parse_mechanism(m: Option<&Value>) -> Result<Mechanism> {
+    let m = m.ok_or_else(|| snapshot_error("missing `mechanism`"))?;
+    let gamma = m.get("gamma").and_then(Value::as_f64);
+    let gamma = gamma.ok_or_else(|| snapshot_error("mechanism is missing numeric `gamma`"))?;
+    let alpha_fraction = m.get("alpha_fraction").and_then(Value::as_f64);
+    match (m.get("kind").and_then(Value::as_str), alpha_fraction) {
+        (Some("det"), _) => Ok(Mechanism::Deterministic { gamma }),
+        (Some("ran"), Some(alpha_fraction)) => Ok(Mechanism::Randomized {
             gamma,
-            alpha_fraction: m
-                .get("alpha_fraction")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| {
-                    ServiceError::Snapshot(
-                        "randomized mechanism is missing `alpha_fraction`".into(),
-                    )
-                })?,
+            alpha_fraction,
         }),
-        other => Err(ServiceError::Snapshot(format!(
+        (Some("ran"), None) => Err(snapshot_error(
+            "randomized mechanism is missing `alpha_fraction`",
+        )),
+        (other, _) => Err(ServiceError::Snapshot(format!(
             "unknown mechanism kind {other:?}"
         ))),
     }
-}
-
-/// RNG state words as an array of hex strings — they are full-range
-/// `u64`s, beyond the 2^53 span JSON numbers can carry exactly.
-fn state_words_value(words: [u64; 4]) -> Value {
-    Value::Array(
-        words
-            .iter()
-            .map(|w| Value::String(format!("{w:#x}")))
-            .collect(),
-    )
 }
 
 fn parse_state_words(v: &Value) -> Result<[u64; 4]> {
     let arr = v
         .as_array()
         .filter(|a| a.len() == 4)
-        .ok_or_else(|| ServiceError::Snapshot("`rng_state` must be a 4-word array".into()))?;
+        .ok_or_else(|| snapshot_error("`rng_state` must be a 4-word array"))?;
     let mut words = [0u64; 4];
     for (slot, value) in words.iter_mut().zip(arr) {
         let text = value
             .as_str()
             .and_then(|s| s.strip_prefix("0x"))
-            .ok_or_else(|| {
-                ServiceError::Snapshot("`rng_state` words must be 0x-prefixed hex strings".into())
-            })?;
+            .ok_or_else(|| snapshot_error("`rng_state` words must be 0x-prefixed hex strings"))?;
         *slot = u64::from_str_radix(text, 16)
-            .map_err(|_| ServiceError::Snapshot("invalid `rng_state` hex word".into()))?;
+            .map_err(|_| snapshot_error("invalid `rng_state` hex word"))?;
     }
     Ok(words)
 }
 
-/// Serializes one session into its snapshot document.
-fn snapshot_value(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump]) -> Value {
-    let schema = Value::Array(
-        session
-            .schema()
-            .attributes()
-            .iter()
-            .map(|a| Value::Array(vec![a.name().into(), a.cardinality().into()]))
-            .collect(),
-    );
-    let shards = Value::Array(
-        dumps
-            .iter()
-            .map(|d| {
-                let mut fields = vec![
-                    ("ingested", d.ingested.into()),
-                    ("rng_draws", d.rng_draws.into()),
-                    ("rng_state", state_words_value(d.rng_state)),
-                    (
-                        "counts",
-                        Value::Array(d.counts.iter().copied().map(Value::Number).collect()),
-                    ),
-                ];
-                // Only federated shards carry watermarks; standalone
-                // snapshots keep the exact pre-federation layout.
-                if !d.repl.is_empty() {
-                    fields.push(("repl", repl_value(&d.repl)));
-                }
-                object(fields)
-            })
-            .collect(),
-    );
-    object(vec![
-        ("format", FORMAT.into()),
-        ("version", VERSION.into()),
-        ("session", session.id().into()),
-        ("seed", session.seed().into()),
-        ("flush_seq", flush_seq.into()),
-        ("mechanism", mechanism_value(session.mechanism())),
-        ("schema", schema),
-        ("shards", shards),
-    ])
-}
-
-/// Replication watermarks as `[[origin, seq], ...]` pairs.
-fn repl_value(repl: &[(u64, u64)]) -> Value {
-    Value::Array(
-        repl.iter()
-            .map(|&(origin, seq)| Value::Array(vec![origin.into(), seq.into()]))
-            .collect(),
-    )
-}
-
-fn parse_repl(v: &Value) -> Result<Vec<(u64, u64)>> {
-    let Some(arr) = v.get("repl").and_then(Value::as_array) else {
+fn parse_repl(repl: Option<&Value>) -> Result<Vec<(u64, u64)>> {
+    let Some(arr) = repl.and_then(Value::as_array) else {
         return Ok(Vec::new()); // pre-federation state: no watermarks
     };
     arr.iter()
         .map(|pair| {
-            let pair = pair.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                ServiceError::Snapshot("`repl` entries must be [origin, seq] pairs".into())
-            })?;
+            let pair = pair
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .ok_or_else(|| snapshot_error("`repl` entries must be [origin, seq] pairs"))?;
             match (pair[0].as_u64(), pair[1].as_u64()) {
                 (Some(origin), Some(seq)) => Ok((origin, seq)),
-                _ => Err(ServiceError::Snapshot(
-                    "`repl` origins and seqs must be integers".into(),
-                )),
+                _ => Err(snapshot_error("`repl` origins and seqs must be integers")),
             }
         })
         .collect()
 }
 
-/// One delta line: sparse increments of one shard since its previous
-/// flush, plus the shard's absolute position after them.
-fn delta_line_value(seq: u64, delta: &ShardDelta) -> Value {
-    let mut fields = vec![
-        ("format", DELTA_FORMAT.into()),
-        ("seq", seq.into()),
-        ("shard", delta.shard.into()),
-        ("ingested", delta.ingested.into()),
-        ("rng_draws", delta.rng_draws.into()),
-        ("rng_state", state_words_value(delta.rng_state)),
-        (
-            "cells",
-            Value::Array(
-                delta
-                    .cells
-                    .iter()
-                    .map(|&(cell, inc)| Value::Array(vec![cell.into(), inc.into()]))
-                    .collect(),
-            ),
-        ),
-    ];
-    if !delta.repl.is_empty() {
-        fields.push(("repl", repl_value(&delta.repl)));
+/// Appends a JSON array, each item written by `write`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(T, &mut String),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
     }
-    object(fields)
+    out.push(']');
+}
+
+/// Appends `[[a,b],...]`.
+fn write_pairs(out: &mut String, pairs: impl IntoIterator<Item = (f64, f64)>) {
+    write_array(out, pairs, |(a, b), out| {
+        write_array(out, [a, b], json::write_number)
+    });
+}
+
+/// Appends a shard record's members: `ingested`, `rng_draws`,
+/// `rng_state` (hex strings: full-range words, beyond what JSON numbers
+/// carry exactly), the bulk member `bulk` writes, then `repl`, the
+/// replication watermarks, if the shard has any. Only federated shards
+/// do; standalone files keep the pre-federation layout.
+///
+/// Integers go through `f64`, as the format has always carried them; an
+/// `f64` that is a `u64` displays as [`json::write_number`] writes it.
+fn write_record(
+    out: &mut String,
+    (ingested, rng_draws, [a, b, c, d]): (u64, u64, [u64; 4]),
+    bulk: impl FnOnce(&mut String),
+    repl: &[(u64, u64)],
+) {
+    let (ingested, rng_draws) = (ingested as f64, rng_draws as f64);
+    let _ = write!(
+        out,
+        "\"ingested\":{ingested},\"rng_draws\":{rng_draws},\
+         \"rng_state\":[\"{a:#x}\",\"{b:#x}\",\"{c:#x}\",\"{d:#x}\"]"
+    );
+    bulk(out);
+    if !repl.is_empty() {
+        out.push_str(",\"repl\":");
+        write_pairs(out, repl.iter().map(|&(o, s)| (o as f64, s as f64)));
+    }
+}
+
+/// The snapshot document of `session` at `flush_seq`, with its shards'
+/// `dumps`, and a closing newline.
+fn snapshot_text(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump]) -> String {
+    // A count is a few digits and a comma; everything else is small.
+    let cells: usize = dumps.iter().map(|d| d.counts.len()).sum();
+    let mut out = String::with_capacity(4 * cells + 256 * (dumps.len() + 2));
+    let (id, seed, seq) = (session.id() as f64, session.seed() as f64, flush_seq as f64);
+    let alpha = match session.mechanism() {
+        Mechanism::Deterministic { .. } => None,
+        Mechanism::Randomized { alpha_fraction, .. } => Some(alpha_fraction),
+    };
+    let kind = if alpha.is_some() { "ran" } else { "det" };
+    let _ = write!(
+        out,
+        "{{\"format\":\"{FORMAT}\",\"version\":{VERSION},\"session\":{id},\"seed\":{seed},\
+         \"flush_seq\":{seq},\"mechanism\":{{\"kind\":\"{kind}\",\"gamma\":"
+    );
+    json::write_number(session.mechanism().gamma(), &mut out);
+    if let Some(alpha_fraction) = alpha {
+        out.push_str(",\"alpha_fraction\":");
+        json::write_number(alpha_fraction, &mut out);
+    }
+    out.push_str("},\"schema\":");
+    write_array(&mut out, session.schema().attributes(), |a, out| {
+        out.push('[');
+        json::write_string(a.name(), out);
+        let _ = write!(out, ",{}]", a.cardinality());
+    });
+    out.push_str(",\"shards\":");
+    write_array(&mut out, dumps, |d, out| {
+        out.push('{');
+        let counts = |out: &mut String| {
+            out.push_str(",\"counts\":");
+            write_array(out, &d.counts, |&c, out| json::write_number(c, out));
+        };
+        write_record(out, (d.ingested, d.rng_draws, d.rng_state), counts, &d.repl);
+        out.push('}');
+    });
+    out.push_str("}\n");
+    out
+}
+
+/// Appends one delta line: the shard's record after its envelope
+/// (`format`, `seq`, `shard`), and a newline.
+fn write_delta_line(out: &mut String, seq: u64, d: &ShardDelta) {
+    let (seq, shard) = (seq as f64, d.shard as f64);
+    let _ = write!(
+        out,
+        "{{\"format\":\"{DELTA_FORMAT}\",\"seq\":{seq},\"shard\":{shard},"
+    );
+    let cells = |out: &mut String| {
+        out.push_str(",\"cells\":");
+        write_pairs(out, d.cells.iter().map(|&(c, n)| (c as f64, n as f64)));
+    };
+    write_record(out, (d.ingested, d.rng_draws, d.rng_state), cells, &d.repl);
+    out.push_str("}\n");
+}
+
+/// Reads an array into a vector, each item through `item`, which reads
+/// one value and gives `None` if it is valid JSON of the wrong kind. The
+/// outer `Result` is the syntax, checked to the array's end even after a
+/// fault; the inner one is `fault` if the value is not an array or an
+/// item was refused.
+fn read_array<'a, T>(
+    r: &mut Reader<'a>,
+    fault: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<Option<T>>,
+) -> Result<Result<Vec<T>>> {
+    let mut items = Some(Vec::new());
+    if r.peek() != Some(b'[') {
+        r.skip()?;
+        items = None;
+    } else {
+        r.begin_array()?;
+        while r.next_item()? {
+            match (item(r)?, &mut items) {
+                (Some(value), Some(items)) => items.push(value),
+                _ => items = None,
+            }
+        }
+    }
+    Ok(items.ok_or_else(|| snapshot_error(fault)))
+}
+
+/// A delta line's `cells` item: a `[cell, increment]` pair of integers.
+fn read_cell(r: &mut Reader) -> Result<Option<(usize, u64)>> {
+    Ok(match read_array(r, "", Reader::uint)? {
+        Ok(pair) if pair.len() == 2 => usize::try_from(pair[0]).ok().map(|c| (c, pair[1])),
+        _ => None,
+    })
+}
+
+/// Moves `dump` to the position a shard record gives: `ingested`,
+/// `rng_draws`, `rng_state` and, when it has any, `repl`. A base shard
+/// must carry `rng_draws`; a delta line may leave it out.
+fn set_position(dump: &mut ShardDump, m: &Fields, base: bool) -> Result<()> {
+    let what = if base { "shard" } else { "delta line" };
+    let missing = |key| ServiceError::Snapshot(format!("{what} is missing `{key}`"));
+    let ingested = m.get("ingested").and_then(Value::as_u64);
+    dump.ingested = ingested.ok_or_else(|| missing("ingested"))?;
+    match m.get("rng_draws").and_then(Value::as_u64) {
+        Some(draws) => dump.rng_draws = draws,
+        None if base => return Err(missing("rng_draws")),
+        None => {}
+    }
+    dump.rng_state = parse_state_words(m.get("rng_state").ok_or_else(|| missing("rng_state"))?)?;
+    // A delta line carries the whole map: the newest line's view wins.
+    let repl = parse_repl(m.get("repl"))?;
+    if !repl.is_empty() {
+        dump.repl = repl;
+    }
+    Ok(())
 }
 
 /// Writes a session snapshot into `dir`, atomically (a uniquely named
@@ -375,8 +434,7 @@ fn save_session_locked(
         ));
         {
             let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(snapshot_value(session, seq, &dumps).to_json().as_bytes())?;
-            file.write_all(b"\n")?;
+            file.write_all(snapshot_text(session, seq, &dumps).as_bytes())?;
             file.sync_all()?;
         }
         fault.inject_io(FaultSite::PersistRename)?;
@@ -466,8 +524,7 @@ pub fn persist_session_incremental_faulted(
         fault.inject_io(FaultSite::PersistWrite)?;
         let mut text = String::new();
         for delta in &deltas {
-            delta_line_value(seq, delta).write_json(&mut text);
-            text.push('\n');
+            write_delta_line(&mut text, seq, delta);
         }
         let path = delta_path(dir, session.id());
         let created = !path.exists();
@@ -541,15 +598,19 @@ pub fn sweep_temp_files(dir: &Path) -> usize {
 /// Replays matching delta lines from `session-<id>.delta.jsonl` onto
 /// the base dumps. Lines whose `seq` differs from the base's
 /// `flush_seq` are skipped (stale — an older base's deltas whose
-/// truncation was lost in a crash); parsing stops at the first
-/// unparseable line (a torn tail from a crash mid-append).
+/// truncation was lost in a crash). Each line is read whole before any
+/// of it applies, and reading stops at the first line that is not
+/// valid JSON (a torn tail from a crash mid-append), even when a
+/// semantic fault comes first on it. A line that is valid JSON but not
+/// a valid delta refuses the load.
 fn apply_deltas(dir: &Path, id: u64, flush_seq: u64, dumps: &mut [ShardDump]) -> Result<()> {
-    let text = match std::fs::read_to_string(delta_path(dir, id)) {
-        Ok(text) => text,
-        Err(_) => return Ok(()), // no deltas — the base stands alone
+    let Ok(text) = std::fs::read_to_string(delta_path(dir, id)) else {
+        return Ok(()); // no deltas — the base stands alone
     };
     for line in text.lines() {
-        let Ok(v) = json::parse(line.trim()) else {
+        let Ok((v, cells)) = json::read_members(line.trim(), "cells", |r| {
+            read_array(r, "delta cells must be [cell, increment] pairs", read_cell)
+        }) else {
             break; // torn tail
         };
         if v.get("format").and_then(Value::as_str) != Some(DELTA_FORMAT) {
@@ -561,52 +622,19 @@ fn apply_deltas(dir: &Path, id: u64, flush_seq: u64, dumps: &mut [ShardDump]) ->
         if v.get("seq").and_then(Value::as_u64) != Some(flush_seq) {
             continue; // stale line from a superseded base
         }
-        let shard = v
+        let dump = v
             .get("shard")
             .and_then(Value::as_usize)
-            .filter(|&s| s < dumps.len())
-            .ok_or_else(|| {
-                ServiceError::Snapshot("delta line has a missing or out-of-range `shard`".into())
-            })?;
-        let dump = &mut dumps[shard];
-        for pair in v
-            .get("cells")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ServiceError::Snapshot("delta line is missing `cells`".into()))?
-        {
-            let pair = pair.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                ServiceError::Snapshot("delta cells must be [cell, increment] pairs".into())
-            })?;
-            let cell = pair[0]
-                .as_usize()
-                .filter(|&c| c < dump.counts.len())
-                .ok_or_else(|| {
-                    ServiceError::Snapshot("delta cell index out of the schema domain".into())
-                })?;
-            let inc = pair[1].as_u64().ok_or_else(|| {
-                ServiceError::Snapshot("delta increments must be integers".into())
-            })?;
-            dump.counts[cell] += inc as f64;
+            .and_then(|s| dumps.get_mut(s))
+            .ok_or_else(|| snapshot_error("delta line has a missing or out-of-range `shard`"))?;
+        let cells =
+            cells.unwrap_or_else(|| Err(snapshot_error("delta line is missing `cells`")))?;
+        for (cell, inc) in cells {
+            let count = dump.counts.get_mut(cell);
+            *count.ok_or_else(|| snapshot_error("delta cell index out of the schema domain"))? +=
+                inc as f64;
         }
-        dump.ingested = v
-            .get("ingested")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ServiceError::Snapshot("delta line is missing `ingested`".into()))?;
-        dump.rng_draws = v
-            .get("rng_draws")
-            .and_then(Value::as_u64)
-            .unwrap_or(dump.rng_draws);
-        dump.rng_state =
-            parse_state_words(v.get("rng_state").ok_or_else(|| {
-                ServiceError::Snapshot("delta line is missing `rng_state`".into())
-            })?)?;
-        // Delta lines carry the full watermark map at flush time; the
-        // newest applied line's view wins, matching the counts it rode
-        // in with.
-        let repl = parse_repl(&v)?;
-        if !repl.is_empty() {
-            dump.repl = repl;
-        }
+        set_position(dump, &v, false)?;
     }
     Ok(())
 }
@@ -624,50 +652,35 @@ pub fn load_session(
     max_session_domain: usize,
 ) -> Result<CollectionSession> {
     let text = std::fs::read_to_string(path)?;
-    let v = json::parse(text.trim())?;
+    let (v, shards) = json::read_members(text.trim(), "shards", |r| {
+        read_array(r, "`shards` must be an array", |r| {
+            let count = |r: &mut Reader| Ok(r.uint()?.map(|c| c as f64));
+            let counts =
+                |r: &mut Reader| read_array(r, "counts must be integers below 2^53", count);
+            r.members("counts", counts).map(Some)
+        })
+    })?;
     if v.get("format").and_then(Value::as_str) != Some(FORMAT) {
         return Err(ServiceError::Snapshot(format!(
             "{} is not a {FORMAT} snapshot",
             path.display()
         )));
     }
-    let version = v.get("version").and_then(Value::as_u64);
+    let uint = |key| v.get(key).and_then(Value::as_u64);
+    let version = uint("version");
     if version != Some(VERSION) {
         return Err(ServiceError::Snapshot(format!(
             "unsupported snapshot version {version:?} (this build reads {VERSION})"
         )));
     }
-    let id = v
-        .get("session")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServiceError::Snapshot("missing `session` id".into()))?;
-    let seed = v
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServiceError::Snapshot("missing `seed`".into()))?;
-    let mechanism = parse_mechanism(&v)?;
-    let specs = v
-        .get("schema")
-        .and_then(Value::as_array)
-        .ok_or_else(|| ServiceError::Snapshot("missing `schema` array".into()))?
-        .iter()
-        .map(|attr| {
-            let pair = attr.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                ServiceError::Snapshot("schema attributes must be [name, cardinality] pairs".into())
-            })?;
-            let name = pair[0]
-                .as_str()
-                .ok_or_else(|| ServiceError::Snapshot("attribute name must be a string".into()))?;
-            let card = pair[1]
-                .as_u64()
-                .filter(|&c| c > 0 && c <= u32::MAX as u64)
-                .ok_or_else(|| {
-                    ServiceError::Snapshot("attribute cardinality must be a positive u32".into())
-                })?;
-            Ok((name, card as u32))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let schema = Schema::new(specs)?;
+    let id = uint("session").ok_or_else(|| snapshot_error("missing `session` id"))?;
+    let seed = uint("seed").ok_or_else(|| snapshot_error("missing `seed`"))?;
+    let mechanism = parse_mechanism(v.get("mechanism"))?;
+    // The `schema` member is `create_session`'s.
+    let specs = protocol::parse_schema(&v)
+        .map_err(|e| ServiceError::Snapshot(format!("bad `schema`: {e}")))?;
+    let specs = specs.iter().map(|(name, card)| (name.as_str(), *card));
+    let schema = Schema::new(specs.collect())?;
     if schema.domain_size() > max_session_domain {
         return Err(ServiceError::Snapshot(format!(
             "snapshot domain size {} exceeds this server's limit of {} cells",
@@ -675,38 +688,23 @@ pub fn load_session(
             max_session_domain
         )));
     }
-    let mut dumps =
-        v.get("shards")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ServiceError::Snapshot("missing `shards` array".into()))?
-            .iter()
-            .map(|s| {
-                let counts = s
-                    .get("counts")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| ServiceError::Snapshot("shard is missing `counts`".into()))?
-                    .iter()
-                    .map(|c| {
-                        c.as_f64()
-                            .ok_or_else(|| ServiceError::Snapshot("counts must be numbers".into()))
-                    })
-                    .collect::<Result<Vec<f64>>>()?;
-                Ok(ShardDump {
-                    ingested: s.get("ingested").and_then(Value::as_u64).ok_or_else(|| {
-                        ServiceError::Snapshot("shard is missing `ingested`".into())
-                    })?,
-                    rng_draws: s.get("rng_draws").and_then(Value::as_u64).ok_or_else(|| {
-                        ServiceError::Snapshot("shard is missing `rng_draws`".into())
-                    })?,
-                    rng_state: parse_state_words(s.get("rng_state").ok_or_else(|| {
-                        ServiceError::Snapshot("shard is missing `rng_state`".into())
-                    })?)?,
-                    counts,
-                    repl: parse_repl(s)?,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-    let flush_seq = v.get("flush_seq").and_then(Value::as_u64).unwrap_or(0);
+    let mut dumps = shards
+        .unwrap_or_else(|| Err(snapshot_error("missing `shards` array")))?
+        .into_iter()
+        .map(|(fields, counts)| {
+            let mut dump = ShardDump {
+                ingested: 0,
+                rng_draws: 0,
+                rng_state: [0; 4],
+                counts: counts
+                    .unwrap_or_else(|| Err(snapshot_error("shard is missing `counts`")))?,
+                repl: Vec::new(),
+            };
+            set_position(&mut dump, &fields, true)?;
+            Ok(dump)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let flush_seq = uint("flush_seq").unwrap_or(0);
     if let Some(dir) = path.parent() {
         apply_deltas(dir, id, flush_seq, &mut dumps)?;
     }
@@ -1341,6 +1339,487 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A fixed session: DET-GD or RAN-GD over 60 cells on 2 shards, with
+    /// raw, pre-perturbed and (when `repl`) replicated batches.
+    fn golden_session(randomized: bool, repl: bool, seed: u64) -> CollectionSession {
+        let schema = Schema::new(vec![("age", 4), ("sex", 3), ("zone \"q\"", 5)]).unwrap();
+        let mechanism = match randomized {
+            true => Mechanism::Randomized {
+                gamma: 7.25,
+                alpha_fraction: 0.3,
+            },
+            false => Mechanism::Deterministic { gamma: 19.0 },
+        };
+        let session = CollectionSession::new(11, schema, mechanism, 2, seed, 4096).unwrap();
+        let rows: Vec<Vec<u32>> = (0..90).map(|i| vec![i % 4, i % 3, (i / 7) % 5]).collect();
+        session.ingest(Placement::Shard(0), &rows, false).unwrap();
+        session
+            .ingest(Placement::Shard(1), &rows[..35], true)
+            .unwrap();
+        if repl {
+            for seq in [3, 4, 9] {
+                let at = seq as usize;
+                let batch = &rows[at..at + 6];
+                session
+                    .ingest(Placement::Replicated { origin: 2, seq }, batch, false)
+                    .unwrap();
+                session
+                    .ingest(Placement::Replicated { origin: 7, seq }, batch, true)
+                    .unwrap();
+            }
+        }
+        session
+    }
+
+    /// Dirties both shards of a [`golden_session`], and (when `repl`)
+    /// advances origin 2's watermark to `seq`.
+    fn dirty_golden_session(session: &CollectionSession, repl: bool, seq: u64) {
+        let more: Vec<Vec<u32>> = (0..25).map(|i| vec![3 - i % 4, 0, i % 5]).collect();
+        session.ingest(Placement::Shard(0), &more, true).unwrap();
+        session
+            .ingest(Placement::Shard(1), &more[..9], false)
+            .unwrap();
+        if repl {
+            session
+                .ingest(Placement::Replicated { origin: 2, seq }, &more, true)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn snapshot_and_delta_bytes_are_the_parents() {
+        // (FNV-1a-64, length) of the snapshot written by a full save and
+        // of the delta file after one periodic flush on top of a base,
+        // recorded at commit `1745435`, when both were `Value` trees.
+        let mut got = Vec::new();
+        for randomized in [false, true] {
+            for repl in [false, true] {
+                let dir = temp_dir("golden");
+                // A seed of 2^53 or more is written inexactly, and then
+                // the file does not load.
+                let seed = if randomized { (1 << 60) + 12_345 } else { 7 };
+                let session = golden_session(randomized, repl, seed);
+                let path = save_session(&dir, &session).unwrap();
+                let digest = |path: &Path| {
+                    let bytes = std::fs::read(path).unwrap();
+                    (crate::fed::fnv1a(&bytes), bytes.len())
+                };
+                got.push(digest(&path));
+                persist_session_incremental(&dir, &session).unwrap();
+                dirty_golden_session(&session, repl, 12);
+                let outcome = persist_session_incremental(&dir, &session).unwrap();
+                assert_eq!(outcome, FlushOutcome::Deltas(2));
+                got.push(digest(&delta_path(&dir, 11)));
+                match load_session(&path, 4096, 1 << 24) {
+                    Ok(recovered) => assert_eq!(recovered.dump_shards(), session.dump_shards()),
+                    Err(e) => assert!(randomized, "{e}"),
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                (9853568066841927800, 691),
+                (15673290459042230491, 567),
+                (14707175866286927250, 734),
+                (5526163596777219576, 609),
+                (16850257895522165236, 733),
+                (15790681907159973722, 567),
+                (1703597561345847656, 777),
+                (15887116154866288291, 617),
+            ]
+        );
+    }
+
+    #[test]
+    fn counts_that_are_not_whole_numbers_refuse_the_snapshot() {
+        // Ingest only ever adds one to a cell. The tree loader took any
+        // counts that summed to `ingested`.
+        let dir = temp_dir("whole-counts");
+        let path = session_path(&dir, 1);
+        for counts in ["[0.25,0.75]", "[-1,2]", "[1e0,0.5e0]"] {
+            std::fs::write(
+                &path,
+                format!(
+                    r#"{{"format":"frapp-session","version":2,"session":1,"seed":0,
+                       "mechanism":{{"kind":"det","gamma":19.0}},"schema":[["a",2]],
+                       "shards":[{{"ingested":1,"rng_draws":0,
+                       "rng_state":["0x1","0x2","0x3","0x4"],"counts":{counts}}}]}}"#
+                ),
+            )
+            .unwrap();
+            let err = load_session(&path, 4096, 1 << 24).unwrap_err();
+            assert!(matches!(err, ServiceError::Snapshot(_)), "{counts}: {err}");
+        }
+        // The same file with whole counts loads, `1e0` among them.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("0.5e0", "0")).unwrap();
+        let recovered = load_session(&path, 4096, 1 << 24).unwrap();
+        assert_eq!(recovered.dump_shards()[0].counts, [1.0, 0.0]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // The tree loader the codec replaced, `json::parse` and its two
+    // walks, kept verbatim as the reference the differential test holds
+    // the codec to; only the `parse_mechanism` and `parse_repl` calls
+    // follow their new signatures.
+    fn tree_apply_deltas(
+        dir: &Path,
+        id: u64,
+        flush_seq: u64,
+        dumps: &mut [ShardDump],
+    ) -> Result<()> {
+        let text = match std::fs::read_to_string(delta_path(dir, id)) {
+            Ok(text) => text,
+            Err(_) => return Ok(()), // no deltas — the base stands alone
+        };
+        for line in text.lines() {
+            let Ok(v) = json::parse(line.trim()) else {
+                break; // torn tail
+            };
+            if v.get("format").and_then(Value::as_str) != Some(DELTA_FORMAT) {
+                return Err(ServiceError::Snapshot(format!(
+                    "{} contains a non-delta line",
+                    delta_path(dir, id).display()
+                )));
+            }
+            if v.get("seq").and_then(Value::as_u64) != Some(flush_seq) {
+                continue; // stale line from a superseded base
+            }
+            let shard = v
+                .get("shard")
+                .and_then(Value::as_usize)
+                .filter(|&s| s < dumps.len())
+                .ok_or_else(|| {
+                    ServiceError::Snapshot(
+                        "delta line has a missing or out-of-range `shard`".into(),
+                    )
+                })?;
+            let dump = &mut dumps[shard];
+            for pair in v
+                .get("cells")
+                .and_then(Value::as_array)
+                .ok_or_else(|| ServiceError::Snapshot("delta line is missing `cells`".into()))?
+            {
+                let pair = pair.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
+                    ServiceError::Snapshot("delta cells must be [cell, increment] pairs".into())
+                })?;
+                let cell = pair[0]
+                    .as_usize()
+                    .filter(|&c| c < dump.counts.len())
+                    .ok_or_else(|| {
+                        ServiceError::Snapshot("delta cell index out of the schema domain".into())
+                    })?;
+                let inc = pair[1].as_u64().ok_or_else(|| {
+                    ServiceError::Snapshot("delta increments must be integers".into())
+                })?;
+                dump.counts[cell] += inc as f64;
+            }
+            dump.ingested = v
+                .get("ingested")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| ServiceError::Snapshot("delta line is missing `ingested`".into()))?;
+            dump.rng_draws = v
+                .get("rng_draws")
+                .and_then(Value::as_u64)
+                .unwrap_or(dump.rng_draws);
+            dump.rng_state = parse_state_words(v.get("rng_state").ok_or_else(|| {
+                ServiceError::Snapshot("delta line is missing `rng_state`".into())
+            })?)?;
+            // Delta lines carry the full watermark map at flush time; the
+            // newest applied line's view wins, matching the counts it rode
+            // in with.
+            let repl = parse_repl(v.get("repl"))?;
+            if !repl.is_empty() {
+                dump.repl = repl;
+            }
+        }
+        Ok(())
+    }
+
+    fn tree_load_session(
+        path: &Path,
+        max_dense_domain: usize,
+        max_session_domain: usize,
+    ) -> Result<CollectionSession> {
+        let text = std::fs::read_to_string(path)?;
+        let v = json::parse(text.trim())?;
+        if v.get("format").and_then(Value::as_str) != Some(FORMAT) {
+            return Err(ServiceError::Snapshot(format!(
+                "{} is not a {FORMAT} snapshot",
+                path.display()
+            )));
+        }
+        let version = v.get("version").and_then(Value::as_u64);
+        if version != Some(VERSION) {
+            return Err(ServiceError::Snapshot(format!(
+                "unsupported snapshot version {version:?} (this build reads {VERSION})"
+            )));
+        }
+        let id = v
+            .get("session")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| ServiceError::Snapshot("missing `session` id".into()))?;
+        let seed = v
+            .get("seed")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| ServiceError::Snapshot("missing `seed`".into()))?;
+        let mechanism = parse_mechanism(v.get("mechanism"))?;
+        let specs = v
+            .get("schema")
+            .and_then(Value::as_array)
+            .ok_or_else(|| ServiceError::Snapshot("missing `schema` array".into()))?
+            .iter()
+            .map(|attr| {
+                let pair = attr.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
+                    ServiceError::Snapshot(
+                        "schema attributes must be [name, cardinality] pairs".into(),
+                    )
+                })?;
+                let name = pair[0].as_str().ok_or_else(|| {
+                    ServiceError::Snapshot("attribute name must be a string".into())
+                })?;
+                let card = pair[1]
+                    .as_u64()
+                    .filter(|&c| c > 0 && c <= u32::MAX as u64)
+                    .ok_or_else(|| {
+                        ServiceError::Snapshot(
+                            "attribute cardinality must be a positive u32".into(),
+                        )
+                    })?;
+                Ok((name, card as u32))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let schema = Schema::new(specs)?;
+        if schema.domain_size() > max_session_domain {
+            return Err(ServiceError::Snapshot(format!(
+                "snapshot domain size {} exceeds this server's limit of {} cells",
+                schema.domain_size(),
+                max_session_domain
+            )));
+        }
+        let mut dumps = v
+            .get("shards")
+            .and_then(Value::as_array)
+            .ok_or_else(|| ServiceError::Snapshot("missing `shards` array".into()))?
+            .iter()
+            .map(|s| {
+                let counts = s
+                    .get("counts")
+                    .and_then(Value::as_array)
+                    .ok_or_else(|| ServiceError::Snapshot("shard is missing `counts`".into()))?
+                    .iter()
+                    .map(|c| {
+                        c.as_f64()
+                            .ok_or_else(|| ServiceError::Snapshot("counts must be numbers".into()))
+                    })
+                    .collect::<Result<Vec<f64>>>()?;
+                Ok(ShardDump {
+                    ingested: s.get("ingested").and_then(Value::as_u64).ok_or_else(|| {
+                        ServiceError::Snapshot("shard is missing `ingested`".into())
+                    })?,
+                    rng_draws: s.get("rng_draws").and_then(Value::as_u64).ok_or_else(|| {
+                        ServiceError::Snapshot("shard is missing `rng_draws`".into())
+                    })?,
+                    rng_state: parse_state_words(s.get("rng_state").ok_or_else(|| {
+                        ServiceError::Snapshot("shard is missing `rng_state`".into())
+                    })?)?,
+                    counts,
+                    repl: parse_repl(s.get("repl"))?,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let flush_seq = v.get("flush_seq").and_then(Value::as_u64).unwrap_or(0);
+        if let Some(dir) = path.parent() {
+            tree_apply_deltas(dir, id, flush_seq, &mut dumps)?;
+        }
+        let session =
+            CollectionSession::recover(id, schema, mechanism, seed, max_dense_domain, dumps)?;
+        session.set_persist_seq(flush_seq);
+        Ok(session)
+    }
+
+    /// Base and delta files to mutate, as `(base, deltas)` texts. Each
+    /// session is written alone, and then as a base under a delta file
+    /// that opens with a stale line and ends, in one copy, in a torn
+    /// line whose semantic fault comes before its syntax error.
+    fn snapshot_corpus() -> Vec<(String, String)> {
+        let mut corpus = Vec::new();
+        for (randomized, repl) in [(false, false), (false, true), (true, true)] {
+            let dir = temp_dir("corpus");
+            let session = golden_session(randomized, repl, 5);
+            let base = save_session(&dir, &session).unwrap();
+            corpus.push((std::fs::read_to_string(&base).unwrap(), String::new()));
+            persist_session_incremental(&dir, &session).unwrap();
+            for seq in [12, 13] {
+                dirty_golden_session(&session, repl, seq);
+                persist_session_incremental(&dir, &session).unwrap();
+            }
+            let deltas = std::fs::read_to_string(delta_path(&dir, 11)).unwrap();
+            let stale = deltas
+                .lines()
+                .next()
+                .unwrap()
+                .replace(r#""seq":2"#, r#""seq":1"#);
+            let deltas = format!("{stale}\n{deltas}");
+            let torn = r#"{"format":"frapp-session-delta","seq":2,"shard":0,"cells":[["x",1]],"ingested":"#;
+            let base = std::fs::read_to_string(&base).unwrap();
+            corpus.push((base.clone(), format!("{deltas}{torn}")));
+            corpus.push((base, deltas));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        corpus
+    }
+
+    /// One edit to a base or delta text: a cut, a flipped byte, a
+    /// member inserted after a `{` (a duplicate, an unknown or a
+    /// malformed one), whitespace, a line's members reordered, or a
+    /// delta line's `seq` moved.
+    fn mutate_snapshot(text: &str, next: &mut impl FnMut(usize) -> usize) -> String {
+        // Edits touch ASCII bytes only, so the result stays UTF-8.
+        let ascii: Vec<usize> = (0..text.len())
+            .filter(|&i| text.as_bytes()[i].is_ascii())
+            .collect();
+        if ascii.is_empty() {
+            return text.to_owned();
+        }
+        let i = ascii[next(ascii.len())];
+        match next(6) {
+            0 => text[..i].to_owned(),
+            1 => {
+                const BYTES: &[u8] = b"{}[],:\" \\0123456789-.ex\n";
+                let mut bytes = text.as_bytes().to_vec();
+                bytes[i] = BYTES[next(BYTES.len())];
+                String::from_utf8(bytes).expect("one ASCII byte replaced by another")
+            }
+            2 => {
+                let key = [
+                    "counts",
+                    "cells",
+                    "shards",
+                    "seq",
+                    "shard",
+                    "ingested",
+                    "rng_draws",
+                    "rng_state",
+                    "repl",
+                    "format",
+                    "flush_seq",
+                    "session",
+                    "zz",
+                ][next(13)];
+                let value = [
+                    "[0.5]",
+                    "[]",
+                    "[[0,1]]",
+                    "[[1.5,1]]",
+                    "\"x\"",
+                    "null",
+                    "2",
+                    "[-1]",
+                    "{\"counts\":[0.5]}",
+                    "[[1]",
+                    "[[2,3]]",
+                    "[\"0x1\",\"0x2\",\"0x3\",\"0x4\"]",
+                ][next(12)];
+                match text[i..].find('{') {
+                    Some(at) => {
+                        let at = i + at + 1;
+                        format!("{}\"{key}\":{value},{}", &text[..at], &text[at..])
+                    }
+                    None => text.to_owned(),
+                }
+            }
+            3 => format!("{} {}", &text[..i], &text[i..]),
+            4 => {
+                let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+                let line = next(lines.len());
+                if let Ok(Value::Object(mut pairs)) = json::parse(&lines[line]) {
+                    for j in (1..pairs.len()).rev() {
+                        pairs.swap(j, next(j + 1));
+                    }
+                    lines[line] = Value::Object(pairs).to_json();
+                }
+                lines.join("\n")
+            }
+            _ => {
+                let seq = [r#""seq":1"#, r#""seq":3"#, r#""seq":"2""#][next(3)];
+                let at = text[i..].find(r#""seq":2"#).map_or(i, |at| i + at);
+                text[..at].to_owned() + &text[at..].replacen(r#""seq":2"#, seq, 1)
+            }
+        }
+    }
+
+    /// Loads `base` over `deltas` with the codec and with the tree
+    /// reference: the same dumps and `persist_seq`, or both refuse.
+    /// Only the codec refuses counts that are not whole numbers.
+    fn assert_loaders_agree(dir: &Path, base: &str, deltas: &str) {
+        std::fs::write(session_path(dir, 11), base).unwrap();
+        std::fs::write(delta_path(dir, 11), deltas).unwrap();
+        let path = session_path(dir, 11);
+        let codec = load_session(&path, 4096, 1 << 24);
+        let tree = tree_load_session(&path, 4096, 1 << 24);
+        let [codec, tree] = [codec, tree].map(|r| r.map(|s| (s.dump_shards(), s.persist_seq())));
+        match (codec, tree) {
+            (Ok(got), Ok(want)) => assert_eq!(got, want, "{base}\n{deltas}"),
+            (Err(_), Err(_)) => {}
+            (Err(e), Ok((dumps, _))) => {
+                let counts = dumps.iter().flat_map(|d| &d.counts);
+                let fractional = counts.clone().any(|c| c.fract() != 0.0);
+                assert!(fractional, "only the codec refused ({e}): {base}\n{deltas}");
+            }
+            (Ok(_), Err(e)) => panic!("only the tree refused ({e}): {base}\n{deltas}"),
+        }
+    }
+
+    /// The corpus whole, cut at every byte of the base and of the delta
+    /// file, then `count` seeded edits of one to three mutations each.
+    fn assert_snapshot_loaders_agree(count: usize) {
+        let dir = temp_dir("differential");
+        let corpus = snapshot_corpus();
+        for (base, deltas) in &corpus {
+            assert_loaders_agree(&dir, base, deltas);
+            for i in 0..base.len() {
+                assert_loaders_agree(&dir, &base[..i], deltas);
+            }
+            for i in 0..deltas.len() {
+                assert_loaders_agree(&dir, base, &deltas[..i]);
+            }
+        }
+        let mut state = 3u64;
+        let mut next = move |bound: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for _ in 0..count {
+            let (mut base, mut deltas) = corpus[next(corpus.len())].clone();
+            for _ in 0..=next(3) {
+                match next(2) {
+                    0 => base = mutate_snapshot(&base, &mut next),
+                    _ => deltas = mutate_snapshot(&deltas, &mut next),
+                }
+            }
+            assert_loaders_agree(&dir, &base, &deltas);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_codec_loads_as_the_tree_does() {
+        assert_snapshot_loaders_agree(5_000);
+    }
+
+    #[test]
+    #[ignore = "10^5 mutated snapshot files; run in release"]
+    fn a_hundred_thousand_snapshot_files_load_as_the_tree_does() {
+        assert_snapshot_loaders_agree(100_000);
+    }
+
     /// The three ways a session reaches disk.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum SaveKind {
@@ -1513,45 +1992,56 @@ mod tests {
     #[ignore = "timing table; run in release with --ignored --nocapture"]
     fn full_save_vs_delta_append_timings() {
         // Median of three full saves, three 1 %-dirty delta appends and
-        // three loads of base + deltas, at 2^16, 2^20 and 2^22 cells.
-        fn median(mut runs: Vec<f64>) -> f64 {
+        // three loads of base + deltas, at 2^16, 2^20 and 2^22 cells. The
+        // save is also timed stage by stage, here on the side: the shard
+        // dump, the encode, and write + fsync + rename + directory fsync.
+        fn median_of_3(mut run: impl FnMut() -> f64) -> f64 {
+            let mut runs: Vec<f64> = (0..3).map(|_| run()).collect();
             runs.sort_by(f64::total_cmp);
-            runs[runs.len() / 2]
+            runs[1]
         }
         fn ms(f: impl FnOnce()) -> f64 {
             let started = std::time::Instant::now();
             f();
             started.elapsed().as_secs_f64() * 1e3
         }
-        println!("cells    full_save_ms delta_append_ms ratio base_B    delta_B load_ms");
+        println!(
+            "cells    full_save_ms dump_ms encode_ms write_ms delta_append_ms ratio base_B    \
+             delta_B load_ms"
+        );
         for attrs in [8, 10, 11] {
             let dir = temp_dir("save-costs");
             let session = loaded_session(17, attrs);
             persist_session_incremental(&dir, &session).unwrap();
-            let full = median(
-                (0..3)
-                    .map(|_| ms(|| drop(save_session(&dir, &session).unwrap())))
-                    .collect(),
-            );
-            let delta = median(
-                (0..3)
-                    .map(|round| {
-                        dirty_one_percent(&session, round);
-                        ms(|| {
-                            let outcome = persist_session_incremental(&dir, &session).unwrap();
-                            assert_eq!(outcome, FlushOutcome::Deltas(2));
-                        })
-                    })
-                    .collect(),
-            );
+            let full = median_of_3(|| ms(|| drop(save_session(&dir, &session).unwrap())));
+            let mut dumps = Vec::new();
+            let dump = median_of_3(|| ms(|| dumps = session.dump_shards()));
+            let mut text = String::new();
+            let encode = median_of_3(|| ms(|| text = snapshot_text(&session, 1, &dumps)));
+            let (tmp, path) = (dir.join("stage.tmp"), dir.join("stage.json"));
+            let write = median_of_3(|| {
+                ms(|| {
+                    let mut file = std::fs::File::create(&tmp).unwrap();
+                    file.write_all(text.as_bytes()).unwrap();
+                    file.sync_all().unwrap();
+                    std::fs::rename(&tmp, &path).unwrap();
+                    fsync_dir(&dir).unwrap();
+                })
+            });
+            let mut round = 0;
+            let delta = median_of_3(|| {
+                dirty_one_percent(&session, round);
+                round += 1;
+                ms(|| {
+                    let outcome = persist_session_incremental(&dir, &session).unwrap();
+                    assert_eq!(outcome, FlushOutcome::Deltas(2));
+                })
+            });
             let path = session_path(&dir, 17);
-            let load = median(
-                (0..3)
-                    .map(|_| ms(|| drop(load_session(&path, 4096, 1 << 24).unwrap())))
-                    .collect(),
-            );
+            let load = median_of_3(|| ms(|| drop(load_session(&path, 4096, 1 << 24).unwrap())));
             println!(
-                "{:<8} {full:>12.2} {delta:>15.2} {:>5.0} {:<9} {:<7} {load:>7.1}",
+                "{:<8} {full:>12.2} {dump:>7.2} {encode:>9.2} {write:>8.2} {delta:>15.2} {:>5.0} \
+                 {:<9} {:<7} {load:>7.1}",
                 session.schema().domain_size(),
                 full / delta,
                 std::fs::metadata(&path).unwrap().len(),

@@ -57,13 +57,12 @@
 
 use crate::error::{Result, ServiceError};
 use crate::jobs::{MineAlgo, MineSpec};
-use crate::json::{self, object, Value};
+use crate::json::{self, object, Fields, Value};
 use crate::metrics::{LatencySummary, MetricsReport, PeerReplReport, TransportReport};
 use crate::session::{
     Mechanism, Placement, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
 };
 use crate::wire::{Op, PeerCounter, COUNTERS, OPS, PEER_COUNTERS, PEER_SECTION};
-use std::borrow::Cow;
 
 /// A batch of records in one flat `u32` buffer.
 ///
@@ -392,7 +391,9 @@ fn optional_bool(v: &Fields, key: &str, default: bool) -> Result<bool> {
     }
 }
 
-fn parse_schema(v: &Fields) -> Result<Vec<(String, u32)>> {
+/// A `[[name, cardinality], ...]` schema member, as `create_session`
+/// and a session snapshot carry it.
+pub(crate) fn parse_schema(v: &Fields) -> Result<Vec<(String, u32)>> {
     let arr = require(v, "schema")?
         .as_array()
         .ok_or_else(|| ServiceError::InvalidRequest("`schema` must be an array".into()))?;
@@ -564,19 +565,6 @@ fn parse_submit(
     }))
 }
 
-/// A request's members other than `records`, in document order, as
-/// [`read_request`] reads them. A key borrows the request text unless
-/// it has escapes. HTTP appends its query parameters.
-#[derive(Debug, Default)]
-pub(crate) struct Fields<'a>(pub(crate) Vec<(Cow<'a, str>, Value)>);
-
-impl Fields<'_> {
-    /// The first member named `key`, as with [`Value::get`].
-    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
 /// Reads one JSON request document member by member: `records`
 /// decodes straight into a [`RecordBatch`], and every other member
 /// becomes a small [`Value`] field, in document order. A document that
@@ -588,27 +576,8 @@ impl Fields<'_> {
 /// but no batch comes back as its error, for [`build_request`] to
 /// report where it checks records. A syntax error anywhere fails the
 /// read.
-pub(crate) fn read_request(text: &str) -> Result<(Fields<'_>, Option<Result<RecordBatch>>)> {
-    let mut r = json::Reader::new(text);
-    let mut fields = Fields::default();
-    let mut records = None;
-    if r.peek() == Some(b'{') {
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            if key != "records" {
-                let value = r.value()?;
-                fields.0.push((key, value));
-            } else if records.is_none() {
-                records = Some(read_records(&mut r)?);
-            } else {
-                r.skip()?;
-            }
-        }
-    } else {
-        r.skip()?;
-    }
-    r.end()?;
-    Ok((fields, records))
+pub(crate) fn read_request(text: &str) -> Result<json::Members<'_, RecordBatch>> {
+    json::read_members(text, "records", read_records)
 }
 
 /// Reads a `records` value. The outer `Result` is the document's
