@@ -1,8 +1,7 @@
-//! In-process wire, fan-in and mining-interference reports, one per
-//! mode flag (`--wire`, `--fanin`, `--mining`; add `--quick` for a
-//! CI-friendly run, `--out PATH` to move the JSON). They stay until
-//! `benchmark/` has a high-fan-in workload; everything else this file
-//! used to time is a rung of `benchmark/run.sh --trace`.
+//! In-process wire and mining-interference reports, one per mode flag
+//! (`--wire`, `--mining`; add `--quick` for a CI-friendly run, `--out
+//! PATH` to move the JSON). Everything else this file used to time is
+//! a rung of `benchmark/run.sh --trace`.
 //!
 //! Usage: `cargo run --release -p frapp-bench --bin bench_ingest -- --wire`.
 //!
@@ -27,21 +26,8 @@
 //! timeslicing, not queueing, dominates microsecond-scale p99s),
 //! because jobs never execute on connection-serving threads — is
 //! recorded in the JSON (`within_bound`).
-//!
-//! With `--fanin`, it measures *concurrent-connection fan-in*
-//! and emits `BENCH_async.json`: N concurrent clients (64/256/1024)
-//! over each framing (pipelined line protocol, pipelined binary,
-//! synchronous HTTP) against the thread-per-connection front-end vs
-//! the `--async` reactor. The interesting column is connections per
-//! service thread: thread-per-connection burns one OS thread (stack,
-//! scheduler slot) per client by construction, while the reactor
-//! multiplexes every connection onto a fixed pool of event-loop
-//! threads at comparable aggregate throughput — that per-thread
-//! fan-in ratio is what lets the reactor hold ten thousand mostly-idle
-//! collection clients without ten thousand stacks.
 
 use frapp_core::Schema;
-use frapp_service::wire::Counter;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::Instant;
@@ -326,264 +312,6 @@ fn run_mining(quick: bool, out_path: &str) {
     eprintln!("wrote {out_path}");
 }
 
-/// The `--fanin` mode: concurrent-connection fan-in, thread-per-
-/// connection vs the async reactor → `BENCH_async.json`.
-fn run_fanin(quick: bool, out_path: &str) {
-    use frapp_service::client::{Client, HttpClient, SessionSpec};
-    use frapp_service::session::Mechanism;
-    use frapp_service::{Server, ServiceConfig};
-    use std::sync::Barrier;
-
-    let levels: &[usize] = if quick { &[16, 64] } else { &[64, 256, 1024] };
-    // Fixed record budget per run so every measurement window is long
-    // enough to swamp thread wake-up jitter (a per-client constant
-    // would make the 64-client runs sub-millisecond); best-of-reps is
-    // the same noise filter the other modes use.
-    let (total_records, reps) = if quick { (200_000, 2) } else { (2_000_000, 3) };
-    let batch = 20usize;
-    const REACTOR_THREADS: usize = 2;
-    // Pipelined framings stream deferred submits with one flush per
-    // rep; HTTP is one round-trip per batch by construction, which is
-    // exactly the comparison the framing column exists to show.
-    let framings: &[&'static str] = &["line", "binary", "http"];
-
-    struct FaninRun {
-        front_end: &'static str,
-        framing: &'static str,
-        clients: usize,
-        records_per_client: usize,
-        records_per_sec: f64,
-        accepted_connections: u64,
-        sheds: u64,
-        service_threads: usize,
-    }
-    let mut runs: Vec<FaninRun> = Vec::new();
-
-    for (front_end, async_mode) in [("threaded", false), ("async", true)] {
-        for &framing in framings {
-            for &clients in levels {
-                let batches = (total_records / clients).div_ceil(batch);
-                let per_client = batches * batch;
-                // A fresh server per level so the accepted-connection
-                // counter is exactly this level's fan-in. The cap is the
-                // same for both front-ends and comfortably above every
-                // level — including the window where a new rep's
-                // connections overlap the previous rep's still-closing
-                // workers: the measurement is fan-in capacity, not
-                // shedding.
-                let mut config = ServiceConfig {
-                    max_connections: 4096,
-                    ..ServiceConfig::default()
-                }
-                .with_http_addr("127.0.0.1:0");
-                if async_mode {
-                    config = config.with_reactor(REACTOR_THREADS);
-                }
-                let handle = Server::bind(config).expect("bind").spawn().expect("spawn");
-                let addr = handle.addr();
-                let http_addr = handle.http_addr().expect("http enabled");
-                let mut control = Client::connect(addr).expect("connect");
-                let session = control
-                    .create_session(&SessionSpec {
-                        schema: vec![("a".into(), 10), ("b".into(), 10), ("c".into(), 5)],
-                        mechanism: Mechanism::Deterministic { gamma: GAMMA },
-                        shards: Some(4),
-                        seed: Some(7),
-                    })
-                    .expect("create");
-
-                let mut best_elapsed = f64::MAX;
-                for _ in 0..reps {
-                    // Connect everyone first, then start the clock
-                    // together: the measurement is steady-state fan-in
-                    // throughput, not connect-storm handling.
-                    let barrier = Barrier::new(clients + 1);
-                    let t0 = std::thread::scope(|scope| {
-                        for c in 0..clients {
-                            let barrier = &barrier;
-                            scope.spawn(move || {
-                                let records: Vec<Vec<u32>> = (0..batch)
-                                    .map(|i| {
-                                        vec![((c + i) % 10) as u32, (i % 10) as u32, (i % 5) as u32]
-                                    })
-                                    .collect();
-                                if framing == "http" {
-                                    let mut client = loop {
-                                        match HttpClient::connect(http_addr) {
-                                            Ok(cl) => break cl,
-                                            // Backlog overflow under the
-                                            // connect storm; retry until
-                                            // admitted.
-                                            Err(_) => std::thread::sleep(
-                                                std::time::Duration::from_millis(5),
-                                            ),
-                                        }
-                                    };
-                                    barrier.wait();
-                                    for _ in 0..batches {
-                                        client
-                                            .submit_batch(session, &records, true)
-                                            .expect("submit");
-                                    }
-                                    return;
-                                }
-                                let mut client = loop {
-                                    match Client::connect(addr) {
-                                        Ok(cl) => break cl,
-                                        // Backlog overflow under the connect
-                                        // storm; retry until admitted.
-                                        Err(_) => {
-                                            std::thread::sleep(std::time::Duration::from_millis(5))
-                                        }
-                                    }
-                                };
-                                if framing == "binary" {
-                                    client.negotiate_binary().expect("negotiate");
-                                }
-                                barrier.wait();
-                                for _ in 0..batches {
-                                    client
-                                        .submit_nowait(session, &records, true)
-                                        .expect("submit");
-                                }
-                                let accepted = client.flush().expect("flush");
-                                assert_eq!(accepted, (batches * batch) as u64);
-                            });
-                        }
-                        barrier.wait();
-                        Instant::now()
-                    });
-                    best_elapsed = best_elapsed.min(t0.elapsed().as_secs_f64());
-                }
-                let total = (clients * per_client * reps) as u64;
-                assert_eq!(control.stats(session).expect("stats").total, total);
-                let report = control.server_metrics().expect("metrics");
-                assert_eq!(report.get(Counter::Sheds), 0, "no sheds below the cap");
-                let rps = (clients * per_client) as f64 / best_elapsed;
-                // Thread-per-connection spends one worker thread per
-                // admitted client; the reactor spends its fixed event-loop
-                // threads however many clients connect.
-                let service_threads = if async_mode { REACTOR_THREADS } else { clients };
-                let accepted_connections = if framing == "http" {
-                    report.get(Counter::HttpConnections)
-                } else {
-                    report.get(Counter::TcpConnections)
-                };
-                eprintln!(
-                    "{front_end}/{framing} clients={clients}: {rps:.0} rec/s, \
-                     {accepted_connections} conns / {service_threads} service thread(s)",
-                );
-                runs.push(FaninRun {
-                    front_end,
-                    framing,
-                    clients,
-                    records_per_client: per_client,
-                    records_per_sec: rps,
-                    accepted_connections,
-                    sheds: report.get(Counter::Sheds),
-                    service_threads,
-                });
-                handle.shutdown().expect("shutdown");
-            }
-        }
-    }
-
-    let find = |front_end: &str, framing: &str, clients: usize| {
-        runs.iter()
-            .find(|r| r.front_end == front_end && r.framing == framing && r.clients == clients)
-            .expect("run present")
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"service_fanin\",");
-    let _ = writeln!(json, "  \"records_per_run\": {total_records},");
-    let _ = writeln!(json, "  \"reps_best_of\": {reps},");
-    let _ = writeln!(json, "  \"reactor_threads\": {REACTOR_THREADS},");
-    let _ = writeln!(json, "  \"max_connections\": 4096,");
-    let _ = writeln!(
-        json,
-        "  \"cpus\": {},",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
-    );
-    // On a 1-CPU box the N client threads ARE the load generator and
-    // compete with the server for the same core, so the throughput
-    // ratio under-reports the reactor (1 runnable server thread vs N
-    // for thread-per-connection under fair scheduling); the structural
-    // result is the fan-in column.
-    let _ = writeln!(
-        json,
-        "  \"note\": \"loopback run; clients share the machine — on few-core boxes \
-         fair scheduling starves the single reactor thread relative to N connection \
-         threads, so throughput_async_vs_threaded is a lower bound\","
-    );
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"front_end\": \"{}\", \"framing\": \"{}\", \"clients\": {}, \
-             \"records_per_client\": {}, \"records_per_sec\": {:.0}, \
-             \"accepted_connections\": {}, \"sheds\": {}, \"service_threads\": {}}}{}",
-            r.front_end,
-            r.framing,
-            r.clients,
-            r.records_per_client,
-            r.records_per_sec,
-            r.accepted_connections,
-            r.sheds,
-            r.service_threads,
-            if i + 1 < runs.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    // Headline 1: concurrent-connection fan-in per service thread —
-    // the resource the reactor exists to conserve. Framing-independent
-    // (same thread accounting on every framing), so computed from the
-    // line-protocol runs. `clients` is the concurrent fan-in each run
-    // sustained (the accepted_connections counter is cumulative across
-    // reps and includes the control connection).
-    json.push_str("  \"fan_in_per_service_thread\": {\n");
-    for (i, &clients) in levels.iter().enumerate() {
-        let threaded = find("threaded", "line", clients);
-        let async_run = find("async", "line", clients);
-        let _ = writeln!(
-            json,
-            "    \"{clients}\": {{\"threaded\": {:.1}, \"async\": {:.1}, \"ratio\": {:.1}}}{}",
-            clients as f64 / threaded.service_threads as f64,
-            clients as f64 / async_run.service_threads as f64,
-            (clients as f64 / async_run.service_threads as f64)
-                / (clients as f64 / threaded.service_threads as f64),
-            if i + 1 < levels.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  },\n");
-    // Headline 2: the fan-in is not bought with throughput — aggregate
-    // records/sec at equal client count and connection cap, per
-    // framing.
-    json.push_str("  \"throughput_async_vs_threaded\": {\n");
-    for (fi, &framing) in framings.iter().enumerate() {
-        let _ = writeln!(json, "    \"{framing}\": {{");
-        for (i, &clients) in levels.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "      \"{clients}\": {:.2}{}",
-                find("async", framing, clients).records_per_sec
-                    / find("threaded", framing, clients).records_per_sec,
-                if i + 1 < levels.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if fi + 1 < framings.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  }\n}\n");
-
-    let mut file = std::fs::File::create(out_path).expect("create output file");
-    file.write_all(json.as_bytes()).expect("write output file");
-    eprintln!("wrote {out_path}");
-}
-
 /// The `--wire` mode: loopback transport comparison → `BENCH_http.json`
 /// plus the binary-framing summary → `BENCH_binary.json`.
 fn run_wire(quick: bool, out_path: &str, out_binary_path: &str) {
@@ -729,7 +457,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let wire_mode = args.iter().any(|a| a == "--wire");
-    let fanin_mode = args.iter().any(|a| a == "--fanin");
     let mining_mode = args.iter().any(|a| a == "--mining");
     let out_path = args
         .iter()
@@ -739,17 +466,12 @@ fn main() {
         .unwrap_or_else(|| {
             if mining_mode {
                 "BENCH_mining.json".to_owned()
-            } else if fanin_mode {
-                "BENCH_async.json".to_owned()
             } else {
                 "BENCH_http.json".to_owned()
             }
         });
     if mining_mode {
         return run_mining(quick, &out_path);
-    }
-    if fanin_mode {
-        return run_fanin(quick, &out_path);
     }
     if wire_mode {
         let out_binary_path = args
@@ -761,6 +483,6 @@ fn main() {
         return run_wire(quick, &out_path, &out_binary_path);
     }
 
-    eprintln!("usage: bench_ingest --wire|--fanin|--mining [--quick] [--out PATH]");
+    eprintln!("usage: bench_ingest --wire|--mining [--quick] [--out PATH]");
     std::process::exit(2);
 }

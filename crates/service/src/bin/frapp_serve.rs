@@ -22,7 +22,9 @@
 //! over REST routes (`POST /sessions`, `POST /sessions/{id}/records`,
 //! `GET /sessions/{id}/reconstruct`, ...). `--max-connections` bounds
 //! concurrent connections across both transports; connections past the
-//! cap are refused with an in-band error and counted as sheds.
+//! cap are refused with an in-band error and counted as sheds. It also
+//! sizes the listen backlog (at least 128, capped by the kernel's
+//! `somaxconn`), so a connect burst up to the cap is queued, not dropped.
 //!
 //! With `--async`, both transports are served by the nonblocking
 //! epoll/kqueue reactor instead of one OS thread per connection — same

@@ -15,7 +15,6 @@
 //! entirely on the ingest hot path) and every other op tunnels through
 //! `OP_JSON` frames with unchanged bodies.
 
-use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
 use crate::framing;
 use crate::jobs::MineSpec;
@@ -730,42 +729,19 @@ impl Client {
     /// and no read timeout (a synchronous request waits as long as the
     /// server computes).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        Self::connect_with_timeouts(addr, Some(DEFAULT_CONNECT_TIMEOUT), None)
-    }
-
-    /// Connects with the timeouts a [`ServiceConfig`] specifies
-    /// (`connect_timeout_ms` / `read_timeout_ms`, `0` meaning
-    /// unbounded) — what the federation links and the bundled CLI use,
-    /// so one stalled peer cannot wedge them forever.
-    pub fn connect_with_config(addr: impl ToSocketAddrs, config: &ServiceConfig) -> Result<Self> {
-        let of_ms = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
-        Self::connect_with_timeouts(
-            addr,
-            of_ms(config.connect_timeout_ms),
-            of_ms(config.read_timeout_ms),
-        )
+        Self::connect_with_timeouts(addr, Some(DEFAULT_CONNECT_TIMEOUT), None, None)
     }
 
     /// Connects with explicit timeouts. `connect_timeout` bounds the
     /// TCP handshake per resolved address; `read_timeout` bounds every
     /// subsequent response wait (a stalled server surfaces as an
     /// [`ServiceError::Io`] with kind `WouldBlock`/`TimedOut` instead
-    /// of hanging the caller). `None` means unbounded, the historical
-    /// behaviour.
+    /// of hanging the caller); `write_timeout` bounds how long a send
+    /// can block on a peer that accepted the connection but stopped
+    /// draining its socket — the failure mode a read timeout never
+    /// sees, because the wedged call is the *write*. `None` means
+    /// unbounded. The federation links set all three.
     pub fn connect_with_timeouts(
-        addr: impl ToSocketAddrs,
-        connect_timeout: Option<Duration>,
-        read_timeout: Option<Duration>,
-    ) -> Result<Self> {
-        Self::connect_with_all_timeouts(addr, connect_timeout, read_timeout, None)
-    }
-
-    /// [`Client::connect_with_timeouts`] plus a write timeout: bounds
-    /// how long a send can block on a peer that accepted the
-    /// connection but stopped draining its socket — the failure mode
-    /// a read timeout never sees, because the wedged call is the
-    /// *write*. What the federation links use.
-    pub fn connect_with_all_timeouts(
         addr: impl ToSocketAddrs,
         connect_timeout: Option<Duration>,
         read_timeout: Option<Duration>,

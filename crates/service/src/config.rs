@@ -19,6 +19,9 @@ pub struct ServiceConfig {
     /// accept loop would let N clients exhaust the process; connections
     /// past the cap are refused with an in-band error (line protocol)
     /// or `503` (HTTP) and counted as sheds in the transport metrics.
+    /// On Unix it also sizes each listener's accept queue (the listen
+    /// backlog, at least 128, capped by the kernel's `somaxconn`), so a
+    /// burst of connects up to the cap is queued rather than dropped.
     pub max_connections: usize,
     /// Default number of ingest shards for sessions that do not specify
     /// one.

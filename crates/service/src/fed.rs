@@ -1185,7 +1185,7 @@ impl LinkWorker {
                 self.counters.add(PeerCounter::PeerDown, 1);
                 self.record_link_failure();
             } else {
-                match Client::connect_with_all_timeouts(
+                match Client::connect_with_timeouts(
                     &self.addr,
                     Some(self.tuning.connect_timeout),
                     Some(self.tuning.read_timeout),

@@ -235,7 +235,12 @@ impl Server {
             Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
-        let listen_addrs = [Some(&listener), http_listener.as_ref()]
+        let listeners = [Some(&listener), http_listener.as_ref()];
+        #[cfg(unix)]
+        for l in listeners.into_iter().flatten() {
+            listen_backlog(l, config.max_connections)?;
+        }
+        let listen_addrs = listeners
             .into_iter()
             .flatten()
             .map(TcpListener::local_addr)
@@ -485,6 +490,29 @@ impl ServerHandle {
     }
 }
 
+/// Re-listens a bound listener with a backlog of `max_connections`
+/// (std listens with 128; the kernel caps the value at `somaxconn`), so
+/// a burst of connects up to the cap waits in the accept queue while
+/// the accept thread spawns workers, instead of having its SYNs dropped
+/// and each such client stalled by the 1 s SYN retransmit. The floor of
+/// 128 keeps small caps at std's queue.
+#[cfg(unix)]
+fn listen_backlog(listener: &TcpListener, max_connections: usize) -> std::io::Result<()> {
+    use std::os::fd::AsRawFd;
+    use std::os::raw::c_int;
+    extern "C" {
+        fn listen(fd: c_int, backlog: c_int) -> c_int;
+    }
+    let backlog = max_connections.clamp(128, c_int::MAX as usize) as c_int;
+    // SAFETY: `listen` on a socket the listener owns and keeps open; on
+    // a socket that is already listening it only updates the backlog.
+    if unsafe { listen(listener.as_raw_fd(), backlog) } == 0 {
+        Ok(())
+    } else {
+        Err(std::io::Error::last_os_error())
+    }
+}
+
 /// Accepts one listener's connections until the shutdown flag is set,
 /// each on a worker thread of its own, then joins the workers. Blocks
 /// in `accept`; [`Shared::shut_down`] wakes it.
@@ -519,17 +547,30 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, transport: Transport
             let _ = stream.write_all(&shared.shed_response(transport));
             continue;
         };
-        shared.transport.inc(match transport {
+        let connections = match transport {
             Transport::Line => Counter::TcpConnections,
             Transport::Http => Counter::HttpConnections,
-        });
-        let shared = Arc::clone(shared);
-        workers.push(std::thread::spawn(move || {
+        };
+        shared.transport.inc(connections);
+        let worker_shared = Arc::clone(shared);
+        let spawned = std::thread::Builder::new().spawn(move || {
             let _guard = guard;
             // Per-connection errors are reported to the peer
             // in-band; a torn connection is simply dropped.
-            let _ = handle_connection(stream, &shared, transport);
-        }));
+            let _ = handle_connection(stream, &worker_shared, transport);
+        });
+        match spawned {
+            Ok(worker) => workers.push(worker),
+            // The OS refused a thread. The closure — stream and
+            // admission guard with it — is already dropped, which
+            // closes the connection and frees its slot; count a shed
+            // and keep accepting rather than unwinding the accept
+            // thread and resetting every queued connection.
+            Err(_) => {
+                shared.transport.dec(connections);
+                shared.transport.inc(Counter::Sheds);
+            }
+        }
         workers.retain(|w| !w.is_finished());
     }
     for w in workers {

@@ -596,6 +596,7 @@ fn client_read_timeout_unwedges_a_stalled_server() {
         addr,
         Some(Duration::from_secs(2)),
         Some(Duration::from_millis(300)),
+        None,
     )
     .unwrap();
     let err = client.ping().unwrap_err();

@@ -8,7 +8,8 @@ use frapp_service::json::{self, Value};
 use frapp_service::session::{Mechanism, ReconstructionMethod};
 use frapp_service::wire::{Counter, Op, OPS};
 use frapp_service::{Server, ServerHandle, ServiceConfig, ServiceError};
-use std::io::Read;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 const GAMMA: f64 = 19.0;
@@ -573,4 +574,152 @@ fn both_listeners_shed_the_parents_bytes_and_stop_on_one_shutdown() {
             assert!(std::net::TcpStream::connect(addr).is_err(), "{addr}");
         }
     }
+}
+
+/// Reads one response from a raw connection: a line on the line
+/// listener, a `Content-Length` body over HTTP.
+fn read_answer(reader: &mut impl BufRead, http: bool) -> std::io::Result<Value> {
+    let mut line = String::new();
+    let mut body_len = None;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        if !http {
+            break;
+        }
+        if line == "\r\n" {
+            let mut body = vec![0; body_len.unwrap_or(0)];
+            reader.read_exact(&mut body)?;
+            line = String::from_utf8(body).expect("utf-8 body");
+            break;
+        }
+        if let Some(value) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            body_len = value.trim().parse().ok();
+        }
+    }
+    Ok(json::parse(line.trim_end()).expect("a JSON answer"))
+}
+
+/// Opens `n` connections to a bound server before its accept loops
+/// run, all from this one thread, each with a 500 ms connect timeout.
+/// That is below Linux's 1 s SYN retransmit, so a connect succeeds only
+/// if the kernel queued it: the listen backlog must hold all `n`. Then
+/// the server starts and every connection submits — deferred, with one
+/// `flush`, on the line listener; synchronously over HTTP — and every
+/// count must land exactly, with no reset and no shed. The kernel caps
+/// the backlog at `net.core.somaxconn` (4 096 by default since Linux
+/// 5.4), which must be at least `n`.
+fn queued_connections_are_all_served(n: usize, http: bool) {
+    const BATCHES: usize = 4;
+    let batch = workload(20);
+    let sent = (BATCHES * batch.len()) as u64;
+    // Room for the control connection and for `handle.shutdown()`'s.
+    let config = ServiceConfig {
+        max_connections: n + 2,
+        ..ServiceConfig::default()
+    }
+    .with_http_addr("127.0.0.1:0");
+    let server = Server::bind(config).unwrap();
+    let target = if http {
+        server.local_http_addr().unwrap()
+    } else {
+        server.local_addr().unwrap()
+    };
+    // Stops at the first connect that was not queued.
+    let streams: Vec<TcpStream> = (0..n)
+        .map_while(|_| TcpStream::connect_timeout(&target, Duration::from_millis(500)).ok())
+        .collect();
+    assert_eq!(
+        streams.len(),
+        n,
+        "connects queued before the accept loop ran (http: {http})"
+    );
+
+    let handle = server.spawn().unwrap();
+    let mut control = Client::connect(handle.addr()).unwrap();
+    let session = control.create_session(&small_spec(7)).unwrap();
+    // `[[1, 2], ...]`: the debug form of the batch is its JSON.
+    let records = format!("{batch:?}");
+    let request = if http {
+        let body = format!("{{\"records\":{records},\"pre_perturbed\":true}}");
+        format!(
+            "POST /sessions/{session}/records HTTP/1.1\r\nHost: frapp\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    } else {
+        format!(
+            "{{\"op\":\"submit\",\"session\":{session},\"records\":{records},\
+             \"pre_perturbed\":true,\"ack\":\"deferred\"}}\n"
+        )
+    };
+    // Over the line listener every stream is written before any is
+    // read: deferred submits have no answer, so only the flushes do.
+    if !http {
+        for mut stream in &streams {
+            let script = request.repeat(BATCHES) + "{\"op\":\"flush\"}\n";
+            stream.write_all(script.as_bytes()).unwrap();
+        }
+    }
+    let accepted: Vec<std::io::Result<u64>> = streams
+        .iter()
+        .map(|mut stream| {
+            let mut reader = BufReader::new(stream);
+            let mut accepted = 0;
+            // Over HTTP one answer per submit; on a line, the flush's.
+            for _ in 0..if http { BATCHES } else { 1 } {
+                if http {
+                    stream.write_all(request.as_bytes())?;
+                }
+                let answer = read_answer(&mut reader, http)?;
+                assert_eq!(answer.get("ok"), Some(&Value::Bool(true)), "{answer:?}");
+                accepted += answer.get("accepted").and_then(Value::as_u64).unwrap();
+            }
+            Ok(accepted)
+        })
+        .collect();
+    let failures: Vec<String> = accepted
+        .iter()
+        .enumerate()
+        .filter_map(|(i, a)| match a {
+            Ok(count) if *count == sent => None,
+            Ok(count) => Some(format!("#{i}: {count} of {sent} accepted")),
+            Err(e) => Some(format!("#{i}: {:?}", e.kind())),
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {n} connections fell short (http: {http}): {:?}",
+        failures.len(),
+        &failures[..failures.len().min(8)]
+    );
+
+    assert_eq!(control.stats(session).unwrap().total, n as u64 * sent);
+    let report = control.server_metrics().unwrap();
+    assert_eq!(report.get(Counter::Sheds), 0);
+    let (line, http_conns) = if http { (1, n) } else { (n + 1, 0) };
+    assert_eq!(report.get(Counter::TcpConnections), line as u64);
+    assert_eq!(report.get(Counter::HttpConnections), http_conns as u64);
+
+    drop(streams);
+    drop(control);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn connections_queued_before_the_accept_loop_are_all_served() {
+    // One after the other, so at most about 256 client sockets (and as
+    // many server-side ones) are open at once.
+    queued_connections_are_all_served(256, false);
+    queued_connections_are_all_served(256, true);
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+#[ignore = "1 024 connections; CI runs it in release"]
+fn a_thousand_and_twenty_four_queued_line_connections_are_all_served() {
+    queued_connections_are_all_served(1024, false);
 }
