@@ -414,6 +414,32 @@ pub(crate) trait FrameCodec: Send {
     ) -> Step;
 }
 
+/// The index in `buf` of the first `needle` at or after `from`.
+/// `buf[..from]` is not read, so a codec that keeps how far a failed
+/// search got resumes there when more bytes arrive, and a line that
+/// comes in many reads is searched once. Word-at-a-time: a word holds
+/// `needle` exactly when XOR-ing it out leaves a zero byte.
+fn find_byte(buf: &[u8], from: usize, needle: u8) -> Option<usize> {
+    const WORD: usize = std::mem::size_of::<usize>();
+    const ONES: usize = usize::MAX / 0xff;
+    const HIGHS: usize = ONES << 7;
+    let pattern = ONES * usize::from(needle);
+    let mut at = from;
+    for chunk in buf[from..].chunks_exact(WORD) {
+        // Always a whole word; `break` keeps the wire path panic-free.
+        let Ok(bytes) = chunk.try_into() else { break };
+        let word = usize::from_ne_bytes(bytes) ^ pattern;
+        if word.wrapping_sub(ONES) & !word & HIGHS != 0 {
+            break;
+        }
+        at += WORD;
+    }
+    let found = buf[at..].iter().position(|&b| b == needle).map(|i| at + i);
+    #[cfg(test)]
+    tests::SEARCHED.with(|n| n.set(n.get() + found.map_or(buf.len(), |i| i + 1) - from));
+    found
+}
+
 /// The raw-TCP codec: starts in line-JSON framing and switches to the
 /// binary framing when a `hello` negotiates it. Owns the connection's
 /// deferred-submit watermark.
@@ -421,6 +447,9 @@ pub(crate) struct LineFraming {
     state: ConnState,
     mode: WireFraming,
     response: String,
+    /// Bytes of the unfinished line already searched for its newline;
+    /// zero whenever a line completes.
+    scanned: usize,
 }
 
 impl LineFraming {
@@ -429,6 +458,7 @@ impl LineFraming {
             state: ConnState::new(),
             mode: WireFraming::Json,
             response: String::new(),
+            scanned: 0,
         }
     }
 
@@ -475,34 +505,25 @@ impl LineFraming {
         signals: &mut Signals,
     ) -> Step {
         let rest = &input[*consumed..];
-        let Some(pos) = rest.iter().position(|&b| b == b'\n') else {
+        let Some(pos) = find_byte(rest, self.scanned, b'\n') else {
             if rest.len() > shared.config.max_line_bytes {
                 return Step::Fatal;
             }
+            self.scanned = rest.len();
             return Step::NeedMore;
         };
+        self.scanned = 0;
         if pos > shared.config.max_line_bytes {
             return Step::Fatal;
         }
         let Ok(text) = std::str::from_utf8(&rest[..pos]) else {
             return Step::Fatal;
         };
-        // Borrowck: `text` borrows `input`, which `dispatch_into` does
-        // not touch — but `self.response` must not alias it, so the
-        // line is trimmed before the buffers are reborrowed.
-        let start = text.len() - text.trim_start().len();
-        let end = start + text.trim().len();
         *consumed += pos + 1;
-        if start == end {
+        let line = text.trim();
+        if line.is_empty() {
             return Step::Progress; // blank line: ignored, as always
         }
-        let line = &input[*consumed - pos - 1 + start..*consumed - pos - 1 + end];
-        // Safety of the re-slice: `start..end` indexes `text`, a
-        // str view of exactly these bytes, so it stays valid UTF-8.
-        let line = match std::str::from_utf8(line) {
-            Ok(l) => l,
-            Err(_) => return Step::Fatal,
-        };
         shared.transport.inc(Counter::TcpRequests);
         self.response.clear();
         let outcome = dispatch::dispatch_into(
@@ -601,6 +622,9 @@ impl FrameCodec for LineFraming {
 pub(crate) struct HttpFraming {
     state: HttpState,
     response: String,
+    /// Bytes of the unfinished head already searched for its blank
+    /// line; zero whenever a head completes.
+    scanned: usize,
 }
 
 enum HttpState {
@@ -617,9 +641,18 @@ enum HttpState {
 }
 
 /// Locates the end of an HTTP request head (the index just past
-/// `\r\n\r\n`), if the buffer holds one.
-pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+/// `\r\n\r\n`), if the buffer holds one. The search starts at `from`,
+/// where the last failed search stopped: the blank line is found by its
+/// final `\n`, so every byte is searched once however the head arrives.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let mut at = from;
+    while let Some(newline) = find_byte(buf, at, b'\n') {
+        if newline >= 3 && &buf[newline - 3..newline] == b"\r\n\r" {
+            return Some(newline + 1);
+        }
+        at = newline + 1;
+    }
+    None
 }
 
 impl HttpFraming {
@@ -627,6 +660,7 @@ impl HttpFraming {
         HttpFraming {
             state: HttpState::Head,
             response: String::new(),
+            scanned: 0,
         }
     }
 
@@ -695,12 +729,14 @@ impl FrameCodec for HttpFraming {
         let rest = &input[*consumed..];
         match std::mem::replace(&mut self.state, HttpState::Head) {
             HttpState::Head => {
-                let Some(end) = find_head_end(rest) else {
+                let Some(end) = find_head_end(rest, self.scanned) else {
                     if rest.len() > http::MAX_HEAD_BYTES {
                         return Step::Fatal;
                     }
+                    self.scanned = rest.len();
                     return Step::NeedMore;
                 };
+                self.scanned = 0;
                 let head = match http::parse_head(&rest[..end]) {
                     Ok(h) => h,
                     Err(e) => {
@@ -889,6 +925,14 @@ pub(crate) fn drive_blocking(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bytes [`find_byte`] has searched on this thread: the length
+        /// of each range it was given, up to and including the byte it
+        /// found.
+        pub(super) static SEARCHED: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn varints_round_trip_across_the_value_range() {
@@ -1406,21 +1450,38 @@ mod tests {
     /// Median ns per record of `f`, which handles `records` records per
     /// call, over nine rounds of about 60 ms after a warm-up.
     fn ns_per_record(records: usize, mut f: impl FnMut()) -> f64 {
-        use std::time::Instant;
         for _ in 0..3 {
             f();
         }
-        let mut rounds: Vec<f64> = (0..9)
-            .map(|_| {
-                let start = Instant::now();
-                let mut calls = 0;
-                while start.elapsed() < Duration::from_millis(60) {
-                    f();
-                    calls += 1;
-                }
-                start.elapsed().as_nanos() as f64 / (calls * records) as f64
-            })
-            .collect();
+        median_of_rounds(|| round_ns_per_record(records, &mut f))
+    }
+
+    /// Median over nine rounds of the ns per record of `f` less that of
+    /// `g`, timed back to back in each round so that a drift in the
+    /// machine's speed cancels.
+    fn ns_per_record_less(records: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> f64 {
+        for _ in 0..3 {
+            f();
+            g();
+        }
+        median_of_rounds(|| {
+            round_ns_per_record(records, &mut f) - round_ns_per_record(records, &mut g)
+        })
+    }
+
+    /// Ns per record of `f` called for about 60 ms.
+    fn round_ns_per_record(records: usize, f: &mut impl FnMut()) -> f64 {
+        let start = std::time::Instant::now();
+        let mut calls = 0;
+        while start.elapsed() < Duration::from_millis(60) {
+            f();
+            calls += 1;
+        }
+        start.elapsed().as_nanos() as f64 / (calls * records) as f64
+    }
+
+    fn median_of_rounds(mut round: impl FnMut() -> f64) -> f64 {
+        let mut rounds: Vec<f64> = (0..9).map(|_| round()).collect();
         rounds.sort_by(f64::total_cmp);
         rounds[4]
     }
@@ -1538,6 +1599,161 @@ mod tests {
         }
     }
 
+    /// A fresh `Shared` holding one session over `schema`, id 1.
+    fn shared_with_session(schema: &frapp_core::Schema, config: crate::ServiceConfig) -> Shared {
+        let shared = Shared::for_tests(config);
+        let attributes: Vec<String> = schema
+            .attributes()
+            .iter()
+            .map(|a| format!("[\"{}\",{}]", a.name(), a.cardinality()))
+            .collect();
+        let create = format!(
+            r#"{{"op":"create_session","schema":[{}],"gamma":19.0}}"#,
+            attributes.join(",")
+        );
+        let mut out = String::new();
+        dispatch::dispatch_into(
+            &shared.registry,
+            &shared.config,
+            &shared.transport,
+            None,
+            None,
+            &mut ConnState::new(),
+            &create,
+            &mut out,
+        );
+        assert!(out.starts_with(r#"{"ok":true,"session":1,"#), "{out}");
+        shared
+    }
+
+    /// The per-record cost of a line-JSON submit, by stage, on deferred
+    /// lines as the line `Client` writes them: the client's encode (the
+    /// line's head and `client::write_submit_fields` into a reused
+    /// buffer); the codec's newline search and UTF-8 check (a
+    /// `LineFraming::step` over a line that dispatch refuses at its
+    /// first byte, minus that refusal);
+    /// `protocol::read_request` alone; `dispatch_into` (decode, then
+    /// validate, encode and accumulate into a session); and
+    /// `CollectionSession::submit_batch` of the same rows alone. Two
+    /// shapes: `mine_lifecycle`'s 4096-record pre-perturbed HEALTH
+    /// lines and `sync_json`'s 16-record CENSUS lines.
+    #[test]
+    #[ignore = "timing table; run in release with --nocapture"]
+    fn json_line_stage_table() {
+        use std::hint::black_box;
+
+        const RECORDS: usize = 1 << 15;
+        let shapes = [
+            (
+                "HEALTH 4096",
+                frapp_data::health::health_like_n(RECORDS, 1),
+                4096,
+            ),
+            (
+                "CENSUS 16",
+                frapp_data::census::census_like_n(RECORDS, 1),
+                16,
+            ),
+        ];
+        println!(
+            "shape        B/record  encode  newline+UTF-8  read_request  dispatch_into  submit_batch  (ns/record)"
+        );
+        for (name, data, batch) in &shapes {
+            let shared = shared_with_session(data.schema(), crate::ServiceConfig::default());
+            let mut state = ConnState::new();
+            let mut out = String::new();
+            let dispatch = |state: &mut ConnState, line: &str, out: &mut String| {
+                dispatch::dispatch_into(
+                    &shared.registry,
+                    &shared.config,
+                    &shared.transport,
+                    shared.fed.as_deref(),
+                    Some(&shared.jobs),
+                    state,
+                    line,
+                    out,
+                )
+            };
+            let session = 1;
+            let rows = data.records();
+            let batches: Vec<&[Vec<u32>]> = rows.chunks(*batch).collect();
+            let head = format!(r#"{{"op":"submit","session":{session},"#);
+            let encode = |line: &mut String, batch: &[Vec<u32>]| {
+                line.clear();
+                line.push_str(&head);
+                crate::client::write_submit_fields(line, batch.iter(), true, None);
+                line.push_str(",\"ack\":\"deferred\"}\n");
+            };
+            let lines: Vec<String> = batches
+                .iter()
+                .map(|b| {
+                    let mut line = String::new();
+                    encode(&mut line, b);
+                    line
+                })
+                .collect();
+            let bytes = lines.iter().map(String::len).sum::<usize>() as f64 / rows.len() as f64;
+
+            let mut buf = String::new();
+            let encoded = ns_per_record(rows.len(), || {
+                for b in &batches {
+                    encode(&mut buf, black_box(b));
+                    black_box(&buf);
+                }
+            });
+            let read = ns_per_record(rows.len(), || {
+                for line in &lines {
+                    black_box(crate::protocol::read_request(black_box(line.trim())).unwrap());
+                }
+            });
+            let dispatched = ns_per_record(rows.len(), || {
+                for line in &lines {
+                    let outcome = dispatch(&mut state, black_box(line.trim()), &mut out);
+                    assert_eq!(outcome, Outcome::Quiet);
+                }
+            });
+            // The codec's own stage: the same lines with their first
+            // byte broken, so dispatch refuses each at once; its cost is
+            // taken off again with the refusals alone.
+            let broken: Vec<String> = lines.iter().map(|l| format!("x{}", &l[1..])).collect();
+            let mut codec = LineFraming::new();
+            let (mut wire_out, mut signals) = (Vec::new(), Signals::default());
+            let mut refusals = String::new();
+            let codec_stage = ns_per_record_less(
+                rows.len(),
+                || {
+                    for line in &broken {
+                        let mut consumed = 0;
+                        wire_out.clear();
+                        let step = codec.step(
+                            &shared,
+                            black_box(line.as_bytes()),
+                            &mut consumed,
+                            &mut wire_out,
+                            &mut signals,
+                        );
+                        assert_eq!((step, consumed), (Step::Progress, line.len()));
+                    }
+                },
+                || {
+                    for line in &broken {
+                        refusals.clear();
+                        black_box(dispatch(&mut state, black_box(line.trim()), &mut refusals));
+                    }
+                },
+            );
+            let collection = shared.registry.get(session).unwrap();
+            let submit = ns_per_record(rows.len(), || {
+                for b in &batches {
+                    black_box(collection.submit_batch(black_box(b), true).unwrap());
+                }
+            });
+            println!(
+                "{name:<12} {bytes:>8.2}  {encoded:>6.1}  {codec_stage:>13.1}  {read:>12.1}  {dispatched:>13.1}  {submit:>12.1}"
+            );
+        }
+    }
+
     #[test]
     fn frame_scanner_resumes_across_arbitrary_splits() {
         let mut wire = Vec::new();
@@ -1574,8 +1790,209 @@ mod tests {
 
     #[test]
     fn find_head_end_locates_the_blank_line() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-        assert_eq!(find_head_end(b""), None);
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest", 0), Some(18));
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n", 0), None);
+        assert_eq!(find_head_end(b"", 0), None);
+        assert_eq!(find_head_end(b"\r\n\r\n", 0), Some(4));
+        assert_eq!(find_head_end(b"\n\r\n\r\n", 0), Some(5));
+        assert_eq!(find_head_end(b"a\n\nb\r\n\n\r\n\r\n", 0), Some(11));
+        // Resumed at any point of a head whose blank line is cut at
+        // every byte, the search finds the same end.
+        let head = b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n";
+        for cut in 0..head.len() {
+            assert_eq!(find_head_end(&head[..cut], 0), None, "cut {cut}");
+            assert_eq!(find_head_end(head, cut), Some(head.len()), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn find_byte_matches_a_bytewise_search_from_every_start() {
+        let mut next = xorshift(5);
+        for len in 0..70 {
+            // Few distinct bytes, so matches land at every word offset;
+            // 0x80 and 0xff probe the high-bit arithmetic.
+            let buf: Vec<u8> = (0..len)
+                .map(|_| [b'\n', b'a', 0, 0x80, 0xff, 0x0b][(next() % 6) as usize])
+                .collect();
+            for from in 0..=len {
+                for needle in [b'\n', 0, 0x80, 0xff, b'z'] {
+                    let expected = buf[from..].iter().position(|&b| b == needle);
+                    assert_eq!(
+                        find_byte(&buf, from, needle),
+                        expected.map(|i| from + i),
+                        "{buf:?} from {from} for {needle}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Feeds `pieces` to `codec` the way [`drive_blocking`] does: steps
+    /// until the codec needs more bytes, then drains what it consumed.
+    /// Returns the response bytes, the stream offset consumed, and
+    /// whether the codec failed fatally (it is fed nothing after that).
+    fn feed<'a>(
+        codec: &mut dyn FrameCodec,
+        shared: &Shared,
+        pieces: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Vec<u8>, usize, bool) {
+        let (mut input, mut out, mut total) = (Vec::new(), Vec::new(), 0);
+        let mut signals = Signals::default();
+        for piece in pieces {
+            input.extend_from_slice(piece);
+            let mut consumed = 0;
+            let step = loop {
+                match codec.step(shared, &input, &mut consumed, &mut out, &mut signals) {
+                    Step::Progress => {}
+                    other => break other,
+                }
+            };
+            input.drain(..consumed);
+            total += consumed;
+            if step == Step::Fatal {
+                return (out, total, true);
+            }
+        }
+        (out, total, false)
+    }
+
+    #[test]
+    fn a_line_in_many_reads_is_searched_once() {
+        // The longest line the default config accepts, in 1 KB reads:
+        // the newline search resumes where the last read ended, so the
+        // line's bytes are searched once in all (restarting at the line
+        // start on every read searches about 3.4·10¹⁰ bytes).
+        let shared = Shared::for_tests(crate::ServiceConfig::default());
+        let mut line = br#"{"op":"ping"}"#.to_vec();
+        line.resize(shared.config.max_line_bytes, b' ');
+        line.push(b'\n');
+        SEARCHED.with(|n| n.set(0));
+        let (out, consumed, fatal) = feed(&mut LineFraming::new(), &shared, line.chunks(1024));
+        assert!(!fatal);
+        assert_eq!(consumed, line.len());
+        assert!(
+            out.starts_with(br#"{"ok":true"#),
+            "{}",
+            String::from_utf8_lossy(&out)
+        );
+        assert_eq!(SEARCHED.with(Cell::get), line.len());
+    }
+
+    #[test]
+    fn a_head_in_many_reads_is_searched_once() {
+        // A head just under the 16 KB cap, padded with headers, in
+        // 64-byte reads: each byte is searched for the blank line once.
+        let shared = Shared::for_tests(crate::ServiceConfig::default());
+        let mut head = b"GET /ping HTTP/1.1\r\nHost: x\r\n".to_vec();
+        while head.len() < http::MAX_HEAD_BYTES - 200 {
+            head.extend_from_slice(b"X-Pad: ");
+            head.resize(head.len() + 90, b'p');
+            head.extend_from_slice(b"\r\n");
+        }
+        head.extend_from_slice(b"\r\n");
+        SEARCHED.with(|n| n.set(0));
+        let (out, consumed, fatal) = feed(&mut HttpFraming::new(), &shared, head.chunks(64));
+        assert!(!fatal);
+        assert_eq!(consumed, head.len());
+        assert!(
+            out.starts_with(b"HTTP/1.1 200"),
+            "{}",
+            String::from_utf8_lossy(&out)
+        );
+        assert_eq!(SEARCHED.with(Cell::get), head.len());
+    }
+
+    #[test]
+    fn the_line_codec_resumes_at_every_cut() {
+        // A synchronous 4096-record HEALTH submit, a blank line, a
+        // CRLF-terminated stats and a line over the cap. Whole, or cut
+        // in two anywhere, the stream gets the same two answers and
+        // fails at the start of the long line.
+        let config = crate::ServiceConfig {
+            max_line_bytes: 128 << 10,
+            ..crate::ServiceConfig::default()
+        };
+        let rows = frapp_data::health::health_like_n(4096, 3)
+            .records()
+            .to_vec();
+        let mut wire = br#"{"op":"submit","session":1,"#.to_vec();
+        let mut fields = String::new();
+        crate::client::write_submit_fields(&mut fields, rows.iter(), true, None);
+        wire.extend_from_slice(fields.as_bytes());
+        wire.extend_from_slice(b"}\n");
+        let submit_end = wire.len();
+        wire.extend_from_slice(b"\n{\"op\":\"stats\",\"session\":1}\r\n");
+        let long_start = wire.len();
+        wire.extend_from_slice(br#"{"op":"ping"}"#);
+        wire.resize(long_start + config.max_line_bytes + 100, b' ');
+        wire.push(b'\n');
+
+        let run = |cut: Option<usize>| {
+            let shared = shared_with_session(&frapp_data::health::schema(), config.clone());
+            let mut codec = LineFraming::new();
+            match cut {
+                None => feed(&mut codec, &shared, [&wire[..]]),
+                Some(cut) => feed(&mut codec, &shared, [&wire[..cut], &wire[cut..]]),
+            }
+        };
+        let (out, consumed, fatal) = run(None);
+        let answers = String::from_utf8(out.clone()).unwrap();
+        assert_eq!(
+            answers,
+            "{\"ok\":true,\"accepted\":4096,\"shard\":0}\n\
+             {\"ok\":true,\"total\":4096,\"per_shard\":[4096,0]}\n",
+        );
+        assert_eq!((consumed, fatal), (long_start, true));
+        // Every cut near the line boundaries, seeded ones inside the
+        // submit and the long line.
+        let mut cuts: Vec<usize> = (0..64)
+            .chain(submit_end - 64..long_start + 64)
+            .chain(wire.len() - 64..=wire.len())
+            .collect();
+        let mut next = xorshift(11);
+        for (start, end, count) in [
+            (64, submit_end - 64, 32),
+            (long_start + 64, wire.len() - 64, 16),
+        ] {
+            cuts.extend((0..count).map(|_| start + next() as usize % (end - start)));
+        }
+        for cut in cuts {
+            assert_eq!(
+                run(Some(cut)),
+                (out.clone(), long_start, true),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_framing_switch_in_one_read_starts_the_next_line_search_afresh() {
+        // `hello` to binary, then in the same read a frame switching
+        // back and a line: the line's search starts at its first byte,
+        // not where the hello line's search stopped.
+        let shared = Shared::for_tests(crate::ServiceConfig::default());
+        let mut wire = b"{\"op\":\"hello\",\"framing\":\"binary\"}\n".to_vec();
+        let hello_len = wire.len();
+        encode_json_frame(&mut wire, r#"{"op":"hello","framing":"line"}"#);
+        wire.extend_from_slice(b"{\"op\":\"ping\"}\n");
+        let mut expected = b"{\"ok\":true,\"framing\":\"binary\"}\n".to_vec();
+        encode_json_frame(&mut expected, r#"{"ok":true,"framing":"line"}"#);
+        let (whole, ..) = feed(&mut LineFraming::new(), &shared, [&wire[..]]);
+        assert!(
+            whole.starts_with(&expected),
+            "{}",
+            String::from_utf8_lossy(&whole)
+        );
+        for cut in 0..=wire.len() {
+            let fed = feed(
+                &mut LineFraming::new(),
+                &shared,
+                [&wire[..cut], &wire[cut..]],
+            );
+            assert_eq!(fed, (whole.clone(), wire.len(), false), "cut at {cut}");
+        }
+        // Cut inside the hello line, the first search stops past the
+        // length of the last line; a kept resume point would skip it.
+        assert!(hello_len - 1 > b"{\"op\":\"ping\"}".len());
     }
 }

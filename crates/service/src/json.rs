@@ -19,6 +19,11 @@ use std::borrow::Cow;
 
 mod float;
 
+/// The one integer writer: response numbers ([`write_number`]) and the
+/// client's request cells (`client::write_submit_fields`) both print
+/// through it.
+pub(crate) use float::write_u64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -202,7 +207,7 @@ pub(crate) fn write_number(n: f64, out: &mut String) {
         if int < 0 {
             out.push('-');
         }
-        float::write_u64(int.unsigned_abs(), out);
+        write_u64(int.unsigned_abs(), out);
     } else {
         float::write_f64(n, out);
     }

@@ -40,7 +40,7 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
     8081828384858687888990919293949596979899";
 
 /// Appends `m` in decimal.
-pub(super) fn write_u64(m: u64, out: &mut String) {
+pub(crate) fn write_u64(m: u64, out: &mut String) {
     let mut buf = [0u8; 20];
     out.push_str(decimal(m, &mut buf));
 }

@@ -72,6 +72,30 @@ pub(crate) enum Transport {
 }
 
 impl Shared {
+    /// The state one server shares among its connections, for tests
+    /// that drive a codec without sockets: no federation, no offload
+    /// pool, and a one-thread job pool.
+    #[cfg(test)]
+    pub(crate) fn for_tests(config: ServiceConfig) -> Self {
+        Shared {
+            registry: Arc::new(SessionRegistry::new()),
+            config,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            transport: Arc::new(TransportMetrics::new()),
+            fed: None,
+            executor: None,
+            jobs: crate::jobs::JobManager::new(
+                1,
+                1,
+                600,
+                Arc::new(TransportMetrics::new()),
+                crate::fault::FaultPlan::default(),
+            ),
+            live_connections: Arc::new(AtomicUsize::new(0)),
+            listen_addrs: Vec::new(),
+        }
+    }
+
     /// Admits one connection against the `max_connections` cap, or
     /// refuses (`None`) when the server is full. The returned guard
     /// releases the slot when the connection's worker finishes, so a
@@ -781,26 +805,10 @@ mod tests {
 
     #[test]
     fn connection_admission_enforces_the_cap_and_releases_on_drop() {
-        let shared = Shared {
-            registry: Arc::new(SessionRegistry::new()),
-            config: ServiceConfig {
-                max_connections: 2,
-                ..ServiceConfig::default()
-            },
-            shutdown: Arc::new(AtomicBool::new(false)),
-            transport: Arc::new(TransportMetrics::new()),
-            fed: None,
-            executor: None,
-            jobs: crate::jobs::JobManager::new(
-                1,
-                1,
-                600,
-                Arc::new(TransportMetrics::new()),
-                crate::fault::FaultPlan::default(),
-            ),
-            live_connections: Arc::new(AtomicUsize::new(0)),
-            listen_addrs: Vec::new(),
-        };
+        let shared = Shared::for_tests(ServiceConfig {
+            max_connections: 2,
+            ..ServiceConfig::default()
+        });
         let a = shared.try_admit().expect("first connection fits");
         let _b = shared.try_admit().expect("second connection fits");
         assert!(shared.try_admit().is_none(), "third must be shed");
