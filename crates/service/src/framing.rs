@@ -1634,15 +1634,36 @@ mod tests {
     /// first byte, minus that refusal);
     /// `protocol::read_request` alone; `dispatch_into` (decode, then
     /// validate, encode and accumulate into a session); and
-    /// `CollectionSession::submit_batch` of the same rows alone. Two
+    /// `CollectionSession::submit_batch` of the same rows alone. Four
     /// shapes: `mine_lifecycle`'s 4096-record pre-perturbed HEALTH
-    /// lines and `sync_json`'s 16-record CENSUS lines.
+    /// lines, `http_read_write`'s 256-record HEALTH bodies as lines,
+    /// `sync_json`'s 16-record CENSUS lines, and 256-record lines of
+    /// CENSUS plus a 12-value attribute whose first record has a
+    /// two-digit cell, which the one-digit grid pass
+    /// (`json::Reader::digit_grid`) declines at once.
     #[test]
     #[ignore = "timing table; run in release with --nocapture"]
     fn json_line_stage_table() {
         use std::hint::black_box;
 
         const RECORDS: usize = 1 << 15;
+        let census = frapp_data::census::census_like_n(RECORDS, 1);
+        let mixed = {
+            let mut specs: Vec<(&str, u32)> = census
+                .schema()
+                .attributes()
+                .iter()
+                .map(|a| (a.name(), a.cardinality()))
+                .collect();
+            specs.push(("month", 12));
+            let rows = census.records().iter().enumerate().map(|(i, row)| {
+                // 10 on the first record of every 256-record line.
+                let month = (i % 256 + 10) % 12;
+                row.iter().copied().chain([month as u32]).collect()
+            });
+            let schema = frapp_core::Schema::new(specs).unwrap();
+            frapp_core::Dataset::new(schema, rows.collect()).unwrap()
+        };
         let shapes = [
             (
                 "HEALTH 4096",
@@ -1650,13 +1671,15 @@ mod tests {
                 4096,
             ),
             (
-                "CENSUS 16",
-                frapp_data::census::census_like_n(RECORDS, 1),
-                16,
+                "HEALTH 256",
+                frapp_data::health::health_like_n(RECORDS, 1),
+                256,
             ),
+            ("CENSUS 16", census, 16),
+            ("CENSUS+12 256", mixed, 256),
         ];
         println!(
-            "shape        B/record  encode  newline+UTF-8  read_request  dispatch_into  submit_batch  (ns/record)"
+            "shape          B/record  encode  newline+UTF-8  read_request  dispatch_into  submit_batch  (ns/record)"
         );
         for (name, data, batch) in &shapes {
             let shared = shared_with_session(data.schema(), crate::ServiceConfig::default());
@@ -1749,7 +1772,7 @@ mod tests {
                 }
             });
             println!(
-                "{name:<12} {bytes:>8.2}  {encoded:>6.1}  {codec_stage:>13.1}  {read:>12.1}  {dispatched:>13.1}  {submit:>12.1}"
+                "{name:<14} {bytes:>8.2}  {encoded:>6.1}  {codec_stage:>13.1}  {read:>12.1}  {dispatched:>13.1}  {submit:>12.1}"
             );
         }
     }

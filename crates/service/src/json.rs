@@ -308,7 +308,10 @@ pub(crate) fn read_members<'a, B>(
 /// `false`; after each key or item the caller reads exactly one value
 /// (`value`, `skip`, `uint` for an integer without a tree node, or a
 /// nested container). Right after `begin_array`, `small_uints` reads a
-/// run of small integers at once. Every read skips leading whitespace.
+/// run of small integers at once, and `digit_grid` a run of records of
+/// one-digit cells, a word at a time. Each stops where `next_item` goes
+/// on, so that a caller reads the rest the general way. Every read
+/// skips leading whitespace.
 #[derive(Clone)]
 pub(crate) struct Reader<'a> {
     text: &'a str,
@@ -492,6 +495,64 @@ impl<'a> Reader<'a> {
                 _ => return false,
             }
         }
+    }
+
+    /// Right after [`Self::begin_array`] of an array of records: reads
+    /// records for as long as each is `[d,d,…,d]` of one-digit cells,
+    /// as many as the first record has, followed directly by `,` or
+    /// `]`. That is every record the shipped clients write for a schema
+    /// whose attributes have at most 10 values. A record and its
+    /// separator are then 2·arity + 2 bytes, checked as little-endian
+    /// words against [`GridWords`], built once from the first record;
+    /// the last record, and one whose words would run past the text, are
+    /// checked byte by byte. Appends each record's cells to `values` and
+    /// its end to `offsets`, and returns whether that consumed the
+    /// array's `]`. If not, the reader stops at the separator before the
+    /// first record it did not take, or where it was if it took none,
+    /// and [`Self::next_item`] goes on from there. A first record of more
+    /// than [`GRID_MAX_ARITY`] cells is left to the caller too.
+    pub(crate) fn digit_grid(&mut self, values: &mut Vec<u32>, offsets: &mut Vec<usize>) -> bool {
+        let outcome = self.grid_records(values, offsets);
+        #[cfg(test)]
+        tests::note_grid(outcome.map(|(_, closed)| closed));
+        match outcome {
+            None => false,
+            Some((end, closed)) => {
+                self.opened = false;
+                if closed {
+                    self.pos = end;
+                    self.depth -= 1;
+                } else {
+                    self.pos = end - 1;
+                }
+                closed
+            }
+        }
+    }
+
+    /// [`Self::digit_grid`]'s records: where the first record it did
+    /// not take starts (or the array's end) and whether it read the
+    /// array's `]`, or `None` if it took no record.
+    fn grid_records(
+        &self,
+        values: &mut Vec<u32>,
+        offsets: &mut Vec<usize>,
+    ) -> Option<(usize, bool)> {
+        let (bytes, start) = (self.bytes(), self.pos);
+        let arity = grid_arity(bytes, start)?;
+        // A record at the depth cap is the general path's error.
+        if self.depth >= MAX_DEPTH || grid_record(bytes, start, arity).is_none() {
+            return None;
+        }
+        let records = (bytes.len() - start) / (2 * arity + 2) + 1;
+        values.reserve(records * arity);
+        offsets.reserve(records);
+        Some(match (arity + 1).div_ceil(4) {
+            1 => grid_rows::<1>(bytes, start, arity, values, offsets),
+            2 => grid_rows::<2>(bytes, start, arity, values, offsets),
+            3 => grid_rows::<3>(bytes, start, arity, values, offsets),
+            _ => grid_rows::<4>(bytes, start, arity, values, offsets),
+        })
     }
 
     /// Reads one value into a tree.
@@ -717,6 +778,135 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The most cells a record may have for [`Reader::digit_grid`] to read
+/// it: 15 one-digit cells and their separators fill four words.
+const GRID_MAX_ARITY: usize = 15;
+
+/// The number of cells of the record at `at`, if it is `[d,d,…,d]` of
+/// at most [`GRID_MAX_ARITY`] one-digit cells.
+fn grid_arity(bytes: &[u8], at: usize) -> Option<usize> {
+    let (&open, cells) = bytes.get(at..)?.split_first()?;
+    if open != b'[' {
+        return None;
+    }
+    for (i, &[digit, sep]) in cells.as_chunks::<2>().0.iter().enumerate() {
+        match (digit.is_ascii_digit(), sep) {
+            (true, b',') if i + 1 < GRID_MAX_ARITY => {}
+            (true, b']') => return Some(i + 1),
+            _ => return None,
+        }
+    }
+    None
+}
+
+/// The record at `at` as `(digit, separator)` pairs, and the byte after
+/// it, if the record is `arity` one-digit cells and that byte is `,` or
+/// `]`: one record of a [`Reader::digit_grid`], checked byte by byte.
+fn grid_record(bytes: &[u8], at: usize, arity: usize) -> Option<(&[[u8; 2]], u8)> {
+    let (&open, rest) = bytes.get(at..at + 2 * arity + 2)?.split_first()?;
+    let (&follow, cells) = rest.split_last()?;
+    let cells = cells.as_chunks::<2>().0;
+    let last = arity - 1;
+    let record = cells.iter().enumerate().all(|(i, &[digit, sep])| {
+        digit.is_ascii_digit() && sep == if i == last { b']' } else { b',' }
+    });
+    (open == b'[' && record && matches!(follow, b',' | b']')).then_some((cells, follow))
+}
+
+/// Reads records of `arity` one-digit cells from `at`, `W` words each,
+/// as [`Reader::digit_grid`] does: returns where the first record it
+/// did not take starts, or the end of the array and `true` once it read
+/// the array's `]`.
+fn grid_rows<const W: usize>(
+    bytes: &[u8],
+    mut at: usize,
+    arity: usize,
+    values: &mut Vec<u32>,
+    offsets: &mut Vec<usize>,
+) -> (usize, bool) {
+    let words = GridWords::<W>::new(arity);
+    let stride = 2 * arity + 2;
+    loop {
+        if let Some(digits) = words.digits(bytes, at) {
+            values.extend_from_slice(digits.get(..arity).unwrap_or_default());
+        } else if let Some((cells, follow)) = grid_record(bytes, at, arity) {
+            values.extend(cells.iter().map(|&[digit, _]| u32::from(digit - b'0')));
+            if follow == b']' {
+                offsets.push(values.len());
+                return (at + stride, true);
+            }
+        } else {
+            return (at, false);
+        }
+        offsets.push(values.len());
+        at += stride;
+    }
+}
+
+/// The `W` little-endian words that hold one record of one-digit cells
+/// and the `,` after it, as a template: byte `i` of the record is byte
+/// `i % 8` of word `i / 8`, and every word holds a digit in its odd
+/// bytes (lanes 1, 3, 5 and 7) until the record's `]`.
+struct GridWords<const W: usize> {
+    /// The bits `care` selects: `[`, every `,`, `]`, the trailing `,`,
+    /// and the high nibble `3` of every digit. The bytes after the
+    /// trailing `,` are the next record's, and not cared about.
+    want: [u64; W],
+    care: [u64; W],
+    /// `0x0f` in every digit lane, whose low nibble must be below 10.
+    digit: [u64; W],
+}
+
+impl<const W: usize> GridWords<W> {
+    fn new(arity: usize) -> Self {
+        let mut words = GridWords {
+            want: [0; W],
+            care: [0; W],
+            digit: [0; W],
+        };
+        let lanes = words
+            .want
+            .iter_mut()
+            .zip(&mut words.care)
+            .zip(&mut words.digit);
+        for (word, ((want, care), digit)) in lanes.enumerate() {
+            for lane in 0..8 {
+                let (byte, cared, low) = match 8 * word + lane {
+                    0 => (b'[', 0xff, 0),
+                    i if i < 2 * arity && i % 2 == 1 => (b'0', 0xf0, 0x0f),
+                    i if i < 2 * arity => (b',', 0xff, 0),
+                    i if i == 2 * arity => (b']', 0xff, 0),
+                    i if i == 2 * arity + 1 => (b',', 0xff, 0),
+                    _ => (0, 0, 0),
+                };
+                *want |= u64::from(byte) << (8 * lane);
+                *care |= cared << (8 * lane);
+                *digit |= low << (8 * lane);
+            }
+        }
+        words
+    }
+
+    /// The cells of the record at `at`, four per word, if its words
+    /// match the template: the first `arity` of them are the record's.
+    #[inline(always)]
+    fn digits(&self, bytes: &[u8], at: usize) -> Option<[u32; 16]> {
+        const SIXES: u64 = 0x0606_0606_0606_0606;
+        let record = bytes.get(at..at + 8 * W)?.as_chunks::<8>().0;
+        let (mut bad, mut digits) = (0, [0u32; 16]);
+        let template = self.want.iter().zip(&self.care).zip(&self.digit);
+        let out = digits.as_chunks_mut::<4>().0;
+        for ((bytes, ((&want, &care), &digit)), out) in record.iter().zip(template).zip(out) {
+            let word = u64::from_le_bytes(*bytes);
+            // A lane's low nibble plus 6 carries into its high nibble,
+            // and never past the lane, exactly when it is 10 or more.
+            bad |= (word & care) ^ want | ((word & digit) + (digit & SIXES)) & (digit << 4);
+            *out = [8, 24, 40, 56].map(|shift| (word >> shift) as u32 & 0xf);
+        }
+        (bad == 0).then_some(digits)
+    }
+}
+
 /// The reader's error for `msg` at byte `pos`. A free function, so that
 /// an error path does not take the reader's address, which would keep
 /// its position out of registers on the hot paths.
@@ -732,8 +922,24 @@ pub fn object(pairs: Vec<(&str, Value)>) -> Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many [`Reader::digit_grid`] passes on this thread took
+        /// no record, stopped inside the array, and read the whole
+        /// array.
+        pub(crate) static GRID_OUTCOMES: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    pub(super) fn note_grid(closed: Option<bool>) {
+        GRID_OUTCOMES.with(|n| {
+            let mut counts = n.get();
+            counts[closed.map_or(0, |closed| 1 + usize::from(closed))] += 1;
+            n.set(counts);
+        });
+    }
 
     fn roundtrip(v: &Value) -> Value {
         parse(&v.to_json()).unwrap()

@@ -21,9 +21,11 @@
 //!
 //! `rng_state` holds each shard generator's native xoshiro state words
 //! (hex strings — they exceed JSON's exact-integer range), so recovery
-//! restores the stream position in O(1). `rng_draws` is carried for
-//! observability only. Version-1 snapshots (no writer since PR 3) are
-//! refused like any other unknown version.
+//! restores the stream position in O(1). A `seed` of 2^53 or more is
+//! such a hex string too. `rng_draws` is carried for observability
+//! only. A base without `flush_seq` is at sequence 0. Version-1
+//! snapshots, which nothing writes any more, are refused like any other
+//! unknown version.
 //!
 //! ## Incremental deltas (`session-<id>.delta.jsonl`)
 //!
@@ -190,6 +192,15 @@ fn parse_state_words(v: &Value) -> Result<[u64; 4]> {
     Ok(words)
 }
 
+/// A session seed: a number below 2^53, or a `0x`-prefixed hex string
+/// as [`snapshot_text`] writes a larger one.
+fn parse_seed(v: Option<&Value>) -> Option<u64> {
+    match v? {
+        Value::String(s) => u64::from_str_radix(s.strip_prefix("0x")?, 16).ok(),
+        seed => seed.as_u64(),
+    }
+}
+
 fn parse_repl(repl: Option<&Value>) -> Result<Vec<(u64, u64)>> {
     let Some(arr) = repl.and_then(Value::as_array) else {
         return Ok(Vec::new()); // pre-federation state: no watermarks
@@ -264,7 +275,13 @@ fn snapshot_text(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump
     // A count is a few digits and a comma; everything else is small.
     let cells: usize = dumps.iter().map(|d| d.counts.len()).sum();
     let mut out = String::with_capacity(4 * cells + 256 * (dumps.len() + 2));
-    let (id, seed, seq) = (session.id() as f64, session.seed() as f64, flush_seq as f64);
+    let (id, seq) = (session.id() as f64, flush_seq as f64);
+    // A JSON number carries integers exactly below 2^53; a larger seed
+    // is written as the `rng_state` words are.
+    let seed = match session.seed() {
+        seed if seed < 1 << 53 => seed.to_string(),
+        seed => format!("\"{seed:#x}\""),
+    };
     let alpha = match session.mechanism() {
         Mechanism::Deterministic { .. } => None,
         Mechanism::Randomized { alpha_fraction, .. } => Some(alpha_fraction),
@@ -674,7 +691,7 @@ pub fn load_session(
         )));
     }
     let id = uint("session").ok_or_else(|| snapshot_error("missing `session` id"))?;
-    let seed = uint("seed").ok_or_else(|| snapshot_error("missing `seed`"))?;
+    let seed = parse_seed(v.get("seed")).ok_or_else(|| snapshot_error("missing `seed`"))?;
     let mechanism = parse_mechanism(v.get("mechanism"))?;
     // The `schema` member is `create_session`'s.
     let specs = protocol::parse_schema(&v)
@@ -704,7 +721,15 @@ pub fn load_session(
             Ok(dump)
         })
         .collect::<Result<Vec<_>>>()?;
-    let flush_seq = uint("flush_seq").unwrap_or(0);
+    // Hand-written snapshots omit `flush_seq`. One that is present but
+    // not an integer below 2^53 would match no delta line, and every
+    // durable delta would be dropped as stale.
+    let flush_seq = match v.get("flush_seq") {
+        None => 0,
+        Some(seq) => seq
+            .as_u64()
+            .ok_or_else(|| snapshot_error("`flush_seq` must be an integer below 2^53"))?,
+    };
     if let Some(dir) = path.parent() {
         apply_deltas(dir, id, flush_seq, &mut dumps)?;
     }
@@ -1390,13 +1415,14 @@ mod tests {
     fn snapshot_and_delta_bytes_are_the_parents() {
         // (FNV-1a-64, length) of the snapshot written by a full save and
         // of the delta file after one periodic flush on top of a base,
-        // recorded at commit `1745435`, when both were `Value` trees.
+        // recorded at commit `1745435`, when both were `Value` trees;
+        // the two snapshots of seed 2^60 + 12 345 re-recorded when that
+        // seed became a hex string.
         let mut got = Vec::new();
         for randomized in [false, true] {
             for repl in [false, true] {
                 let dir = temp_dir("golden");
-                // A seed of 2^53 or more is written inexactly, and then
-                // the file does not load.
+                // A seed of 2^53 or more is written as a hex string.
                 let seed = if randomized { (1 << 60) + 12_345 } else { 7 };
                 let session = golden_session(randomized, repl, seed);
                 let path = save_session(&dir, &session).unwrap();
@@ -1410,10 +1436,9 @@ mod tests {
                 let outcome = persist_session_incremental(&dir, &session).unwrap();
                 assert_eq!(outcome, FlushOutcome::Deltas(2));
                 got.push(digest(&delta_path(&dir, 11)));
-                match load_session(&path, 4096, 1 << 24) {
-                    Ok(recovered) => assert_eq!(recovered.dump_shards(), session.dump_shards()),
-                    Err(e) => assert!(randomized, "{e}"),
-                }
+                let recovered = load_session(&path, 4096, 1 << 24).unwrap();
+                assert_eq!(recovered.seed(), seed);
+                assert_eq!(recovered.dump_shards(), session.dump_shards());
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
@@ -1424,12 +1449,53 @@ mod tests {
                 (15673290459042230491, 567),
                 (14707175866286927250, 734),
                 (5526163596777219576, 609),
-                (16850257895522165236, 733),
+                (14596287725809226501, 734),
                 (15790681907159973722, 567),
-                (1703597561345847656, 777),
+                (9757643957809220025, 778),
                 (15887116154866288291, 617),
             ]
         );
+    }
+
+    #[test]
+    fn seeds_from_two_to_the_53rd_survive_a_restart() {
+        for seed in [(1 << 53) + 1, u64::MAX] {
+            let dir = temp_dir("big-seed");
+            let session = golden_session(true, false, seed);
+            let path = save_session(&dir, &session).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.contains(&format!("\"seed\":\"{seed:#x}\"")), "{text}");
+            let recovered = load_session(&path, 4096, 1 << 24).unwrap();
+            assert_eq!(recovered.seed(), seed);
+            assert_eq!(recovered.dump_shards(), session.dump_shards());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_flush_seq_that_is_not_an_integer_refuses_the_load() {
+        let dir = temp_dir("bad-flush-seq");
+        let session = golden_session(false, false, 7);
+        persist_session_incremental(&dir, &session).unwrap();
+        dirty_golden_session(&session, false, 12);
+        let outcome = persist_session_incremental(&dir, &session).unwrap();
+        assert_eq!(outcome, FlushOutcome::Deltas(2));
+        let path = session_path(&dir, 11);
+        let base = std::fs::read_to_string(&path).unwrap();
+        let seq = format!("\"flush_seq\":{}", session.persist_seq());
+        assert!(base.contains(&seq), "{base}");
+        // The base and its two delta lines load as the live session.
+        let recovered = load_session(&path, 4096, 1 << 24).unwrap();
+        assert_eq!(recovered.dump_shards(), session.dump_shards());
+        for bad in ["9007199254740993", "1.5", "\"x\""] {
+            std::fs::write(&path, base.replace(&seq, &format!("\"flush_seq\":{bad}"))).unwrap();
+            match load_session(&path, 4096, 1 << 24) {
+                Err(ServiceError::Snapshot(e)) => assert!(e.contains("`flush_seq`"), "{bad}: {e}"),
+                Err(e) => panic!("{bad}: {e}"),
+                Ok(s) => panic!("{bad}: loaded with counts {:?}", s.dump_shards()),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1753,7 +1819,9 @@ mod tests {
 
     /// Loads `base` over `deltas` with the codec and with the tree
     /// reference: the same dumps and `persist_seq`, or both refuse.
-    /// Only the codec refuses counts that are not whole numbers.
+    /// Only the codec refuses counts that are not whole numbers, and a
+    /// `flush_seq` that is not an integer below 2^53 (the tree read it
+    /// as 0, and dropped every delta line as stale).
     fn assert_loaders_agree(dir: &Path, base: &str, deltas: &str) {
         std::fs::write(session_path(dir, 11), base).unwrap();
         std::fs::write(delta_path(dir, 11), deltas).unwrap();
@@ -1767,7 +1835,14 @@ mod tests {
             (Err(e), Ok((dumps, _))) => {
                 let counts = dumps.iter().flat_map(|d| &d.counts);
                 let fractional = counts.clone().any(|c| c.fract() != 0.0);
-                assert!(fractional, "only the codec refused ({e}): {base}\n{deltas}");
+                let seq = json::parse(base.trim())
+                    .ok()
+                    .and_then(|v| v.get("flush_seq").cloned());
+                let bad_seq = seq.is_some_and(|seq| seq.as_u64().is_none());
+                assert!(
+                    fractional || bad_seq,
+                    "only the codec refused ({e}): {base}\n{deltas}"
+                );
             }
             (Ok(_), Err(e)) => panic!("only the tree refused ({e}): {base}\n{deltas}"),
         }
@@ -1787,15 +1862,7 @@ mod tests {
                 assert_loaders_agree(&dir, base, &deltas[..i]);
             }
         }
-        let mut state = 3u64;
-        let mut next = move |bound: usize| {
-            // SplitMix64.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        };
+        let mut next = crate::protocol::tests::seeded(3);
         for _ in 0..count {
             let (mut base, mut deltas) = corpus[next(corpus.len())].clone();
             for _ in 0..=next(3) {

@@ -594,6 +594,12 @@ fn read_records(reader: &mut json::Reader) -> Result<Result<RecordBatch>> {
             break 'read "`records` must be an array";
         }
         r.begin_array()?;
+        // A grid of one-digit records is read a word at a time; the
+        // loop below reads whatever follows where it stopped.
+        if r.digit_grid(&mut batch.values, &mut batch.offsets) {
+            *reader = r;
+            return Ok(Ok(batch));
+        }
         while r.next_item()? {
             if r.peek() != Some(b'[') {
                 break 'read "each record must be an array";
@@ -1173,15 +1179,7 @@ pub(crate) mod tests {
     /// with one to three edits, among them whitespace between tokens,
     /// reordered keys, a duplicate `records` member and a flipped byte.
     pub(crate) fn mutations(corpus: &[String], seed: u64) -> impl Iterator<Item = String> + '_ {
-        let mut state = seed;
-        let mut next = move |bound: usize| {
-            // SplitMix64.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        };
+        let mut next = seeded(seed);
         std::iter::repeat_with(move || {
             let mut doc = corpus[next(corpus.len())].clone();
             for _ in 0..=next(3) {
@@ -1189,6 +1187,18 @@ pub(crate) mod tests {
             }
             doc
         })
+    }
+
+    /// A seeded source of numbers below a bound (SplitMix64).
+    pub(crate) fn seeded(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
     }
 
     fn mutate(doc: String, next: &mut impl FnMut(usize) -> usize) -> String {
@@ -1286,6 +1296,156 @@ pub(crate) mod tests {
     #[ignore = "10^6 mutated lines; run in release"]
     fn a_million_mutated_lines_decode_as_the_tree_does() {
         assert_decoders_agree(1_000_000);
+    }
+
+    /// `read_records` before the one-digit grid pass
+    /// (`json::Reader::digit_grid`), kept verbatim as the reference.
+    fn general_read_records(reader: &mut json::Reader) -> Result<Result<RecordBatch>> {
+        // Read on a copy: after a fault, `reader` reads the value again
+        // from its start.
+        let mut r = reader.clone();
+        let mut batch = RecordBatch::new();
+        let fault = 'read: {
+            if r.peek() != Some(b'[') {
+                break 'read "`records` must be an array";
+            }
+            r.begin_array()?;
+            while r.next_item()? {
+                if r.peek() != Some(b'[') {
+                    break 'read "each record must be an array";
+                }
+                r.begin_array()?;
+                // A record of small integers is read in one run; anything
+                // else goes on item by item from where the run stopped.
+                if !r.small_uints(&mut batch.values) {
+                    while r.next_item()? {
+                        // Lending `r` itself to the out-of-line `value` would
+                        // keep it in memory through the whole loop; a copy
+                        // lets its position stay in a register.
+                        let mut item = r.clone();
+                        let cell = item.value()?;
+                        r = item;
+                        match cell.as_u64() {
+                            Some(c) if c <= u64::from(u32::MAX) => batch.push_cell(c as u32),
+                            _ => break 'read "record values must be non-negative integers",
+                        }
+                    }
+                }
+                batch.end_record();
+            }
+            *reader = r;
+            return Ok(Ok(batch));
+        };
+        // The first fault in document order is the answer, but a syntax
+        // error anywhere in the value still wins: it is read through, for
+        // its syntax only.
+        reader.skip()?;
+        Ok(Err(invalid(fault)))
+    }
+
+    /// A seeded submit line whose `records` is a grid of one-digit
+    /// records of arity 1, 6, 7, 15 (the pass's cap), 16 or any up to
+    /// 16, whole or with one deviation from the pass's template: a cell
+    /// that is `10`, `-1`, `1.0`, `01` or `:` (the byte after `9`) in the
+    /// first, a middle or the last record; whitespace after a `[`, `,` or `]`; a ragged or
+    /// empty record; an empty array; a missing final `]`; a duplicate
+    /// `records` member; trailing garbage; or a record followed by `]`,
+    /// `x`, a space or `,,` where a `,` belongs.
+    fn grid_line(next: &mut impl FnMut(usize) -> usize) -> String {
+        let arity = [1, 6, 7, 15, 16, 1 + next(16)][next(6)];
+        let len = 1 + next(40);
+        let mut grid: Vec<Vec<String>> = (0..len)
+            .map(|_| (0..arity).map(|_| next(10).to_string()).collect())
+            .collect();
+        let at = [0, len / 2, len - 1][next(3)];
+        let edit = next(12);
+        match edit {
+            1 => grid[at][next(arity)] = ["10", "-1", "1.0", "01", ":"][next(5)].into(),
+            2 if next(2) == 0 => drop(grid[at].pop()),
+            2 => grid[at].push("3".into()),
+            3 => grid[at].clear(),
+            4 => grid.clear(),
+            _ => {}
+        }
+        let mut records = String::from("[");
+        for (i, row) in grid.iter().enumerate() {
+            if i > 0 {
+                let misplaced = edit == 11 && i == at.max(1);
+                records.push_str(if misplaced {
+                    ["]", "x", " ", ",,"][next(4)]
+                } else {
+                    ","
+                });
+            }
+            records.push_str(&format!("[{}]", row.join(",")));
+        }
+        records.push(']');
+        if let 5..=7 = edit {
+            let byte = [b'[', b',', b']'][edit - 5];
+            let spots: Vec<usize> = (0..records.len())
+                .filter(|&i| records.as_bytes()[i] == byte)
+                .collect();
+            if !spots.is_empty() {
+                let i = spots[next(spots.len())] + 1;
+                records.insert_str(i, [" ", "\n", "\t", "\r\n"][next(4)]);
+            }
+        }
+        if edit == 8 {
+            records.pop();
+        }
+        let dup = if edit == 9 {
+            r#","records":[[1,2]]"#
+        } else {
+            ""
+        };
+        let garbage = if edit == 10 {
+            ["x", "]", ",", "}"][next(4)]
+        } else {
+            ""
+        };
+        format!(r#"{{"op":"submit","session":1,"records":{records}{dup}}}{garbage}"#)
+    }
+
+    /// Seeded grid lines, and a few of them cut at every byte: each
+    /// decodes to the same request, or the same error text, as with
+    /// [`general_read_records`]. The pass must have read a whole grid,
+    /// stopped inside one and declined one at its first record.
+    fn assert_grid_pass_agrees(count: usize) {
+        let reference = |line: &str| {
+            let (fields, records) = json::read_members(line, "records", general_read_records)?;
+            build_request(None, None, &fields, records, true)
+        };
+        let mut next = seeded(38);
+        let lines: Vec<String> = (0..count).map(|_| grid_line(&mut next)).collect();
+        let cuts = lines
+            .iter()
+            .take(8)
+            .flat_map(|line| (0..line.len()).map(|i| &line[..i]));
+        let before = json::tests::GRID_OUTCOMES.with(|n| n.get());
+        for line in lines.iter().map(String::as_str).chain(cuts) {
+            assert_eq!(
+                parse_request(line).map_err(|e| e.to_string()),
+                reference(line).map_err(|e| e.to_string()),
+                "{line}"
+            );
+        }
+        let after = json::tests::GRID_OUTCOMES.with(|n| n.get());
+        let hits: Vec<usize> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert!(
+            hits.iter().all(|&n| n > 0),
+            "declined, stopped, whole: {hits:?}"
+        );
+    }
+
+    #[test]
+    fn the_grid_pass_decodes_as_the_general_loop_does() {
+        assert_grid_pass_agrees(20_000);
+    }
+
+    #[test]
+    #[ignore = "10^6 seeded lines; run in release"]
+    fn a_million_grid_lines_decode_as_the_general_loop_does() {
+        assert_grid_pass_agrees(1_000_000);
     }
 
     #[test]
