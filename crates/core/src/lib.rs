@@ -16,8 +16,9 @@
 //!   privacy, the induced bound `γ`, posterior-probability computations
 //!   for deterministic and randomized matrices.
 //! * [`perturb`] — Sections 3–5: the gamma-diagonal matrix (Equation 13),
-//!   its randomized variant, and three interchangeable samplers
-//!   including the paper's dependent-column algorithm (Equation 26).
+//!   its randomized variant and an explicit-matrix perturber, each with
+//!   one sampler on encoded indices (at most two draws per record for
+//!   the gamma-diagonal family).
 //! * [`reconstruct`] — Sections 2.2–2.3 and 6: generic LU-based
 //!   reconstruction, O(n) closed forms for the gamma-diagonal family,
 //!   the marginalized matrices `A_Cs` for itemset supports

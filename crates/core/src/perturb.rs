@@ -4,9 +4,7 @@
 //!
 //! * [`GammaDiagonal`] — the paper's optimal deterministic matrix
 //!   (Equation 13): diagonal `γx`, off-diagonal `x`, `x = 1/(γ+n−1)`.
-//!   Its sampler needs at most two RNG draws per record (see below), and
-//!   the paper's dependent-column algorithm (Section 5, Equation 26) is
-//!   kept as a reference sampler with identical output distribution.
+//!   Its sampler needs at most two RNG draws per record (see below).
 //! * [`RandomizedGammaDiagonal`] — Section 4: each client perturbs with
 //!   a *realization* `diag = γx + r`, `off = x − r/(n−1)`, `r ~ U[−α,α]`,
 //!   so the miner knows only the matrix distribution.
@@ -20,6 +18,12 @@
 //! The record APIs are encode → `perturb_index` → decode, so the server,
 //! the offline experiments and a client perturbing its own record
 //! realise the same matrix, which the tests compute exactly.
+//!
+//! The two gamma-diagonal samplers also implement [`BatchSampler`], the
+//! same batch loop generic over the RNG type. Their `Perturber` methods
+//! run it on `dyn RngCore`; the server's ingest runs it on its shards'
+//! concrete generator, so each draw is a direct call there. One body
+//! serves both, so the draws are the same.
 //!
 //! For the gamma-diagonal family, `A = x(γ−1)I + xJ` is a mixture: with
 //! probability `(γ−1)x` keep the index, otherwise draw a uniform index
@@ -41,10 +45,12 @@ use rand::RngCore;
 /// provide [`Perturber::schema`] and the one sampler,
 /// [`Perturber::perturb_index`]; the other methods are built on them.
 ///
-/// The trait is object-safe (samplers take `&mut dyn RngCore`) and
-/// requires `Send + Sync` so a single perturber — whose alias/CDF state
-/// is built once — can be shared as `Arc<dyn Perturber>` across the
-/// ingest shards of `frapp-service`.
+/// The trait is object-safe (samplers take `&mut dyn RngCore`), so the
+/// offline tools take any mechanism as `&dyn Perturber`, and requires
+/// `Send + Sync` so one perturber can be shared across threads. The
+/// server does not perturb through it: its shards run the served
+/// mechanisms' [`BatchSampler`] on their own RNG type, which draws the
+/// same numbers without a virtual call per draw.
 pub trait Perturber: Send + Sync {
     /// The schema both the original and perturbed records conform to
     /// (FRAPP here uses `S_V = S_U`).
@@ -52,8 +58,7 @@ pub trait Perturber: Send + Sync {
 
     /// Perturbs a record that is already encoded as a domain index
     /// (trusted input — e.g. the output of [`Schema::encode`]). This is
-    /// the mechanism's sampler: allocation-free, and the path the
-    /// server's ingest runs.
+    /// the mechanism's sampler, allocation-free.
     ///
     /// # Panics
     /// May panic if `index` is outside the schema's domain.
@@ -62,11 +67,10 @@ pub trait Perturber: Send + Sync {
     /// Perturbs a batch of encoded domain indices *in place* (trusted
     /// input, like [`Perturber::perturb_index`]).
     ///
-    /// This is the batch form the server's ingest loop calls: one
-    /// virtual dispatch per batch instead of one per record, letting
-    /// structured implementations run a tight monomorphic loop with
-    /// their mixture parameters hoisted out. The default loops
-    /// [`Perturber::perturb_index`]; the draw sequence is identical
+    /// One virtual dispatch per batch instead of one per record. The
+    /// gamma-diagonal samplers run their [`BatchSampler`] loop here, with
+    /// the mixture parameters hoisted out; the default loops
+    /// [`Perturber::perturb_index`]. The draw sequence is identical
     /// either way.
     fn perturb_indices(&self, indices: &mut [usize], rng: &mut dyn RngCore) {
         for slot in indices {
@@ -92,13 +96,22 @@ pub trait Perturber: Send + Sync {
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Vec<u32>>> {
         let schema = self.schema();
-        let mut indices = records
-            .iter()
-            .map(|r| schema.encode(r))
-            .collect::<Result<Vec<_>>>()?;
+        let mut indices = Vec::with_capacity(records.len());
+        schema.encode_batch(records, &mut indices)?;
         self.perturb_indices(&mut indices, rng);
         Ok(indices.into_iter().map(|i| schema.decode(i)).collect())
     }
+}
+
+/// A mechanism's batch sampler, generic over the RNG type: the loop
+/// [`Perturber::perturb_indices`] runs, on any [`RngCore`] — a
+/// concrete one, or `dyn RngCore` as the `Perturber` methods pass it.
+/// Monomorphised on a concrete generator, each draw is a direct,
+/// inlinable call instead of a virtual one; the draws are the same.
+pub trait BatchSampler {
+    /// Perturbs a batch of encoded domain indices *in place* (trusted
+    /// input, like [`Perturber::perturb_index`]).
+    fn perturb_batch<R: RngCore + ?Sized>(&self, indices: &mut [usize], rng: &mut R);
 }
 
 // ---------------------------------------------------------------------
@@ -211,64 +224,6 @@ impl GammaDiagonal {
             0u64.wrapping_sub(release)
         }
     }
-
-    /// The paper's Section-5 dependent-column sampler (Equation 26):
-    /// generates the perturbed record attribute by attribute, where the
-    /// distribution of column `j` depends on whether all previous
-    /// columns matched the original. Produces exactly the gamma-diagonal
-    /// distribution; kept for fidelity to the paper and as the reference
-    /// the mixture sampler is checked against.
-    pub fn perturb_record_columnwise(
-        &self,
-        record: &[u32],
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<u32>> {
-        self.schema.validate_record(record)?;
-        let n_m = self.schema.domain_size() as f64;
-        let cumprod = self.schema.cumulative_products();
-        let mut out = Vec::with_capacity(record.len());
-        // Product of the probabilities of the values chosen so far
-        // (the paper's Π p_k denominator).
-        let mut prefix = 1.0_f64;
-        let mut all_match = true;
-
-        for j in 0..self.schema.num_attributes() {
-            let card = self.schema.cardinality(j);
-            let n_ratio = n_m / cumprod[j] as f64; // n_M / n_j
-            let (p_match, p_other) = if all_match {
-                (
-                    (self.gamma + n_ratio - 1.0) * self.x / prefix,
-                    n_ratio * self.x / prefix,
-                )
-            } else {
-                let p = n_ratio * self.x / prefix;
-                (p, p)
-            };
-            // CDF walk over this attribute's |S_j| values.
-            let r: f64 = rng.gen::<f64>();
-            let mut acc = 0.0;
-            let mut chosen = card - 1;
-            for v in 0..card {
-                let p = if v == record[j] { p_match } else { p_other };
-                acc += p;
-                if r < acc {
-                    chosen = v;
-                    break;
-                }
-            }
-            let p_chosen = if chosen == record[j] {
-                p_match
-            } else {
-                p_other
-            };
-            prefix *= p_chosen;
-            if chosen != record[j] {
-                all_match = false;
-            }
-            out.push(chosen);
-        }
-        Ok(out)
-    }
 }
 
 impl Perturber for GammaDiagonal {
@@ -276,21 +231,23 @@ impl Perturber for GammaDiagonal {
         &self.schema
     }
 
-    /// The mixture sampler of the module docs: keep the index on
-    /// `next_u64() < T`, else draw a uniform index over the domain.
+    /// The mixture sampler of the module docs, as a batch of one.
     fn perturb_index(&self, index: usize, rng: &mut dyn RngCore) -> usize {
-        debug_assert!(index < self.schema.domain_size());
-        if rng.next_u64() < self.retention_threshold() {
-            index
-        } else {
-            rng.gen_range(0..self.schema.domain_size())
-        }
+        let mut slot = [index];
+        self.perturb_batch(&mut slot, rng);
+        slot[0]
     }
 
-    /// The batch loop with the mixture parameters hoisted out of the
-    /// per-record iteration; draw sequence identical to calling
-    /// [`Perturber::perturb_index`] per element.
     fn perturb_indices(&self, indices: &mut [usize], rng: &mut dyn RngCore) {
+        self.perturb_batch(indices, rng);
+    }
+}
+
+impl BatchSampler for GammaDiagonal {
+    /// The mixture sampler of the module docs, with its parameters
+    /// hoisted out of the loop: keep the index on `next_u64() < T`,
+    /// else draw a uniform index over the domain.
+    fn perturb_batch<R: RngCore + ?Sized>(&self, indices: &mut [usize], rng: &mut R) {
         let threshold = self.retention_threshold();
         let n = self.schema.domain_size();
         for slot in indices {
@@ -370,7 +327,12 @@ impl RandomizedGammaDiagonal {
 
     /// Perturbs an encoded index under a *given* realization `r`
     /// (exposed so tests and experiments can pin the randomization).
-    pub fn perturb_index_with_r(&self, index: usize, r: f64, rng: &mut dyn RngCore) -> usize {
+    pub fn perturb_index_with_r<R: RngCore + ?Sized>(
+        &self,
+        index: usize,
+        r: f64,
+        rng: &mut R,
+    ) -> usize {
         let n = self.base.domain_size();
         let n_f = n as f64;
         let diag = self.base.gamma() * self.base.x() + r;
@@ -402,7 +364,7 @@ impl RandomizedGammaDiagonal {
 
     /// Draws the per-record matrix realization `r ~ U[−α, α]` (zero
     /// when `α = 0`, consuming no draw).
-    fn draw_r(&self, rng: &mut dyn RngCore) -> f64 {
+    fn draw_r<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.alpha == 0.0 {
             0.0
         } else {
@@ -417,9 +379,24 @@ impl Perturber for RandomizedGammaDiagonal {
     }
 
     fn perturb_index(&self, index: usize, rng: &mut dyn RngCore) -> usize {
-        debug_assert!(index < self.base.domain_size());
-        let r = self.draw_r(rng);
-        self.perturb_index_with_r(index, r, rng)
+        let mut slot = [index];
+        self.perturb_batch(&mut slot, rng);
+        slot[0]
+    }
+
+    fn perturb_indices(&self, indices: &mut [usize], rng: &mut dyn RngCore) {
+        self.perturb_batch(indices, rng);
+    }
+}
+
+impl BatchSampler for RandomizedGammaDiagonal {
+    /// Per record: draw the realization `r`, then sample under it.
+    fn perturb_batch<R: RngCore + ?Sized>(&self, indices: &mut [usize], rng: &mut R) {
+        for slot in indices {
+            debug_assert!(*slot < self.base.domain_size());
+            let r = self.draw_r(rng);
+            *slot = self.perturb_index_with_r(*slot, r, rng);
+        }
     }
 }
 
@@ -580,25 +557,6 @@ mod tests {
             &s,
             trials,
             42,
-        );
-        let expected: Vec<f64> = (0..s.domain_size())
-            .map(|v| gd.matrix_entry(v, u))
-            .collect();
-        assert_distribution_close(&emp, &expected, trials);
-    }
-
-    #[test]
-    fn columnwise_sampler_matches_matrix_distribution() {
-        let s = schema_small();
-        let gd = GammaDiagonal::new(&s, 4.0).unwrap();
-        let record = vec![1u32, 0u32];
-        let u = s.encode(&record).unwrap();
-        let trials = 200_000;
-        let emp = empirical_distribution(
-            |rng| gd.perturb_record_columnwise(&record, rng).unwrap(),
-            &s,
-            trials,
-            43,
         );
         let expected: Vec<f64> = (0..s.domain_size())
             .map(|v| gd.matrix_entry(v, u))
@@ -779,16 +737,6 @@ mod tests {
             .sum()
     }
 
-    /// Two-sample chi-squared statistic between two equal-size count
-    /// vectors (df = cells − 1).
-    fn chi_squared_two_sample(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .filter(|(&x, &y)| x + y > 0.0)
-            .map(|(&x, &y)| (x - y).powi(2) / (x + y))
-            .sum()
-    }
-
     #[test]
     fn index_sampler_matches_matrix_distribution_chi_squared() {
         // The index-domain fast path must sample exactly the
@@ -803,31 +751,6 @@ mod tests {
             .map(|v| gd.matrix_entry(v, u))
             .collect();
         let x2 = chi_squared(&observed, &expected, trials);
-        assert!(x2 < 30.0, "chi-squared {x2} too large for df=5");
-    }
-
-    #[test]
-    fn index_sampler_agrees_with_columnwise_sampler_chi_squared() {
-        // The paper's Section-5 dependent-column algorithm and the
-        // index-domain fast path are different samplers for the same
-        // distribution; a two-sample chi-squared must not tell their
-        // outputs apart.
-        let s = schema_small();
-        let gd = GammaDiagonal::new(&s, 4.0).unwrap();
-        let record = vec![1u32, 0u32];
-        let u = s.encode(&record).unwrap();
-        let trials = 200_000;
-        let via_index = index_counts(|rng| gd.perturb_index(u, rng), s.domain_size(), trials, 49);
-        let via_columnwise = index_counts(
-            |rng| {
-                s.encode(&gd.perturb_record_columnwise(&record, rng).unwrap())
-                    .unwrap()
-            },
-            s.domain_size(),
-            trials,
-            50,
-        );
-        let x2 = chi_squared_two_sample(&via_index, &via_columnwise);
         assert!(x2 < 30.0, "chi-squared {x2} too large for df=5");
     }
 

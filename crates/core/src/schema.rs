@@ -9,6 +9,12 @@
 
 use crate::{FrappError, Result};
 
+/// The largest arity [`Schema::encode_batch`] encodes with an encoder
+/// compiled for that arity; a wider schema takes [`Schema::encode`]
+/// record by record. It covers the paper's CENSUS (6 attributes) and
+/// HEALTH (7).
+const FIXED_ARITY_CAP: usize = 8;
+
 /// A single categorical attribute: a name plus a finite domain
 /// `{0, …, cardinality−1}`. Continuous source attributes are expected to
 /// be discretised into intervals before entering the framework (the
@@ -217,6 +223,57 @@ impl Schema {
         Ok(index)
     }
 
+    /// Encodes `records` in order, appending each index to `out`, and
+    /// stops at the first invalid record with [`Schema::encode`]'s error
+    /// for it; the valid prefix stays in `out`.
+    ///
+    /// This is the server's per-batch encode. For a schema of at most
+    /// `FIXED_ARITY_CAP` (8) attributes it picks, once per batch, an
+    /// encoder compiled for exactly that arity: the per-record loop is
+    /// unrolled and validates without a branch per attribute. A record
+    /// that encoder rejects goes to [`Schema::encode`], which gives the
+    /// error, so the indices and errors are `encode`'s either way.
+    pub fn encode_batch<R: AsRef<[u32]>>(
+        &self,
+        records: impl IntoIterator<Item = R>,
+        out: &mut Vec<usize>,
+    ) -> Result<()> {
+        let records = records.into_iter();
+        match self.cards.len() {
+            1 => self.encode_fixed::<1, R>(records, out),
+            2 => self.encode_fixed::<2, R>(records, out),
+            3 => self.encode_fixed::<3, R>(records, out),
+            4 => self.encode_fixed::<4, R>(records, out),
+            5 => self.encode_fixed::<5, R>(records, out),
+            6 => self.encode_fixed::<6, R>(records, out),
+            7 => self.encode_fixed::<7, R>(records, out),
+            FIXED_ARITY_CAP => self.encode_fixed::<FIXED_ARITY_CAP, R>(records, out),
+            _ => {
+                for record in records {
+                    out.push(self.encode(record.as_ref())?);
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// [`Schema::encode_batch`] at arity `A`, which must be the schema's.
+    fn encode_fixed<const A: usize, R: AsRef<[u32]>>(
+        &self,
+        records: impl Iterator<Item = R>,
+        out: &mut Vec<usize>,
+    ) -> Result<()> {
+        let encoder = FixedArity::<A>::new(self);
+        for record in records {
+            let record = record.as_ref();
+            match encoder.encode(record) {
+                Some(index) => out.push(index),
+                None => out.push(self.encode(record)?),
+            }
+        }
+        Ok(())
+    }
+
     #[cold]
     fn wrong_length_error(&self, got: usize) -> FrappError {
         FrappError::InvalidRecord {
@@ -277,17 +334,39 @@ impl Schema {
         }
         idx
     }
+}
 
-    /// Cumulative products `n_j = Π_{k≤j} |S_k|` used by the paper's
-    /// dependent-column perturbation algorithm (Section 5).
-    pub fn cumulative_products(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.num_attributes());
-        let mut acc = 1usize;
-        for a in &self.attributes {
-            acc *= a.cardinality() as usize;
-            out.push(acc);
+/// A record encoder for schemas of exactly `A` attributes, the
+/// cardinalities and strides copied into arrays so the loop over a
+/// record's cells has a compile-time trip count.
+struct FixedArity<const A: usize> {
+    cards: [u32; A],
+    strides: [usize; A],
+}
+
+impl<const A: usize> FixedArity<A> {
+    /// The encoder for `schema`, which must have `A` attributes.
+    fn new(schema: &Schema) -> Self {
+        FixedArity {
+            cards: std::array::from_fn(|j| schema.cards[j]),
+            strides: std::array::from_fn(|j| schema.strides[j]),
         }
-        out
+    }
+
+    /// The record's index, or `None` if it has another length or a cell
+    /// out of its attribute's domain. Every cell is checked and
+    /// accumulated without a branch; the sum wraps, because a rejected
+    /// record's may overflow and is discarded.
+    #[inline]
+    fn encode(&self, record: &[u32]) -> Option<usize> {
+        let record: &[u32; A] = record.try_into().ok()?;
+        let mut valid = true;
+        let mut index = 0usize;
+        for ((&v, &card), &stride) in record.iter().zip(&self.cards).zip(&self.strides) {
+            valid &= v < card;
+            index = index.wrapping_add((v as usize).wrapping_mul(stride));
+        }
+        valid.then_some(index)
     }
 }
 
@@ -400,11 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_products_match_definition() {
-        assert_eq!(small().cumulative_products(), vec![3, 6, 24]);
-    }
-
-    #[test]
     fn census_schema_domain_is_2000() {
         // Table 1 of the paper: 4 * 5 * 5 * 5 * 2 * 2 = 2000.
         let s = Schema::new(vec![
@@ -418,6 +492,141 @@ mod tests {
         .unwrap();
         assert_eq!(s.domain_size(), 2000);
         assert_eq!(s.boolean_width(), 23);
+    }
+
+    /// A seeded record for `schema`: in-domain cells mostly, and now and
+    /// then a cell at `card − 1`, `card` or `u32::MAX`, a ragged or an
+    /// empty record.
+    fn seeded_record(schema: &Schema, rng: &mut impl rand::Rng) -> Vec<u32> {
+        let arity = schema.num_attributes();
+        let len = match rng.gen_range(0..16) {
+            0 => 0,
+            1 => rng.gen_range(0..arity + 3),
+            _ => arity,
+        };
+        (0..len)
+            .map(|j| {
+                let card = schema.cards.get(j).copied().unwrap_or(3);
+                match rng.gen_range(0..40) {
+                    0 => card - 1,
+                    1 => card,
+                    2 => u32::MAX,
+                    3 => rng.gen_range(card..card.saturating_mul(4)),
+                    _ => rng.gen_range(0..card),
+                }
+            })
+            .collect()
+    }
+
+    /// What the batch encode must give: [`Schema::encode`] record by
+    /// record up to the first error.
+    fn encode_one_by_one(
+        schema: &Schema,
+        records: &[Vec<u32>],
+    ) -> (Vec<usize>, Option<FrappError>) {
+        let mut indices = Vec::new();
+        for record in records {
+            match schema.encode(record) {
+                Ok(index) => indices.push(index),
+                Err(e) => return (indices, Some(e)),
+            }
+        }
+        (indices, None)
+    }
+
+    /// Holds [`Schema::encode_batch`] to [`Schema::encode`] on about
+    /// `records` seeded records in batches of up to 23, at every arity
+    /// from 1 to one past the fixed-arity cap: each record alone, then
+    /// whole batches.
+    fn assert_batch_encode_agrees(records: usize) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(39);
+        let (mut made, mut rejected) = (0, 0);
+        for arity in 1..=FIXED_ARITY_CAP + 1 {
+            while made < records * arity / (FIXED_ARITY_CAP + 1) {
+                // Cardinalities up to 10, or a wide attribute now and then.
+                let specs: Vec<(&str, u32)> = (0..arity)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => ("w", rng.gen_range(11..70_000)),
+                        _ => ("a", rng.gen_range(1..11)),
+                    })
+                    .collect();
+                let Ok(schema) = Schema::new(specs) else {
+                    continue; // a domain past usize::MAX
+                };
+                let batch: Vec<Vec<u32>> = (0..rng.gen_range(0..24))
+                    .map(|_| seeded_record(&schema, &mut rng))
+                    .collect();
+                made += batch.len();
+                for record in &batch {
+                    let mut out = vec![7];
+                    let got = schema.encode_batch([record], &mut out);
+                    match schema.encode(record) {
+                        Ok(index) => assert_eq!((got, out), (Ok(()), vec![7, index]), "{record:?}"),
+                        Err(e) => {
+                            rejected += 1;
+                            assert_eq!((got, out), (Err(e), vec![7]), "{record:?}");
+                        }
+                    }
+                }
+                let mut out = Vec::new();
+                let got = schema.encode_batch(&batch, &mut out);
+                let (want, error) = encode_one_by_one(&schema, &batch);
+                assert_eq!(out, want, "{schema:?} {batch:?}");
+                assert_eq!(got.err(), error, "{schema:?} {batch:?}");
+            }
+        }
+        assert!(
+            rejected > records / 10,
+            "only {rejected} of {made} records rejected"
+        );
+    }
+
+    #[test]
+    fn batch_encode_agrees_with_encode_at_every_arity() {
+        assert_batch_encode_agrees(50_000);
+    }
+
+    #[test]
+    #[ignore = "10^6 seeded records; run in release"]
+    fn a_million_records_encode_as_encode_does() {
+        assert_batch_encode_agrees(1_000_000);
+    }
+
+    #[test]
+    fn batch_encode_keeps_the_valid_prefix_and_the_first_error() {
+        let s = small();
+        let good = [vec![1, 0, 2], vec![2, 1, 3], vec![0, 0, 0]];
+        for bad in [
+            vec![3, 0, 0],
+            vec![0, 2, 0],
+            vec![0, 0, 4],
+            vec![0, 0],
+            vec![],
+        ] {
+            for at in 0..=good.len() {
+                let mut batch = good.to_vec();
+                batch.insert(at, bad.clone());
+                let mut out = Vec::new();
+                let err = s.encode_batch(&batch, &mut out).unwrap_err();
+                assert_eq!(err, s.encode(&bad).unwrap_err());
+                let prefix: Vec<usize> = good[..at].iter().map(|r| s.encode(r).unwrap()).collect();
+                assert_eq!(out, prefix);
+            }
+        }
+        // The exact texts of both errors.
+        let mut out = Vec::new();
+        let err = s.encode_batch([[0, 2, 0]], &mut out).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid record: attribute 1 (`b`) value 2 out of domain 0..2"
+        );
+        let err = s.encode_batch([[0u32; 4]], &mut out).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid record: expected 3 attributes, got 4"
+        );
     }
 
     #[test]

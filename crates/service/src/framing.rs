@@ -1491,7 +1491,10 @@ mod tests {
     /// deferred frame into a registry session (validate, perturb,
     /// accumulate); and `CollectionSession::submit_batch` of the same
     /// rows alone. The second minus the third is what the wire costs on
-    /// top of the session. Three grid shapes: the benchmark's
+    /// top of the session. The last three columns split the session's
+    /// ingest of the decoded batches: `Schema::encode_batch`, the
+    /// session's sampler on a shard's generator, and the shard's count.
+    /// Three grid shapes: the benchmark's
     /// `stream_binary` frames (256 raw CENSUS records, one-byte varint
     /// cells), the same records as fixed32, and a mixed-width grid
     /// (CENSUS plus a 256-value attribute, so about half the records
@@ -1534,7 +1537,8 @@ mod tests {
         let registry = SessionRegistry::new();
         let transport = TransportMetrics::new();
         println!(
-            "shape           B/record  scan+decode  +dispatch+ingest  submit_batch  wire overhead  (ns/record)"
+            "shape           B/record  scan+decode  +dispatch+ingest  submit_batch  wire overhead  \
+             encode  perturb  observe  (ns/record)"
         );
         for (name, rows, schema, fixed32) in shapes {
             let mut state = ConnState::new();
@@ -1592,8 +1596,37 @@ mod tests {
                     black_box(collection.submit_batch(black_box(batch), false).unwrap());
                 }
             });
+            let decoded: Vec<RecordBatch> = frames
+                .iter()
+                .map(|frame| match decode(frame) {
+                    Request::Submit(submit) => submit.records,
+                    other => panic!("a submit, got {other:?}"),
+                })
+                .collect();
+            let schema = collection.schema();
+            let mut indices: Vec<Vec<usize>> = vec![Vec::with_capacity(BATCH); decoded.len()];
+            let encode = ns_per_record(rows.len(), || {
+                for (batch, out) in decoded.iter().zip(&mut indices) {
+                    out.clear();
+                    schema.encode_batch(black_box(batch).iter(), out).unwrap();
+                }
+            });
+            let (perturb, observe) = collection.with_shard(0, |shard, sampler| {
+                let perturb = ns_per_record(rows.len(), || {
+                    for out in &mut indices {
+                        shard.perturb_only(black_box(out), sampler);
+                    }
+                });
+                let observe = ns_per_record(rows.len(), || {
+                    for out in &indices {
+                        shard.ingest_perturbed_indices(black_box(out));
+                    }
+                });
+                (perturb, observe)
+            });
             println!(
-                "{name:<15} {bytes:>8.2}  {scan_decode:>11.1}  {dispatched:>16.1}  {submit:>12.1}  {:>13.1}",
+                "{name:<15} {bytes:>8.2}  {scan_decode:>11.1}  {dispatched:>16.1}  {submit:>12.1}  \
+                 {:>13.1}  {encode:>6.1}  {perturb:>7.1}  {observe:>7.1}",
                 dispatched - submit
             );
         }

@@ -21,11 +21,12 @@
 //!
 //! `rng_state` holds each shard generator's native xoshiro state words
 //! (hex strings — they exceed JSON's exact-integer range), so recovery
-//! restores the stream position in O(1). A `seed` of 2^53 or more is
-//! such a hex string too. `rng_draws` is carried for observability
-//! only. A base without `flush_seq` is at sequence 0. Version-1
-//! snapshots, which nothing writes any more, are refused like any other
-//! unknown version.
+//! restores the stream position in O(1). A `seed`, `ingested` or
+//! `rng_draws` of 2^53 or more is such a hex string too, and one below
+//! is a JSON number. `rng_draws` is carried for observability only. A
+//! base without `flush_seq` is at sequence 0. Version-1 snapshots,
+//! which nothing writes any more, are refused like any other unknown
+//! version.
 //!
 //! ## Incremental deltas (`session-<id>.delta.jsonl`)
 //!
@@ -192,9 +193,9 @@ fn parse_state_words(v: &Value) -> Result<[u64; 4]> {
     Ok(words)
 }
 
-/// A session seed: a number below 2^53, or a `0x`-prefixed hex string
-/// as [`snapshot_text`] writes a larger one.
-fn parse_seed(v: Option<&Value>) -> Option<u64> {
+/// A session seed, `ingested` or `rng_draws`: a number below 2^53, or
+/// a `0x`-prefixed hex string as [`write_uint`] writes a larger one.
+fn parse_uint(v: Option<&Value>) -> Option<u64> {
     match v? {
         Value::String(s) => u64::from_str_radix(s.strip_prefix("0x")?, 16).ok(),
         seed => seed.as_u64(),
@@ -242,25 +243,38 @@ fn write_pairs(out: &mut String, pairs: impl IntoIterator<Item = (f64, f64)>) {
     });
 }
 
-/// Appends a shard record's members: `ingested`, `rng_draws`,
-/// `rng_state` (hex strings: full-range words, beyond what JSON numbers
-/// carry exactly), the bulk member `bulk` writes, then `repl`, the
-/// replication watermarks, if the shard has any. Only federated shards
-/// do; standalone files keep the pre-federation layout.
+/// Appends `value` as the format carries a full-range integer: a JSON
+/// number below 2^53, the bytes an `f64` of it displays as, and a
+/// `"0x…"` string from 2^53 on, where a JSON number stops being exact.
+fn write_uint(value: u64, out: &mut String) {
+    let _ = match value {
+        value if value < 1 << 53 => write!(out, "{value}"),
+        value => write!(out, "\"{value:#x}\""),
+    };
+}
+
+/// Appends a shard record's members: `ingested` and `rng_draws` (see
+/// [`write_uint`]), `rng_state` (hex strings: full-range words), the
+/// bulk member `bulk` writes, then `repl`, the replication watermarks,
+/// if the shard has any. Only federated shards do; standalone files
+/// keep the pre-federation layout.
 ///
-/// Integers go through `f64`, as the format has always carried them; an
-/// `f64` that is a `u64` displays as [`json::write_number`] writes it.
+/// The `repl` integers go through `f64`, as the format has always
+/// carried them; an `f64` that is a `u64` displays as
+/// [`json::write_number`] writes it.
 fn write_record(
     out: &mut String,
     (ingested, rng_draws, [a, b, c, d]): (u64, u64, [u64; 4]),
     bulk: impl FnOnce(&mut String),
     repl: &[(u64, u64)],
 ) {
-    let (ingested, rng_draws) = (ingested as f64, rng_draws as f64);
+    out.push_str("\"ingested\":");
+    write_uint(ingested, out);
+    out.push_str(",\"rng_draws\":");
+    write_uint(rng_draws, out);
     let _ = write!(
         out,
-        "\"ingested\":{ingested},\"rng_draws\":{rng_draws},\
-         \"rng_state\":[\"{a:#x}\",\"{b:#x}\",\"{c:#x}\",\"{d:#x}\"]"
+        ",\"rng_state\":[\"{a:#x}\",\"{b:#x}\",\"{c:#x}\",\"{d:#x}\"]"
     );
     bulk(out);
     if !repl.is_empty() {
@@ -276,12 +290,8 @@ fn snapshot_text(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump
     let cells: usize = dumps.iter().map(|d| d.counts.len()).sum();
     let mut out = String::with_capacity(4 * cells + 256 * (dumps.len() + 2));
     let (id, seq) = (session.id() as f64, flush_seq as f64);
-    // A JSON number carries integers exactly below 2^53; a larger seed
-    // is written as the `rng_state` words are.
-    let seed = match session.seed() {
-        seed if seed < 1 << 53 => seed.to_string(),
-        seed => format!("\"{seed:#x}\""),
-    };
+    let mut seed = String::new();
+    write_uint(session.seed(), &mut seed);
     let alpha = match session.mechanism() {
         Mechanism::Deterministic { .. } => None,
         Mechanism::Randomized { alpha_fraction, .. } => Some(alpha_fraction),
@@ -373,9 +383,17 @@ fn read_cell(r: &mut Reader) -> Result<Option<(usize, u64)>> {
 fn set_position(dump: &mut ShardDump, m: &Fields, base: bool) -> Result<()> {
     let what = if base { "shard" } else { "delta line" };
     let missing = |key| ServiceError::Snapshot(format!("{what} is missing `{key}`"));
-    let ingested = m.get("ingested").and_then(Value::as_u64);
-    dump.ingested = ingested.ok_or_else(|| missing("ingested"))?;
-    match m.get("rng_draws").and_then(Value::as_u64) {
+    // Present but neither form of an integer: refused, never skipped.
+    let uint = |key| match m.get(key) {
+        None => Ok(None),
+        value => parse_uint(value).map(Some).ok_or_else(|| {
+            ServiceError::Snapshot(format!(
+                "{what} `{key}` must be an integer below 2^53 or a 0x-prefixed hex string"
+            ))
+        }),
+    };
+    dump.ingested = uint("ingested")?.ok_or_else(|| missing("ingested"))?;
+    match uint("rng_draws")? {
         Some(draws) => dump.rng_draws = draws,
         None if base => return Err(missing("rng_draws")),
         None => {}
@@ -691,7 +709,7 @@ pub fn load_session(
         )));
     }
     let id = uint("session").ok_or_else(|| snapshot_error("missing `session` id"))?;
-    let seed = parse_seed(v.get("seed")).ok_or_else(|| snapshot_error("missing `seed`"))?;
+    let seed = parse_uint(v.get("seed")).ok_or_else(|| snapshot_error("missing `seed`"))?;
     let mechanism = parse_mechanism(v.get("mechanism"))?;
     // The `schema` member is `create_session`'s.
     let specs = protocol::parse_schema(&v)
@@ -1472,6 +1490,148 @@ mod tests {
         }
     }
 
+    /// A two-shard session whose shard 0 is at `ingested` records and
+    /// `rng_draws` draws: its counts are `ingested` split over two cells.
+    fn session_at(ingested: u64, rng_draws: u64) -> CollectionSession {
+        let schema = Schema::new(vec![("a", 3), ("b", 2)]).unwrap();
+        let half = (ingested / 2) as f64;
+        let dump = |ingested, rng_draws, counts| ShardDump {
+            ingested,
+            rng_draws,
+            rng_state: [1, 2, 3, 4],
+            counts,
+            repl: Vec::new(),
+        };
+        let mut counts = vec![0.0; 6];
+        counts[1] = half;
+        counts[4] = ingested as f64 - half;
+        let dumps = vec![dump(ingested, rng_draws, counts), dump(0, 0, vec![0.0; 6])];
+        let mechanism = Mechanism::Deterministic { gamma: 19.0 };
+        CollectionSession::recover(11, schema, mechanism, 7, 4096, dumps).unwrap()
+    }
+
+    #[test]
+    fn ingested_and_rng_draws_from_two_to_the_53rd_survive_a_restart() {
+        for value in [1 << 53, (1 << 53) + 1, u64::MAX] {
+            let hex = format!("\"{value:#x}\"");
+            // The shard record alone, as a base shard and a delta line.
+            let mut text = String::from("{");
+            write_record(&mut text, (value, value, [1, 2, 3, 4]), |_| {}, &[]);
+            text.push('}');
+            let members = format!("\"ingested\":{hex},\"rng_draws\":{hex}");
+            assert!(text.starts_with(&format!("{{{members},")), "{text}");
+            let (fields, _) = json::read_members(&text, "counts", |r| {
+                r.skip()?;
+                Ok(Ok(()))
+            })
+            .unwrap();
+            for base in [true, false] {
+                let mut dump = session_at(0, 0).dump_shards().remove(1);
+                set_position(&mut dump, &fields, base).unwrap();
+                assert_eq!((dump.ingested, dump.rng_draws), (value, value));
+            }
+
+            // `rng_draws` through a base file ...
+            let dir = temp_dir("big-draws");
+            let session = session_at(10, value);
+            let path = save_session(&dir, &session).unwrap();
+            let base = std::fs::read_to_string(&path).unwrap();
+            assert!(base.contains(&format!("\"rng_draws\":{hex}")), "{base}");
+            let recovered = load_session(&path, 4096, 1 << 24).unwrap();
+            assert_eq!(recovered.dump_shards(), session.dump_shards());
+            // ... and through a delta line on a base below 2^53.
+            let session = session_at(10, 5);
+            let path = save_session(&dir, &session).unwrap();
+            let delta = ShardDelta {
+                shard: 0,
+                ingested: 11,
+                rng_draws: value,
+                rng_state: [5, 6, 7, 8],
+                cells: vec![(0, 1)],
+                repl: Vec::new(),
+            };
+            let mut line = String::new();
+            write_delta_line(&mut line, session.persist_seq(), &delta);
+            assert!(line.contains(&format!("\"rng_draws\":{hex}")), "{line}");
+            std::fs::write(delta_path(&dir, 11), &line).unwrap();
+            let recovered = load_session(&path, 4096, 1 << 24).unwrap();
+            let shard = &recovered.dump_shards()[0];
+            assert_eq!((shard.ingested, shard.rng_draws), (11, value));
+            assert_eq!(shard.rng_state, [5, 6, 7, 8]);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        // `ingested` through a base file, at 2^53: larger totals are not
+        // exact in the f64 sum recovery checks the counts against.
+        let dir = temp_dir("big-ingested");
+        let session = session_at(1 << 53, 3);
+        let path = save_session(&dir, &session).unwrap();
+        let base = std::fs::read_to_string(&path).unwrap();
+        assert!(base.contains("\"ingested\":\"0x20000000000000\""), "{base}");
+        let recovered = load_session(&path, 4096, 1 << 24).unwrap();
+        assert_eq!(recovered.dump_shards(), session.dump_shards());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_ingested_or_rng_draws_that_is_not_an_integer_refuses_the_load() {
+        let dir = temp_dir("bad-position");
+        let session = session_at(10, 5);
+        let path = save_session(&dir, &session).unwrap();
+        let base = std::fs::read_to_string(&path).unwrap();
+        let bad = [
+            "9007199254740993",
+            "1.5",
+            "-1",
+            "\"x\"",
+            "\"0xzz\"",
+            "null",
+            "[1]",
+        ];
+        for key in ["ingested", "rng_draws"] {
+            let (at, good) = match key {
+                "ingested" => ("\"ingested\":10,", "\"ingested\":11,"),
+                _ => ("\"rng_draws\":5,", "\"rng_draws\":6,"),
+            };
+            assert!(base.contains(at), "{base}");
+            for value in bad {
+                // In a base shard.
+                let text = base.replacen(at, &format!("\"{key}\":{value},"), 1);
+                std::fs::write(&path, text).unwrap();
+                match load_session(&path, 4096, 1 << 24) {
+                    Err(ServiceError::Snapshot(e)) => {
+                        assert!(e.contains(&format!("`{key}`")), "{value}: {e}")
+                    }
+                    Err(e) => panic!("{value}: {e}"),
+                    Ok(s) => panic!("{value}: loaded with {:?}", s.dump_shards()),
+                }
+                // In a delta line on the good base.
+                std::fs::write(&path, &base).unwrap();
+                let mut line = String::new();
+                let delta = ShardDelta {
+                    shard: 0,
+                    ingested: 11,
+                    rng_draws: 6,
+                    rng_state: [5, 6, 7, 8],
+                    cells: vec![(0, 1)],
+                    repl: Vec::new(),
+                };
+                write_delta_line(&mut line, session.persist_seq(), &delta);
+                let line = line.replacen(good, &format!("\"{key}\":{value},"), 1);
+                std::fs::write(delta_path(&dir, 11), line).unwrap();
+                match load_session(&path, 4096, 1 << 24) {
+                    Err(ServiceError::Snapshot(e)) => {
+                        assert!(e.contains(&format!("`{key}`")), "{value}: {e}")
+                    }
+                    Err(e) => panic!("{value}: {e}"),
+                    Ok(s) => panic!("{value}: loaded with {:?}", s.dump_shards()),
+                }
+                std::fs::remove_file(delta_path(&dir, 11)).unwrap();
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn a_flush_seq_that_is_not_an_integer_refuses_the_load() {
         let dir = temp_dir("bad-flush-seq");
@@ -1819,9 +1979,11 @@ mod tests {
 
     /// Loads `base` over `deltas` with the codec and with the tree
     /// reference: the same dumps and `persist_seq`, or both refuse.
-    /// Only the codec refuses counts that are not whole numbers, and a
+    /// Only the codec refuses counts that are not whole numbers, a
     /// `flush_seq` that is not an integer below 2^53 (the tree read it
-    /// as 0, and dropped every delta line as stale).
+    /// as 0, and dropped every delta line as stale), and a delta line's
+    /// `rng_draws` that is present but not an integer (the tree kept
+    /// the older count).
     fn assert_loaders_agree(dir: &Path, base: &str, deltas: &str) {
         std::fs::write(session_path(dir, 11), base).unwrap();
         std::fs::write(delta_path(dir, 11), deltas).unwrap();
@@ -1839,8 +2001,14 @@ mod tests {
                     .ok()
                     .and_then(|v| v.get("flush_seq").cloned());
                 let bad_seq = seq.is_some_and(|seq| seq.as_u64().is_none());
+                let bad_draws = deltas.lines().any(|line| {
+                    json::parse(line.trim())
+                        .ok()
+                        .and_then(|v| v.get("rng_draws").cloned())
+                        .is_some_and(|draws| draws.as_u64().is_none())
+                });
                 assert!(
-                    fractional || bad_seq,
+                    fractional || bad_seq || bad_draws,
                     "only the codec refused ({e}): {base}\n{deltas}"
                 );
             }

@@ -12,11 +12,12 @@
 use crate::error::{Result, ServiceError};
 use crate::metrics::{MetricsReport, SessionMetrics};
 use crate::shard::{Shard, ShardDelta};
-use frapp_core::perturb::{GammaDiagonal, Perturber, RandomizedGammaDiagonal};
+use frapp_core::perturb::{BatchSampler, GammaDiagonal, RandomizedGammaDiagonal};
 use frapp_core::reconstruct::{clamp_counts, GammaDiagonalReconstructor};
 use frapp_core::{CountAccumulator, PrivacyRequirement, Schema};
 use frapp_linalg::solver::LinearSolver;
 use frapp_linalg::LuDecomposition;
+use rand::RngCore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
@@ -195,13 +196,31 @@ pub struct Ingested {
     pub fresh: bool,
 }
 
+/// The samplers a session serves, one per [`Mechanism`]. An enum, not
+/// a `dyn Perturber`: a batch matches once, then runs that sampler's
+/// loop monomorphised on the shard's concrete RNG.
+#[derive(Debug)]
+pub(crate) enum ServedSampler {
+    Deterministic(GammaDiagonal),
+    Randomized(RandomizedGammaDiagonal),
+}
+
+impl BatchSampler for ServedSampler {
+    fn perturb_batch<R: RngCore + ?Sized>(&self, indices: &mut [usize], rng: &mut R) {
+        match self {
+            ServedSampler::Deterministic(gd) => gd.perturb_batch(indices, rng),
+            ServedSampler::Randomized(rgd) => rgd.perturb_batch(indices, rng),
+        }
+    }
+}
+
 /// One schema + mechanism + sharded perturbed counts.
 pub struct CollectionSession {
     id: u64,
     schema: Schema,
     mechanism: Mechanism,
     seed: u64,
-    perturber: Arc<dyn Perturber>,
+    sampler: ServedSampler,
     closed_form: GammaDiagonalReconstructor,
     shards: Vec<Mutex<Shard>>,
     next_shard: AtomicUsize,
@@ -331,12 +350,12 @@ impl CollectionSession {
     ) -> Result<Self> {
         let gd = GammaDiagonal::new(&schema, mechanism.gamma())?;
         let closed_form = GammaDiagonalReconstructor::new(&gd);
-        let perturber: Arc<dyn Perturber> = match mechanism {
-            Mechanism::Deterministic { .. } => Arc::new(gd),
+        let sampler = match mechanism {
+            Mechanism::Deterministic { .. } => ServedSampler::Deterministic(gd),
             Mechanism::Randomized {
                 gamma,
                 alpha_fraction,
-            } => Arc::new(RandomizedGammaDiagonal::with_alpha_fraction(
+            } => ServedSampler::Randomized(RandomizedGammaDiagonal::with_alpha_fraction(
                 &schema,
                 gamma,
                 alpha_fraction,
@@ -347,7 +366,7 @@ impl CollectionSession {
             schema,
             mechanism,
             seed,
-            perturber,
+            sampler,
             closed_form,
             shards,
             next_shard: AtomicUsize::new(0),
@@ -522,6 +541,17 @@ impl CollectionSession {
         )
     }
 
+    /// Runs `f` on shard `index`, locked, and the session's sampler:
+    /// the stage tables time the ingest stages one at a time with it.
+    #[cfg(test)]
+    pub(crate) fn with_shard<T>(
+        &self,
+        index: usize,
+        f: impl FnOnce(&mut Shard, &ServedSampler) -> T,
+    ) -> T {
+        f(&mut self.lock_shard(index), &self.sampler)
+    }
+
     /// [`Self::ingest`] of owned rows in rotation; returns the shard
     /// index used.
     pub fn submit_batch(&self, records: &[Vec<u32>], pre_perturbed: bool) -> Result<usize> {
@@ -570,22 +600,12 @@ impl CollectionSession {
             // delivery, otherwise dedup state and counts could disagree.
             Placement::Replicated { seq, .. } => (seq % self.shards.len() as u64) as usize,
         };
-        // Validate + encode the batch up front, outside the shard lock:
-        // validation is paid once per record here instead of twice
-        // (perturber + encode) inside the lock, and an invalid record
+        // Validate + encode the batch up front, outside the shard lock,
+        // at the schema's fixed arity when it has one; an invalid record
         // truncates the batch to its valid prefix.
         let records = records.into_iter();
         let mut indices = Vec::with_capacity(records.size_hint().0);
-        let mut failure: Option<ServiceError> = None;
-        for record in records {
-            match self.schema.encode(record.as_ref()) {
-                Ok(idx) => indices.push(idx),
-                Err(e) => {
-                    failure = Some(e.into());
-                    break;
-                }
-            }
-        }
+        let failure = self.schema.encode_batch(records, &mut indices).err();
         let mut shard = self.lock_shard(shard_index);
         // Checked under the shard lock: a retired (evicted/closed)
         // session must never acknowledge new records, because the
@@ -610,7 +630,7 @@ impl CollectionSession {
         if pre_perturbed {
             shard.ingest_perturbed_indices(&indices);
         } else {
-            shard.ingest_raw_indices(&mut indices, self.perturber.as_ref());
+            shard.ingest_raw_indices(&mut indices, &self.sampler);
         }
         drop(shard);
         let accepted = indices.len() as u64;
@@ -618,7 +638,7 @@ impl CollectionSession {
         match failure {
             Some(source) => Err(ServiceError::PartialBatch {
                 accepted,
-                source: Box::new(source),
+                source: Box::new(source.into()),
             }),
             None => Ok(Ingested {
                 shard: shard_index,
@@ -1569,6 +1589,282 @@ mod tests {
         // the valid records once.
         s.ingest(Placement::Shard(0), [[2, 0]], true).unwrap();
         assert_eq!(s.stats().total, 3);
+    }
+
+    #[test]
+    fn ingest_stops_at_a_bad_record_with_the_parents_count_and_text() {
+        // The parent encoded record by record with `Schema::encode` and
+        // stopped at the first error; kept here as the reference.
+        let reference = |schema: &Schema, batch: &[Vec<u32>]| {
+            let mut accepted = 0;
+            for record in batch {
+                match schema.encode(record) {
+                    Ok(_) => accepted += 1,
+                    Err(e) => {
+                        let source = Box::new(ServiceError::from(e));
+                        return ServiceError::PartialBatch { accepted, source }.to_string();
+                    }
+                }
+            }
+            panic!("the batch holds a bad record")
+        };
+        let wide = Schema::new((0..9).map(|_| ("w", 3)).collect()).unwrap();
+        let schemas = [
+            frapp_data::census::schema(),
+            frapp_data::health::schema(),
+            wide,
+        ];
+        let mut next = crate::protocol::tests::seeded(38);
+        for schema in schemas {
+            let arity = schema.num_attributes();
+            let card = |j: usize| schema.cardinality(j);
+            let mut bad_records = vec![
+                vec![],
+                vec![0; arity - 1],
+                vec![0; arity + 1],
+                (0..arity).map(|j| card(j) - 1).collect(),
+            ];
+            for j in [0, arity / 2, arity - 1] {
+                for cell in [card(j), card(j) + 1, u32::MAX] {
+                    let mut record = vec![0; arity];
+                    record[j] = cell;
+                    bad_records.push(record);
+                }
+            }
+            for bad in bad_records {
+                if schema.encode(&bad).is_ok() {
+                    continue; // the all-top-cell record is good
+                }
+                for at in [0, 4, 8] {
+                    let mut batch: Vec<Vec<u32>> = (0..8)
+                        .map(|_| (0..arity).map(|j| next(card(j) as usize) as u32).collect())
+                        .collect();
+                    batch.insert(at, bad.clone());
+                    let want = reference(&schema, &batch);
+                    for pre_perturbed in [false, true] {
+                        let session = CollectionSession::new(
+                            1,
+                            schema.clone(),
+                            Mechanism::Deterministic { gamma: 19.0 },
+                            1,
+                            7,
+                            4096,
+                        )
+                        .unwrap();
+                        let err = session
+                            .ingest(Placement::Shard(0), &batch, pre_perturbed)
+                            .unwrap_err();
+                        assert!(
+                            matches!(err, ServiceError::PartialBatch { accepted, .. } if accepted == at as u64),
+                            "{err}"
+                        );
+                        assert_eq!(err.to_string(), want);
+                        assert_eq!(session.stats().total, at as u64);
+                    }
+                }
+            }
+        }
+        // One text in full, as the parent wrote it.
+        let session = session(1);
+        let err = session
+            .ingest(Placement::Shard(0), [&[0, 0][..], &[1, 2], &[0, 1]], false)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "batch rejected after 1 records were counted (retry only the remainder): \
+             frapp error: invalid record: attribute 1 (`b`) value 2 out of domain 0..2"
+        );
+    }
+
+    /// A generator that counts its draws, as a shard's does: the
+    /// reference side of the draw-identity test.
+    struct Counted {
+        inner: rand::rngs::StdRng,
+        draws: u64,
+    }
+
+    impl Counted {
+        fn seeded(seed: u64) -> Self {
+            use rand::SeedableRng;
+            Counted {
+                inner: rand::rngs::StdRng::seed_from_u64(seed),
+                draws: 0,
+            }
+        }
+    }
+
+    impl RngCore for Counted {
+        fn next_u32(&mut self) -> u32 {
+            self.draws += 1;
+            self.inner.next_u32()
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// The parent's served batch loops on `dyn RngCore`, kept as the
+    /// reference: DET-GD's hoisted `perturb_indices` (its retention
+    /// threshold written out as `retention_threshold` computes it) and
+    /// RAN-GD's default one, `draw_r` then `perturb_index_with_r` per
+    /// record.
+    fn reference_perturb(
+        mechanism: Mechanism,
+        schema: &Schema,
+        indices: &mut [usize],
+        rng: &mut dyn RngCore,
+    ) {
+        use rand::Rng;
+        match mechanism {
+            Mechanism::Deterministic { gamma } => {
+                let gd = GammaDiagonal::new(schema, gamma).unwrap();
+                let two_64 = u64::MAX as f64 + 1.0;
+                let n = gd.domain_size();
+                let keep = gd.retention_probability();
+                let threshold = if keep <= 0.5 {
+                    (keep * two_64) as u64
+                } else {
+                    0u64.wrapping_sub((n as f64 * gd.x() * two_64).ceil() as u64)
+                };
+                for slot in indices {
+                    if rng.next_u64() >= threshold {
+                        *slot = rng.gen_range(0..n);
+                    }
+                }
+            }
+            Mechanism::Randomized {
+                gamma,
+                alpha_fraction,
+            } => {
+                let rgd =
+                    RandomizedGammaDiagonal::with_alpha_fraction(schema, gamma, alpha_fraction)
+                        .unwrap();
+                let alpha = rgd.alpha();
+                for slot in indices {
+                    let r = if alpha == 0.0 {
+                        0.0
+                    } else {
+                        rng.gen_range(-alpha..=alpha)
+                    };
+                    *slot = rgd.perturb_index_with_r(*slot, r, rng);
+                }
+            }
+        }
+    }
+
+    /// Seeded batches of up to `max_len` encoded records, `batches` per
+    /// schema and mechanism, through the served path: each batch into
+    /// shard 0 through `Shard::ingest_raw_indices` with the session's
+    /// sampler, and as records into shard 1 through `ingest`. Each gives
+    /// the reference's indices, draw count and state words, and so does
+    /// `dyn Perturber::perturb_indices`, the offline tools' path.
+    fn assert_served_draws_are_the_references(batches: usize, max_len: usize) {
+        use frapp_core::Perturber;
+        let single = |n| Schema::new(vec![("a", n)]).unwrap();
+        let schemas = [
+            frapp_data::census::schema(),
+            frapp_data::health::schema(),
+            single(2),
+            single(3),
+            single(7),
+        ];
+        let mut next = crate::protocol::tests::seeded(39);
+        let mut regimes = [false; 2];
+        for schema in &schemas {
+            let n = schema.domain_size();
+            // α ≤ (n − 1)x keeps every realization Markov.
+            let fraction = |gamma: f64, f: f64| f.min((n - 1) as f64 / gamma);
+            let mechanisms = [
+                Mechanism::Deterministic { gamma: 19.0 },
+                Mechanism::Randomized {
+                    gamma: 19.0,
+                    alpha_fraction: 0.0,
+                },
+                Mechanism::Randomized {
+                    gamma: 19.0,
+                    alpha_fraction: fraction(19.0, 0.5),
+                },
+                // Reaches RAN-GD's anti-diagonal regime on n = 3 and 7.
+                Mechanism::Randomized {
+                    gamma: 2.0,
+                    alpha_fraction: fraction(2.0, 1.0),
+                },
+            ];
+            for mechanism in mechanisms {
+                let seed = next(1 << 40) as u64;
+                let session =
+                    CollectionSession::new(1, schema.clone(), mechanism, 2, seed, 4096).unwrap();
+                let perturber: Box<dyn Perturber> = match mechanism {
+                    Mechanism::Deterministic { gamma } => {
+                        Box::new(GammaDiagonal::new(schema, gamma).unwrap())
+                    }
+                    Mechanism::Randomized {
+                        gamma,
+                        alpha_fraction,
+                    } => Box::new(
+                        RandomizedGammaDiagonal::with_alpha_fraction(schema, gamma, alpha_fraction)
+                            .unwrap(),
+                    ),
+                };
+                let mut reference = Counted::seeded(crate::shard::shard_seed(seed, 0));
+                let mut via_dyn = Counted::seeded(crate::shard::shard_seed(seed, 0));
+                let mut by_records = Counted::seeded(crate::shard::shard_seed(seed, 1));
+                let mut counts = vec![0.0; n];
+                for _ in 0..batches {
+                    let len = next(max_len + 1);
+                    let batch: Vec<usize> = (0..len).map(|_| next(n)).collect();
+                    let mut want = batch.clone();
+                    reference_perturb(mechanism, schema, &mut want, &mut reference);
+                    regimes[0] |= want.iter().zip(&batch).any(|(v, u)| v != u);
+                    regimes[1] |= want.iter().zip(&batch).any(|(v, u)| v == u);
+                    let mut dyn_path = batch.clone();
+                    perturber.perturb_indices(&mut dyn_path, &mut via_dyn);
+                    assert_eq!(dyn_path, want, "{mechanism:?} on n = {n}");
+                    let mut served = batch.clone();
+                    let position = session.with_shard(0, |shard, sampler| {
+                        shard.ingest_raw_indices(&mut served, sampler);
+                        (shard.rng_draws(), shard.rng_state())
+                    });
+                    assert_eq!(served, want, "{mechanism:?} on n = {n}");
+                    assert_eq!(
+                        position,
+                        (reference.draws, reference.inner.to_state_words()),
+                        "{mechanism:?} on n = {n}"
+                    );
+                    assert_eq!(via_dyn.draws, reference.draws);
+                    let records: Vec<Vec<u32>> = batch.iter().map(|&i| schema.decode(i)).collect();
+                    session
+                        .ingest(Placement::Shard(1), &records, false)
+                        .unwrap();
+                    let mut want = batch;
+                    reference_perturb(mechanism, schema, &mut want, &mut by_records);
+                    for v in want {
+                        counts[v] += 1.0;
+                    }
+                }
+                let dump = &session.dump_shards()[1];
+                assert_eq!(dump.counts, counts, "{mechanism:?} on n = {n}");
+                assert_eq!(
+                    (dump.rng_draws, dump.rng_state),
+                    (by_records.draws, by_records.inner.to_state_words()),
+                    "{mechanism:?} on n = {n}"
+                );
+            }
+        }
+        assert_eq!(regimes, [true, true], "records both moved and kept");
+    }
+
+    #[test]
+    fn served_samplers_draw_as_the_dyn_perturber_loop_did() {
+        assert_served_draws_are_the_references(40, 300);
+    }
+
+    #[test]
+    #[ignore = "10^6 seeded batches; run in release"]
+    fn a_million_served_batches_draw_as_the_dyn_perturber_loop_did() {
+        assert_served_draws_are_the_references(1_000_000 / 20, 64);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //!
 //! Ingest runs in the *index domain*: the session encodes (and thereby
 //! validates) a whole batch once, outside the shard lock, and the shard
-//! loop is `perturb_index` → `observe_index` — at most two RNG draws and
-//! zero allocations per record. Once the periodic persister has written
-//! a full base for its session, each shard also tracks the per-cell
-//! count increments since the last flush, so later ticks append sparse
-//! deltas instead of rewriting the whole count vector (see
-//! [`crate::persist`]).
+//! runs the mechanism's batch sampler, then counts — at most two RNG
+//! draws and zero allocations per record. Once the periodic persister
+//! has written a full base for its session, each shard also tracks the
+//! per-cell count increments since the last flush, so later ticks
+//! append sparse deltas instead of rewriting the whole count vector
+//! (see [`crate::persist`]).
 
 use crate::error::{Result, ServiceError};
-use frapp_core::perturb::Perturber;
+use frapp_core::perturb::BatchSampler;
 use frapp_core::{CountAccumulator, Schema};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -66,11 +66,13 @@ impl CountingRng {
 }
 
 impl RngCore for CountingRng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.draws += 1;
         self.inner.next_u32()
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.draws += 1;
         self.inner.next_u64()
@@ -300,9 +302,23 @@ impl Shard {
     /// shard's RNG and counts the perturbed indices. The original
     /// indices are overwritten and never stored — matching the paper's
     /// trust model where the miner only ever retains `V = A(U)`.
-    pub fn ingest_raw_indices(&mut self, indices: &mut [usize], perturber: &dyn Perturber) {
-        perturber.perturb_indices(indices, &mut self.rng);
+    ///
+    /// `sampler` runs monomorphised on the shard's concrete generator
+    /// (the xoshiro words plus the draw counter), so each draw is a
+    /// direct call. The draws, the counter and the state words are the
+    /// ones [`frapp_core::Perturber::perturb_indices`] would give on the
+    /// same generator behind `dyn RngCore`.
+    pub fn ingest_raw_indices<S: BatchSampler>(&mut self, indices: &mut [usize], sampler: &S) {
+        sampler.perturb_batch(indices, &mut self.rng);
         self.ingest_perturbed_indices(indices);
+    }
+
+    /// The perturb stage of [`Shard::ingest_raw_indices`] alone, for
+    /// the stage tables: the same sampler on the same generator,
+    /// nothing counted.
+    #[cfg(test)]
+    pub(crate) fn perturb_only<S: BatchSampler>(&mut self, indices: &mut [usize], sampler: &S) {
+        sampler.perturb_batch(indices, &mut self.rng);
     }
 
     /// Adds this shard's counts into `target`.
@@ -315,7 +331,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frapp_core::perturb::GammaDiagonal;
+    use frapp_core::perturb::{GammaDiagonal, Perturber};
 
     fn schema() -> Schema {
         Schema::new(vec![("a", 3), ("b", 2)]).unwrap()
