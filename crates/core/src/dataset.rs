@@ -39,6 +39,9 @@ impl CountAccumulator {
     /// must hold exactly one finite, non-negative entry per domain
     /// cell; `n` is recovered as the rounded total, matching the
     /// invariant that every `observe` adds exactly 1.0 to one cell.
+    /// Whole counts are summed as integers, so that a total past 2^53
+    /// stays exact; fractional ones (or a total past `u64::MAX`) as
+    /// `f64`.
     pub fn from_counts(schema: Schema, counts: Vec<f64>) -> Result<Self> {
         if counts.len() != schema.domain_size() {
             return Err(FrappError::InvalidParameter {
@@ -56,7 +59,15 @@ impl CountAccumulator {
                 reason: "every count must be finite and non-negative".into(),
             });
         }
-        let n = counts.iter().sum::<f64>().round() as u64;
+        let whole = counts.iter().try_fold(0u64, |n, &c| {
+            // Below 2^64 a whole `f64` converts exactly.
+            if c.fract() == 0.0 && c < 18_446_744_073_709_551_616.0 {
+                n.checked_add(c as u64)
+            } else {
+                None
+            }
+        });
+        let n = whole.unwrap_or_else(|| counts.iter().sum::<f64>().round() as u64);
         Ok(CountAccumulator { schema, counts, n })
     }
 

@@ -176,27 +176,40 @@ fn check_ok(v: Value) -> Result<Value> {
     }
 }
 
+/// Parses a whole response into a tree and checks its `ok`: how every
+/// op but `reconstruct` reads its answer.
+fn parse_ok(text: &str) -> Result<Value> {
+    check_ok(json::parse(text)?)
+}
+
 fn parse_submit_shard(v: &Value) -> Result<usize> {
     v.get("shard")
         .and_then(Value::as_usize)
         .ok_or_else(|| ServiceError::Protocol("submit response missing `shard`".into()))
 }
 
-fn parse_reconstruction(v: &Value, method: ReconstructionMethod) -> Result<Reconstruction> {
-    let estimates = v
-        .get("estimates")
-        .and_then(Value::as_array)
-        .ok_or_else(|| ServiceError::Protocol("reconstruct response missing `estimates`".into()))?
-        .iter()
-        .map(|e| {
-            e.as_f64()
-                .ok_or_else(|| ServiceError::Protocol("estimates must be numbers".into()))
-        })
-        .collect::<Result<Vec<f64>>>()?;
+/// Decodes a `reconstruct` answer straight from its text, with no
+/// tree of its estimates: the first `estimates` member goes through
+/// [`json::Reader::numbers`] into the estimate vector, and only the
+/// other members become a (small) tree. An answer is about ten thousand
+/// decimals, and a tree of them cost about as much again as the round
+/// trip that brought them. Everything else is what parsing the answer
+/// into a tree and reading it gives: the same estimates bit for bit,
+/// the same coverage, and the same errors in the same order (syntax,
+/// then `ok:false`, then `estimates`, then `n`).
+pub(crate) fn read_reconstruction(
+    text: &str,
+    method: ReconstructionMethod,
+) -> Result<(Reconstruction, Option<PartialCoverage>)> {
+    let (fields, estimates) = json::read_members(text, "estimates", read_estimates)?;
+    // The rest of the answer is a handful of members: a small tree.
+    let pairs = fields.0.into_iter().map(|(k, v)| (k.into_owned(), v));
+    let v = check_ok(Value::Object(pairs.collect()))?;
+    let estimates = estimates.unwrap_or_else(|| Err(missing_estimates()))?;
     let n = v.get("n").and_then(Value::as_u64).ok_or_else(|| {
         ServiceError::Protocol("reconstruct response missing an integer `n`".into())
     })?;
-    Ok(Reconstruction {
+    let reconstruction = Reconstruction {
         n,
         estimates,
         method,
@@ -204,7 +217,38 @@ fn parse_reconstruction(v: &Value, method: ReconstructionMethod) -> Result<Recon
             .get("lu_cache_hit")
             .and_then(Value::as_bool)
             .unwrap_or(false),
+    };
+    Ok((reconstruction, parse_coverage(&v)))
+}
+
+/// An answer's `estimates` member: the syntax error, or the estimates
+/// or why they are not an array of numbers. The run of numbers the
+/// server writes is read at once; whatever it stops at (whitespace, a
+/// non-number) is read item by item after it.
+fn read_estimates(r: &mut json::Reader<'_>) -> Result<Result<Vec<f64>>> {
+    if r.peek() != Some(b'[') {
+        r.skip()?;
+        return Ok(Err(missing_estimates()));
+    }
+    r.begin_array()?;
+    let mut estimates = Vec::new();
+    let mut numbers = true;
+    if !r.numbers(&mut estimates) {
+        while r.next_item()? {
+            match r.value()? {
+                Value::Number(x) => estimates.push(x),
+                _ => numbers = false,
+            }
+        }
+    }
+    Ok(match numbers {
+        true => Ok(estimates),
+        false => Err(ServiceError::Protocol("estimates must be numbers".into())),
     })
+}
+
+fn missing_estimates() -> ServiceError {
+    ServiceError::Protocol("reconstruct response missing `estimates`".into())
 }
 
 fn parse_stats(v: &Value) -> Result<SessionStats> {
@@ -538,6 +582,12 @@ macro_rules! typed_ops {
             }
 
             /// Runs a reconstruction query.
+            ///
+            /// The answer is decoded from its text in one pass, with no
+            /// JSON tree: the estimates are read straight into the
+            /// returned vector, each with the bits a general JSON parse
+            /// would give it, and a malformed or refused answer fails
+            /// with the error such a parse would report.
             pub fn reconstruct(
                 &mut self,
                 session: u64,
@@ -548,8 +598,10 @@ macro_rules! typed_ops {
                     ("method", method.wire_name().into()),
                     ("clamp", clamp.into()),
                 ];
-                let v = self.call(Op::Reconstruct, Some(session), fields)?;
-                parse_reconstruction(&v, method)
+                self.call_with(Op::Reconstruct, Some(session), fields, |text| {
+                    read_reconstruction(text, method)
+                })
+                .map(|(reconstruction, _)| reconstruction)
             }
 
             /// `reconstruct` with `allow_partial` set: on a federated
@@ -558,7 +610,8 @@ macro_rules! typed_ops {
             /// coverage names the missing owners. `None` coverage means
             /// the answer is exact (every owner contributed) — the only
             /// possible outcome on a single-node server, where the flag
-            /// is accepted and ignored.
+            /// is accepted and ignored. The answer is decoded as
+            /// `reconstruct` decodes it.
             pub fn reconstruct_partial(
                 &mut self,
                 session: u64,
@@ -570,8 +623,9 @@ macro_rules! typed_ops {
                     ("clamp", clamp.into()),
                     ("allow_partial", true.into()),
                 ];
-                let v = self.call(Op::Reconstruct, Some(session), fields)?;
-                Ok((parse_reconstruction(&v, method)?, parse_coverage(&v)))
+                self.call_with(Op::Reconstruct, Some(session), fields, |text| {
+                    read_reconstruction(text, method)
+                })
             }
 
             /// Fetches ingest statistics.
@@ -866,9 +920,9 @@ impl Client {
         Ok((opcode, payload))
     }
 
-    /// Reads one binary response frame and parses its JSON body (the
+    /// Reads one binary response frame and decodes its JSON body (the
     /// server answers every synchronous op with an `OP_JSON` frame).
-    fn read_json_frame_response(&mut self) -> Result<Value> {
+    fn read_json_frame_response<T>(&mut self, decode: impl FnOnce(&str) -> Result<T>) -> Result<T> {
         let (opcode, payload) = self.read_frame()?;
         if opcode != framing::OP_JSON {
             return Err(ServiceError::Protocol(format!(
@@ -877,7 +931,7 @@ impl Client {
         }
         let text = std::str::from_utf8(&payload)
             .map_err(|_| ServiceError::Protocol("response frame is not valid UTF-8".into()))?;
-        check_ok(json::parse(text.trim())?)
+        decode(text.trim())
     }
 
     /// Queues one complete pre-encoded binary frame without waiting for
@@ -894,7 +948,7 @@ impl Client {
     /// for a line.
     pub fn request_frame(&mut self, frame: &[u8]) -> Result<Value> {
         self.send_frame_nowait(frame)?;
-        self.read_response()
+        self.read_response(parse_ok)
     }
 
     /// Sends one raw request line and returns the parsed successful
@@ -902,34 +956,52 @@ impl Client {
     /// On a binary connection the line tunnels through an `OP_JSON`
     /// frame with the same body.
     pub fn request(&mut self, line: &str) -> Result<Value> {
+        self.request_with(line, parse_ok)
+    }
+
+    /// [`Client::request`] with the response text, trimmed, decoded by
+    /// `decode`.
+    fn request_with<T>(&mut self, line: &str, decode: impl FnOnce(&str) -> Result<T>) -> Result<T> {
         if self.framing == WireFraming::Binary {
             let mut frame = Vec::with_capacity(line.len() + 8);
             framing::encode_json_frame(&mut frame, line);
-            return self.request_frame(&frame);
+            self.send_frame_nowait(&frame)?;
+        } else {
+            self.writer.write_all(line.as_bytes())?;
+            self.writer.write_all(b"\n")?;
         }
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.read_response()
+        self.read_response(decode)
     }
 
-    /// Flushes everything queued and reads one response in the
-    /// negotiated framing.
-    fn read_response(&mut self) -> Result<Value> {
+    /// Flushes everything queued, reads one response in the negotiated
+    /// framing and decodes its trimmed text.
+    fn read_response<T>(&mut self, decode: impl FnOnce(&str) -> Result<T>) -> Result<T> {
         self.writer.flush()?;
         if self.framing == WireFraming::Binary {
-            return self.read_json_frame_response();
+            return self.read_json_frame_response(decode);
         }
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(ServiceError::ConnectionClosed);
         }
-        check_ok(json::parse(response.trim())?)
+        decode(response.trim())
     }
 
     /// Sends `(op, id, fields)` as one request line ([`request_line`])
     /// and returns the parsed successful response.
     pub fn call(&mut self, op: Op, id: Option<u64>, fields: Fields) -> Result<Value> {
-        self.request(&request_line(op, id, fields))
+        self.call_with(op, id, fields, parse_ok)
+    }
+
+    /// [`Client::call`] with the response text decoded by `decode`.
+    fn call_with<T>(
+        &mut self,
+        op: Op,
+        id: Option<u64>,
+        fields: Fields,
+        decode: impl FnOnce(&str) -> Result<T>,
+    ) -> Result<T> {
+        self.request_with(&request_line(op, id, fields), decode)
     }
 
     /// Builds one submit line straight into a string (see
@@ -1004,7 +1076,7 @@ impl Client {
         shard: Option<usize>,
     ) -> Result<usize> {
         self.write_submit(session, records, pre_perturbed, shard, false)?;
-        parse_submit_shard(&self.read_response()?)
+        parse_submit_shard(&self.read_response(parse_ok)?)
     }
 
     /// Queues a batch with a *deferred* acknowledgement: the request is
@@ -1092,8 +1164,19 @@ impl HttpClient {
     /// and returns the parsed successful response. Ops without a route
     /// fail without touching the connection.
     pub fn call(&mut self, op: Op, id: Option<u64>, fields: Fields) -> Result<Value> {
+        self.call_with(op, id, fields, parse_ok)
+    }
+
+    /// [`HttpClient::call`] with the response body decoded by `decode`.
+    fn call_with<T>(
+        &mut self,
+        op: Op,
+        id: Option<u64>,
+        fields: Fields,
+        decode: impl FnOnce(&str) -> Result<T>,
+    ) -> Result<T> {
         let (method, target, body) = http_request(op, id, fields)?;
-        self.request_raw(method, &target, &body)
+        self.request_raw(method, &target, &body, decode)
     }
 
     fn submit_inner(
@@ -1105,7 +1188,7 @@ impl HttpClient {
     ) -> Result<usize> {
         let body = Self::submit_body(records, pre_perturbed, shard);
         let (method, path) = http_route(Op::Submit, Some(session))?;
-        parse_submit_shard(&self.request_raw(method, &path, &body)?)
+        parse_submit_shard(&self.request_raw(method, &path, &body, parse_ok)?)
     }
 
     /// Builds one submit body straight into a string (the submit hot
@@ -1123,11 +1206,18 @@ impl HttpClient {
     /// carries `ok`/`error` — so callers only see [`ServiceError`]s.
     pub fn request(&mut self, method: &str, path: &str, body: Option<&Value>) -> Result<Value> {
         let body = body.map(Value::to_json).unwrap_or_default();
-        self.request_raw(method, path, &body)
+        self.request_raw(method, path, &body, parse_ok)
     }
 
-    /// [`Self::request`] with a pre-serialized body.
-    fn request_raw(&mut self, method: &str, path: &str, body: &str) -> Result<Value> {
+    /// [`Self::request`] with a pre-serialized body, and the response
+    /// body decoded by `decode`.
+    fn request_raw<T>(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+        decode: impl FnOnce(&str) -> Result<T>,
+    ) -> Result<T> {
         // One write per request: a head/body split across segments
         // would trip Nagle against the server's delayed ACKs.
         let mut message = format!(
@@ -1179,12 +1269,12 @@ impl HttpClient {
         }
         let text = std::str::from_utf8(&body)
             .map_err(|_| ServiceError::Protocol("response body is not valid UTF-8".into()))?;
-        check_ok(json::parse(text)?)
+        decode(text)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::net::TcpListener;
 
@@ -1367,5 +1457,296 @@ mod tests {
             );
             assert!(sink.join().unwrap().contains(&format!(r#""op":"{op}""#)));
         }
+    }
+
+    /// The answer decoder before [`read_reconstruction`]: a tree parse,
+    /// then `check_ok`, `parse_reconstruction` (kept here verbatim) and
+    /// `parse_coverage` on the tree. The reference the decoder is held
+    /// to.
+    pub(crate) fn reference_read_reconstruction(
+        text: &str,
+        method: ReconstructionMethod,
+    ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
+        fn parse_reconstruction(v: &Value, method: ReconstructionMethod) -> Result<Reconstruction> {
+            let estimates = v
+                .get("estimates")
+                .and_then(Value::as_array)
+                .ok_or_else(|| {
+                    ServiceError::Protocol("reconstruct response missing `estimates`".into())
+                })?
+                .iter()
+                .map(|e| {
+                    e.as_f64()
+                        .ok_or_else(|| ServiceError::Protocol("estimates must be numbers".into()))
+                })
+                .collect::<Result<Vec<f64>>>()?;
+            let n = v.get("n").and_then(Value::as_u64).ok_or_else(|| {
+                ServiceError::Protocol("reconstruct response missing an integer `n`".into())
+            })?;
+            Ok(Reconstruction {
+                n,
+                estimates,
+                method,
+                lu_cache_hit: v
+                    .get("lu_cache_hit")
+                    .and_then(Value::as_bool)
+                    .unwrap_or(false),
+            })
+        }
+        let v = parse_ok(text)?;
+        Ok((parse_reconstruction(&v, method)?, parse_coverage(&v)))
+    }
+
+    /// Decodes `text` with [`read_reconstruction`] and the reference,
+    /// and requires the same reconstruction (estimates bit for bit) and
+    /// coverage, or the same error. Returns whether the answer decoded.
+    fn assert_decodes_as_reference(text: &str) -> bool {
+        let method = ReconstructionMethod::CachedLu;
+        match (
+            read_reconstruction(text, method),
+            reference_read_reconstruction(text, method),
+        ) {
+            (Ok((got, got_coverage)), Ok((want, want_coverage))) => {
+                let bits = |r: &Reconstruction| r.estimates.iter().map(|e| e.to_bits()).collect();
+                let (got_bits, want_bits): (Vec<u64>, Vec<u64>) = (bits(&got), bits(&want));
+                assert_eq!(got_bits, want_bits, "{text}");
+                assert_eq!(
+                    (got.n, got.method, got.lu_cache_hit),
+                    (want.n, want.method, want.lu_cache_hit),
+                    "{text}"
+                );
+                assert_eq!(got_coverage, want_coverage, "{text}");
+                true
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{text}");
+                false
+            }
+            (got, want) => panic!("{text}: decoded {got:?}, the reference {want:?}"),
+        }
+    }
+
+    /// The answers of fixed-seed, server-perturbed CENSUS and HEALTH
+    /// sessions, clamped (zeros) and unclamped (negatives), the last also
+    /// as a degraded answer with its coverage.
+    fn real_answers() -> Vec<String> {
+        let coverage = PartialCoverage {
+            owners_total: 3,
+            owners_reachable: 2,
+            missing: vec![(2, "10.0.0.3:7000".to_owned())],
+        };
+        let mut answers = Vec::new();
+        for (schema, dataset) in [
+            (
+                frapp_data::census::schema(),
+                frapp_data::census::census_like_n(3000, 5),
+            ),
+            (
+                frapp_data::health::schema(),
+                frapp_data::health::health_like_n(3000, 6),
+            ),
+        ] {
+            let session = crate::session::CollectionSession::new(
+                1,
+                schema,
+                Mechanism::Deterministic { gamma: 19.0 },
+                2,
+                11,
+                1 << 13,
+            )
+            .unwrap();
+            session.submit_batch(dataset.records(), false).unwrap();
+            for (clamp, coverage) in [(true, None), (false, None), (false, Some(&coverage))] {
+                let rec = session
+                    .reconstruct(ReconstructionMethod::ClosedForm, clamp)
+                    .unwrap();
+                let mut out = String::new();
+                crate::protocol::write_reconstruction_response_with(&mut out, &rec, coverage);
+                answers.push(out);
+            }
+        }
+        answers
+    }
+
+    /// Items that are not what the server writes: a non-number, forms
+    /// the grammar refuses, an exponent, `-0`, and numbers past 19 and
+    /// 22 digits or 2^53.
+    const ODD_ITEMS: [&str; 24] = [
+        "null",
+        "true",
+        "\"1\"",
+        "[1]",
+        "{}",
+        "1e5",
+        "-2.5E-3",
+        "1E+2",
+        "-0",
+        "-0.0",
+        "01",
+        "-01.5",
+        "1.",
+        ".5",
+        "-",
+        "1e",
+        "1.2.3",
+        "12345678901234567890123",
+        "0.12345678901234567890123",
+        "-98765432109876543210.5",
+        "9007199254740993.5",
+        "1e400",
+        "0.000000000000000000000001",
+        "18446744073709551616",
+    ];
+
+    /// Answers of at most 40 estimates cut from the real ones, with
+    /// varied members, mutated `count` times from a fixed seed:
+    /// truncated, an item replaced by an odd one, whitespace around an
+    /// item, a second `estimates`, a missing or odd `n`, `ok:false` with
+    /// and without `accepted`, or a byte replaced, dropped or inserted.
+    /// Each is decoded as the reference decodes it; returns how many
+    /// decoded.
+    fn assert_mutated_answers_decode_as_reference(count: usize) -> usize {
+        let real = real_answers();
+        let mut decoded = 0;
+        for answer in &real {
+            assert!(assert_decodes_as_reference(answer));
+        }
+        let estimates: Vec<Vec<f64>> = real
+            .iter()
+            .map(|a| {
+                let (rec, _) =
+                    reference_read_reconstruction(a, ReconstructionMethod::ClosedForm).unwrap();
+                rec.estimates
+            })
+            .collect();
+        let coverage = PartialCoverage {
+            owners_total: 5,
+            owners_reachable: 3,
+            missing: vec![(0, "a:1".to_owned()), (4, "b:2".to_owned())],
+        };
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        // A short answer, cut at every byte.
+        let short = Reconstruction {
+            n: 12,
+            estimates: vec![0.0, -1.25, 3.0, 0.1, 1e-7],
+            method: ReconstructionMethod::ClosedForm,
+            lu_cache_hit: true,
+        };
+        let mut text = String::new();
+        crate::protocol::write_reconstruction_response_with(&mut text, &short, Some(&coverage));
+        for cut in 0..=text.len() {
+            decoded += usize::from(assert_decodes_as_reference(&text[..cut]));
+        }
+        const ALPHABET: &[u8] = b"0123456789-+.eE,[]{}:\" ntrufals";
+        for _ in 0..count {
+            let source = &estimates[(next() % estimates.len() as u64) as usize];
+            let len = (next() % 41) as usize;
+            let from = (next() % (source.len() - len) as u64) as usize;
+            let rec = Reconstruction {
+                n: next() >> (next() % 64),
+                estimates: source[from..from + len].to_vec(),
+                method: ReconstructionMethod::ClosedForm,
+                lu_cache_hit: next() % 2 == 0,
+            };
+            let mut text = String::new();
+            let degraded = (next() % 4 == 0).then_some(&coverage);
+            crate::protocol::write_reconstruction_response_with(&mut text, &rec, degraded);
+            // The items' spans, between `"estimates":[` and its `]`.
+            let open = text.find("\"estimates\":[").unwrap() + 13;
+            let close = open + text[open..].find(']').unwrap();
+            let mut items = Vec::new();
+            let mut start = open;
+            for (i, b) in text[open..=close].bytes().enumerate() {
+                if matches!(b, b',' | b']') && open + i > start {
+                    items.push(start..open + i);
+                    start = open + i + 1;
+                }
+            }
+            let item =
+                (!items.is_empty()).then(|| items[(next() % items.len() as u64) as usize].clone());
+            let at = (next() % (text.len() as u64 + 1)) as usize;
+            match next() % 9 {
+                0 => text.truncate(at),
+                1 => {
+                    let odd = ODD_ITEMS[(next() % ODD_ITEMS.len() as u64) as usize];
+                    match item {
+                        Some(span) => text.replace_range(span, odd),
+                        None => text.insert_str(open, odd),
+                    }
+                }
+                2 => {
+                    let ws = [" ", "\n", "\t", "\r\n "][(next() % 4) as usize];
+                    match item {
+                        Some(span) if next() % 2 == 0 => text.insert_str(span.end, ws),
+                        Some(span) => text.insert_str(span.start, ws),
+                        None => text.insert_str(open, ws),
+                    }
+                }
+                3 => {
+                    let second =
+                        ["\"estimates\":[1,2.5]", "\"estimates\":null"][(next() % 2) as usize];
+                    match next() % 2 {
+                        0 => text.insert_str(1, &format!("{second},")),
+                        _ => text.insert_str(text.len() - 1, &format!(",{second}")),
+                    }
+                }
+                4 => {
+                    let n_at = text.find("\"n\":").unwrap();
+                    let n_end = n_at + text[n_at..].find(',').unwrap();
+                    let odd = [
+                        "",
+                        "\"n\":1.5,",
+                        "\"n\":-3,",
+                        "\"n\":\"4\",",
+                        "\"n\":9007199254740992,",
+                        "\"n\":1e3,",
+                    ];
+                    text.replace_range(n_at..=n_end, odd[(next() % odd.len() as u64) as usize]);
+                }
+                5 => {
+                    let refusal = [
+                        "\"ok\":false,\"error\":\"boom\",\"accepted\":7",
+                        "\"ok\":false,\"accepted\":1.5",
+                        "\"ok\":false",
+                        "\"ok\":null",
+                        "\"okay\":true",
+                    ];
+                    text.replace_range(1..10, refusal[(next() % refusal.len() as u64) as usize]);
+                }
+                6 => {
+                    let b = ALPHABET[(next() % ALPHABET.len() as u64) as usize];
+                    let at = at.min(text.len() - 1);
+                    text.replace_range(at..=at, std::str::from_utf8(&[b]).unwrap());
+                }
+                7 => {
+                    text.remove(at.min(text.len() - 1));
+                }
+                _ => {
+                    let b = ALPHABET[(next() % ALPHABET.len() as u64) as usize];
+                    text.insert(at, char::from(b));
+                }
+            }
+            decoded += usize::from(assert_decodes_as_reference(&text));
+        }
+        decoded
+    }
+
+    #[test]
+    fn reconstruct_answers_decode_as_the_tree_does() {
+        let decoded = assert_mutated_answers_decode_as_reference(3_000);
+        // Both outcomes are well represented.
+        assert!((300..3_000).contains(&decoded), "{decoded}");
+    }
+
+    #[test]
+    #[ignore = "10^6 mutated answers; run in release"]
+    fn a_million_mutated_answers_decode_as_the_tree_does() {
+        assert_mutated_answers_decode_as_reference(1_000_000);
     }
 }

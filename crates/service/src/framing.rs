@@ -1632,6 +1632,87 @@ mod tests {
         }
     }
 
+    /// The cost of one `reconstruct` answer, by stage: the counts
+    /// snapshot, the closed-form solve and clamp, the server's
+    /// `write_reconstruction_response`, and the client's decode of the
+    /// answer, as a tree (`json::parse` and a walk of it, the reference
+    /// in `client::tests`) and as the shipped one-pass decoder. Clamped
+    /// answers, as the benchmark's readers ask for, of 2^20-record HEALTH
+    /// (7500 cells) and 2^18-record CENSUS (2000 cells) sessions.
+    #[test]
+    #[ignore = "timing table; run in release with --nocapture"]
+    fn reconstruct_stage_table() {
+        use crate::client::{read_reconstruction, tests::reference_read_reconstruction};
+        use crate::protocol::write_reconstruction_response;
+        use crate::session::{CollectionSession, Mechanism, ReconstructionMethod};
+        use std::hint::black_box;
+
+        let us_per_call = |f: &mut dyn FnMut()| ns_per_record(1, f) / 1e3;
+        println!(
+            "answer   cells  non-zero  bytes  snapshot  solve+clamp  write  tree decode  \
+             typed decode  (us)"
+        );
+        for (name, schema, dataset) in [
+            (
+                "HEALTH",
+                frapp_data::health::schema(),
+                frapp_data::health::health_like_n(1 << 20, 1),
+            ),
+            (
+                "CENSUS",
+                frapp_data::census::schema(),
+                frapp_data::census::census_like_n(1 << 18, 1),
+            ),
+        ] {
+            let session = CollectionSession::new(
+                1,
+                schema,
+                Mechanism::Deterministic { gamma: 19.0 },
+                4,
+                7,
+                1 << 13,
+            )
+            .unwrap();
+            session.submit_batch(dataset.records(), false).unwrap();
+            let rec = session
+                .reconstruct(ReconstructionMethod::ClosedForm, true)
+                .unwrap();
+            let mut text = String::new();
+            write_reconstruction_response(&mut text, &rec);
+            let method = ReconstructionMethod::ClosedForm;
+            let (typed, _) = read_reconstruction(&text, method).unwrap();
+            let (tree, _) = reference_read_reconstruction(&text, method).unwrap();
+            let bits =
+                |estimates: &[f64]| estimates.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&typed.estimates), bits(&tree.estimates));
+            let snapshot = us_per_call(&mut || {
+                black_box(session.snapshot());
+            });
+            let reconstruct = us_per_call(&mut || {
+                black_box(session.reconstruct(method, true).unwrap());
+            });
+            let mut out = String::new();
+            let write = us_per_call(&mut || {
+                out.clear();
+                write_reconstruction_response(&mut out, black_box(&rec));
+            });
+            let tree = us_per_call(&mut || {
+                black_box(reference_read_reconstruction(black_box(&text), method).unwrap());
+            });
+            let typed = us_per_call(&mut || {
+                black_box(read_reconstruction(black_box(&text), method).unwrap());
+            });
+            println!(
+                "{name:<6} {:>7}  {:>8}  {:>5}  {snapshot:>8.1}  {:>11.1}  {write:>5.1}  \
+                 {tree:>11.1}  {typed:>12.1}",
+                rec.estimates.len(),
+                rec.estimates.iter().filter(|&&e| e != 0.0).count(),
+                text.len(),
+                reconstruct - snapshot,
+            );
+        }
+    }
+
     /// A fresh `Shared` holding one session over `schema`, id 1.
     fn shared_with_session(schema: &frapp_core::Schema, config: crate::ServiceConfig) -> Shared {
         let shared = Shared::for_tests(config);

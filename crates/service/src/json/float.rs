@@ -41,70 +41,136 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
 
 /// Appends `m` in decimal.
 pub(crate) fn write_u64(m: u64, out: &mut String) {
-    let mut buf = [0u8; 20];
-    out.push_str(decimal(m, &mut buf));
+    let mut text = Text::<20>::new();
+    text.digits(m);
+    out.push_str(text.as_str());
 }
 
-/// Appends a finite `x` exactly as `format!("{x}")` does.
+/// Bytes of the longest text [`write_f64`] writes: `-0.`, 323 zeros and
+/// 17 digits (the smallest negative subnormal).
+const LONGEST: usize = 343;
+
+/// Appends a finite `x` exactly as `format!("{x}")` does: sign, digits
+/// and point are built in a stack buffer and pushed as one text.
 pub(super) fn write_f64(x: f64, out: &mut String) {
     let bits = x.to_bits();
-    if bits >> 63 != 0 {
-        out.push('-');
-    }
-    if bits << 1 == 0 {
-        out.push('0');
-        return;
-    }
-    let (digits, exp) = shortest(bits);
-    let mut buf = [0u8; 20];
-    let text = decimal(digits, &mut buf);
-    // The decimal point sits `point` digits into `text`.
-    let point = text.len() as i32 + exp;
-    if exp >= 0 {
-        out.push_str(text);
-        push_zeros(exp as usize, out);
-    } else if point > 0 {
-        let (int, frac) = text.split_at(point as usize);
-        out.push_str(int);
-        out.push('.');
-        out.push_str(frac);
+    let negative = bits >> 63 != 0;
+    let (digits, exp) = if bits << 1 == 0 {
+        (0, 0)
     } else {
-        out.push_str("0.");
-        push_zeros(point.unsigned_abs() as usize, out);
-        out.push_str(text);
+        shortest(bits)
+    };
+    // A sign, at most 17 digits and a point, or `0.` and up to 17
+    // places: at most 20 bytes, so three words hold nearly every
+    // non-integral number a response carries (from 10^-17 on).
+    if (-17..0).contains(&exp) {
+        write_decimal::<24>(negative, digits, exp, out);
+    } else {
+        write_decimal::<LONGEST>(negative, digits, exp, out);
     }
 }
 
-fn push_zeros(mut n: usize, out: &mut String) {
-    const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
-    while n > ZEROS.len() {
-        out.push_str(ZEROS);
-        n -= ZEROS.len();
+/// Appends `±digits · 10^exp` in plain notation, built in a text of
+/// `N` bytes, which must hold it.
+#[inline(always)]
+fn write_decimal<const N: usize>(negative: bool, digits: u64, exp: i32, out: &mut String) {
+    let mut text = Text::<N>::new();
+    match usize::try_from(exp) {
+        Ok(zeros) => {
+            text.zeros(zeros);
+            text.digits(digits);
+        }
+        Err(_) => {
+            let units = text.fraction(digits, exp.unsigned_abs() as usize);
+            text.digits(units);
+        }
     }
-    out.push_str(&ZEROS[..n]);
+    if negative {
+        text.prepend(b"-");
+    }
+    out.push_str(text.as_str());
 }
 
-/// `m` in decimal, written right-aligned into `buf`.
-fn decimal(mut m: u64, buf: &mut [u8; 20]) -> &str {
-    let mut start = buf.len();
-    while m >= 100 {
-        let pair = (m % 100) as usize * 2;
-        m /= 100;
-        start -= 2;
-        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+/// A number's text, built right to left at the end of a stack buffer
+/// that only ever holds ASCII: it starts as `0`s, and receives only
+/// bytes of [`DIGIT_PAIRS`], `.` and `-`.
+struct Text<const N: usize> {
+    bytes: [u8; N],
+    /// Where the text starts; it runs to the end of `bytes`.
+    start: usize,
+}
+
+impl<const N: usize> Text<N> {
+    fn new() -> Self {
+        Text {
+            bytes: [b'0'; N],
+            start: N,
+        }
     }
-    let pair = m as usize * 2;
-    if m >= 10 {
-        start -= 2;
-        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        start -= 1;
-        buf[start..start + 1].copy_from_slice(&DIGIT_PAIRS[pair + 1..pair + 2]);
+
+    /// Prepends `m` in decimal.
+    fn digits(&mut self, mut m: u64) {
+        while m >= 100 {
+            self.pair(m % 100);
+            m /= 100;
+        }
+        if m >= 10 {
+            self.pair(m);
+        } else {
+            self.digit(m);
+        }
     }
-    // SAFETY: `buf` is all ASCII: it starts zeroed and only receives
-    // bytes copied from `DIGIT_PAIRS`. (Validating instead costs about
-    // a quarter of the writer's time per number.)
-    unsafe { std::str::from_utf8_unchecked(&buf[start..]) }
+
+    /// Prepends the last `places` digits of `m`, zero-padded, and a
+    /// point before them, and returns the digits left of the point.
+    fn fraction(&mut self, mut m: u64, mut places: usize) -> u64 {
+        while places >= 2 && m != 0 {
+            self.pair(m % 100);
+            m /= 100;
+            places -= 2;
+        }
+        if places == 1 && m != 0 {
+            self.digit(m % 10);
+            m /= 10;
+            places = 0;
+        }
+        // Once `m` runs out, the rest are the buffer's own zeros.
+        self.zeros(places);
+        self.prepend(b".");
+        m
+    }
+
+    /// Prepends the two digits of `m < 100`.
+    fn pair(&mut self, m: u64) {
+        let pair = m as usize * 2;
+        self.prepend(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+
+    /// Prepends the digit `m < 10`.
+    fn digit(&mut self, m: u64) {
+        let pair = m as usize * 2;
+        self.prepend(&DIGIT_PAIRS[pair + 1..pair + 2]);
+    }
+
+    /// Prepends `count` zeros: the buffer's own bytes.
+    fn zeros(&mut self, count: usize) {
+        self.start -= count;
+    }
+
+    /// Prepends ASCII `bytes`: digits, `.` or `-`.
+    fn prepend(&mut self, bytes: &[u8]) {
+        let start = self.start - bytes.len();
+        self.bytes[start..self.start].copy_from_slice(bytes);
+        self.start = start;
+    }
+
+    fn as_str(&self) -> &str {
+        // SAFETY: `bytes` is all ASCII: it starts as `0`s and only
+        // receives bytes copied from `DIGIT_PAIRS`, `.` and `-`.
+        // (Validating instead costs about a quarter of the writer's time
+        // per number.)
+        unsafe { std::str::from_utf8_unchecked(&self.bytes[self.start..]) }
+    }
 }
 
 /// The significand `m2`, binary exponent `e2` and biased exponent of a
@@ -522,6 +588,24 @@ mod tests {
         }
         let tiny = format!("0.{}5", "0".repeat(323));
         assert_eq!(out, format!("9007199254740991 -9007199254740992 {tiny} "));
+    }
+
+    #[test]
+    fn integers_print_as_format_does() {
+        // Every digit count on both sides of each eight-digit word.
+        let mut values: Vec<u64> = vec![0, u64::MAX];
+        let mut power = 1u64;
+        for _ in 0..20 {
+            values.extend([power - 1, power, power + 1, power.wrapping_mul(7) / 3]);
+            power = power.wrapping_mul(10);
+        }
+        values.extend(random_bits(5).take(100_000).map(|b| b >> (b % 64)));
+        let mut out = String::new();
+        for m in values {
+            out.clear();
+            write_u64(m, &mut out);
+            assert_eq!(out, m.to_string());
+        }
     }
 
     #[test]

@@ -412,6 +412,25 @@ mod tests {
     }
 
     #[test]
+    fn recover_sums_whole_counts_past_two_to_the_53_exactly() {
+        // Both counts are exact in an `f64`, their sum 2^53 + 1 is not.
+        let two_52 = (1u64 << 52) as f64;
+        let mut counts = vec![0.0; 6];
+        counts[..2].copy_from_slice(&[two_52, two_52 + 1.0]);
+        let ingested = (1 << 53) + 1;
+        let shard =
+            Shard::recover_from_state(schema(), 0, counts.clone(), ingested, [1; 4], 0).unwrap();
+        assert_eq!(shard.ingested(), ingested);
+        assert_eq!(shard.counts(), counts);
+        // One more or one fewer is still refused.
+        for wrong in [ingested - 1, ingested + 1] {
+            assert!(
+                Shard::recover_from_state(schema(), 0, counts.clone(), wrong, [1; 4], 0).is_err()
+            );
+        }
+    }
+
+    #[test]
     fn raw_ingest_replays_offline_with_same_seed() {
         let s = schema();
         let gd = GammaDiagonal::new(&s, 19.0).unwrap();
