@@ -803,9 +803,6 @@ pub struct Client {
     /// The framing negotiated on this connection. Connections start in
     /// line-JSON; [`Client::negotiate_binary`] upgrades.
     framing: WireFraming,
-    /// Encode binary submit cells as fixed-width `u32` little-endian
-    /// instead of varints ([`Client::set_binary_fixed32`]).
-    fixed32: bool,
 }
 
 typed_ops!(Client);
@@ -861,7 +858,6 @@ impl Client {
             reader: BufReader::new(stream),
             writer,
             framing: WireFraming::Json,
-            fixed32: false,
         })
     }
 
@@ -881,14 +877,6 @@ impl Client {
     /// The framing currently negotiated on this connection.
     pub fn framing(&self) -> WireFraming {
         self.framing
-    }
-
-    /// Selects fixed-width (`u32` little-endian) cells for binary
-    /// submit frames instead of the default varint cells — larger on
-    /// the wire for small cardinalities, cheaper to decode. Ignored
-    /// until [`Client::negotiate_binary`] has run.
-    pub fn set_binary_fixed32(&mut self, fixed32: bool) {
-        self.fixed32 = fixed32;
     }
 
     /// Reads one `[opcode][varint len][payload]` frame off the socket.
@@ -1027,7 +1015,8 @@ impl Client {
     }
 
     /// Encodes one submit in the negotiated framing — a binary
-    /// `OP_SUBMIT` frame or the canonical line — into the write buffer.
+    /// `OP_SUBMIT` frame with varint cells, or the canonical line —
+    /// into the write buffer.
     /// An `OP_SUBMIT` grid is rectangular with at least one attribute,
     /// so a batch it cannot carry (ragged, or of empty records) goes
     /// as its canonical line inside an `OP_JSON` frame: the server
@@ -1053,7 +1042,7 @@ impl Client {
                     pre_perturbed,
                     shard,
                     deferred,
-                    self.fixed32,
+                    false,
                 );
             } else {
                 let line = Self::submit_line(session, records, pre_perturbed, shard, deferred);

@@ -266,8 +266,9 @@ fn submit_latency_stays_bounded_while_the_job_pool_is_busy() {
     // Mining never executes on a connection-serving thread, checked by
     // order rather than by a clock: with both job workers pinned by jobs
     // that each sleep 4 s, every one of 200 synchronous submits returns
-    // while both jobs still report `running`. The percentile bound is
-    // the `bench_ingest --mining` smoke's to measure.
+    // while both jobs still report `running`. The p99 that mining
+    // leaves a submit is a benchmark number, not this test's (its last
+    // reading is in docs/PERF.md).
     let config = ServiceConfig {
         job_threads: 2,
         fault_plan: FaultPlan::parse("seed=1,job_exec=delay(4000):1.0").unwrap(),

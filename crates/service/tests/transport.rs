@@ -241,11 +241,14 @@ fn every_routed_op_answers_identically_over_both_transports() {
                 _ => {}
             }
         }
-        if row.op == Op::MineRules {
-            // The job ops that follow read a finished job.
-            tcp.wait_job(via_tcp.job, Duration::from_secs(30)).unwrap();
-            http.wait_job(via_http.job, Duration::from_secs(30))
-                .unwrap();
+        // Every job the loop submits (`mine_rules` and `classify`)
+        // finishes before the next op: the job ops read a finished
+        // job, and `list_jobs` and the `metrics` after the loop see
+        // no job still queued or running.
+        let job = |v: &Value| v.get("job").and_then(Value::as_u64);
+        if let (Some(on_tcp), Some(on_http)) = (job(&a), job(&b)) {
+            tcp.wait_job(on_tcp, Duration::from_secs(30)).unwrap();
+            http.wait_job(on_http, Duration::from_secs(30)).unwrap();
         }
         assert_eq!(
             masked(a).to_json(),

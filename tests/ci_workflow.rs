@@ -1,0 +1,281 @@
+//! Guards on `.github/workflows/ci.yml`, which nothing else reads
+//! before CI does: the file must stay loadable YAML, and every ignored
+//! test in the workspace must have a CI step that runs it.
+//!
+//! There is no YAML parser among the dependencies, so the checks read
+//! the workflow line by line. That is enough for the subset of YAML the
+//! file uses: block mappings and sequences, plain, quoted and `|`/`>`
+//! block scalars, and one-line flow collections.
+
+use std::path::{Path, PathBuf};
+
+const WORKFLOW: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/.github/workflows/ci.yml");
+
+/// Ignored tests that no CI step needs to run, each with its reason.
+/// Nothing else may be ignored without a `run:` line that names it.
+const TIMING_ONLY: [(&str, &str); 4] = [
+    (
+        "stream_stage_table",
+        "prints per-stage ns/record of binary ingest; asserts nothing a CI box's timing could hold",
+    ),
+    (
+        "reconstruct_stage_table",
+        "prints per-stage µs of a reconstruct answer; asserts nothing a CI box's timing could hold",
+    ),
+    (
+        "json_line_stage_table",
+        "prints per-stage ns/record of JSON ingest lines; asserts nothing a CI box's timing could hold",
+    ),
+    (
+        "full_save_vs_delta_append_timings",
+        "prints full-save against delta-append times; asserts nothing a CI box's timing could hold",
+    ),
+];
+
+/// One non-comment line of the workflow, split at its mapping key.
+struct Line<'a> {
+    /// 1-based line number in the file.
+    number: usize,
+    /// The mapping key this line sets, or, inside a block scalar, the
+    /// key the block belongs to.
+    key: Option<&'a str>,
+    /// The value text: the rest of the line after `key: `, a sequence
+    /// item, or one line of a block scalar.
+    value: &'a str,
+    /// Whether `value` is a line of a `|` or `>` block scalar.
+    in_block: bool,
+}
+
+/// Splits `item` at a leading `key:` whose key is a plain word.
+fn split_key(item: &str) -> (Option<&str>, &str) {
+    let end = item
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+        .unwrap_or(item.len());
+    let rest = &item[end..];
+    if end > 0 && (rest == ":" || rest.starts_with(": ")) {
+        (Some(&item[..end]), rest[1..].trim_start())
+    } else {
+        (None, item)
+    }
+}
+
+/// The workflow's non-comment lines, each block scalar's lines marked.
+fn lines(text: &str) -> Vec<Line<'_>> {
+    let mut out = Vec::new();
+    // The key and the indentation of the key that opened a block scalar.
+    let mut block: Option<(&str, usize)> = None;
+    for (i, raw) in text.lines().enumerate() {
+        let body = raw.trim();
+        let indent = raw.len() - raw.trim_start().len();
+        if let Some((key, parent)) = block {
+            if body.is_empty() || indent > parent {
+                out.push(Line {
+                    number: i + 1,
+                    key: Some(key),
+                    value: body,
+                    in_block: true,
+                });
+                continue;
+            }
+            block = None;
+        }
+        if body.is_empty() || body.starts_with('#') {
+            continue;
+        }
+        let item = body.strip_prefix("- ").unwrap_or(body);
+        let (key, value) = split_key(item);
+        if let (Some(key), Some('|' | '>')) = (key, value.chars().next()) {
+            block = Some((key, indent + body.len() - item.len()));
+        }
+        out.push(Line {
+            number: i + 1,
+            key,
+            value,
+            in_block: false,
+        });
+    }
+    out
+}
+
+/// The lines whose plain (unquoted, non-block) scalar holds `: `, which
+/// YAML reads as a mapping indicator, or ` #`, which starts a comment.
+fn plain_scalar_faults(text: &str) -> Vec<String> {
+    lines(text)
+        .into_iter()
+        .filter(|l| !l.in_block)
+        .filter(|l| !l.value.starts_with(['"', '\'', '|', '>', '[', '{']))
+        .filter(|l| l.value.contains(": ") || l.value.contains(" #"))
+        .map(|l| format!("line {}: {}", l.number, l.value))
+        .collect()
+}
+
+/// Every command line of the workflow's `run:` values.
+fn run_lines(text: &str) -> Vec<&str> {
+    lines(text)
+        .into_iter()
+        .filter(|l| l.key == Some("run") && !l.value.starts_with(['|', '>']))
+        .map(|l| l.value)
+        .collect()
+}
+
+/// An `#[ignore]` test: the package it is in, its integration-test
+/// target (`None` for a unit test) and its fn name.
+struct Ignored {
+    file: PathBuf,
+    package: String,
+    target: Option<String>,
+    name: String,
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.map(Result::unwrap) {
+        let path = entry.path();
+        let name = entry.file_name();
+        if path.is_dir() {
+            if name != "target" && !name.to_string_lossy().starts_with('.') {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The directory of the nearest `Cargo.toml` above `file`, and the
+/// package name it declares.
+fn package_of(file: &Path) -> (PathBuf, String) {
+    let mut dir = file.parent();
+    while let Some(d) = dir {
+        if let Ok(manifest) = std::fs::read_to_string(d.join("Cargo.toml")) {
+            if let Some(name) = manifest.lines().find_map(|l| {
+                l.strip_prefix("name = \"")
+                    .and_then(|rest| rest.strip_suffix('"'))
+            }) {
+                return (d.to_path_buf(), name.to_owned());
+            }
+        }
+        dir = d.parent();
+    }
+    panic!("{} is in no package", file.display());
+}
+
+fn ignored_tests() -> Vec<Ignored> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples", "crates", "shims"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut out = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let mut rest = text.lines();
+        while let Some(line) = rest.next() {
+            if !line.trim_start().starts_with("#[ignore") {
+                continue;
+            }
+            let name = rest
+                .by_ref()
+                .find_map(|l| l.trim_start().split("fn ").nth(1))
+                .and_then(|after| after.split('(').next())
+                .unwrap_or_else(|| panic!("no fn after an ignore in {}", file.display()));
+            let (dir, package) = package_of(&file);
+            let target = (file.parent() == Some(&dir.join("tests")))
+                .then(|| file.file_stem().unwrap().to_string_lossy().into_owned());
+            out.push(Ignored {
+                file: file.clone(),
+                package,
+                target,
+                name: name.trim().to_owned(),
+            });
+        }
+    }
+    out
+}
+
+/// Whether `word` occurs in `line` with no identifier character on
+/// either side.
+fn has_word(line: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(word)
+        .any(|(at, _)| !line[..at].ends_with(ident) && !line[at + word.len()..].starts_with(ident))
+}
+
+/// Whether a CI command line runs `test`: it runs ignored tests of the
+/// test's package and names the test, or its whole integration target.
+fn runs(line: &str, test: &Ignored) -> bool {
+    let in_package = has_word(line, &format!("-p {}", test.package));
+    let named = has_word(line, &test.name)
+        || test
+            .target
+            .as_ref()
+            .is_some_and(|t| has_word(line, &format!("--test {t}")));
+    line.contains("--ignored") && in_package && named
+}
+
+#[test]
+fn no_plain_scalar_holds_a_mapping_or_comment_indicator() {
+    let faults = plain_scalar_faults(&std::fs::read_to_string(WORKFLOW).unwrap());
+    assert!(
+        faults.is_empty(),
+        "plain scalars in ci.yml that YAML cuts short or refuses; quote them or use `run: |`:\n{}",
+        faults.join("\n")
+    );
+}
+
+#[test]
+fn the_scalar_check_refuses_what_stopped_the_workflow_parsing() {
+    // The step that kept the workflow from loading, beside the same
+    // command as a block scalar and as a quoted scalar.
+    let text = r#"      - name: Mining interference smoke
+        # a comment: with a colon
+        run: cat out.json && grep -q '"within_bound": true' out.json
+      - name: As a block
+        run: |
+          grep -q '"within_bound": true' out.json
+      - name: Quoted
+        run: "grep -q '\"within_bound\": true' out.json"
+        if: always() # trailing comment
+"#;
+    assert_eq!(
+        plain_scalar_faults(text),
+        [
+            r#"line 3: cat out.json && grep -q '"within_bound": true' out.json"#,
+            "line 9: always() # trailing comment",
+        ]
+    );
+    assert_eq!(
+        run_lines(text),
+        [
+            r#"cat out.json && grep -q '"within_bound": true' out.json"#,
+            r#"grep -q '"within_bound": true' out.json"#,
+            r#""grep -q '\"within_bound\": true' out.json""#,
+        ]
+    );
+}
+
+#[test]
+fn every_ignored_test_is_run_by_ci_or_is_a_timing_table() {
+    let workflow = std::fs::read_to_string(WORKFLOW).unwrap();
+    let commands = run_lines(&workflow);
+    let tests = ignored_tests();
+    for (name, _) in TIMING_ONLY {
+        assert!(
+            tests.iter().any(|t| t.name == name),
+            "the timing-only list names {name}, which is not an ignored test"
+        );
+    }
+    let unrun: Vec<String> = tests
+        .iter()
+        .filter(|t| !TIMING_ONLY.iter().any(|(name, _)| *name == t.name))
+        .filter(|t| !commands.iter().any(|line| runs(line, t)))
+        .map(|t| format!("{} ({})", t.name, t.file.display()))
+        .collect();
+    assert!(
+        unrun.is_empty(),
+        "ignored tests that no ci.yml `run:` line runs with `-p <package> ... --ignored`:\n{}",
+        unrun.join("\n")
+    );
+}
