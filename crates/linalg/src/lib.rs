@@ -24,7 +24,6 @@
 pub mod eigen;
 pub mod lu;
 pub mod matrix;
-pub mod solver;
 pub mod structured;
 pub mod svd;
 pub mod vector;
@@ -35,7 +34,6 @@ pub use eigen::{
 };
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use solver::LinearSolver;
 pub use structured::{kronecker, kronecker_power, UniformDiagonal};
 pub use svd::Svd;
 

@@ -236,6 +236,12 @@ mod tests {
     }
 
     #[test]
+    fn solve_rejects_wrong_length_rhs() {
+        let gd = UniformDiagonal::gamma_diagonal(5, 3.0);
+        assert!(gd.solve(&[1.0; 4]).is_err());
+    }
+
+    #[test]
     fn singular_family_member_detected() {
         // a = 0 makes the matrix rank 1.
         let gd = UniformDiagonal::new(4, 0.0, 0.25);

@@ -28,10 +28,6 @@ pub struct ServiceConfig {
     pub default_shards: usize,
     /// Default base seed for sessions that do not specify one.
     pub default_seed: u64,
-    /// Maximum accepted request-line length in bytes. Lines beyond this
-    /// are rejected rather than buffered, bounding per-connection
-    /// memory.
-    pub max_line_bytes: usize,
     /// Largest domain size for which the server will build a dense LU
     /// factorization on demand; `reconstruct` requests with
     /// `method = "cached_lu"` against bigger sessions are refused
@@ -151,7 +147,6 @@ impl Default for ServiceConfig {
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
             default_seed: 0xF4A9,
-            max_line_bytes: 8 << 20,
             max_dense_domain: 4096,
             max_session_domain: 1 << 24,
             max_sessions: 1024,
@@ -215,18 +210,6 @@ impl ServiceConfig {
         self.replication = replication;
         self
     }
-
-    /// Installs a fault-injection plan (see [`crate::fault`]).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Enables idle-connection reaping on the threaded front-ends.
-    pub fn with_idle_timeout_ms(mut self, ms: u64) -> Self {
-        self.idle_timeout_ms = ms;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +220,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ServiceConfig::default();
         assert!(c.default_shards >= 1);
-        assert!(c.max_line_bytes >= 1 << 20);
         assert_eq!(c.addr, "127.0.0.1:0");
         assert!(c.max_sessions >= 1);
         assert!(c.persist_dir.is_none());
@@ -260,16 +242,6 @@ mod tests {
         assert!(c.job_queue_depth >= 1);
         assert!(c.job_result_ttl_secs > 0);
         assert!(c.fault_plan.is_empty(), "no faults by default");
-    }
-
-    #[test]
-    fn fault_plan_and_idle_timeout_builders() {
-        let plan = FaultPlan::parse("seed=1,peer_send=drop:0.5").unwrap();
-        let c = ServiceConfig::default()
-            .with_fault_plan(plan)
-            .with_idle_timeout_ms(250);
-        assert!(!c.fault_plan.is_empty());
-        assert_eq!(c.idle_timeout_ms, 250);
     }
 
     #[test]

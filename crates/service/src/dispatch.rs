@@ -19,8 +19,8 @@ use crate::persist;
 use crate::protocol::{
     build_request, is_deferred_submit, read_request, write_error_response, write_flush_response,
     write_list_response, write_metrics_response, write_ok_response, write_reconstruction_response,
-    write_reconstruction_response_with, write_stats_response, write_stats_response_with,
-    write_transport_metrics_response, AttrRef, Request, Submit, WireFraming,
+    write_reconstruction_response_with, write_stats_response, write_transport_metrics_response,
+    AttrRef, Request, Submit, WireFraming,
 };
 use crate::session::{Placement, SessionRegistry};
 use crate::wire::Counter;
@@ -405,94 +405,71 @@ fn execute_with_state(
                     config.max_session_domain
                 )));
             }
-            // With persistence, eviction is two-phase: victims stay
-            // registered (retired, refusing ingest) until their spill
-            // snapshot lands, so a concurrent close_session can still
-            // find them — its closed mark makes the in-flight spill
-            // refuse under the persist gate, and an acknowledged close
-            // can never be resurrected by the spill.
-            let deferred_evictions =
-                session.is_some() || fed.is_some() || config.persist_dir.is_some();
-            let created = if let Some(id) = session {
-                // An explicit id: a replicated create from a federation
-                // coordinator (never re-federated — that is what keeps
-                // replication from cascading), or an embedder pinning
-                // ids.
-                registry.create_deferred_with_id(
-                    id,
-                    built,
-                    mechanism,
-                    shards.unwrap_or(config.default_shards),
-                    seed.unwrap_or(config.default_seed),
-                    config.max_dense_domain,
-                )?
-            } else if let Some(fed) = fed {
-                fed.create_session(
+            let shards = shards.unwrap_or(config.default_shards);
+            let seed = seed.unwrap_or(config.default_seed);
+            let created = match fed {
+                Some(fed) if session.is_none() => fed.create_session(
                     registry,
                     &schema,
                     built,
                     mechanism,
-                    shards.unwrap_or(config.default_shards),
-                    seed.unwrap_or(config.default_seed),
+                    shards,
+                    seed,
                     config.max_dense_domain,
-                )?
-            } else if config.persist_dir.is_some() {
-                registry.create_deferred(
+                )?,
+                // An explicit id is a replicated create from a
+                // federation coordinator (never re-federated — that is
+                // what keeps replication from cascading), or an
+                // embedder pinning ids.
+                _ => registry.create(
+                    session,
                     built,
                     mechanism,
-                    shards.unwrap_or(config.default_shards),
-                    seed.unwrap_or(config.default_seed),
+                    shards,
+                    seed,
                     config.max_dense_domain,
-                )?
-            } else {
-                registry.create(
-                    built,
-                    mechanism,
-                    shards.unwrap_or(config.default_shards),
-                    seed.unwrap_or(config.default_seed),
-                    config.max_dense_domain,
-                )?
+                )?,
             };
-            // Spill LRU-evicted sessions to disk before they drop, so
-            // an eviction is a demotion, not data loss. If a spill
+            // Settle the evictions. Victims stay registered (retired,
+            // refusing ingest) until settled, so a concurrent
+            // close_session can still find them — its closed mark makes
+            // an in-flight spill refuse under the persist gate, and an
+            // acknowledged close can never be resurrected by the spill.
+            // With persistence each victim is spilled before it drops,
+            // so an eviction is a demotion, not data loss. If a spill
             // fails (full disk, permissions), roll the create back —
             // abort the un-spilled evictions, drop the new session —
             // and fail the request: silently discarding an evicted
             // session's acknowledged records would be worse than
             // refusing a new session. (Victims spilled before the
             // failure are already safe on disk and stay evicted.)
-            if let Some(dir) = &config.persist_dir {
-                for (i, evicted) in created.evicted.iter().enumerate() {
-                    match persist::save_session_faulted(dir, evicted, &config.fault_plan) {
-                        // A concurrent close deleted the session's
-                        // snapshot and owns its fate; the refused spill
-                        // is correct, just settle the eviction.
-                        Ok(_) => {
-                            registry.commit_eviction(evicted.id());
-                        }
-                        Err(_) if evicted.is_closed() => {
-                            registry.commit_eviction(evicted.id());
-                        }
-                        Err(e) => {
-                            registry.remove(created.session.id());
-                            for victim in &created.evicted[i..] {
-                                if !victim.is_closed() {
-                                    registry.abort_eviction(victim);
-                                }
-                            }
-                            return Err(ServiceError::Snapshot(format!(
-                                "refusing to evict session {} without a spill snapshot \
-                                 (create rolled back): {e}",
-                                evicted.id()
-                            )));
-                        }
+            for (i, evicted) in created.evicted.iter().enumerate() {
+                let spilled = match &config.persist_dir {
+                    Some(dir) => {
+                        persist::save_session_faulted(dir, evicted, &config.fault_plan).map(drop)
                     }
-                }
-            } else if deferred_evictions {
-                // A deferred-eviction create without persistence has
-                // nothing to spill; settle the victims immediately.
-                for evicted in &created.evicted {
-                    registry.commit_eviction(evicted.id());
+                    None => Ok(()),
+                };
+                match spilled {
+                    // A refused spill of a session closed meanwhile is
+                    // correct: the close deleted its snapshot and owns
+                    // its fate, so that eviction settles like the rest.
+                    Err(e) if !evicted.is_closed() => {
+                        registry.remove(created.session.id());
+                        for victim in &created.evicted[i..] {
+                            if !victim.is_closed() {
+                                registry.abort_eviction(victim);
+                            }
+                        }
+                        return Err(ServiceError::Snapshot(format!(
+                            "refusing to evict session {} without a spill snapshot \
+                             (create rolled back): {e}",
+                            evicted.id()
+                        )));
+                    }
+                    _ => {
+                        registry.commit_eviction(evicted.id());
+                    }
                 }
             }
             let session = created.session;
@@ -549,10 +526,10 @@ fn execute_with_state(
         } => {
             if let Some(fed) = fed {
                 let (stats, coverage) = fed.stats(registry, session, allow_partial)?;
-                write_stats_response_with(out, &stats, coverage.as_ref())
+                write_stats_response(out, &stats, coverage.as_ref())
             } else {
                 let session = registry.get(session)?;
-                write_stats_response(out, &session.stats())
+                write_stats_response(out, &session.stats(), None)
             }
         }
         Request::Metrics { session: None } => {

@@ -63,8 +63,8 @@ use crate::json::{object, Value};
 use crate::metrics::{PeerHealth, PeerReplCounters, PeerReplReport};
 use crate::protocol::{PartialCoverage, RecordBatch};
 use crate::session::{
-    Created, Mechanism, Placement, Reconstruction, ReconstructionMethod, SessionRegistry,
-    SessionStats,
+    CollectionSession, Created, Mechanism, Placement, Reconstruction, ReconstructionMethod,
+    SessionRegistry, SessionStats,
 };
 use crate::wire::{Op, PeerCounter};
 use frapp_core::{CountAccumulator, Schema};
@@ -232,10 +232,11 @@ impl FedState {
     }
 
     /// Creates a session cluster-wide: allocates an id from this
-    /// node's residue class, creates locally (deferred eviction, like
-    /// any other create) and replays the create — id, seed and shard
-    /// count made explicit so every node builds the identical session
-    /// — to every peer link in FIFO order ahead of any forwards.
+    /// node's residue class, creates locally (the caller settles the
+    /// evictions, as for any other create) and replays the create — id,
+    /// seed and shard count made explicit so every node builds the
+    /// identical session — to every peer link in FIFO order ahead of
+    /// any forwards.
     #[allow(clippy::too_many_arguments)] // mirrors the create_session wire fields
     pub fn create_session(
         &self,
@@ -251,8 +252,8 @@ impl FedState {
         let created = loop {
             let id = self.topology.next_local_id(floor);
             self.id_floor.fetch_max(id, Ordering::Relaxed);
-            match registry.create_deferred_with_id(
-                id,
+            match registry.create(
+                Some(id),
                 schema.clone(),
                 mechanism,
                 shards,
@@ -334,17 +335,8 @@ impl FedState {
     }
 
     fn fetch_repl_status(&self, peer: usize, session: u64) -> Result<Vec<u64>> {
-        let origin = vec![("origin", self.self_id().into())];
-        let line = request_line(Op::ReplStatus, Some(session), origin);
-        match self.link(peer)?.sync(&line) {
-            Ok(v) => parse_marks(&v),
-            // The peer holds nothing for this session (create not yet
-            // applied there): factually, every mark is zero.
-            Err(ServiceError::Remote { message, .. }) if message.contains("unknown session") => {
-                Ok(Vec::new())
-            }
-            Err(e) => Err(e),
-        }
+        let line = repl_status_line(session, self.self_id());
+        Ok(parse_repl_status(self.link(peer)?.sync(&line))?.applied)
     }
 
     /// Routes one client submit: stamps it with the next per-session
@@ -452,38 +444,14 @@ impl FedState {
         allow_partial: bool,
     ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
         let sess = registry.get(session)?;
-        let owners = self.topology.owners(session);
-        let unreachable = self.barrier_for_read(&owners, allow_partial)?;
-        let mut partitions = Vec::new();
-        let mut missing: Vec<(usize, String)> = Vec::new();
-        for &owner in &owners {
-            if owner == self.topology.self_id() {
-                partitions.push(sess.snapshot());
-            } else if unreachable.contains(&owner) {
-                missing.push((owner, self.peer_addr(owner)));
-            } else {
-                match self.fetch_partition(owner, session, sess.schema()) {
-                    Ok(partition) => partitions.push(partition),
-                    Err(e) if allow_partial && is_unreachable(&e) => {
-                        missing.push((owner, self.peer_addr(owner)));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        if partitions.is_empty() {
-            return Err(all_owners_down());
-        }
+        let (partitions, coverage) = self.owner_partitions(&sess, allow_partial)?;
         let merged = merge_partitions(sess.schema(), partitions)?;
-        let rec = sess.reconstruct_counts(merged, method, clamp)?;
-        Ok((rec, coverage(owners.len(), missing)))
+        Ok((sess.reconstruct_counts(merged, method, clamp)?, coverage))
     }
 
     /// Federated ingest statistics: the cluster-wide record total,
     /// with `per_shard` reporting each *owner's* partition total in
-    /// ring order (shard-level detail stays a per-node concern). The
-    /// fan-out uses `sync_session` — strictly local on the receiving
-    /// node — so federated owners never fan out in turn.
+    /// ring order (shard-level detail stays a per-node concern).
     ///
     /// `allow_partial` behaves exactly as on
     /// [`FedState::reconstruct`]: unreachable owners are skipped (and
@@ -496,43 +464,50 @@ impl FedState {
         allow_partial: bool,
     ) -> Result<(SessionStats, Option<PartialCoverage>)> {
         let sess = registry.get(session)?;
-        let owners = self.topology.owners(session);
+        let (partitions, coverage) = self.owner_partitions(&sess, allow_partial)?;
+        let per_shard: Vec<u64> = partitions.iter().map(CountAccumulator::n).collect();
+        let stats = SessionStats {
+            total: per_shard.iter().sum(),
+            per_shard,
+        };
+        Ok((stats, coverage))
+    }
+
+    /// The read fan-out behind [`FedState::reconstruct`] and
+    /// [`FedState::stats`]: barriers the links, then collects each
+    /// owner's count partition in ring order — this node's by
+    /// `snapshot`, the others' by `sync_session`, which is strictly
+    /// local on the receiving node, so owners never fan out in turn.
+    /// Under `allow_partial`, unreachable owners are skipped and named
+    /// in the coverage; zero reachable owners fail the read.
+    fn owner_partitions(
+        &self,
+        sess: &CollectionSession,
+        allow_partial: bool,
+    ) -> Result<(Vec<CountAccumulator>, Option<PartialCoverage>)> {
+        let owners = self.topology.owners(sess.id());
         let unreachable = self.barrier_for_read(&owners, allow_partial)?;
-        let mut per_owner = Vec::new();
+        let mut partitions = Vec::new();
         let mut missing: Vec<(usize, String)> = Vec::new();
         for &owner in &owners {
             if owner == self.topology.self_id() {
-                per_owner.push(sess.stats().total);
-                continue;
-            }
-            if unreachable.contains(&owner) {
+                partitions.push(sess.snapshot());
+            } else if unreachable.contains(&owner) {
                 missing.push((owner, self.peer_addr(owner)));
-                continue;
-            }
-            let line = request_line(Op::SyncSession, Some(session), Vec::new());
-            match self.link(owner)?.sync(&line) {
-                Ok(v) => {
-                    let total = v.get("total").and_then(Value::as_u64).ok_or_else(|| {
-                        ServiceError::Protocol("sync_session response missing `total`".into())
-                    })?;
-                    per_owner.push(total);
+            } else {
+                match self.fetch_partition(owner, sess.id(), sess.schema()) {
+                    Ok(partition) => partitions.push(partition),
+                    Err(e) if allow_partial && is_unreachable(&e) => {
+                        missing.push((owner, self.peer_addr(owner)));
+                    }
+                    Err(e) => return Err(e),
                 }
-                Err(e) if allow_partial && is_unreachable(&e) => {
-                    missing.push((owner, self.peer_addr(owner)));
-                }
-                Err(e) => return Err(e),
             }
         }
-        if per_owner.is_empty() {
+        if partitions.is_empty() {
             return Err(all_owners_down());
         }
-        Ok((
-            SessionStats {
-                total: per_owner.iter().sum(),
-                per_shard: per_owner,
-            },
-            coverage(owners.len(), missing),
-        ))
+        Ok((partitions, coverage(owners.len(), missing)))
     }
 
     /// The read-side barrier: exact reads flush *every* link (the
@@ -692,20 +667,9 @@ fn create_line(
     request_line(Op::CreateSession, None, fields)
 }
 
-fn parse_marks(v: &Value) -> Result<Vec<u64>> {
-    v.get("marks")
-        .and_then(Value::as_array)
-        .ok_or_else(|| ServiceError::Protocol("repl_status response missing `marks`".into()))?
-        .iter()
-        .map(|m| {
-            m.as_u64()
-                .ok_or_else(|| ServiceError::Protocol("watermarks must be integers".into()))
-        })
-        .collect()
-}
-
 /// Per-shard watermarks a peer reports for one origin: what it has
 /// applied (in memory) and what it has durably persisted.
+#[derive(Default)]
 struct PeerMarks {
     /// Highest applied seq per shard; resync resends above these.
     applied: Vec<u64>,
@@ -715,22 +679,46 @@ struct PeerMarks {
     durable: Vec<u64>,
 }
 
-fn parse_peer_marks(v: &Value) -> Result<PeerMarks> {
-    let applied = parse_marks(v)?;
-    // `durable` is optional on the wire: older peers and peers running
-    // without a data directory omit it, which disables truncation.
-    let durable = match v.get("durable").and_then(Value::as_array) {
-        None => Vec::new(),
-        Some(cells) => cells
+/// The `repl_status` request for `session`'s watermarks from `origin`.
+fn repl_status_line(session: u64, origin: u64) -> String {
+    request_line(
+        Op::ReplStatus,
+        Some(session),
+        vec![("origin", origin.into())],
+    )
+}
+
+/// Reads a peer's answer to [`repl_status_line`]. A peer that holds
+/// nothing for the session (its create not yet applied there) has,
+/// factually, applied and persisted nothing: no marks.
+fn parse_repl_status(answer: Result<Value>) -> Result<PeerMarks> {
+    let v = match answer {
+        Ok(v) => v,
+        Err(ServiceError::Remote { message, .. }) if message.contains("unknown session") => {
+            return Ok(PeerMarks::default());
+        }
+        Err(e) => return Err(e),
+    };
+    let marks = |cells: &[Value], what: &str| {
+        cells
             .iter()
             .map(|m| {
-                m.as_u64().ok_or_else(|| {
-                    ServiceError::Protocol("durable watermarks must be integers".into())
-                })
+                m.as_u64()
+                    .ok_or_else(|| ServiceError::Protocol(format!("{what} must be integers")))
             })
-            .collect::<Result<Vec<u64>>>()?,
+            .collect::<Result<Vec<u64>>>()
     };
-    Ok(PeerMarks { applied, durable })
+    let applied = v
+        .get("marks")
+        .and_then(Value::as_array)
+        .ok_or_else(|| ServiceError::Protocol("repl_status response missing `marks`".into()))?;
+    // `durable` is optional on the wire: older peers and peers running
+    // without a data directory omit it, which disables truncation.
+    let durable = v.get("durable").and_then(Value::as_array).unwrap_or(&[]);
+    Ok(PeerMarks {
+        applied: marks(applied, "watermarks")?,
+        durable: marks(durable, "durable watermarks")?,
+    })
 }
 
 /// Whether per-shard watermarks cover `seq`: the batch lands on shard
@@ -1305,24 +1293,13 @@ impl LinkWorker {
     }
 
     fn fetch_marks(&mut self, session: u64) -> Result<PeerMarks> {
-        let origin = vec![("origin", self.origin.into())];
-        let status = request_line(Op::ReplStatus, Some(session), origin);
+        let line = repl_status_line(session, self.origin);
         let client = self.client.as_mut().ok_or_else(|| peer_down(&self.addr))?;
-        match client.request(&status) {
-            Ok(v) => {
-                self.consume_watermark(&v);
-                parse_peer_marks(&v)
-            }
-            // No session on the peer despite the create replay: treat
-            // as nothing applied.
-            Err(ServiceError::Remote { message, .. }) if message.contains("unknown session") => {
-                Ok(PeerMarks {
-                    applied: Vec::new(),
-                    durable: Vec::new(),
-                })
-            }
-            Err(e) => Err(e),
+        let answer = client.request(&line);
+        if let Ok(v) = &answer {
+            self.consume_watermark(v);
         }
+        parse_repl_status(answer)
     }
 
     /// Folds a response's piggybacked deferred watermark (the peer

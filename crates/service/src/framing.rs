@@ -506,14 +506,14 @@ impl LineFraming {
     ) -> Step {
         let rest = &input[*consumed..];
         let Some(pos) = find_byte(rest, self.scanned, b'\n') else {
-            if rest.len() > shared.config.max_line_bytes {
+            if rest.len() > http::MAX_LINE_BYTES {
                 return Step::Fatal;
             }
             self.scanned = rest.len();
             return Step::NeedMore;
         };
         self.scanned = 0;
-        if pos > shared.config.max_line_bytes {
+        if pos > http::MAX_LINE_BYTES {
             return Step::Fatal;
         }
         let Ok(text) = std::str::from_utf8(&rest[..pos]) else {
@@ -549,7 +549,7 @@ impl LineFraming {
         signals: &mut Signals,
     ) -> Step {
         let rest = &input[*consumed..];
-        let (opcode, payload, frame_len) = match scan_frame(rest, shared.config.max_line_bytes) {
+        let (opcode, payload, frame_len) = match scan_frame(rest, http::MAX_LINE_BYTES) {
             Err(_) => return Step::Fatal,
             Ok(Frame::NeedMore) => return Step::NeedMore,
             Ok(Frame::Complete {
@@ -746,10 +746,10 @@ impl FrameCodec for HttpFraming {
                 };
                 *consumed += end;
                 if let BodyFraming::Length(n) = head.body {
-                    if n > shared.config.max_line_bytes {
+                    if n > http::MAX_LINE_BYTES {
                         let e = ServiceError::Protocol(format!(
                             "request body exceeds {} bytes",
-                            shared.config.max_line_bytes
+                            http::MAX_LINE_BYTES
                         ));
                         return self.respond_error(413, "Payload Too Large", &e, out, signals);
                     }
@@ -765,7 +765,7 @@ impl FrameCodec for HttpFraming {
                     BodyFraming::Length(n) => {
                         self.state = HttpState::Body {
                             head,
-                            // Bounded by max_line_bytes (checked above),
+                            // Bounded by MAX_LINE_BYTES (checked above),
                             // but cap the eager reservation anyway.
                             body: Vec::with_capacity(n.min(64 * 1024)),
                             need: n,
@@ -775,7 +775,7 @@ impl FrameCodec for HttpFraming {
                     BodyFraming::Chunked => {
                         self.state = HttpState::Chunked {
                             head,
-                            decoder: ChunkDecoder::new(shared.config.max_line_bytes),
+                            decoder: ChunkDecoder::new(http::MAX_LINE_BYTES),
                         };
                         Step::Progress
                     }
@@ -2001,7 +2001,7 @@ mod tests {
         // start on every read searches about 3.4·10¹⁰ bytes).
         let shared = Shared::for_tests(crate::ServiceConfig::default());
         let mut line = br#"{"op":"ping"}"#.to_vec();
-        line.resize(shared.config.max_line_bytes, b' ');
+        line.resize(http::MAX_LINE_BYTES, b' ');
         line.push(b'\n');
         SEARCHED.with(|n| n.set(0));
         let (out, consumed, fatal) = feed(&mut LineFraming::new(), &shared, line.chunks(1024));
@@ -2045,10 +2045,6 @@ mod tests {
         // CRLF-terminated stats and a line over the cap. Whole, or cut
         // in two anywhere, the stream gets the same two answers and
         // fails at the start of the long line.
-        let config = crate::ServiceConfig {
-            max_line_bytes: 128 << 10,
-            ..crate::ServiceConfig::default()
-        };
         let rows = frapp_data::health::health_like_n(4096, 3)
             .records()
             .to_vec();
@@ -2061,11 +2057,14 @@ mod tests {
         wire.extend_from_slice(b"\n{\"op\":\"stats\",\"session\":1}\r\n");
         let long_start = wire.len();
         wire.extend_from_slice(br#"{"op":"ping"}"#);
-        wire.resize(long_start + config.max_line_bytes + 100, b' ');
+        wire.resize(long_start + http::MAX_LINE_BYTES + 100, b' ');
         wire.push(b'\n');
 
         let run = |cut: Option<usize>| {
-            let shared = shared_with_session(&frapp_data::health::schema(), config.clone());
+            let shared = shared_with_session(
+                &frapp_data::health::schema(),
+                crate::ServiceConfig::default(),
+            );
             let mut codec = LineFraming::new();
             match cut {
                 None => feed(&mut codec, &shared, [&wire[..]]),

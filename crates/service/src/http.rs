@@ -34,9 +34,15 @@ use crate::server::Shared;
 use crate::wire::{OpRow, QueryKind, OPS};
 
 /// Upper bound on the request line + headers. Bodies are separately
-/// bounded by `ServiceConfig::max_line_bytes`. Shared with the reactor
-/// front-end so both paths enforce the same frame limits.
+/// bounded by [`MAX_LINE_BYTES`]. Shared with the reactor front-end so
+/// both paths enforce the same frame limits.
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Longest accepted request: a line-protocol line, a binary frame's
+/// payload or an HTTP body (declared or chunked). Anything longer is
+/// rejected rather than buffered, bounding per-connection memory.
+pub(crate) const MAX_LINE_BYTES: usize = 8 << 20;
+const _: () = assert!(MAX_LINE_BYTES >= 1 << 20);
 
 /// The Content-Type of every JSON response body.
 pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";

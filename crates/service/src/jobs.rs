@@ -730,6 +730,7 @@ mod tests {
         let registry = SessionRegistry::new();
         let created = registry
             .create(
+                None,
                 Schema::new(vec![("a", 3), ("b", 2), ("c", 2)]).unwrap(),
                 crate::session::Mechanism::Deterministic { gamma: 19.0 },
                 2,
@@ -866,6 +867,7 @@ mod tests {
         let mgr = manager(1, 8, 600);
         let session = SessionRegistry::new()
             .create(
+                None,
                 frapp_data::health::schema(),
                 crate::session::Mechanism::Deterministic { gamma: 19.0 },
                 2,
@@ -1039,6 +1041,7 @@ mod tests {
         let registry = SessionRegistry::new();
         let session = registry
             .create(
+                None,
                 Schema::new(vec![("a", 3), ("b", 2)]).unwrap(),
                 crate::session::Mechanism::Deterministic { gamma: 19.0 },
                 1,
@@ -1123,6 +1126,7 @@ mod tests {
         // 65 boolean items: one attribute of cardinality 65.
         let session = registry
             .create(
+                None,
                 Schema::new(vec![("wide", 65)]).unwrap(),
                 crate::session::Mechanism::Deterministic { gamma: 19.0 },
                 1,

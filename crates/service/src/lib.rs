@@ -32,7 +32,7 @@
 //! * Reconstruction queries snapshot the merged counts and solve
 //!   `A X̂ = Y` with either the O(n) gamma-diagonal closed form or a
 //!   dense LU factorization cached per session
-//!   (`frapp_linalg::solver::LinearSolver`), so repeated queries cost
+//!   (`frapp_linalg::LuDecomposition`), so repeated queries cost
 //!   `O(n²)` instead of `O(n³)`.
 //! * [`server::Server`] / [`client::Client`] — a line-delimited JSON
 //!   protocol over TCP ([`protocol`]), with the `frapp-serve` and

@@ -1143,6 +1143,7 @@ mod tests {
         let reg = SessionRegistry::new();
         let session = reg
             .create(
+                None,
                 Schema::new(vec![("a", 3), ("b", 2)]).unwrap(),
                 Mechanism::Deterministic { gamma: 19.0 },
                 1,

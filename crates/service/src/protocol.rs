@@ -806,25 +806,11 @@ pub fn write_ok_response(out: &mut String, extra: Vec<(&str, Value)>) {
     object(pairs).write_json(out);
 }
 
-/// `{"ok":true}` plus extra fields.
-pub fn ok_response(extra: Vec<(&str, Value)>) -> String {
-    let mut out = String::new();
-    write_ok_response(&mut out, extra);
-    out
-}
-
-/// `{"ok":false,"error":...}` for any service error. A
+/// Writes `{"ok":false,"error":...}` for any service error. A
 /// [`ServiceError::PartialBatch`] additionally carries `"accepted"` —
 /// the number of records at the front of the failed batch that *were*
 /// counted — so clients can retry just the remainder instead of
 /// double-counting the prefix.
-pub fn error_response(err: &ServiceError) -> String {
-    let mut out = String::new();
-    write_error_response(&mut out, err);
-    out
-}
-
-/// [`error_response`] into a reusable buffer.
 pub fn write_error_response(out: &mut String, err: &ServiceError) {
     let mut pairs = vec![("ok", false.into()), ("error", err.to_string().into())];
     if let ServiceError::PartialBatch { accepted, .. } = err {
@@ -924,14 +910,10 @@ pub fn reconstruction_response(rec: &Reconstruction) -> String {
     out
 }
 
-/// Writes the response payload for a successful `stats`.
-pub fn write_stats_response(out: &mut String, stats: &SessionStats) {
-    write_stats_response_with(out, stats, None)
-}
-
-/// [`write_stats_response`], optionally tagged as a degraded partial
-/// answer.
-pub fn write_stats_response_with(
+/// Writes the response payload for a successful `stats`, optionally
+/// tagged as a degraded partial answer (federation `allow_partial`
+/// with unreachable owners).
+pub fn write_stats_response(
     out: &mut String,
     stats: &SessionStats,
     coverage: Option<&PartialCoverage>,
@@ -947,22 +929,6 @@ pub fn write_stats_response_with(
         pairs.extend(degraded_pairs(c));
     }
     write_ok_response(out, pairs)
-}
-
-/// Response payload for a successful `stats`.
-pub fn stats_response(stats: &SessionStats) -> String {
-    let mut out = String::new();
-    write_stats_response(&mut out, stats);
-    out
-}
-
-/// Response payload for a successful `metrics`. `total` is the
-/// all-time record count (across restarts); the report's own counters
-/// cover this process's lifetime.
-pub fn metrics_response(session: u64, total: u64, report: &MetricsReport) -> String {
-    let mut out = String::new();
-    write_metrics_response(&mut out, session, total, report);
-    out
 }
 
 /// A power-of-two histogram summary as a wire object. The field names
@@ -986,7 +952,9 @@ fn histogram_value(summary: &LatencySummary) -> Value {
     ])
 }
 
-/// [`metrics_response`] into a reusable buffer.
+/// Writes the response payload for a successful `metrics`. `total` is
+/// the all-time record count (across restarts); the report's own
+/// counters cover this process's lifetime.
 pub fn write_metrics_response(out: &mut String, session: u64, total: u64, report: &MetricsReport) {
     write_ok_response(
         out,
@@ -1071,15 +1039,8 @@ pub fn write_transport_metrics_response(
     write_ok_response(out, pairs)
 }
 
-/// Response payload for a successful `list_sessions`: the bare id array
-/// (stable since PR 1) plus a `detail` array of per-session summaries.
-pub fn list_response(summaries: &[SessionSummary]) -> String {
-    let mut out = String::new();
-    write_list_response(&mut out, summaries);
-    out
-}
-
-/// [`list_response`] into a reusable buffer.
+/// Writes the response payload for a successful `list_sessions`: the
+/// bare id array plus a `detail` array of per-session summaries.
 pub fn write_list_response(out: &mut String, summaries: &[SessionSummary]) {
     write_ok_response(
         out,
@@ -2023,7 +1984,7 @@ pub(crate) mod tests {
             per_shard: vec![10],
         };
         let mut out = String::new();
-        write_stats_response_with(&mut out, &stats, Some(&coverage));
+        write_stats_response(&mut out, &stats, Some(&coverage));
         let v = crate::json::parse(&out).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(v.get("degraded").and_then(Value::as_bool), Some(true));
@@ -2038,7 +1999,7 @@ pub(crate) mod tests {
         );
         // A fully covered answer is never tagged.
         out.clear();
-        write_stats_response_with(&mut out, &stats, None);
+        write_stats_response(&mut out, &stats, None);
         let v = crate::json::parse(&out).unwrap();
         assert!(v.get("degraded").is_none());
         assert!(v.get("coverage").is_none());
@@ -2129,24 +2090,32 @@ pub(crate) mod tests {
         assert!(parse_request(r#"{"op":"persist","session":-1}"#).is_err());
     }
 
+    /// Parses what a `write_*` response writer appends to an empty
+    /// buffer.
+    fn written(write: impl FnOnce(&mut String)) -> Value {
+        let mut out = String::new();
+        write(&mut out);
+        crate::json::parse(&out).unwrap()
+    }
+
     #[test]
     fn partial_batch_errors_carry_accepted() {
         let err = ServiceError::PartialBatch {
             accepted: 3,
             source: Box::new(ServiceError::InvalidRequest("bad".into())),
         };
-        let v = crate::json::parse(&error_response(&err)).unwrap();
+        let v = written(|out| write_error_response(out, &err));
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(v.get("accepted").and_then(Value::as_u64), Some(3));
         // Other errors do not claim an accepted count.
-        let v = crate::json::parse(&error_response(&ServiceError::UnknownSession(1))).unwrap();
+        let v = written(|out| write_error_response(out, &ServiceError::UnknownSession(1)));
         assert!(v.get("accepted").is_none());
     }
 
     #[test]
     fn metrics_and_list_responses_are_parseable() {
         let report = crate::metrics::SessionMetrics::new().report();
-        let v = crate::json::parse(&metrics_response(7, 42, &report)).unwrap();
+        let v = written(|out| write_metrics_response(out, 7, 42, &report));
         assert_eq!(v.get("session").and_then(Value::as_u64), Some(7));
         assert_eq!(v.get("total").and_then(Value::as_u64), Some(42));
         assert!(v.get("query_latency").is_some());
@@ -2159,7 +2128,7 @@ pub(crate) mod tests {
             total: 42,
             reconstructions: 1,
         }];
-        let v = crate::json::parse(&list_response(&summaries)).unwrap();
+        let v = written(|out| write_list_response(out, &summaries));
         assert_eq!(
             v.get("sessions").and_then(Value::as_array).unwrap()[0].as_u64(),
             Some(7)
@@ -2189,13 +2158,11 @@ pub(crate) mod tests {
 
     #[test]
     fn responses_are_parseable_json() {
-        let ok = ok_response(vec![("session", 5u64.into())]);
-        let v = crate::json::parse(&ok).unwrap();
+        let v = written(|out| write_ok_response(out, vec![("session", 5u64.into())]));
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(v.get("session").and_then(Value::as_u64), Some(5));
 
-        let err = error_response(&ServiceError::UnknownSession(9));
-        let v = crate::json::parse(&err).unwrap();
+        let v = written(|out| write_error_response(out, &ServiceError::UnknownSession(9)));
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         assert!(v
             .get("error")

@@ -574,9 +574,7 @@ const TOKEN_FIRST_CONN: u64 = 3;
 /// stops *reading* (backpressure), and the offload worker's own frame
 /// bounds turn a genuinely oversized single frame into a close.
 #[cfg(unix)]
-fn read_cap(shared: &Shared) -> usize {
-    shared.config.max_line_bytes + http::MAX_HEAD_BYTES + 64 * 1024
-}
+const READ_CAP: usize = http::MAX_LINE_BYTES + http::MAX_HEAD_BYTES + 64 * 1024;
 
 /// Runs the reactor front-end over the given listeners until the shared
 /// shutdown flag is set. Spawns `config.reactor_threads - 1` sibling
@@ -1100,7 +1098,7 @@ fn handle_conn_event(
     completions: &Arc<CompletionQueue>,
 ) -> Verdict {
     if readable && !conn.read_paused && !conn.close_after_flush {
-        match fill_read_buf(conn, shared, scratch) {
+        match fill_read_buf(conn, scratch) {
             Ok(()) => {}
             Err(()) => return Verdict::Close,
         }
@@ -1137,7 +1135,7 @@ fn conn_tail(conn: &mut Conn, shared: &Arc<Shared>, poller: &sys::Poller, token:
     if (conn.close_after_flush || (conn.peer_eof && drained)) && conn.pending_write() == 0 {
         return Verdict::Close;
     }
-    update_interest(conn, shared, poller, token)
+    update_interest(conn, poller, token)
 }
 
 /// Hands the connection's buffered input and framing codec to the
@@ -1270,13 +1268,9 @@ fn apply_completion(
 /// (overflow for bursts larger than the spare room) — the two-buffer
 /// read costs one syscall instead of a read-into-scratch plus a copy.
 #[cfg(unix)]
-fn fill_read_buf(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    scratch: &mut [u8],
-) -> std::result::Result<(), ()> {
+fn fill_read_buf(conn: &mut Conn, scratch: &mut [u8]) -> std::result::Result<(), ()> {
     loop {
-        if conn.read_buf.len() > read_cap(shared) {
+        if conn.read_buf.len() > READ_CAP {
             return Ok(());
         }
         let len = conn.read_buf.len();
@@ -1396,12 +1390,7 @@ fn flush_writes(conn: &mut Conn, shared: &Arc<Shared>) -> std::result::Result<()
 /// writable while output is pending, readable unless backpressure
 /// paused it. This is where a slow reader stops being fed.
 #[cfg(unix)]
-fn update_interest(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    poller: &sys::Poller,
-    token: u64,
-) -> Verdict {
+fn update_interest(conn: &mut Conn, poller: &sys::Poller, token: u64) -> Verdict {
     let want_write = conn.pending_write() > 0;
     // Backpressure (and a half-closed or closing peer) genuinely
     // deregisters read interest — under level triggering, a paused
@@ -1412,7 +1401,7 @@ fn update_interest(
     // input buffer (frames parked behind an in-flight offload job)
     // pauses reads the same way; the job's completion re-runs this.
     let want_read = conn.pending_write() <= WRITE_HIGH_WATER
-        && conn.read_buf.len() <= read_cap(shared)
+        && conn.read_buf.len() <= READ_CAP
         && !conn.close_after_flush
         && !conn.peer_eof;
     let read_changed = want_read == conn.read_paused;

@@ -15,7 +15,6 @@ use crate::shard::{Shard, ShardDelta};
 use frapp_core::perturb::{BatchSampler, GammaDiagonal, RandomizedGammaDiagonal};
 use frapp_core::reconstruct::{clamp_counts, GammaDiagonalReconstructor};
 use frapp_core::{CountAccumulator, PrivacyRequirement, Schema};
-use frapp_linalg::solver::LinearSolver;
 use frapp_linalg::LuDecomposition;
 use rand::RngCore;
 use std::collections::HashMap;
@@ -814,7 +813,7 @@ impl CollectionSession {
             ReconstructionMethod::ClosedForm => (self.closed_form.reconstruct(&counts), false),
             ReconstructionMethod::CachedLu => {
                 let (lu, hit) = self.cached_lu()?;
-                (lu.solve_system(&counts)?, hit)
+                (lu.solve(&counts)?, hit)
             }
         };
         if clamp {
@@ -832,14 +831,16 @@ impl CollectionSession {
 
 /// The result of [`SessionRegistry::create`]: the new session, plus any
 /// sessions the LRU policy evicted to make room for it (the caller —
-/// typically the server — decides whether to persist them before the
-/// last `Arc` drops).
+/// typically the server — spills them or not, then settles each).
 #[derive(Debug)]
 pub struct Created {
     /// The newly registered session.
     pub session: Arc<CollectionSession>,
     /// Least-recently-used sessions evicted to stay under the cap,
-    /// oldest first. Empty while the registry is under capacity.
+    /// oldest first: retired, but registered until settled with
+    /// [`SessionRegistry::commit_eviction`] or
+    /// [`SessionRegistry::abort_eviction`]. Empty while the registry is
+    /// under capacity.
     pub evicted: Vec<Arc<CollectionSession>>,
 }
 
@@ -955,62 +956,31 @@ impl SessionRegistry {
     }
 
     /// Creates and registers a session, evicting least-recently-used
-    /// sessions if the registry is at capacity. Evicted sessions are
-    /// removed from the registry immediately; callers that need to
-    /// spill them to disk first should use [`Self::create_deferred`],
-    /// whose victims stay registered (so concurrent `close` requests
-    /// can still find them) until the spill commits.
-    pub fn create(
-        &self,
-        schema: Schema,
-        mechanism: Mechanism,
-        num_shards: usize,
-        seed: u64,
-        max_dense_domain: usize,
-    ) -> Result<Created> {
-        let created =
-            self.create_deferred(schema, mechanism, num_shards, seed, max_dense_domain)?;
-        for victim in &created.evicted {
-            self.commit_eviction(victim.id());
-        }
-        Ok(created)
-    }
-
-    /// Like [`Self::create`], but eviction is two-phase: victims are
-    /// *retired* (ingest refuses, so nothing can be acknowledged after
-    /// a spill snapshot) yet stay registered until the caller settles
-    /// each one with [`Self::commit_eviction`] (spill done — drop it)
-    /// or [`Self::abort_eviction`] (spill failed — keep it live).
+    /// sessions if the registry is at capacity. `id` pins the session
+    /// id (a federation coordinator allocates cluster-unique ids from
+    /// its residue class and replicates them; an embedder may pin ids
+    /// too) and fails if that id is live; `None` allocates the next
+    /// free one. Later allocated ids are bumped past a pinned one.
+    ///
+    /// Eviction is two-phase: victims are *retired* (ingest refuses,
+    /// so nothing can be acknowledged after a spill snapshot) yet stay
+    /// registered until the caller settles each one with
+    /// [`Self::commit_eviction`] (spilled, or nothing to spill — drop
+    /// it) or [`Self::abort_eviction`] (spill failed — keep it live).
     /// Keeping victims visible means a concurrent `close_session` still
     /// finds the session and marks it closed, which an in-flight spill
     /// observes under the persist gate — no snapshot can resurrect a
     /// session whose close was acknowledged.
-    pub fn create_deferred(
+    pub fn create(
         &self,
+        id: Option<u64>,
         schema: Schema,
         mechanism: Mechanism,
         num_shards: usize,
         seed: u64,
         max_dense_domain: usize,
     ) -> Result<Created> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.create_deferred_with_id(id, schema, mechanism, num_shards, seed, max_dense_domain)
-    }
-
-    /// [`Self::create_deferred`] with a caller-chosen session id — the
-    /// federation path, where ids must be cluster-unique and identical
-    /// on every owner node, so the coordinator allocates from its
-    /// residue class and replicates the id explicitly. Fails if the id
-    /// is already live; later auto-allocated ids are bumped past it.
-    pub fn create_deferred_with_id(
-        &self,
-        id: u64,
-        schema: Schema,
-        mechanism: Mechanism,
-        num_shards: usize,
-        seed: u64,
-        max_dense_domain: usize,
-    ) -> Result<Created> {
+        let id = id.unwrap_or_else(|| self.next_id.fetch_add(1, Ordering::Relaxed));
         self.next_id
             .fetch_max(id.saturating_add(1), Ordering::Relaxed);
         let session = Arc::new(CollectionSession::new(
@@ -1348,9 +1318,23 @@ mod tests {
         );
     }
 
+    /// Creates a session and settles its evictions as a server without
+    /// persistence does: with nothing to spill, every victim commits.
     fn create_in(reg: &SessionRegistry, gamma: f64) -> Created {
-        reg.create(schema(), Mechanism::Deterministic { gamma }, 1, 7, 4096)
-            .unwrap()
+        let created = reg
+            .create(
+                None,
+                schema(),
+                Mechanism::Deterministic { gamma },
+                1,
+                7,
+                4096,
+            )
+            .unwrap();
+        for victim in &created.evicted {
+            reg.commit_eviction(victim.id());
+        }
+        created
     }
 
     #[test]
@@ -1358,6 +1342,7 @@ mod tests {
         let reg = SessionRegistry::new();
         let a = reg
             .create(
+                None,
                 schema(),
                 Mechanism::Deterministic { gamma: 19.0 },
                 2,
@@ -1434,7 +1419,8 @@ mod tests {
         let reg = SessionRegistry::with_max_sessions(1);
         let victim = create_in(&reg, 19.0).session;
         let created = reg
-            .create_deferred(
+            .create(
+                None,
                 schema(),
                 Mechanism::Deterministic { gamma: 19.0 },
                 1,
@@ -1459,7 +1445,8 @@ mod tests {
 
         // A victim closed mid-spill stays closed: abort does not revive.
         let created = reg
-            .create_deferred(
+            .create(
+                None,
                 schema(),
                 Mechanism::Deterministic { gamma: 19.0 },
                 1,
@@ -1927,8 +1914,8 @@ mod tests {
     fn explicit_id_creation_reserves_and_refuses_duplicates() {
         let reg = SessionRegistry::new();
         let fed = reg
-            .create_deferred_with_id(
-                42,
+            .create(
+                Some(42),
                 schema(),
                 Mechanism::Deterministic { gamma: 19.0 },
                 1,
@@ -1939,8 +1926,8 @@ mod tests {
             .session;
         assert_eq!(fed.id(), 42);
         assert!(reg
-            .create_deferred_with_id(
-                42,
+            .create(
+                Some(42),
                 schema(),
                 Mechanism::Deterministic { gamma: 19.0 },
                 1,

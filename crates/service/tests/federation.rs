@@ -533,10 +533,14 @@ fn degraded_reads_cover_reachable_partitions_and_heal_bit_identical() {
         rec.n
     );
 
-    // Stats degrade the same way.
+    // Stats degrade the same way, over the same partitions: one
+    // `per_shard` entry per reachable owner, summing to the records the
+    // partial estimate covers.
     let (stats, coverage) = client.stats_partial(session).unwrap();
-    assert!(coverage.is_some());
+    let coverage = coverage.expect("stats must report the same outage");
     assert!(stats.total > 0 && (stats.total as usize) < stream.len());
+    assert_eq!(stats.total, rec.n);
+    assert_eq!(stats.per_shard.len(), coverage.owners_reachable);
 
     // Heal: restart the owner from its shutdown snapshot, wait out
     // the breaker cooldown (the next connect is the half-open probe),
@@ -570,6 +574,7 @@ fn degraded_reads_cover_reachable_partitions_and_heal_bit_identical() {
         .reconstruct_partial(session, ReconstructionMethod::ClosedForm, false)
         .unwrap();
     assert!(coverage.is_none());
+    assert_eq!(client.stats(session).unwrap().total as usize, stream.len());
 
     for handle in handles.into_iter().flatten() {
         handle.shutdown().unwrap();

@@ -450,6 +450,7 @@ mod interleavings {
         let registry = SessionRegistry::new();
         let created = registry
             .create(
+                None,
                 Schema::new(vec![("a", 3), ("b", 2), ("c", 2)]).unwrap(),
                 Mechanism::Deterministic { gamma: GAMMA },
                 2,

@@ -213,11 +213,21 @@ fn masked(v: Value) -> Value {
     }
 }
 
+/// A scratch directory removed on drop, so a failing run (an assertion
+/// unwinding) leaves nothing behind either.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 #[test]
 fn every_routed_op_answers_identically_over_both_transports() {
-    let dir = std::env::temp_dir().join(format!("frapp-parity-{}", std::process::id()));
+    let dir = TempDir(std::env::temp_dir().join(format!("frapp-parity-{}", std::process::id())));
     let config = ServiceConfig {
-        persist_dir: Some(dir.clone()),
+        persist_dir: Some(dir.0.clone()),
         ..ServiceConfig::default()
     }
     .with_http_addr("127.0.0.1:0");
@@ -278,7 +288,6 @@ fn every_routed_op_answers_identically_over_both_transports() {
     http.ping().unwrap();
 
     handle.shutdown().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
