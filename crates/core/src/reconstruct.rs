@@ -73,9 +73,19 @@ pub struct GammaDiagonalReconstructor {
 impl GammaDiagonalReconstructor {
     /// Builds the reconstructor for a [`GammaDiagonal`] perturber.
     pub fn new(gd: &GammaDiagonal) -> Self {
+        Self::from_domain(gd.domain_size(), gd.gamma())
+    }
+
+    /// Builds the reconstructor for the gamma-diagonal matrix over a
+    /// domain of `domain_size` cells: `x = 1/(γ + n − 1)` and
+    /// `a = (γ−1)x`, the same expressions as [`GammaDiagonal::new`], so
+    /// both constructors give the same bits. `γ` must be finite and
+    /// exceed 1, as there.
+    pub fn from_domain(domain_size: usize, gamma: f64) -> Self {
+        let x = 1.0 / (gamma + domain_size as f64 - 1.0);
         GammaDiagonalReconstructor {
-            x: gd.x(),
-            a: (gd.gamma() - 1.0) * gd.x(),
+            x,
+            a: (gamma - 1.0) * x,
         }
     }
 
@@ -159,6 +169,21 @@ mod tests {
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "expected {b}, got {a}");
+    }
+
+    #[test]
+    fn the_domain_constructor_gives_the_matrix_constructors_bits() {
+        for (specs, gamma) in [
+            (vec![("a", 3), ("b", 2), ("c", 2)], 19.0),
+            (vec![("a", 2)], 1.5),
+            (vec![("a", 50), ("b", 40)], 3.7),
+        ] {
+            let s = Schema::new(specs).unwrap();
+            let gd = GammaDiagonal::new(&s, gamma).unwrap();
+            let r = GammaDiagonalReconstructor::from_domain(s.domain_size(), gamma);
+            assert_eq!(r.x.to_bits(), gd.x().to_bits());
+            assert_eq!(r.a.to_bits(), ((gamma - 1.0) * gd.x()).to_bits());
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::session::{
     Mechanism, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
 };
 use crate::wire::{Op, PeerCounter, COUNTERS, PEER_COUNTERS, PEER_SECTION};
+use frapp_core::reconstruct::{clamp_counts, GammaDiagonalReconstructor};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -177,7 +178,7 @@ fn check_ok(v: Value) -> Result<Value> {
 }
 
 /// Parses a whole response into a tree and checks its `ok`: how every
-/// op but `reconstruct` reads its answer.
+/// answer but `counts` is read.
 fn parse_ok(text: &str) -> Result<Value> {
     check_ok(json::parse(text)?)
 }
@@ -188,28 +189,107 @@ fn parse_submit_shard(v: &Value) -> Result<usize> {
         .ok_or_else(|| ServiceError::Protocol("submit response missing `shard`".into()))
 }
 
-/// Decodes a `reconstruct` answer straight from its text, with no
-/// tree of its estimates: the first `estimates` member goes through
-/// [`json::Reader::numbers`] into the estimate vector, and only the
-/// other members become a (small) tree. An answer is about ten thousand
-/// decimals, and a tree of them cost about as much again as the round
-/// trip that brought them. Everything else is what parsing the answer
-/// into a tree and reading it gives: the same estimates bit for bit,
-/// the same coverage, and the same errors in the same order (syntax,
-/// then `ok:false`, then `estimates`, then `n`).
-pub(crate) fn read_reconstruction(
-    text: &str,
-    method: ReconstructionMethod,
-) -> Result<(Reconstruction, Option<PartialCoverage>)> {
-    let (fields, estimates) = json::read_members(text, "estimates", read_estimates)?;
+/// A `counts` answer: a session's merged perturbed counts, its record
+/// total `n` and the γ of its mechanism, all the closed form needs.
+#[derive(Debug)]
+pub(crate) struct PerturbedCounts {
+    n: u64,
+    gamma: f64,
+    counts: Vec<f64>,
+}
+
+impl PerturbedCounts {
+    /// Checks an answer's members, in this order: an integer `n`, a
+    /// `gamma` that is finite and above 1, and `counts` (absent, or
+    /// why they are not integers below 2^53) that are not empty and
+    /// total `n` exactly, as recovery requires of a snapshot. A server
+    /// that breaks any of these is refused with a
+    /// [`ServiceError::Protocol`], not solved.
+    pub(crate) fn new(
+        n: Option<u64>,
+        gamma: Option<f64>,
+        counts: Option<Result<Vec<f64>>>,
+    ) -> Result<Self> {
+        let refuse = |msg: &str| ServiceError::Protocol(msg.into());
+        let n = n.ok_or_else(|| refuse("counts answer missing an integer `n`"))?;
+        let gamma = gamma
+            .filter(|gamma| gamma.is_finite() && *gamma > 1.0)
+            .ok_or_else(|| refuse("counts answer needs a finite `gamma` above 1"))?;
+        let counts = counts.unwrap_or_else(|| Err(refuse("counts answer missing `counts`")))?;
+        if counts.is_empty() {
+            return Err(refuse("counts answer has no counts"));
+        }
+        // Each count is below 2^53, so no total of them overflows.
+        let total: u128 = counts.iter().map(|&c| c as u128).sum();
+        if total != u128::from(n) {
+            return Err(ServiceError::Protocol(format!(
+                "counts answer claims n = {n}, but its counts total {total}"
+            )));
+        }
+        Ok(PerturbedCounts { n, gamma, counts })
+    }
+
+    /// The server's closed-form answer, with its bits: the solve
+    /// `X̂_u = (Y_u − x·N)/a` of the server's session (the constructor
+    /// computes `x` and `a` as the server does), then [`clamp_counts`]
+    /// to `n` when `clamp` is set.
+    pub(crate) fn solve(&self, clamp: bool) -> Reconstruction {
+        let solver = GammaDiagonalReconstructor::from_domain(self.counts.len(), self.gamma);
+        let mut estimates = solver.reconstruct(&self.counts);
+        if clamp {
+            clamp_counts(&mut estimates, self.n as f64);
+        }
+        Reconstruction {
+            n: self.n,
+            estimates,
+            method: ReconstructionMethod::ClosedForm,
+            lu_cache_hit: false,
+        }
+    }
+}
+
+/// The error for `counts` that are not integers below 2^53.
+pub(crate) fn counts_not_integers() -> ServiceError {
+    ServiceError::Protocol("`counts` must be integers below 2^53".into())
+}
+
+/// Decodes a `counts` answer straight from its text: the first
+/// `counts` member goes through [`json::read_counts`] into the count
+/// vector, and only the other members become a (small) tree. The same
+/// answer, or the same error in the same order (syntax, then `ok:false`,
+/// then [`PerturbedCounts::new`]'s), as parsing it into a tree and
+/// reading that.
+pub(crate) fn read_counts_answer(text: &str) -> Result<(PerturbedCounts, Option<PartialCoverage>)> {
+    let (fields, counts) = json::read_members(text, "counts", |r| {
+        Ok(json::read_counts(r)?.ok_or_else(counts_not_integers))
+    })?;
     // The rest of the answer is a handful of members: a small tree.
     let pairs = fields.0.into_iter().map(|(k, v)| (k.into_owned(), v));
     let v = check_ok(Value::Object(pairs.collect()))?;
-    let estimates = estimates.unwrap_or_else(|| Err(missing_estimates()))?;
+    let gamma = v.get("gamma").and_then(Value::as_f64);
+    let counts = PerturbedCounts::new(v.get("n").and_then(Value::as_u64), gamma, counts)?;
+    Ok((counts, parse_coverage(&v)))
+}
+
+/// Reads a `reconstruct` answer's tree, as `cached_lu` requests it.
+pub(crate) fn parse_reconstruction(
+    v: &Value,
+    method: ReconstructionMethod,
+) -> Result<Reconstruction> {
+    let estimates = v
+        .get("estimates")
+        .and_then(Value::as_array)
+        .ok_or_else(|| ServiceError::Protocol("reconstruct response missing `estimates`".into()))?
+        .iter()
+        .map(|e| {
+            e.as_f64()
+                .ok_or_else(|| ServiceError::Protocol("estimates must be numbers".into()))
+        })
+        .collect::<Result<Vec<f64>>>()?;
     let n = v.get("n").and_then(Value::as_u64).ok_or_else(|| {
         ServiceError::Protocol("reconstruct response missing an integer `n`".into())
     })?;
-    let reconstruction = Reconstruction {
+    Ok(Reconstruction {
         n,
         estimates,
         method,
@@ -217,38 +297,7 @@ pub(crate) fn read_reconstruction(
             .get("lu_cache_hit")
             .and_then(Value::as_bool)
             .unwrap_or(false),
-    };
-    Ok((reconstruction, parse_coverage(&v)))
-}
-
-/// An answer's `estimates` member: the syntax error, or the estimates
-/// or why they are not an array of numbers. The run of numbers the
-/// server writes is read at once; whatever it stops at (whitespace, a
-/// non-number) is read item by item after it.
-fn read_estimates(r: &mut json::Reader<'_>) -> Result<Result<Vec<f64>>> {
-    if r.peek() != Some(b'[') {
-        r.skip()?;
-        return Ok(Err(missing_estimates()));
-    }
-    r.begin_array()?;
-    let mut estimates = Vec::new();
-    let mut numbers = true;
-    if !r.numbers(&mut estimates) {
-        while r.next_item()? {
-            match r.value()? {
-                Value::Number(x) => estimates.push(x),
-                _ => numbers = false,
-            }
-        }
-    }
-    Ok(match numbers {
-        true => Ok(estimates),
-        false => Err(ServiceError::Protocol("estimates must be numbers".into())),
     })
-}
-
-fn missing_estimates() -> ServiceError {
-    ServiceError::Protocol("reconstruct response missing `estimates`".into())
 }
 
 fn parse_stats(v: &Value) -> Result<SessionStats> {
@@ -583,25 +632,19 @@ macro_rules! typed_ops {
 
             /// Runs a reconstruction query.
             ///
-            /// The answer is decoded from its text in one pass, with no
-            /// JSON tree: the estimates are read straight into the
-            /// returned vector, each with the bits a general JSON parse
-            /// would give it, and a malformed or refused answer fails
-            /// with the error such a parse would report.
+            /// The closed form is solved here: the client asks for the
+            /// session's perturbed counts (`counts`) and runs the
+            /// server's own solve and clamp on them, so the estimates
+            /// have the bits the server's `reconstruct` answer would
+            /// carry. `CachedLu` asks the server for its estimates.
             pub fn reconstruct(
                 &mut self,
                 session: u64,
                 method: ReconstructionMethod,
                 clamp: bool,
             ) -> Result<Reconstruction> {
-                let fields = vec![
-                    ("method", method.wire_name().into()),
-                    ("clamp", clamp.into()),
-                ];
-                self.call_with(Op::Reconstruct, Some(session), fields, |text| {
-                    read_reconstruction(text, method)
-                })
-                .map(|(reconstruction, _)| reconstruction)
+                self.reconstruct_with(session, method, clamp, Vec::new())
+                    .map(|(reconstruction, _)| reconstruction)
             }
 
             /// `reconstruct` with `allow_partial` set: on a federated
@@ -610,22 +653,39 @@ macro_rules! typed_ops {
             /// coverage names the missing owners. `None` coverage means
             /// the answer is exact (every owner contributed) — the only
             /// possible outcome on a single-node server, where the flag
-            /// is accepted and ignored. The answer is decoded as
-            /// `reconstruct` decodes it.
+            /// is accepted and ignored.
             pub fn reconstruct_partial(
                 &mut self,
                 session: u64,
                 method: ReconstructionMethod,
                 clamp: bool,
             ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
-                let fields = vec![
+                let partial = vec![("allow_partial", true.into())];
+                self.reconstruct_with(session, method, clamp, partial)
+            }
+
+            /// Both reconstruct methods, `partial` holding the
+            /// `allow_partial` field or nothing.
+            fn reconstruct_with(
+                &mut self,
+                session: u64,
+                method: ReconstructionMethod,
+                clamp: bool,
+                partial: Fields,
+            ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
+                if method == ReconstructionMethod::ClosedForm {
+                    return self.call_with(Op::Counts, Some(session), partial, |text| {
+                        let (counts, coverage) = read_counts_answer(text)?;
+                        Ok((counts.solve(clamp), coverage))
+                    });
+                }
+                let mut fields = vec![
                     ("method", method.wire_name().into()),
                     ("clamp", clamp.into()),
-                    ("allow_partial", true.into()),
                 ];
-                self.call_with(Op::Reconstruct, Some(session), fields, |text| {
-                    read_reconstruction(text, method)
-                })
+                fields.extend(partial);
+                let v = self.call(Op::Reconstruct, Some(session), fields)?;
+                Ok((parse_reconstruction(&v, method)?, parse_coverage(&v)))
             }
 
             /// Fetches ingest statistics.
@@ -1407,12 +1467,13 @@ pub(crate) mod tests {
     #[test]
     fn an_answer_without_an_integer_n_or_total_is_a_protocol_error() {
         for (op, answer) in [
+            ("counts", r#"{"ok":true,"gamma":19,"counts":[1,0]}"#),
+            ("counts", r#"{"ok":true,"n":-1,"gamma":19,"counts":[1,0]}"#),
+            ("counts", r#"{"ok":true,"n":"4","gamma":19,"counts":[]}"#),
             (
                 "reconstruct",
-                r#"{"ok":true,"method":"closed","estimates":[1.5,0]}"#,
+                r#"{"ok":true,"method":"cached_lu","estimates":[1.5,0]}"#,
             ),
-            ("reconstruct", r#"{"ok":true,"n":-1,"estimates":[1.5,0]}"#),
-            ("reconstruct", r#"{"ok":true,"n":"4","estimates":[]}"#),
             ("stats", r#"{"ok":true,"per_shard":[1,2]}"#),
             ("stats", r#"{"ok":true,"total":-1,"per_shard":[1,2]}"#),
             ("stats", r#"{"ok":true,"total":"3","per_shard":[]}"#),
@@ -1431,9 +1492,15 @@ pub(crate) mod tests {
             });
             let mut client = Client::connect(addr).unwrap();
             let (err, field) = match op {
-                "reconstruct" => (
+                "counts" => (
                     client
                         .reconstruct(1, ReconstructionMethod::ClosedForm, true)
+                        .map(drop),
+                    "`n`",
+                ),
+                "reconstruct" => (
+                    client
+                        .reconstruct(1, ReconstructionMethod::CachedLu, true)
                         .map(drop),
                     "`n`",
                 ),
@@ -1448,63 +1515,48 @@ pub(crate) mod tests {
         }
     }
 
-    /// The answer decoder before [`read_reconstruction`]: a tree parse,
-    /// then `check_ok`, `parse_reconstruction` (kept here verbatim) and
-    /// `parse_coverage` on the tree. The reference the decoder is held
-    /// to.
-    pub(crate) fn reference_read_reconstruction(
+    /// The tree reference of [`read_counts_answer`]: the answer parsed
+    /// into a tree and `check_ok`ed, its `n`, `gamma` and each count
+    /// read off the tree (integers through [`Value::as_u64`]) into
+    /// [`PerturbedCounts::new`], and `parse_coverage` on the tree.
+    pub(crate) fn reference_read_counts_answer(
         text: &str,
-        method: ReconstructionMethod,
-    ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
-        fn parse_reconstruction(v: &Value, method: ReconstructionMethod) -> Result<Reconstruction> {
-            let estimates = v
-                .get("estimates")
-                .and_then(Value::as_array)
-                .ok_or_else(|| {
-                    ServiceError::Protocol("reconstruct response missing `estimates`".into())
-                })?
-                .iter()
-                .map(|e| {
-                    e.as_f64()
-                        .ok_or_else(|| ServiceError::Protocol("estimates must be numbers".into()))
-                })
-                .collect::<Result<Vec<f64>>>()?;
-            let n = v.get("n").and_then(Value::as_u64).ok_or_else(|| {
-                ServiceError::Protocol("reconstruct response missing an integer `n`".into())
-            })?;
-            Ok(Reconstruction {
-                n,
-                estimates,
-                method,
-                lu_cache_hit: v
-                    .get("lu_cache_hit")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
-            })
-        }
+    ) -> Result<(PerturbedCounts, Option<PartialCoverage>)> {
         let v = parse_ok(text)?;
-        Ok((parse_reconstruction(&v, method)?, parse_coverage(&v)))
+        let counts = v.get("counts").map(|counts| {
+            let items = counts.as_array().ok_or_else(counts_not_integers)?;
+            let counts = items.iter().map(|c| c.as_u64().map(|c| c as f64));
+            counts
+                .collect::<Option<Vec<f64>>>()
+                .ok_or_else(counts_not_integers)
+        });
+        let n = v.get("n").and_then(Value::as_u64);
+        let gamma = v.get("gamma").and_then(Value::as_f64);
+        Ok((PerturbedCounts::new(n, gamma, counts)?, parse_coverage(&v)))
     }
 
-    /// Decodes `text` with [`read_reconstruction`] and the reference,
-    /// and requires the same reconstruction (estimates bit for bit) and
-    /// coverage, or the same error. Returns whether the answer decoded.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Decodes `text` with [`read_counts_answer`] and the reference, and
+    /// requires the same counts, `n`, γ and coverage, and so the same
+    /// reconstruction bit for bit, clamped and unclamped; or the same
+    /// error. Returns whether the answer decoded.
     fn assert_decodes_as_reference(text: &str) -> bool {
-        let method = ReconstructionMethod::CachedLu;
-        match (
-            read_reconstruction(text, method),
-            reference_read_reconstruction(text, method),
-        ) {
+        match (read_counts_answer(text), reference_read_counts_answer(text)) {
             (Ok((got, got_coverage)), Ok((want, want_coverage))) => {
-                let bits = |r: &Reconstruction| r.estimates.iter().map(|e| e.to_bits()).collect();
-                let (got_bits, want_bits): (Vec<u64>, Vec<u64>) = (bits(&got), bits(&want));
-                assert_eq!(got_bits, want_bits, "{text}");
                 assert_eq!(
-                    (got.n, got.method, got.lu_cache_hit),
-                    (want.n, want.method, want.lu_cache_hit),
+                    (got.n, got.gamma.to_bits(), bits(&got.counts)),
+                    (want.n, want.gamma.to_bits(), bits(&want.counts)),
                     "{text}"
                 );
                 assert_eq!(got_coverage, want_coverage, "{text}");
+                for clamp in [false, true] {
+                    let (got, want) = (got.solve(clamp), want.solve(clamp));
+                    assert_eq!(bits(&got.estimates), bits(&want.estimates), "{text}");
+                    assert_eq!(got.n, want.n, "{text}");
+                }
                 true
             }
             (Err(got), Err(want)) => {
@@ -1515,9 +1567,21 @@ pub(crate) mod tests {
         }
     }
 
-    /// The answers of fixed-seed, server-perturbed CENSUS and HEALTH
-    /// sessions, clamped (zeros) and unclamped (negatives), the last also
-    /// as a degraded answer with its coverage.
+    /// The `counts` answer of `counts`, as the server writes it.
+    fn counts_answer(
+        counts: &frapp_core::CountAccumulator,
+        gamma: f64,
+        coverage: Option<&PartialCoverage>,
+    ) -> String {
+        let mut out = String::new();
+        crate::protocol::write_counts_response(&mut out, counts, gamma, coverage);
+        out
+    }
+
+    /// The `counts` answers of fixed-seed, server-perturbed CENSUS and
+    /// HEALTH sessions, DET-GD and RAN-GD, exact and degraded. Each
+    /// solves to the served `reconstruct` estimates bit for bit,
+    /// clamped and unclamped.
     fn real_answers() -> Vec<String> {
         let coverage = PartialCoverage {
             owners_total: 3,
@@ -1525,42 +1589,86 @@ pub(crate) mod tests {
             missing: vec![(2, "10.0.0.3:7000".to_owned())],
         };
         let mut answers = Vec::new();
-        for (schema, dataset) in [
+        for (schema, dataset, mechanism) in [
             (
                 frapp_data::census::schema(),
                 frapp_data::census::census_like_n(3000, 5),
+                Mechanism::Deterministic { gamma: 19.0 },
             ),
             (
                 frapp_data::health::schema(),
                 frapp_data::health::health_like_n(3000, 6),
+                Mechanism::Randomized {
+                    gamma: 19.0,
+                    alpha_fraction: 0.5,
+                },
             ),
         ] {
-            let session = crate::session::CollectionSession::new(
-                1,
-                schema,
-                Mechanism::Deterministic { gamma: 19.0 },
-                2,
-                11,
-                1 << 13,
-            )
-            .unwrap();
-            session.submit_batch(dataset.records(), false).unwrap();
-            for (clamp, coverage) in [(true, None), (false, None), (false, Some(&coverage))] {
-                let rec = session
-                    .reconstruct(ReconstructionMethod::ClosedForm, clamp)
+            let session =
+                crate::session::CollectionSession::new(1, schema, mechanism, 2, 11, 1 << 13)
                     .unwrap();
-                let mut out = String::new();
-                crate::protocol::write_reconstruction_response_with(&mut out, &rec, coverage);
-                answers.push(out);
+            session.submit_batch(dataset.records(), false).unwrap();
+            let counts = session.snapshot();
+            for coverage in [None, Some(&coverage)] {
+                let text = counts_answer(&counts, mechanism.gamma(), coverage);
+                let (answer, got_coverage) = read_counts_answer(&text).unwrap();
+                assert_eq!(got_coverage.as_ref(), coverage);
+                for clamp in [false, true] {
+                    let served = session
+                        .reconstruct(ReconstructionMethod::ClosedForm, clamp)
+                        .unwrap();
+                    let solved = answer.solve(clamp);
+                    assert_eq!(bits(&solved.estimates), bits(&served.estimates));
+                    assert_eq!(solved.n, served.n);
+                }
+                answers.push(text);
             }
         }
         answers
     }
 
-    /// Items that are not what the server writes: a non-number, forms
-    /// the grammar refuses, an exponent, `-0`, and numbers past 19 and
-    /// 22 digits or 2^53.
-    const ODD_ITEMS: [&str; 24] = [
+    /// Answers a server that lies, or is wrong, could send, with whether
+    /// each decodes: γ not finite and above 1, no counts, counts that do
+    /// not total `n`, and `n` and a count at 2^53 − 1 (accepted) and
+    /// 2^53 + 1 (refused).
+    const LYING_ANSWERS: [(&str, bool); 16] = [
+        (r#"{"ok":true,"n":3,"gamma":19,"counts":[1,2]}"#, true),
+        (r#"{"ok":true,"n":3,"gamma":1,"counts":[1,2]}"#, false),
+        (r#"{"ok":true,"n":3,"gamma":0.5,"counts":[1,2]}"#, false),
+        (r#"{"ok":true,"n":3,"gamma":-19,"counts":[1,2]}"#, false),
+        (r#"{"ok":true,"n":3,"gamma":1e400,"counts":[1,2]}"#, false),
+        (r#"{"ok":true,"n":3,"gamma":null,"counts":[1,2]}"#, false),
+        (r#"{"ok":true,"n":3,"counts":[1,2]}"#, false),
+        (r#"{"ok":true,"n":0,"gamma":19,"counts":[]}"#, false),
+        (r#"{"ok":true,"n":0,"gamma":19}"#, false),
+        (r#"{"ok":true,"n":4,"gamma":19,"counts":[1,2]}"#, false),
+        (r#"{"ok":true,"n":2,"gamma":19,"counts":[1,2]}"#, false),
+        (
+            r#"{"ok":true,"n":9007199254740991,"gamma":19,"counts":[9007199254740991,0]}"#,
+            true,
+        ),
+        (
+            r#"{"ok":true,"n":9007199254740993,"gamma":19,"counts":[9007199254740993,0]}"#,
+            false,
+        ),
+        (
+            r#"{"ok":true,"n":9007199254740991,"gamma":19,"counts":[9007199254740993,0]}"#,
+            false,
+        ),
+        (
+            r#"{"ok":true,"n":9007199254740993,"gamma":19,"counts":[9007199254740991,2]}"#,
+            false,
+        ),
+        (
+            r#"{"ok":true,"n":18014398509481982,"gamma":19,"counts":[9007199254740991,9007199254740991]}"#,
+            false,
+        ),
+    ];
+
+    /// Items that are not what the server writes: non-integers, forms
+    /// the grammar refuses, integers in other spellings, and numbers at
+    /// and past 2^53, 19 digits and 2^64.
+    const ODD_ITEMS: [&str; 26] = [
         "null",
         "true",
         "\"1\"",
@@ -1571,6 +1679,8 @@ pub(crate) mod tests {
         "1E+2",
         "-0",
         "-0.0",
+        "2.0",
+        "0.5",
         "01",
         "-01.5",
         "1.",
@@ -1578,40 +1688,44 @@ pub(crate) mod tests {
         "-",
         "1e",
         "1.2.3",
+        "-7",
+        "9007199254740991",
+        "9007199254740992",
+        "9007199254740993",
         "12345678901234567890123",
-        "0.12345678901234567890123",
-        "-98765432109876543210.5",
-        "9007199254740993.5",
-        "1e400",
-        "0.000000000000000000000001",
         "18446744073709551616",
+        "1e400",
     ];
 
-    /// Answers of at most 40 estimates cut from the real ones, with
-    /// varied members, mutated `count` times from a fixed seed:
-    /// truncated, an item replaced by an odd one, whitespace around an
-    /// item, a second `estimates`, a missing or odd `n`, `ok:false` with
-    /// and without `accepted`, or a byte replaced, dropped or inserted.
-    /// Each is decoded as the reference decodes it; returns how many
-    /// decoded.
+    /// The real answers, the lying ones, a short answer cut at every
+    /// byte, and `count` answers of at most 40 counts cut from the real
+    /// ones, with varied members, mutated from a fixed seed: truncated,
+    /// a count replaced by an odd item, whitespace around a count, a
+    /// second `counts`, a missing or odd `n` or `gamma`, `ok:false`
+    /// with and without `accepted`, or a byte replaced, dropped or
+    /// inserted. Each is decoded as the reference decodes it; returns
+    /// how many decoded.
     fn assert_mutated_answers_decode_as_reference(count: usize) -> usize {
         let real = real_answers();
         let mut decoded = 0;
         for answer in &real {
             assert!(assert_decodes_as_reference(answer));
         }
-        let estimates: Vec<Vec<f64>> = real
+        for (answer, decodes) in LYING_ANSWERS {
+            assert_eq!(assert_decodes_as_reference(answer), decodes, "{answer}");
+        }
+        let counts: Vec<Vec<f64>> = real
             .iter()
-            .map(|a| {
-                let (rec, _) =
-                    reference_read_reconstruction(a, ReconstructionMethod::ClosedForm).unwrap();
-                rec.estimates
-            })
+            .map(|a| reference_read_counts_answer(a).unwrap().0.counts)
             .collect();
         let coverage = PartialCoverage {
             owners_total: 5,
             owners_reachable: 3,
             missing: vec![(0, "a:1".to_owned()), (4, "b:2".to_owned())],
+        };
+        let accumulator = |counts: Vec<f64>| {
+            let schema = frapp_core::Schema::new(vec![("c", counts.len() as u32)]).unwrap();
+            frapp_core::CountAccumulator::from_counts(schema, counts).unwrap()
         };
         let mut seed = 0x2545_f491_4f6c_dd1d_u64;
         let mut next = move || {
@@ -1621,33 +1735,26 @@ pub(crate) mod tests {
             seed
         };
         // A short answer, cut at every byte.
-        let short = Reconstruction {
-            n: 12,
-            estimates: vec![0.0, -1.25, 3.0, 0.1, 1e-7],
-            method: ReconstructionMethod::ClosedForm,
-            lu_cache_hit: true,
-        };
-        let mut text = String::new();
-        crate::protocol::write_reconstruction_response_with(&mut text, &short, Some(&coverage));
+        let short = accumulator(vec![0.0, 12.0, 3.0, 0.0, 1_000_000.0]);
+        let text = counts_answer(&short, 19.0, Some(&coverage));
         for cut in 0..=text.len() {
             decoded += usize::from(assert_decodes_as_reference(&text[..cut]));
         }
+        const GAMMAS: [f64; 4] = [19.0, 1.5, 3.000_000_000_000_000_4, 1e9];
         const ALPHABET: &[u8] = b"0123456789-+.eE,[]{}:\" ntrufals";
         for _ in 0..count {
-            let source = &estimates[(next() % estimates.len() as u64) as usize];
-            let len = (next() % 41) as usize;
+            let source = &counts[(next() % counts.len() as u64) as usize];
+            let len = 1 + (next() % 40) as usize;
             let from = (next() % (source.len() - len) as u64) as usize;
-            let rec = Reconstruction {
-                n: next() >> (next() % 64),
-                estimates: source[from..from + len].to_vec(),
-                method: ReconstructionMethod::ClosedForm,
-                lu_cache_hit: next() % 2 == 0,
-            };
-            let mut text = String::new();
+            let gamma = GAMMAS[(next() % 4) as usize];
             let degraded = (next() % 4 == 0).then_some(&coverage);
-            crate::protocol::write_reconstruction_response_with(&mut text, &rec, degraded);
-            // The items' spans, between `"estimates":[` and its `]`.
-            let open = text.find("\"estimates\":[").unwrap() + 13;
+            let mut text = counts_answer(
+                &accumulator(source[from..from + len].to_vec()),
+                gamma,
+                degraded,
+            );
+            // The items' spans, between `"counts":[` and its `]`.
+            let open = text.find("\"counts\":[").unwrap() + 10;
             let close = open + text[open..].find(']').unwrap();
             let mut items = Vec::new();
             let mut start = open;
@@ -1657,48 +1764,58 @@ pub(crate) mod tests {
                     start = open + i + 1;
                 }
             }
-            let item =
-                (!items.is_empty()).then(|| items[(next() % items.len() as u64) as usize].clone());
+            let item = items[(next() % items.len() as u64) as usize].clone();
             let at = (next() % (text.len() as u64 + 1)) as usize;
-            match next() % 9 {
+            let replace_member = |text: &mut String, key: &str, with: &str| {
+                let at = text.find(key).unwrap();
+                let end = at + text[at..].find(',').unwrap();
+                text.replace_range(at..=end, with);
+            };
+            match next() % 10 {
                 0 => text.truncate(at),
-                1 => {
-                    let odd = ODD_ITEMS[(next() % ODD_ITEMS.len() as u64) as usize];
-                    match item {
-                        Some(span) => text.replace_range(span, odd),
-                        None => text.insert_str(open, odd),
-                    }
-                }
+                1 => text.replace_range(item, ODD_ITEMS[(next() % 26) as usize]),
                 2 => {
                     let ws = [" ", "\n", "\t", "\r\n "][(next() % 4) as usize];
-                    match item {
-                        Some(span) if next() % 2 == 0 => text.insert_str(span.end, ws),
-                        Some(span) => text.insert_str(span.start, ws),
-                        None => text.insert_str(open, ws),
+                    match next() % 2 {
+                        0 => text.insert_str(item.end, ws),
+                        _ => text.insert_str(item.start, ws),
                     }
                 }
                 3 => {
-                    let second =
-                        ["\"estimates\":[1,2.5]", "\"estimates\":null"][(next() % 2) as usize];
+                    let second = ["\"counts\":[1,2]", "\"counts\":null"][(next() % 2) as usize];
                     match next() % 2 {
                         0 => text.insert_str(1, &format!("{second},")),
                         _ => text.insert_str(text.len() - 1, &format!(",{second}")),
                     }
                 }
                 4 => {
-                    let n_at = text.find("\"n\":").unwrap();
-                    let n_end = n_at + text[n_at..].find(',').unwrap();
+                    let n = reference_read_counts_answer(&text).unwrap().0.n;
                     let odd = [
-                        "",
-                        "\"n\":1.5,",
-                        "\"n\":-3,",
-                        "\"n\":\"4\",",
-                        "\"n\":9007199254740992,",
-                        "\"n\":1e3,",
+                        String::new(),
+                        "\"n\":1.5,".into(),
+                        "\"n\":-3,".into(),
+                        "\"n\":\"4\",".into(),
+                        "\"n\":9007199254740992,".into(),
+                        format!("\"n\":{}e0,", n),
+                        format!("\"n\":{},", n + 1),
+                        format!("\"n\":{},", n.wrapping_sub(1)),
                     ];
-                    text.replace_range(n_at..=n_end, odd[(next() % odd.len() as u64) as usize]);
+                    replace_member(&mut text, "\"n\":", &odd[(next() % 8) as usize]);
                 }
                 5 => {
+                    let odd = [
+                        "",
+                        "\"gamma\":1,",
+                        "\"gamma\":1.0000000000000002,",
+                        "\"gamma\":0,",
+                        "\"gamma\":-2,",
+                        "\"gamma\":1e400,",
+                        "\"gamma\":\"19\",",
+                        "\"gamma\":[19],",
+                    ];
+                    replace_member(&mut text, "\"gamma\":", odd[(next() % 8) as usize]);
+                }
+                6 => {
                     let refusal = [
                         "\"ok\":false,\"error\":\"boom\",\"accepted\":7",
                         "\"ok\":false,\"accepted\":1.5",
@@ -1708,12 +1825,12 @@ pub(crate) mod tests {
                     ];
                     text.replace_range(1..10, refusal[(next() % refusal.len() as u64) as usize]);
                 }
-                6 => {
+                7 => {
                     let b = ALPHABET[(next() % ALPHABET.len() as u64) as usize];
                     let at = at.min(text.len() - 1);
                     text.replace_range(at..=at, std::str::from_utf8(&[b]).unwrap());
                 }
-                7 => {
+                8 => {
                     text.remove(at.min(text.len() - 1));
                 }
                 _ => {
@@ -1735,7 +1852,7 @@ pub(crate) mod tests {
 
     #[test]
     #[ignore = "10^6 mutated answers; run in release"]
-    fn a_million_mutated_answers_decode_as_the_tree_does() {
+    fn a_million_mutated_counts_answers_decode_as_the_tree_does() {
         assert_mutated_answers_decode_as_reference(1_000_000);
     }
 }

@@ -17,14 +17,15 @@ use crate::json::{self, Value};
 use crate::metrics::TransportMetrics;
 use crate::persist;
 use crate::protocol::{
-    build_request, is_deferred_submit, read_request, write_error_response, write_flush_response,
-    write_list_response, write_metrics_response, write_ok_response, write_reconstruction_response,
+    build_request, is_deferred_submit, read_request, write_counts_response, write_error_response,
+    write_flush_response, write_list_response, write_metrics_response, write_ok_response,
     write_reconstruction_response_with, write_stats_response, write_transport_metrics_response,
-    AttrRef, Request, Submit, WireFraming,
+    AttrRef, PartialCoverage, Request, Submit, WireFraming,
 };
-use crate::session::{Placement, SessionRegistry};
+use crate::session::{CollectionSession, Placement, SessionRegistry};
 use crate::wire::Counter;
-use frapp_core::Schema;
+use frapp_core::{CountAccumulator, Schema};
+use std::time::Instant;
 
 /// What the connection loop should do after one dispatched request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,6 +252,22 @@ fn apply_submit(
         routed,
         duplicate,
     })
+}
+
+/// The one read behind `reconstruct` and `counts`: the session's
+/// merged perturbed counts. On a single node they are its `snapshot`,
+/// every partition is local and `allow_partial` is vacuously
+/// satisfied; on a federated node they are the owners' partitions
+/// merged, with the coverage of a degraded read.
+fn merged_counts(
+    fed: Option<&FedState>,
+    session: &CollectionSession,
+    allow_partial: bool,
+) -> Result<(CountAccumulator, Option<PartialCoverage>)> {
+    match fed {
+        Some(fed) => fed.owner_counts(session, allow_partial),
+        None => Ok((session.snapshot(), None)),
+    }
 }
 
 /// Ingests one deferred-ack submit into the connection watermark. No
@@ -508,17 +525,21 @@ fn execute_with_state(
             clamp,
             allow_partial,
         } => {
-            if let Some(fed) = fed {
-                let (rec, coverage) =
-                    fed.reconstruct(registry, session, method, clamp, allow_partial)?;
-                write_reconstruction_response_with(out, &rec, coverage.as_ref())
-            } else {
-                // Single node: every partition is local, so
-                // `allow_partial` is accepted and vacuously satisfied.
-                let session = registry.get(session)?;
-                let rec = session.reconstruct(method, clamp)?;
-                write_reconstruction_response(out, &rec)
-            }
+            let session = registry.get(session)?;
+            let (counts, coverage) = merged_counts(fed, &session, allow_partial)?;
+            let rec = session.reconstruct_counts(counts, method, clamp)?;
+            write_reconstruction_response_with(out, &rec, coverage.as_ref())
+        }
+        Request::Counts {
+            session,
+            allow_partial,
+        } => {
+            let session = registry.get(session)?;
+            let (counts, coverage) = merged_counts(fed, &session, allow_partial)?;
+            let started = Instant::now();
+            let gamma = session.mechanism().gamma();
+            write_counts_response(out, &counts, gamma, coverage.as_ref());
+            session.metrics().record_reconstruction(started.elapsed());
         }
         Request::Stats {
             session,

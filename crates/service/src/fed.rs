@@ -24,12 +24,13 @@
 //!   receiving shard claims the pair under the same lock as the
 //!   ingest — retries after a dropped link or a peer restart can never
 //!   double-count.
-//! * **Queries fan out and merge.** `reconstruct`/`stats` barrier the
-//!   replication links (so every acknowledged record is visible), pull
-//!   each owner's local partition (`sync_session`), fold them with
-//!   [`frapp_fed::merge_partitions`] — a commutative, bitwise
-//!   order-independent merge, because the partitions are disjoint
-//!   integer tallies — and solve once locally on the cached-LU path.
+//! * **Queries fan out and merge.** `reconstruct`/`counts`/`stats`
+//!   barrier the replication links (so every acknowledged record is
+//!   visible), pull each owner's local partition (`sync_session`) and
+//!   fold them with [`frapp_fed::merge_partitions`] — a commutative,
+//!   bitwise order-independent merge, because the partitions are
+//!   disjoint integer tallies. `reconstruct` then solves once locally,
+//!   and `counts` ships the merged counts.
 //!
 //! # Anti-entropy
 //!
@@ -63,8 +64,7 @@ use crate::json::{object, Value};
 use crate::metrics::{PeerHealth, PeerReplCounters, PeerReplReport};
 use crate::protocol::{PartialCoverage, RecordBatch};
 use crate::session::{
-    CollectionSession, Created, Mechanism, Placement, Reconstruction, ReconstructionMethod,
-    SessionRegistry, SessionStats,
+    CollectionSession, Created, Mechanism, Placement, SessionRegistry, SessionStats,
 };
 use crate::wire::{Op, PeerCounter};
 use frapp_core::{CountAccumulator, Schema};
@@ -422,31 +422,26 @@ impl FedState {
         Ok(())
     }
 
-    /// A federated reconstruction: barrier the links, pull every
-    /// owner's partition, merge (bitwise order-independent) and solve
-    /// once locally — the cached-LU path if the coordinator has warmed
-    /// it, exactly as on a single node.
+    /// A federated counts read, behind both `reconstruct` and
+    /// `counts`: barrier the links, pull every owner's partition and
+    /// merge them (bitwise order-independent) into the counts a single
+    /// node would hold.
     ///
     /// With `allow_partial`, owners that cannot be reached (transport
     /// failure or an open circuit breaker) are *skipped* instead of
-    /// failing the query: the reachable partitions merge into an
-    /// estimate and the returned [`PartialCoverage`] says exactly
-    /// which owners are missing. In-band errors a peer computed still
+    /// failing the query: the reachable partitions merge into the
+    /// counts and the returned [`PartialCoverage`] says exactly which
+    /// owners are missing. In-band errors a peer computed still
     /// propagate, and a query with *zero* reachable owners still
     /// fails — an estimate from nothing would be a lie. `None`
-    /// coverage means every owner answered (the result is exact).
-    pub fn reconstruct(
+    /// coverage means every owner answered (the counts are exact).
+    pub fn owner_counts(
         &self,
-        registry: &SessionRegistry,
-        session: u64,
-        method: ReconstructionMethod,
-        clamp: bool,
+        sess: &CollectionSession,
         allow_partial: bool,
-    ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
-        let sess = registry.get(session)?;
-        let (partitions, coverage) = self.owner_partitions(&sess, allow_partial)?;
-        let merged = merge_partitions(sess.schema(), partitions)?;
-        Ok((sess.reconstruct_counts(merged, method, clamp)?, coverage))
+    ) -> Result<(CountAccumulator, Option<PartialCoverage>)> {
+        let (partitions, coverage) = self.owner_partitions(sess, allow_partial)?;
+        Ok((merge_partitions(sess.schema(), partitions)?, coverage))
     }
 
     /// Federated ingest statistics: the cluster-wide record total,
@@ -454,7 +449,7 @@ impl FedState {
     /// ring order (shard-level detail stays a per-node concern).
     ///
     /// `allow_partial` behaves exactly as on
-    /// [`FedState::reconstruct`]: unreachable owners are skipped (and
+    /// [`FedState::owner_counts`]: unreachable owners are skipped (and
     /// omitted from `per_shard`) rather than failing the query, with
     /// the returned [`PartialCoverage`] naming them.
     pub fn stats(
@@ -473,7 +468,7 @@ impl FedState {
         Ok((stats, coverage))
     }
 
-    /// The read fan-out behind [`FedState::reconstruct`] and
+    /// The read fan-out behind [`FedState::owner_counts`] and
     /// [`FedState::stats`]: barriers the links, then collects each
     /// owner's count partition in ring order — this node's by
     /// `snapshot`, the others' by `sync_session`, which is strictly

@@ -1632,25 +1632,29 @@ mod tests {
         }
     }
 
-    /// The cost of one `reconstruct` answer, by stage: the counts
-    /// snapshot, the closed-form solve and clamp, the server's
-    /// `write_reconstruction_response`, and the client's decode of the
-    /// answer, as a tree (`json::parse` and a walk of it, the reference
-    /// in `client::tests`) and as the shipped one-pass decoder. Clamped
-    /// answers, as the benchmark's readers ask for, of 2^20-record HEALTH
-    /// (7500 cells) and 2^18-record CENSUS (2000 cells) sessions.
+    /// The cost of one clamped reconstruction, by stage, on both paths.
+    /// The estimates path, which `cached_lu` and curl still take: the
+    /// counts snapshot, the server's closed-form solve and clamp, its
+    /// `write_reconstruction_response`, and a client's tree decode
+    /// (`json::parse` and `client::parse_reconstruction`, as a
+    /// `cached_lu` read does). The counts path, which the
+    /// shipped clients take: the same snapshot, the server's
+    /// `write_counts_response`, and the client's
+    /// `client::read_counts_answer` and its solve and clamp. Answers of
+    /// 2^20-record HEALTH (7500 cells) and 2^18-record CENSUS (2000
+    /// cells) sessions, as the benchmark's readers ask for them.
     #[test]
     #[ignore = "timing table; run in release with --nocapture"]
     fn reconstruct_stage_table() {
-        use crate::client::{read_reconstruction, tests::reference_read_reconstruction};
-        use crate::protocol::write_reconstruction_response;
+        use crate::client::{parse_reconstruction, read_counts_answer};
+        use crate::protocol::{write_counts_response, write_reconstruction_response};
         use crate::session::{CollectionSession, Mechanism, ReconstructionMethod};
         use std::hint::black_box;
 
         let us_per_call = |f: &mut dyn FnMut()| ns_per_record(1, f) / 1e3;
         println!(
-            "answer   cells  non-zero  bytes  snapshot  solve+clamp  write  tree decode  \
-             typed decode  (us)"
+            "answer  path       bytes  snapshot  server solve+clamp  server write  \
+             client read  client solve+clamp  (us)"
         );
         for (name, schema, dataset) in [
             (
@@ -1664,27 +1668,29 @@ mod tests {
                 frapp_data::census::census_like_n(1 << 18, 1),
             ),
         ] {
+            let gamma = 19.0;
             let session = CollectionSession::new(
                 1,
                 schema,
-                Mechanism::Deterministic { gamma: 19.0 },
+                Mechanism::Deterministic { gamma },
                 4,
                 7,
                 1 << 13,
             )
             .unwrap();
             session.submit_batch(dataset.records(), false).unwrap();
-            let rec = session
-                .reconstruct(ReconstructionMethod::ClosedForm, true)
-                .unwrap();
-            let mut text = String::new();
-            write_reconstruction_response(&mut text, &rec);
             let method = ReconstructionMethod::ClosedForm;
-            let (typed, _) = read_reconstruction(&text, method).unwrap();
-            let (tree, _) = reference_read_reconstruction(&text, method).unwrap();
-            let bits =
-                |estimates: &[f64]| estimates.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&typed.estimates), bits(&tree.estimates));
+            let rec = session.reconstruct(method, true).unwrap();
+            let mut estimates = String::new();
+            write_reconstruction_response(&mut estimates, &rec);
+            let counts = session.snapshot();
+            let mut counts_text = String::new();
+            write_counts_response(&mut counts_text, &counts, gamma, None);
+            let (answer, _) = read_counts_answer(&counts_text).unwrap();
+            let solved = answer.solve(true);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&solved.estimates), bits(&rec.estimates));
+
             let snapshot = us_per_call(&mut || {
                 black_box(session.snapshot());
             });
@@ -1697,18 +1703,31 @@ mod tests {
                 write_reconstruction_response(&mut out, black_box(&rec));
             });
             let tree = us_per_call(&mut || {
-                black_box(reference_read_reconstruction(black_box(&text), method).unwrap());
+                let v = crate::json::parse(black_box(&estimates)).unwrap();
+                black_box(parse_reconstruction(&v, method).unwrap());
             });
-            let typed = us_per_call(&mut || {
-                black_box(read_reconstruction(black_box(&text), method).unwrap());
+            let counts_write = us_per_call(&mut || {
+                out.clear();
+                write_counts_response(&mut out, black_box(&counts), gamma, None);
+            });
+            let counts_read = us_per_call(&mut || {
+                black_box(read_counts_answer(black_box(&counts_text)).unwrap());
+            });
+            let solve = us_per_call(&mut || {
+                black_box(black_box(&answer).solve(true));
             });
             println!(
-                "{name:<6} {:>7}  {:>8}  {:>5}  {snapshot:>8.1}  {:>11.1}  {write:>5.1}  \
-                 {tree:>11.1}  {typed:>12.1}",
-                rec.estimates.len(),
-                rec.estimates.iter().filter(|&&e| e != 0.0).count(),
-                text.len(),
+                "{name:<6}  estimates  {:>5}  {snapshot:>8.1}  {:>18.1}  {write:>12.1}  \
+                 {tree:>11.1}  {:>18}",
+                estimates.len(),
                 reconstruct - snapshot,
+                "-",
+            );
+            println!(
+                "{name:<6}  counts     {:>5}  {snapshot:>8.1}  {:>18}  {counts_write:>12.1}  \
+                 {counts_read:>11.1}  {solve:>18.1}",
+                counts_text.len(),
+                "-",
             );
         }
     }

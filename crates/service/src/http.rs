@@ -823,6 +823,14 @@ mod tests {
         ));
         assert!(route("GET", "/sessions/7/stats?allow_partial=maybe", b"").is_err());
         assert!(matches!(
+            route("GET", "/sessions/7/counts?allow_partial=true", b""),
+            Ok(Request::Counts {
+                session: 7,
+                allow_partial: true
+            })
+        ));
+        assert!(route("GET", "/sessions/7/counts?clamp=true", b"").is_err());
+        assert!(matches!(
             route("GET", "/metrics", b""),
             Ok(Request::Metrics { session: None })
         ));

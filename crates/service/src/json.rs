@@ -10,13 +10,13 @@
 //! One scanner reads every document: the pull reader `Reader`, which
 //! lets a caller walk a document token by token. [`parse`] is the tree
 //! builder on it; the request decoder (`protocol::read_request`) reads
-//! a request's `records` through it straight into a flat batch, and the
-//! snapshot codec (`persist`) a shard's `counts` into a vector, with no
-//! tree. All report the same syntax error texts and byte offsets.
+//! a request's `records` through it straight into a flat batch, and
+//! `read_counts` a count array (a snapshot shard's, a `counts`
+//! answer's) into a vector, with no tree. All report the same syntax
+//! error texts and byte offsets.
 
 use crate::error::{Result, ServiceError};
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 mod float;
 
@@ -303,6 +303,32 @@ pub(crate) fn read_members<'a, B>(
     Ok(members)
 }
 
+/// Reads an array of counts into a vector: each item an integer below
+/// 2^53, as [`write_number`] writes a whole count and [`Value::as_u64`]
+/// accepts one. The run of plain integers of at most 15 digits (so
+/// below 2^53) the writer emits is read at once, and whatever it stops
+/// at item by item after it. The outer `Result` is the syntax, checked
+/// to the array's end; `None` means the value is not an array or an
+/// item is not such an integer. A snapshot shard's `counts` and a
+/// `counts` answer are both read here.
+pub(crate) fn read_counts(r: &mut Reader<'_>) -> Result<Option<Vec<f64>>> {
+    if r.peek() != Some(b'[') {
+        r.skip()?;
+        return Ok(None);
+    }
+    r.begin_array()?;
+    let (mut counts, mut integers) = (Vec::new(), true);
+    if !r.uint_run::<15>(|c| counts.push(c as f64)) {
+        while r.next_item()? {
+            match r.uint()? {
+                Some(c) => counts.push(c as f64),
+                None => integers = false,
+            }
+        }
+    }
+    Ok(integers.then_some(counts))
+}
+
 /// A pull reader over one JSON document: the caller walks the document
 /// token by token and builds only what it needs, while every syntax
 /// rule, error text and byte offset stays the one [`parse`] (itself a
@@ -466,15 +492,24 @@ impl<'a> Reader<'a> {
     /// goes on, so that the caller reads any other item the general way.
     #[inline(always)]
     pub(crate) fn small_uints(&mut self, out: &mut Vec<u32>) -> bool {
+        self.uint_run::<9>(|n| out.push(n as u32))
+    }
+
+    /// The run behind [`Self::small_uints`] and [`read_counts`]: items
+    /// for as long as each is a plain integer of at most `DIGITS` digits
+    /// followed directly by `,` or `]`, each passed to `push`. Returns
+    /// and stops as [`Self::small_uints`] does.
+    #[inline(always)]
+    fn uint_run<const DIGITS: usize>(&mut self, mut push: impl FnMut(u64)) -> bool {
         let bytes = self.bytes();
         let mut item = self.pos;
         loop {
             let mut end = item;
-            let mut n: u32 = 0;
+            let mut n: u64 = 0;
             let follow = loop {
                 match bytes.get(end) {
                     Some(&d @ b'0'..=b'9') => {
-                        n = n.wrapping_mul(10).wrapping_add(u32::from(d - b'0'));
+                        n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
                         end += 1;
                     }
                     other => break other.copied(),
@@ -482,16 +517,16 @@ impl<'a> Reader<'a> {
             };
             let digits = end - item;
             let plain =
-                digits == 1 || (digits > 1 && digits <= 9 && bytes.get(item) != Some(&b'0'));
+                digits == 1 || (digits > 1 && digits <= DIGITS && bytes.get(item) != Some(&b'0'));
             match follow {
                 Some(b',') if plain => {
-                    out.push(n);
+                    push(n);
                     self.pos = end;
                     self.opened = false;
                     item = end + 1;
                 }
                 Some(b']') if plain => {
-                    out.push(n);
+                    push(n);
                     self.pos = end + 1;
                     self.opened = false;
                     self.depth -= 1;
@@ -531,55 +566,6 @@ impl<'a> Reader<'a> {
                     self.pos = end - 1;
                 }
                 closed
-            }
-        }
-    }
-
-    /// Right after [`Self::begin_array`]: reads the array's items for
-    /// as long as each is a number followed directly by `,` or `]`, as
-    /// every estimate of a reconstruct answer is, and appends each to
-    /// `out` with the bits [`Self::value`] gives it. A bare `0` is one
-    /// byte compare, and any other number is read in one pass
-    /// ([`number_at`]). Returns whether that consumed the array's `]`.
-    /// If not, the reader stops as [`Self::small_uints`] does, and
-    /// [`Self::next_item`] goes on from there.
-    pub(crate) fn numbers(&mut self, out: &mut Vec<f64>) -> bool {
-        let (text, bytes) = (self.text, self.bytes());
-        let mut item = self.pos;
-        let closed = loop {
-            let (x, end) = match bytes.get(item..item + 2) {
-                Some([b'0', b',' | b']']) => (0.0, item + 1),
-                _ => match number_at(text, item) {
-                    Some(number) => number,
-                    None => break None,
-                },
-            };
-            match bytes.get(end) {
-                Some(b',') => {
-                    out.push(x);
-                    item = end + 1;
-                }
-                Some(b']') => {
-                    out.push(x);
-                    break Some(end + 1);
-                }
-                _ => break None,
-            }
-        };
-        match closed {
-            Some(end) => {
-                self.pos = end;
-                self.opened = false;
-                self.depth -= 1;
-                true
-            }
-            None => {
-                // Before the separator after the last item read, if any.
-                if item != self.pos {
-                    self.pos = item - 1;
-                    self.opened = false;
-                }
-                false
             }
         }
     }
@@ -830,164 +816,6 @@ impl<'a> Reader<'a> {
         }
         char::from_u32(hi).ok_or_else(|| self.err("invalid \\u codepoint"))
     }
-}
-
-/// `10^k` for every `k` whose power fits a `u64`. Each converts to an
-/// `f64` exactly.
-const POW10: [u64; 20] = {
-    let mut table = [1u64; 20];
-    let mut k = 1;
-    while k < 20 {
-        table[k] = table[k - 1] * 10;
-        k += 1;
-    }
-    table
-};
-
-/// The RFC 8259 number at `at` and where it ends, if there is one,
-/// with the value [`Reader::value`] gives it. Its digits are read once,
-/// into one significand `w` ([`digit_run`]), and a number of at most 19
-/// digits without an exponent is then exact without the `f64` parser:
-/// `w` when it has no fraction (a `u64` converts correctly rounded);
-/// `w / 10^k` for `k` fraction digits when `w ≤ 2^53`, as both operands
-/// are exact and the division rounds correctly (Clinger's fast path);
-/// and [`decimal_quotient`] above 2^53, where most of a reconstruct
-/// answer's 17-digit estimates lie. Any other number goes, as its
-/// slice, to the parser [`Reader::value`] uses.
-#[inline(always)]
-fn number_at(text: &str, at: usize) -> Option<(f64, usize)> {
-    let bytes = text.as_bytes();
-    let negative = bytes.get(at) == Some(&b'-');
-    let int = at + usize::from(negative);
-    let (mut w, mut end) = digit_run(bytes, int, 0);
-    let int_digits = end - int;
-    if int_digits == 0 || (int_digits > 1 && bytes.get(int) == Some(&b'0')) {
-        return None;
-    }
-    let mut frac = 0;
-    if bytes.get(end) == Some(&b'.') {
-        let (with_frac, frac_end) = digit_run(bytes, end + 1, w);
-        frac = frac_end - (end + 1);
-        if frac == 0 {
-            return None;
-        }
-        (w, end) = (with_frac, frac_end);
-    }
-    let exact = if matches!(bytes.get(end), Some(b'e' | b'E')) {
-        let from = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
-        end = digit_run(bytes, from, 0).1;
-        if end == from {
-            return None;
-        }
-        None
-    } else if int_digits + frac > 19 {
-        None
-    } else if frac == 0 {
-        Some(w as f64)
-    } else if w <= 1 << 53 {
-        // At most 18 fraction digits: the integer part has one.
-        POW10.get(frac).map(|&pow| w as f64 / pow as f64)
-    } else {
-        decimal_quotient(w, frac)
-    };
-    let x = match exact {
-        Some(x) if negative => -x,
-        Some(x) => x,
-        // The number ends on ASCII, so `end` is a char boundary.
-        None => text.get(at..end)?.parse().ok()?,
-    };
-    Some((x, end))
-}
-
-/// `w / 10^k` correctly rounded (ties to even), for `2^53 < w < 10^19`
-/// and `1 ≤ k ≤ 18`. The quotient of the two `f64`s is within about an
-/// ulp of it. Exact integer comparisons of `w / 10^k` with the
-/// midpoints on either side of that candidate then step it to the
-/// nearest `f64`: a midpoint is `c · 2^(e−2)` for an integer `c < 2^55`,
-/// and in this range both sides of each comparison fit a `u128`.
-#[inline(always)]
-fn decimal_quotient(w: u64, k: usize) -> Option<f64> {
-    let pow = *POW10.get(k)?;
-    let mut x = w as f64 / pow as f64;
-    loop {
-        let bits = x.to_bits();
-        // x = m · 2^e, with x between about 2^-7 and 2^60.
-        let m = bits & ((1 << 52) - 1) | 1 << 52;
-        let e = (bits >> 52) as i32 - 1075;
-        if !(-59..=7).contains(&e) {
-            return None;
-        }
-        let beside = |c: u64| {
-            let scaled = u128::from(c) * u128::from(pow);
-            if e >= 2 {
-                u128::from(w).cmp(&(scaled << (e - 2)))
-            } else {
-                (u128::from(w) << (2 - e)).cmp(&scaled)
-            }
-        };
-        // The lower neighbour of a power of two is half as far away.
-        let below = if m == 1 << 52 { 4 * m - 1 } else { 4 * m - 2 };
-        let odd = m & 1 == 1;
-        x = match (beside(4 * m + 2), beside(below)) {
-            (Ordering::Greater, _) => f64::from_bits(bits + 1),
-            (Ordering::Equal, _) if odd => f64::from_bits(bits + 1),
-            (_, Ordering::Less) => f64::from_bits(bits - 1),
-            (_, Ordering::Equal) if odd => f64::from_bits(bits - 1),
-            _ => return Some(x),
-        };
-    }
-}
-
-/// The decimal digits from `at` appended to `w` (wrapping past 19
-/// digits), and where they end: eight at a time while a whole
-/// little-endian word is digits, and the digits that start a word in
-/// one step too, as that word with its other bytes made leading zeros.
-/// The last few bytes of the text are read one at a time.
-#[inline(always)]
-fn digit_run(bytes: &[u8], mut at: usize, mut w: u64) -> (u64, usize) {
-    const ZEROS: u64 = 0x3030_3030_3030_3030;
-    while let Some(&word) = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
-        let word = u64::from_le_bytes(word);
-        // A lane below `0` borrows into its top bit, one above `9`
-        // carries into it; neither reaches the lane above unless that
-        // lane or one below it is not a digit itself. So the lowest top
-        // bit set is the first lane that is not a digit.
-        let outside = (word.wrapping_sub(ZEROS) | word.wrapping_add(0x4646_4646_4646_4646))
-            & 0x8080_8080_8080_8080;
-        if outside == 0 {
-            w = w.wrapping_mul(100_000_000).wrapping_add(eight_digits(word));
-            at += 8;
-            continue;
-        }
-        let digits = (outside.trailing_zeros() / 8) as usize;
-        if let Some(&pow) = POW10.get(digits).filter(|_| digits > 0) {
-            let pad = 8 * (8 - digits as u32);
-            let padded = word << pad | ZEROS >> (64 - pad);
-            w = w.wrapping_mul(pow).wrapping_add(eight_digits(padded));
-            at += digits;
-        }
-        return (w, at);
-    }
-    while let Some(&d @ b'0'..=b'9') = bytes.get(at) {
-        w = w.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
-        at += 1;
-    }
-    (w, at)
-}
-
-/// The value of a little-endian word of eight ASCII digits, the first
-/// digit in the low byte: pairs, then quads, then the whole, each step
-/// one multiply per lane.
-#[inline(always)]
-fn eight_digits(word: u64) -> u64 {
-    const LANES: u64 = 0x0000_00ff_0000_00ff;
-    let digits = word - 0x3030_3030_3030_3030;
-    // Byte lane 2i now holds the pair of digits 2i and 2i + 1.
-    let pairs = digits * 10 + (digits >> 8);
-    let quads = (pairs & LANES)
-        .wrapping_mul(100 + (1_000_000 << 32))
-        .wrapping_add(((pairs >> 16) & LANES).wrapping_mul(1 + (10_000 << 32)));
-    quads >> 32 & 0xffff_ffff
 }
 
 /// The most cells a record may have for [`Reader::digit_grid`] to read
@@ -1377,159 +1205,48 @@ pub(crate) mod tests {
         }
     }
 
-    /// `[items]` read with [`Reader::numbers`], then item by item: the
-    /// numbers, and whether the run read the whole array.
-    fn number_run(items: &str) -> (Vec<f64>, bool) {
-        let text = format!("[{items}]");
-        let mut r = Reader::new(&text);
-        r.begin_array().unwrap();
-        let mut out = Vec::new();
-        let whole = r.numbers(&mut out);
-        if !whole {
-            while r.next_item().unwrap() {
-                out.push(r.value().unwrap().as_f64().unwrap());
-            }
-        }
+    /// `text` read with [`read_counts`], which must leave the reader at
+    /// the document's end.
+    fn counts_of(text: &str) -> Option<Vec<f64>> {
+        let mut r = Reader::new(text);
+        let counts = read_counts(&mut r).unwrap();
         r.end().unwrap();
-        (out, whole)
+        counts
     }
 
     #[test]
-    fn number_runs_keep_the_bits_value_gives() {
-        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let digits = |n: u64, next: &mut dyn FnMut() -> u64| -> String {
-            (0..n)
-                .map(|_| char::from(b'0' + (next() % 10) as u8))
-                .collect()
-        };
-        for _ in 0..200_000 {
-            // Every digit count up to 25 on either side of the point, an
-            // optional exponent, and the integer part's leading-zero rule.
-            let mut text = String::from(["", "-"][(next() % 2) as usize]);
-            let int = digits(next() % 26, &mut next);
-            let int = int.trim_start_matches('0');
-            text.push_str(if int.is_empty() { "0" } else { int });
-            if next() % 4 != 0 {
-                let frac = 1 + next() % 25;
-                text.push('.');
-                text.push_str(&digits(frac, &mut next));
-            }
-            if next() % 8 == 0 {
-                text.push_str(["e", "E-", "e+"][(next() % 3) as usize]);
-                text.push_str(&digits(1 + next() % 3, &mut next));
-            }
-            let want = parse(&text).unwrap().as_f64().unwrap();
-            let (got, whole) = number_run(&format!("{text},0,{text}"));
-            assert!(whole, "{text}");
-            assert_eq!(
-                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                [want.to_bits(), 0, want.to_bits()],
-                "{text}"
-            );
-        }
-        // Every number the server writes is read in one run: any bit
-        // pattern, and magnitudes from 10^-4 to 10^15, where most of an
-        // answer's estimates need 17 digits.
-        let mut items = String::new();
-        let mut values: Vec<f64> = (0..20_000)
-            .map(|_| f64::from_bits(next()))
-            .filter(|x| x.is_finite())
-            .collect();
-        values.extend((0..100_000).map(|i| {
-            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
-            unit * POW10[i % 20] as f64 / 1e4
-        }));
-        for (i, &x) in values.iter().enumerate() {
-            if i > 0 {
-                items.push(',');
-            }
-            write_number(x, &mut items);
-        }
-        let (got, whole) = number_run(&items);
-        assert!(whole);
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let zero_signless: Vec<f64> = values
-            .iter()
-            .map(|&x| if x == 0.0 { 0.0 } else { x })
-            .collect();
-        assert_eq!(bits(&got), bits(&zero_signless));
-    }
-
-    #[test]
-    fn decimals_on_and_beside_a_midpoint_round_as_the_parser_does() {
-        // The midpoint of `m · 2^-j` and `(m + 1) · 2^-j` is
-        // `(2m + 1) · 5^(j+1) / 10^(j+1)`, at most 19 digits for j < 3;
-        // powers of two (m = 2^52) have a nearer lower neighbour.
-        let mut seed = 0x0123_4567_89ab_cdef_u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let mut checked = 0;
-        for i in 0..30_000u64 {
-            let m = (1 << 52)
-                + if i % 10 == 0 {
-                    i % 3
-                } else {
-                    next() % (1 << 52)
-                };
-            let places = 1 + (i % 3) as usize;
-            let tie = (2 * m + 1) * 5u64.pow(places as u32);
-            for w in [tie - 1, tie, tie + 1, 2 * m * 5u64.pow(places as u32) - 1] {
-                let digits = w.to_string();
-                let (int, frac) = digits.split_at(digits.len() - places);
-                for text in [format!("{int}.{frac}"), format!("-{int}.{frac}")] {
-                    let want = parse(&text).unwrap().as_f64().unwrap();
-                    let (got, _) = number_run(&text);
-                    assert_eq!(got[0].to_bits(), want.to_bits(), "{text}");
-                    checked += 1;
-                }
-            }
-        }
-        assert_eq!(checked, 240_000);
-    }
-
-    #[test]
-    fn a_number_run_stops_where_next_item_goes_on() {
-        for (items, want, whole) in [
-            ("", Vec::<f64>::new(), false),
-            ("0", vec![0.0], true),
-            ("1,2 ,3", vec![1.0, 2.0, 3.0], false),
-            (" 1,2", vec![1.0, 2.0], false),
-            ("1.5,-0,2e1,3", vec![1.5, -0.0, 20.0, 3.0], true),
-            ("0.1,01e0", vec![], false),
+    fn a_count_run_stops_where_next_item_goes_on() {
+        let max = (1u64 << 53) - 1;
+        for (text, want) in [
+            ("[]", Some(vec![])),
+            ("[0]", Some(vec![0.0])),
+            ("[1,2 ,3]", Some(vec![1.0, 2.0, 3.0])),
+            ("[ 1,2]", Some(vec![1.0, 2.0])),
+            // Past the run's 15 digits, `uint` reads up to 2^53 - 1.
+            (
+                "[999999999999999,1000000000000000,9007199254740991]",
+                Some(vec![999_999_999_999_999.0, 1e15, max as f64]),
+            ),
+            // Forms `Value::as_u64` accepts: an exponent, `-0`, `.0`.
+            ("[7,1e2,-0,2.0]", Some(vec![7.0, 100.0, 0.0, 2.0])),
+            // Not integers below 2^53: refused, the array still read.
+            ("[1,9007199254740992]", None),
+            ("[9007199254740993,1]", None),
+            ("[1,0.5]", None),
+            ("[-1]", None),
+            ("[1,null,\"2\"]", None),
+            ("[[1]]", None),
+            ("{\"counts\":[1]}", None),
+            ("3", None),
         ] {
-            if want.is_empty() && !items.is_empty() {
-                // A malformed item is the general path's error.
-                let text = format!("[{items}]");
-                let mut r = Reader::new(&text);
-                r.begin_array().unwrap();
-                let mut out = Vec::new();
-                assert!(!r.numbers(&mut out));
-                assert_eq!(out, [0.1]);
-                assert!(r.next_item().unwrap());
-                assert!(r
-                    .value()
-                    .unwrap_err()
-                    .to_string()
-                    .contains("malformed number"));
-                continue;
-            }
-            let (got, read_whole) = number_run(items);
-            assert_eq!(
-                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "{items}"
-            );
-            assert_eq!(read_whole, whole, "{items}");
+            assert_eq!(counts_of(text), want, "{text}");
+        }
+        // A malformed item is the general path's error, at its offset.
+        for text in ["[1,01]", "[1,2,]", "[1 2]", "[1,"] {
+            let mut r = Reader::new(text);
+            let err = read_counts(&mut r).unwrap_err();
+            let want = parse(text).unwrap_err();
+            assert_eq!(err.to_string(), want.to_string(), "{text}");
         }
     }
 }

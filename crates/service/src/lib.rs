@@ -33,7 +33,9 @@
 //!   `A X̂ = Y` with either the O(n) gamma-diagonal closed form or a
 //!   dense LU factorization cached per session
 //!   (`frapp_linalg::LuDecomposition`), so repeated queries cost
-//!   `O(n²)` instead of `O(n³)`.
+//!   `O(n²)` instead of `O(n³)`. The `counts` op ships the merged
+//!   counts with `n` and γ instead, and the shipped clients solve the
+//!   closed form from them themselves, to the server's bits.
 //! * [`server::Server`] / [`client::Client`] — a line-delimited JSON
 //!   protocol over TCP ([`protocol`]), with the `frapp-serve` and
 //!   `frapp-client` binaries on top. The line protocol supports
@@ -54,8 +56,8 @@
 //!   cluster-wide under consistent-hash placement (`frapp_fed`),
 //!   ingest partitions across a session's owner nodes with
 //!   `(origin, seq)`-stamped forwards that are idempotent on
-//!   redelivery, and reconstruction/stats fan out to the owners and
-//!   merge their disjoint partitions before solving once — for
+//!   redelivery, and reconstruction/counts/stats fan out to the owners
+//!   and merge their disjoint partitions before solving once — for
 //!   pre-perturbed streams, bit-identical to a single-node run.
 //!   Inter-node links pipeline through the same deferred-ack
 //!   watermark contract and catch peers up from persisted watermarks

@@ -689,9 +689,10 @@ pub fn load_session(
     let text = std::fs::read_to_string(path)?;
     let (v, shards) = json::read_members(text.trim(), "shards", |r| {
         read_array(r, "`shards` must be an array", |r| {
-            let count = |r: &mut Reader| Ok(r.uint()?.map(|c| c as f64));
-            let counts =
-                |r: &mut Reader| read_array(r, "counts must be integers below 2^53", count);
+            let counts = |r: &mut Reader| {
+                let counts = json::read_counts(r)?;
+                Ok(counts.ok_or_else(|| snapshot_error("counts must be integers below 2^53")))
+            };
             r.members("counts", counts).map(Some)
         })
     })?;

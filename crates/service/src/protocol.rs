@@ -63,6 +63,7 @@ use crate::session::{
     Mechanism, Placement, Reconstruction, ReconstructionMethod, SessionStats, SessionSummary,
 };
 use crate::wire::{Op, PeerCounter, COUNTERS, OPS, PEER_COUNTERS, PEER_SECTION};
+use frapp_core::CountAccumulator;
 
 /// A batch of records in one flat `u32` buffer.
 ///
@@ -261,6 +262,15 @@ pub enum Request {
         /// some owners are down (the response is then tagged
         /// `"degraded":true` with a coverage report) instead of
         /// erroring. Ignored on single-node servers.
+        allow_partial: bool,
+    },
+    /// The session's perturbed counts with its record total and γ,
+    /// from which a client solves the closed form itself.
+    Counts {
+        /// Target session id.
+        session: u64,
+        /// Federation: tolerate unreachable owners, as on
+        /// [`Request::Reconstruct`].
         allow_partial: bool,
     },
     /// Ingest statistics for a session.
@@ -703,6 +713,10 @@ pub(crate) fn build_request(
             clamp: optional_bool(v, "clamp", true)?,
             allow_partial: optional_bool(v, "allow_partial", false)?,
         }),
+        Op::Counts => Ok(Request::Counts {
+            session: bound_id()?,
+            allow_partial: optional_bool(v, "allow_partial", false)?,
+        }),
         Op::Stats => Ok(Request::Stats {
             session: bound_id()?,
             allow_partial: optional_bool(v, "allow_partial", false)?,
@@ -884,12 +898,37 @@ pub fn write_reconstruction_response_with(
     json::write_string(rec.method.wire_name(), out);
     out.push_str(",\"lu_cache_hit\":");
     out.push_str(if rec.lu_cache_hit { "true" } else { "false" });
-    out.push_str(",\"estimates\":[");
-    for (i, &e) in rec.estimates.iter().enumerate() {
+    out.push_str(",\"estimates\":");
+    write_bulk_tail(out, &rec.estimates, coverage);
+}
+
+/// Writes the response payload for a successful `counts`: the record
+/// total, γ and the perturbed counts, each count written as a snapshot
+/// writes it (`json::write_number` over the whole `f64`), optionally
+/// tagged as a degraded partial answer.
+pub(crate) fn write_counts_response(
+    out: &mut String,
+    counts: &CountAccumulator,
+    gamma: f64,
+    coverage: Option<&PartialCoverage>,
+) {
+    out.push_str("{\"ok\":true,\"n\":");
+    json::write_number(counts.n() as f64, out);
+    out.push_str(",\"gamma\":");
+    json::write_number(gamma, out);
+    out.push_str(",\"counts\":");
+    write_bulk_tail(out, counts.counts(), coverage);
+}
+
+/// Ends a `reconstruct` or `counts` answer: its bulk array, the
+/// degraded pairs when `coverage` is given, and the closing brace.
+fn write_bulk_tail(out: &mut String, numbers: &[f64], coverage: Option<&PartialCoverage>) {
+    out.push('[');
+    for (i, &x) in numbers.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        json::write_number(e, out);
+        json::write_number(x, out);
     }
     out.push(']');
     if let Some(c) = coverage {
@@ -1970,6 +2009,14 @@ pub(crate) mod tests {
             }
         );
         assert!(parse_request(r#"{"op":"stats","session":1,"allow_partial":3}"#).is_err());
+        assert_eq!(
+            parse_request(r#"{"op":"counts","session":1,"allow_partial":true}"#).unwrap(),
+            Request::Counts {
+                session: 1,
+                allow_partial: true
+            }
+        );
+        assert!(parse_request(r#"{"op":"counts"}"#).is_err());
     }
 
     #[test]

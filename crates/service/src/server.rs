@@ -933,6 +933,9 @@ mod tests {
             &format!(r#"{{"op":"reconstruct","session":{sid},"method":"closed"}}"#),
         );
         ok_of(&resp);
+        // A `counts` read is a reconstruction query too.
+        let (resp, _) = dispatch(&reg, &cfg, &format!(r#"{{"op":"counts","session":{sid}}}"#));
+        ok_of(&resp);
 
         let (resp, _) = dispatch(
             &reg,
@@ -947,10 +950,10 @@ mod tests {
         assert_eq!(v.get("batches").and_then(json::Value::as_u64), Some(1));
         assert_eq!(
             v.get("reconstructions").and_then(json::Value::as_u64),
-            Some(1)
+            Some(2)
         );
         let latency = v.get("query_latency").unwrap();
-        assert_eq!(latency.get("count").and_then(json::Value::as_u64), Some(1));
+        assert_eq!(latency.get("count").and_then(json::Value::as_u64), Some(2));
         assert!(!latency
             .get("buckets")
             .and_then(json::Value::as_array)

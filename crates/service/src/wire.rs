@@ -55,6 +55,7 @@ pub enum Op {
     Submit,
     Flush,
     Reconstruct,
+    Counts,
     Stats,
     Metrics,
     ListSessions,
@@ -102,13 +103,14 @@ const PARTIAL: (&str, QueryKind) = ("allow_partial", QueryKind::Bool);
 
 /// Every op, in [`Op`] order.
 #[rustfmt::skip]
-pub static OPS: [OpRow; 21] = [
+pub static OPS: [OpRow; 22] = [
     op(Op::Ping,          "ping",           None,    &[("GET", "/ping")], &[]),
     op(Op::CreateSession, "create_session", None,    &[("POST", "/sessions")], &[]),
     op(Op::Submit,        "submit",         SESSION, &[("POST", "/sessions/{id}/records")], &[]),
     op(Op::Flush,         "flush",          None,    &[], &[]),
     op(Op::Reconstruct,   "reconstruct",    SESSION, &[("GET", "/sessions/{id}/reconstruct")],
         &[("method", QueryKind::Text), ("clamp", QueryKind::Bool), PARTIAL]),
+    op(Op::Counts,        "counts",         SESSION, &[("GET", "/sessions/{id}/counts")], &[PARTIAL]),
     op(Op::Stats,         "stats",          SESSION,
         &[("GET", "/sessions/{id}/stats"), ("GET", "/sessions/{id}")], &[PARTIAL]),
     op(Op::Metrics,       "metrics",        SESSION,

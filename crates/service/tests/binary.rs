@@ -14,6 +14,7 @@ use frapp_service::framing::{
     encode_json_frame, encode_submit_frame, read_varint, write_varint, FLAG_HAS_SHARD,
     FLAG_HAS_STAMP, FLAG_PRE_PERTURBED, OP_JSON, OP_SUBMIT,
 };
+use frapp_service::json::Value;
 use frapp_service::session::{Mechanism, ReconstructionMethod};
 use frapp_service::wire::{Counter, Op};
 use frapp_service::{Server, ServerHandle, ServiceConfig, ServiceError};
@@ -173,8 +174,13 @@ fn all_three_framings_reconstruct_bit_identically_on_both_front_ends() {
         assert_eq!(a.total, c.total);
         assert_eq!(a.per_shard, c.per_shard);
 
+        // Each client's estimates are the served ones bit for bit,
+        // whoever solves: the server (`cached_lu`), or the client from
+        // the counts (the closed form). The served answer is read off a
+        // tree of `reconstruct`'s answer on each connection.
         for (method, clamp) in [
             (ReconstructionMethod::ClosedForm, false),
+            (ReconstructionMethod::ClosedForm, true),
             (ReconstructionMethod::CachedLu, false),
         ] {
             let via_line = line.reconstruct(line_session, method, clamp).unwrap();
@@ -182,6 +188,35 @@ fn all_three_framings_reconstruct_bit_identically_on_both_front_ends() {
             let via_binary = binary.reconstruct(binary_session, method, clamp).unwrap();
             assert_eq!(via_line.estimates, via_http.estimates, "{method:?}");
             assert_eq!(via_line.estimates, via_binary.estimates, "{method:?}");
+            let fields = || {
+                vec![
+                    ("method", method.wire_name().into()),
+                    ("clamp", clamp.into()),
+                ]
+            };
+            for (solved, served) in [
+                (
+                    &via_line,
+                    line.call(Op::Reconstruct, Some(line_session), fields()),
+                ),
+                (
+                    &via_http,
+                    http.call(Op::Reconstruct, Some(http_session), fields()),
+                ),
+                (
+                    &via_binary,
+                    binary.call(Op::Reconstruct, Some(binary_session), fields()),
+                ),
+            ] {
+                let served = served.unwrap();
+                let served = served.get("estimates").and_then(Value::as_array).unwrap();
+                let served: Vec<u64> = served
+                    .iter()
+                    .map(|e| e.as_f64().unwrap().to_bits())
+                    .collect();
+                let solved: Vec<u64> = solved.estimates.iter().map(|e| e.to_bits()).collect();
+                assert_eq!(solved, served, "{method:?} clamp={clamp}");
+            }
         }
 
         // The negotiated-framing counters saw the upgraded connection

@@ -15,8 +15,9 @@ use frapp_service::client::{Client, SessionSpec};
 use frapp_service::framing::{
     read_varint, write_varint, FLAG_HAS_STAMP, FLAG_PRE_PERTURBED, OP_JSON, OP_SUBMIT,
 };
+use frapp_service::json::Value;
 use frapp_service::session::{Mechanism, ReconstructionMethod};
-use frapp_service::wire::PeerCounter;
+use frapp_service::wire::{Op, PeerCounter};
 use frapp_service::{Server, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -532,6 +533,47 @@ fn degraded_reads_cover_reachable_partitions_and_heal_bit_identical() {
         "the degraded estimate must cover some but not all records (n = {})",
         rec.n
     );
+    // The client solved it from the degraded counts: the same
+    // coverage and, bit for bit, the same estimates as the served
+    // degraded answer, read off a tree.
+    let served = client
+        .call(
+            Op::Reconstruct,
+            Some(session),
+            vec![
+                ("method", "closed".into()),
+                ("clamp", false.into()),
+                ("allow_partial", true.into()),
+            ],
+        )
+        .unwrap();
+    let estimates = served.get("estimates").and_then(Value::as_array).unwrap();
+    let served_bits: Vec<u64> = estimates
+        .iter()
+        .map(|e| e.as_f64().unwrap().to_bits())
+        .collect();
+    let solved_bits: Vec<u64> = rec.estimates.iter().map(|e| e.to_bits()).collect();
+    assert_eq!(solved_bits, served_bits);
+    assert_eq!(served.get("n").and_then(Value::as_u64), Some(rec.n));
+    let served_coverage = served.get("coverage").unwrap();
+    let uint = |key| served_coverage.get(key).and_then(Value::as_usize);
+    assert_eq!(uint("owners_total"), Some(coverage.owners_total));
+    assert_eq!(uint("owners_reachable"), Some(coverage.owners_reachable));
+    let missing = served_coverage
+        .get("missing")
+        .and_then(Value::as_array)
+        .unwrap();
+    let missing: Vec<(usize, String)> = missing
+        .iter()
+        .map(|m| {
+            let node = m.get("node").and_then(Value::as_usize).unwrap();
+            (
+                node,
+                m.get("addr").and_then(Value::as_str).unwrap().to_owned(),
+            )
+        })
+        .collect();
+    assert_eq!(missing, coverage.missing);
 
     // Stats degrade the same way, over the same partitions: one
     // `per_shard` entry per reachable owner, summing to the records the

@@ -43,6 +43,19 @@ fn workload(n: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
+fn bits(estimates: &[f64]) -> Vec<u64> {
+    estimates.iter().map(|e| e.to_bits()).collect()
+}
+
+/// The estimates of a served `reconstruct` answer, read off its tree.
+fn served_bits(answer: Value) -> Vec<u64> {
+    let estimates = answer.get("estimates").and_then(Value::as_array).unwrap();
+    estimates
+        .iter()
+        .map(|e| e.as_f64().unwrap().to_bits())
+        .collect()
+}
+
 #[test]
 fn http_and_tcp_transports_are_bit_identical() {
     // The same create/submit/reconstruct script, once over the line
@@ -74,20 +87,53 @@ fn http_and_tcp_transports_are_bit_identical() {
     assert_eq!(tcp_stats.total, http_stats.total);
     assert_eq!(tcp_stats.per_shard, http_stats.per_shard);
 
+    // A RAN-GD pair too: its served closed form is DET-GD's.
+    let ran = SessionSpec {
+        mechanism: Mechanism::Randomized {
+            gamma: GAMMA,
+            alpha_fraction: 0.5,
+        },
+        ..small_spec(0xFACE)
+    };
+    let (tcp_ran, http_ran) = (
+        tcp.create_session(&ran).unwrap(),
+        http.create_session(&ran).unwrap(),
+    );
+    for batch in records.chunks(1_000) {
+        tcp.submit_batch_to_shard(tcp_ran, 0, batch, false).unwrap();
+        http.submit_batch_to_shard(http_ran, 0, batch, false)
+            .unwrap();
+    }
+
     // Estimates must agree exactly: same perturbation stream, same
-    // solver, same shortest-roundtrip JSON float encoding both ways.
-    for (method, clamp) in [
-        (ReconstructionMethod::ClosedForm, false),
-        (ReconstructionMethod::ClosedForm, true),
-        (ReconstructionMethod::CachedLu, false),
-    ] {
-        let via_tcp = tcp.reconstruct(tcp_session, method, clamp).unwrap();
-        let via_http = http.reconstruct(http_session, method, clamp).unwrap();
-        assert_eq!(via_tcp.n, via_http.n);
-        assert_eq!(
-            via_tcp.estimates, via_http.estimates,
-            "estimates diverged for {method:?} clamp={clamp}"
-        );
+    // solver, whether the server solves (`cached_lu`, and the served
+    // answer read as a tree) or the client solves the closed form from
+    // the counts, and the same integer counts and shortest-roundtrip
+    // float encoding both ways.
+    for (tcp_session, http_session) in [(tcp_session, http_session), (tcp_ran, http_ran)] {
+        for (method, clamp) in [
+            (ReconstructionMethod::ClosedForm, false),
+            (ReconstructionMethod::ClosedForm, true),
+            (ReconstructionMethod::CachedLu, false),
+        ] {
+            let via_tcp = tcp.reconstruct(tcp_session, method, clamp).unwrap();
+            let via_http = http.reconstruct(http_session, method, clamp).unwrap();
+            assert_eq!(via_tcp.n, via_http.n);
+            assert_eq!(
+                via_tcp.estimates, via_http.estimates,
+                "estimates diverged for {method:?} clamp={clamp}"
+            );
+            let fields = || {
+                vec![
+                    ("method", method.wire_name().into()),
+                    ("clamp", clamp.into()),
+                ]
+            };
+            let served = tcp.call(Op::Reconstruct, Some(tcp_session), fields());
+            assert_eq!(bits(&via_tcp.estimates), served_bits(served.unwrap()));
+            let served = http.call(Op::Reconstruct, Some(http_session), fields());
+            assert_eq!(bits(&via_http.estimates), served_bits(served.unwrap()));
+        }
     }
 
     // Cross-transport visibility: both sessions appear in one listing,
@@ -163,7 +209,7 @@ fn sample(op: Op, made: &Made) -> (Option<u64>, Fields) {
             session,
             vec![("method", "cached_lu".into()), ("clamp", false.into())],
         ),
-        Op::Stats => (session, vec![("allow_partial", true.into())]),
+        Op::Counts | Op::Stats => (session, vec![("allow_partial", true.into())]),
         // Each has a second form, compared after the loop.
         Op::Metrics => (session, Vec::new()),
         Op::Persist => (None, Vec::new()),

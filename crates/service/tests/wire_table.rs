@@ -6,7 +6,8 @@
 //! 2. every typed client method puts on the wire the bytes it put there
 //!    before the table existed (recorded at commit `df6d5eb`), and
 //!    every submit route answers with the bytes it answered before
-//!    `dispatch::apply_submit` existed (recorded at `53f8c3f`);
+//!    `dispatch::apply_submit` existed (recorded at `53f8c3f`), and a
+//!    `counts` answer of a fixed session has pinned bytes;
 //! 3. the `metrics` response, both clients' parsed reports and the
 //!    Prometheus exposition agree on every counter.
 
@@ -228,7 +229,7 @@ fn every_seeded_doc_mutation_is_the_expected_finding() {
 // ---- 2. request bytes --------------------------------------------------
 
 /// One response every typed method can parse.
-const ANSWER: &str = r#"{"ok":true,"session":1,"shard":0,"n":0,"estimates":[],"total":0,"per_shard":[],"sessions":[],"detail":[],"records_ingested":0,"batches":0,"reconstructions":0,"query_latency":{"count":0,"mean_us":0,"max_us":0,"buckets":[]},"transport":{},"persisted":[],"closed":true,"job":1,"status":{"state":"done"},"result":{},"jobs":[],"accepted":0}"#;
+const ANSWER: &str = r#"{"ok":true,"session":1,"shard":0,"n":0,"gamma":19,"counts":[0],"estimates":[],"total":0,"per_shard":[],"sessions":[],"detail":[],"records_ingested":0,"batches":0,"reconstructions":0,"query_latency":{"count":0,"mean_us":0,"max_us":0,"buckets":[]},"transport":{},"persisted":[],"closed":true,"job":1,"status":{"state":"done"},"result":{},"jobs":[],"accepted":0}"#;
 
 fn http_answer(body: &str) -> String {
     format!(
@@ -324,13 +325,15 @@ fn line_script(c: &mut Client) {
     c.shutdown().unwrap();
 }
 
-/// What each call of [`line_script`] wrote at the parent commit.
+/// What each call of [`line_script`] wrote at the parent commit, but
+/// row 4: a closed-form `reconstruct` has asked for `counts` since the
+/// clients solve the closed form themselves.
 const LINES: [&str; 29] = [
     r#"{"op":"ping"}"#,
     r#"{"op":"create_session","schema":[["a",4],["b",3]],"mechanism":"ran","gamma":19,"alpha_fraction":0.25,"shards":2,"seed":7}"#,
     r#"{"op":"submit","session":1,"records":[[1,2],[3,0]],"pre_perturbed":true}"#,
     r#"{"op":"submit","session":1,"records":[[1,2],[3,0]],"pre_perturbed":false,"shard":1}"#,
-    r#"{"op":"reconstruct","session":1,"method":"closed","clamp":true}"#,
+    r#"{"op":"counts","session":1}"#,
     r#"{"op":"reconstruct","session":1,"method":"cached_lu","clamp":false,"allow_partial":true}"#,
     r#"{"op":"stats","session":1}"#,
     r#"{"op":"stats","session":1,"allow_partial":true}"#,
@@ -417,6 +420,7 @@ fn client_request_bytes_are_the_parents() {
 /// What each call of [`shared_script`] wrote at the parent commit, as
 /// `(method and target, body)`. `HttpClient` had no `federation_metrics`
 /// or `cluster_status` then; rows 12 and 13 are new with the table.
+/// Row 4 is the `counts` request, as in [`LINES`].
 const HTTP_REQUESTS: [(&str, &str); 24] = [
     ("GET /ping", ""),
     (
@@ -431,7 +435,7 @@ const HTTP_REQUESTS: [(&str, &str); 24] = [
         "POST /sessions/1/records",
         r#"{"records":[[1,2],[3,0]],"pre_perturbed":false,"shard":1}"#,
     ),
-    ("GET /sessions/1/reconstruct?method=closed&clamp=true", ""),
+    ("GET /sessions/1/counts", ""),
     (
         "GET /sessions/1/reconstruct?method=cached_lu&clamp=false&allow_partial=true",
         "",
@@ -533,6 +537,47 @@ fn submit_response_bytes_are_the_parents() {
     };
     send(r#"{"op":"create_session","schema":[["a",3],["b",2]],"gamma":19,"shards":2,"seed":7}"#);
     let mut lines = SUBMIT_TRANSCRIPT.lines().peekable();
+    while let Some(line) = lines.next() {
+        if let Some(request) = line.strip_prefix("> ") {
+            let expected = lines.next_if(|next| next.starts_with("< "));
+            let expected = expected.map_or("", |answer| &answer[2..]);
+            assert_eq!(send(request), expected, "{request}");
+        }
+    }
+}
+
+/// A `counts` read of a fixed session (`a`:3 × `b`:2, two shards, seed
+/// 7, server-perturbed records pinned to both shards), answered the
+/// same with and without `allow_partial` on a single node, beside the
+/// unclamped `reconstruct` of the same counts.
+const COUNTS_TRANSCRIPT: &str = r#"
+> {"op":"submit","session":1,"records":[[0,0],[1,1],[2,1],[0,1]],"pre_perturbed":false,"shard":0}
+< {"ok":true,"accepted":4,"shard":0}
+> {"op":"submit","session":1,"records":[[2,0],[2,0],[1,0]],"pre_perturbed":false,"shard":1}
+< {"ok":true,"accepted":3,"shard":1}
+> {"op":"counts","session":1}
+< {"ok":true,"n":7,"gamma":19,"counts":[1,1,2,1,2,0]}
+> {"op":"counts","session":1,"allow_partial":true}
+< {"ok":true,"n":7,"gamma":19,"counts":[1,1,2,1,2,0]}
+> {"op":"reconstruct","session":1,"clamp":false}
+< {"ok":true,"n":7,"method":"closed","lu_cache_hit":false,"estimates":[0.9444444444444445,0.9444444444444445,2.277777777777778,0.9444444444444445,2.277777777777778,-0.38888888888888884]}
+"#;
+
+#[test]
+fn counts_answer_bytes_are_pinned() {
+    let registry = SessionRegistry::new();
+    let config = ServiceConfig::default();
+    let transport = TransportMetrics::new();
+    let mut state = ConnState::new();
+    let mut send = |line: &str| {
+        let mut out = String::new();
+        dispatch_into(
+            &registry, &config, &transport, None, None, &mut state, line, &mut out,
+        );
+        out
+    };
+    send(r#"{"op":"create_session","schema":[["a",3],["b",2]],"gamma":19,"shards":2,"seed":7}"#);
+    let mut lines = COUNTS_TRANSCRIPT.lines().peekable();
     while let Some(line) = lines.next() {
         if let Some(request) = line.strip_prefix("> ") {
             let expected = lines.next_if(|next| next.starts_with("< "));
