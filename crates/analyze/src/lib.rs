@@ -87,7 +87,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 ///
 /// `waiver_path` overrides the default waiver file location
 /// (`<root>/analyze-waivers.txt`); the default is optional, an
-/// explicit path must exist.
+/// explicit path must exist. A waiver-file entry that matches no
+/// scanned file or function is an error ([`waivers::stale`]).
 pub fn analyze(root: &Path, waiver_path: Option<&Path>) -> Result<Analysis, String> {
     let sources = collect_sources(root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
     let mut files = Vec::new();
@@ -121,6 +122,13 @@ pub fn analyze(root: &Path, waiver_path: Option<&Path>) -> Result<Analysis, Stri
             }
         }
     };
+    let stale = waivers::stale(&file_waivers, &ws.files);
+    if !stale.is_empty() {
+        return Err(format!(
+            "stale waiver-file entries (they match nothing; delete them):\n{}",
+            stale.join("\n")
+        ));
+    }
     let (live, waived) = waivers::apply(findings, &ws.files, &file_waivers);
     Ok(Analysis {
         findings: live,

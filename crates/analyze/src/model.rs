@@ -5,10 +5,13 @@
 //! resolves to *every* non-test function sharing its name, which makes
 //! the rules conservative over-approximations: they may traverse an
 //! edge the compiler never would, but they cannot miss one inside the
-//! workspace. Functions inside `#[cfg(test)]` modules or under
-//! `#[test]` are modeled (so waiver lines still resolve) but excluded
-//! from rule roots, findings and call-graph targets: test code is
-//! allowed to unwrap and block.
+//! workspace. The one narrowing is a path call `Type::name(..)` or
+//! `Self::name(..)`: when the workspace has an `impl Type` defining
+//! `name`, the call resolves to that impl's definitions alone.
+//! Functions inside `#[cfg(test)]` modules or under `#[test]` are
+//! modeled (so waiver lines still resolve) but excluded from rule
+//! roots, findings and call-graph targets: test code is allowed to
+//! unwrap and block.
 
 use crate::lexer::{lex, InlineWaiver, TokKind, Token};
 use std::collections::HashMap;
@@ -48,6 +51,9 @@ pub struct FnDef {
     pub is_test: bool,
     /// Source line of the `fn` keyword.
     pub line: u32,
+    /// The self type of the `impl` block the function is an item of
+    /// (`Foo` for `impl<T> Trait for a::Foo<T>`), if any.
+    pub impl_type: Option<String>,
 }
 
 /// A call site inside a function body.
@@ -136,6 +142,8 @@ fn extract_fns(tokens: &[Token]) -> Vec<FnDef> {
     let mut fns = Vec::new();
     // Stack of (brace depth at open, is_test) for test-marked mods.
     let mut test_mods: Vec<i32> = Vec::new();
+    // Stack of (self type, brace depth of the body) of open impl blocks.
+    let mut impls: Vec<(String, i32)> = Vec::new();
     let mut depth = 0i32;
     let mut pending_test = false;
     let mut i = 0usize;
@@ -149,6 +157,9 @@ fn extract_fns(tokens: &[Token]) -> Vec<FnDef> {
                 depth -= 1;
                 while test_mods.last().is_some_and(|&d| d > depth) {
                     test_mods.pop();
+                }
+                while impls.last().is_some_and(|&(_, d)| d > depth) {
+                    impls.pop();
                 }
                 i += 1;
             }
@@ -210,11 +221,22 @@ fn extract_fns(tokens: &[Token]) -> Vec<FnDef> {
                     body,
                     is_test: pending_test || !test_mods.is_empty(),
                     line,
+                    impl_type: impls
+                        .last()
+                        .filter(|&&(_, d)| d == depth)
+                        .map(|(ty, _)| ty.clone()),
                 });
                 pending_test = false;
                 // Continue scanning from just inside the signature so
                 // nested fns (inside bodies) are still found.
                 i += 2;
+            }
+            TokKind::Ident if tokens[i].text == "impl" && starts_item(tokens, i) => {
+                if let Some(ty) = impl_self_type(tokens, i) {
+                    impls.push((ty, depth + 1));
+                }
+                pending_test = false;
+                i += 1;
             }
             _ => {
                 // Any other item consumes a pending test attribute
@@ -231,6 +253,45 @@ fn extract_fns(tokens: &[Token]) -> Vec<FnDef> {
         }
     }
     fns
+}
+
+/// Whether the token at `i` begins an item, as an `impl` block does,
+/// rather than sitting inside a type, as `impl Trait` does.
+fn starts_item(tokens: &[Token], i: usize) -> bool {
+    match i.checked_sub(1).map(|p| &tokens[p]) {
+        None => true,
+        Some(prev) => {
+            prev.is_ident("unsafe") || matches!(prev.kind, TokKind::Punct('}' | ';' | '{' | ']'))
+        }
+    }
+}
+
+/// The self type of the `impl` block at `at`: the last path segment
+/// before its generic arguments, after `for` when it implements a
+/// trait. `None` for a header without a body.
+fn impl_self_type(tokens: &[Token], at: usize) -> Option<String> {
+    let mut angle = 0usize;
+    let mut ty = None;
+    let mut in_bounds = false;
+    for (j, t) in tokens.iter().enumerate().skip(at + 1) {
+        match t.kind {
+            TokKind::Punct('{') if angle == 0 => return ty,
+            TokKind::Punct(';') if angle == 0 => return None,
+            TokKind::Punct('<') => angle += 1,
+            // The `>` of `->` closes nothing.
+            TokKind::Punct('>') if !tokens[j - 1].is_punct('-') => {
+                angle = angle.saturating_sub(1);
+            }
+            TokKind::Ident if angle == 0 && !in_bounds => match t.text.as_str() {
+                "for" => ty = None,
+                "where" => in_bounds = true,
+                "dyn" | "mut" => {}
+                name => ty = Some(name.to_owned()),
+            },
+            _ => {}
+        }
+    }
+    None
 }
 
 const KEYWORDS: &[&str] = &[
@@ -328,25 +389,54 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// `name -> [(file index, fn index)]` over non-test functions.
     pub by_name: HashMap<String, Vec<(usize, usize)>>,
+    /// `(impl self type, name) -> [(file index, fn index)]` over the
+    /// same functions, for those defined in an `impl` block.
+    pub by_impl: HashMap<(String, String), Vec<(usize, usize)>>,
 }
 
 impl Workspace {
     /// Builds the workspace model from parsed files.
     pub fn new(files: Vec<SourceFile>) -> Workspace {
         let mut by_name: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+        let mut by_impl: HashMap<(String, String), Vec<(usize, usize)>> = HashMap::new();
         for (fi, file) in files.iter().enumerate() {
             for (di, f) in file.fns.iter().enumerate() {
                 if !f.is_test && f.body.is_some() {
                     by_name.entry(f.name.clone()).or_default().push((fi, di));
+                    if let Some(ty) = &f.impl_type {
+                        by_impl
+                            .entry((ty.clone(), f.name.clone()))
+                            .or_default()
+                            .push((fi, di));
+                    }
                 }
             }
         }
-        Workspace { files, by_name }
+        Workspace {
+            files,
+            by_name,
+            by_impl,
+        }
     }
 
     /// All definitions a call name may resolve to.
     pub fn resolve(&self, name: &str) -> &[(usize, usize)] {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// All definitions `call`, made in the body of `caller`, may
+    /// resolve to: for a path call `Type::name(..)` (a capitalised
+    /// qualifier) or `Self::name(..)`, the `name`s of that type's impl
+    /// blocks if it has any; otherwise every function named `name`.
+    pub fn resolve_call(&self, call: &Call, caller: &FnDef) -> &[(usize, usize)] {
+        let ty = match call.qualifier.as_deref() {
+            _ if call.is_method => None,
+            Some("Self") => caller.impl_type.as_deref(),
+            Some(q) if q.starts_with(|c: char| c.is_ascii_uppercase()) => Some(q),
+            _ => None,
+        };
+        ty.and_then(|ty| self.by_impl.get(&(ty.to_owned(), call.name.clone())))
+            .map_or_else(|| self.resolve(&call.name), Vec::as_slice)
     }
 }
 
@@ -421,6 +511,67 @@ fn also_live() {}
         let mac = calls.iter().find(|c| c.name == "panic").unwrap();
         assert!(mac.is_macro);
         assert!(calls.iter().any(|c| c.name == "sleep" && !c.is_method));
+    }
+
+    #[test]
+    fn impl_blocks_give_their_fns_a_self_type() {
+        let f = parse(
+            "fn free(f: impl Fn() -> u8) {}\n\
+             impl<const N: usize> Text<N> { fn a() {} }\n\
+             impl<F: Fn() -> u8> fmt::Display for crate::x::Wrap<F> where F: Copy {\n\
+                 fn fmt(&self) { fn inner() {} }\n\
+             }\n\
+             unsafe impl Send for Raw {}\n\
+             trait T { fn d(&self) {} }",
+        );
+        let types: Vec<(&str, Option<&str>)> = f
+            .fns
+            .iter()
+            .map(|d| (d.name.as_str(), d.impl_type.as_deref()))
+            .collect();
+        assert_eq!(
+            types,
+            [
+                ("free", None),
+                ("a", Some("Text")),
+                ("fmt", Some("Wrap")),
+                ("inner", None),
+                ("d", None),
+            ]
+        );
+    }
+
+    #[test]
+    fn type_and_self_paths_resolve_to_their_impl_only() {
+        // Two unrelated `of`s, as `Scale::of` and a federated read's
+        // `Owners::of` once were; only the bare `of` call (and a type
+        // without an impl of its own) keeps bare-name resolution.
+        let ws = Workspace::new(vec![
+            parse("impl Scale { fn of() {} fn up() { Self::of(); } }"),
+            parse(
+                "impl Owners { fn of() { counts(); } }\n\
+                 fn caller() { Scale::of(); Owners::of(); of(); Other::of(); x.of(); }",
+            ),
+        ]);
+        let scale = (0, 0);
+        let owners = (1, 0);
+        let file = &ws.files[0];
+        let up = &file.fns[1];
+        let calls = file.calls(up);
+        assert_eq!(ws.resolve_call(&calls[0], up), [scale]);
+        let file = &ws.files[1];
+        let caller = &file.fns[1];
+        let got: Vec<&[(usize, usize)]> = file
+            .calls(caller)
+            .iter()
+            .map(|c| ws.resolve_call(c, caller))
+            .collect();
+        let both = [scale, owners];
+        assert_eq!(
+            got,
+            [&[scale][..], &[owners], &both, &both, &both],
+            "Scale::of, Owners::of, of, Other::of, x.of"
+        );
     }
 
     #[test]

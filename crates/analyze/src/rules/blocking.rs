@@ -45,7 +45,7 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
             if !resolvable(&call) {
                 continue;
             }
-            for &cand in ws.resolve(&call.name) {
+            for &cand in ws.resolve_call(&call, def) {
                 if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(cand) {
                     slot.insert(Some(key));
                     queue.push(cand);

@@ -150,7 +150,7 @@ impl BlockingIndex {
             if !resolvable(&call) {
                 continue;
             }
-            let candidates: Vec<(usize, usize)> = ws.resolve(&call.name).to_vec();
+            let candidates: Vec<(usize, usize)> = ws.resolve_call(&call, def).to_vec();
             for cand in candidates {
                 if cand == key {
                     continue;

@@ -112,7 +112,7 @@ impl LockModel {
                 if !resolvable(&call) {
                     continue;
                 }
-                for cand in ws.resolve(&call.name) {
+                for cand in ws.resolve_call(&call, def) {
                     if *cand != key {
                         set.extend(self.locks_of(ws, *cand));
                     }
@@ -351,7 +351,7 @@ fn handle_call(
     } else if resolvable(call) {
         // A call to a guard-returning helper acquires for the caller.
         let mut ids = Vec::new();
-        for cand in ws.resolve(&call.name) {
+        for cand in ws.resolve_call(call, def) {
             if let Some(provided) = model.helpers.get(cand) {
                 for id in provided {
                     if !ids.contains(id) {
@@ -400,7 +400,7 @@ fn handle_call(
     // Non-acquiring call while locks are held: pull in the callee's
     // transitive lock set as edges, and flag blocking calls.
     if resolvable(call) {
-        for cand in ws.resolve(&call.name) {
+        for cand in ws.resolve_call(call, def) {
             if *cand == key {
                 continue;
             }
@@ -423,7 +423,7 @@ fn handle_call(
     let block_hit = if let Some(desc) = blocking_primitive(call) {
         Some((call.name.clone(), desc))
     } else if resolvable(call) {
-        ws.resolve(&call.name)
+        ws.resolve_call(call, def)
             .iter()
             .filter(|cand| **cand != key)
             .find_map(|cand| blocking.blocks(ws, *cand))

@@ -24,7 +24,6 @@ const WIRE_FILES: &[&str] = &[
     "session.rs",
     "framing.rs",
     "json.rs",
-    "json/float.rs",
 ];
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "unimplemented", "todo"];

@@ -11,7 +11,10 @@
 //! given component (so `fed.rs` matches `crates/service/src/fed.rs`).
 //! `<function>` is the enclosing function name or `*` for the whole
 //! file. Inline waivers match a finding on their exact line; the rule
-//! name `*` waives every rule on that line.
+//! name `*` waives every rule on that line. An entry that can waive
+//! nothing — no scanned file ends with its `<file>`, or no such file
+//! defines its `<function>` outside test code — is an error
+//! ([`stale`]), so the file cannot outlive the code it excuses.
 
 use crate::model::SourceFile;
 use crate::report::Finding;
@@ -60,6 +63,32 @@ pub fn parse_waiver_file(text: &str) -> Result<Vec<FileWaiver>, String> {
         });
     }
     Ok(out)
+}
+
+/// The waiver-file entries that can match no finding, one error text
+/// each: those whose file suffix matches no scanned file, and those
+/// whose function (other than `*`) no matching file defines outside
+/// test code.
+pub fn stale(file_waivers: &[FileWaiver], files: &[SourceFile]) -> Vec<String> {
+    file_waivers
+        .iter()
+        .filter_map(|w| {
+            let mut matching = files.iter().filter(|f| f.rel.ends_with(&w.file)).peekable();
+            let entry = format!("`{} {} {}`", w.rule, w.file, w.function);
+            if matching.peek().is_none() {
+                Some(format!("{entry}: no scanned file ends with `{}`", w.file))
+            } else if w.function != "*"
+                && !matching.any(|f| f.fns.iter().any(|d| !d.is_test && d.name == w.function))
+            {
+                Some(format!(
+                    "{entry}: no `{}` defines `fn {}`",
+                    w.file, w.function
+                ))
+            } else {
+                None
+            }
+        })
+        .collect()
 }
 
 /// Splits raw findings into (unwaived, waived) by consulting inline
@@ -115,6 +144,36 @@ mod tests {
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].function, "recv_link");
         assert!(parse_waiver_file("panic_path fed.rs f").is_err());
+    }
+
+    #[test]
+    fn waivers_for_missing_files_or_functions_are_stale() {
+        let file = |rel: &str, src: &str| {
+            SourceFile::parse(std::path::Path::new(rel), rel.to_owned(), src)
+        };
+        let files = [
+            file("crates/service/src/fed.rs", "fn recv_link() {}"),
+            file(
+                "crates/service/src/json.rs",
+                "#[cfg(test)]\nmod tests { fn helper() {} }",
+            ),
+        ];
+        let ws = parse_waiver_file(
+            "reactor_blocking fed.rs recv_link live\n\
+             panic_path fed.rs * whole file\n\
+             panic_path json/float.rs shl1 the file is gone\n\
+             panic_path fed.rs send_link the function is gone\n\
+             panic_path json.rs helper test code raises no finding\n",
+        )
+        .unwrap();
+        assert_eq!(
+            stale(&ws, &files),
+            [
+                "`panic_path json/float.rs shl1`: no scanned file ends with `json/float.rs`",
+                "`panic_path fed.rs send_link`: no `fed.rs` defines `fn send_link`",
+                "`panic_path json.rs helper`: no `json.rs` defines `fn helper`",
+            ]
+        );
     }
 
     #[test]

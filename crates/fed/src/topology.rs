@@ -69,11 +69,6 @@ impl Topology {
         self.self_id
     }
 
-    /// This node's own address.
-    pub fn self_addr(&self) -> &str {
-        &self.peers[self.self_id]
-    }
-
     /// The replication factor (owners per session).
     pub fn replication(&self) -> usize {
         self.replication

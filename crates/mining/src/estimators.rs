@@ -30,14 +30,6 @@ impl ExactSupport {
             num_items: dataset.schema().boolean_width(),
         }
     }
-
-    /// Builds the estimator from pre-computed boolean rows.
-    pub fn from_boolean_rows(rows: &[Vec<bool>], num_items: usize) -> Self {
-        ExactSupport {
-            masks: rows.iter().map(|r| row_to_mask(r)).collect(),
-            num_items,
-        }
-    }
 }
 
 impl SupportEstimator for ExactSupport {

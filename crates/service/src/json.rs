@@ -17,13 +17,7 @@
 
 use crate::error::{Result, ServiceError};
 use std::borrow::Cow;
-
-mod float;
-
-/// The one integer writer: response numbers ([`write_number`]) and the
-/// client's request cells (`client::write_submit_fields`) both print
-/// through it.
-pub(crate) use float::write_u64;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,7 +208,85 @@ pub(crate) fn write_number(n: f64, out: &mut String) {
         }
         write_u64(int.unsigned_abs(), out);
     } else {
-        float::write_f64(n, out);
+        // std's `Display`: the shortest decimal that parses back to `n`,
+        // in plain notation (never an exponent).
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// "00" "01" … "99": integers print two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `m` in decimal: the one integer writer. Response numbers
+/// ([`write_number`]), the client's request cells
+/// (`client::write_submit_fields`) and the snapshot format's integers
+/// all print through it.
+pub(crate) fn write_u64(m: u64, out: &mut String) {
+    let mut text = Text::new();
+    text.digits(m);
+    out.push_str(text.as_str());
+}
+
+/// An integer's digits, built right to left at the end of a stack
+/// buffer that only ever holds ASCII: it starts as `0`s and receives
+/// only bytes of [`DIGIT_PAIRS`].
+struct Text {
+    /// Room for `u64::MAX`.
+    bytes: [u8; 20],
+    /// Where the text starts; it runs to the end of `bytes`.
+    start: usize,
+}
+
+impl Text {
+    fn new() -> Self {
+        Text {
+            bytes: [b'0'; 20],
+            start: 20,
+        }
+    }
+
+    /// Prepends `m` in decimal.
+    fn digits(&mut self, mut m: u64) {
+        while m >= 100 {
+            self.pair(m % 100);
+            m /= 100;
+        }
+        if m >= 10 {
+            self.pair(m);
+        } else {
+            self.digit(m);
+        }
+    }
+
+    /// Prepends the two digits of `m < 100`.
+    fn pair(&mut self, m: u64) {
+        let pair = m as usize * 2;
+        self.prepend(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+
+    /// Prepends the digit `m < 10`.
+    fn digit(&mut self, m: u64) {
+        let pair = m as usize * 2;
+        self.prepend(&DIGIT_PAIRS[pair + 1..pair + 2]);
+    }
+
+    /// Prepends ASCII digits.
+    fn prepend(&mut self, bytes: &[u8]) {
+        let start = self.start - bytes.len();
+        self.bytes[start..self.start].copy_from_slice(bytes);
+        self.start = start;
+    }
+
+    fn as_str(&self) -> &str {
+        // SAFETY: `bytes` is all ASCII: it starts as `0`s and only
+        // receives bytes copied from `DIGIT_PAIRS`. (Validating instead
+        // about doubles the time per number on a counts answer.)
+        unsafe { std::str::from_utf8_unchecked(&self.bytes[self.start..]) }
     }
 }
 
@@ -1248,5 +1320,149 @@ pub(crate) mod tests {
             let want = parse(text).unwrap_err();
             assert_eq!(err.to_string(), want.to_string(), "{text}");
         }
+    }
+
+    /// The inputs on which `write_number` differs from the `format!`
+    /// writer it replaced.
+    fn mismatches(values: impl IntoIterator<Item = f64>) -> Vec<f64> {
+        let mut out = String::new();
+        let mut differs = |x: f64| {
+            out.clear();
+            write_number(x, &mut out);
+            out != format_number(x)
+        };
+        values.into_iter().filter(|&x| differs(x)).collect()
+    }
+
+    fn assert_none(mismatched: Vec<f64>) {
+        assert!(
+            mismatched.is_empty(),
+            "{} mismatches, first {:?}",
+            mismatched.len(),
+            &mismatched[..mismatched.len().min(8)]
+        );
+    }
+
+    /// SplitMix64 bit patterns from a fixed seed.
+    fn random_bits(seed: u64) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+    }
+
+    fn with_negatives(values: Vec<f64>) -> Vec<f64> {
+        values.iter().flat_map(|&x| [x, -x]).collect()
+    }
+
+    /// Significand bits of an `f64`, without the implicit leading one.
+    const MANTISSA_BITS: u32 = 52;
+
+    #[test]
+    fn random_bit_patterns_print_as_format_does() {
+        // Every exponent, NaN and ±inf included (about 1 in 2048).
+        assert_none(mismatches(random_bits(1).take(100_000).map(f64::from_bits)));
+    }
+
+    #[test]
+    fn powers_of_two_and_their_predecessors_print_as_format_does() {
+        let mut values = Vec::new();
+        for e in -1074..=1023 {
+            let bits = if e >= -1022 {
+                ((e + 1023) as u64) << MANTISSA_BITS
+            } else {
+                1 << (e + 1074)
+            };
+            values.push(f64::from_bits(bits));
+            values.push(f64::from_bits(bits - 1));
+        }
+        assert_eq!(values.len(), 2 * 2098);
+        assert_none(mismatches(with_negatives(values)));
+    }
+
+    #[test]
+    fn subnormals_and_the_integer_boundary_print_as_format_does() {
+        let top = 1u64 << MANTISSA_BITS;
+        let subnormal_bits = (1..=2000)
+            .chain(top - 2000..top)
+            .chain(random_bits(3).take(10_000).map(|b| b % top));
+        let mut values: Vec<f64> = subnormal_bits.map(f64::from_bits).collect();
+        // Ulp-neighbours of 2^53 and 2^52 (the integer path ends at 2^53,
+        // and below 2^52 halves exist), every integer up to 1000, and
+        // powers of ten and their neighbours.
+        for boundary in [EXACT_INTEGERS, EXACT_INTEGERS / 2.0] {
+            let bits = boundary.to_bits();
+            values.extend((bits - 64..=bits + 64).map(f64::from_bits));
+        }
+        values.extend((0..=1000).map(f64::from));
+        let mut power = 1.0;
+        for _ in 0..=22 {
+            values.extend([power - 1.0, power, power + 1.0, power + 0.5, 1.0 / power]);
+            power *= 10.0;
+        }
+        assert_none(mismatches(with_negatives(values)));
+        // The last integer, the first float-path integer, the smallest
+        // subnormal.
+        let mut out = String::new();
+        for x in [EXACT_INTEGERS - 1.0, -EXACT_INTEGERS, f64::from_bits(1)] {
+            write_number(x, &mut out);
+            out.push(' ');
+        }
+        let tiny = format!("0.{}5", "0".repeat(323));
+        assert_eq!(out, format!("9007199254740991 -9007199254740992 {tiny} "));
+    }
+
+    #[test]
+    fn integers_print_as_format_does() {
+        // Every digit count, and both sides of each power of ten.
+        let mut values: Vec<u64> = vec![0, u64::MAX];
+        let mut power = 1u64;
+        for _ in 0..20 {
+            values.extend([power - 1, power, power + 1, power.wrapping_mul(7) / 3]);
+            power = power.wrapping_mul(10);
+        }
+        values.extend(random_bits(5).take(100_000).map(|b| b >> (b % 64)));
+        let mut out = String::new();
+        for m in values {
+            out.clear();
+            write_u64(m, &mut out);
+            assert_eq!(out, m.to_string());
+        }
+    }
+
+    #[test]
+    fn exact_ties_round_up_as_format_does() {
+        // In [2^50, 2^51) the spacing is 0.25, so k + 0.25 and k + 0.75
+        // need 17 digits and sit exactly halfway between two of them;
+        // PROTOCOL.md §2 gives this one as its example.
+        let mut out = String::new();
+        write_number(2181495296738027.0 + 0.25, &mut out);
+        assert_eq!(out, "2181495296738027.3");
+        let ties = random_bits(4).take(10_000).flat_map(|b| {
+            let k = ((1u64 << 50) + b % (1 << 50)) as f64;
+            [k + 0.25, k + 0.75]
+        });
+        assert_none(mismatches(with_negatives(ties.collect())));
+    }
+
+    #[test]
+    fn zeros_and_non_finite_values() {
+        let mut out = String::new();
+        for x in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            write_number(x, &mut out);
+            out.push(' ');
+        }
+        assert_eq!(out, "0 0 null null null ");
+        assert_none(mismatches([
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ]));
     }
 }

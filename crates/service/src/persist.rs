@@ -237,20 +237,21 @@ fn write_array<T>(
 }
 
 /// Appends `[[a,b],...]`.
-fn write_pairs(out: &mut String, pairs: impl IntoIterator<Item = (f64, f64)>) {
+fn write_pairs(out: &mut String, pairs: impl IntoIterator<Item = (u64, u64)>) {
     write_array(out, pairs, |(a, b), out| {
-        write_array(out, [a, b], json::write_number)
+        write_array(out, [a, b], json::write_u64)
     });
 }
 
 /// Appends `value` as the format carries a full-range integer: a JSON
-/// number below 2^53, the bytes an `f64` of it displays as, and a
-/// `"0x…"` string from 2^53 on, where a JSON number stops being exact.
+/// number below 2^53, and a `"0x…"` string from 2^53 on, where a JSON
+/// number stops being exact.
 fn write_uint(value: u64, out: &mut String) {
-    let _ = match value {
-        value if value < 1 << 53 => write!(out, "{value}"),
-        value => write!(out, "\"{value:#x}\""),
-    };
+    if value < 1 << 53 {
+        json::write_u64(value, out);
+    } else {
+        let _ = write!(out, "\"{value:#x}\"");
+    }
 }
 
 /// Appends a shard record's members: `ingested` and `rng_draws` (see
@@ -258,10 +259,6 @@ fn write_uint(value: u64, out: &mut String) {
 /// bulk member `bulk` writes, then `repl`, the replication watermarks,
 /// if the shard has any. Only federated shards do; standalone files
 /// keep the pre-federation layout.
-///
-/// The `repl` integers go through `f64`, as the format has always
-/// carried them; an `f64` that is a `u64` displays as
-/// [`json::write_number`] writes it.
 fn write_record(
     out: &mut String,
     (ingested, rng_draws, [a, b, c, d]): (u64, u64, [u64; 4]),
@@ -279,7 +276,7 @@ fn write_record(
     bulk(out);
     if !repl.is_empty() {
         out.push_str(",\"repl\":");
-        write_pairs(out, repl.iter().map(|&(o, s)| (o as f64, s as f64)));
+        write_pairs(out, repl.iter().copied());
     }
 }
 
@@ -289,9 +286,6 @@ fn snapshot_text(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump
     // A count is a few digits and a comma; everything else is small.
     let cells: usize = dumps.iter().map(|d| d.counts.len()).sum();
     let mut out = String::with_capacity(4 * cells + 256 * (dumps.len() + 2));
-    let (id, seq) = (session.id() as f64, flush_seq as f64);
-    let mut seed = String::new();
-    write_uint(session.seed(), &mut seed);
     let alpha = match session.mechanism() {
         Mechanism::Deterministic { .. } => None,
         Mechanism::Randomized { alpha_fraction, .. } => Some(alpha_fraction),
@@ -299,9 +293,14 @@ fn snapshot_text(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump
     let kind = if alpha.is_some() { "ran" } else { "det" };
     let _ = write!(
         out,
-        "{{\"format\":\"{FORMAT}\",\"version\":{VERSION},\"session\":{id},\"seed\":{seed},\
-         \"flush_seq\":{seq},\"mechanism\":{{\"kind\":\"{kind}\",\"gamma\":"
+        "{{\"format\":\"{FORMAT}\",\"version\":{VERSION},\"session\":"
     );
+    json::write_u64(session.id(), &mut out);
+    out.push_str(",\"seed\":");
+    write_uint(session.seed(), &mut out);
+    out.push_str(",\"flush_seq\":");
+    json::write_u64(flush_seq, &mut out);
+    let _ = write!(out, ",\"mechanism\":{{\"kind\":\"{kind}\",\"gamma\":");
     json::write_number(session.mechanism().gamma(), &mut out);
     if let Some(alpha_fraction) = alpha {
         out.push_str(",\"alpha_fraction\":");
@@ -311,7 +310,9 @@ fn snapshot_text(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump
     write_array(&mut out, session.schema().attributes(), |a, out| {
         out.push('[');
         json::write_string(a.name(), out);
-        let _ = write!(out, ",{}]", a.cardinality());
+        out.push(',');
+        json::write_u64(u64::from(a.cardinality()), out);
+        out.push(']');
     });
     out.push_str(",\"shards\":");
     write_array(&mut out, dumps, |d, out| {
@@ -330,14 +331,14 @@ fn snapshot_text(session: &CollectionSession, flush_seq: u64, dumps: &[ShardDump
 /// Appends one delta line: the shard's record after its envelope
 /// (`format`, `seq`, `shard`), and a newline.
 fn write_delta_line(out: &mut String, seq: u64, d: &ShardDelta) {
-    let (seq, shard) = (seq as f64, d.shard as f64);
-    let _ = write!(
-        out,
-        "{{\"format\":\"{DELTA_FORMAT}\",\"seq\":{seq},\"shard\":{shard},"
-    );
+    let _ = write!(out, "{{\"format\":\"{DELTA_FORMAT}\",\"seq\":");
+    json::write_u64(seq, out);
+    out.push_str(",\"shard\":");
+    json::write_u64(d.shard as u64, out);
+    out.push(',');
     let cells = |out: &mut String| {
         out.push_str(",\"cells\":");
-        write_pairs(out, d.cells.iter().map(|&(c, n)| (c as f64, n as f64)));
+        write_pairs(out, d.cells.iter().map(|&(c, n)| (c as u64, n)));
     };
     write_record(out, (d.ingested, d.rng_draws, d.rng_state), cells, &d.repl);
     out.push_str("}\n");

@@ -1,6 +1,7 @@
 //! Guards on `.github/workflows/ci.yml`, which nothing else reads
-//! before CI does: the file must stay loadable YAML, and every ignored
-//! test in the workspace must have a CI step that runs it.
+//! before CI does: the file must stay loadable YAML, every ignored test
+//! in the workspace must have a CI step that runs it, and every step
+//! that runs ignored tests by name must still name one.
 //!
 //! There is no YAML parser among the dependencies, so the checks read
 //! the workflow line by line. That is enough for the subset of YAML the
@@ -119,12 +120,14 @@ fn run_lines(text: &str) -> Vec<&str> {
 }
 
 /// An `#[ignore]` test: the package it is in, its integration-test
-/// target (`None` for a unit test) and its fn name.
+/// target (`None` for a unit test), its fn name and its path as the
+/// test harness names it (`json::tests::name`).
 struct Ignored {
     file: PathBuf,
     package: String,
     target: Option<String>,
     name: String,
+    path: String,
 }
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -171,8 +174,17 @@ fn ignored_tests() -> Vec<Ignored> {
     let mut out = Vec::new();
     for file in files {
         let text = std::fs::read_to_string(&file).unwrap();
+        // The top-level inline module the scan is in (`mod tests {`).
+        let mut inline: Option<&str> = None;
         let mut rest = text.lines();
         while let Some(line) = rest.next() {
+            let item = line
+                .trim_start_matches("pub(crate) ")
+                .trim_start_matches("pub ");
+            if let Some(name) = item.strip_prefix("mod ").and_then(|m| m.strip_suffix(" {")) {
+                inline = Some(name);
+                continue;
+            }
             if !line.trim_start().starts_with("#[ignore") {
                 continue;
             }
@@ -180,15 +192,32 @@ fn ignored_tests() -> Vec<Ignored> {
                 .by_ref()
                 .find_map(|l| l.trim_start().split("fn ").nth(1))
                 .and_then(|after| after.split('(').next())
-                .unwrap_or_else(|| panic!("no fn after an ignore in {}", file.display()));
+                .unwrap_or_else(|| panic!("no fn after an ignore in {}", file.display()))
+                .trim()
+                .to_owned();
             let (dir, package) = package_of(&file);
             let target = (file.parent() == Some(&dir.join("tests")))
                 .then(|| file.file_stem().unwrap().to_string_lossy().into_owned());
+            // The harness path: the file's module path (none for an
+            // integration target), the inline module when rustfmt
+            // indented the test into one, and the name.
+            let mut path: Vec<String> = match file.strip_prefix(dir.join("src")) {
+                Ok(rel) if target.is_none() => rel
+                    .with_extension("")
+                    .iter()
+                    .map(|c| c.to_string_lossy().into_owned())
+                    .filter(|c| !["lib", "main", "mod"].contains(&c.as_str()))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            path.extend(inline.filter(|_| !line.starts_with('#')).map(str::to_owned));
+            path.push(name.clone());
             out.push(Ignored {
                 file: file.clone(),
                 package,
                 target,
-                name: name.trim().to_owned(),
+                name,
+                path: path.join("::"),
             });
         }
     }
@@ -213,6 +242,36 @@ fn runs(line: &str, test: &Ignored) -> bool {
             .as_ref()
             .is_some_and(|t| has_word(line, &format!("--test {t}")));
     line.contains("--ignored") && in_package && named
+}
+
+/// The `run:` lines that run ignored tests by a name filter
+/// (`-p <package> ... -- --ignored <filter>`) which matches no ignored
+/// test of that package and target: a step whose test was deleted or
+/// moved runs zero tests and passes.
+fn unmatched_filters<'a>(commands: &[&'a str], tests: &[Ignored]) -> Vec<&'a str> {
+    commands
+        .iter()
+        .copied()
+        .filter(|line| {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let after = |flag: &str| {
+                let at = words.iter().position(|w| *w == flag)?;
+                words.get(at + 1).copied()
+            };
+            let Some(filter) = after("--ignored").filter(|f| !f.starts_with('-')) else {
+                return false;
+            };
+            let package = after("-p");
+            let target = after("--test");
+            let lib = words.contains(&"--lib");
+            !tests.iter().any(|t| {
+                Some(t.package.as_str()) == package
+                    && (!lib || t.target.is_none())
+                    && target.is_none_or(|name| t.target.as_deref() == Some(name))
+                    && t.path.contains(filter)
+            })
+        })
+        .collect()
 }
 
 #[test]
@@ -277,5 +336,35 @@ fn every_ignored_test_is_run_by_ci_or_is_a_timing_table() {
         unrun.is_empty(),
         "ignored tests that no ci.yml `run:` line runs with `-p <package> ... --ignored`:\n{}",
         unrun.join("\n")
+    );
+}
+
+#[test]
+fn every_ignored_filter_in_ci_names_an_ignored_test() {
+    let workflow = std::fs::read_to_string(WORKFLOW).unwrap();
+    let tests = ignored_tests();
+    let stale = unmatched_filters(&run_lines(&workflow), &tests);
+    assert!(
+        stale.is_empty(),
+        "ci.yml `run:` lines whose `--ignored <filter>` matches no ignored test \
+         of their `-p` package (they run nothing and pass):\n{}",
+        stale.join("\n")
+    );
+    // The step kept after its test was deleted, beside live forms: a
+    // module path, a bare name, an integration target, no filter.
+    let lines = [
+        "cargo test --release -q -p frapp-service --lib -- --ignored \
+         json::float::tests::thirty_million_random_values_print_as_format_does",
+        "cargo test --release -q -p frapp-service --lib -- --ignored \
+         persist::tests::a_hundred_thousand_snapshot_files_load_as_the_tree_does",
+        "cargo test --release -q -p frapp-core --lib -- --ignored a_million_records",
+        "cargo test --release -q -p frapp-core --lib -- --ignored session::tests::a_million",
+        "cargo test --release -q -p frapp-service --test transport -- --ignored a_thousand",
+        "cargo test --release -q -p frapp-service --lib -- --ignored a_thousand",
+        "cargo test --release -q -p frapp-bench --test seed_spread -- --ignored --nocapture",
+    ];
+    assert_eq!(
+        unmatched_filters(&lines, &tests),
+        [lines[0], lines[3], lines[5]]
     );
 }
