@@ -123,7 +123,7 @@ impl CutAndPaste {
 
     /// The distribution of the cut size `j`: uniform on `{0,…,K}`
     /// truncated at `m` (mass of `{m,…,K}` collapses onto `j = m`).
-    pub fn cut_distribution(k_cutoff: usize, m: usize) -> Vec<f64> {
+    fn cut_distribution(k_cutoff: usize, m: usize) -> Vec<f64> {
         let kk = k_cutoff as f64;
         let top = k_cutoff.min(m);
         let mut pj = vec![0.0; top + 1];

@@ -17,8 +17,11 @@
 //!   uniformly-chosen subset of the record's items and re-insert every
 //!   other universe item with probability ρ. Reconstruction uses
 //!   per-itemset `(k+1)×(k+1)` intersection-size transition matrices.
+//! * [`combinatorics`] — the binomial and hypergeometric terms those
+//!   Cut-and-Paste matrices are built from.
 //!
-//! Both modules provide privacy-constrained parameter selection
+//! These are the only two prior schemes the paper measures, so they are
+//! the only two this crate carries. Both modules provide privacy-constrained parameter selection
 //! mirroring the paper's choices (`p = 0.5611/0.5524` for
 //! CENSUS/HEALTH and `(K, ρ) = (3, 0.494)` at `γ = 19`).
 
@@ -27,8 +30,6 @@
 pub mod cnp;
 pub mod combinatorics;
 pub mod mask;
-pub mod sas;
 
 pub use cnp::CutAndPaste;
 pub use mask::Mask;
-pub use sas::SelectASize;

@@ -163,25 +163,6 @@ impl CountAccumulator {
         Ok(())
     }
 
-    /// [`Self::merge`] that saturates instead of failing: the record
-    /// total clamps at `u64::MAX` and any non-finite cell sum clamps at
-    /// `f64::MAX`. Schema mismatch is still an error — saturation can
-    /// paper over magnitude, never over shape.
-    pub fn merge_saturating(&mut self, other: &CountAccumulator) -> Result<()> {
-        if self.schema != other.schema {
-            return Err(FrappError::InvalidParameter {
-                name: "other",
-                reason: "cannot merge accumulators over different schemas".into(),
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            let sum = *a + b;
-            *a = if sum.is_finite() { sum } else { f64::MAX };
-        }
-        self.n = self.n.saturating_add(other.n);
-        Ok(())
-    }
-
     /// The current count vector.
     pub fn counts(&self) -> &[f64] {
         &self.counts
@@ -363,7 +344,6 @@ mod tests {
         let c = CountAccumulator::new(other);
         assert!(a.merge(&c).is_err());
         assert!(a.merge_checked(&c).is_err());
-        assert!(a.merge_saturating(&c).is_err());
     }
 
     #[test]
@@ -386,20 +366,6 @@ mod tests {
         b.n = 1;
         assert!(huge.merge_checked(&b).is_err());
         assert_eq!(huge.counts()[0], f64::MAX, "no cell may be half-merged");
-    }
-
-    #[test]
-    fn merge_saturating_clamps_instead_of_failing() {
-        let s = schema();
-        let mut a = CountAccumulator::new(s.clone());
-        a.n = u64::MAX - 1;
-        a.counts[0] = f64::MAX;
-        let mut b = CountAccumulator::new(s);
-        b.n = 5;
-        b.counts[0] = f64::MAX;
-        a.merge_saturating(&b).unwrap();
-        assert_eq!(a.n(), u64::MAX);
-        assert_eq!(a.counts()[0], f64::MAX);
     }
 
     #[test]

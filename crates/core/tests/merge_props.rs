@@ -72,15 +72,13 @@ proptest! {
         prop_assert_eq!(left.counts(), right.counts());
         prop_assert_eq!(left.n(), right.n());
 
-        // merge_checked and merge_saturating agree on sane inputs.
+        // merge_checked agrees with merge on the same sane inputs:
+        // the same counts and the same record total.
         let mut checked = a.clone();
         checked.merge_checked(&b).unwrap();
         checked.merge_checked(&c).unwrap();
         prop_assert_eq!(checked.counts(), left.counts());
-        let mut saturating = a.clone();
-        saturating.merge_saturating(&b).unwrap();
-        saturating.merge_saturating(&c).unwrap();
-        prop_assert_eq!(saturating.counts(), left.counts());
+        prop_assert_eq!(checked.n(), left.n());
     }
 
     /// The empty accumulator is a two-sided identity.

@@ -16,15 +16,12 @@
 //!   domain, 48,842 records),
 //! * [`health`] — the HEALTH-like dataset (7 attributes, 7500-cell
 //!   domain, 100,000 records),
-//! * [`synthetic`] — simple uniform/Zipf generators for tests and
-//!   micro-benchmarks,
-//! * [`csv`] — a minimal text round-trip so experiments can persist
-//!   datasets.
+//! * [`synthetic`] — a uniform generator for tests and
+//!   micro-benchmarks.
 
 #![warn(missing_docs)]
 
 pub mod census;
-pub mod csv;
 pub mod health;
 pub mod mixture;
 pub mod synthetic;

@@ -211,12 +211,6 @@ impl MixtureModel {
         &self.schema
     }
 
-    /// Normalised weight of class `c`.
-    pub fn class_weight(&self, c: usize) -> f64 {
-        let prev = if c == 0 { 0.0 } else { self.class_cdf[c - 1] };
-        self.class_cdf[c] - prev
-    }
-
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
         self.classes.len()
@@ -426,16 +420,6 @@ mod tests {
         let loose: usize = m.frequent_profile(0.05).iter().sum();
         let strict: usize = m.frequent_profile(0.3).iter().sum();
         assert!(loose >= strict);
-    }
-
-    #[test]
-    fn class_weight_normalisation() {
-        let s = schema();
-        let c1 = MixtureClass::prototype(2.0, &s, &[0, 0], 0.9).unwrap();
-        let c2 = MixtureClass::prototype(6.0, &s, &[1, 1], 0.9).unwrap();
-        let m = MixtureModel::new(s, vec![c1, c2]).unwrap();
-        assert!((m.class_weight(0) - 0.25).abs() < 1e-12);
-        assert!((m.class_weight(1) - 0.75).abs() < 1e-12);
     }
 
     #[test]

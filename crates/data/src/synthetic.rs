@@ -1,4 +1,4 @@
-//! Simple synthetic generators for tests and micro-benchmarks.
+//! A uniform synthetic generator for tests and micro-benchmarks.
 
 use frapp_core::schema::Schema;
 use frapp_core::Dataset;
@@ -13,39 +13,6 @@ pub fn uniform(schema: &Schema, n: usize, rng: &mut dyn RngCore) -> Dataset {
         .map(|_| {
             (0..schema.num_attributes())
                 .map(|j| rng.gen_range(0..schema.cardinality(j)))
-                .collect()
-        })
-        .collect();
-    Dataset::from_trusted(schema.clone(), records)
-}
-
-/// A dataset with each attribute drawn independently from a Zipf
-/// distribution over its categories (`P(v) ∝ 1/(v+1)^s`): heavy skew
-/// toward low category ids, the classic shape of categorical data.
-pub fn zipf(schema: &Schema, n: usize, s: f64, rng: &mut dyn RngCore) -> Dataset {
-    // Per-attribute CDFs.
-    let cdfs: Vec<Vec<f64>> = (0..schema.num_attributes())
-        .map(|j| {
-            let card = schema.cardinality(j) as usize;
-            let weights: Vec<f64> = (0..card).map(|v| 1.0 / ((v + 1) as f64).powf(s)).collect();
-            let total: f64 = weights.iter().sum();
-            let mut acc = 0.0;
-            weights
-                .iter()
-                .map(|w| {
-                    acc += w / total;
-                    acc
-                })
-                .collect()
-        })
-        .collect();
-    let records = (0..n)
-        .map(|_| {
-            cdfs.iter()
-                .map(|cdf| {
-                    let r: f64 = rng.gen::<f64>();
-                    cdf.iter().position(|&c| r < c).unwrap_or(cdf.len() - 1) as u32
-                })
                 .collect()
         })
         .collect();
@@ -75,23 +42,12 @@ mod tests {
     }
 
     #[test]
-    fn zipf_is_skewed_toward_low_ids() {
-        let s = schema();
-        let mut rng = StdRng::seed_from_u64(2);
-        let ds = zipf(&s, 20_000, 1.5, &mut rng);
-        let marg = ds.projected_counts(&[0]);
-        assert!(
-            marg[0] > marg[1] && marg[1] > marg[2] && marg[2] > marg[3],
-            "{marg:?}"
-        );
-    }
-
-    #[test]
     fn generators_respect_n_and_validity() {
         let s = schema();
         let mut rng = StdRng::seed_from_u64(3);
-        for ds in [uniform(&s, 77, &mut rng), zipf(&s, 77, 1.0, &mut rng)] {
-            assert_eq!(ds.len(), 77);
+        for n in [0, 77] {
+            let ds = uniform(&s, n, &mut rng);
+            assert_eq!(ds.len(), n);
             for r in ds.records() {
                 assert!(s.validate_record(r).is_ok());
             }

@@ -13,9 +13,7 @@
 //!   smallest-magnitude eigenpair estimation for general matrices,
 //! * [`condition_number_2`] — `σ_max/σ_min` via the spectrum of `AᵀA`,
 //!   valid for *any* square matrix (MASK and C&P matrices are not
-//!   symmetric in general),
-//! * [`condition_number_1`] / [`condition_number_inf`] — cheap norm-based
-//!   condition numbers `‖A‖·‖A⁻¹‖`.
+//!   symmetric in general).
 
 use crate::{lu, vector, LinalgError, Matrix, Result};
 
@@ -247,40 +245,6 @@ pub fn condition_number_2_robust(a: &Matrix) -> Result<f64> {
     Ok((l_a.sqrt()) * (l_i.sqrt()))
 }
 
-/// 1-norm condition number `‖A‖₁ · ‖A⁻¹‖₁`.
-pub fn condition_number_1(a: &Matrix) -> Result<f64> {
-    let inv = match lu::inverse(a) {
-        Ok(inv) => inv,
-        Err(LinalgError::Singular) => return Ok(f64::INFINITY),
-        Err(e) => return Err(e),
-    };
-    Ok(a.norm_1() * inv.norm_1())
-}
-
-/// ∞-norm condition number `‖A‖∞ · ‖A⁻¹‖∞`.
-pub fn condition_number_inf(a: &Matrix) -> Result<f64> {
-    let inv = match lu::inverse(a) {
-        Ok(inv) => inv,
-        Err(LinalgError::Singular) => return Ok(f64::INFINITY),
-        Err(e) => return Err(e),
-    };
-    Ok(a.norm_inf() * inv.norm_inf())
-}
-
-/// Condition number of a symmetric positive definite matrix as
-/// `λ_max / λ_min` (the definition the paper uses in Section 2.3).
-///
-/// Returns `f64::INFINITY` if the smallest eigenvalue is not positive.
-pub fn condition_number_spd(a: &Matrix) -> Result<f64> {
-    let eig = jacobi_eigenvalues(a)?;
-    let min = eig.first().copied().unwrap_or(0.0);
-    let max = eig.last().copied().unwrap_or(0.0);
-    if min <= 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    Ok(max / min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,8 +325,6 @@ mod tests {
     fn condition_number_of_identity_is_one() {
         let i = Matrix::identity(4);
         assert_close(condition_number_2(&i).unwrap(), 1.0, 1e-9);
-        assert_close(condition_number_1(&i).unwrap(), 1.0, 1e-9);
-        assert_close(condition_number_inf(&i).unwrap(), 1.0, 1e-9);
     }
 
     #[test]
@@ -380,14 +342,12 @@ mod tests {
         let a = Matrix::from_fn(n, n, |i, j| if i == j { gamma * x } else { x });
         let expected = (gamma + n as f64 - 1.0) / (gamma - 1.0);
         assert_close(condition_number_2(&a).unwrap(), expected, 1e-8);
-        assert_close(condition_number_spd(&a).unwrap(), expected, 1e-8);
     }
 
     #[test]
     fn condition_number_singular_is_infinite() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         assert_eq!(condition_number_2(&a).unwrap(), f64::INFINITY);
-        assert_eq!(condition_number_1(&a).unwrap(), f64::INFINITY);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! (paper Theorem 1). This crate provides everything the framework needs:
 //!
 //! * a dense row-major [`Matrix`] with the usual arithmetic,
-//! * [`lu::LuDecomposition`] — partial-pivoting LU for solving, inversion
-//!   and determinants,
+//! * [`lu::LuDecomposition`] — partial-pivoting LU for solving and
+//!   inversion,
 //! * [`eigen`] — a Jacobi eigensolver for symmetric matrices, power /
-//!   inverse iteration, and 1-, 2- and ∞-norm condition numbers,
+//!   inverse iteration, and the 2-norm condition number (exact, and a
+//!   robust variant for the ill-conditioned matrices of Figure 4),
 //! * [`structured`] — closed forms for the paper's "gamma-diagonal"
 //!   family `aI + bJ` (Sherman–Morrison inverse, exact spectra) and
 //!   Kronecker products (MASK's reconstruction matrices are Kronecker
@@ -25,17 +26,12 @@ pub mod eigen;
 pub mod lu;
 pub mod matrix;
 pub mod structured;
-pub mod svd;
 pub mod vector;
 
-pub use eigen::{
-    condition_number_1, condition_number_2, condition_number_2_robust, condition_number_inf,
-    jacobi_eigenvalues,
-};
+pub use eigen::{condition_number_2, condition_number_2_robust, jacobi_eigenvalues};
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use structured::{kronecker, kronecker_power, UniformDiagonal};
-pub use svd::Svd;
 
 /// Errors produced by linear-algebra routines.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,7 +15,7 @@ use crate::{LinalgError, Matrix, Result};
 /// `L` is unit lower triangular, `U` upper triangular, `P` a row
 /// permutation recorded in [`LuDecomposition::permutation`]. Once built,
 /// the factorization solves any number of right-hand sides in `O(n²)`
-/// each, computes the determinant in `O(n)` and the inverse in `O(n³)`.
+/// each and computes the inverse in `O(n³)`.
 #[derive(Debug, Clone)]
 pub struct LuDecomposition {
     /// Combined storage: strictly-lower part holds L (unit diagonal
@@ -23,8 +23,6 @@ pub struct LuDecomposition {
     lu: Matrix,
     /// `permutation[i]` is the original row index now in position `i`.
     permutation: Vec<usize>,
-    /// Number of row swaps performed (determines determinant sign).
-    swaps: usize,
 }
 
 impl LuDecomposition {
@@ -41,7 +39,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut permutation: Vec<usize> = (0..n).collect();
-        let mut swaps = 0;
 
         for k in 0..n {
             // Partial pivoting: pick the largest |entry| in column k at or
@@ -60,7 +57,6 @@ impl LuDecomposition {
             }
             if pivot_row != k {
                 permutation.swap(k, pivot_row);
-                swaps += 1;
                 for j in 0..n {
                     let tmp = lu[(k, j)];
                     lu[(k, j)] = lu[(pivot_row, j)];
@@ -79,11 +75,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition {
-            lu,
-            permutation,
-            swaps,
-        })
+        Ok(LuDecomposition { lu, permutation })
     }
 
     /// Dimension of the factored matrix.
@@ -152,19 +144,6 @@ impl LuDecomposition {
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.n()))
     }
-
-    /// Determinant: product of U's diagonal, sign-adjusted for row swaps.
-    pub fn determinant(&self) -> f64 {
-        let mut det = if self.swaps.is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        };
-        for i in 0..self.n() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
 }
 
 /// Convenience wrapper: factor `a` and solve a single system.
@@ -229,27 +208,6 @@ mod tests {
         let prod = a.mul_mat(&inv).unwrap();
         let diff = &prod - &Matrix::identity(3);
         assert!(diff.max_abs() < 1e-12, "max deviation {}", diff.max_abs());
-    }
-
-    #[test]
-    fn determinant_of_identity_is_one() {
-        let lu = LuDecomposition::new(&Matrix::identity(4)).unwrap();
-        assert!((lu.determinant() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_tracks_row_swaps() {
-        // A permutation matrix with a single swap has determinant −1.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() + 1.0).abs() < 1e-12);
     }
 
     #[test]

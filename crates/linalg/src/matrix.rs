@@ -44,19 +44,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from a row-major data vector.
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{} elements ({rows}x{cols})", rows * cols),
-                found: format!("{} elements", data.len()),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Builds a matrix from nested row slices (convenient in tests).
     ///
     /// # Panics
@@ -217,34 +204,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
 
-    /// Induced 1-norm: maximum absolute column sum.
-    pub fn norm_1(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for j in 0..self.cols {
-            let mut s = 0.0;
-            for i in 0..self.rows {
-                s += self[(i, j)].abs();
-            }
-            best = best.max(s);
-        }
-        best
-    }
-
-    /// Induced ∞-norm: maximum absolute row sum.
-    pub fn norm_inf(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for i in 0..self.rows {
-            let s: f64 = self.row(i).iter().map(|v| v.abs()).sum();
-            best = best.max(s);
-        }
-        best
-    }
-
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Sum of the diagonal entries.
     ///
     /// Used by the paper's Theorem 3 argument: the trace equals the sum of
@@ -392,12 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_rejects_wrong_length() {
-        let err = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]).unwrap_err();
-        assert!(matches!(err, LinalgError::ShapeMismatch { .. }));
-    }
-
-    #[test]
     fn from_rows_round_trips_indexing() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m[(0, 1)], 2.0);
@@ -448,9 +401,6 @@ mod tests {
     #[test]
     fn norms_match_hand_computation() {
         let m = Matrix::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]);
-        assert_close(m.norm_1(), 6.0, 1e-12); // max column abs-sum: |−2|+|4|
-        assert_close(m.norm_inf(), 7.0, 1e-12); // max row abs-sum: |−3|+|4|
-        assert_close(m.norm_frobenius(), (30.0_f64).sqrt(), 1e-12);
         assert_close(m.max_abs(), 4.0, 1e-12);
     }
 

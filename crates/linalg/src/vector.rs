@@ -1,23 +1,14 @@
 //! Small vector helpers shared across the workspace.
 //!
 //! FRAPP's reconstruction quality metric (paper Equation 9) is a relative
-//! error between count vectors, so the workspace needs a handful of
-//! vector norms and distances. They live here rather than being
-//! re-implemented in every crate.
+//! error between count vectors, so the workspace needs the L2 norm and
+//! distance, plus the dot product and normalisation the iterative
+//! eigensolvers use. They live here rather than being re-implemented in
+//! every crate.
 
 /// Euclidean (L2) norm of a vector.
 pub fn norm_2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// L1 norm of a vector.
-pub fn norm_1(v: &[f64]) -> f64 {
-    v.iter().map(|x| x.abs()).sum()
-}
-
-/// Max (L∞) norm of a vector.
-pub fn norm_inf(v: &[f64]) -> f64 {
-    v.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
 }
 
 /// Euclidean distance between two equal-length vectors.
@@ -87,8 +78,6 @@ mod tests {
     fn norms_match_hand_computation() {
         let v = [3.0, -4.0];
         assert!((norm_2(&v) - 5.0).abs() < 1e-12);
-        assert!((norm_1(&v) - 7.0).abs() < 1e-12);
-        assert!((norm_inf(&v) - 4.0).abs() < 1e-12);
     }
 
     #[test]

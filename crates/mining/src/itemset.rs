@@ -44,11 +44,6 @@ impl ItemSet {
         self.0 & other.0 == other.0
     }
 
-    /// Whether the item `i` is present.
-    pub fn has_item(&self, i: usize) -> bool {
-        self.0 >> i & 1 == 1
-    }
-
     /// Union of two itemsets.
     pub fn union(&self, other: ItemSet) -> ItemSet {
         ItemSet(self.0 | other.0)
@@ -142,8 +137,8 @@ mod tests {
     fn singleton_and_membership() {
         let s = ItemSet::singleton(5);
         assert_eq!(s.len(), 1);
-        assert!(s.has_item(5));
-        assert!(!s.has_item(4));
+        assert!(s.contains(ItemSet::singleton(5)));
+        assert!(!s.contains(ItemSet::singleton(4)));
     }
 
     #[test]

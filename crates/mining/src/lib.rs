@@ -15,6 +15,12 @@
 //!   C&P configurations.
 //! * [`estimators`] — the per-method support reconstruction plugged into
 //!   each Apriori pass.
+//! * [`fpgrowth`] — FP-growth (Han, Pei & Yin, SIGMOD 2000) for the exact
+//!   ground-truth pass and for mining a reconstructed count vector.
+//! * [`classify`] — the Bayes-optimal classifier over a reconstructed
+//!   joint distribution, the paper's second mining workload.
+//! * [`hook`] — cooperative cancellation and progress for long mining
+//!   runs (the service's job pool cancels through it).
 //! * [`metrics`] — the paper's accuracy measures: support error `ρ` and
 //!   identity errors `σ⁺`/`σ⁻` per itemset length (Section 7).
 //! * [`rules`] — confidence-based association-rule generation on top of
@@ -24,7 +30,6 @@
 
 pub mod apriori;
 pub mod classify;
-pub mod condense;
 pub mod estimators;
 pub mod fpgrowth;
 pub mod hook;

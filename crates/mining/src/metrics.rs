@@ -45,21 +45,6 @@ impl AccuracyMetrics {
     pub fn of_length(&self, k: usize) -> Option<&LengthMetrics> {
         self.per_length.iter().find(|m| m.length == k)
     }
-
-    /// Overall support error: mean of the per-length ρ values that are
-    /// defined.
-    pub fn mean_support_error(&self) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .per_length
-            .iter()
-            .filter_map(|m| m.support_error)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
 }
 
 /// Compares a privacy-preserving mining run against ground truth.
@@ -165,7 +150,6 @@ mod tests {
             assert_eq!(lm.false_positives, 0.0);
             assert_eq!(lm.false_negatives, 0.0);
         }
-        assert_eq!(m.mean_support_error(), Some(0.0));
     }
 
     #[test]

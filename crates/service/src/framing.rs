@@ -210,6 +210,24 @@ fn truncated() -> ServiceError {
     ServiceError::Protocol("truncated field inside a complete submit frame".into())
 }
 
+/// The largest `origin` or `seq` a replication stamp may carry. The
+/// receiving shard keeps its watermarks, and a snapshot stores them as
+/// JSON integers, which load only below 2^53 (PROTOCOL.md §6.3): a
+/// larger stamp would be acknowledged and then make the session's
+/// snapshot unloadable.
+const MAX_STAMP: u64 = (1 << 53) - 1;
+
+/// The placement of a frame stamped `(origin, seq)`, or the protocol
+/// error for a stamp past [`MAX_STAMP`].
+fn stamp(origin: u64, seq: u64) -> Result<Placement> {
+    if origin > MAX_STAMP || seq > MAX_STAMP {
+        return Err(ServiceError::Protocol(format!(
+            "replication stamp ({origin}, {seq}) is past 2^53 - 1"
+        )));
+    }
+    Ok(Placement::Replicated { origin, seq })
+}
+
 /// Decodes one [`OP_SUBMIT`] payload into a [`Request::Submit`], the
 /// cells landing directly in a flat [`RecordBatch`]. Every malformed
 /// shape — truncated varints, unknown flags, cell counts that cannot
@@ -234,8 +252,7 @@ pub(crate) fn decode_submit_payload(payload: &[u8]) -> Result<Request> {
     // its first delivery did.
     let placement = if flags & FLAG_HAS_STAMP != 0 {
         let origin = r.varint()?;
-        let seq = r.varint()?;
-        Placement::Replicated { origin, seq }
+        stamp(origin, r.varint()?)?
     } else {
         placement(shard)
     };
@@ -1083,8 +1100,9 @@ mod tests {
     }
 
     /// The per-cell `OP_SUBMIT` decoder the served one replaced, kept
-    /// verbatim as the reference it must agree with: the same `Request`
-    /// or the same error text on every payload.
+    /// as the reference it must agree with: the same `Request` or the
+    /// same error text on every payload. Both range-check a stamp with
+    /// [`stamp`].
     fn reference_decode(payload: &[u8]) -> Result<Request> {
         fn u32_le(r: &mut PayloadReader) -> Result<u32> {
             let Some((head, rest)) = r.buf.split_first_chunk::<4>() else {
@@ -1109,8 +1127,7 @@ mod tests {
         };
         let placement = if flags & FLAG_HAS_STAMP != 0 {
             let origin = r.varint()?;
-            let seq = r.varint()?;
-            Placement::Replicated { origin, seq }
+            stamp(origin, r.varint()?)?
         } else {
             placement(shard)
         };
@@ -1222,8 +1239,17 @@ mod tests {
             write_varint(&mut p, next() % 8);
         }
         if flags & FLAG_HAS_STAMP != 0 {
+            // One seq in sixteen is past MAX_STAMP, and is refused.
             write_varint(&mut p, next() % 4);
-            write_varint(&mut p, next());
+            let seq = next();
+            write_varint(
+                &mut p,
+                if seq.is_multiple_of(16) {
+                    seq
+                } else {
+                    seq >> 11
+                },
+            );
         }
         let n_records = next() % 24;
         let n_attrs = if next().is_multiple_of(32) {
@@ -1426,6 +1452,28 @@ mod tests {
         // wrapped (release) or panicked on (overflow checks).
         let overflowing = payload(FLAG_FIXED32, &[1, 1 << 62, 1], &[]);
         assert_eq!(refusal(&overflowing), declares(1 << 62, 0));
+        // A replication stamp past 2^53 - 1 could not be saved as a
+        // loadable watermark, so the frame is refused; 2^53 - 1 decodes.
+        let stamped = |origin, seq| payload(FLAG_HAS_STAMP, &[1, origin, seq, 1, 1], &[0]);
+        assert_eq!(
+            refusal(&stamped(1, (1 << 53) + 1)),
+            "protocol error: replication stamp (1, 9007199254740993) is past 2^53 - 1"
+        );
+        assert_eq!(
+            refusal(&stamped((1 << 53) + 1, 1)),
+            "protocol error: replication stamp (9007199254740993, 1) is past 2^53 - 1"
+        );
+        let Request::Submit(top) = decode_submit_payload(&stamped(MAX_STAMP, MAX_STAMP)).unwrap()
+        else {
+            panic!("OP_SUBMIT decodes to a submit");
+        };
+        assert_eq!(
+            top.placement,
+            Placement::Replicated {
+                origin: MAX_STAMP,
+                seq: MAX_STAMP
+            }
+        );
         // What stays accepted: no records of no attributes, overlong but
         // valid cell encodings, and fixed32 cells.
         let submit = |p: &[u8]| match decode_submit_payload(p).unwrap() {
@@ -1447,19 +1495,19 @@ mod tests {
         );
     }
 
-    /// Median ns per record of `f`, which handles `records` records per
-    /// call, over nine rounds of about 60 ms after a warm-up.
-    fn ns_per_record(records: usize, mut f: impl FnMut()) -> f64 {
+    /// Ns per record of `f`, which handles `records` records per call,
+    /// over nine rounds of about 60 ms after a warm-up.
+    fn ns_per_record(records: usize, mut f: impl FnMut()) -> Spread {
         for _ in 0..3 {
             f();
         }
         median_of_rounds(|| round_ns_per_record(records, &mut f))
     }
 
-    /// Median over nine rounds of the ns per record of `f` less that of
-    /// `g`, timed back to back in each round so that a drift in the
-    /// machine's speed cancels.
-    fn ns_per_record_less(records: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> f64 {
+    /// The ns per record of `f` less that of `g` over nine rounds, timed
+    /// back to back in each round so that a drift in the machine's speed
+    /// cancels.
+    fn ns_per_record_less(records: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> Spread {
         for _ in 0..3 {
             f();
             g();
@@ -1480,10 +1528,83 @@ mod tests {
         start.elapsed().as_nanos() as f64 / (calls * records) as f64
     }
 
-    fn median_of_rounds(mut round: impl FnMut() -> f64) -> f64 {
+    /// The quartiles of nine timing rounds. A table cell prints its
+    /// median and, in brackets, its p25 and p75.
+    #[derive(Clone, Copy)]
+    struct Spread {
+        p25: f64,
+        median: f64,
+        p75: f64,
+    }
+
+    impl Spread {
+        /// `self` less `other`: the difference of the medians, between
+        /// the widest bounds the two interquartile ranges allow.
+        fn less(self, other: Spread) -> Spread {
+            Spread {
+                p25: self.p25 - other.p75,
+                median: self.median - other.median,
+                p75: self.p75 - other.p25,
+            }
+        }
+
+        fn scaled(self, factor: f64) -> Spread {
+            Spread {
+                p25: self.p25 * factor,
+                median: self.median * factor,
+                p75: self.p75 * factor,
+            }
+        }
+    }
+
+    impl std::fmt::Display for Spread {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let Spread { p25, median, p75 } = self;
+            f.pad(&format!("{median:.1} [{p25:.1}, {p75:.1}]"))
+        }
+    }
+
+    fn median_of_rounds(mut round: impl FnMut() -> f64) -> Spread {
         let mut rounds: Vec<f64> = (0..9).map(|_| round()).collect();
         rounds.sort_by(f64::total_cmp);
-        rounds[4]
+        Spread {
+            p25: rounds[2],
+            median: rounds[4],
+            p75: rounds[6],
+        }
+    }
+
+    /// Prints a timing table: the first column left-aligned, every other
+    /// right-aligned, each as wide as its widest cell or header.
+    fn print_table(header: &[&str], rows: &[Vec<String>]) {
+        let widths: Vec<usize> = (0..header.len())
+            .map(|c| {
+                rows.iter()
+                    .map(|row| row[c].chars().count())
+                    .chain([header[c].chars().count()])
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        let line = |cells: Vec<&str>| {
+            let cells: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .enumerate()
+                .map(|(c, (cell, &w))| {
+                    if c == 0 {
+                        format!("{cell:<w$}")
+                    } else {
+                        format!("{cell:>w$}")
+                    }
+                })
+                .collect();
+            println!("{}", cells.join("  "));
+        };
+        line(header.to_vec());
+        for row in rows {
+            line(row.iter().map(String::as_str).collect());
+        }
     }
 
     /// The server's per-record cost of a binary `OP_SUBMIT` stream, by
@@ -1536,10 +1657,7 @@ mod tests {
         let config = crate::ServiceConfig::default();
         let registry = SessionRegistry::new();
         let transport = TransportMetrics::new();
-        println!(
-            "shape           B/record  scan+decode  +dispatch+ingest  submit_batch  wire overhead  \
-             encode  perturb  observe  (ns/record)"
-        );
+        let mut table = Vec::new();
         for (name, rows, schema, fixed32) in shapes {
             let mut state = ConnState::new();
             let mut out = String::new();
@@ -1624,12 +1742,33 @@ mod tests {
                 });
                 (perturb, observe)
             });
-            println!(
-                "{name:<15} {bytes:>8.2}  {scan_decode:>11.1}  {dispatched:>16.1}  {submit:>12.1}  \
-                 {:>13.1}  {encode:>6.1}  {perturb:>7.1}  {observe:>7.1}",
-                dispatched - submit
-            );
+            table.push(vec![
+                name.to_owned(),
+                format!("{bytes:.2}"),
+                scan_decode.to_string(),
+                dispatched.to_string(),
+                submit.to_string(),
+                dispatched.less(submit).to_string(),
+                encode.to_string(),
+                perturb.to_string(),
+                observe.to_string(),
+            ]);
         }
+        println!("ns/record: median [p25, p75] of nine rounds");
+        print_table(
+            &[
+                "shape",
+                "B/record",
+                "scan+decode",
+                "+dispatch+ingest",
+                "submit_batch",
+                "wire overhead",
+                "encode",
+                "perturb",
+                "observe",
+            ],
+            &table,
+        );
     }
 
     /// The cost of one clamped reconstruction, by stage, on both paths.
@@ -1651,11 +1790,8 @@ mod tests {
         use crate::session::{CollectionSession, Mechanism, ReconstructionMethod};
         use std::hint::black_box;
 
-        let us_per_call = |f: &mut dyn FnMut()| ns_per_record(1, f) / 1e3;
-        println!(
-            "answer  path       bytes  snapshot  server solve+clamp  server write  \
-             client read  client solve+clamp  (us)"
-        );
+        let us_per_call = |f: &mut dyn FnMut()| ns_per_record(1, f).scaled(1e-3);
+        let mut table = Vec::new();
         for (name, schema, dataset) in [
             (
                 "HEALTH",
@@ -1716,20 +1852,42 @@ mod tests {
             let solve = us_per_call(&mut || {
                 black_box(black_box(&answer).solve(true));
             });
-            println!(
-                "{name:<6}  estimates  {:>5}  {snapshot:>8.1}  {:>18.1}  {write:>12.1}  \
-                 {tree:>11.1}  {:>18}",
-                estimates.len(),
-                reconstruct - snapshot,
-                "-",
-            );
-            println!(
-                "{name:<6}  counts     {:>5}  {snapshot:>8.1}  {:>18}  {counts_write:>12.1}  \
-                 {counts_read:>11.1}  {solve:>18.1}",
-                counts_text.len(),
-                "-",
-            );
+            let none = || "-".to_owned();
+            table.push(vec![
+                name.to_owned(),
+                "estimates".to_owned(),
+                estimates.len().to_string(),
+                snapshot.to_string(),
+                reconstruct.less(snapshot).to_string(),
+                write.to_string(),
+                tree.to_string(),
+                none(),
+            ]);
+            table.push(vec![
+                name.to_owned(),
+                "counts".to_owned(),
+                counts_text.len().to_string(),
+                snapshot.to_string(),
+                none(),
+                counts_write.to_string(),
+                counts_read.to_string(),
+                solve.to_string(),
+            ]);
         }
+        println!("us per call: median [p25, p75] of nine rounds");
+        print_table(
+            &[
+                "answer",
+                "path",
+                "bytes",
+                "snapshot",
+                "server solve+clamp",
+                "server write",
+                "client read",
+                "client solve+clamp",
+            ],
+            &table,
+        );
     }
 
     /// A fresh `Shared` holding one session over `schema`, id 1.
@@ -1811,9 +1969,7 @@ mod tests {
             ("CENSUS 16", census, 16),
             ("CENSUS+12 256", mixed, 256),
         ];
-        println!(
-            "shape          B/record  encode  newline+UTF-8  read_request  dispatch_into  submit_batch  (ns/record)"
-        );
+        let mut table = Vec::new();
         for (name, data, batch) in &shapes {
             let shared = shared_with_session(data.schema(), crate::ServiceConfig::default());
             let mut state = ConnState::new();
@@ -1904,10 +2060,29 @@ mod tests {
                     black_box(collection.submit_batch(black_box(b), true).unwrap());
                 }
             });
-            println!(
-                "{name:<14} {bytes:>8.2}  {encoded:>6.1}  {codec_stage:>13.1}  {read:>12.1}  {dispatched:>13.1}  {submit:>12.1}"
-            );
+            table.push(vec![
+                (*name).to_owned(),
+                format!("{bytes:.2}"),
+                encoded.to_string(),
+                codec_stage.to_string(),
+                read.to_string(),
+                dispatched.to_string(),
+                submit.to_string(),
+            ]);
         }
+        println!("ns/record: median [p25, p75] of nine rounds");
+        print_table(
+            &[
+                "shape",
+                "B/record",
+                "encode",
+                "newline+UTF-8",
+                "read_request",
+                "dispatch_into",
+                "submit_batch",
+            ],
+            &table,
+        );
     }
 
     #[test]

@@ -945,34 +945,49 @@ mod tests {
 
     #[test]
     fn repl_watermarks_survive_snapshot_and_delta_recovery() {
-        let dir = temp_dir("repl");
-        let session = sample_session(21);
-        let batch = [[1, 1]];
-        let stamp = |seq| Placement::Replicated { origin: 4, seq };
-        session.ingest(stamp(6), batch, true).unwrap();
-        assert_eq!(
-            persist_session_incremental(&dir, &session).unwrap(),
-            FlushOutcome::FullSnapshot
-        );
+        // The second run's origin and last seq are 2^53 - 1, the largest
+        // a binary frame's stamp may carry: such a mark must load again.
+        const TOP: u64 = (1 << 53) - 1;
+        for (origin, first) in [(4, 6), (TOP, TOP - 3)] {
+            let dir = temp_dir("repl");
+            let session = sample_session(21);
+            let batch = [[1, 1]];
+            let stamp = |seq| Placement::Replicated { origin, seq };
+            session.ingest(stamp(first), batch, true).unwrap();
+            assert_eq!(
+                persist_session_incremental(&dir, &session).unwrap(),
+                FlushOutcome::FullSnapshot
+            );
 
-        // Base-snapshot path: the recovered session still rejects the
-        // forwarded batch a reconnecting peer might resend.
-        let recovered = load_session(&session_path(&dir, 21), 4096, 1 << 24).unwrap();
-        assert_eq!(recovered.dump_shards(), session.dump_shards());
-        assert!(!recovered.ingest(stamp(6), batch, true).unwrap().fresh);
+            // Base-snapshot path: the recovered session still rejects the
+            // forwarded batch a reconnecting peer might resend.
+            let recovered = load_session(&session_path(&dir, 21), 4096, 1 << 24).unwrap();
+            assert_eq!(recovered.dump_shards(), session.dump_shards());
+            assert!(!recovered.ingest(stamp(first), batch, true).unwrap().fresh);
 
-        // Delta path: a watermark advanced after the base snapshot
-        // rides in on the delta line.
-        session.ingest(stamp(8), batch, true).unwrap();
-        assert_eq!(
-            persist_session_incremental(&dir, &session).unwrap(),
-            FlushOutcome::Deltas(1)
-        );
-        let recovered = load_session(&session_path(&dir, 21), 4096, 1 << 24).unwrap();
-        assert_eq!(recovered.dump_shards(), session.dump_shards());
-        assert!(!recovered.ingest(stamp(8), batch, true).unwrap().fresh);
-        assert!(recovered.ingest(stamp(9), batch, true).unwrap().fresh);
-        std::fs::remove_dir_all(&dir).ok();
+            // Delta path: a watermark advanced after the base snapshot
+            // rides in on the delta line.
+            session.ingest(stamp(first + 2), batch, true).unwrap();
+            assert_eq!(
+                persist_session_incremental(&dir, &session).unwrap(),
+                FlushOutcome::Deltas(1)
+            );
+            let recovered = load_session(&session_path(&dir, 21), 4096, 1 << 24).unwrap();
+            assert_eq!(recovered.dump_shards(), session.dump_shards());
+            assert!(
+                !recovered
+                    .ingest(stamp(first + 2), batch, true)
+                    .unwrap()
+                    .fresh
+            );
+            assert!(
+                recovered
+                    .ingest(stamp(first + 3), batch, true)
+                    .unwrap()
+                    .fresh
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

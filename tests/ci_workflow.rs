@@ -1,7 +1,8 @@
 //! Guards on `.github/workflows/ci.yml`, which nothing else reads
 //! before CI does: the file must stay loadable YAML, every ignored test
-//! in the workspace must have a CI step that runs it, and every step
-//! that runs ignored tests by name must still name one.
+//! in the workspace must have a CI step that runs it, every step that
+//! runs ignored tests by name must still name one, and every example
+//! and (through `exp_all`) every `exp_*` binary must be run.
 //!
 //! There is no YAML parser among the dependencies, so the checks read
 //! the workflow line by line. That is enough for the subset of YAML the
@@ -366,5 +367,108 @@ fn every_ignored_filter_in_ci_names_an_ignored_test() {
     assert_eq!(
         unmatched_filters(&lines, &tests),
         [lines[0], lines[3], lines[5]]
+    );
+}
+
+/// Every example of the workspace: its package and its name.
+fn examples() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("examples"), &mut files);
+    rust_files(&root.join("crates"), &mut files);
+    files
+        .iter()
+        .filter(|f| f.parent().is_some_and(|d| d.ends_with("examples")))
+        .map(|f| {
+            let (_, package) = package_of(f);
+            (
+                package,
+                f.file_stem().unwrap().to_string_lossy().into_owned(),
+            )
+        })
+        .collect()
+}
+
+/// The examples that no command line runs: none names `--example
+/// <name>` with the example's package (`-p <package>`, or no `-p` for
+/// the root package).
+fn unrun_examples(commands: &[&str], examples: &[(String, String)]) -> Vec<String> {
+    examples
+        .iter()
+        .filter(|(package, name)| {
+            !commands.iter().any(|line| {
+                let in_package = if package == "frapp" {
+                    !line.contains(" -p ")
+                } else {
+                    has_word(line, &format!("-p {package}"))
+                };
+                in_package && has_word(line, &format!("--example {name}"))
+            })
+        })
+        .map(|(package, name)| format!("{package}: {name}"))
+        .collect()
+}
+
+#[test]
+fn every_example_is_run_by_ci() {
+    let workflow = std::fs::read_to_string(WORKFLOW).unwrap();
+    let examples = examples();
+    assert!(
+        examples
+            .iter()
+            .any(|(p, n)| p == "frapp" && n == "quickstart")
+            && examples
+                .iter()
+                .any(|(p, n)| p == "frapp-data" && n == "profile_probe"),
+        "the example scan missed a known example: {examples:?}"
+    );
+    let unrun = unrun_examples(&run_lines(&workflow), &examples);
+    assert!(
+        unrun.is_empty(),
+        "examples that no ci.yml `run:` line runs with `--example <name>`:\n{}",
+        unrun.join("\n")
+    );
+    // A root example, a crate example without its `-p`, and both run.
+    let known = [
+        ("frapp".to_owned(), "quickstart".to_owned()),
+        ("frapp-data".to_owned(), "profile_probe".to_owned()),
+    ];
+    assert_eq!(
+        unrun_examples(&["cargo run --example profile_probe"], &known),
+        ["frapp: quickstart", "frapp-data: profile_probe"]
+    );
+    assert!(unrun_examples(
+        &[
+            "cargo run --release -q --example quickstart",
+            "cargo run --release -q -p frapp-data --example profile_probe",
+        ],
+        &known
+    )
+    .is_empty());
+}
+
+#[test]
+fn exp_all_runs_every_exp_binary() {
+    let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let source = std::fs::read_to_string(bin_dir.join("exp_all.rs")).unwrap();
+    // The quoted names in `exp_all`'s `bins` list.
+    let list = &source[source.find("let bins = [").expect("exp_all lists its bins")..];
+    let list = &list[..list.find("];").expect("the bins list closes")];
+    let listed: Vec<&str> = list.split('"').skip(1).step_by(2).collect();
+    let mut files = Vec::new();
+    rust_files(&bin_dir, &mut files);
+    let bins: Vec<String> = files
+        .iter()
+        .map(|f| f.file_stem().unwrap().to_string_lossy().into_owned())
+        .filter(|stem| stem.starts_with("exp_") && stem != "exp_all")
+        .collect();
+    assert!(bins.iter().any(|b| b == "exp_fig1"), "{bins:?}");
+    let missing: Vec<&String> = bins
+        .iter()
+        .filter(|b| !listed.contains(&b.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "exp_* binaries that exp_all does not run: {missing:?}"
     );
 }

@@ -111,50 +111,3 @@ fn mismatched_alpha_assumption_is_harmless_for_reconstruction() {
         );
     }
 }
-
-#[test]
-fn csv_round_trip_rejects_corruption() {
-    let s = schema();
-    let ds = Dataset::new(s.clone(), vec![vec![0, 1], vec![2, 0]]).unwrap();
-    let mut text = frapp::data::csv::to_csv(&ds);
-    assert!(frapp::data::csv::from_csv(&s, &text).is_ok());
-    // Corrupt a value beyond the domain.
-    text = text.replace("2,0", "9,0");
-    assert!(frapp::data::csv::from_csv(&s, &text).is_err());
-    // Swap the header.
-    let bad_header = text.replacen("a,b", "b,a", 1);
-    assert!(frapp::data::csv::from_csv(&s, &bad_header).is_err());
-}
-
-#[test]
-fn condensed_representations_cover_reconstructed_results() {
-    // Maximal/closed extraction must work on reconstructed (noisy)
-    // mining output, not just exact output.
-    use frapp::mining::apriori::{apriori, AprioriParams};
-    use frapp::mining::condense::{closed_itemsets, maximal_itemsets};
-    use frapp::mining::estimators::GammaDiagonalSupport;
-
-    let ds = frapp::data::census::census_like_n(10_000, 53);
-    let gd = GammaDiagonal::new(ds.schema(), 19.0).unwrap();
-    let mut rng = StdRng::seed_from_u64(5);
-    let perturbed = Dataset::from_trusted(
-        ds.schema().clone(),
-        gd.perturb_dataset(ds.records(), &mut rng).unwrap(),
-    );
-    let est = GammaDiagonalSupport::new(&perturbed, &gd);
-    let mined = apriori(
-        &est,
-        &AprioriParams {
-            min_support: 0.05,
-            max_length: 0,
-            max_candidates: 100_000,
-        },
-    );
-    let max = maximal_itemsets(&mined);
-    let closed = closed_itemsets(&mined, 1e-9);
-    assert!(!max.is_empty());
-    assert!(closed.len() >= max.len());
-    for (itemset, _) in mined.iter() {
-        assert!(max.iter().any(|&(m, _)| m.contains(itemset)));
-    }
-}

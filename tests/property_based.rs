@@ -226,57 +226,6 @@ proptest! {
 }
 
 proptest! {
-    /// SVD invariants on random diagonally-dominant matrices: U, V
-    /// orthonormal, singular values sorted and nonnegative, and
-    /// `U Σ Vᵀ` reassembles the input.
-    #[test]
-    fn svd_invariants_hold(
-        n in 2usize..10,
-        seed in 0u64..500,
-    ) {
-        use frapp::linalg::Svd;
-        let m = Matrix::from_fn(n, n, |i, j| {
-            let v = ((i * 37 + j * 61 + seed as usize) % 11) as f64 / 11.0 - 0.5;
-            if i == j { v + n as f64 } else { v }
-        });
-        let svd = Svd::new(&m).expect("convergent");
-        // Sorted, nonnegative spectrum.
-        for w in svd.sigma.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-12);
-        }
-        prop_assert!(svd.sigma.iter().all(|&s| s >= 0.0));
-        // Orthonormal factors.
-        for f in [&svd.u, &svd.v] {
-            let gram = f.transpose().mul_mat(f).expect("square");
-            let diff = &gram - &Matrix::identity(n);
-            prop_assert!(diff.max_abs() < 1e-9, "gram deviation {}", diff.max_abs());
-        }
-        // Reassembly.
-        let back = svd.reconstruct();
-        let diff = &back - &m;
-        prop_assert!(diff.max_abs() < 1e-8 * (n as f64), "deviation {}", diff.max_abs());
-    }
-
-    /// Select-a-size transition matrices are column-stochastic for every
-    /// family member and the cut-and-paste member matches CutAndPaste.
-    #[test]
-    fn select_a_size_invariants(
-        keep_p in 0.05f64..0.95,
-        rho in 0.05f64..0.95,
-        k in 1usize..5,
-    ) {
-        use frapp::baselines::SelectASize;
-        let schema = Schema::new(vec![("a", 2), ("b", 2), ("c", 2)]).unwrap();
-        let binom = SelectASize::binomial_keeps(&schema, keep_p, rho).unwrap();
-        prop_assert!(binom.itemset_transition_matrix(k).is_column_stochastic(1e-9));
-        let sas_cnp = SelectASize::cut_and_paste(&schema, 3, rho).unwrap();
-        let cnp = CutAndPaste::new(&schema, 3, rho).unwrap();
-        let a = sas_cnp.itemset_transition_matrix(k);
-        let b = cnp.itemset_transition_matrix(k, 3);
-        let diff = &a - &b;
-        prop_assert!(diff.max_abs() < 1e-12);
-    }
-
     /// Gamma-diagonal perturbation followed by reconstruction is
     /// unbiased: the estimated support of any single-attribute itemset
     /// converges on the true support (tested at moderate N with a
