@@ -26,6 +26,7 @@ use crate::session::{
 };
 use crate::wire::{Op, PeerCounter, COUNTERS, PEER_COUNTERS, PEER_SECTION};
 use frapp_core::reconstruct::{clamp_counts, GammaDiagonalReconstructor};
+use frapp_core::{CountAccumulator, Schema};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -179,7 +180,7 @@ fn check_ok(v: Value) -> Result<Value> {
 
 /// Parses a whole response into a tree and checks its `ok`: how every
 /// answer but `counts` is read.
-fn parse_ok(text: &str) -> Result<Value> {
+pub(crate) fn parse_ok(text: &str) -> Result<Value> {
     check_ok(json::parse(text)?)
 }
 
@@ -229,6 +230,17 @@ impl PerturbedCounts {
         Ok(PerturbedCounts { n, gamma, counts })
     }
 
+    /// The counts as a peer's partition of a session over `schema` at γ
+    /// `gamma`: refused unless the grid has that domain size and γ.
+    pub(crate) fn into_partition(self, schema: &Schema, gamma: f64) -> Result<CountAccumulator> {
+        let (cells, got) = (self.counts.len(), self.gamma);
+        if (cells, got) != (schema.domain_size(), gamma) {
+            let msg = format!("a partition of {cells} counts at gamma {got} is not the session's");
+            return Err(ServiceError::Protocol(msg));
+        }
+        CountAccumulator::from_counts(schema.clone(), self.counts).map_err(Into::into)
+    }
+
     /// The server's closed-form answer, with its bits: the solve
     /// `X̂_u = (Y_u − x·N)/a` of the server's session (the constructor
     /// computes `x` and `a` as the server does), then [`clamp_counts`]
@@ -255,11 +267,11 @@ pub(crate) fn counts_not_integers() -> ServiceError {
 
 /// Decodes a `counts` answer straight from its text: the first
 /// `counts` member goes through [`json::read_counts`] into the count
-/// vector, and only the other members become a (small) tree. The same
-/// answer, or the same error in the same order (syntax, then `ok:false`,
-/// then [`PerturbedCounts::new`]'s), as parsing it into a tree and
-/// reading that.
-pub(crate) fn read_counts_answer(text: &str) -> Result<(PerturbedCounts, Option<PartialCoverage>)> {
+/// vector, and only the other members become a (small) tree, returned
+/// beside it. The same answer, or the same error in the same order
+/// (syntax, then `ok:false`, then [`PerturbedCounts::new`]'s), as
+/// parsing it into a tree and reading that.
+pub(crate) fn read_counts_answer(text: &str) -> Result<(PerturbedCounts, Value)> {
     let (fields, counts) = json::read_members(text, "counts", |r| {
         Ok(json::read_counts(r)?.ok_or_else(counts_not_integers))
     })?;
@@ -268,7 +280,7 @@ pub(crate) fn read_counts_answer(text: &str) -> Result<(PerturbedCounts, Option<
     let v = check_ok(Value::Object(pairs.collect()))?;
     let gamma = v.get("gamma").and_then(Value::as_f64);
     let counts = PerturbedCounts::new(v.get("n").and_then(Value::as_u64), gamma, counts)?;
-    Ok((counts, parse_coverage(&v)))
+    Ok((counts, v))
 }
 
 /// Reads a `reconstruct` answer's tree, as `cached_lu` requests it.
@@ -675,8 +687,8 @@ macro_rules! typed_ops {
             ) -> Result<(Reconstruction, Option<PartialCoverage>)> {
                 if method == ReconstructionMethod::ClosedForm {
                     return self.call_with(Op::Counts, Some(session), partial, |text| {
-                        let (counts, coverage) = read_counts_answer(text)?;
-                        Ok((counts.solve(clamp), coverage))
+                        let (counts, members) = read_counts_answer(text)?;
+                        Ok((counts.solve(clamp), parse_coverage(&members)))
                     });
                 }
                 let mut fields = vec![
@@ -991,12 +1003,11 @@ impl Client {
         Ok(self.writer.write_all(frame)?)
     }
 
-    /// Sends one complete pre-encoded binary frame and returns the
-    /// parsed successful response object, as [`Client::request`] does
-    /// for a line.
-    pub fn request_frame(&mut self, frame: &[u8]) -> Result<Value> {
+    /// Sends one complete pre-encoded binary frame and returns its
+    /// response, the trimmed text decoded by `decode`.
+    pub fn request_frame<T>(&mut self, frame: &[u8], decode: fn(&str) -> Result<T>) -> Result<T> {
         self.send_frame_nowait(frame)?;
-        self.read_response(parse_ok)
+        self.read_response(decode)
     }
 
     /// Sends one raw request line and returns the parsed successful
@@ -1011,9 +1022,7 @@ impl Client {
     /// `decode`.
     fn request_with<T>(&mut self, line: &str, decode: impl FnOnce(&str) -> Result<T>) -> Result<T> {
         if self.framing == WireFraming::Binary {
-            let mut frame = Vec::with_capacity(line.len() + 8);
-            framing::encode_json_frame(&mut frame, line);
-            self.send_frame_nowait(&frame)?;
+            self.send_frame_nowait(&framing::json_frame(line))?;
         } else {
             self.writer.write_all(line.as_bytes())?;
             self.writer.write_all(b"\n")?;
@@ -1545,7 +1554,8 @@ pub(crate) mod tests {
     /// error. Returns whether the answer decoded.
     fn assert_decodes_as_reference(text: &str) -> bool {
         match (read_counts_answer(text), reference_read_counts_answer(text)) {
-            (Ok((got, got_coverage)), Ok((want, want_coverage))) => {
+            (Ok((got, got_members)), Ok((want, want_coverage))) => {
+                let got_coverage = parse_coverage(&got_members);
                 assert_eq!(
                     (got.n, got.gamma.to_bits(), bits(&got.counts)),
                     (want.n, want.gamma.to_bits(), bits(&want.counts)),
@@ -1611,8 +1621,8 @@ pub(crate) mod tests {
             let counts = session.snapshot();
             for coverage in [None, Some(&coverage)] {
                 let text = counts_answer(&counts, mechanism.gamma(), coverage);
-                let (answer, got_coverage) = read_counts_answer(&text).unwrap();
-                assert_eq!(got_coverage.as_ref(), coverage);
+                let (answer, members) = read_counts_answer(&text).unwrap();
+                assert_eq!(parse_coverage(&members).as_ref(), coverage);
                 for clamp in [false, true] {
                     let served = session
                         .reconstruct(ReconstructionMethod::ClosedForm, clamp)

@@ -533,13 +533,19 @@ fn execute_with_state(
         Request::Counts {
             session,
             allow_partial,
+            local,
         } => {
+            // A `local` read is a coordinator fetching this node's own
+            // partition: no fan-out, and no reconstruction.
             let session = registry.get(session)?;
+            let fed = fed.filter(|_| !local);
             let (counts, coverage) = merged_counts(fed, &session, allow_partial)?;
             let started = Instant::now();
             let gamma = session.mechanism().gamma();
             write_counts_response(out, &counts, gamma, coverage.as_ref());
-            session.metrics().record_reconstruction(started.elapsed());
+            if !local {
+                session.metrics().record_reconstruction(started.elapsed());
+            }
         }
         Request::Stats {
             session,
@@ -645,28 +651,6 @@ fn execute_with_state(
             Some(fed) => write_ok_response(out, fed.cluster_status_pairs()),
             None => write_ok_response(out, vec![("federated", false.into())]),
         },
-        Request::SyncSession { session } => {
-            // Always strictly local: a federation coordinator calls
-            // this on each owner and merges. Counts ship sparse —
-            // `[index, count]` pairs for the nonzero cells only.
-            let session_ref = registry.get(session)?;
-            let snapshot = session_ref.snapshot();
-            let counts: Vec<Value> = snapshot
-                .counts()
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0.0)
-                .map(|(i, &c)| Value::Array(vec![i.into(), c.into()]))
-                .collect();
-            write_ok_response(
-                out,
-                vec![
-                    ("session", session.into()),
-                    ("total", snapshot.n().into()),
-                    ("counts", Value::Array(counts)),
-                ],
-            )
-        }
         Request::ReplStatus { session, origin } => {
             // Always strictly local: the per-shard replication
             // watermarks this node has applied from `origin`, the

@@ -26,8 +26,8 @@
 //!   double-count.
 //! * **Queries fan out and merge.** `reconstruct`/`counts`/`stats`
 //!   barrier the replication links (so every acknowledged record is
-//!   visible), pull each owner's local partition (`sync_session`) and
-//!   fold them with [`frapp_fed::merge_partitions`] — a commutative,
+//!   visible), pull each owner's own partition (a `local` `counts` read)
+//!   and fold them with [`frapp_fed::merge_partitions`] — a commutative,
 //!   bitwise order-independent merge, because the partitions are
 //!   disjoint integer tallies. `reconstruct` then solves once locally,
 //!   and `counts` ships the merged counts.
@@ -55,11 +55,13 @@
 //! therefore bounded by the peer's persistence cadence, not by total
 //! ingest volume.
 
-use crate::client::{request_line, Client, SessionSpec};
+use crate::client::{
+    parse_ok, read_counts_answer, request_line, Client, PerturbedCounts, SessionSpec,
+};
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
-use crate::framing::{encode_json_frame, encode_submit_payload};
+use crate::framing::{encode_submit_payload, json_frame};
 use crate::json::{object, Value};
 use crate::metrics::{PeerHealth, PeerReplCounters, PeerReplReport};
 use crate::protocol::{PartialCoverage, RecordBatch};
@@ -397,7 +399,7 @@ impl FedState {
             })?;
             counters.add(PeerCounter::ForwardedBatches, 1);
             counters.add(PeerCounter::ForwardedRecords, accepted);
-            link.request(frame)?;
+            link.call(|resp| LinkCmd::Sync { frame, resp })?;
             counters.add(PeerCounter::AckedRecords, accepted);
         }
         Ok(Routed::Forwarded { peer: owner })
@@ -471,8 +473,8 @@ impl FedState {
     /// The read fan-out behind [`FedState::owner_counts`] and
     /// [`FedState::stats`]: barriers the links, then collects each
     /// owner's count partition in ring order — this node's by
-    /// `snapshot`, the others' by `sync_session`, which is strictly
-    /// local on the receiving node, so owners never fan out in turn.
+    /// `snapshot`, the others' by a `local` `counts` read, answered by
+    /// the receiving node alone, so owners never fan out in turn.
     /// Under `allow_partial`, unreachable owners are skipped and named
     /// in the coverage; zero reachable owners fail the read.
     fn owner_partitions(
@@ -490,7 +492,7 @@ impl FedState {
             } else if unreachable.contains(&owner) {
                 missing.push((owner, self.peer_addr(owner)));
             } else {
-                match self.fetch_partition(owner, sess.id(), sess.schema()) {
+                match self.fetch_partition(owner, sess) {
                     Ok(partition) => partitions.push(partition),
                     Err(e) if allow_partial && is_unreachable(&e) => {
                         missing.push((owner, self.peer_addr(owner)));
@@ -542,37 +544,16 @@ impl FedState {
         self.topology.peers().get(node).cloned().unwrap_or_default()
     }
 
-    fn fetch_partition(
-        &self,
-        peer: usize,
-        session: u64,
-        schema: &Schema,
-    ) -> Result<CountAccumulator> {
-        let line = request_line(Op::SyncSession, Some(session), Vec::new());
-        let v = self.link(peer)?.sync(&line)?;
-        let pairs = v.get("counts").and_then(Value::as_array).ok_or_else(|| {
-            ServiceError::Protocol("sync_session response missing `counts`".into())
-        })?;
-        let mut dense = vec![0.0; schema.domain_size()];
-        for pair in pairs {
-            let cell = pair.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                ServiceError::Protocol("sync_session counts must be [index, count] pairs".into())
-            })?;
-            let idx = cell
-                .first()
-                .and_then(Value::as_usize)
-                .filter(|&i| i < dense.len())
-                .ok_or_else(|| {
-                    ServiceError::Protocol("sync_session count index out of domain".into())
-                })?;
-            let count = cell.get(1).and_then(Value::as_f64).ok_or_else(|| {
-                ServiceError::Protocol("sync_session counts must be numbers".into())
-            })?;
-            if let Some(slot) = dense.get_mut(idx) {
-                *slot = count;
-            }
-        }
-        CountAccumulator::from_counts(schema.clone(), dense).map_err(ServiceError::from)
+    /// Remote owner `peer`'s partition of `sess`, by a `local` `counts`
+    /// read: a [`ServiceError::Protocol`] (which fails even a partial
+    /// read) unless its grid has the session's domain size and γ.
+    fn fetch_partition(&self, peer: usize, sess: &CollectionSession) -> Result<CountAccumulator> {
+        let local = vec![("local", true.into())];
+        let frame = json_frame(&request_line(Op::Counts, Some(sess.id()), local));
+        let grid = self
+            .link(peer)?
+            .call(|resp| LinkCmd::Counts { frame, resp })?;
+        grid.into_partition(sess.schema(), sess.mechanism().gamma())
     }
 
     /// Fans a close out to every peer (as `local: true`, so nobody
@@ -809,6 +790,11 @@ enum LinkCmd {
         frame: Vec<u8>,
         resp: mpsc::Sender<Result<Value>>,
     },
+    /// A partition read, its answer decoded by [`read_counts_answer`].
+    Counts {
+        frame: Vec<u8>,
+        resp: mpsc::Sender<Result<PerturbedCounts>>,
+    },
     /// Flush and confirm every queued forward.
     Barrier {
         resp: mpsc::Sender<Result<()>>,
@@ -918,16 +904,15 @@ impl PeerLink {
 
     /// One JSON request line, tunnelled through `OP_JSON`.
     fn sync(&self, line: &str) -> Result<Value> {
-        let mut frame = Vec::with_capacity(line.len() + 8);
-        encode_json_frame(&mut frame, line);
-        self.request(frame)
+        let frame = json_frame(line);
+        self.call(|resp| LinkCmd::Sync { frame, resp })
     }
 
-    /// One request frame and its response.
-    fn request(&self, frame: Vec<u8>) -> Result<Value> {
+    /// Sends the command `cmd` builds around a reply channel; waits.
+    fn call<T>(&self, cmd: impl FnOnce(mpsc::Sender<Result<T>>) -> LinkCmd) -> Result<T> {
         let (resp, rx) = mpsc::channel();
         self.tx
-            .send(LinkCmd::Sync { frame, resp })
+            .send(cmd(resp))
             .map_err(|_| ServiceError::ConnectionClosed)?;
         recv_link(rx)?
     }
@@ -1055,8 +1040,18 @@ impl LinkWorker {
                     self.publish_history_gauge();
                 }
                 Ok(LinkCmd::Sync { frame, resp }) => {
-                    let result = self.sync_request(&frame);
-                    let _ = resp.send(result);
+                    let answer = self.sync_request(&frame, parse_ok);
+                    if let Ok(v) = &answer {
+                        self.consume_watermark(v);
+                    }
+                    let _ = resp.send(answer);
+                }
+                Ok(LinkCmd::Counts { frame, resp }) => {
+                    let answer = self.sync_request(&frame, read_counts_answer);
+                    if let Ok((_, members)) = &answer {
+                        self.consume_watermark(members);
+                    }
+                    let _ = resp.send(answer.map(|(grid, _)| grid));
                 }
                 Ok(LinkCmd::Barrier { resp }) => {
                     let _ = resp.send(self.barrier());
@@ -1323,20 +1318,26 @@ impl LinkWorker {
         Ok(())
     }
 
-    fn sync_request(&mut self, frame: &[u8]) -> Result<Value> {
+    /// One request frame and its answer, decoded by `read`.
+    fn sync_request<T>(&mut self, frame: &[u8], read: fn(&str) -> Result<T>) -> Result<T> {
         for _ in 0..2 {
             self.ensure_connected(CONNECT_ATTEMPTS)?;
             let client = self.client.as_mut().ok_or_else(|| peer_down(&self.addr))?;
-            match client.request_frame(frame) {
-                Ok(v) => {
-                    self.consume_watermark(&v);
+            match client.request_frame(frame, read) {
+                Ok(answer) => {
                     self.record_link_success();
-                    return Ok(v);
+                    return Ok(answer);
                 }
                 // An in-band refusal: the request *was* processed;
                 // retrying would re-run it for the same answer. The
                 // peer is alive, so this is not a link failure.
                 Err(e @ ServiceError::Remote { .. }) => return Err(e),
+                // An answer that does not read as one: a retry would get
+                // the same. The stream may be out of frame, so it goes.
+                Err(e @ ServiceError::Protocol(_)) => {
+                    self.drop_client();
+                    return Err(e);
+                }
                 // I/O failure: unknown whether it landed. Reconnect
                 // and retry once — every link request is idempotent
                 // (forwards dedup on (origin, seq), the rest are reads
@@ -1575,5 +1576,321 @@ mod tests {
         assert_eq!(fed.topology().self_id(), 1);
         assert_eq!(fed.peer_reports().len(), 1);
         assert_eq!(fed.peer_reports()[0].node, 0);
+    }
+
+    /// A peer that upgrades each connection to the binary framing and
+    /// answers every frame on it with `answer`, one connection at a
+    /// time, until it is dropped.
+    struct CannedPeer {
+        addr: String,
+        stop: Arc<std::sync::atomic::AtomicBool>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl CannedPeer {
+        fn new(answer: &str) -> CannedPeer {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let frame = json_frame(answer);
+            let stopped = Arc::clone(&stop);
+            let thread = std::thread::spawn(move || {
+                while !stopped.load(Ordering::Relaxed) {
+                    match listener.accept() {
+                        // The connection ends when the link drops it.
+                        Ok((stream, _)) => drop(Self::serve(stream, &frame)),
+                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                    }
+                }
+            });
+            CannedPeer {
+                addr,
+                stop,
+                thread: Some(thread),
+            }
+        }
+
+        fn serve(stream: std::net::TcpStream, frame: &[u8]) -> std::io::Result<()> {
+            use std::io::{BufRead, Read, Write};
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+            let mut reader = std::io::BufReader::new(stream.try_clone()?);
+            let mut writer = stream;
+            reader.read_line(&mut String::new())?;
+            writer.write_all(b"{\"ok\":true,\"framing\":\"binary\"}\n")?;
+            loop {
+                // Opcode and a one-byte length: every link request
+                // here is shorter than 128 bytes.
+                let mut header = [0u8; 2];
+                reader.read_exact(&mut header)?;
+                assert!(header[1] < 0x80, "a one-byte length");
+                reader.read_exact(&mut vec![0; usize::from(header[1])])?;
+                writer.write_all(frame)?;
+            }
+        }
+    }
+
+    impl Drop for CannedPeer {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::Relaxed);
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// Answers a peer could give to a partition read of a session of
+    /// 6 cells at γ = 19, with the record total a read accepts them
+    /// at: a correct grid and grids of counts at 2^53 − 1 (accepted);
+    /// a fractional count, a count of 2^53 + 1, a grid one cell short
+    /// or long, counts that do not total `n`, and another γ (refused).
+    const PEER_ANSWERS: [(&str, Option<u64>); 9] = [
+        (
+            r#"{"ok":true,"n":3,"gamma":19,"counts":[1,0,2,0,0,0]}"#,
+            Some(3),
+        ),
+        (
+            r#"{"ok":true,"n":9007199254740991,"gamma":19,"counts":[9007199254740991,0,0,0,0,0]}"#,
+            Some((1 << 53) - 1),
+        ),
+        (
+            r#"{"ok":true,"n":9007199254740991,"gamma":19,"counts":[9007199254740990,1,0,0,0,0]}"#,
+            Some((1 << 53) - 1),
+        ),
+        (
+            r#"{"ok":true,"n":3,"gamma":19,"counts":[0.5,0,2.5,0,0,0]}"#,
+            None,
+        ),
+        (
+            r#"{"ok":true,"n":9007199254740993,"gamma":19,"counts":[9007199254740993,0,0,0,0,0]}"#,
+            None,
+        ),
+        (r#"{"ok":true,"n":3,"gamma":19,"counts":[1,0,2,0,0]}"#, None),
+        (
+            r#"{"ok":true,"n":3,"gamma":19,"counts":[1,0,2,0,0,0,0]}"#,
+            None,
+        ),
+        (
+            r#"{"ok":true,"n":4,"gamma":19,"counts":[1,0,2,0,0,0]}"#,
+            None,
+        ),
+        (
+            r#"{"ok":true,"n":3,"gamma":9,"counts":[1,0,2,0,0,0]}"#,
+            None,
+        ),
+    ];
+
+    /// A federated `counts`, `reconstruct` and `stats`, strict and
+    /// partial, on a node whose one peer owner answers its partition
+    /// read with each of [`PEER_ANSWERS`]: a refused answer fails every
+    /// read with a `Protocol` error (the peer answered, so even a
+    /// partial read may not skip it), and an accepted one merges into
+    /// each. This node's own partition is empty.
+    #[test]
+    fn a_lying_peers_partition_fails_every_federated_read() {
+        use crate::dispatch::execute;
+        use crate::protocol::Request;
+        use crate::session::ReconstructionMethod;
+        for (answer, accepted) in PEER_ANSWERS {
+            let peer = CannedPeer::new(answer);
+            let mut config = ServiceConfig::default().with_peers(
+                vec!["127.0.0.1:1".into(), peer.addr.clone()],
+                0,
+                2,
+            );
+            config.connect_timeout_ms = 2_000;
+            config.read_timeout_ms = 5_000;
+            let fed = FedState::from_config(&config).unwrap().unwrap();
+            let registry = SessionRegistry::new();
+            let schema = Schema::new(vec![("a", 3), ("b", 2)]).unwrap();
+            let mechanism = Mechanism::Deterministic { gamma: 19.0 };
+            registry
+                .create(Some(1), schema, mechanism, 2, 7, 4096)
+                .unwrap();
+            let transport = crate::metrics::TransportMetrics::new();
+            for allow_partial in [false, true] {
+                let reads = [
+                    Request::Counts {
+                        session: 1,
+                        allow_partial,
+                        local: false,
+                    },
+                    Request::Reconstruct {
+                        session: 1,
+                        method: ReconstructionMethod::ClosedForm,
+                        clamp: true,
+                        allow_partial,
+                    },
+                    Request::Stats {
+                        session: 1,
+                        allow_partial,
+                    },
+                ];
+                for read in reads {
+                    let what = format!("{read:?} of {answer}");
+                    let mut out = String::new();
+                    let result = execute(
+                        &registry,
+                        &config,
+                        &transport,
+                        Some(&fed),
+                        None,
+                        read,
+                        &mut out,
+                    );
+                    match (result, accepted) {
+                        (Ok(_), Some(n)) => {
+                            let v = crate::json::parse(&out).unwrap();
+                            let total = v.get("n").or_else(|| v.get("total"));
+                            assert_eq!(total.and_then(Value::as_u64), Some(n), "{what}");
+                        }
+                        (Err(ServiceError::Protocol(_)), None) => {}
+                        (result, _) => panic!("{what}: {:?}", result.map(|_| out)),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bytes of `line`'s answer from the line listener at `addr`.
+    fn answer_bytes(addr: &str, line: &str) -> usize {
+        use std::io::{BufRead, Write};
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut answer = String::new();
+        std::io::BufReader::new(stream)
+            .read_line(&mut answer)
+            .unwrap();
+        answer.trim_end().len()
+    }
+
+    /// The stages of a federated read on a 3-node loopback: this node
+    /// coordinates and owns a third of the session (replication 3), two
+    /// `frapp-serve` nodes own the rest. Fetch is the two remote owners'
+    /// partition reads in turn, each a round trip and a decode, as
+    /// `owner_partitions` runs them; merge folds the three partitions as
+    /// `merge_partitions` does; solve is the closed form and clamp on
+    /// the merged counts, as `reconstruct` runs it. Two sessions, both
+    /// perturbed on their owners at γ = 19: 2^20 HEALTH records (7 500
+    /// cells), and 2^14 records over 1 024 × 1 024 cells.
+    #[test]
+    #[ignore = "timing table; run in release with --nocapture"]
+    fn federated_read_stage_table() {
+        use crate::framing::tests::{ns_per_record, print_table};
+        use crate::protocol::RecordBatch;
+        use crate::session::ReconstructionMethod;
+        use std::hint::black_box;
+
+        let us_per_call = |f: &mut dyn FnMut()| ns_per_record(1, f).scaled(1e-3);
+        let free = || {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap().to_string()
+        };
+        let peers: Vec<String> = (0..3).map(|_| free()).collect();
+        let config = |node: usize| {
+            ServiceConfig::with_addr(peers[node].clone()).with_peers(peers.clone(), node, 3)
+        };
+        let servers: Vec<_> = (1..3)
+            .map(|node| crate::Server::bind(config(node)).unwrap().spawn().unwrap())
+            .collect();
+        let fed = FedState::from_config(&config(0)).unwrap().unwrap();
+        let registry = SessionRegistry::new();
+        let wide: Vec<Vec<u32>> = (0..1u32 << 14)
+            .map(|i| vec![i.wrapping_mul(7_919) % 1024, i.wrapping_mul(104_729) % 1024])
+            .collect();
+        let mut table = Vec::new();
+        for (name, schema, records) in [
+            (
+                "HEALTH, 2^20 records",
+                frapp_data::health::schema(),
+                frapp_data::health::health_like_n(1 << 20, 1)
+                    .records()
+                    .to_vec(),
+            ),
+            (
+                "1024 x 1024, 2^14 records",
+                Schema::new(vec![("a", 1024), ("b", 1024)]).unwrap(),
+                wide,
+            ),
+        ] {
+            let raw: Vec<(String, u32)> = schema
+                .attributes()
+                .iter()
+                .map(|a| (a.name().to_owned(), a.cardinality()))
+                .collect();
+            let mechanism = Mechanism::Deterministic { gamma: 19.0 };
+            let sess = fed
+                .create_session(&registry, &raw, schema, mechanism, 2, 7, 1 << 13)
+                .unwrap()
+                .session;
+            for chunk in records.chunks(256) {
+                let batch = RecordBatch::from_rows(chunk);
+                fed.submit(&registry, sess.id(), &batch, false, true)
+                    .unwrap();
+            }
+            fed.barrier_all().unwrap();
+            let remote: Vec<usize> = fed
+                .topology()
+                .owners(sess.id())
+                .into_iter()
+                .filter(|&o| o != 0)
+                .collect();
+            assert_eq!(remote.len(), 2);
+            let fetch_all = || -> Vec<CountAccumulator> {
+                remote
+                    .iter()
+                    .map(|&o| fed.fetch_partition(o, &sess).unwrap())
+                    .collect()
+            };
+            let mut partitions = fetch_all();
+            partitions.push(sess.snapshot());
+            let merge = || {
+                let mut merged = CountAccumulator::new(sess.schema().clone());
+                for partition in &partitions {
+                    merged.merge_checked(partition).unwrap();
+                }
+                merged
+            };
+            assert_eq!(merge().n(), records.len() as u64);
+            let local = vec![("local", true.into())];
+            let bytes = answer_bytes(
+                &peers[remote[0]],
+                &request_line(Op::Counts, Some(sess.id()), local),
+            );
+
+            let fetch = us_per_call(&mut || {
+                black_box(fetch_all());
+            });
+            let merged = us_per_call(&mut || {
+                black_box(merge());
+            });
+            let solved = us_per_call(&mut || {
+                let rec = sess.reconstruct_counts(merge(), ReconstructionMethod::ClosedForm, true);
+                black_box(rec.unwrap());
+            });
+            table.push(vec![
+                name.to_owned(),
+                bytes.to_string(),
+                fetch.to_string(),
+                merged.to_string(),
+                solved.less(merged).to_string(),
+            ]);
+        }
+        println!("us per call: median [p25, p75] of nine rounds");
+        print_table(
+            &[
+                "session",
+                "peer answer B",
+                "fetch (2 owners)",
+                "merge (3)",
+                "solve+clamp",
+            ],
+            &table,
+        );
+        drop(fed);
+        for server in servers {
+            server.shutdown().unwrap();
+        }
     }
 }

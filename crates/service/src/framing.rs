@@ -97,6 +97,13 @@ pub fn encode_json_frame(out: &mut Vec<u8>, json: &str) {
     out.extend_from_slice(json.as_bytes());
 }
 
+/// One [`OP_JSON`] frame carrying `json`.
+pub(crate) fn json_frame(json: &str) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(json.len() + 8);
+    encode_json_frame(&mut frame, json);
+    frame
+}
+
 /// Appends one [`OP_SUBMIT`] frame to `out` — the client-side encoder
 /// for the binary ingest fast path. All records must have the same
 /// arity (the frame layout is rectangular); `fixed32` selects
@@ -940,7 +947,7 @@ pub(crate) fn drive_blocking(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
 
@@ -1497,7 +1504,7 @@ mod tests {
 
     /// Ns per record of `f`, which handles `records` records per call,
     /// over nine rounds of about 60 ms after a warm-up.
-    fn ns_per_record(records: usize, mut f: impl FnMut()) -> Spread {
+    pub(crate) fn ns_per_record(records: usize, mut f: impl FnMut()) -> Spread {
         for _ in 0..3 {
             f();
         }
@@ -1531,7 +1538,7 @@ mod tests {
     /// The quartiles of nine timing rounds. A table cell prints its
     /// median and, in brackets, its p25 and p75.
     #[derive(Clone, Copy)]
-    struct Spread {
+    pub(crate) struct Spread {
         p25: f64,
         median: f64,
         p75: f64,
@@ -1540,7 +1547,7 @@ mod tests {
     impl Spread {
         /// `self` less `other`: the difference of the medians, between
         /// the widest bounds the two interquartile ranges allow.
-        fn less(self, other: Spread) -> Spread {
+        pub(crate) fn less(self, other: Spread) -> Spread {
             Spread {
                 p25: self.p25 - other.p75,
                 median: self.median - other.median,
@@ -1548,7 +1555,7 @@ mod tests {
             }
         }
 
-        fn scaled(self, factor: f64) -> Spread {
+        pub(crate) fn scaled(self, factor: f64) -> Spread {
             Spread {
                 p25: self.p25 * factor,
                 median: self.median * factor,
@@ -1576,7 +1583,7 @@ mod tests {
 
     /// Prints a timing table: the first column left-aligned, every other
     /// right-aligned, each as wide as its widest cell or header.
-    fn print_table(header: &[&str], rows: &[Vec<String>]) {
+    pub(crate) fn print_table(header: &[&str], rows: &[Vec<String>]) {
         let widths: Vec<usize> = (0..header.len())
             .map(|c| {
                 rows.iter()

@@ -826,7 +826,8 @@ mod tests {
             route("GET", "/sessions/7/counts?allow_partial=true", b""),
             Ok(Request::Counts {
                 session: 7,
-                allow_partial: true
+                allow_partial: true,
+                local: false
             })
         ));
         assert!(route("GET", "/sessions/7/counts?clamp=true", b"").is_err());

@@ -16,11 +16,11 @@
 //! sequence number ([`crate::framing`]), and a JSON `submit` carrying
 //! `origin` or `seq` is refused. `close_session` accepts
 //! `"local":true` to close only on the receiving node (the fan-out
-//! form; without it a federated server closes cluster-wide).
-//! `sync_session` returns a node's local merged partition counts;
-//! `repl_status` returns its per-shard replication watermarks for an
-//! origin; `cluster_status` describes the topology and per-peer link
-//! health. Standalone servers reject none of these fields but treat
+//! form; without it a federated server closes cluster-wide), and
+//! `counts` accepts it to answer with the receiving node's own
+//! partition (a coordinator's partition read). `repl_status` returns a
+//! node's per-shard replication watermarks for an origin;
+//! `cluster_status` describes the topology and per-peer link health. Standalone servers reject none of these fields but treat
 //! every session as locally owned.
 //!
 //! Responses always carry `"ok"`: `{"ok":true, ...}` on success,
@@ -272,6 +272,10 @@ pub enum Request {
         /// Federation: tolerate unreachable owners, as on
         /// [`Request::Reconstruct`].
         allow_partial: bool,
+        /// Federation: answer this node's own partition only. Set on
+        /// a coordinator's partition read so owners do not fan out in
+        /// turn.
+        local: bool,
     },
     /// Ingest statistics for a session.
     Stats {
@@ -306,12 +310,6 @@ pub enum Request {
     },
     /// Federation: topology and per-peer link health.
     ClusterStatus,
-    /// Federation: a node's local merged partition counts for one
-    /// session (the reconstruct/stats fan-out primitive).
-    SyncSession {
-        /// Target session id.
-        session: u64,
-    },
     /// Federation: per-shard replication watermarks for an origin node
     /// (what a reconnecting forwarder uses to resend exactly the gap).
     ReplStatus {
@@ -716,6 +714,7 @@ pub(crate) fn build_request(
         Op::Counts => Ok(Request::Counts {
             session: bound_id()?,
             allow_partial: optional_bool(v, "allow_partial", false)?,
+            local: optional_bool(v, "local", false)?,
         }),
         Op::Stats => Ok(Request::Stats {
             session: bound_id()?,
@@ -733,9 +732,6 @@ pub(crate) fn build_request(
             local: optional_bool(v, "local", false)?,
         }),
         Op::ClusterStatus => Ok(Request::ClusterStatus),
-        Op::SyncSession => Ok(Request::SyncSession {
-            session: bound_id()?,
-        }),
         Op::ReplStatus => Ok(Request::ReplStatus {
             session: bound_id()?,
             origin: field_u64(v, "origin")?,
@@ -1723,8 +1719,20 @@ pub(crate) mod tests {
             Request::ClusterStatus
         );
         assert_eq!(
-            parse_request(r#"{"op":"sync_session","session":4}"#).unwrap(),
-            Request::SyncSession { session: 4 }
+            parse_request(r#"{"op":"counts","session":4,"local":true}"#).unwrap(),
+            Request::Counts {
+                session: 4,
+                allow_partial: false,
+                local: true
+            }
+        );
+        assert_eq!(
+            parse_request(r#"{"op":"counts","session":4}"#).unwrap(),
+            Request::Counts {
+                session: 4,
+                allow_partial: false,
+                local: false
+            }
         );
         assert_eq!(
             parse_request(r#"{"op":"repl_status","session":4,"origin":1}"#).unwrap(),
@@ -2013,7 +2021,8 @@ pub(crate) mod tests {
             parse_request(r#"{"op":"counts","session":1,"allow_partial":true}"#).unwrap(),
             Request::Counts {
                 session: 1,
-                allow_partial: true
+                allow_partial: true,
+                local: false
             }
         );
         assert!(parse_request(r#"{"op":"counts"}"#).is_err());

@@ -62,7 +62,6 @@ pub enum Op {
     Persist,
     CloseSession,
     ClusterStatus,
-    SyncSession,
     ReplStatus,
     Hello,
     MineRules,
@@ -103,7 +102,7 @@ const PARTIAL: (&str, QueryKind) = ("allow_partial", QueryKind::Bool);
 
 /// Every op, in [`Op`] order.
 #[rustfmt::skip]
-pub static OPS: [OpRow; 22] = [
+pub static OPS: [OpRow; 21] = [
     op(Op::Ping,          "ping",           None,    &[("GET", "/ping")], &[]),
     op(Op::CreateSession, "create_session", None,    &[("POST", "/sessions")], &[]),
     op(Op::Submit,        "submit",         SESSION, &[("POST", "/sessions/{id}/records")], &[]),
@@ -120,7 +119,6 @@ pub static OPS: [OpRow; 22] = [
         &[("POST", "/sessions/{id}/persist"), ("POST", "/persist")], &[]),
     op(Op::CloseSession,  "close_session",  SESSION, &[("DELETE", "/sessions/{id}")], &[]),
     op(Op::ClusterStatus, "cluster_status", None,    &[("GET", "/cluster")], &[]),
-    op(Op::SyncSession,   "sync_session",   SESSION, &[], &[]),
     op(Op::ReplStatus,    "repl_status",    SESSION, &[], &[]),
     op(Op::Hello,         "hello",          None,    &[], &[]),
     op(Op::MineRules,     "mine_rules",     SESSION, &[("POST", "/sessions/{id}/mine")], &[]),

@@ -216,6 +216,32 @@ fn federated_reconstruction_is_bit_identical_to_single_node() {
         .unwrap();
     assert_eq!(rec_other.estimates, baseline);
 
+    // Each owner's own partition, read as a coordinator reads it (a
+    // `local` counts read), sums cell for cell to the merged counts,
+    // and such a read is no reconstruction on the owner.
+    let grid = |client: &mut Client, local: bool| -> Vec<u64> {
+        let line = format!(r#"{{"op":"counts","session":{session},"local":{local}}}"#);
+        let answer = client.request(&line).unwrap();
+        let counts = answer.get("counts").and_then(|c| c.as_array()).unwrap();
+        counts.iter().map(|c| c.as_u64().unwrap()).collect()
+    };
+    let merged = grid(&mut client, false);
+    let peers: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
+    let mut summed = vec![0; merged.len()];
+    for owner in frapp_fed::Topology::new(peers, 0, 2)
+        .unwrap()
+        .owners(session)
+    {
+        let mut owner_client = Client::connect(handles[owner].addr()).unwrap();
+        let reconstructions = |c: &mut Client| c.metrics(session).unwrap().0.reconstructions;
+        let before = reconstructions(&mut owner_client);
+        for (sum, count) in summed.iter_mut().zip(grid(&mut owner_client, true)) {
+            *sum += count;
+        }
+        assert_eq!(reconstructions(&mut owner_client), before);
+    }
+    assert_eq!(summed, merged);
+
     // Topology is visible on the wire, with every peer up.
     let status = client.cluster_status().unwrap();
     assert_eq!(

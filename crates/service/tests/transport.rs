@@ -397,17 +397,17 @@ fn pipelined_submits_ack_at_the_flush_watermark() {
     // Pipelined reconstruction equals a synchronous session fed the
     // same stream (bit-identical server-side perturbation).
     let mut sync_client = Client::connect(handle.addr()).unwrap();
-    let sync_session = sync_client.create_session(&small_spec(7)).unwrap();
+    let synchronous = sync_client.create_session(&small_spec(7)).unwrap();
     for batch in records.chunks(100) {
         sync_client
-            .submit_batch_to_shard(sync_session, 0, batch, false)
+            .submit_batch_to_shard(synchronous, 0, batch, false)
             .unwrap();
     }
     let a = client
         .reconstruct(session, ReconstructionMethod::ClosedForm, false)
         .unwrap();
     let b = sync_client
-        .reconstruct(sync_session, ReconstructionMethod::ClosedForm, false)
+        .reconstruct(synchronous, ReconstructionMethod::ClosedForm, false)
         .unwrap();
     assert_eq!(a.estimates, b.estimates);
 

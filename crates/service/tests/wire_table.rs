@@ -7,10 +7,12 @@
 //!    before the table existed (recorded at commit `df6d5eb`), and
 //!    every submit route answers with the bytes it answered before
 //!    `dispatch::apply_submit` existed (recorded at `53f8c3f`), and a
-//!    `counts` answer of a fixed session has pinned bytes;
+//!    `counts` answer of a fixed session and a peer link's partition
+//!    read have pinned bytes;
 //! 3. the `metrics` response, both clients' parsed reports and the
 //!    Prometheus exposition agree on every counter.
 
+use frapp_core::Schema;
 use frapp_service::client::{Client, HttpClient, SessionSpec};
 use frapp_service::dispatch::{dispatch_into, ConnState};
 use frapp_service::framing::{encode_json_frame, encode_submit_frame};
@@ -20,7 +22,9 @@ use frapp_service::session::{Mechanism, ReconstructionMethod, SessionRegistry};
 use frapp_service::wire::{
     Counter, PeerCounter, COUNTERS, OPS, PEER_COUNTERS, PEER_SECTION, WIRE_CONSTS,
 };
-use frapp_service::{MineAlgo, MineSpec, Server, ServiceConfig, TransportMetrics, TransportReport};
+use frapp_service::{
+    FedState, MineAlgo, MineSpec, Server, ServiceConfig, TransportMetrics, TransportReport,
+};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -644,6 +648,31 @@ fn federated_submit_response_bytes_are_the_parents() {
     for handle in handles {
         handle.shutdown().unwrap();
     }
+}
+
+/// The partition read a coordinator's peer link sends a remote owner
+/// on a federated `counts`, `reconstruct` or `stats`: after the link's
+/// binary upgrade, a `counts` request marked `local` in one `OP_JSON`
+/// frame.
+#[test]
+fn partition_read_request_bytes_are_pinned() {
+    let answer = r#"{"ok":true,"n":3,"gamma":19,"counts":[1,0,2,0,0,0]}"#;
+    let mut canned = b"{\"ok\":true,\"framing\":\"binary\"}\n".to_vec();
+    encode_json_frame(&mut canned, answer);
+    let sent = capture(canned, |addr| {
+        let peers = vec!["127.0.0.1:1".to_owned(), addr.to_string()];
+        let config = ServiceConfig::default().with_peers(peers, 0, 2);
+        let fed = FedState::from_config(&config).unwrap().unwrap();
+        let registry = SessionRegistry::new();
+        let schema = Schema::new(vec![("a", 3), ("b", 2)]).unwrap();
+        let mechanism = Mechanism::Deterministic { gamma: 19.0 };
+        let created = registry.create(Some(5), schema, mechanism, 2, 7, 4096);
+        let (counts, coverage) = fed.owner_counts(&created.unwrap().session, false).unwrap();
+        assert_eq!(counts.counts(), [1.0, 0.0, 2.0, 0.0, 0.0, 0.0]);
+        assert!(coverage.is_none());
+    });
+    let read = json_frame(r#"{"op":"counts","session":5,"local":true}"#);
+    assert_eq!(sent, [HELLO.as_bytes(), &read].concat());
 }
 
 // ---- 3. counters ---------------------------------------------------------
